@@ -230,7 +230,17 @@ class RemoteChatBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        if session is None:
+            # Read the proxy, CA-bundle and netrc settings once: a session that
+            # trusts the environment re-reads them on every POST.
+            session = requests.Session()
+            session.proxies = requests.utils.get_environ_proxies(self.base_url)
+            session.verify = (
+                os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+            )
+            session.auth = requests.utils.get_netrc_auth(self.base_url)
+            session.trust_env = False
+        self._session = session
         self._slots = threading.Semaphore(max_concurrency)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:

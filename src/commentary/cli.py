@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import requests
+
 from .backends import (
     Generator,
     OracleBackend,
@@ -437,7 +439,7 @@ def _evaluate_dirs(
             gen_track = _gen_track(gen_dir, video_id, duration, language)
             ref_track = load_reference(ref_path, video_id, duration, language)
             report = evaluate(gen_track, ref_track, scorer, language)
-        except ValueError as exc:
+        except (ValueError, requests.RequestException) as exc:
             raise CliError(f"{video_id}: {exc}") from exc
         reports[video_id] = report
         gen_tracks.append(gen_track)

@@ -160,18 +160,21 @@ def timing_alignment(gen: CommentaryTrack, ref: ReferenceTrack) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    """Exact LCS length, bit-parallel (Allison & Dix 1986, in Hyyrö's 2004 form).
+
+    The clear bits of `v` mark the positions of `a` where the LCS against the
+    tokens of `b` seen so far steps up by one, so each token of `b` costs a
+    few word operations per machine word of `a`.
+    """
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str, language: str = "en") -> float:
@@ -268,14 +271,23 @@ def reference_from_srt_text(
 ) -> ReferenceTrack:
     """Build a reference track from SRT text; display spans give the durations.
 
-    Entries starting after the stated duration are dropped.
+    Entries starting after the stated duration are dropped. Entries sharing a
+    start time become one utterance: their texts joined by a space in SRT
+    order, displayed until the latest of their ends.
     """
+    spans: dict[Seconds, tuple[str, Seconds]] = {}
+    for e in parse_srt(text):
+        if e.start > video_duration:
+            continue
+        if e.start in spans:
+            tied_text, tied_end = spans[e.start]
+            spans[e.start] = (f"{tied_text} {e.text}", max(tied_end, e.end))
+        else:
+            spans[e.start] = (e.text, e.end)
     utterances = [
-        Utterance(text=e.text, language=language, start=e.start, est_duration=e.end - e.start)
-        for e in parse_srt(text)
-        if e.start <= video_duration
+        Utterance(text=utt_text, language=language, start=start, est_duration=end - start)
+        for start, (utt_text, end) in sorted(spans.items())
     ]
-    utterances.sort(key=lambda u: u.start)
     return CommentaryTrack(
         video_id=video_id, utterances=tuple(utterances), video_duration=video_duration
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from pathlib import Path
+from typing import Sequence
 
 from commentary import (
     BUILTIN_TEMPLATES,
@@ -20,6 +21,22 @@ WORDS = [
     "corner", "pass", "now", "fast", "leader", "gap", "closes", "pit", "lane",
     "final", "lap", "overtake", "brakes", "late", "inside", "line",
 ]
+
+
+def dp_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Row-by-row O(len(a)·len(b)) LCS length; the oracle for the bit-parallel one."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
 
 
 def synth_store(video_id: str = "v1", duration: float = 10.0) -> FrameStore:

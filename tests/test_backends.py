@@ -6,6 +6,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from commentary import (
     CommentaryTrack,
@@ -165,7 +166,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         plan = self.server.plan  # type: ignore[attr-defined]
         self.server.requests.append(  # type: ignore[attr-defined]
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {"body": body, "auth": self.headers.get("Authorization"), "path": self.path}
         )
         status = plan.pop(0) if plan else 200
         if status != 200:
@@ -261,6 +262,60 @@ class TestRemoteChatBackend:
         monkeypatch.delenv("COMMENTARY_MODEL", raising=False)
         with pytest.raises(ValueError):
             RemoteChatBackend()
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+class TestEnvironmentSettings:
+    """Proxy and CA-bundle variables are read when the backend is built, not per POST."""
+
+    def test_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+        proxy = f"http://127.0.0.1:{chat_server.server_address[1]}"
+        no_proxy_env.setenv("HTTP_PROXY", proxy)
+        # Nothing listens on port 1: the request succeeds only through the proxy.
+        client = RemoteChatBackend(
+            base_url="http://127.0.0.1:1", model_id="m", backoff_base=0.001, timeout=2.0
+        )
+        no_proxy_env.delenv("HTTP_PROXY")
+        response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
+        assert response.raw_text == "the pack surges forward"
+        assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/chat/completions"
+
+    def test_no_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+        no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        client = _client(chat_server, timeout=2.0)
+        no_proxy_env.delenv("NO_PROXY")
+        response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
+        assert response.raw_text == "the pack surges forward"
+        assert chat_server.requests[0]["path"] == "/chat/completions"
+
+    def test_https_proxy_ca_bundle_and_netrc_reach_the_session(self, no_proxy_env, tmp_path):
+        bundle = str(tmp_path / "ca.pem")
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example.test login user password secret\n")
+        no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
+        no_proxy_env.setenv("REQUESTS_CA_BUNDLE", bundle)
+        no_proxy_env.setenv("NETRC", str(netrc))
+        session = RemoteChatBackend(base_url="https://api.example.test/v1", model_id="m")._session
+        assert session.proxies["https"] == "http://proxy.example.test:3128"
+        assert session.verify == bundle
+        assert session.auth == ("user", "secret")
+        assert session.trust_env is False
+
+    def test_caller_session_is_left_untouched(self, no_proxy_env):
+        no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
+        session = requests.Session()
+        RemoteChatBackend(base_url="https://api.example.test", model_id="m", session=session)
+        assert session.trust_env is True
+        assert session.proxies == {}
+        assert session.verify is True
 
 
 class TestPayloadHelpers:

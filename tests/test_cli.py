@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: generate, evaluate, sweep, exit codes."""
 
 import pytest
+import requests
 
+from commentary import cli
 from commentary.cli import main, parse_rate_model, read_trace_duration
 from commentary.cli import CliError
+from commentary.evaluation import EmbeddingScorer
 
 from helpers import write_manifest
 
@@ -195,6 +198,49 @@ class TestEvaluateCommand:
         assert rows[("race01", "agreement@1s")] == "0.8000"
         assert rows[("race01", "rouge_l_concat")] == "0.0000"
         assert rows[("race01", "gen_words")] == "0"
+
+    def test_tied_reference_starts_are_merged(self, workspace):
+        gen_dir = self._generate(workspace)
+        ref_dir = workspace["root"] / "refs"
+        ref_dir.mkdir()
+        (ref_dir / "race01.srt").write_text(
+            "1\n00:00:00,000 --> 00:00:01,000\nFive cars line up\n\n"
+            "2\n00:00:00,000 --> 00:00:02,000\non the grid\n",
+            encoding="utf-8",
+        )
+        report = workspace["root"] / "tied.tsv"
+        assert main(["evaluate", str(gen_dir), str(ref_dir), "--report", str(report)]) == 0
+        rows = {
+            (vid, key): value
+            for vid, key, value in (l.split("\t") for l in read(report).splitlines())
+        }
+        assert rows[("race01", "ref_words")] == "7"
+
+    @pytest.mark.parametrize("failure", ["status-500", "connection-refused"])
+    def test_embedding_endpoint_failure_exits_one(self, workspace, monkeypatch, capsys, failure):
+        class FailingSession:
+            def post(self, url, **kwargs):
+                if failure == "connection-refused":
+                    raise requests.ConnectionError(f"cannot reach {url}")
+                resp = requests.Response()
+                resp.status_code = 500
+                resp.reason = "Internal Server Error"
+                resp.url = url
+                return resp
+
+        monkeypatch.setattr(
+            cli,
+            "EmbeddingScorer",
+            lambda: EmbeddingScorer(
+                base_url="http://embed.example.test", model_id="e", session=FailingSession()
+            ),
+        )
+        gen_dir = self._generate(workspace)
+        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: race01: ")
+        assert "Traceback" not in err
 
     def test_reference_transcripts_are_accepted(self, workspace):
         gen_dir = self._generate(workspace)

@@ -4,6 +4,8 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commentary import (
     CommentaryTrack,
@@ -17,11 +19,28 @@ from commentary import (
 )
 from commentary.evaluation import (
     EmbeddingScorer,
+    _lcs_length,
     reference_from_srt_text,
     reference_from_transcript_text,
 )
 
-from helpers import WORDS, random_track
+from helpers import WORDS, dp_lcs_length, random_track
+
+# Word tokens and Japanese characters, so both ROUGE-L units are exercised.
+TOKEN_POOL = sorted(set(WORDS) | set("赤い車が先頭に立つ青のドライバーはコーナーで抜く"))
+
+
+@st.composite
+def token_pairs(draw):
+    """Two token lists over one alphabet of 1-30 symbols, each 0-300 long, so
+    bit masks cross the 64- and 128-bit boundaries and tokens repeat heavily."""
+    alphabet = draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=30, unique=True))
+
+    def tokens():
+        n = draw(st.integers(min_value=0, max_value=300))
+        return draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+
+    return tokens(), tokens()
 
 
 def utt(start, dur, text="the red car leads", language="en"):
@@ -110,6 +129,12 @@ class TestRougeL:
                 r = lcs / len(b)
                 expected = 100.0 * (2 * p * r) / (p + r)
             assert rouge_l(" ".join(a), " ".join(b)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(token_pairs())
+    def test_bit_parallel_lcs_matches_dp(self, pair):
+        a, b = pair
+        assert _lcs_length(a, b) == dp_lcs_length(a, b)
 
 
 class TestBinnedSimilarity:
@@ -237,6 +262,19 @@ class TestReferenceLoaders:
         assert len(ref.utterances) == 2
         assert ref.utterances[0].start == 2.0
         assert ref.utterances[0].est_duration == 2.5
+
+    def test_srt_entries_with_tied_starts_merge(self):
+        text = (
+            "1\n00:00:02,000 --> 00:00:03,000\nthe race\n\n"
+            "2\n00:00:05,000 --> 00:00:06,000\na bold move\n\n"
+            "3\n00:00:02,000 --> 00:00:04,500\nbegins now\n\n"
+            "4\n00:00:02,000 --> 00:00:03,500\nin the rain\n"
+        )
+        ref = reference_from_srt_text(text, "v", 10.0, "en")
+        assert [(u.start, u.text, u.est_duration) for u in ref.utterances] == [
+            (2.0, "the race begins now in the rain", 2.5),
+            (5.0, "a bold move", 1.0),
+        ]
 
     def test_srt_entries_past_duration_dropped(self):
         text = "1\n00:00:20,000 --> 00:00:21,000\ntoo late to count\n"

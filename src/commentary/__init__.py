@@ -13,7 +13,6 @@ from .backends import (
     RemoteChatBackend,
     ReplayCache,
     ScriptedBackend,
-    replay_cache,
 )
 from .core import (
     WAIT_TOKEN,
@@ -118,7 +117,6 @@ __all__ = [
     "parse_srt",
     "render_decision",
     "render_init",
-    "replay_cache",
     "rouge_l",
     "run_session",
     "select_window",

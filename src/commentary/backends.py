@@ -9,12 +9,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from .core import WAIT_TOKEN, CommentaryTrack, Seconds
 from .prompting import RenderedPrompt
+
+if TYPE_CHECKING:
+    import requests
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
 ENV_API_KEY = "COMMENTARY_API_KEY"
@@ -177,6 +178,26 @@ class OracleBackend:
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
 
 
+def _http_session(base_url: str) -> requests.Session:
+    """A `requests` session for `base_url` with the environment read once.
+
+    The proxy, CA-bundle and netrc settings are read here and the session
+    stops trusting the environment, which it would otherwise re-read on every
+    POST. This is the one place that imports `requests`, so a run that sends
+    no HTTP never loads it.
+    """
+    import requests
+
+    session = requests.Session()
+    session.proxies = requests.utils.get_environ_proxies(base_url)
+    session.verify = (
+        os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+    )
+    session.auth = requests.utils.get_netrc_auth(base_url)
+    session.trust_env = False
+    return session
+
+
 def encode_image_uri(uri: str) -> str:
     """Inline a local image as a base64 data URI; pass remote/data URIs through."""
     if uri.startswith(("data:", "http://", "https://")):
@@ -230,17 +251,7 @@ class RemoteChatBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        if session is None:
-            # Read the proxy, CA-bundle and netrc settings once: a session that
-            # trusts the environment re-reads them on every POST.
-            session = requests.Session()
-            session.proxies = requests.utils.get_environ_proxies(self.base_url)
-            session.verify = (
-                os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-            )
-            session.auth = requests.utils.get_netrc_auth(self.base_url)
-            session.trust_env = False
-        self._session = session
+        self._session = session if session is not None else _http_session(self.base_url)
         self._slots = threading.Semaphore(max_concurrency)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
@@ -260,7 +271,7 @@ class RemoteChatBackend:
                     resp = self._session.post(
                         url, json=payload, headers=headers, timeout=self.timeout
                     )
-                except requests.RequestException as exc:
+                except OSError as exc:  # requests.RequestException subclasses OSError
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
                 latency = time.monotonic() - started
@@ -348,7 +359,3 @@ class ReplayCache:
             tmp.write_text(body, encoding="utf-8")
             os.replace(tmp, path)
 
-
-def replay_cache(inner: Generator, cache_dir: str | Path, mode: str) -> Generator:
-    """Wrap a generator with a record/replay cache (passthrough leaves it untouched)."""
-    return ReplayCache(inner, cache_dir, mode)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Union
+from typing import Protocol, Union
 
 # Sentinel a generator emits when it chooses silence at a decision point.
 WAIT_TOKEN = "<WAIT>"
@@ -159,10 +159,3 @@ class WallClock:
         if remaining > 0:
             time.sleep(remaining)
 
-
-def track_from_utterances(
-    video_id: str, utterances: Iterable[Utterance], video_duration: Seconds
-) -> CommentaryTrack:
-    """Build a track from utterances in any order (sorted by start time)."""
-    ordered = tuple(sorted(utterances, key=lambda u: u.start))
-    return CommentaryTrack(video_id, ordered, video_duration)

@@ -15,10 +15,9 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
-import requests
-
+from .backends import _http_session
 from .core import CommentaryTrack, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_CHARACTER,
@@ -29,6 +28,9 @@ from .strategies import (
     estimate_duration,
 )
 from .subtitles import overlap_proportion, parse_srt, track_entries
+
+if TYPE_CHECKING:
+    import requests
 
 ENV_EMBED_API_BASE = "COMMENTARY_EMBED_API_BASE"
 ENV_EMBED_API_KEY = "COMMENTARY_EMBED_API_KEY"
@@ -78,7 +80,8 @@ class EmbeddingScorer:
     """Cosine similarity of embeddings fetched from a remote endpoint.
 
     Configured from COMMENTARY_EMBED_API_BASE / _KEY / _MODEL unless
-    overridden. Concurrent requests are bounded.
+    overridden. Concurrent requests are bounded. Proxy, CA-bundle and netrc
+    settings are read once, when the scorer is built.
     """
 
     def __init__(
@@ -98,7 +101,7 @@ class EmbeddingScorer:
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_EMBED_MODEL, "")
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = session if session is not None else _http_session(self.base_url)
         self._slots = threading.Semaphore(max_concurrency)
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
@@ -106,13 +109,21 @@ class EmbeddingScorer:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {"model": self.model_id, "input": texts}
+        url = f"{self.base_url}/embeddings"
         with self._slots:
-            resp = self._session.post(
-                f"{self.base_url}/embeddings", json=payload, headers=headers, timeout=self.timeout
-            )
+            resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
         resp.raise_for_status()
-        data = resp.json()["data"]
-        return [item["embedding"] for item in data]
+        try:
+            data = resp.json()["data"]
+            embeddings = [item["embedding"] for item in data]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValueError(f"malformed embedding response from {url}: {exc!r}") from exc
+        if len(embeddings) != len(texts) or not all(isinstance(e, list) for e in embeddings):
+            raise ValueError(
+                f"malformed embedding response from {url}: expected {len(texts)} "
+                f"embedding lists, got {len(embeddings)} items"
+            )
+        return embeddings
 
     def score(self, candidate: str, reference: str) -> float:
         if not candidate.strip() or not reference.strip():

@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 from .backends import (
     DEFAULT_MAX_OUTPUT_UNITS,
@@ -339,6 +338,3 @@ def fixed_decision_count(duration: Seconds, step: Seconds) -> int:
     """Number of decisions a fixed-interval session makes: floor(D/N) + 1."""
     return math.floor(duration / step) + 1
 
-
-def history_lengths(record: GenerationRecord) -> Sequence[int]:
-    return [s.point.history_len for s in record.steps]

@@ -25,6 +25,7 @@ from commentary.backends import (
     build_chat_payload,
     encode_image_uri,
 )
+from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
 
 
@@ -174,7 +175,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"{}")
             return
-        reply = {"choices": [{"message": {"content": "the pack surges forward"}}]}
+        if self.path.endswith("/embeddings"):
+            reply = {"data": [{"embedding": [1.0, 0.0]} for _ in body["input"]]}
+        else:
+            reply = {"choices": [{"message": {"content": "the pack surges forward"}}]}
         payload = json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -273,7 +277,7 @@ def no_proxy_env(monkeypatch):
 
 
 class TestEnvironmentSettings:
-    """Proxy and CA-bundle variables are read when the backend is built, not per POST."""
+    """Proxy and CA-bundle variables are read when a client is built, not per POST."""
 
     def test_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
         proxy = f"http://127.0.0.1:{chat_server.server_address[1]}"
@@ -286,6 +290,13 @@ class TestEnvironmentSettings:
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
         assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/chat/completions"
+
+    def test_embedding_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+        no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_address[1]}")
+        scorer = EmbeddingScorer(base_url="http://127.0.0.1:1", model_id="e", timeout=2.0)
+        no_proxy_env.delenv("HTTP_PROXY")
+        assert scorer.score("the pack", "surges forward") == pytest.approx(1.0)
+        assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/embeddings"
 
     def test_no_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
         no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:1")
@@ -313,6 +324,7 @@ class TestEnvironmentSettings:
         no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
         session = requests.Session()
         RemoteChatBackend(base_url="https://api.example.test", model_id="m", session=session)
+        EmbeddingScorer(base_url="https://api.example.test", model_id="e", session=session)
         assert session.trust_env is True
         assert session.proxies == {}
         assert session.verify is True

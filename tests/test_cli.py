@@ -1,8 +1,16 @@
 """End-to-end command-line behavior: generate, evaluate, sweep, exit codes."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 import requests
 
+import commentary
 from commentary import cli
 from commentary.cli import main, parse_rate_model, read_trace_duration
 from commentary.cli import CliError
@@ -242,6 +250,35 @@ class TestEvaluateCommand:
         assert err.startswith("error: race01: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [{"error": "quota"}, {"data": [{"embedding": [1.0, 0.0]}]}],
+        ids=["no-data", "one-embedding-for-two-inputs"],
+    )
+    def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
+        class MalformedSession:
+            def post(self, url, **kwargs):
+                resp = requests.Response()
+                resp.status_code = 200
+                resp.url = url
+                resp._content = json.dumps(body).encode("utf-8")
+                return resp
+
+        monkeypatch.setattr(
+            cli,
+            "EmbeddingScorer",
+            lambda: EmbeddingScorer(
+                base_url="http://embed.example.test", model_id="e", session=MalformedSession()
+            ),
+        )
+        gen_dir = self._generate(workspace)
+        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: race01: malformed embedding response from ")
+        assert "http://embed.example.test/embeddings" in err
+        assert "Traceback" not in err
+
     def test_reference_transcripts_are_accepted(self, workspace):
         gen_dir = self._generate(workspace)
         ref_dir = workspace["root"] / "refs"
@@ -347,3 +384,48 @@ class TestParsers:
 
     def test_usage_error_maps_to_exit_one(self, capsys):
         assert main(["generate", "--nonsense"]) == 1
+
+
+class TestOfflineImports:
+    """Runs that send no HTTP never import `requests`."""
+
+    # The test process has imported `requests` already, so the runs happen in
+    # a fresh interpreter.
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        from commentary import cli
+
+        manifest, refs, out = sys.argv[1:]
+        generate = ["generate", "--manifest", manifest, "--strategy", "realtime",
+                    "--step", "1", "--backend", f"oracle:{refs}", "--out", out]
+        codes = [cli.main(generate), cli.main(["evaluate", out, refs])]
+        offline = sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "urllib3"))
+        cli.RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
+        print(json.dumps({"codes": codes, "offline": offline,
+                          "remote": "requests" in sys.modules}))
+        """
+    )
+
+    def test_oracle_generate_and_lexical_evaluate_do_not_import_requests(self, workspace):
+        ref_dir = workspace["root"] / "refs"
+        ref_dir.mkdir()
+        (ref_dir / "race01.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:02,000\nthe field charges into turn one\n\n"
+            "2\n00:00:06,500 --> 00:00:08,000\na bold move for the lead\n",
+            encoding="utf-8",
+        )
+        src = str(Path(commentary.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(workspace["manifest"]), str(ref_dir),
+             str(workspace["root"] / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0]
+        assert result["offline"] == []
+        assert result["remote"] is True

@@ -9,13 +9,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import Any, Mapping, Protocol
 
 from .core import WAIT_TOKEN, CommentaryTrack, Seconds
 from .prompting import RenderedPrompt
-
-if TYPE_CHECKING:
-    import requests
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
 ENV_API_KEY = "COMMENTARY_API_KEY"
@@ -178,24 +175,194 @@ class OracleBackend:
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
 
 
-def _http_session(base_url: str) -> requests.Session:
-    """A `requests` session for `base_url` with the environment read once.
+class HttpReply(Protocol):
+    """What the backends read of an HTTP reply; `requests.Response` has it too."""
 
-    The proxy, CA-bundle and netrc settings are read here and the session
-    stops trusting the environment, which it would otherwise re-read on every
-    POST. This is the one place that imports `requests`, so a run that sends
-    no HTTP never loads it.
+    status_code: int
+
+    @property
+    def text(self) -> str:
+        ...
+
+    def json(self) -> Any:
+        ...
+
+
+class HttpSession(Protocol):
+    """What the backends need of an HTTP session; `requests.Session` has it too.
+
+    `post` raises `OSError` when no reply arrives.
     """
-    import requests
 
-    session = requests.Session()
-    session.proxies = requests.utils.get_environ_proxies(base_url)
-    session.verify = (
-        os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-    )
-    session.auth = requests.utils.get_netrc_auth(base_url)
-    session.trust_env = False
-    return session
+    def post(
+        self, url: str, *, json: Any, headers: dict[str, str], timeout: float
+    ) -> HttpReply:
+        ...
+
+
+class _Reply:
+    """A reply whose body has been read in full."""
+
+    def __init__(self, status_code: int, content: bytes) -> None:
+        self.status_code = status_code
+        self.content = content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self) -> Any:
+        import json
+
+        return json.loads(self.content)
+
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+
+
+def _netrc_auth(host: str) -> tuple[str, str] | None:
+    """Login and password for `host` from `$NETRC` or `~/.netrc`, if it has them."""
+    import netrc
+
+    path = os.environ.get("NETRC") or os.path.join(os.path.expanduser("~"), ".netrc")
+    try:
+        entry = netrc.netrc(path).authenticators(host)
+    except (OSError, netrc.NetrcParseError):
+        return None
+    if entry is None:
+        return None
+    login, account, password = entry
+    return login or account or "", password or ""
+
+
+def _dropped(sock: Any) -> bool:
+    """Whether an idle connection's socket is readable, that is closed by the server."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _HttpSession:
+    """Keep-alive HTTP/1.1 client for one endpoint, built on `http.client`.
+
+    The proxy, CA-bundle and netrc settings are read from the environment
+    once, here. Netrc credentials are sent only on requests that carry no
+    `Authorization` header of their own. Idle connections wait in a
+    lock-guarded list that the backend's threads share; a connection goes
+    back only after its whole reply has been read and the server keeps it
+    open, and one the server has closed meanwhile is dropped before reuse.
+    Redirects are not followed and no compressed reply is asked for.
+
+    The stdlib HTTP modules are imported here, so a run that sends no HTTP
+    never loads them. `http.client.HTTPException`, which is not an `OSError`,
+    is raised as `ConnectionError`.
+    """
+
+    def __init__(self, base_url: str) -> None:
+        import http.client  # noqa: F401  (loaded with the client, not by the first POST)
+        from urllib.parse import unquote, urlsplit
+        from urllib.request import getproxies_environment, proxy_bypass_environment
+
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {base_url!r}")
+        self._https = url.scheme == "https"
+        self._host = url.hostname
+        self._port = url.port or (443 if self._https else 80)
+        env = getproxies_environment()
+        proxy = env.get(url.scheme) or env.get("all")
+        if proxy and proxy_bypass_environment(f"{self._host}:{self._port}", env):
+            proxy = None
+        self.proxies = {url.scheme: proxy} if proxy else {}
+        self.verify: str | bool = (
+            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+        )
+        self.auth = _netrc_auth(self._host)
+        self._proxy: tuple[str, int] | None = None
+        self._proxy_headers: dict[str, str] = {}
+        if proxy:
+            purl = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._proxy = (purl.hostname or "", purl.port or 80)
+            if purl.username is not None:
+                self._proxy_headers["Proxy-Authorization"] = _basic_auth(
+                    unquote(purl.username), unquote(purl.password or "")
+                )
+        self._tls: Any = None
+        self._idle: list[Any] = []
+        self._lock = threading.Lock()
+
+    def _tls_context(self) -> Any:
+        if self._tls is None:
+            import ssl
+
+            if self.verify is True:
+                self._tls = ssl.create_default_context()
+            elif os.path.isdir(self.verify):
+                self._tls = ssl.create_default_context(capath=self.verify)
+            else:
+                self._tls = ssl.create_default_context(cafile=self.verify)
+        return self._tls
+
+    def _connection(self) -> Any:
+        """An idle connection the server has kept open, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if not _dropped(conn.sock):
+                return conn
+            conn.close()
+        import http.client
+
+        host, port = self._proxy or (self._host, self._port)
+        if not self._https:
+            return http.client.HTTPConnection(host, port)
+        conn = http.client.HTTPSConnection(host, port, context=self._tls_context())
+        if self._proxy:
+            conn.set_tunnel(self._host, self._port, self._proxy_headers)
+        return conn
+
+    def post(self, url: str, *, json: Any, headers: dict[str, str], timeout: float) -> _Reply:
+        import http.client
+        from json import dumps
+        from urllib.parse import urlsplit
+
+        body = dumps(json).encode("utf-8")
+        headers = dict(headers)
+        if self.auth and "Authorization" not in headers:
+            headers["Authorization"] = _basic_auth(*self.auth)
+        if self._proxy and not self._https:
+            headers.update(self._proxy_headers)
+            target = url
+        else:
+            parts = urlsplit(url)
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn = self._connection()
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request("POST", target, body, headers)
+            resp = conn.getresponse()
+            content = resp.read()
+        except http.client.HTTPException as exc:
+            conn.close()
+            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return _Reply(resp.status, content)
 
 
 def encode_image_uri(uri: str) -> str:
@@ -239,7 +406,7 @@ class RemoteChatBackend:
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         max_concurrency: int = 4,
-        session: requests.Session | None = None,
+        session: HttpSession | None = None,
     ) -> None:
         self.base_url = (base_url or os.environ.get(ENV_API_BASE, "")).rstrip("/")
         if not self.base_url:
@@ -251,7 +418,7 @@ class RemoteChatBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = session if session is not None else _http_session(self.base_url)
+        self._session = session if session is not None else _HttpSession(self.base_url)
         self._slots = threading.Semaphore(max_concurrency)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
@@ -271,7 +438,7 @@ class RemoteChatBackend:
                     resp = self._session.post(
                         url, json=payload, headers=headers, timeout=self.timeout
                     )
-                except OSError as exc:  # requests.RequestException subclasses OSError
+                except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
                 latency = time.monotonic() - started
@@ -294,7 +461,7 @@ class RemoteChatBackend:
         raise last_error
 
 
-def _extract_content(resp: requests.Response) -> str:
+def _extract_content(resp: HttpReply) -> str:
     try:
         data = resp.json()
         content = data["choices"][0]["message"]["content"]

@@ -437,7 +437,7 @@ def _evaluate_dirs(
             gen_track = _gen_track(gen_dir, video_id, duration, language)
             ref_track = load_reference(ref_path, video_id, duration, language)
             report = evaluate(gen_track, ref_track, scorer, language)
-        except (ValueError, OSError) as exc:  # OSError includes requests' errors
+        except (ValueError, OSError) as exc:  # OSError: unreadable files, HTTP failures
             raise CliError(f"{video_id}: {exc}") from exc
         reports[video_id] = report
         gen_tracks.append(gen_track)

@@ -15,9 +15,9 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from .backends import _http_session
+from .backends import HttpSession, _HttpSession
 from .core import CommentaryTrack, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_CHARACTER,
@@ -28,9 +28,6 @@ from .strategies import (
     estimate_duration,
 )
 from .subtitles import overlap_proportion, parse_srt, track_entries
-
-if TYPE_CHECKING:
-    import requests
 
 ENV_EMBED_API_BASE = "COMMENTARY_EMBED_API_BASE"
 ENV_EMBED_API_KEY = "COMMENTARY_EMBED_API_KEY"
@@ -91,7 +88,7 @@ class EmbeddingScorer:
         model_id: str | None = None,
         timeout: float = 60.0,
         max_concurrency: int = 4,
-        session: requests.Session | None = None,
+        session: HttpSession | None = None,
     ) -> None:
         self.base_url = (base_url or os.environ.get(ENV_EMBED_API_BASE, "")).rstrip("/")
         if not self.base_url:
@@ -101,7 +98,7 @@ class EmbeddingScorer:
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_EMBED_MODEL, "")
         self.timeout = timeout
-        self._session = session if session is not None else _http_session(self.base_url)
+        self._session = session if session is not None else _HttpSession(self.base_url)
         self._slots = threading.Semaphore(max_concurrency)
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
@@ -112,7 +109,8 @@ class EmbeddingScorer:
         url = f"{self.base_url}/embeddings"
         with self._slots:
             resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
-        resp.raise_for_status()
+        if resp.status_code != 200:
+            raise OSError(f"embedding request to {url} failed with status {resp.status_code}")
         try:
             data = resp.json()["data"]
             embeddings = [item["embedding"] for item in data]

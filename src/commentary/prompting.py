@@ -143,7 +143,7 @@ def render_decision(
     )
 
 
-def parse_response(raw: str, language: str = "en") -> DecisionOutcome:
+def parse_response(raw: str) -> DecisionOutcome:
     """Classify a raw backend reply as Wait or Speak.
 
     Wait when the reply, ignoring case, whitespace, punctuation and markup, is
@@ -151,7 +151,6 @@ def parse_response(raw: str, language: str = "en") -> DecisionOutcome:
     characters is Speak, with internal newlines collapsed to single spaces.
     The wait token is language independent.
     """
-    del language
     stripped = raw.strip()
     if not stripped:
         return Wait()

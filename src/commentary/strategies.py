@@ -284,7 +284,7 @@ def run_session(
             error = f"backend failure at step {index} (t={t:.3f}s): {exc}"
             break
 
-        outcome = parse_response(response.raw_text, config.language)
+        outcome = parse_response(response.raw_text)
         note = ""
         if isinstance(outcome, Wait) and not response.raw_text.strip():
             note = "empty-response-wait"

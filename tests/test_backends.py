@@ -2,8 +2,11 @@
 
 import base64
 import json
+import re
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -161,6 +164,11 @@ class TestReplayCache:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "stub"
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)  # type: ignore[attr-defined]
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -171,35 +179,101 @@ class _Handler(BaseHTTPRequestHandler):
         )
         status = plan.pop(0) if plan else 200
         if status != 200:
-            self.send_response(status)
-            self.end_headers()
-            self.wfile.write(b"{}")
-            return
-        if self.path.endswith("/embeddings"):
+            reply = {}
+        elif self.path.endswith("/embeddings"):
             reply = {"data": [{"embedding": [1.0, 0.0]} for _ in body["input"]]}
         else:
             reply = {"choices": [{"message": {"content": "the pack surges forward"}}]}
         payload = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        # Closes without a `Connection: close` header, as a server whose
+        # keep-alive timeout expires between two requests does.
+        self.close_connection = self.server.close_after_reply  # type: ignore[attr-defined]
 
     def log_message(self, *args):
         pass
 
 
+class _ChatServer(ThreadingHTTPServer):
+    """Keep-alive test endpoint that records requests and accepted connections."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.plan = []
+        self.requests = []
+        self.connections = []
+        self.close_after_reply = False
+        self.closed = threading.Semaphore(0)  # released each time a connection is closed
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
 @pytest.fixture()
 def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    server.plan = []
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = _ChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
+
+
+class _RawServer:
+    """TCP server that reads one request per connection, records its head,
+    sends `reply` (possibly nothing) and closes."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.heads: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                data = b""
+                while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
+                    data += chunk
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+                while length and len(body) < int(length[1]) and (chunk := conn.recv(65536)):
+                    body += chunk
+                self.heads.append(head)
+                conn.sendall(self.reply)
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=2)
+        self._listener.close()
+
+
+@pytest.fixture()
+def raw_server():
+    servers = []
+
+    def start(reply: bytes) -> _RawServer:
+        servers.append(_RawServer(reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
 
 
 def _client(server, **kwargs):
@@ -261,6 +335,11 @@ class TestRemoteChatBackend:
         with pytest.raises(TransportError):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
 
+    @pytest.mark.parametrize("base_url", ["127.0.0.1:8000", "localhost:8000/v1", "ftp://host/v1"])
+    def test_endpoint_must_be_an_http_url(self, base_url):
+        with pytest.raises(ValueError, match="http:// or https://"):
+            RemoteChatBackend(base_url=base_url, model_id="m")
+
     def test_missing_configuration(self, monkeypatch):
         monkeypatch.delenv("COMMENTARY_API_BASE", raising=False)
         monkeypatch.delenv("COMMENTARY_MODEL", raising=False)
@@ -318,7 +397,6 @@ class TestEnvironmentSettings:
         assert session.proxies["https"] == "http://proxy.example.test:3128"
         assert session.verify == bundle
         assert session.auth == ("user", "secret")
-        assert session.trust_env is False
 
     def test_caller_session_is_left_untouched(self, no_proxy_env):
         no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
@@ -328,6 +406,103 @@ class TestEnvironmentSettings:
         assert session.trust_env is True
         assert session.proxies == {}
         assert session.verify is True
+
+
+def _auth_sent(kind, server, api_key):
+    """The Authorization header one chat or embedding request sent to `server`."""
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    if kind == "chat":
+        client = RemoteChatBackend(base_url=base, api_key=api_key, model_id="m")
+        client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
+    else:
+        EmbeddingScorer(base_url=base, api_key=api_key, model_id="e").score("a", "b")
+    return server.requests[-1]["auth"]
+
+
+class TestNetrcCredentials:
+    """Netrc credentials apply only where no API key is configured."""
+
+    @pytest.fixture()
+    def netrc_env(self, no_proxy_env, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        no_proxy_env.setenv("NETRC", str(netrc))
+
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_api_key_wins_over_netrc(self, chat_server, netrc_env, kind):
+        assert _auth_sent(kind, chat_server, "sk-test") == "Bearer sk-test"
+
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_netrc_alone_sends_basic_credentials(self, chat_server, netrc_env, kind):
+        assert _auth_sent(kind, chat_server, "") == "Basic dXNlcjpzZWNyZXQ="
+
+
+class TestConnections:
+    """The backend's own client keeps connections alive and shares them between threads."""
+
+    def _generate(self, client):
+        request = GeneratorRequest(prompt=prompt(attachments=()), model_id="m")
+        return client.generate(request).raw_text
+
+    def test_sequential_calls_share_one_connection(self, chat_server):
+        client = _client(chat_server)
+        assert [self._generate(client) for _ in range(5)] == ["the pack surges forward"] * 5
+        assert len(chat_server.requests) == 5
+        assert len(chat_server.connections) == 1
+
+    def test_connection_closed_by_server_is_replaced_without_retry(
+        self, chat_server, monkeypatch
+    ):
+        chat_server.close_after_reply = True
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        client = _client(chat_server)
+        for _ in range(3):
+            assert self._generate(client) == "the pack surges forward"
+            assert chat_server.closed.acquire(timeout=5)
+        assert len(chat_server.requests) == 3
+        assert len(chat_server.connections) == 3
+        assert sleeps == []
+
+    def test_threads_share_the_client(self, chat_server):
+        client = _client(chat_server)
+        results = []
+
+        def work():
+            results.extend(self._generate(client) for _ in range(5))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert results == ["the pack surges forward"] * 20
+        assert len(chat_server.requests) == 20
+        assert len(chat_server.connections) <= 4
+
+    def test_garbage_status_line_is_a_transport_error(self, raw_server):
+        server = raw_server(b"garbage\r\n\r\n")
+        client = RemoteChatBackend(
+            base_url=f"http://127.0.0.1:{server.port}", model_id="m",
+            backoff_base=0.001, timeout=5.0,
+        )
+        with pytest.raises(TransportError):
+            self._generate(client)
+        assert len(server.heads) == client.max_attempts
+
+    def test_https_goes_through_an_authenticated_connect_tunnel(
+        self, raw_server, no_proxy_env
+    ):
+        proxy = raw_server(b"")  # records the CONNECT request, then hangs up
+        no_proxy_env.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.port}")
+        client = RemoteChatBackend(
+            base_url="https://api.example.test/v1", model_id="m", max_attempts=1, timeout=5.0
+        )
+        with pytest.raises(TransportError):
+            self._generate(client)
+        lines = proxy.heads[0].decode("latin-1").split("\r\n")
+        assert lines[0].startswith("CONNECT api.example.test:443 HTTP/1.")
+        assert "Proxy-Authorization: Basic dTpw" in lines[1:]
 
 
 class TestPayloadHelpers:

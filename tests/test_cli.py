@@ -387,7 +387,7 @@ class TestParsers:
 
 
 class TestOfflineImports:
-    """Runs that send no HTTP never import `requests`."""
+    """Runs that send no HTTP load no HTTP client; the remote backend needs no `requests`."""
 
     # The test process has imported `requests` already, so the runs happen in
     # a fresh interpreter.
@@ -396,14 +396,17 @@ class TestOfflineImports:
         import json, sys
         from commentary import cli
 
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("requests", "urllib3") or m == "http.client")
+
         manifest, refs, out = sys.argv[1:]
         generate = ["generate", "--manifest", manifest, "--strategy", "realtime",
                     "--step", "1", "--backend", f"oracle:{refs}", "--out", out]
         codes = [cli.main(generate), cli.main(["evaluate", out, refs])]
-        offline = sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "urllib3"))
+        offline = loaded()
         cli.RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
-        print(json.dumps({"codes": codes, "offline": offline,
-                          "remote": "requests" in sys.modules}))
+        print(json.dumps({"codes": codes, "offline": offline, "remote": loaded()}))
         """
     )
 
@@ -428,4 +431,4 @@ class TestOfflineImports:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0]
         assert result["offline"] == []
-        assert result["remote"] is True
+        assert result["remote"] == ["http.client"]

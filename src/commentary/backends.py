@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import base64
+import hashlib
+import logging
 import mimetypes
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Protocol
+from typing import Any, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import WAIT_TOKEN, CommentaryTrack, Seconds
 from .prompting import RenderedPrompt
@@ -22,7 +25,12 @@ DEFAULT_ATTACHMENT_LIMIT = 32
 DEFAULT_MAX_OUTPUT_UNITS = 256
 DEFAULT_TEMPERATURE = 0.0
 
-CACHE_MODES = ("record", "replay", "passthrough")
+CACHE_MODES = ("record", "replay")
+CACHE_LOG_NAME = "cache.log"
+CACHE_LOG_HEADER = b"#commentary-cache 2\n"
+_OLD_ENTRY_NAME = re.compile(r"[0-9a-f]{16}\.txt")  # `<digest>.txt` of the first cache format
+
+_log = logging.getLogger(__name__)
 
 
 class BackendError(Exception):
@@ -48,9 +56,27 @@ class PayloadTooLargeError(BackendError):
 class ReplayMissError(BackendError):
     """Replay cache has no entry for the requested prompt digest."""
 
-    def __init__(self, digest: str) -> None:
-        super().__init__(f"replay cache miss for digest {digest}")
+    def __init__(self, digest: str, message: str | None = None) -> None:
+        super().__init__(message or f"replay cache miss: no entry for digest {digest}")
         self.digest = digest
+
+
+class ReplayMismatchError(ReplayMissError):
+    """Replay cache holds the prompt digest only under other request settings."""
+
+    def __init__(self, recorded: "CacheKey", current: "CacheKey") -> None:
+        self.fields = tuple(
+            name for name, old, new in zip(CacheKey._fields, recorded, current) if old != new
+        )
+        detail = ", ".join(
+            f"{name} {getattr(recorded, name)!r} (now {getattr(current, name)!r})"
+            for name in self.fields
+        )
+        super().__init__(
+            current.digest,
+            f"replay cache miss: the record for digest {current.digest} "
+            f"was made with other settings: {detail}",
+        )
 
 
 @dataclass(frozen=True)
@@ -365,11 +391,18 @@ class _HttpSession:
         return _Reply(resp.status, content)
 
 
+def _local_path(uri: str) -> Path | None:
+    """The file behind a plain path or `file://` URI; None for data and remote URIs."""
+    if uri.startswith(("data:", "http://", "https://")):
+        return None
+    return Path(uri[7:]) if uri.startswith("file://") else Path(uri)
+
+
 def encode_image_uri(uri: str) -> str:
     """Inline a local image as a base64 data URI; pass remote/data URIs through."""
-    if uri.startswith(("data:", "http://", "https://")):
+    path = _local_path(uri)
+    if path is None:
         return uri
-    path = Path(uri[7:]) if uri.startswith("file://") else Path(uri)
     data = path.read_bytes()
     mime = mimetypes.guess_type(path.name)[0] or "image/jpeg"
     return f"data:{mime};base64,{base64.b64encode(data).decode('ascii')}"
@@ -388,6 +421,58 @@ def build_chat_payload(request: GeneratorRequest) -> dict:
     }
 
 
+_MAX_ATTEMPTS = 3  # per request, the first included, for chat and embedding clients alike
+
+
+def _post_with_retry(
+    session: HttpSession,
+    url: str,
+    payload: Any,
+    api_key: str,
+    *,
+    timeout: float,
+    max_attempts: int,
+    backoff_base: float,
+    slots: threading.Semaphore,
+) -> tuple[HttpReply, float]:
+    """POST `payload` as JSON and return the 200 reply with its latency in seconds.
+
+    Rate limits (429), server errors (5xx) and transport failures are retried
+    up to `max_attempts` in all, sleeping `backoff_base * 2**(n - 1)` seconds
+    before retry n; each attempt holds one of `slots`. Other statuses raise
+    their typed `BackendError` at once.
+    """
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    last_error: BackendError = TransportError("no attempt made")
+    for attempt in range(max_attempts):
+        if attempt:
+            time.sleep(backoff_base * (2 ** (attempt - 1)))
+        with slots:
+            started = time.monotonic()
+            try:
+                resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+            except OSError as exc:  # raised by `_HttpSession` and `requests` alike
+                last_error = TransportError(f"request to {url} failed: {exc}")
+                continue
+            latency = time.monotonic() - started
+        if resp.status_code == 200:
+            return resp, latency
+        status = resp.status_code
+        if status in (401, 403):
+            raise AuthenticationError(f"{url} rejected the credentials ({status})")
+        if status == 413:
+            raise PayloadTooLargeError(f"{url} rejected the payload as too large (413)")
+        if status == 429:
+            last_error = RateLimitError(f"{url} rate limited the request (429)")
+        elif status >= 500:
+            last_error = TransportError(f"server error {status} from {url}")
+        else:
+            raise TransportError(f"unexpected status {status} from {url}: {resp.text[:200]}")
+    raise last_error
+
+
 class RemoteChatBackend:
     """Client for chat-completion endpoints that accept inline image attachments.
 
@@ -403,7 +488,7 @@ class RemoteChatBackend:
         api_key: str | None = None,
         model_id: str | None = None,
         timeout: float = 120.0,
-        max_attempts: int = 3,
+        max_attempts: int = _MAX_ATTEMPTS,
         backoff_base: float = 0.5,
         max_concurrency: int = 4,
         session: HttpSession | None = None,
@@ -422,43 +507,19 @@ class RemoteChatBackend:
         self._slots = threading.Semaphore(max_concurrency)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        payload = build_chat_payload(request)
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
-        last_error: BackendError = TransportError("no attempt made")
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            with self._slots:
-                started = time.monotonic()
-                try:
-                    resp = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.timeout
-                    )
-                except OSError as exc:  # raised by `_HttpSession` and `requests` alike
-                    last_error = TransportError(f"request to {url} failed: {exc}")
-                    continue
-                latency = time.monotonic() - started
-            if resp.status_code == 200:
-                return GeneratorResponse(
-                    raw_text=_extract_content(resp), latency=latency, model_id=self.model_id
-                )
-            if resp.status_code in (401, 403):
-                raise AuthenticationError(f"endpoint rejected credentials ({resp.status_code})")
-            if resp.status_code == 413:
-                raise PayloadTooLargeError("endpoint rejected the payload as too large (413)")
-            if resp.status_code == 429:
-                last_error = RateLimitError("endpoint rate limited the request (429)")
-            elif resp.status_code >= 500:
-                last_error = TransportError(f"server error {resp.status_code}")
-            else:
-                raise TransportError(
-                    f"unexpected status {resp.status_code}: {resp.text[:200]}"
-                )
-        raise last_error
+        resp, latency = _post_with_retry(
+            self._session,
+            f"{self.base_url}/chat/completions",
+            build_chat_payload(request),
+            self.api_key,
+            timeout=self.timeout,
+            max_attempts=self.max_attempts,
+            backoff_base=self.backoff_base,
+            slots=self._slots,
+        )
+        return GeneratorResponse(
+            raw_text=_extract_content(resp), latency=latency, model_id=self.model_id
+        )
 
 
 def _extract_content(resp: HttpReply) -> str:
@@ -473,56 +534,196 @@ def _extract_content(resp: HttpReply) -> str:
     return str(content)
 
 
-class ReplayCache:
-    """Record/replay wrapper keyed by prompt digest, one UTF-8 file per entry.
+class CacheKey(NamedTuple):
+    """Everything a recorded reply depends on: the whole request, frames by content."""
 
-    Entry layout: first line the digest, second line the latency in
-    milliseconds, the remainder the raw response verbatim.
+    digest: str
+    model: str
+    temperature: float
+    max_tokens: int
+    frames: str
+
+
+def _frames_hash(attachments: Sequence[str]) -> str:
+    """Content hash of a prompt's local attachments, in order.
+
+    Data and remote URIs are skipped: the prompt digest already covers them.
+    A local file that does not exist hashes as a fixed marker, since scripted
+    and oracle runs name frames that were never written. Any other read
+    failure raises `OSError`.
+    """
+    h = hashlib.sha256()
+    for uri in attachments:
+        path = _local_path(uri)
+        if path is None:
+            continue
+        try:
+            h.update(hashlib.sha256(path.read_bytes()).digest())
+        except (FileNotFoundError, NotADirectoryError):
+            h.update(b"missing")
+    return h.hexdigest()[:16]
+
+
+class CacheLog:
+    """The append-only `cache.log` of one cache dir, shared by every session of a run.
+
+    The file starts with the line `#commentary-cache 2`. Each record is one
+    JSON array line `[digest, model, temperature, max_tokens, frames,
+    latency_ms, byte_len]` followed by exactly `byte_len` bytes of the raw
+    reply in UTF-8. The whole log is read into an index when it is opened. In
+    `record` mode each new key is appended with one write on an `O_APPEND`
+    descriptor, under the log's lock; a key already in the log is not
+    appended again. `replay` never modifies the file.
+
+    A torn last record (a crash during a write) is truncated with a warning in
+    `record` mode and ignored with a warning in `replay` mode. A dir of
+    one-file-per-digest entries from the first cache format, or a log without
+    the v2 header, raises `ValueError`.
     """
 
-    def __init__(self, inner: Generator, cache_dir: str | Path, mode: str) -> None:
+    def __init__(self, cache_dir: str | Path, mode: str) -> None:
         if mode not in CACHE_MODES:
             raise ValueError(f"cache mode must be one of {CACHE_MODES}, got {mode!r}")
-        self._inner = inner
-        self._dir = Path(cache_dir)
-        self._mode = mode
-        self._write_lock = threading.Lock()
-        self.model_id = inner.model_id
+        self.mode = mode
+        self.path = Path(cache_dir) / CACHE_LOG_NAME
+        self._records: dict[CacheKey, tuple[int, str]] = {}  # key -> (latency_ms, raw)
+        self._last_key: dict[str, CacheKey] = {}  # digest -> its latest recorded key
+        self._lock = threading.Lock()
+        self._fd: int | None = None
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            if any(_OLD_ENTRY_NAME.fullmatch(p.name) for p in Path(cache_dir).glob("*.txt")):
+                raise ValueError(
+                    f"cache dir {cache_dir} holds one-file-per-digest entries of the old "
+                    f"cache format and no {CACHE_LOG_NAME}; record it again"
+                ) from None
+            data = b""
+        end = self._load(data)
+        if end < len(data):
+            action = "dropped" if mode == "record" else "ignored"
+            _log.warning(
+                "%s: %s a torn last record (%d bytes from byte %d)",
+                self.path, action, len(data) - end, end,
+            )
         if mode == "record":
-            self._dir.mkdir(parents=True, exist_ok=True)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                if end < len(data):
+                    os.ftruncate(self._fd, end)
+                if end == 0:
+                    self._append(CACHE_LOG_HEADER)
+            except OSError:
+                self.close()
+                raise
 
-    def _entry_path(self, digest: str) -> Path:
-        return self._dir / f"{digest}.txt"
+    def _load(self, data: bytes) -> int:
+        """Index the records in `data`; return the length of its complete part."""
+        import json
+
+        if not data.startswith(CACHE_LOG_HEADER):
+            if CACHE_LOG_HEADER.startswith(data):  # empty, or the header line cut short
+                return 0
+            raise ValueError(f"{self.path} does not start with the cache v2 header line")
+        pos = len(CACHE_LOG_HEADER)
+        while pos < len(data):
+            eol = data.find(b"\n", pos)
+            if eol < 0:
+                break
+            try:
+                *fields, latency_ms, size = json.loads(data[pos:eol])
+                key = CacheKey(*fields)
+                if not isinstance(size, int) or size < 0 or not isinstance(latency_ms, int):
+                    raise ValueError("bad latency or length")
+                if eol + 1 + size > len(data):
+                    break
+                raw = data[eol + 1 : eol + 1 + size].decode("utf-8")
+                self._records.setdefault(key, (latency_ms, raw))
+                self._last_key[key.digest] = key
+            except (ValueError, TypeError) as exc:  # TypeError: wrong shape or unhashable field
+                raise ValueError(f"{self.path}: corrupt record at byte {pos}: {exc}") from exc
+            pos = eol + 1 + size
+        return pos
+
+    def lookup(self, key: CacheKey) -> tuple[int, str]:
+        """The recorded latency in ms and raw reply for `key`.
+
+        Raises `ReplayMismatchError` when the digest was recorded only under
+        other settings, and `ReplayMissError` when it was never recorded.
+        """
+        try:
+            return self._records[key]
+        except KeyError:
+            recorded = self._last_key.get(key.digest)
+            if recorded is None:
+                raise ReplayMissError(key.digest) from None
+            raise ReplayMismatchError(recorded, key) from None
+
+    def add(self, key: CacheKey, response: GeneratorResponse) -> tuple[int, str]:
+        """Append `response` under `key` unless the log already holds the key.
+
+        Returns the latency in ms and raw reply the log holds for `key` now,
+        which is what a replay will serve.
+        """
+        import json
+
+        raw = response.raw_text.encode("utf-8")
+        latency_ms = round(response.latency * 1000)
+        header = json.dumps([*key, latency_ms, len(raw)]).encode("ascii")
+        with self._lock:
+            if key not in self._records:
+                self._append(header + b"\n" + raw)
+                self._records[key] = (latency_ms, response.raw_text)
+                self._last_key[key.digest] = key
+            return self._records[key]
+
+    def _append(self, data: bytes) -> None:
+        written = os.write(self._fd, data)
+        if written != len(data):
+            # Cut the partial record off again, so later appends stay readable.
+            os.ftruncate(self._fd, os.lseek(self._fd, 0, os.SEEK_CUR) - written)
+            raise OSError(f"short write to {self.path}: {written} of {len(data)} bytes")
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+class ReplayCache:
+    """Record/replay wrapper around one backend, keyed by the whole request.
+
+    In `record` mode every request goes to the inner backend and its reply is
+    added to the shared `CacheLog`; in `replay` mode the reply comes from the
+    log alone. Both modes return the reply the log holds, so when a key was
+    recorded before, in this run or an earlier one into the same dir, a
+    record run uses that first reply, just as its replay will.
+    """
+
+    def __init__(self, inner: Generator, log: CacheLog) -> None:
+        self._inner = inner
+        self._log = log
+        self.model_id = inner.model_id
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        if self._mode == "passthrough":
-            return self._inner.generate(request)
-        digest = request.prompt.digest
-        path = self._entry_path(digest)
-        if self._mode == "replay":
-            if not path.exists():
-                raise ReplayMissError(digest)
-            return self._read_entry(path, digest)
-        response = self._inner.generate(request)
-        self._write_entry(path, digest, response)
-        return response
-
-    def _read_entry(self, path: Path, digest: str) -> GeneratorResponse:
-        text = path.read_text(encoding="utf-8")
-        header, _, rest = text.partition("\n")
-        latency_line, _, raw = rest.partition("\n")
-        if header != digest:
-            raise BackendError(f"cache entry {path} is corrupt: digest line {header!r}")
         try:
-            latency = int(latency_line) / 1000.0
-        except ValueError as exc:
-            raise BackendError(f"cache entry {path} is corrupt: latency {latency_line!r}") from exc
-        return GeneratorResponse(raw_text=raw, latency=latency, model_id=self.model_id)
-
-    def _write_entry(self, path: Path, digest: str, response: GeneratorResponse) -> None:
-        body = f"{digest}\n{round(response.latency * 1000)}\n{response.raw_text}"
-        with self._write_lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(body, encoding="utf-8")
-            os.replace(tmp, path)
-
+            frames = _frames_hash(request.prompt.attachments)
+        except OSError as exc:
+            raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
+        key = CacheKey(
+            request.prompt.digest,
+            request.model_id,
+            request.temperature,
+            request.max_output_units,
+            frames,
+        )
+        if self._log.mode == "replay":
+            latency_ms, raw = self._log.lookup(key)
+        else:
+            response = self._inner.generate(request)
+            try:
+                latency_ms, raw = self._log.add(key, response)
+            except OSError as exc:
+                raise BackendError(f"cannot record to {self._log.path}: {exc}") from exc
+        return GeneratorResponse(raw_text=raw, latency=latency_ms / 1000.0, model_id=self.model_id)

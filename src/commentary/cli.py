@@ -14,6 +14,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .backends import (
+    BackendError,
+    CacheLog,
     Generator,
     OracleBackend,
     RemoteChatBackend,
@@ -224,25 +226,36 @@ def _find_reference(
         raise CliError(f"reference {path}: {exc}") from exc
 
 
-def _backend_factory(cfg: RunConfig) -> Callable[[FrameStore], Generator]:
+def _backend_factory(
+    cfg: RunConfig,
+) -> tuple[Callable[[FrameStore], Generator], CacheLog | None]:
+    """The per-video backend maker, and the run's cache log when caching is on.
+
+    Every session's `ReplayCache` shares the one log; the caller closes it.
+    """
+    make = _inner_backend_factory(cfg)
+    if cfg.cache_mode == "off":
+        return make, None
+    try:
+        log = CacheLog(cfg.cache_dir, cfg.cache_mode)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cache: {exc}") from exc
+    return lambda store: ReplayCache(make(store), log), log
+
+
+def _inner_backend_factory(cfg: RunConfig) -> Callable[[FrameStore], Generator]:
     spec = cfg.backend_spec
-
-    def wrap(inner: Generator) -> Generator:
-        if cfg.cache_mode == "off":
-            return inner
-        return ReplayCache(inner, cfg.cache_dir, cfg.cache_mode)
-
     if spec == "remote":
         try:
             client = RemoteChatBackend()
         except ValueError as exc:
             raise CliError(f"backend: {exc}") from exc
-        return lambda store: wrap(client)
+        return lambda store: client
     if spec.startswith("scripted:"):
         script_path = Path(spec.partition(":")[2])
         if not script_path.exists():
             raise CliError(f"script file not found: {script_path}")
-        return lambda store: wrap(ScriptedBackend.from_file(script_path))
+        return lambda store: ScriptedBackend.from_file(script_path)
     if spec.startswith("oracle:"):
         ref_path = Path(spec.partition(":")[2])
 
@@ -254,7 +267,7 @@ def _backend_factory(cfg: RunConfig) -> Callable[[FrameStore], Generator]:
                 cfg.strategy.language,
                 cfg.strategy.rate_model,
             )
-            return wrap(OracleBackend(ref))
+            return OracleBackend(ref)
 
         return make
     raise CliError(
@@ -298,12 +311,11 @@ def read_trace_duration(path: Path) -> float | None:
 
 def _generate(cfg: RunConfig) -> int:
     stores = _load_stores(cfg.manifest)
-    factory = _backend_factory(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for store in stores:
         trace_path = cfg.out_dir / f"{store.video_id}.trace"
         if trace_path.exists() and not cfg.force:
             raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
+    factory, cache = _backend_factory(cfg)
 
     def run_one(store: FrameStore) -> GenerationRecord:
         clock = WallClock() if cfg.wall else SimulatedClock()
@@ -311,13 +323,17 @@ def _generate(cfg: RunConfig) -> int:
 
     records: dict[str, GenerationRecord] = {}
     try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = {pool.submit(run_one, store): store for store in stores}
             for future in as_completed(futures):
                 record = future.result()
                 records[record.video_id] = record
     except ReplayMissError as exc:
-        raise CliError(f"replay cache miss: no entry for digest {exc.digest}") from exc
+        raise CliError(str(exc)) from exc
+    finally:
+        if cache is not None:
+            cache.close()
 
     partial = False
     summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
@@ -437,7 +453,7 @@ def _evaluate_dirs(
             gen_track = _gen_track(gen_dir, video_id, duration, language)
             ref_track = load_reference(ref_path, video_id, duration, language)
             report = evaluate(gen_track, ref_track, scorer, language)
-        except (ValueError, OSError) as exc:  # OSError: unreadable files, HTTP failures
+        except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
             raise CliError(f"{video_id}: {exc}") from exc
         reports[video_id] = report
         gen_tracks.append(gen_track)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .backends import HttpSession, _HttpSession
+from .backends import _MAX_ATTEMPTS, HttpSession, _HttpSession, _post_with_retry
 from .core import CommentaryTrack, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_CHARACTER,
@@ -77,7 +77,9 @@ class EmbeddingScorer:
     """Cosine similarity of embeddings fetched from a remote endpoint.
 
     Configured from COMMENTARY_EMBED_API_BASE / _KEY / _MODEL unless
-    overridden. Concurrent requests are bounded. Proxy, CA-bundle and netrc
+    overridden. Concurrent requests are bounded, and retried like the chat
+    backend's: rate limits, server errors and transport failures up to 3
+    attempts in all with exponential backoff. Proxy, CA-bundle and netrc
     settings are read once, when the scorer is built.
     """
 
@@ -87,6 +89,7 @@ class EmbeddingScorer:
         api_key: str | None = None,
         model_id: str | None = None,
         timeout: float = 60.0,
+        backoff_base: float = 0.5,
         max_concurrency: int = 4,
         session: HttpSession | None = None,
     ) -> None:
@@ -98,19 +101,22 @@ class EmbeddingScorer:
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_EMBED_MODEL, "")
         self.timeout = timeout
+        self.backoff_base = backoff_base
         self._session = session if session is not None else _HttpSession(self.base_url)
         self._slots = threading.Semaphore(max_concurrency)
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = {"model": self.model_id, "input": texts}
         url = f"{self.base_url}/embeddings"
-        with self._slots:
-            resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
-        if resp.status_code != 200:
-            raise OSError(f"embedding request to {url} failed with status {resp.status_code}")
+        resp, _ = _post_with_retry(
+            self._session,
+            url,
+            {"model": self.model_id, "input": texts},
+            self.api_key,
+            timeout=self.timeout,
+            max_attempts=_MAX_ATTEMPTS,
+            backoff_base=self.backoff_base,
+            slots=self._slots,
+        )
         try:
             data = resp.json()["data"]
             embeddings = [item["embedding"] for item in data]

@@ -26,8 +26,8 @@ class ManifestError(ValueError):
 class ManifestGapError(ManifestError):
     """Manifest does not cover every second of the video."""
 
-    def __init__(self, second: int) -> None:
-        super().__init__(f"manifest is missing a frame for second {second}")
+    def __init__(self, path: str | Path, second: int) -> None:
+        super().__init__(f"{path}: manifest is missing a frame for second {second}")
         self.second = second
 
 
@@ -90,7 +90,10 @@ def load_manifest(path: str | Path) -> FrameStore:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ManifestError(f"{path}: empty manifest, missing header line")
 
@@ -128,7 +131,7 @@ def load_manifest(path: str | Path) -> FrameStore:
 
     for second in range(n):
         if second not in frames:
-            raise ManifestGapError(second)
+            raise ManifestGapError(path, second)
 
     return FrameStore(video_id=video_id, video_duration=duration, frames=frames)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from pathlib import Path
@@ -100,3 +101,28 @@ def write_manifest(path: Path, video_id: str, duration: float) -> Path:
         lines.append(f"{s}\tfile:///frames/{video_id}/{s:04d}.jpg")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+CACHE_LOG_HEADER = b"#commentary-cache 2\n"
+
+
+def read_cache_log(path: Path) -> list[tuple[list, bytes]]:
+    """A v2 cache log's records as (header fields, raw reply bytes), in file order."""
+    data = Path(path).read_bytes()
+    assert data.startswith(CACHE_LOG_HEADER), data[:40]
+    records = []
+    pos = len(CACHE_LOG_HEADER)
+    while pos < len(data):
+        eol = data.index(b"\n", pos)
+        fields = json.loads(data[pos:eol])
+        raw = data[eol + 1 : eol + 1 + fields[-1]]
+        assert len(raw) == fields[-1]
+        records.append((fields, raw))
+        pos = eol + 1 + len(raw)
+    return records
+
+
+def write_cache_log(path: Path, records: Sequence[tuple[list, bytes]]) -> None:
+    """Write `records` (as read by `read_cache_log`) as a v2 cache log."""
+    body = b"".join(json.dumps(fields).encode("ascii") + b"\n" + raw for fields, raw in records)
+    Path(path).write_bytes(CACHE_LOG_HEADER + body)

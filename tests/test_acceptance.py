@@ -43,7 +43,9 @@ from helpers import (
     poisson_reference,
     prompt_set,
     random_track,
+    read_cache_log,
     synth_store,
+    write_cache_log,
     write_manifest,
 )
 
@@ -265,9 +267,10 @@ def test_criterion_07_replay_determinism(tmp_path, capsys):
         replayed = (tmp_path / "rep" / name).read_bytes()
         assert recorded == replayed, name
 
-    victim = sorted((tmp_path / "cache").glob("*.txt"))[2]
-    digest = victim.stem
-    victim.unlink()
+    log = tmp_path / "cache" / "cache.log"
+    records = read_cache_log(log)
+    digest = records[2][0][0]
+    write_cache_log(log, records[:2] + records[3:])
     assert main(args("rep2", "replay")) == 1
     err = capsys.readouterr().err
     assert digest in err

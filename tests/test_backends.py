@@ -2,16 +2,23 @@
 
 import base64
 import json
+import logging
+import os
 import re
 import socket
+import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commentary import (
+    CacheLog,
     CommentaryTrack,
     GeneratorRequest,
     OracleBackend,
@@ -22,7 +29,10 @@ from commentary import (
 )
 from commentary.backends import (
     AuthenticationError,
+    BackendError,
     PayloadTooLargeError,
+    RateLimitError,
+    ReplayMismatchError,
     ReplayMissError,
     TransportError,
     build_chat_payload,
@@ -30,6 +40,8 @@ from commentary.backends import (
 )
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
+
+from helpers import read_cache_log
 
 
 def prompt(text="describe the scene", attachments=("file:///f/0.jpg",)):
@@ -112,54 +124,220 @@ class TestOracleBackend:
             backend.generate(request_for())
 
 
+def keyed_prompt(i, attachments=()):
+    """A prompt with a digest of its own, so distinct prompts never share a key."""
+    return RenderedPrompt(text=f"prompt {i}", attachments=tuple(attachments), digest=f"{i:016x}")
+
+
+@pytest.fixture()
+def cache_log(tmp_path):
+    opened = []
+
+    def open_log(mode, cache_dir=None):
+        opened.append(CacheLog(cache_dir or tmp_path / "cache", mode))
+        return opened[-1]
+
+    yield open_log
+    for log in opened:
+        log.close()
+
+
+def record(log, replies, requests_=None):
+    for i, raw in enumerate(replies):
+        req = requests_[i] if requests_ else request_for(keyed_prompt(i))
+        ReplayCache(ScriptedBackend(default=raw), log).generate(req)
+
+
 class TestReplayCache:
-    def test_record_then_replay_round_trip(self, tmp_path):
+    def test_record_then_replay_round_trip(self, cache_log):
         inner = ScriptedBackend({0: "line one\nline two"})
-        recorder = ReplayCache(inner, tmp_path / "cache", "record")
+        recorder = ReplayCache(inner, cache_log("record"))
         p = prompt("multi")
         recorded = recorder.generate(request_for(p))
 
-        replayer = ReplayCache(ScriptedBackend(default="wrong"), tmp_path / "cache", "replay")
+        replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_log("replay"))
         replayed = replayer.generate(request_for(p))
         assert replayed.raw_text == recorded.raw_text == "line one\nline two"
 
-    def test_entry_file_format(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        recorder = ReplayCache(ScriptedBackend({0: "reply"}), cache_dir, "record")
+    def test_entry_file_format(self, tmp_path, cache_log):
+        recorder = ReplayCache(ScriptedBackend({0: "reply"}), cache_log("record"))
         p = prompt("fmt")
         recorder.generate(request_for(p))
-        entry = (cache_dir / f"{p.digest}.txt").read_text(encoding="utf-8")
-        lines = entry.split("\n")
-        assert lines[0] == p.digest
-        assert lines[1] == "0"
-        assert lines[2] == "reply"
+        data = (tmp_path / "cache" / "cache.log").read_bytes()
+        header, record_line, raw = data.split(b"\n", 2)
+        assert header == b"#commentary-cache 2"
+        digest, model, temperature, max_tokens, frames, latency_ms, size = json.loads(record_line)
+        assert digest == p.digest
+        assert (model, temperature, max_tokens) == ("test-model", 0.0, 256)
+        assert re.fullmatch(r"[0-9a-f]{16}", frames)
+        assert latency_ms == 0
+        assert size == 5
+        assert raw == b"reply"
 
-    def test_replay_miss_names_digest(self, tmp_path):
+    def test_replay_miss_names_digest(self, tmp_path, cache_log):
         (tmp_path / "cache").mkdir()
-        replayer = ReplayCache(ScriptedBackend(), tmp_path / "cache", "replay")
+        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
         p = prompt("missing")
         with pytest.raises(ReplayMissError) as exc:
             replayer.generate(request_for(p))
         assert exc.value.digest == p.digest
         assert p.digest in str(exc.value)
 
-    def test_passthrough_writes_nothing(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        wrapper = ReplayCache(ScriptedBackend({0: "x y z"}), cache_dir, "passthrough")
-        assert wrapper.generate(request_for()).raw_text == "x y z"
-        assert list(cache_dir.iterdir()) == []
-
-    def test_one_entry_per_distinct_digest(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        recorder = ReplayCache(ScriptedBackend(default="r"), cache_dir, "record")
-        for text in ("a", "a", "b", "c", "b", "d", "e", "f"):
-            recorder.generate(request_for(prompt(text)))
-        assert len(list(cache_dir.glob("*.txt"))) == 6
+    def test_one_entry_per_distinct_digest(self, tmp_path, cache_log):
+        recorder = ReplayCache(ScriptedBackend(default="r"), cache_log("record"))
+        for i in (0, 0, 1, 2, 1, 3, 4, 5):
+            recorder.generate(request_for(keyed_prompt(i)))
+        records = read_cache_log(tmp_path / "cache" / "cache.log")
+        assert [fields[0] for fields, _ in records] == [f"{i:016x}" for i in range(6)]
+        replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_log("replay"))
+        for i in range(6):
+            assert replayer.generate(request_for(keyed_prompt(i))).raw_text == "r"
 
     def test_bad_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            ReplayCache(ScriptedBackend(), tmp_path, "sometimes")
+        for mode in ("sometimes", "passthrough"):
+            with pytest.raises(ValueError):
+                CacheLog(tmp_path, mode)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=6))
+    @example(["", "a\nb", "tab\there", "\r", "line\r\n", "日本語の実況 ✓"])
+    def test_raw_replies_survive_record_and_replay(self, replies):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            log = CacheLog(cache_dir, "record")
+            try:
+                record(log, replies)
+            finally:
+                log.close()
+            replayer = ReplayCache(ScriptedBackend(default="wrong"), CacheLog(cache_dir, "replay"))
+            replayed = [
+                replayer.generate(request_for(keyed_prompt(i))).raw_text
+                for i in range(len(replies))
+            ]
+        assert replayed == replies
+
+    @pytest.mark.parametrize("field", ["model", "temperature", "max_tokens", "frames"])
+    def test_other_settings_fail_naming_the_field(self, tmp_path, cache_log, field):
+        frame = tmp_path / "0001.jpg"
+        frame.write_bytes(b"first frame")
+        p = keyed_prompt(7, attachments=[f"file://{frame}", "data:image/png;base64,AAAA"])
+        record(cache_log("record"), ["the pack surges"], [request_for(p)])
+        frame.write_bytes(b"edited frame" if field == "frames" else b"first frame")
+        current = {
+            "model": GeneratorRequest(prompt=p, model_id="other-model"),
+            "temperature": request_for(p, temperature=0.7),
+            "max_tokens": request_for(p, max_output_units=64),
+            "frames": request_for(p),
+        }[field]
+        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        with pytest.raises(ReplayMismatchError) as exc:
+            replayer.generate(current)
+        assert exc.value.fields == (field,)
+        assert exc.value.digest == p.digest
+        assert f"{field} " in str(exc.value) and p.digest in str(exc.value)
+        if field != "frames":
+            recorded = {"model": "test-model", "temperature": 0.0, "max_tokens": 256}[field]
+            assert f"{field} {recorded!r} (now " in str(exc.value)
+
+    def test_missing_local_frames_hash_alike(self, tmp_path, cache_log):
+        (tmp_path / "a-file").write_bytes(b"not a dir")
+        p = keyed_prompt(1, attachments=["file:///frames/never/0000.jpg", "/frames/never/1.jpg"])
+        record(cache_log("record"), ["said"], [request_for(p)])
+        under_a_file = keyed_prompt(1, attachments=[f"{tmp_path / 'a-file'}/0000.jpg"] * 2)
+        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        assert replayer.generate(request_for(p)).raw_text == "said"
+        assert replayer.generate(request_for(under_a_file)).raw_text == "said"
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_unreadable_frame_is_a_backend_error_naming_it(self, tmp_path, cache_log, mode):
+        frame = tmp_path / "0000.jpg"
+        frame.mkdir()
+        (tmp_path / "cache").mkdir()
+        cache = ReplayCache(ScriptedBackend(default="said"), cache_log(mode))
+        with pytest.raises(BackendError, match="cannot read a frame") as exc:
+            cache.generate(request_for(keyed_prompt(1, attachments=[f"file://{frame}"])))
+        assert str(frame) in str(exc.value)
+
+    def test_recording_a_key_again_keeps_its_first_reply(self, cache_log):
+        req = request_for(keyed_prompt(3))
+        log = cache_log("record")
+        assert ReplayCache(ScriptedBackend(default="first"), log).generate(req).raw_text == "first"
+        assert ReplayCache(ScriptedBackend(default="again"), log).generate(req).raw_text == "first"
+        log.close()
+        later = ReplayCache(ScriptedBackend(default="second"), cache_log("record"))
+        assert later.generate(req).raw_text == "first"
+        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        assert replayer.generate(req).raw_text == "first"
+
+    @pytest.mark.parametrize(
+        "torn",
+        [
+            b'["00000000000000ff", "test-mo',
+            b'["00000000000000ff", "m", 0.0, 256, "f", 0, 9]\nshort',
+        ],
+        ids=["in-header-line", "in-reply"],
+    )
+    def test_torn_last_record_is_truncated_when_recording(self, tmp_path, cache_log, caplog, torn):
+        path = tmp_path / "cache" / "cache.log"
+        log = cache_log("record")
+        record(log, ["one", "two"])
+        log.close()
+        intact = path.read_bytes()
+        path.write_bytes(intact + torn)
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            log = cache_log("record")
+        assert "torn last record" in caplog.text and str(path) in caplog.text
+        assert path.read_bytes() == intact
+        ReplayCache(ScriptedBackend(default="three"), log).generate(request_for(keyed_prompt(2)))
+        assert [raw for _, raw in read_cache_log(path)] == [b"one", b"two", b"three"]
+
+    def test_torn_last_record_is_left_alone_when_replaying(self, tmp_path, cache_log, caplog):
+        path = tmp_path / "cache" / "cache.log"
+        record(cache_log("record"), ["one", "two"])
+        torn = path.read_bytes() + b'["00000000000000ff", "m", 0.0, 256, "f", 0, 9]\nshort'
+        path.write_bytes(torn)
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        assert "torn last record" in caplog.text
+        assert [replayer.generate(request_for(keyed_prompt(i))).raw_text for i in (0, 1)] == [
+            "one",
+            "two",
+        ]
+        assert path.read_bytes() == torn
+
+    def test_short_write_is_cut_off_and_aborts(self, tmp_path, cache_log, monkeypatch):
+        path = tmp_path / "cache" / "cache.log"
+        log = cache_log("record")
+        record(log, ["one"])
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[: len(data) // 2]))
+        with pytest.raises(BackendError, match="short write"):
+            record(log, ["two"], [request_for(keyed_prompt(1))])
+        monkeypatch.undo()
+        record(log, ["three"], [request_for(keyed_prompt(2))])
+        assert [raw for _, raw in read_cache_log(path)] == [b"one", b"three"]
+
+    def test_threads_record_each_key_once(self, tmp_path, cache_log):
+        log = cache_log("record")
+        keys = list(range(1000))
+        start = threading.Barrier(8)
+
+        def record_all():
+            start.wait(timeout=10)
+            record(log, ["x"] * len(keys), [request_for(keyed_prompt(i)) for i in keys])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        digests = [fields[0] for fields, _ in read_cache_log(tmp_path / "cache" / "cache.log")]
+        assert sorted(digests) == [f"{i:016x}" for i in keys]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -345,6 +523,24 @@ class TestRemoteChatBackend:
         monkeypatch.delenv("COMMENTARY_MODEL", raising=False)
         with pytest.raises(ValueError):
             RemoteChatBackend()
+
+
+class TestEmbeddingRetries:
+    @pytest.mark.parametrize(
+        "plan, error, sent",
+        [([429], None, 2), ([503] * 3, TransportError, 3), ([401], AuthenticationError, 1)],
+        ids=["rate-limit-then-ok", "server-errors", "auth-failure"],
+    )
+    def test_embedding_requests_retry_like_chat_requests(self, chat_server, plan, error, sent):
+        chat_server.plan = list(plan)
+        base = f"http://127.0.0.1:{chat_server.server_address[1]}"
+        scorer = EmbeddingScorer(base_url=base, model_id="e", backoff_base=0)
+        if error is None:
+            assert scorer.score("the pack", "the pack") == pytest.approx(1.0)
+        else:
+            with pytest.raises(error):
+                scorer.score("the pack", "the pack")
+        assert len(chat_server.requests) == sent
 
 
 @pytest.fixture()

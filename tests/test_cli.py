@@ -16,7 +16,7 @@ from commentary.cli import main, parse_rate_model, read_trace_duration
 from commentary.cli import CliError
 from commentary.evaluation import EmbeddingScorer
 
-from helpers import write_manifest
+from helpers import read_cache_log, write_cache_log, write_manifest
 
 
 def read(path):
@@ -137,16 +137,79 @@ class TestGenerate:
         assert (workspace["root"] / "multi" / "a.srt").exists()
         assert (workspace["root"] / "multi" / "b.srt").exists()
 
+    def test_manifest_gap_names_its_file(self, workspace, capsys):
+        vids = workspace["root"] / "vids"
+        vids.mkdir()
+        write_manifest(vids / "a.manifest", "a", 3.0)
+        gap = vids / "b.manifest"
+        gap.write_text("#video_id\tv\tduration\t3\n0\tf0.jpg\n2\tf2.jpg\n", encoding="utf-8")
+        args = gen_args(workspace, out="multi")
+        args[args.index("--manifest") + 1] = str(vids)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(gap) in err and "missing a frame for second 1" in err
+        assert "a.manifest" not in err
+
+
+def framed_workspace(ws, duration=10.0):
+    """Point the workspace manifest at frame files that exist."""
+    frames = ws["root"] / "frames"
+    frames.mkdir()
+    lines = [f"#video_id\trace01\tduration\t{duration:g}"]
+    for s in range(int(duration)):
+        (frames / f"{s:04d}.jpg").write_bytes(f"frame {s}".encode("ascii"))
+        lines.append(f"{s}\t{frames / f'{s:04d}.jpg'}")
+    ws["manifest"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return frames
+
+
+def generated_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
 
 class TestReplay:
     def test_record_then_replay_is_byte_identical(self, workspace):
         cache = workspace["root"] / "cache"
         assert main(gen_args(workspace, out="rec", cache="record", cache_dir=str(cache))) == 0
-        # One cache entry per decision: 6 decisions over the 10 s manifest.
-        assert len(list(cache.glob("*.txt"))) == 6
+        # One cache record per decision: 6 decisions over the 10 s manifest.
+        assert len(read_cache_log(cache / "cache.log")) == 6
         assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=str(cache))) == 0
         for name in ("race01.srt", "race01.trace"):
             assert read(workspace["root"] / "rec" / name) == read(workspace["root"] / "rep" / name)
+
+    def test_recording_again_replays_like_the_second_record_run(self, workspace):
+        cache = workspace["root"] / "cache"
+        assert main(gen_args(workspace, out="rec1", cache="record", cache_dir=str(cache))) == 0
+        workspace["script"].write_text(
+            "0\tA different opening line\ndefault\t<WAIT>\n", encoding="utf-8"
+        )
+        assert main(gen_args(workspace, out="rec2", cache="record", cache_dir=str(cache))) == 0
+        assert len(read_cache_log(cache / "cache.log")) == 6
+        assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=str(cache))) == 0
+        rec2, rep = workspace["root"] / "rec2", workspace["root"] / "rep"
+        assert generated_files(rec2) == generated_files(rep)
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_frame_that_is_a_directory_ends_the_session_naming_it(self, workspace, capsys, mode):
+        frames = framed_workspace(workspace)
+        cache = workspace["root"] / "cache"
+        assert main(gen_args(workspace, out="rec", cache="record", cache_dir=str(cache))) == 0
+        (frames / "0000.jpg").unlink()
+        (frames / "0000.jpg").mkdir()
+        capsys.readouterr()
+        assert main(gen_args(workspace, out="run", cache=mode, cache_dir=str(cache))) == 2
+        err = capsys.readouterr().err
+        assert "cannot read a frame" in err and str(frames / "0000.jpg") in err
+        assert "Traceback" not in err
+
+    def test_cache_dir_with_other_text_files_is_used(self, workspace):
+        cache = workspace["root"] / "cache"
+        cache.mkdir()
+        (cache / "notes.txt").write_text("recorded against the staging endpoint\n")
+        assert main(gen_args(workspace, out="rec", cache="record", cache_dir=str(cache))) == 0
+        assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=str(cache))) == 0
+        assert generated_files(workspace["root"] / "rec") == generated_files(workspace["root"] / "rep")
+        assert (cache / "notes.txt").exists()
 
     def test_cold_cache_replay_names_missing_digest(self, workspace, capsys):
         cache = workspace["root"] / "cold"
@@ -155,6 +218,76 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "replay cache miss" in err
         assert "digest" in err
+
+    def test_parallel_record_loses_no_entry(self, workspace):
+        vids = workspace["root"] / "vids"
+        vids.mkdir()
+        for name in ("a", "b", "c", "d"):
+            write_manifest(vids / f"{name}.manifest", name, 40.0)
+        cache = workspace["root"] / "cache"
+        common = dict(cache_dir=str(cache), jobs=4, step=1, strategy="realtime")
+        args = gen_args(workspace, out="rec", cache="record", **common)
+        args[args.index("--manifest") + 1] = str(vids)
+        assert main(args) == 0
+        rec = workspace["root"] / "rec"
+        decisions = sum(
+            1
+            for trace in rec.glob("*.trace")
+            for line in read(trace).splitlines()
+            if not line.startswith("#")
+        )
+        keys = [tuple(fields[:5]) for fields, _ in read_cache_log(cache / "cache.log")]
+        assert len(keys) == len(set(keys)) == decisions > 4 * 20
+        args = gen_args(workspace, out="rep", cache="replay", **common)
+        args[args.index("--manifest") + 1] = str(vids)
+        assert main(args) == 0
+        assert generated_files(rec) == generated_files(workspace["root"] / "rep")
+
+    @pytest.mark.parametrize("field", ["model", "temperature", "max_tokens", "frames"])
+    def test_replay_under_other_settings_names_the_field(self, workspace, capsys, field):
+        frames = framed_workspace(workspace)
+        cache = workspace["root"] / "cache"
+        assert main(gen_args(workspace, out="rec", cache="record", cache_dir=str(cache))) == 0
+        if field == "frames":
+            (frames / "0000.jpg").write_bytes(b"frame 0, edited in place")
+        else:
+            # A log recorded under another setting than the one this run uses.
+            column, recorded = {
+                "model": (1, "other-model"),
+                "temperature": (2, 0.7),
+                "max_tokens": (3, 64),
+            }[field]
+            records = read_cache_log(cache / "cache.log")
+            for fields, _ in records:
+                fields[column] = recorded
+            write_cache_log(cache / "cache.log", records)
+        capsys.readouterr()
+        assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=str(cache))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replay cache miss: the record for digest ")
+        assert f"other settings: {field} " in err
+        if field != "frames":
+            assert f"{field} {recorded!r} (now " in err
+        assert not (workspace["root"] / "rep" / "race01.srt").exists()
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    @pytest.mark.parametrize("layout", ["old-format-entries", "no-v2-header", "corrupt-record"])
+    def test_unusable_cache_dir_exits_one_naming_it(self, workspace, capsys, mode, layout):
+        cache = workspace["root"] / "old-cache"
+        cache.mkdir()
+        if layout == "old-format-entries":
+            (cache / "0123456789abcdef.txt").write_text("0123456789abcdef\n0\nreply")
+            (cache / "notes.txt").write_text("recorded against the staging endpoint\n")
+        elif layout == "no-v2-header":
+            (cache / "cache.log").write_text("#commentary-cache 1\n", encoding="utf-8")
+        else:
+            (cache / "cache.log").write_bytes(b"#commentary-cache 2\nnot a record\nreply")
+        before = generated_files(cache)
+        assert main(gen_args(workspace, out="run", cache=mode, cache_dir=str(cache))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cache: ") and str(cache) in err
+        assert "Traceback" not in err
+        assert generated_files(cache) == before
 
 
 class TestEvaluateCommand:
@@ -240,7 +373,10 @@ class TestEvaluateCommand:
             cli,
             "EmbeddingScorer",
             lambda: EmbeddingScorer(
-                base_url="http://embed.example.test", model_id="e", session=FailingSession()
+                base_url="http://embed.example.test",
+                model_id="e",
+                backoff_base=0,
+                session=FailingSession(),
             ),
         )
         gen_dir = self._generate(workspace)
@@ -248,6 +384,54 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: race01: ")
+        assert "Traceback" not in err
+
+    def _evaluate_embedding(self, monkeypatch, gen_dir, plan):
+        """Evaluate against a fake embedding endpoint answering statuses from `plan`,
+        then 200; return the exit code and the number of requests sent."""
+
+        class Reply:
+            def __init__(self, status, body):
+                self.status_code = status
+                self._body = body
+                self.text = json.dumps(body)
+
+            def json(self):
+                return self._body
+
+        class PlannedSession:
+            sent = 0
+
+            def post(self, url, json, **kwargs):
+                PlannedSession.sent += 1
+                if plan:
+                    return Reply(plan.pop(0), {})
+                return Reply(200, {"data": [{"embedding": [1.0, 0.0]} for _ in json["input"]]})
+
+        monkeypatch.setattr(
+            cli,
+            "EmbeddingScorer",
+            lambda: EmbeddingScorer(
+                base_url="http://embed.example.test",
+                model_id="e",
+                backoff_base=0,
+                session=PlannedSession(),
+            ),
+        )
+        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+        return code, PlannedSession.sent
+
+    def test_embedding_rate_limit_is_retried(self, workspace, monkeypatch):
+        gen_dir = self._generate(workspace)
+        assert self._evaluate_embedding(monkeypatch, gen_dir, []) == (0, 2)
+        assert self._evaluate_embedding(monkeypatch, gen_dir, [429]) == (0, 3)
+
+    def test_embedding_server_errors_exhaust_the_retries(self, workspace, monkeypatch, capsys):
+        gen_dir = self._generate(workspace)
+        code, sent = self._evaluate_embedding(monkeypatch, gen_dir, [503] * 3)
+        err = capsys.readouterr().err
+        assert (code, sent) == (1, 3)
+        assert err.startswith("error: race01: server error 503 from http://embed.example.test/")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

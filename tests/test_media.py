@@ -1,6 +1,11 @@
 """Manifest ingestion and frame-window selection."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commentary import frames_between, load_manifest
 from commentary.media import ManifestError, ManifestGapError, WindowRangeError
@@ -26,6 +31,43 @@ class TestLoadManifest:
             load_manifest(path)
         assert exc.value.second == 4
         assert "4" in str(exc.value)
+
+    def test_gap_error_names_the_file(self, tmp_path):
+        path = tmp_path / "gap.manifest"
+        path.write_text("#video_id\tv\tduration\t3\n0\tf0.jpg\n2\tf2.jpg\n", encoding="utf-8")
+        with pytest.raises(ManifestGapError, match="second 1") as exc:
+            load_manifest(path)
+        assert str(path) in str(exc.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.one_of(
+            st.binary(max_size=40),
+            st.text(max_size=40).map(str.encode),
+            st.tuples(
+                st.text(max_size=6), st.sampled_from(["3", "2.5", "0", "-1", "nan", "x"])
+            ).map(lambda h: f"#video_id\t{h[0]}\tduration\t{h[1]}".encode()),
+        ),
+        records=st.lists(
+            st.one_of(
+                st.binary(max_size=20),
+                st.text(max_size=20).map(str.encode),
+                st.tuples(st.integers(-2, 5), st.text(max_size=8)).map(
+                    lambda r: f"{r[0]}\t{r[1]}".encode()
+                ),
+            ),
+            max_size=6,
+        ),
+    )
+    @example(header=b"#video_id\tv\tduration\t2", records=[b"0\tf\xff.jpg", b"1\tf.jpg"])
+    def test_any_malformed_manifest_raises_value_error_naming_it(self, header, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.manifest"
+            path.write_bytes(b"\n".join([header, *records]))
+            try:
+                load_manifest(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
 
     def test_fractional_duration_needs_ceil_coverage(self, tmp_path):
         path = write_manifest(tmp_path / "v2.manifest", "v2", 3.5)

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol, Sequence
+from urllib.parse import unquote, urlsplit
 
 from .core import WAIT_TOKEN, CommentaryTrack, Seconds
 from .prompting import RenderedPrompt
@@ -273,42 +274,153 @@ def _dropped(sock: Any) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+_MAX_LINE = 65536  # longest status, header or chunk-size line accepted in a reply
+_MAX_FIELDS = 100  # most header (or trailer) lines accepted in a reply
+_STATUS_LINE = re.compile(rb"(HTTP/\d\.\d) (\d{3})(?: [^\r\n]*)?\r?\n")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+_LINE_BREAK = re.compile(r"[\r\n]")
+
+
+def _read_line(reader: Any) -> bytes:
+    """One whole line of a reply; `ConnectionError` if it is too long or cut short."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ConnectionError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ConnectionError("connection closed in a reply" if line else "connection closed")
+    return line
+
+
+def _read_fields(reader: Any) -> dict[bytes, bytes]:
+    """Header (or trailer) lines up to the blank line, by lower-cased name."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, sep, value = line.partition(b":")
+        if not sep or not name.strip():
+            raise ConnectionError(f"malformed header line {line[:80]!r}")
+        fields[name.strip().lower()] = value.strip()
+    raise ConnectionError(f"more than {_MAX_FIELDS} header lines in a reply")
+
+
+def _read_head(reader: Any) -> tuple[bytes, int, dict[bytes, bytes]]:
+    """The HTTP version, status and headers of one reply head."""
+    line = _read_line(reader)
+    match = _STATUS_LINE.fullmatch(line)
+    if match is None:
+        raise ConnectionError(f"malformed status line {line[:80]!r}")
+    return match[1], int(match[2]), _read_fields(reader)
+
+
+def _read_exactly(reader: Any, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise ConnectionError(f"connection closed after {len(data)} of {size} body bytes")
+    return data
+
+
+def _read_chunked(reader: Any) -> bytes:
+    parts = []
+    while True:
+        line = _read_line(reader)
+        match = _CHUNK_SIZE.fullmatch(line)
+        if match is None:
+            raise ConnectionError(f"malformed chunk size line {line[:80]!r}")
+        size = int(match[1], 16)
+        if not size:
+            break
+        parts.append(_read_exactly(reader, size))
+        if _read_line(reader) not in (b"\r\n", b"\n"):
+            raise ConnectionError("chunk longer than its size line says")
+    _read_fields(reader)  # trailers, unused
+    return b"".join(parts)
+
+
+def _read_reply(reader: Any) -> tuple[int, bytes, bool]:
+    """The status and body of the reply to a POST, and whether the connection stays open.
+
+    Interim 1xx replies are skipped. The body is framed by `chunked`
+    transfer coding, else by `Content-Length`, else by the server closing
+    the connection. A malformed or cut-short reply raises `ConnectionError`.
+    """
+    version, status, headers = _read_head(reader)
+    while status < 200:
+        version, status, headers = _read_head(reader)
+    tokens = {t.strip().lower() for t in headers.get(b"connection", b"").split(b",")}
+    keep = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+    if status in (204, 304):
+        return status, b"", keep
+    coding = headers.get(b"transfer-encoding", b"").rsplit(b",", 1)[-1].strip().lower()
+    if coding == b"chunked":
+        return status, _read_chunked(reader), keep
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False
+    if not length.isdigit():
+        raise ConnectionError(f"malformed Content-Length {length[:80]!r}")
+    return status, _read_exactly(reader, int(length)), keep
+
+
+class _Connection:
+    """A socket to the endpoint, or to its proxy, and the buffered reader of its replies."""
+
+    def __init__(self, sock: Any) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
 class _HttpSession:
-    """Keep-alive HTTP/1.1 client for one endpoint, built on `http.client`.
+    """Keep-alive HTTP/1.1 client for one endpoint, built on `socket`.
 
-    The proxy, CA-bundle and netrc settings are read from the environment
-    once, here. Netrc credentials are sent only on requests that carry no
-    `Authorization` header of their own. Idle connections wait in a
-    lock-guarded list that the backend's threads share; a connection goes
-    back only after its whole reply has been read and the server keeps it
-    open, and one the server has closed meanwhile is dropped before reuse.
-    Redirects are not followed and no compressed reply is asked for.
+    Each request leaves in one write of head and body, on a socket with
+    Nagle's algorithm off. The proxy, CA-bundle and netrc settings are read
+    from the environment once, here. Netrc credentials are sent only on
+    requests that carry no `Authorization` header of their own. Idle
+    connections wait in a lock-guarded list that the backend's threads
+    share; a connection goes back only after its whole reply has been read
+    and the server keeps it open, and one the server has closed meanwhile is
+    dropped before reuse. Redirects are not followed and no compressed reply
+    is asked for.
 
-    The stdlib HTTP modules are imported here, so a run that sends no HTTP
-    never loads them. `http.client.HTTPException`, which is not an `OSError`,
-    is raised as `ConnectionError`.
+    `ssl` is imported only for an `https://` endpoint, and `urllib.request`
+    only when the environment names a proxy variable, so a run that sends
+    no HTTP, or plain HTTP without a proxy, never loads them.
     """
 
     def __init__(self, base_url: str) -> None:
-        import http.client  # noqa: F401  (loaded with the client, not by the first POST)
-        from urllib.parse import unquote, urlsplit
-        from urllib.request import getproxies_environment, proxy_bypass_environment
+        import socket  # noqa: F401  (loaded with the client, not by the first POST)
 
         url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {base_url!r}")
         self._https = url.scheme == "https"
         self._host = url.hostname
-        self._port = url.port or (443 if self._https else 80)
-        env = getproxies_environment()
-        proxy = env.get(url.scheme) or env.get("all")
-        if proxy and proxy_bypass_environment(f"{self._host}:{self._port}", env):
-            proxy = None
+        if not self._host.isascii():
+            self._host = self._host.encode("idna").decode("ascii")
+        default_port = 443 if self._https else 80
+        self._port = url.port or default_port
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._authority = f"{host}:{self._port}"
+        self._host_field = host if self._port == default_port else self._authority
+        proxy = None
+        if any(name.lower().endswith("_proxy") for name in os.environ):
+            from urllib.request import getproxies_environment, proxy_bypass_environment
+
+            env = getproxies_environment()
+            proxy = env.get(url.scheme) or env.get("all")
+            if proxy and proxy_bypass_environment(f"{url.hostname}:{self._port}", env):
+                proxy = None
         self.proxies = {url.scheme: proxy} if proxy else {}
         self.verify: str | bool = (
             os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
         )
-        self.auth = _netrc_auth(self._host)
+        self.auth = _netrc_auth(url.hostname)
         self._proxy: tuple[str, int] | None = None
         self._proxy_headers: dict[str, str] = {}
         if proxy:
@@ -319,7 +431,7 @@ class _HttpSession:
                     unquote(purl.username), unquote(purl.password or "")
                 )
         self._tls: Any = None
-        self._idle: list[Any] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
     def _tls_context(self) -> Any:
@@ -334,7 +446,7 @@ class _HttpSession:
                 self._tls = ssl.create_default_context(cafile=self.verify)
         return self._tls
 
-    def _connection(self) -> Any:
+    def _connection(self, timeout: float) -> _Connection:
         """An idle connection the server has kept open, or a new one."""
         while True:
             with self._lock:
@@ -342,53 +454,86 @@ class _HttpSession:
                     break
                 conn = self._idle.pop()
             if not _dropped(conn.sock):
+                conn.sock.settimeout(timeout)
                 return conn
             conn.close()
-        import http.client
+        import socket
 
-        host, port = self._proxy or (self._host, self._port)
-        if not self._https:
-            return http.client.HTTPConnection(host, port)
-        conn = http.client.HTTPSConnection(host, port, context=self._tls_context())
-        if self._proxy:
-            conn.set_tunnel(self._host, self._port, self._proxy_headers)
-        return conn
+        sock = socket.create_connection(self._proxy or (self._host, self._port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._https:
+                if self._proxy:
+                    self._tunnel(sock)
+                sock = self._tls_context().wrap_socket(sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    def _tunnel(self, sock: Any) -> None:
+        """Ask the proxy for a `CONNECT` tunnel to the endpoint on `sock`."""
+        head = _request_head(
+            f"CONNECT {self._authority} HTTP/1.1", {"Host": self._authority, **self._proxy_headers}
+        )
+        sock.sendall(head)
+        reader = sock.makefile("rb")
+        try:
+            _, status, _ = _read_head(reader)
+        finally:
+            reader.close()
+        if status != 200:
+            raise ConnectionError(f"proxy refused the tunnel to {self._authority}: {status}")
 
     def post(self, url: str, *, json: Any, headers: dict[str, str], timeout: float) -> _Reply:
-        import http.client
         from json import dumps
-        from urllib.parse import urlsplit
 
         body = dumps(json).encode("utf-8")
-        headers = dict(headers)
+        fields = {
+            "Host": self._host_field,
+            "Accept-Encoding": "identity",
+            "Content-Length": str(len(body)),
+            **headers,
+        }
         if self.auth and "Authorization" not in headers:
-            headers["Authorization"] = _basic_auth(*self.auth)
+            fields["Authorization"] = _basic_auth(*self.auth)
         if self._proxy and not self._https:
-            headers.update(self._proxy_headers)
+            fields.update(self._proxy_headers)
             target = url
         else:
             parts = urlsplit(url)
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        conn = self._connection()
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
+        head = _request_head(f"POST {target} HTTP/1.1", fields)
+        conn = self._connection(timeout)
         try:
-            conn.request("POST", target, body, headers)
-            resp = conn.getresponse()
-            content = resp.read()
-        except http.client.HTTPException as exc:
-            conn.close()
-            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+            conn.sock.sendall(head + body)
+            status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
                 self._idle.append(conn)
-        return _Reply(resp.status, content)
+        else:
+            conn.close()
+        return _Reply(status, content)
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
+    """A request head; `ValueError` if a header would hold a line break."""
+    lines = [request_line]
+    for name, value in fields.items():
+        if _LINE_BREAK.search(name) or _LINE_BREAK.search(value):
+            raise ValueError(f"line break in the {name!r} header")
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 def _local_path(uri: str) -> Path | None:
@@ -507,10 +652,14 @@ class RemoteChatBackend:
         self._slots = threading.Semaphore(max_concurrency)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        try:
+            payload = build_chat_payload(request)
+        except OSError as exc:
+            raise BackendError(f"cannot read a frame for the request: {exc}") from exc
         resp, latency = _post_with_retry(
             self._session,
             f"{self.base_url}/chat/completions",
-            build_chat_payload(request),
+            payload,
             self.api_key,
             timeout=self.timeout,
             max_attempts=self.max_attempts,
@@ -520,6 +669,11 @@ class RemoteChatBackend:
         return GeneratorResponse(
             raw_text=_extract_content(resp), latency=latency, model_id=self.model_id
         )
+
+    def close(self) -> None:
+        """Close the idle connections of the backend's own client; a caller's session stays open."""
+        if isinstance(self._session, _HttpSession):
+            self._session.close()
 
 
 def _extract_content(resp: HttpReply) -> str:

@@ -228,34 +228,39 @@ def _find_reference(
 
 def _backend_factory(
     cfg: RunConfig,
-) -> tuple[Callable[[FrameStore], Generator], CacheLog | None]:
-    """The per-video backend maker, and the run's cache log when caching is on.
+) -> tuple[Callable[[FrameStore], Generator], list[RemoteChatBackend | CacheLog]]:
+    """The per-video backend maker, and what the caller closes when the run ends.
 
-    Every session's `ReplayCache` shares the one log; the caller closes it.
+    That is the remote client and the run's cache log, where the run has
+    them. Every session's `ReplayCache` shares the one log.
     """
-    make = _inner_backend_factory(cfg)
+    make, client = _inner_backend_factory(cfg)
+    opened: list[RemoteChatBackend | CacheLog] = [] if client is None else [client]
     if cfg.cache_mode == "off":
-        return make, None
+        return make, opened
     try:
         log = CacheLog(cfg.cache_dir, cfg.cache_mode)
     except (OSError, ValueError) as exc:
         raise CliError(f"cache: {exc}") from exc
-    return lambda store: ReplayCache(make(store), log), log
+    return lambda store: ReplayCache(make(store), log), [*opened, log]
 
 
-def _inner_backend_factory(cfg: RunConfig) -> Callable[[FrameStore], Generator]:
+def _inner_backend_factory(
+    cfg: RunConfig,
+) -> tuple[Callable[[FrameStore], Generator], RemoteChatBackend | None]:
+    """The per-video maker of the uncached backend, and the remote client if it built one."""
     spec = cfg.backend_spec
     if spec == "remote":
         try:
             client = RemoteChatBackend()
         except ValueError as exc:
             raise CliError(f"backend: {exc}") from exc
-        return lambda store: client
+        return lambda store: client, client
     if spec.startswith("scripted:"):
         script_path = Path(spec.partition(":")[2])
         if not script_path.exists():
             raise CliError(f"script file not found: {script_path}")
-        return lambda store: ScriptedBackend.from_file(script_path)
+        return lambda store: ScriptedBackend.from_file(script_path), None
     if spec.startswith("oracle:"):
         ref_path = Path(spec.partition(":")[2])
 
@@ -269,7 +274,7 @@ def _inner_backend_factory(cfg: RunConfig) -> Callable[[FrameStore], Generator]:
             )
             return OracleBackend(ref)
 
-        return make
+        return make, None
     raise CliError(
         f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
     )
@@ -315,7 +320,7 @@ def _generate(cfg: RunConfig) -> int:
         trace_path = cfg.out_dir / f"{store.video_id}.trace"
         if trace_path.exists() and not cfg.force:
             raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
-    factory, cache = _backend_factory(cfg)
+    factory, opened = _backend_factory(cfg)
 
     def run_one(store: FrameStore) -> GenerationRecord:
         clock = WallClock() if cfg.wall else SimulatedClock()
@@ -332,8 +337,8 @@ def _generate(cfg: RunConfig) -> int:
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
     finally:
-        if cache is not None:
-            cache.close()
+        for resource in opened:
+            resource.close()
 
     partial = False
     summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
@@ -446,27 +451,32 @@ def _evaluate_dirs(
     reports: dict[str, EvalReport] = {}
     gen_tracks = []
     ref_tracks = []
-    for video_id in sorted(gen_ids):
-        ref_path = ref_files[video_id]
-        duration = _pair_duration(gen_dir, ref_path, video_id, language)
-        try:
-            gen_track = _gen_track(gen_dir, video_id, duration, language)
-            ref_track = load_reference(ref_path, video_id, duration, language)
-            report = evaluate(gen_track, ref_track, scorer, language)
-        except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
-            raise CliError(f"{video_id}: {exc}") from exc
-        reports[video_id] = report
-        gen_tracks.append(gen_track)
-        ref_tracks.append(ref_track)
-        rows.extend(_report_rows(video_id, report))
-        if not quiet:
-            print(f"video: {video_id}")
-            print(f"  {KEY_ALIGNMENT}: {report.alignment:.4f}")
-            print(f"  {KEY_ROUGE}: {report.rouge_l:.4f}")
-            print(f"  {KEY_OVERLAP}: {report.overlap:.4f}")
-            print(f"  bin_scores: {' '.join(f'{s:.2f}' for s in report.bin_scores)}")
-            print(f"  gen_words: {report.gen_words.min}")
-            print(f"  ref_words: {report.ref_words.min}")
+    try:
+        for video_id in sorted(gen_ids):
+            ref_path = ref_files[video_id]
+            duration = _pair_duration(gen_dir, ref_path, video_id, language)
+            try:
+                gen_track = _gen_track(gen_dir, video_id, duration, language)
+                ref_track = load_reference(ref_path, video_id, duration, language)
+                report = evaluate(gen_track, ref_track, scorer, language)
+            except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
+                raise CliError(f"{video_id}: {exc}") from exc
+            reports[video_id] = report
+            gen_tracks.append(gen_track)
+            ref_tracks.append(ref_track)
+            rows.extend(_report_rows(video_id, report))
+            if not quiet:
+                print(f"video: {video_id}")
+                print(f"  {KEY_ALIGNMENT}: {report.alignment:.4f}")
+                print(f"  {KEY_ROUGE}: {report.rouge_l:.4f}")
+                print(f"  {KEY_OVERLAP}: {report.overlap:.4f}")
+                print(f"  bin_scores: {' '.join(f'{s:.2f}' for s in report.bin_scores)}")
+                print(f"  gen_words: {report.gen_words.min}")
+                print(f"  ref_words: {report.ref_words.min}")
+    finally:
+        close = getattr(scorer, "close", None)  # the embedding scorer's; lexical has none
+        if close is not None:
+            close()
 
     n = len(reports)
     corpus = {

@@ -137,6 +137,11 @@ class EmbeddingScorer:
         norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
         return dot / norm if norm else 0.0
 
+    def close(self) -> None:
+        """Close the idle connections of the scorer's own client; a caller's session stays open."""
+        if isinstance(self._session, _HttpSession):
+            self._session.close()
+
 
 @dataclass(frozen=True)
 class WordStats:

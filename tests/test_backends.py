@@ -404,12 +404,16 @@ def chat_server():
 
 
 class _RawServer:
-    """TCP server that reads one request per connection, records its head,
-    sends `reply` (possibly nothing) and closes."""
+    """TCP server that reads one request per connection, records its head and
+    body, sends `reply` (possibly nothing) and closes; with `hold` it keeps
+    each connection open, reading nothing more, until the server stops."""
 
-    def __init__(self, reply: bytes):
+    def __init__(self, reply: bytes, hold: bool = False):
         self.reply = reply
+        self.hold = hold
         self.heads: list[bytes] = []
+        self.bodies: list[bytes] = []
+        self._conns: list[socket.socket] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)
         self.port = self._listener.getsockname()[1]
@@ -423,21 +427,26 @@ class _RawServer:
                 conn, _ = self._listener.accept()
             except TimeoutError:
                 continue
-            with conn:
-                conn.settimeout(5)
-                data = b""
-                while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
-                    data += chunk
-                head, _, body = data.partition(b"\r\n\r\n")
-                length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
-                while length and len(body) < int(length[1]) and (chunk := conn.recv(65536)):
-                    body += chunk
-                self.heads.append(head)
-                conn.sendall(self.reply)
+            self._conns.append(conn)
+            conn.settimeout(5)
+            data = b""
+            while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
+                data += chunk
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+            while length and len(body) < int(length[1]) and (chunk := conn.recv(65536)):
+                body += chunk
+            self.heads.append(head)
+            self.bodies.append(body)
+            conn.sendall(self.reply)
+            if not self.hold:
+                conn.close()
 
     def close(self):
         self._stop.set()
         self._thread.join(timeout=2)
+        for conn in self._conns:
+            conn.close()
         self._listener.close()
 
 
@@ -445,13 +454,27 @@ class _RawServer:
 def raw_server():
     servers = []
 
-    def start(reply: bytes) -> _RawServer:
-        servers.append(_RawServer(reply))
+    def start(reply: bytes, hold: bool = False) -> _RawServer:
+        servers.append(_RawServer(reply, hold))
         return servers[-1]
 
     yield start
     for server in servers:
         server.close()
+
+
+@pytest.fixture()
+def closing():
+    """Closes each client passed to it when the test ends."""
+    clients = []
+
+    def keep(client):
+        clients.append(client)
+        return client
+
+    yield keep
+    for client in clients:
+        client.close()
 
 
 def _client(server, **kwargs):
@@ -461,11 +484,21 @@ def _client(server, **kwargs):
     return RemoteChatBackend(**defaults)
 
 
+CHAT_REPLY = json.dumps({"choices": [{"message": {"content": "the pack surges forward"}}]}).encode()
+
+
+def _reply_head(status_line=b"HTTP/1.1 200 OK", length=len(CHAT_REPLY)):
+    return b"%s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n" % (
+        status_line,
+        length,
+    )
+
+
 class TestRemoteChatBackend:
-    def test_success_payload_shape(self, chat_server, tmp_path):
+    def test_success_payload_shape(self, chat_server, tmp_path, closing):
         image = tmp_path / "frame.png"
         image.write_bytes(b"\x89PNG\r\n\x1a\nfakebytes")
-        client = _client(chat_server)
+        client = closing(_client(chat_server))
         p = RenderedPrompt(text="describe", attachments=(str(image),), digest="abc123")
         response = client.generate(GeneratorRequest(prompt=p, model_id=client.model_id))
         assert response.raw_text == "the pack surges forward"
@@ -482,25 +515,25 @@ class TestRemoteChatBackend:
         assert url.startswith("data:image/png;base64,")
         assert base64.b64decode(url.split(",", 1)[1]) == image.read_bytes()
 
-    def test_rate_limit_retries_then_succeeds(self, chat_server):
+    def test_rate_limit_retries_then_succeeds(self, chat_server, closing):
         chat_server.plan.extend([429, 429])
-        client = _client(chat_server)
+        client = closing(_client(chat_server))
         response = client.generate(
             GeneratorRequest(prompt=prompt(attachments=()), model_id="test-model")
         )
         assert response.raw_text == "the pack surges forward"
         assert len(chat_server.requests) == 3
 
-    def test_auth_failure_does_not_retry(self, chat_server):
+    def test_auth_failure_does_not_retry(self, chat_server, closing):
         chat_server.plan.append(401)
-        client = _client(chat_server)
+        client = closing(_client(chat_server))
         with pytest.raises(AuthenticationError):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
-    def test_payload_too_large_does_not_retry(self, chat_server):
+    def test_payload_too_large_does_not_retry(self, chat_server, closing):
         chat_server.plan.append(413)
-        client = _client(chat_server)
+        client = closing(_client(chat_server))
         with pytest.raises(PayloadTooLargeError):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
@@ -531,10 +564,12 @@ class TestEmbeddingRetries:
         [([429], None, 2), ([503] * 3, TransportError, 3), ([401], AuthenticationError, 1)],
         ids=["rate-limit-then-ok", "server-errors", "auth-failure"],
     )
-    def test_embedding_requests_retry_like_chat_requests(self, chat_server, plan, error, sent):
+    def test_embedding_requests_retry_like_chat_requests(
+        self, chat_server, closing, plan, error, sent
+    ):
         chat_server.plan = list(plan)
         base = f"http://127.0.0.1:{chat_server.server_address[1]}"
-        scorer = EmbeddingScorer(base_url=base, model_id="e", backoff_base=0)
+        scorer = closing(EmbeddingScorer(base_url=base, model_id="e", backoff_base=0))
         if error is None:
             assert scorer.score("the pack", "the pack") == pytest.approx(1.0)
         else:
@@ -554,29 +589,33 @@ def no_proxy_env(monkeypatch):
 class TestEnvironmentSettings:
     """Proxy and CA-bundle variables are read when a client is built, not per POST."""
 
-    def test_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+    def test_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env, closing):
         proxy = f"http://127.0.0.1:{chat_server.server_address[1]}"
         no_proxy_env.setenv("HTTP_PROXY", proxy)
         # Nothing listens on port 1: the request succeeds only through the proxy.
-        client = RemoteChatBackend(
-            base_url="http://127.0.0.1:1", model_id="m", backoff_base=0.001, timeout=2.0
+        client = closing(
+            RemoteChatBackend(
+                base_url="http://127.0.0.1:1", model_id="m", backoff_base=0.001, timeout=2.0
+            )
         )
         no_proxy_env.delenv("HTTP_PROXY")
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
         assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/chat/completions"
 
-    def test_embedding_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+    def test_embedding_proxy_set_before_construction_is_used(
+        self, chat_server, no_proxy_env, closing
+    ):
         no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_address[1]}")
-        scorer = EmbeddingScorer(base_url="http://127.0.0.1:1", model_id="e", timeout=2.0)
+        scorer = closing(EmbeddingScorer(base_url="http://127.0.0.1:1", model_id="e", timeout=2.0))
         no_proxy_env.delenv("HTTP_PROXY")
         assert scorer.score("the pack", "surges forward") == pytest.approx(1.0)
         assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/embeddings"
 
-    def test_no_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env):
+    def test_no_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env, closing):
         no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:1")
         no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
-        client = _client(chat_server, timeout=2.0)
+        client = closing(_client(chat_server, timeout=2.0))
         no_proxy_env.delenv("NO_PROXY")
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
@@ -594,14 +633,18 @@ class TestEnvironmentSettings:
         assert session.verify == bundle
         assert session.auth == ("user", "secret")
 
-    def test_caller_session_is_left_untouched(self, no_proxy_env):
+    def test_caller_session_is_left_untouched(self, no_proxy_env, monkeypatch):
         no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
         session = requests.Session()
-        RemoteChatBackend(base_url="https://api.example.test", model_id="m", session=session)
-        EmbeddingScorer(base_url="https://api.example.test", model_id="e", session=session)
+        closed = []
+        monkeypatch.setattr(session, "close", lambda: closed.append(session))
+        base = "https://api.example.test"
+        RemoteChatBackend(base_url=base, model_id="m", session=session).close()
+        EmbeddingScorer(base_url=base, model_id="e", session=session).close()
         assert session.trust_env is True
         assert session.proxies == {}
         assert session.verify is True
+        assert closed == []
 
 
 def _auth_sent(kind, server, api_key):
@@ -611,7 +654,9 @@ def _auth_sent(kind, server, api_key):
         client = RemoteChatBackend(base_url=base, api_key=api_key, model_id="m")
         client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
     else:
-        EmbeddingScorer(base_url=base, api_key=api_key, model_id="e").score("a", "b")
+        client = EmbeddingScorer(base_url=base, api_key=api_key, model_id="e")
+        client.score("a", "b")
+    client.close()
     return server.requests[-1]["auth"]
 
 
@@ -640,19 +685,19 @@ class TestConnections:
         request = GeneratorRequest(prompt=prompt(attachments=()), model_id="m")
         return client.generate(request).raw_text
 
-    def test_sequential_calls_share_one_connection(self, chat_server):
-        client = _client(chat_server)
+    def test_sequential_calls_share_one_connection(self, chat_server, closing):
+        client = closing(_client(chat_server))
         assert [self._generate(client) for _ in range(5)] == ["the pack surges forward"] * 5
         assert len(chat_server.requests) == 5
         assert len(chat_server.connections) == 1
 
     def test_connection_closed_by_server_is_replaced_without_retry(
-        self, chat_server, monkeypatch
+        self, chat_server, monkeypatch, closing
     ):
         chat_server.close_after_reply = True
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        client = _client(chat_server)
+        client = closing(_client(chat_server))
         for _ in range(3):
             assert self._generate(client) == "the pack surges forward"
             assert chat_server.closed.acquire(timeout=5)
@@ -660,8 +705,8 @@ class TestConnections:
         assert len(chat_server.connections) == 3
         assert sleeps == []
 
-    def test_threads_share_the_client(self, chat_server):
-        client = _client(chat_server)
+    def test_threads_share_the_client(self, chat_server, closing):
+        client = closing(_client(chat_server))
         results = []
 
         def work():
@@ -699,6 +744,74 @@ class TestConnections:
         lines = proxy.heads[0].decode("latin-1").split("\r\n")
         assert lines[0].startswith("CONNECT api.example.test:443 HTTP/1.")
         assert "Proxy-Authorization: Basic dTpw" in lines[1:]
+
+    def _raw_client(self, server, **kwargs):
+        base = f"http://127.0.0.1:{server.port}/v1"
+        options = dict(base_url=base, model_id="m", backoff_base=0.001, timeout=5.0)
+        return RemoteChatBackend(**{**options, **kwargs})
+
+    def test_request_head(self, raw_server, closing):
+        server = raw_server(_reply_head() + CHAT_REPLY)
+        client = closing(self._raw_client(server, api_key="sk-test"))
+        assert self._generate(client) == "the pack surges forward"
+        lines = server.heads[0].decode("latin-1").split("\r\n")
+        assert lines[0] == "POST /v1/chat/completions HTTP/1.1"
+        assert f"Host: 127.0.0.1:{server.port}" in lines
+        assert f"Content-Length: {len(server.bodies[0])}" in lines
+        assert "Content-Type: application/json" in lines
+        assert "Authorization: Bearer sk-test" in lines
+        assert json.loads(server.bodies[0])["model"] == "m"
+
+    def test_chunked_reply(self, raw_server, closing):
+        chunks = [CHAT_REPLY[:7], CHAT_REPLY[7:40], CHAT_REPLY[40:]]
+        body = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(c), c) for c in chunks)
+        server = raw_server(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + body
+            + b"0\r\nX-Trailer: done\r\n\r\n"
+        )
+        client = closing(self._raw_client(server))
+        assert self._generate(client) == "the pack surges forward"
+
+    def test_interim_100_continue_is_skipped(self, raw_server, closing):
+        server = raw_server(b"HTTP/1.1 100 Continue\r\n\r\n" + _reply_head() + CHAT_REPLY)
+        client = closing(self._raw_client(server))
+        assert self._generate(client) == "the pack surges forward"
+        assert len(server.heads) == 1
+
+    def test_http_1_0_reply_is_not_reused(self, raw_server, closing, monkeypatch):
+        # The server holds the connection open, unanswered: a client that
+        # reused it would time out and retry after a backoff sleep.
+        server = raw_server(_reply_head(b"HTTP/1.0 200 OK") + CHAT_REPLY, hold=True)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        client = closing(self._raw_client(server, timeout=1.0))
+        assert [self._generate(client) for _ in range(2)] == ["the pack surges forward"] * 2
+        assert len(server.heads) == 2
+        assert sleeps == []
+
+    def test_body_cut_short_is_a_transport_error(self, raw_server):
+        server = raw_server(_reply_head(length=len(CHAT_REPLY) + 10) + CHAT_REPLY)
+        client = self._raw_client(server)
+        with pytest.raises(TransportError, match="body bytes"):
+            self._generate(client)
+        assert len(server.heads) == client.max_attempts
+
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_close_closes_the_pooled_connections(self, chat_server, kind):
+        base = f"http://127.0.0.1:{chat_server.server_address[1]}"
+        if kind == "chat":
+            client = _client(chat_server)
+            self._generate(client)
+        else:
+            client = EmbeddingScorer(base_url=base, model_id="e")
+            client.score("the pack", "the pack")
+        pooled = [conn.sock for conn in client._session._idle]
+        assert len(pooled) == 1
+        client.close()
+        assert client._session._idle == []
+        assert pooled[0].fileno() == -1
+        assert chat_server.closed.acquire(timeout=5)  # the server saw the connection end
 
 
 class TestPayloadHelpers:

@@ -79,6 +79,24 @@ class TestGenerate:
         assert main(gen_args(workspace)) == 1
         assert main(gen_args(workspace, force=True)) == 0
 
+    def test_missing_frame_ends_a_remote_session_naming_it(self, workspace, capsys, monkeypatch):
+        manifest = workspace["root"] / "gone.manifest"
+        manifest.write_text(
+            "#video_id\tgone\tduration\t2\n0\t/nonexistent/0.jpg\n1\t/nonexistent/1.jpg\n",
+            encoding="utf-8",
+        )
+        # The frame is read before any request is sent, so nothing listens here.
+        monkeypatch.setenv("COMMENTARY_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.setenv("COMMENTARY_MODEL", "m")
+        args = gen_args(workspace, out="run")
+        args[args.index("--manifest") + 1] = str(manifest)
+        args[args.index("--backend") + 1] = "remote"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "cannot read a frame" in err and "/nonexistent/0.jpg" in err
+        assert "Traceback" not in err
+        assert "#status\taborted: " in read(workspace["root"] / "run" / "gone.trace")
+
     def test_unknown_strategy_is_config_error(self, workspace):
         assert main(gen_args(workspace, strategy="bogus")) == 1
 
@@ -571,7 +589,8 @@ class TestParsers:
 
 
 class TestOfflineImports:
-    """Runs that send no HTTP load no HTTP client; the remote backend needs no `requests`."""
+    """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
+    neither `requests` nor the stdlib's `http.client`, `ssl` or `email`."""
 
     # The test process has imported `requests` already, so the runs happen in
     # a fresh interpreter.
@@ -582,7 +601,8 @@ class TestOfflineImports:
 
         def loaded():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("requests", "urllib3") or m == "http.client")
+                          if m.split(".")[0] in ("requests", "urllib3", "ssl", "email")
+                          or m == "http.client")
 
         manifest, refs, out = sys.argv[1:]
         generate = ["generate", "--manifest", manifest, "--strategy", "realtime",
@@ -609,10 +629,14 @@ class TestOfflineImports:
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+            # No proxy variable: with one, the client loads `urllib.request` to read it.
+            env={
+                **{k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")},
+                "PYTHONPATH": src,
+            },
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0]
         assert result["offline"] == []
-        assert result["remote"] == ["http.client"]
+        assert result["remote"] == []

@@ -11,8 +11,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Protocol, Sequence
+from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
 from .core import WAIT_TOKEN, CommentaryTrack, Seconds
@@ -101,6 +102,27 @@ class GeneratorRequest:
                 f"{len(self.prompt.attachments)} attachments exceed the "
                 f"limit of {self.attachment_limit}"
             )
+
+    @cached_property
+    def frame_bytes(self) -> dict[str, bytes | OSError | None]:
+        """Each attachment's bytes, read at first use and then kept for this request.
+
+        A local file (plain path or `file://` URI) maps to its bytes, or to
+        the `OSError` reading it raised; data and `http(s)://` URIs map to
+        None. The cache key and the request body both use these bytes, so
+        the key hashes exactly the bytes that were sent.
+        """
+        frames: dict[str, bytes | OSError | None] = {}
+        for uri in self.prompt.attachments:
+            path = _local_path(uri)
+            if path is None:
+                frames[uri] = None
+            elif uri not in frames:
+                try:
+                    frames[uri] = path.read_bytes()
+                except OSError as exc:
+                    frames[uri] = exc.with_traceback(None)
+        return frames
 
 
 @dataclass(frozen=True)
@@ -218,11 +240,12 @@ class HttpReply(Protocol):
 class HttpSession(Protocol):
     """What the backends need of an HTTP session; `requests.Session` has it too.
 
-    `post` raises `OSError` when no reply arrives.
+    `post` sends `data` as the request body as it is, and raises `OSError`
+    when no reply arrives.
     """
 
     def post(
-        self, url: str, *, json: Any, headers: dict[str, str], timeout: float
+        self, url: str, *, data: bytes, headers: dict[str, str], timeout: float
     ) -> HttpReply:
         ...
 
@@ -485,14 +508,11 @@ class _HttpSession:
         if status != 200:
             raise ConnectionError(f"proxy refused the tunnel to {self._authority}: {status}")
 
-    def post(self, url: str, *, json: Any, headers: dict[str, str], timeout: float) -> _Reply:
-        from json import dumps
-
-        body = dumps(json).encode("utf-8")
+    def post(self, url: str, *, data: bytes, headers: dict[str, str], timeout: float) -> _Reply:
         fields = {
             "Host": self._host_field,
             "Accept-Encoding": "identity",
-            "Content-Length": str(len(body)),
+            "Content-Length": str(len(data)),
             **headers,
         }
         if self.auth and "Authorization" not in headers:
@@ -506,7 +526,7 @@ class _HttpSession:
         head = _request_head(f"POST {target} HTTP/1.1", fields)
         conn = self._connection(timeout)
         try:
-            conn.sock.sendall(head + body)
+            conn.sock.sendall(head + data)
             status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
@@ -566,13 +586,59 @@ def build_chat_payload(request: GeneratorRequest) -> dict:
     }
 
 
+_IMAGE_PART = b', {"type": "image_url", "image_url": {"url": '
+_PAYLOAD_END = b"]}]}"  # closes the content parts, the message, the messages and the payload
+
+
+def chat_request_body(request: GeneratorRequest) -> bytes:
+    """`json.dumps(build_chat_payload(request)).encode("utf-8")`, without escaping base64.
+
+    `json` encodes the model, decoding settings and prompt text, and each
+    data or `http(s)://` URI; each local frame's base64 is spliced in as
+    bytes, since base64 needs no JSON escape. The frames are
+    `request.frame_bytes`; one that could not be read raises its `OSError`,
+    as `build_chat_payload` does.
+    """
+    import json
+
+    head = json.dumps(
+        {
+            "model": request.model_id,
+            "temperature": request.temperature,
+            "max_tokens": request.max_output_units,
+            "messages": [
+                {"role": "user", "content": [{"type": "text", "text": request.prompt.text}]}
+            ],
+        }
+    )
+    parts = [head[: -len(_PAYLOAD_END)].encode("utf-8")]
+    frames = request.frame_bytes
+    for uri in request.prompt.attachments:
+        data = frames[uri]
+        parts.append(_IMAGE_PART)
+        if data is None:
+            parts.append(json.dumps(uri).encode("utf-8"))
+        elif isinstance(data, OSError):
+            raise data
+        else:
+            mime = mimetypes.guess_type(_local_path(uri).name)[0] or "image/jpeg"
+            parts += (
+                json.dumps(f"data:{mime};base64,")[:-1].encode("utf-8"),
+                base64.b64encode(data),
+                b'"',
+            )
+        parts.append(b"}}")
+    parts.append(_PAYLOAD_END)
+    return b"".join(parts)
+
+
 _MAX_ATTEMPTS = 3  # per request, the first included, for chat and embedding clients alike
 
 
 def _post_with_retry(
     session: HttpSession,
     url: str,
-    payload: Any,
+    body: bytes,
     api_key: str,
     *,
     timeout: float,
@@ -580,12 +646,13 @@ def _post_with_retry(
     backoff_base: float,
     slots: threading.Semaphore,
 ) -> tuple[HttpReply, float]:
-    """POST `payload` as JSON and return the 200 reply with its latency in seconds.
+    """POST the JSON `body` and return the 200 reply with its latency in seconds.
 
     Rate limits (429), server errors (5xx) and transport failures are retried
     up to `max_attempts` in all, sleeping `backoff_base * 2**(n - 1)` seconds
-    before retry n; each attempt holds one of `slots`. Other statuses raise
-    their typed `BackendError` at once.
+    before retry n; each retry is logged as a warning, and resends `body` as
+    it is. Each attempt holds one of `slots`. Other statuses raise their
+    typed `BackendError` at once.
     """
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -593,11 +660,16 @@ def _post_with_retry(
     last_error: BackendError = TransportError("no attempt made")
     for attempt in range(max_attempts):
         if attempt:
-            time.sleep(backoff_base * (2 ** (attempt - 1)))
+            delay = backoff_base * (2 ** (attempt - 1))
+            _log.warning(
+                "attempt %d of %d failed: %s; retrying in %g s",
+                attempt, max_attempts, last_error, delay,
+            )
+            time.sleep(delay)
         with slots:
             started = time.monotonic()
             try:
-                resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+                resp = session.post(url, data=body, headers=headers, timeout=timeout)
             except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                 last_error = TransportError(f"request to {url} failed: {exc}")
                 continue
@@ -623,8 +695,9 @@ class RemoteChatBackend:
 
     Configured from COMMENTARY_API_BASE / COMMENTARY_API_KEY / COMMENTARY_MODEL
     unless overridden. Rate limits, server errors and transport failures are
-    retried with bounded exponential backoff (3 attempts total); authentication
-    and payload-size rejections are not.
+    retried with bounded exponential backoff (3 attempts total), resending the
+    body built once per request; authentication and payload-size rejections
+    are not.
     """
 
     def __init__(
@@ -653,13 +726,13 @@ class RemoteChatBackend:
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
-            payload = build_chat_payload(request)
+            body = chat_request_body(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
         resp, latency = _post_with_retry(
             self._session,
             f"{self.base_url}/chat/completions",
-            payload,
+            body,
             self.api_key,
             timeout=self.timeout,
             max_attempts=self.max_attempts,
@@ -698,23 +771,26 @@ class CacheKey(NamedTuple):
     frames: str
 
 
-def _frames_hash(attachments: Sequence[str]) -> str:
-    """Content hash of a prompt's local attachments, in order.
+def _frames_hash(request: GeneratorRequest) -> str:
+    """Content hash of a request's local attachments, in order, from `request.frame_bytes`.
 
     Data and remote URIs are skipped: the prompt digest already covers them.
     A local file that does not exist hashes as a fixed marker, since scripted
     and oracle runs name frames that were never written. Any other read
-    failure raises `OSError`.
+    failure raises its `OSError`.
     """
     h = hashlib.sha256()
-    for uri in attachments:
-        path = _local_path(uri)
-        if path is None:
+    frames = request.frame_bytes
+    for uri in request.prompt.attachments:
+        data = frames[uri]
+        if data is None:
             continue
-        try:
-            h.update(hashlib.sha256(path.read_bytes()).digest())
-        except (FileNotFoundError, NotADirectoryError):
+        if isinstance(data, (FileNotFoundError, NotADirectoryError)):
             h.update(b"missing")
+        elif isinstance(data, OSError):
+            raise data
+        else:
+            h.update(hashlib.sha256(data).digest())
     return h.hexdigest()[:16]
 
 
@@ -862,7 +938,7 @@ class ReplayCache:
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
-            frames = _frames_hash(request.prompt.attachments)
+            frames = _frames_hash(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
         key = CacheKey(

@@ -106,11 +106,13 @@ class EmbeddingScorer:
         self._slots = threading.Semaphore(max_concurrency)
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
+        import json
+
         url = f"{self.base_url}/embeddings"
         resp, _ = _post_with_retry(
             self._session,
             url,
-            {"model": self.model_id, "input": texts},
+            json.dumps({"model": self.model_id, "input": texts}).encode("utf-8"),
             self.api_key,
             timeout=self.timeout,
             max_attempts=_MAX_ATTEMPTS,

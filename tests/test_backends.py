@@ -1,6 +1,9 @@
 """Mocks, the replay cache, and the remote chat-completion client."""
 
 import base64
+import builtins
+import hashlib
+import io
 import json
 import logging
 import os
@@ -11,6 +14,7 @@ import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -20,12 +24,19 @@ from hypothesis import strategies as st
 from commentary import (
     CacheLog,
     CommentaryTrack,
+    FrameRef,
+    FrameStore,
     GeneratorRequest,
     OracleBackend,
     RemoteChatBackend,
     ReplayCache,
     ScriptedBackend,
+    SimulatedClock,
+    StrategyConfig,
+    StrategyKind,
     Utterance,
+    backends,
+    run_session,
 )
 from commentary.backends import (
     AuthenticationError,
@@ -36,12 +47,13 @@ from commentary.backends import (
     ReplayMissError,
     TransportError,
     build_chat_payload,
+    chat_request_body,
     encode_image_uri,
 )
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
 
-from helpers import read_cache_log
+from helpers import prompt_set, read_cache_log
 
 
 def prompt(text="describe the scene", attachments=("file:///f/0.jpg",)):
@@ -350,10 +362,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        body = json.loads(raw)
         plan = self.server.plan  # type: ignore[attr-defined]
         self.server.requests.append(  # type: ignore[attr-defined]
-            {"body": body, "auth": self.headers.get("Authorization"), "path": self.path}
+            {"body": body, "raw": raw, "auth": self.headers.get("Authorization"), "path": self.path}
         )
         status = plan.pop(0) if plan else 200
         if status != 200:
@@ -538,6 +551,20 @@ class TestRemoteChatBackend:
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
+    def test_retry_resends_the_body_built_once(self, chat_server, tmp_path, closing, monkeypatch):
+        frame = tmp_path / "0000.jpg"
+        frame.write_bytes(bytes(range(256)) * 40)
+        built = []
+        build = backends.chat_request_body
+        monkeypatch.setattr(backends, "chat_request_body", lambda r: built.append(r) or build(r))
+        chat_server.plan.append(503)
+        client = closing(_client(chat_server))
+        request = GeneratorRequest(prompt=prompt(attachments=(str(frame),)), model_id="test-model")
+        assert client.generate(request).raw_text == "the pack surges forward"
+        first, second = (sent["raw"] for sent in chat_server.requests)
+        assert first == second == build(request)
+        assert built == [request]
+
     def test_unreachable_host_fails_after_three_attempts(self):
         client = RemoteChatBackend(
             base_url="http://127.0.0.1:1", api_key="k", model_id="m",
@@ -556,6 +583,94 @@ class TestRemoteChatBackend:
         monkeypatch.delenv("COMMENTARY_MODEL", raising=False)
         with pytest.raises(ValueError):
             RemoteChatBackend()
+
+
+class TestRecordedFrames:
+    """A record run keys each reply by the very frame bytes its request sent."""
+
+    def test_cache_key_hashes_the_frame_bytes_sent(
+        self, chat_server, tmp_path, closing, cache_log, monkeypatch
+    ):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        frames = {}
+        for s in range(8):
+            path = frames_dir / f"{s:04d}.jpg"
+            path.write_bytes(bytes([s]) * (500 + 37 * s))
+            uri = f"file://{path}" if s % 2 else str(path)
+            frames[s] = FrameRef(video_id="v", second=s, uri=uri)
+        store = FrameStore(video_id="v", video_duration=8.0, frames=frames)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).startswith(str(frames_dir)):
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        log = cache_log("record")
+        cache = ReplayCache(closing(_client(chat_server)), log)
+        config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+        session = run_session(store, config, cache, SimulatedClock(), prompt_set())
+        monkeypatch.undo()
+        assert session.complete, session.error
+
+        recorded = {fields[0]: fields[4] for fields, _ in read_cache_log(log.path)}
+        sent_frames = 0
+        for step, sent in zip(session.steps, chat_server.requests, strict=True):
+            key = hashlib.sha256()
+            for part in sent["body"]["messages"][0]["content"][1:]:
+                data = base64.b64decode(part["image_url"]["url"].split(",", 1)[1])
+                key.update(hashlib.sha256(data).digest())
+                sent_frames += 1
+            assert key.hexdigest()[:16] == recorded[step.prompt_digest]
+        assert sent_frames >= len(frames)
+        assert len(opened) == sent_frames
+
+
+class TestRetryLogging:
+    """Each retry is logged as a warning by the `commentary.backends` logger."""
+
+    def _records(self, caplog):
+        return [
+            (r.levelno, r.getMessage()) for r in caplog.records if r.name == "commentary.backends"
+        ]
+
+    def test_rate_limit_and_server_error_retries_are_logged(self, chat_server, closing, caplog):
+        chat_server.plan.extend([429, 503])
+        client = closing(_client(chat_server))
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            client.generate(request_for(prompt(attachments=())))
+        url = f"{client.base_url}/chat/completions"
+        assert self._records(caplog) == [
+            (logging.WARNING, f"attempt 1 of 3 failed: {url} rate limited the request (429); "
+             "retrying in 0.001 s"),
+            (logging.WARNING, f"attempt 2 of 3 failed: server error 503 from {url}; "
+             "retrying in 0.002 s"),
+        ]
+
+    def test_transport_error_retry_is_logged(self, caplog):
+        client = RemoteChatBackend(
+            base_url="http://127.0.0.1:1", model_id="m", max_attempts=2,
+            backoff_base=0.001, timeout=0.2,
+        )
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            with pytest.raises(TransportError):
+                client.generate(request_for(prompt(attachments=())))
+        [(level, message)] = self._records(caplog)
+        assert level == logging.WARNING
+        assert message.startswith(
+            "attempt 1 of 2 failed: request to http://127.0.0.1:1/chat/completions failed: "
+        )
+        assert message.endswith("; retrying in 0.001 s")
+
+    def test_request_without_retry_logs_nothing(self, chat_server, closing, caplog):
+        client = closing(_client(chat_server))
+        with caplog.at_level(logging.DEBUG):
+            client.generate(request_for(prompt(attachments=())))
+        assert caplog.records == []
 
 
 class TestEmbeddingRetries:
@@ -796,6 +911,7 @@ class TestConnections:
         with pytest.raises(TransportError, match="body bytes"):
             self._generate(client)
         assert len(server.heads) == client.max_attempts
+        assert len(set(server.bodies)) == 1  # every retry resends the same body
 
     @pytest.mark.parametrize("kind", ["chat", "embedding"])
     def test_close_closes_the_pooled_connections(self, chat_server, kind):
@@ -812,6 +928,28 @@ class TestConnections:
         assert client._session._idle == []
         assert pooled[0].fileno() == -1
         assert chat_server.closed.acquire(timeout=5)  # the server saw the connection end
+
+
+_TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "実", "\u2028", "\ud800", "\U0001f3ce"]
+        ),
+        st.characters(),
+    ),
+    max_size=40,
+)
+_NONLOCAL_URIS = st.one_of(
+    st.builds(lambda t: f'data:text/plain;charset=utf-8,"{t}"', _TRICKY_TEXT),
+    st.builds(
+        lambda scheme, t: f"{scheme}://cdn.example.test/{t}.jpg",
+        st.sampled_from(["http", "https"]),
+        _TRICKY_TEXT,
+    ),
+)
+_LOCAL_FRAMES = st.tuples(  # (suffix, bytes, whether named by a file:// URI)
+    st.sampled_from([".jpg", ".PNG", ".webp", ""]), st.binary(max_size=3000), st.booleans()
+)
 
 
 class TestPayloadHelpers:
@@ -831,3 +969,44 @@ class TestPayloadHelpers:
         p = RenderedPrompt(text="t", attachments=(str(image), str(image)), digest="d")
         payload = build_chat_payload(GeneratorRequest(prompt=p, model_id="m"))
         assert len(payload["messages"][0]["content"]) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=_TRICKY_TEXT,
+        model=_TRICKY_TEXT,
+        temperature=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)),
+        max_tokens=st.integers(1, 10**6),
+        attachments=st.lists(st.one_of(_NONLOCAL_URIS, _LOCAL_FRAMES), max_size=6),
+        missing=st.booleans(),
+    )
+    def test_request_body_is_the_payload_as_json(
+        self, text, model, temperature, max_tokens, attachments, missing
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            uris = []
+            for i, item in enumerate(attachments):
+                if isinstance(item, str):
+                    uris.append(item)
+                    continue
+                suffix, data, as_file_uri = item
+                path = Path(tmp) / f"frame{i}{suffix}"
+                path.write_bytes(data)
+                uris.append(f"file://{path}" if as_file_uri else str(path))
+            if missing:
+                uris.insert(len(uris) // 2, f"{tmp}/never-written.jpg")
+            request = GeneratorRequest(
+                prompt=RenderedPrompt(text=text, attachments=tuple(uris), digest="d"),
+                model_id=model,
+                temperature=temperature,
+                max_output_units=max_tokens,
+            )
+            if missing:
+                with pytest.raises(FileNotFoundError) as expected:
+                    build_chat_payload(request)
+                with pytest.raises(FileNotFoundError) as got:
+                    chat_request_body(request)
+                assert str(got.value) == str(expected.value)
+            else:
+                assert chat_request_body(request) == json.dumps(build_chat_payload(request)).encode(
+                    "utf-8"
+                )

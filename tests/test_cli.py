@@ -8,7 +8,6 @@ import textwrap
 from pathlib import Path
 
 import pytest
-import requests
 
 import commentary
 from commentary import cli
@@ -308,6 +307,17 @@ class TestReplay:
         assert generated_files(cache) == before
 
 
+class FakeReply:
+    """An `HttpReply` carrying `body` as JSON."""
+
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self.text = json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
 class TestEvaluateCommand:
     def _generate(self, workspace, out="gen"):
         assert main(gen_args(workspace, out=out)) == 0
@@ -378,14 +388,10 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("failure", ["status-500", "connection-refused"])
     def test_embedding_endpoint_failure_exits_one(self, workspace, monkeypatch, capsys, failure):
         class FailingSession:
-            def post(self, url, **kwargs):
+            def post(self, url, *, data, headers, timeout):
                 if failure == "connection-refused":
-                    raise requests.ConnectionError(f"cannot reach {url}")
-                resp = requests.Response()
-                resp.status_code = 500
-                resp.reason = "Internal Server Error"
-                resp.url = url
-                return resp
+                    raise ConnectionRefusedError(f"cannot reach {url}")
+                return FakeReply(500, {})
 
         monkeypatch.setattr(
             cli,
@@ -408,23 +414,15 @@ class TestEvaluateCommand:
         """Evaluate against a fake embedding endpoint answering statuses from `plan`,
         then 200; return the exit code and the number of requests sent."""
 
-        class Reply:
-            def __init__(self, status, body):
-                self.status_code = status
-                self._body = body
-                self.text = json.dumps(body)
-
-            def json(self):
-                return self._body
-
         class PlannedSession:
             sent = 0
 
-            def post(self, url, json, **kwargs):
+            def post(self, url, *, data, headers, timeout):
                 PlannedSession.sent += 1
                 if plan:
-                    return Reply(plan.pop(0), {})
-                return Reply(200, {"data": [{"embedding": [1.0, 0.0]} for _ in json["input"]]})
+                    return FakeReply(plan.pop(0), {})
+                texts = json.loads(data)["input"]
+                return FakeReply(200, {"data": [{"embedding": [1.0, 0.0]} for _ in texts]})
 
         monkeypatch.setattr(
             cli,
@@ -459,12 +457,8 @@ class TestEvaluateCommand:
     )
     def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
         class MalformedSession:
-            def post(self, url, **kwargs):
-                resp = requests.Response()
-                resp.status_code = 200
-                resp.url = url
-                resp._content = json.dumps(body).encode("utf-8")
-                return resp
+            def post(self, url, *, data, headers, timeout):
+                return FakeReply(200, body)
 
         monkeypatch.setattr(
             cli,
@@ -592,8 +586,8 @@ class TestOfflineImports:
     """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
     neither `requests` nor the stdlib's `http.client`, `ssl` or `email`."""
 
-    # The test process has imported `requests` already, so the runs happen in
-    # a fresh interpreter.
+    # Other tests import `requests` into the test process, so the runs happen
+    # in a fresh interpreter.
     SCRIPT = textwrap.dedent(
         """
         import json, sys

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import bisect
 import hashlib
 import logging
 import mimetypes
@@ -204,6 +205,7 @@ class OracleBackend:
 
     def __init__(self, reference: CommentaryTrack) -> None:
         self._reference = reference
+        self._starts = [u.start for u in reference.utterances]  # strictly increasing
         self._emitted: set[int] = set()
         self._prev_time: float | None = None
 
@@ -213,14 +215,16 @@ class OracleBackend:
             raise ValueError("OracleBackend requires decision_time on the request")
         prev = self._prev_time
         self._prev_time = t
-        for i, u in enumerate(self._reference.utterances):
-            if u.start > t:
-                break
-            if i in self._emitted:
-                continue
-            if prev is None or u.start > prev:
-                self._emitted.add(i)
-                return GeneratorResponse(raw_text=u.text, latency=0.0, model_id=self.model_id)
+        # The utterances starting in (prev, t] are [i, end); with decision times
+        # that never go back, none of them has been emitted yet.
+        i = 0 if prev is None else bisect.bisect_right(self._starts, prev)
+        end = bisect.bisect_right(self._starts, t)
+        while i < end and i in self._emitted:
+            i += 1
+        if i < end:
+            self._emitted.add(i)
+            text = self._reference.utterances[i].text
+            return GeneratorResponse(raw_text=text, latency=0.0, model_id=self.model_id)
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
 
 

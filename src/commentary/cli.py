@@ -11,7 +11,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .backends import (
     BackendError,
@@ -32,6 +32,7 @@ from .evaluation import (
     SimilarityScorer,
     evaluate,
     load_reference,
+    parse_transcript,
     reference_from_srt_text,
     word_stats,
 )
@@ -54,6 +55,8 @@ from .strategies import (
     run_session,
 )
 from .subtitles import parse_srt, to_srt
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -380,28 +383,34 @@ def _make_scorer(spec: str, language: str) -> SimilarityScorer:
     raise CliError(f"unknown scorer {spec!r}; expected lexical or embedding")
 
 
-def _gen_track(gen_dir: Path, video_id: str, duration: float, language: str):
-    text = (gen_dir / f"{video_id}.srt").read_text(encoding="utf-8")
+def _naming(path: Path, read: Callable[..., T], *args) -> T:
+    """`read(path, *args)`, with a ValueError that names the file."""
+    try:
+        return read(path, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _gen_track(path: Path, video_id: str, duration: float, language: str):
+    text = path.read_text(encoding="utf-8")
     return reference_from_srt_text(text, video_id, duration, language)
 
 
-def _pair_duration(gen_dir: Path, ref_path: Path, video_id: str, language: str) -> float:
-    trace = gen_dir / f"{video_id}.trace"
+def _display_ends(path: Path) -> list[float]:
+    """Entry ends of an SRT file, or start times of a transcript."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix.lower() == ".srt":
+        return [e.end for e in parse_srt(text)]
+    return [start for start, _ in parse_transcript(text)]
+
+
+def _pair_duration(trace: Path, gen_path: Path, ref_path: Path) -> float:
     if trace.exists():
-        duration = read_trace_duration(trace)
+        duration = _naming(trace, read_trace_duration)
         if duration is not None:
             return duration
     # No trace at hand: take the latest display end across both sides.
-    ends = [0.0]
-    gen_text = (gen_dir / f"{video_id}.srt").read_text(encoding="utf-8")
-    ends.extend(e.end for e in parse_srt(gen_text))
-    if ref_path.suffix.lower() == ".srt":
-        ends.extend(e.end for e in parse_srt(ref_path.read_text(encoding="utf-8")))
-    else:
-        for line in ref_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                ends.append(float(line.split("\t", 1)[0]))
-    return max(ends)
+    return max([0.0, *_naming(gen_path, _display_ends), *_naming(ref_path, _display_ends)])
 
 
 def _report_rows(video_id: str, report: EvalReport) -> list[str]:
@@ -454,10 +463,11 @@ def _evaluate_dirs(
     try:
         for video_id in sorted(gen_ids):
             ref_path = ref_files[video_id]
-            duration = _pair_duration(gen_dir, ref_path, video_id, language)
+            gen_path = gen_dir / f"{video_id}.srt"
             try:
-                gen_track = _gen_track(gen_dir, video_id, duration, language)
-                ref_track = load_reference(ref_path, video_id, duration, language)
+                duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path)
+                gen_track = _naming(gen_path, _gen_track, video_id, duration, language)
+                ref_track = _naming(ref_path, load_reference, video_id, duration, language)
                 report = evaluate(gen_track, ref_track, scorer, language)
             except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
                 raise CliError(f"{video_id}: {exc}") from exc

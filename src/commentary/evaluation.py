@@ -315,6 +315,23 @@ def reference_from_srt_text(
     )
 
 
+def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
+    """(start, text) of each `start_seconds<TAB>text` line, in file order."""
+    rows: list[tuple[Seconds, str]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        start_token, sep, utt_text = line.partition("\t")
+        if not sep or not utt_text.strip():
+            raise ValueError(f"line {lineno}: expected 'start_seconds<TAB>text'")
+        try:
+            start = float(start_token)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad start time {start_token!r}") from None
+        rows.append((start, utt_text.strip()))
+    return rows
+
+
 def reference_from_transcript_text(
     text: str,
     video_id: str,
@@ -329,21 +346,15 @@ def reference_from_transcript_text(
     """
     rates = rates or SpeechRateModel.default()
     utterances: list[Utterance] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        start_token, sep, utt_text = line.partition("\t")
-        if not sep or not utt_text.strip():
-            raise ValueError(f"line {lineno}: expected 'start_seconds<TAB>text'")
-        start = float(start_token)
+    for start, utt_text in parse_transcript(text):
         if start > video_duration:
             continue
         utterances.append(
             Utterance(
-                text=utt_text.strip(),
+                text=utt_text,
                 language=language,
                 start=start,
-                est_duration=estimate_duration(utt_text.strip(), language, rates),
+                est_duration=estimate_duration(utt_text, language, rates),
             )
         )
     utterances.sort(key=lambda u: u.start)

@@ -158,10 +158,8 @@ def frames_between(
 
     n = store.frame_count
     limit = max(t_b, t_a + 1.0)
-    seconds = [s for s in range(math.ceil(t_a), math.ceil(limit)) if s < n]
+    seconds = range(math.ceil(t_a), min(math.ceil(limit), n))
     if not seconds:
-        seconds = [min(math.floor(t_a), n - 1)]
-    if len(seconds) > cap:
-        seconds = seconds[-cap:]
-    refs = tuple(store.frames[s] for s in seconds)
+        seconds = (min(math.floor(t_a), n - 1),)
+    refs = tuple(store.frames[s] for s in seconds[-cap:])
     return FrameWindow(frames=refs, window_start=t_a, window_end=t_b)

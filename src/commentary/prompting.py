@@ -77,9 +77,13 @@ class PromptSet:
             raise ValueError("PromptSet.decision must be a decision template")
 
 
-def _digest(text: str, attachments: Sequence[str]) -> str:
-    h = hashlib.sha256()
-    h.update(text.encode("utf-8"))
+# A prompt digest is the SHA-256 of the text, then b"\x00" + URI for each
+# attachment in order, cut to 16 hex digits. `_finish` adds the attachments.
+def _text_hash(text: str) -> "hashlib._Hash":
+    return hashlib.sha256(text.encode("utf-8"))
+
+
+def _finish(h: "hashlib._Hash", attachments: Sequence[str]) -> str:
     for uri in attachments:
         h.update(b"\x00")
         h.update(uri.encode("utf-8"))
@@ -106,7 +110,48 @@ def render_init(template: PromptTemplate, window: FrameWindow) -> RenderedPrompt
         raise ValueError("window must contain at least one frame")
     text = _join(template.role_preamble, template.body)
     attachments = tuple(f.uri for f in window.frames)
-    return RenderedPrompt(text=text, attachments=attachments, digest=_digest(text, attachments))
+    digest = _finish(_text_hash(text), attachments)
+    return RenderedPrompt(text=text, attachments=attachments, digest=digest)
+
+
+class DecisionRenderer:
+    """Renders the decision prompts of one session.
+
+    The text and the hash of its bytes are rebuilt only when the history
+    differs from the one last rendered; otherwise a render adds the
+    attachment URIs to a copy of that hash. A decision's cost thus does not
+    grow with the history, and every digest equals a fresh render's.
+    """
+
+    def __init__(self, template: PromptTemplate, demos: Sequence[Demonstration] = ()) -> None:
+        if template.kind != KIND_DECISION:
+            raise ValueError(
+                f"render_decision requires a decision template, got kind {template.kind!r}"
+            )
+        self._template = template
+        self._demo_block = ""
+        if demos:
+            lines = ["Example commentary for the attached demonstration frames:"]
+            lines.extend(f"{i}. {d.utterance_text}" for i, d in enumerate(demos, 1))
+            self._demo_block = "\n".join(lines)
+        self._demo_uris = tuple(f.uri for demo in demos for f in demo.frames.frames)
+        self._history: tuple[str, ...] | None = None
+        self._text = ""
+        self._hash = _text_hash("")
+
+    def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
+        if not window.frames:
+            raise ValueError("window must contain at least one frame")
+        key = tuple(history)
+        if key != self._history:
+            template = self._template
+            body = template.body.replace(CONTEXT_PLACEHOLDER, serialize_history(key))
+            self._text = _join(template.role_preamble, self._demo_block, body)
+            self._hash = _text_hash(self._text)
+            self._history = key
+        attachments = self._demo_uris + tuple(f.uri for f in window.frames)
+        digest = _finish(self._hash.copy(), attachments)
+        return RenderedPrompt(text=self._text, attachments=attachments, digest=digest)
 
 
 def render_decision(
@@ -121,26 +166,7 @@ def render_decision(
     current window frames ascending; the text numbers the demo commentaries in
     the same order so they pair with the leading attachments.
     """
-    if template.kind != KIND_DECISION:
-        raise ValueError(
-            f"render_decision requires a decision template, got kind {template.kind!r}"
-        )
-    if not window.frames:
-        raise ValueError("window must contain at least one frame")
-    demo_block = ""
-    if demos:
-        lines = ["Example commentary for the attached demonstration frames:"]
-        lines.extend(f"{i}. {d.utterance_text}" for i, d in enumerate(demos, 1))
-        demo_block = "\n".join(lines)
-    body = template.body.replace(CONTEXT_PLACEHOLDER, serialize_history(history))
-    text = _join(template.role_preamble, demo_block, body)
-    attachments: list[str] = []
-    for demo in demos:
-        attachments.extend(f.uri for f in demo.frames.frames)
-    attachments.extend(f.uri for f in window.frames)
-    return RenderedPrompt(
-        text=text, attachments=tuple(attachments), digest=_digest(text, attachments)
-    )
+    return DecisionRenderer(template, demos).render(history, window)
 
 
 def parse_response(raw: str) -> DecisionOutcome:

@@ -33,7 +33,8 @@ from .core import (
     check_seconds,
 )
 from .media import DEFAULT_WINDOW_CAP, FrameStore, FrameWindow, frames_between
-from .prompting import PromptSet, parse_response, render_decision, render_init
+# render_decision stays importable here: perfbench/tracing.py wraps it by this name.
+from .prompting import DecisionRenderer, PromptSet, parse_response, render_decision, render_init
 
 UNIT_WORD = "word"
 UNIT_CHARACTER = "character"
@@ -240,6 +241,8 @@ def run_session(
     problem, not a transient failure).
     """
     duration = store.video_duration
+    demos = prompts.demonstrations if config.kind is StrategyKind.FEEDBACK_ICL else ()
+    renderer = DecisionRenderer(prompts.decision, demos)
     history: list[str] = []
     utterances: list[Utterance] = []
     steps: list[SessionStep] = []
@@ -260,13 +263,8 @@ def run_session(
             elif config.max_history is not None:
                 history_used = history[len(history) - config.max_history :]
             else:
-                history_used = list(history)
-            demos = (
-                prompts.demonstrations
-                if config.kind is StrategyKind.FEEDBACK_ICL
-                else ()
-            )
-            rendered = render_decision(prompts.decision, history_used, demos, window)
+                history_used = history
+            rendered = renderer.render(history_used, window)
         point = DecisionPoint(index=index, time=t, window=window, history_len=len(history_used))
 
         try:

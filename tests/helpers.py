@@ -1,7 +1,9 @@
-"""Shared builders for synthetic stores, tracks and references."""
+"""Shared builders for synthetic stores, tracks and references, and the slow reference
+implementations that the tests compare the fast code against."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -13,8 +15,20 @@ from commentary import (
     CommentaryTrack,
     FrameRef,
     FrameStore,
+    FrameWindow,
     PromptSet,
+    RenderedPrompt,
     Utterance,
+)
+from commentary.backends import GeneratorRequest, GeneratorResponse
+from commentary.core import WAIT_TOKEN, check_seconds
+from commentary.media import DEFAULT_WINDOW_CAP, WindowRangeError
+from commentary.prompting import (
+    CONTEXT_PLACEHOLDER,
+    KIND_DECISION,
+    Demonstration,
+    PromptTemplate,
+    serialize_history,
 )
 
 WORDS = [
@@ -38,6 +52,101 @@ def dp_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
                 cur.append(max(prev[j], cur[-1]))
         prev = cur
     return prev[-1]
+
+
+def reference_render_decision(
+    template: PromptTemplate,
+    history: Sequence[str],
+    demos: Sequence[Demonstration],
+    window: FrameWindow,
+) -> RenderedPrompt:
+    """A decision prompt rendered from scratch; the oracle for `DecisionRenderer`."""
+    if template.kind != KIND_DECISION:
+        raise ValueError(
+            f"render_decision requires a decision template, got kind {template.kind!r}"
+        )
+    if not window.frames:
+        raise ValueError("window must contain at least one frame")
+    demo_block = ""
+    if demos:
+        lines = ["Example commentary for the attached demonstration frames:"]
+        lines.extend(f"{i}. {d.utterance_text}" for i, d in enumerate(demos, 1))
+        demo_block = "\n".join(lines)
+    body = template.body.replace(CONTEXT_PLACEHOLDER, serialize_history(history))
+    text = "\n".join(p for p in (template.role_preamble, demo_block, body) if p)
+    attachments: list[str] = []
+    for demo in demos:
+        attachments.extend(f.uri for f in demo.frames.frames)
+    attachments.extend(f.uri for f in window.frames)
+    h = hashlib.sha256()
+    h.update(text.encode("utf-8"))
+    for uri in attachments:
+        h.update(b"\x00")
+        h.update(uri.encode("utf-8"))
+    return RenderedPrompt(text=text, attachments=tuple(attachments), digest=h.hexdigest()[:16])
+
+
+class ReferenceRenderer:
+    """`DecisionRenderer`'s interface over `reference_render_decision`, with no cache."""
+
+    def __init__(self, template: PromptTemplate, demos: Sequence[Demonstration] = ()) -> None:
+        self._template = template
+        self._demos = demos
+
+    def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
+        return reference_render_decision(self._template, history, self._demos, window)
+
+
+def reference_frames_between(
+    store: FrameStore, t_a: float, t_b: float, cap: int = DEFAULT_WINDOW_CAP
+) -> FrameWindow:
+    """The window built second by second; the oracle for `frames_between`."""
+    check_seconds(t_a, "t_a")
+    check_seconds(t_b, "t_b")
+    if cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap}")
+    if t_a > t_b:
+        raise WindowRangeError(f"window start {t_a} exceeds window end {t_b}")
+    if t_b > store.video_duration:
+        raise WindowRangeError(
+            f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
+        )
+    n = store.frame_count
+    limit = max(t_b, t_a + 1.0)
+    seconds = [s for s in range(math.ceil(t_a), math.ceil(limit)) if s < n]
+    if not seconds:
+        seconds = [min(math.floor(t_a), n - 1)]
+    if len(seconds) > cap:
+        seconds = seconds[-cap:]
+    refs = tuple(store.frames[s] for s in seconds)
+    return FrameWindow(frames=refs, window_start=t_a, window_end=t_b)
+
+
+class ScanningOracleBackend:
+    """`OracleBackend` scanning the reference from its first utterance; its oracle."""
+
+    model_id = "oracle"
+
+    def __init__(self, reference: CommentaryTrack) -> None:
+        self._reference = reference
+        self._emitted: set[int] = set()
+        self._prev_time: float | None = None
+
+    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        t = request.decision_time
+        if t is None:
+            raise ValueError("OracleBackend requires decision_time on the request")
+        prev = self._prev_time
+        self._prev_time = t
+        for i, u in enumerate(self._reference.utterances):
+            if u.start > t:
+                break
+            if i in self._emitted:
+                continue
+            if prev is None or u.start > prev:
+                self._emitted.add(i)
+                return GeneratorResponse(raw_text=u.text, latency=0.0, model_id=self.model_id)
+        return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
 
 
 def synth_store(video_id: str = "v1", duration: float = 10.0) -> FrameStore:

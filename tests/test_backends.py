@@ -53,7 +53,7 @@ from commentary.backends import (
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
 
-from helpers import prompt_set, read_cache_log
+from helpers import ScanningOracleBackend, prompt_set, read_cache_log
 
 
 def prompt(text="describe the scene", attachments=("file:///f/0.jpg",)):
@@ -134,6 +134,24 @@ class TestOracleBackend:
         backend = OracleBackend(self._reference())
         with pytest.raises(ValueError):
             backend.generate(request_for())
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["nondecreasing", "arbitrary"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scan_from_the_first_utterance(self, ordered, data):
+        starts = sorted(data.draw(st.sets(st.floats(0.0, 100.0), max_size=12), label="starts"))
+        utterances = tuple(Utterance(f"u{i}", "en", s, 0.5) for i, s in enumerate(starts))
+        reference = CommentaryTrack("ref", utterances, 100.0)
+        moment = st.floats(0.0, 100.0)
+        if starts:
+            moment = st.one_of(moment, st.sampled_from(starts))
+        times = data.draw(st.lists(moment, max_size=20), label="times")
+        if ordered:
+            times.sort()
+        fast, slow = OracleBackend(reference), ScanningOracleBackend(reference)
+        for t in times:
+            request = request_for(decision_time=t)
+            assert fast.generate(request) == slow.generate(request), t
 
 
 def keyed_prompt(i, attachments=()):

@@ -485,6 +485,36 @@ class TestEvaluateCommand:
         )
         assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 0
 
+    @pytest.mark.parametrize(
+        "case", ["transcript-start", "srt-timestamp", "trace-duration", "with-trace"]
+    )
+    def test_unreadable_input_exits_one_naming_the_file(self, workspace, capsys, case):
+        gen_dir = self._generate(workspace)
+        ref_dir = workspace["root"] / "refs"
+        ref_dir.mkdir()
+        trace = gen_dir / "race01.trace"
+        if case == "trace-duration":
+            bad = trace
+            bad.write_text(read(trace).replace("#duration\t10.000", "#duration\tten"), "utf-8")
+            (ref_dir / "race01.tsv").write_text("0\tFive cars line up\n", encoding="utf-8")
+        elif case == "with-trace":  # the duration is read; the transcript fails to load
+            bad = ref_dir / "race01.tsv"
+            bad.write_text("abc\tFive cars line up\n", encoding="utf-8")
+        else:
+            trace.unlink()  # the duration then comes from the subtitle files
+            if case == "transcript-start":
+                bad = ref_dir / "race01.tsv"
+                bad.write_text("abc\tFive cars line up\n", encoding="utf-8")
+            else:
+                bad = ref_dir / "race01.srt"
+                bad.write_text("1\n00:00:0x,000 --> 00:00:01,000\nhello\n", encoding="utf-8")
+        assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: race01: {bad}: ")
+        if case in ("transcript-start", "with-trace"):
+            assert err.rstrip().endswith("line 1: bad start time 'abc'")
+        assert "Traceback" not in err
+
 
 class TestOracleBackendCli:
     def test_generated_texts_are_subset_of_reference(self, workspace):

@@ -291,3 +291,8 @@ class TestReferenceLoaders:
     def test_transcript_bad_line(self):
         with pytest.raises(ValueError):
             reference_from_transcript_text("no tab here\n", "v", 10.0, "en")
+
+    def test_transcript_bad_start_names_the_line(self):
+        with pytest.raises(ValueError) as exc:
+            reference_from_transcript_text("1\tgo\n\nabc\tthe race\n", "v", 10.0, "en")
+        assert str(exc.value) == "line 3: bad start time 'abc'"

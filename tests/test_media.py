@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from commentary import frames_between, load_manifest
 from commentary.media import ManifestError, ManifestGapError, WindowRangeError
 
-from helpers import synth_store, write_manifest
+from helpers import reference_frames_between, synth_store, write_manifest
+
+
+def _window_or_error(build, store, t_a, t_b, cap):
+    try:
+        return build(store, t_a, t_b, cap)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestLoadManifest:
@@ -158,3 +165,43 @@ class TestFramesBetween:
             frames_between(store, 6.0, 5.0, cap=30)
         with pytest.raises(ValueError):
             frames_between(store, 0.0, 5.0, cap=0)
+
+    @pytest.mark.parametrize(
+        "duration, t_a, t_b, cap",
+        [
+            (7.5, 7.5, 7.5, 30),  # t_a == t_b at a fractional end
+            (10.0, 10.0, 10.0, 1),  # t_a == t_b at a whole end
+            (0.0, 0.0, 0.0, 1),
+            (0.4, 0.2, 0.4, 3),
+            (40.0, 3.0, 40.0, 5),  # cap smaller than the window
+            (12.75, 0.5, 12.75, 2),
+            (10.0, 6.0, 5.0, 30),  # the errors stay the same
+            (10.0, 5.0, 10.5, 30),
+            (10.0, 0.0, 5.0, 0),
+        ],
+    )
+    def test_edge_cases_match_the_second_by_second_build(self, duration, t_a, t_b, cap):
+        store = synth_store(duration=duration)
+        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+            reference_frames_between, store, t_a, t_b, cap
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_second_by_second_build(self, data):
+        duration = data.draw(
+            st.one_of(st.floats(0.0, 40.0), st.integers(0, 40).map(float)), label="duration"
+        )
+        store = synth_store(duration=duration)
+        moment = st.one_of(
+            st.floats(0.0, duration),
+            st.integers(0, int(duration)).map(float),
+            st.just(duration),
+            st.floats(0.0, duration + 2.0),
+        )
+        t_a = data.draw(moment, label="t_a")
+        t_b = data.draw(st.one_of(moment, st.just(t_a)), label="t_b")
+        cap = data.draw(st.integers(0, 45), label="cap")
+        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+            reference_frames_between, store, t_a, t_b, cap
+        )

@@ -1,6 +1,8 @@
 """Template rendering, demonstration injection, and response parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commentary import (
     BUILTIN_TEMPLATES,
@@ -14,6 +16,7 @@ from commentary import (
 )
 from commentary.media import FrameRef, FrameWindow
 from commentary.prompting import (
+    DecisionRenderer,
     PromptTemplate,
     load_demonstrations,
     load_template,
@@ -21,7 +24,7 @@ from commentary.prompting import (
     serialize_history,
 )
 
-from helpers import synth_store
+from helpers import reference_render_decision, synth_store
 from commentary import frames_between
 
 
@@ -131,6 +134,71 @@ class TestRenderDecision:
         c = render_decision(decision, ["P2 leads"], [], window)
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+
+# No lone surrogates: a prompt must encode as UTF-8.
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+_uris = _texts.map(lambda s: f"file:///frames/{s}.jpg")
+_windows = st.lists(_uris, min_size=1, max_size=4).map(
+    lambda uris: FrameWindow(
+        frames=tuple(FrameRef(video_id="v", second=i, uri=u) for i, u in enumerate(uris)),
+        window_start=0.0,
+        window_end=float(len(uris)),
+    )
+)
+_demos = st.builds(
+    lambda uri, text: Demonstration(frames=single_frame_window(uri), utterance_text=text),
+    _uris,
+    _texts.filter(str.strip),
+)
+_decision_templates = st.sampled_from(
+    [decision for _, decision in BUILTIN_TEMPLATES.values()]
+    + [PromptTemplate(id="bare", language="en", kind="decision", body="so far: {context}")]
+)
+# Each step adds a text to the history (or not), then renders with a fresh window.
+# "arbitrary" renders a history of its own at each step, often one seen before.
+_sessions = st.tuples(
+    st.sampled_from(["append", "max_history", "stateless", "arbitrary"]),
+    st.integers(min_value=0, max_value=3),
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), _texts),
+            _windows,
+            st.lists(st.sampled_from(["a", "b", "c d"]), max_size=3),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+class TestDecisionRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(_decision_templates, st.lists(_demos, max_size=3), _sessions)
+    def test_every_render_equals_a_fresh_render(self, template, demos, session):
+        mode, max_history, steps = session
+        renderer = DecisionRenderer(template, demos)
+        history: list[str] = []
+        for new_text, window, own_history in steps:
+            if new_text is not None:
+                history.append(new_text)
+            used = {
+                "append": history,  # the same list, grown in place, as run_session passes it
+                "max_history": history[len(history) - max_history :],
+                "stateless": [],
+                "arbitrary": own_history,
+            }[mode]
+            assert renderer.render(used, window) == reference_render_decision(
+                template, used, demos, window
+            )
+
+    def test_rejects_init_template_and_empty_window(self):
+        init, decision = BUILTIN_TEMPLATES["race-en"]
+        with pytest.raises(ValueError, match="decision template"):
+            DecisionRenderer(init)
+        empty = FrameWindow(frames=(), window_start=0.0, window_end=0.0)
+        with pytest.raises(ValueError, match="at least one frame"):
+            DecisionRenderer(decision).render([], empty)
 
 
 class TestSerializeHistory:

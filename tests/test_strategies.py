@@ -21,11 +21,14 @@ from commentary import (
     run_session,
     select_window,
 )
+from commentary import prompting, strategies
 from commentary.backends import GeneratorResponse, TransportError
+from commentary.media import FrameRef, FrameWindow
+from commentary.prompting import Demonstration
 from commentary.strategies import count_units
 from commentary.subtitles import track_entries
 
-from helpers import prompt_set, synth_store
+from helpers import ReferenceRenderer, prompt_set, synth_store
 
 
 RATES = SpeechRateModel.default()
@@ -261,6 +264,65 @@ class TestRunSession:
             for a, b in zip(record.track.utterances, record.track.utterances[1:]):
                 assert b.start >= a.end
             assert overlap_proportion(track_entries(record.track)) == 0.0
+
+
+def _demos(n):
+    return tuple(
+        Demonstration(
+            frames=FrameWindow(
+                frames=(FrameRef(video_id="demo", second=0, uri=f"file:///demo/{i}.jpg"),),
+                window_start=0.0,
+                window_end=0.0,
+            ),
+            utterance_text=f"demo commentary {i}",
+        )
+        for i in range(n)
+    )
+
+
+class TestRendererInTheSession:
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_records_equal_those_of_fresh_renders(self, kind, monkeypatch):
+        prompts = prompt_set(demonstrations=_demos(3))
+        rng = random.Random(kind.value)
+        for trial in range(6):
+            store = synth_store(video_id=f"v{trial}", duration=rng.uniform(10.0, 60.0))
+            cfg = StrategyConfig(
+                kind=kind,
+                step=rng.choice([1.0, 2.0, 3.5]),
+                window_cap=rng.choice([2, 30]),
+                max_history=rng.choice([None, 0, 2]),
+            )
+            script = {
+                i: " ".join(rng.choice(["red", "car", "leads", "gap"]) for _ in range(3))
+                for i in range(80)
+                if rng.random() < 0.4
+            }
+            record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
+            with monkeypatch.context() as m:
+                m.setattr(strategies, "DecisionRenderer", ReferenceRenderer)
+                fresh = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
+            assert record == fresh
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_history_is_serialized_once_per_change(self, kind, monkeypatch):
+        calls = []
+        serialize = prompting.serialize_history
+        monkeypatch.setattr(
+            prompting, "serialize_history", lambda h: calls.append(len(h)) or serialize(h)
+        )
+        store = synth_store(duration=30.0)
+        cfg = StrategyConfig(kind=kind, step=1.0)
+        # The first and last of the 31 decisions wait, so every Speak changes
+        # the history that a later decision renders.
+        script = {2: "red car leads", 3: "blue car passes", 7: "gap closes", 20: "final lap"}
+        prompts = prompt_set(demonstrations=_demos(2))
+        record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
+        assert len(record.steps) == 31
+        speaks = sum(isinstance(s.outcome, Speak) for s in record.steps)
+        assert speaks == 4
+        expected = 1 if kind is StrategyKind.STATELESS else 1 + speaks
+        assert len(calls) == expected
 
 
 class TestGenerationRecord:

@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -23,7 +24,7 @@ from .backends import (
     ReplayMissError,
     ScriptedBackend,
 )
-from .core import SimulatedClock, Speak, WallClock
+from .core import CommentaryTrack, SimulatedClock, Speak, WallClock
 from .evaluation import (
     EmbeddingScorer,
     EvalReport,
@@ -34,6 +35,7 @@ from .evaluation import (
     load_reference,
     parse_transcript,
     reference_from_srt_text,
+    timing_alignment,
     word_stats,
 )
 from .media import FrameStore, load_manifest
@@ -86,7 +88,6 @@ class RunConfig:
     manifest: Path
     strategy: StrategyConfig
     prompts: PromptSet
-    templates_spec: str
     backend_spec: str
     cache_mode: str
     cache_dir: Path | None
@@ -177,7 +178,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         manifest=Path(args.manifest),
         strategy=strategy,
         prompts=prompts,
-        templates_spec=args.templates,
         backend_spec=args.backend,
         cache_mode=args.cache,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -427,14 +427,16 @@ def _report_rows(video_id: str, report: EvalReport) -> list[str]:
     return rows
 
 
-def _evaluate_dirs(
-    gen_dir: Path,
-    ref_dir: Path,
-    scorer_spec: str,
-    language: str,
-    report_path: Path | None,
-    quiet: bool = False,
-) -> tuple[int, dict[str, float] | None]:
+def _write_report(path: str | None, lines: list[str]) -> None:
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _load_pairs(
+    gen_dir: Path, ref_dir: Path, language: str
+) -> list[tuple[str, CommentaryTrack, ReferenceTrack]]:
+    """The (video_id, generated, reference) tracks of matching files, in sorted-id order."""
     if not gen_dir.is_dir():
         raise CliError(f"generated dir not found: {gen_dir}")
     if not ref_dir.is_dir():
@@ -449,40 +451,47 @@ def _evaluate_dirs(
     gen_orphans = sorted(gen_ids - set(ref_files))
     ref_orphans = sorted(set(ref_files) - gen_ids)
     if gen_orphans or ref_orphans:
-        print(f"unmatched generated ids: {', '.join(gen_orphans) or '(none)'}", file=sys.stderr)
-        print(f"unmatched reference ids: {', '.join(ref_orphans) or '(none)'}", file=sys.stderr)
-        return EXIT_CONFIG, None
+        raise CliError(
+            f"unmatched generated ids: {', '.join(gen_orphans) or '(none)'}; "
+            f"unmatched reference ids: {', '.join(ref_orphans) or '(none)'}"
+        )
     if not gen_ids:
         raise CliError(f"no .srt files found in {gen_dir}")
+    pairs = []
+    for video_id in sorted(gen_ids):
+        ref_path = ref_files[video_id]
+        gen_path = gen_dir / f"{video_id}.srt"
+        try:
+            duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path)
+            gen_track = _naming(gen_path, _gen_track, video_id, duration, language)
+            ref_track = _naming(ref_path, load_reference, video_id, duration, language)
+        except (ValueError, OSError) as exc:
+            raise CliError(f"{video_id}: {exc}") from exc
+        pairs.append((video_id, gen_track, ref_track))
+    return pairs
 
-    scorer = _make_scorer(scorer_spec, language)
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    language = args.language
+    pairs = _load_pairs(Path(args.gen_dir), Path(args.ref_dir), language)
+    scorer = _make_scorer(args.scorer, language)
     rows: list[str] = []
-    reports: dict[str, EvalReport] = {}
-    gen_tracks = []
-    ref_tracks = []
+    reports: list[EvalReport] = []
     try:
-        for video_id in sorted(gen_ids):
-            ref_path = ref_files[video_id]
-            gen_path = gen_dir / f"{video_id}.srt"
+        for video_id, gen_track, ref_track in pairs:
             try:
-                duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path)
-                gen_track = _naming(gen_path, _gen_track, video_id, duration, language)
-                ref_track = _naming(ref_path, load_reference, video_id, duration, language)
                 report = evaluate(gen_track, ref_track, scorer, language)
             except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
                 raise CliError(f"{video_id}: {exc}") from exc
-            reports[video_id] = report
-            gen_tracks.append(gen_track)
-            ref_tracks.append(ref_track)
+            reports.append(report)
             rows.extend(_report_rows(video_id, report))
-            if not quiet:
-                print(f"video: {video_id}")
-                print(f"  {KEY_ALIGNMENT}: {report.alignment:.4f}")
-                print(f"  {KEY_ROUGE}: {report.rouge_l:.4f}")
-                print(f"  {KEY_OVERLAP}: {report.overlap:.4f}")
-                print(f"  bin_scores: {' '.join(f'{s:.2f}' for s in report.bin_scores)}")
-                print(f"  gen_words: {report.gen_words.min}")
-                print(f"  ref_words: {report.ref_words.min}")
+            print(f"video: {video_id}")
+            print(f"  {KEY_ALIGNMENT}: {report.alignment:.4f}")
+            print(f"  {KEY_ROUGE}: {report.rouge_l:.4f}")
+            print(f"  {KEY_OVERLAP}: {report.overlap:.4f}")
+            print(f"  bin_scores: {' '.join(f'{s:.2f}' for s in report.bin_scores)}")
+            print(f"  gen_words: {report.gen_words.min}")
+            print(f"  ref_words: {report.ref_words.min}")
     finally:
         close = getattr(scorer, "close", None)  # the embedding scorer's; lexical has none
         if close is not None:
@@ -490,16 +499,16 @@ def _evaluate_dirs(
 
     n = len(reports)
     corpus = {
-        KEY_ALIGNMENT: sum(r.alignment for r in reports.values()) / n,
-        KEY_ROUGE: sum(r.rouge_l for r in reports.values()) / n,
-        KEY_OVERLAP: sum(r.overlap for r in reports.values()) / n,
+        KEY_ALIGNMENT: sum(r.alignment for r in reports) / n,
+        KEY_ROUGE: sum(r.rouge_l for r in reports) / n,
+        KEY_OVERLAP: sum(r.overlap for r in reports) / n,
     }
-    gen_stats = word_stats(gen_tracks, language)
-    ref_stats = word_stats(ref_tracks, language)
+    gen_stats = word_stats([gen for _, gen, _ in pairs], language)
+    ref_stats = word_stats([ref for _, _, ref in pairs], language)
     for key, value in corpus.items():
         rows.append(f"corpus\t{key}\t{value:.4f}")
     for i in range(10):
-        bin_avg = sum(r.bin_scores[i] for r in reports.values()) / n
+        bin_avg = sum(r.bin_scores[i] for r in reports) / n
         rows.append(f"corpus\tbin_{i}\t{bin_avg:.4f}")
     rows.append(f"corpus\tgen_words_avg\t{gen_stats.avg:.4f}")
     rows.append(f"corpus\tgen_words_min\t{gen_stats.min}")
@@ -507,27 +516,13 @@ def _evaluate_dirs(
     rows.append(f"corpus\tref_words_avg\t{ref_stats.avg:.4f}")
     rows.append(f"corpus\tref_words_min\t{ref_stats.min}")
     rows.append(f"corpus\tref_words_max\t{ref_stats.max}")
-    if not quiet:
-        print(f"corpus ({n} videos)")
-        for key, value in corpus.items():
-            print(f"  {key}: {value:.4f}")
-        print(f"  gen_words avg/min/max: {gen_stats.avg:.1f}/{gen_stats.min}/{gen_stats.max}")
-        print(f"  ref_words avg/min/max: {ref_stats.avg:.1f}/{ref_stats.min}/{ref_stats.max}")
-    if report_path is not None:
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return EXIT_OK, corpus
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    status, _ = _evaluate_dirs(
-        Path(args.gen_dir),
-        Path(args.ref_dir),
-        args.scorer,
-        args.language,
-        Path(args.report) if args.report else None,
-    )
-    return status
+    print(f"corpus ({n} videos)")
+    for key, value in corpus.items():
+        print(f"  {key}: {value:.4f}")
+    print(f"  gen_words avg/min/max: {gen_stats.avg:.1f}/{gen_stats.min}/{gen_stats.max}")
+    print(f"  ref_words avg/min/max: {ref_stats.avg:.1f}/{ref_stats.min}/{ref_stats.max}")
+    _write_report(args.report, rows)
+    return EXIT_OK
 
 
 def _parse_steps(spec: str) -> list[float]:
@@ -537,9 +532,15 @@ def _parse_steps(spec: str) -> list[float]:
         raise CliError(f"bad --steps value {spec!r}") from exc
     if not steps:
         raise CliError("--steps must list at least one step size")
+    seen: set[str] = set()
     for step in steps:
-        if not step > 0:
-            raise CliError(f"step sizes must be positive, got {step:g}")
+        name = f"{step:g}"
+        if not 0 < step < math.inf:
+            raise CliError(f"step sizes must be positive and finite, got {name}")
+        # A step's cells go to step-{name}/, so no two steps may share that name.
+        if name in seen:
+            raise CliError(f"--steps lists step {name} more than once")
+        seen.add(name)
     return steps
 
 
@@ -548,40 +549,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ref_dir = Path(args.ref)
     if not ref_dir.is_dir():
         raise CliError(f"reference dir not found: {ref_dir}")
-    backend_spec = args.backend or f"oracle:{ref_dir}"
-    out_root = Path(args.out)
+    args.backend = args.backend or f"oracle:{ref_dir}"
+    base = _run_config_from_args(args)
 
     results: dict[tuple[float, StrategyKind], float] = {}
     worst = EXIT_OK
     for step in steps:
         for kind in SWEEP_KINDS:
-            sub_args = argparse.Namespace(
-                manifest=args.manifest,
-                strategy=kind.value,
-                step=step,
-                window_cap=args.window_cap,
-                shots=None,
-                max_history=None,
-                backend=backend_spec,
-                cache=args.cache,
-                cache_dir=args.cache_dir,
-                out=str(out_root / f"step-{step:g}" / kind.value),
-                seed=args.seed,
-                templates=args.templates,
-                rate_model=args.rate_model,
-                demos=None,
-                jobs=args.jobs,
-                force=args.force,
-                wall=False,
+            cfg = replace(
+                base,
+                strategy=replace(base.strategy, kind=kind, step=step),
+                out_dir=base.out_dir / f"step-{step:g}" / kind.value,
             )
-            cfg = _run_config_from_args(sub_args)
             worst = max(worst, _generate(cfg))
-            status, corpus = _evaluate_dirs(
-                cfg.out_dir, ref_dir, "lexical", cfg.strategy.language, None, quiet=True
-            )
-            if status != EXIT_OK or corpus is None:
-                return EXIT_CONFIG
-            results[(step, kind)] = corpus[KEY_ALIGNMENT]
+            # Score the SRTs just written, as `evaluate` reads them: SRT rounds
+            # times to the millisecond, which can move a boundary second.
+            pairs = _load_pairs(cfg.out_dir, ref_dir, cfg.strategy.language)
+            alignment = sum(timing_alignment(gen, ref) for _, gen, ref in pairs)
+            results[(step, kind)] = alignment / len(pairs)
 
     header = "step\tstateless\tfeedback\treal-time\tavg"
     table_lines = [header]
@@ -591,13 +576,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         table_lines.append(
             f"{step:g}\t" + "\t".join(f"{v:.3f}" for v in values) + f"\t{avg:.3f}"
         )
-    table = "\n".join(table_lines)
-    print(table)
-    if args.report:
-        report_path = Path(args.report)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(table + "\n", encoding="utf-8")
+    print("\n".join(table_lines))
+    _write_report(args.report, table_lines)
     return worst
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The run flags that `generate` and `sweep` share."""
+    parser.add_argument(
+        "--manifest", required=True, help="manifest file or directory of *.manifest"
+    )
+    parser.add_argument("--templates", default="race-en", help="built-in set name or directory")
+    parser.add_argument("--rate-model", default=None, help="e.g. en=word:4,ja=character:8")
+    parser.add_argument("--window-cap", type=int, default=30, help="max frames per window")
+    parser.add_argument("--cache", default="off", choices=["off", "record", "replay"])
+    parser.add_argument("--cache-dir", default=None)
+    parser.add_argument("--seed", type=int, default=0, help="seed for demonstration sampling")
+    parser.add_argument("--jobs", type=int, default=4, help="parallel videos")
+    parser.add_argument("--force", action="store_true", help="overwrite existing traces")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="run sessions over manifests and write SRT + traces")
-    gen.add_argument("--manifest", required=True, help="manifest file or directory of *.manifest")
+    _add_run_flags(gen)
     gen.add_argument(
         "--strategy",
         default="feedback",
@@ -613,21 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="decoding strategy (default: feedback)",
     )
     gen.add_argument("--step", type=float, default=2.0, help="decision interval in seconds")
-    gen.add_argument("--window-cap", type=int, default=30, help="max frames per window")
     gen.add_argument("--shots", type=int, default=None, help="ICL demonstrations to inject")
     gen.add_argument("--max-history", type=int, default=None, help="cap on history lines")
     gen.add_argument(
         "--backend", required=True, help="remote | scripted:<path> | oracle:<path>"
     )
-    gen.add_argument("--cache", default="off", choices=["off", "record", "replay"])
-    gen.add_argument("--cache-dir", default=None)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=0, help="seed for demonstration sampling")
-    gen.add_argument("--templates", default="race-en", help="built-in set name or directory")
-    gen.add_argument("--rate-model", default=None, help="e.g. en=word:4,ja=character:8")
     gen.add_argument("--demos", default=None, help="demonstration manifest (uri<TAB>text)")
-    gen.add_argument("--jobs", type=int, default=4, help="parallel videos")
-    gen.add_argument("--force", action="store_true", help="overwrite existing traces")
     gen.add_argument("--wall", action="store_true", help="run against the wall clock")
     gen.set_defaults(func=cmd_generate)
 
@@ -639,22 +627,17 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--report", default=None, help="write the tab-separated report here")
     ev.set_defaults(func=cmd_evaluate)
 
-    sw = sub.add_parser("sweep", help="run generate+evaluate across step sizes")
-    sw.add_argument("--manifest", required=True)
+    sw = sub.add_parser("sweep", help="run generate, then score agreement@1s, across step sizes")
+    _add_run_flags(sw)
     sw.add_argument("--ref", required=True, help="reference directory")
     sw.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,2,5,10")
     sw.add_argument("--backend", default=None, help="defaults to oracle:<ref>")
-    sw.add_argument("--templates", default="race-en")
-    sw.add_argument("--rate-model", default=None)
-    sw.add_argument("--window-cap", type=int, default=30)
-    sw.add_argument("--cache", default="off", choices=["off", "record", "replay"])
-    sw.add_argument("--cache-dir", default=None)
-    sw.add_argument("--out", required=True)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--jobs", type=int, default=4)
-    sw.add_argument("--force", action="store_true")
+    sw.add_argument("--out", required=True, help="output root: one dir per step and strategy")
     sw.add_argument("--report", default=None, help="write the sweep table here")
-    sw.set_defaults(func=cmd_sweep)
+    # Each cell takes generate's defaults for the flags sweep does not have;
+    # cmd_sweep sets its strategy and step.
+    cell_defaults = ("strategy", "step", "shots", "max_history", "demos", "wall")
+    sw.set_defaults(func=cmd_sweep, **{key: gen.get_default(key) for key in cell_defaults})
 
     return parser
 

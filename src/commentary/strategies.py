@@ -9,7 +9,6 @@ window to everything elapsed since the previous query.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -330,9 +329,3 @@ def run_session(
         track=track,
         error=error,
     )
-
-
-def fixed_decision_count(duration: Seconds, step: Seconds) -> int:
-    """Number of decisions a fixed-interval session makes: floor(D/N) + 1."""
-    return math.floor(duration / step) + 1
-

@@ -17,7 +17,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -766,18 +765,29 @@ class TestEnvironmentSettings:
         assert session.verify == bundle
         assert session.auth == ("user", "secret")
 
-    def test_caller_session_is_left_untouched(self, no_proxy_env, monkeypatch):
+    def test_caller_session_is_left_untouched(self, no_proxy_env):
         no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
-        session = requests.Session()
-        closed = []
-        monkeypatch.setattr(session, "close", lambda: closed.append(session))
+
+        class CallerSession:
+            """A caller's `HttpSession` with the settings a client could overwrite."""
+
+            def __init__(self):
+                self.trust_env = True
+                self.proxies = {}
+                self.verify = True
+                self.closed = 0
+
+            def post(self, url, *, data, headers, timeout):
+                raise AssertionError("no request is sent")
+
+            def close(self):
+                self.closed += 1
+
+        session = CallerSession()
         base = "https://api.example.test"
         RemoteChatBackend(base_url=base, model_id="m", session=session).close()
         EmbeddingScorer(base_url=base, model_id="e", session=session).close()
-        assert session.trust_env is True
-        assert session.proxies == {}
-        assert session.verify is True
-        assert closed == []
+        assert vars(session) == {"trust_env": True, "proxies": {}, "verify": True, "closed": 0}
 
 
 def _auth_sent(kind, server, api_key):

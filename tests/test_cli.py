@@ -345,8 +345,7 @@ class TestEvaluateCommand:
         )
         assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 1
         err = capsys.readouterr().err
-        assert "race01" in err
-        assert "other" in err
+        assert "error: unmatched generated ids: race01; unmatched reference ids: other" in err
 
     def test_all_wait_run_scores_silent_agreement(self, workspace):
         workspace["script"].write_text("default\t<WAIT>\n", encoding="utf-8")
@@ -592,6 +591,113 @@ class TestSweep:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [("1,1", "step 1 more than once"), ("1,1.0", "step 1 more than once"), ("1,inf", "got inf")],
+    )
+    def test_bad_steps_exit_one_before_any_run(self, workspace, capsys, steps, message):
+        ref_dir = self._refs(workspace)
+        out = workspace["root"] / "sweep-bad"
+        code = main([
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", steps,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_out_root_must_differ_from_cache_dir(self, workspace, capsys):
+        ref_dir = self._refs(workspace)
+        out = workspace["root"] / "sweep-cache"
+        code = main([
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", "1",
+            "--cache", "record",
+            "--cache-dir", str(out),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert "distinct from cache dir" in capsys.readouterr().err
+
+    def _two_video_corpus(self, workspace):
+        """Manifests and references for a 10 s and a 20 s video: every corpus
+        agreement is a multiple of 1/40, so its 4-place report value rounds to
+        the same 3 places as the exact mean.
+
+        At step 0.3 the tenth decision time sums to 2.9999999999999996, which
+        emits the 2.8 s line; its SRT start reads back as 3.000, so the second
+        [2, 3) is silent in the file and spoken in the in-memory track.
+        """
+        root = workspace["root"]
+        vids, ref_dir = root / "vids", root / "refs2"
+        vids.mkdir()
+        ref_dir.mkdir()
+        write_manifest(vids / "a.manifest", "a", 10.0)
+        write_manifest(vids / "b.manifest", "b", 20.0)
+        (ref_dir / "a.srt").write_text(
+            "1\n00:00:02,800 --> 00:00:04,800\neight quick words make two seconds here\n\n"
+            "2\n00:00:06,000 --> 00:00:07,000\nfour more words now\n",
+            encoding="utf-8",
+        )
+        (ref_dir / "b.srt").write_text(
+            "1\n00:00:00,500 --> 00:00:02,500\nthe pack surges into the first corner\n\n"
+            "2\n00:00:09,000 --> 00:00:10,000\na bold move\n\n"
+            "3\n00:00:14,200 --> 00:00:17,900\nand the leader holds on as the rain begins "
+            "to fall on the back straight\n",
+            encoding="utf-8",
+        )
+        return vids, ref_dir
+
+    def test_cells_equal_evaluate_of_each_cell_dir(self, workspace, capsys):
+        vids, ref_dir = self._two_video_corpus(workspace)
+        out = workspace["root"] / "sweep2"
+        table = workspace["root"] / "sweep2.tsv"
+        code = main([
+            "sweep", "--manifest", str(vids), "--ref", str(ref_dir),
+            "--steps", "0.3,1,2", "--out", str(out), "--report", str(table),
+        ])
+        assert code == 0
+        header, *rows = read(table).splitlines()
+        kinds = header.split("\t")[1:-1]
+        assert kinds == ["stateless", "feedback", "real-time"]
+        assert [row.split("\t")[0] for row in rows] == ["0.3", "1", "2"]
+        for row in rows:
+            step, *cells, _ = row.split("\t")
+            for kind, cell in zip(["stateless", "feedback", "realtime"], cells):
+                report = workspace["root"] / f"eval-{step}-{kind}.tsv"
+                cell_dir = out / f"step-{step}" / kind
+                assert main(["evaluate", str(cell_dir), str(ref_dir), "--report", str(report)]) == 0
+                corpus = [
+                    line.split("\t")[2]
+                    for line in read(report).splitlines()
+                    if line.startswith("corpus\tagreement@1s\t")
+                ]
+                assert cell == f"{float(corpus[0]):.3f}", (step, kind)
+
+    def test_scores_no_lexical_metric(self, workspace, monkeypatch):
+        from commentary import evaluation
+
+        def boom(*args, **kwargs):
+            raise AssertionError("sweep reports agreement@1s only")
+
+        monkeypatch.setattr(evaluation, "rouge_l", boom)
+        monkeypatch.setattr(evaluation, "binned_similarity", boom)
+        ref_dir = self._refs(workspace)
+        code = main([
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", "1,2",
+            "--out", str(workspace["root"] / "sweep-align"),
+        ])
+        assert code == 0
+
 
 class TestParsers:
     def test_rate_model_flag(self):
@@ -616,8 +722,8 @@ class TestOfflineImports:
     """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
     neither `requests` nor the stdlib's `http.client`, `ssl` or `email`."""
 
-    # Other tests import `requests` into the test process, so the runs happen
-    # in a fresh interpreter.
+    # Other tests load `http.client` into the test process (`http.server`
+    # imports it), so the runs happen in a fresh interpreter.
     SCRIPT = textwrap.dedent(
         """
         import json, sys

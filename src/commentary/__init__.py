@@ -27,7 +27,6 @@ from .core import (
     Wait,
     WallClock,
     speaking_timeline,
-    utterance_interval,
 )
 from .evaluation import (
     EmbeddingScorer,
@@ -125,6 +124,5 @@ __all__ = [
     "speaking_timeline",
     "timing_alignment",
     "to_srt",
-    "utterance_interval",
     "word_stats",
 ]

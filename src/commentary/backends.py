@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
-from .core import WAIT_TOKEN, CommentaryTrack, Seconds
+from .core import WAIT_TOKEN, CommentaryTrack, Seconds, from_ms, to_ms
 from .prompting import RenderedPrompt
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
@@ -903,7 +903,7 @@ class CacheLog:
         import json
 
         raw = response.raw_text.encode("utf-8")
-        latency_ms = round(response.latency * 1000)
+        latency_ms = to_ms(response.latency)
         header = json.dumps([*key, latency_ms, len(raw)]).encode("ascii")
         with self._lock:
             if key not in self._records:
@@ -960,4 +960,4 @@ class ReplayCache:
                 latency_ms, raw = self._log.add(key, response)
             except OSError as exc:
                 raise BackendError(f"cannot record to {self._log.path}: {exc}") from exc
-        return GeneratorResponse(raw_text=raw, latency=latency_ms / 1000.0, model_id=self.model_id)
+        return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms), model_id=self.model_id)

@@ -7,9 +7,8 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
@@ -34,7 +33,7 @@ from .evaluation import (
     evaluate,
     load_reference,
     parse_transcript,
-    reference_from_srt_text,
+    reference_from_srt_text,  # noqa: F401 (perfbench/tracing.py wraps it by this name)
     timing_alignment,
     word_stats,
 )
@@ -210,34 +209,42 @@ def _load_stores(manifest: Path) -> list[FrameStore]:
     return stores
 
 
-def _find_reference(
-    path: Path, video_id: str, duration: float, language: str, rates: SpeechRateModel
-) -> ReferenceTrack:
-    if path.is_dir():
-        for suffix in (".srt", ".tsv"):
-            candidate = path / f"{video_id}{suffix}"
-            if candidate.exists():
-                path = candidate
-                break
-        else:
-            raise CliError(f"no reference file for video {video_id!r} in {path}")
-    elif not path.exists():
-        raise CliError(f"reference not found: {path}")
-    try:
-        return load_reference(path, video_id, duration, language, rates)
-    except ValueError as exc:
-        raise CliError(f"reference {path}: {exc}") from exc
+def _load_references(
+    path: Path, stores: list[FrameStore], language: str
+) -> dict[str, ReferenceTrack]:
+    """Each store's reference track by video id, from one file or a dir of <id>.srt/.tsv,
+    read as `evaluate` reads it."""
+    references = {}
+    for store in stores:
+        ref_path = path
+        if path.is_dir():
+            for suffix in (".srt", ".tsv"):
+                ref_path = path / f"{store.video_id}{suffix}"
+                if ref_path.exists():
+                    break
+            else:
+                raise CliError(f"no reference file for video {store.video_id!r} in {path}")
+        elif not path.exists():
+            raise CliError(f"reference not found: {path}")
+        try:
+            references[store.video_id] = load_reference(
+                ref_path, store.video_id, store.video_duration, language
+            )
+        except ValueError as exc:
+            raise CliError(f"reference {ref_path}: {exc}") from exc
+    return references
 
 
 def _backend_factory(
-    cfg: RunConfig,
+    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None
 ) -> tuple[Callable[[FrameStore], Generator], list[RemoteChatBackend | CacheLog]]:
     """The per-video backend maker, and what the caller closes when the run ends.
 
     That is the remote client and the run's cache log, where the run has
-    them. Every session's `ReplayCache` shares the one log.
+    them. Every session's `ReplayCache` shares the one log. An oracle
+    replays `references`, or else loads each store's from its path.
     """
-    make, client = _inner_backend_factory(cfg)
+    make, client = _inner_backend_factory(cfg, stores, references)
     opened: list[RemoteChatBackend | CacheLog] = [] if client is None else [client]
     if cfg.cache_mode == "off":
         return make, opened
@@ -249,7 +256,7 @@ def _backend_factory(
 
 
 def _inner_backend_factory(
-    cfg: RunConfig,
+    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None
 ) -> tuple[Callable[[FrameStore], Generator], RemoteChatBackend | None]:
     """The per-video maker of the uncached backend, and the remote client if it built one."""
     spec = cfg.backend_spec
@@ -265,19 +272,10 @@ def _inner_backend_factory(
             raise CliError(f"script file not found: {script_path}")
         return lambda store: ScriptedBackend.from_file(script_path), None
     if spec.startswith("oracle:"):
-        ref_path = Path(spec.partition(":")[2])
-
-        def make(store: FrameStore) -> Generator:
-            ref = _find_reference(
-                ref_path,
-                store.video_id,
-                store.video_duration,
-                cfg.strategy.language,
-                cfg.strategy.rate_model,
-            )
-            return OracleBackend(ref)
-
-        return make, None
+        if references is None:
+            # Read as `evaluate` reads them: the oracle uses only their starts and texts.
+            references = _load_references(Path(spec.partition(":")[2]), stores, cfg.strategy.language)
+        return lambda store: OracleBackend(references[store.video_id]), None
     raise CliError(
         f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
     )
@@ -317,59 +315,54 @@ def read_trace_duration(path: Path) -> float | None:
     return None
 
 
-def _generate(cfg: RunConfig) -> int:
-    stores = _load_stores(cfg.manifest)
+def _generate(
+    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None = None
+) -> tuple[int, dict[str, GenerationRecord]]:
+    """Run each store's session and write its outputs; return the exit code and the records."""
     for store in stores:
         trace_path = cfg.out_dir / f"{store.video_id}.trace"
         if trace_path.exists() and not cfg.force:
             raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
-    factory, opened = _backend_factory(cfg)
+    factory, opened = _backend_factory(cfg, stores, references)
 
     def run_one(store: FrameStore) -> GenerationRecord:
         clock = WallClock() if cfg.wall else SimulatedClock()
         return run_session(store, cfg.strategy, factory(store), clock, cfg.prompts)
 
-    records: dict[str, GenerationRecord] = {}
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {pool.submit(run_one, store): store for store in stores}
-            for future in as_completed(futures):
-                record = future.result()
-                records[record.video_id] = record
+            records = {record.video_id: record for record in pool.map(run_one, stores)}
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
     finally:
         for resource in opened:
             resource.close()
 
-    partial = False
     summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
-    for store in sorted(stores, key=lambda s: s.video_id):
-        record = records[store.video_id]
-        (cfg.out_dir / f"{store.video_id}.srt").write_text(
-            to_srt(record.track), encoding="utf-8"
-        )
-        (cfg.out_dir / f"{store.video_id}.trace").write_text(
+    for video_id, record in sorted(records.items()):
+        (cfg.out_dir / f"{video_id}.srt").write_text(to_srt(record.track), encoding="utf-8")
+        (cfg.out_dir / f"{video_id}.trace").write_text(
             render_trace(record, cfg.seed), encoding="utf-8"
         )
         status = "complete" if record.complete else "partial"
-        partial = partial or not record.complete
         summary_lines.append(
-            f"{store.video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
+            f"{video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
         )
         print(
-            f"{store.video_id}: {len(record.steps)} decisions, "
+            f"{video_id}: {len(record.steps)} decisions, "
             f"{len(record.track.utterances)} utterances ({status})"
         )
         if not record.complete:
             print(f"  {record.error}", file=sys.stderr)
     (cfg.out_dir / "summary.tsv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    return EXIT_PARTIAL if partial else EXIT_OK
+    code = EXIT_OK if all(record.complete for record in records.values()) else EXIT_PARTIAL
+    return code, records
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    return _generate(_run_config_from_args(args))
+    cfg = _run_config_from_args(args)
+    return _generate(cfg, _load_stores(cfg.manifest))[0]
 
 
 def _make_scorer(spec: str, language: str) -> SimilarityScorer:
@@ -389,11 +382,6 @@ def _naming(path: Path, read: Callable[..., T], *args) -> T:
         return read(path, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _gen_track(path: Path, video_id: str, duration: float, language: str):
-    text = path.read_text(encoding="utf-8")
-    return reference_from_srt_text(text, video_id, duration, language)
 
 
 def _display_ends(path: Path) -> list[float]:
@@ -463,7 +451,7 @@ def _load_pairs(
         gen_path = gen_dir / f"{video_id}.srt"
         try:
             duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path)
-            gen_track = _naming(gen_path, _gen_track, video_id, duration, language)
+            gen_track = _naming(gen_path, load_reference, video_id, duration, language)
             ref_track = _naming(ref_path, load_reference, video_id, duration, language)
         except (ValueError, OSError) as exc:
             raise CliError(f"{video_id}: {exc}") from exc
@@ -535,8 +523,6 @@ def _parse_steps(spec: str) -> list[float]:
     seen: set[str] = set()
     for step in steps:
         name = f"{step:g}"
-        if not 0 < step < math.inf:
-            raise CliError(f"step sizes must be positive and finite, got {name}")
         # A step's cells go to step-{name}/, so no two steps may share that name.
         if name in seen:
             raise CliError(f"--steps lists step {name} more than once")
@@ -551,30 +537,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"reference dir not found: {ref_dir}")
     args.backend = args.backend or f"oracle:{ref_dir}"
     base = _run_config_from_args(args)
+    try:
+        strategies = [replace(base.strategy, step=step) for step in steps]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    stores = _load_stores(base.manifest)
+    # The default oracle replays the same tracks the cells are scored against.
+    references = _load_references(ref_dir, stores, base.strategy.language)
+    oracle_refs = references if base.backend_spec == f"oracle:{ref_dir}" else None
 
-    results: dict[tuple[float, StrategyKind], float] = {}
+    table_lines = ["step\tstateless\tfeedback\treal-time\tavg"]
     worst = EXIT_OK
-    for step in steps:
+    for strategy in strategies:
+        values = []
         for kind in SWEEP_KINDS:
             cfg = replace(
                 base,
-                strategy=replace(base.strategy, kind=kind, step=step),
-                out_dir=base.out_dir / f"step-{step:g}" / kind.value,
+                strategy=replace(strategy, kind=kind),
+                out_dir=base.out_dir / f"step-{strategy.step:g}" / kind.value,
             )
-            worst = max(worst, _generate(cfg))
-            # Score the SRTs just written, as `evaluate` reads them: SRT rounds
-            # times to the millisecond, which can move a boundary second.
-            pairs = _load_pairs(cfg.out_dir, ref_dir, cfg.strategy.language)
-            alignment = sum(timing_alignment(gen, ref) for _, gen, ref in pairs)
-            results[(step, kind)] = alignment / len(pairs)
-
-    header = "step\tstateless\tfeedback\treal-time\tavg"
-    table_lines = [header]
-    for step in steps:
-        values = [results[(step, kind)] for kind in SWEEP_KINDS]
+            code, records = _generate(cfg, stores, oracle_refs)
+            worst = max(worst, code)
+            # Each track equals its own SRT, so this is what `evaluate` of the cell dir reads.
+            alignment = sum(
+                timing_alignment(records[video_id].track, references[video_id])
+                for video_id in sorted(references)
+            )
+            values.append(alignment / len(references))
         avg = sum(values) / len(values)
         table_lines.append(
-            f"{step:g}\t" + "\t".join(f"{v:.3f}" for v in values) + f"\t{avg:.3f}"
+            f"{strategy.step:g}\t" + "\t".join(f"{v:.3f}" for v in values) + f"\t{avg:.3f}"
         )
     print("\n".join(table_lines))
     _write_report(args.report, table_lines)
@@ -608,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in StrategyKind],
         help="decoding strategy (default: feedback)",
     )
-    gen.add_argument("--step", type=float, default=2.0, help="decision interval in seconds")
+    gen.add_argument("--step", type=float, default=2.0, help="decision interval in seconds, whole ms")
     gen.add_argument("--shots", type=int, default=None, help="ICL demonstrations to inject")
     gen.add_argument("--max-history", type=int, default=None, help="cap on history lines")
     gen.add_argument(

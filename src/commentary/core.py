@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Union
 
 # Sentinel a generator emits when it chooses silence at a decision point.
@@ -24,6 +24,17 @@ def check_seconds(value: float, name: str = "seconds") -> float:
     return value
 
 
+def to_ms(seconds: float, round_up: bool = False) -> int:
+    """A time in whole milliseconds: the nearest, or with round_up the first not before it."""
+    ms = seconds * 1000
+    return math.ceil(ms) if round_up else round(ms)
+
+
+def from_ms(ms: int) -> Seconds:
+    """A whole number of milliseconds in seconds."""
+    return ms / 1000
+
+
 @dataclass(frozen=True)
 class Utterance:
     """One timestamped piece of commentary with its estimated speaking time.
@@ -35,6 +46,7 @@ class Utterance:
     language: str
     start: Seconds
     est_duration: Seconds
+    end: Seconds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stripped = self.text.strip()
@@ -46,10 +58,9 @@ class Utterance:
         check_seconds(self.est_duration, "est_duration")
         if self.est_duration <= 0:
             raise ValueError("est_duration must be positive")
-
-    @property
-    def end(self) -> Seconds:
-        return self.start + self.est_duration
+        # Summed in milliseconds, so an utterance ends exactly where a next one
+        # scheduled after it starts, and where its SRT entry read back ends.
+        object.__setattr__(self, "end", from_ms(to_ms(self.start) + to_ms(self.est_duration)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +104,6 @@ class CommentaryTrack:
                     f"utterance at {u.start}s starts after the video ends ({self.video_duration}s)"
                 )
             prev = u.start
-
-
-def utterance_interval(u: Utterance) -> tuple[Seconds, Seconds]:
-    """Display interval of an utterance: (start, start + est_duration)."""
-    return (u.start, u.end)
 
 
 def speaking_timeline(track: CommentaryTrack) -> list[bool]:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Seconds, check_seconds
+from .core import Seconds, check_seconds, from_ms, to_ms
 
 MANIFEST_HEADER_TAG = "#video_id"
 
@@ -54,6 +54,8 @@ class FrameStore:
 
     def __post_init__(self) -> None:
         check_seconds(self.video_duration, "video_duration")
+        # Kept to the millisecond, the grid that sessions run on.
+        object.__setattr__(self, "video_duration", from_ms(to_ms(self.video_duration)))
 
     @property
     def frame_count(self) -> int:

@@ -30,6 +30,8 @@ from .core import (
     Utterance,
     Wait,
     check_seconds,
+    from_ms,
+    to_ms,
 )
 from .media import DEFAULT_WINDOW_CAP, FrameStore, FrameWindow, frames_between
 # render_decision stays importable here: perfbench/tracing.py wraps it by this name.
@@ -135,6 +137,8 @@ class StrategyConfig:
         check_seconds(self.step, "step")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if from_ms(to_ms(self.step)) != self.step:
+            raise ValueError(f"step must be a whole number of milliseconds, got {self.step!r}")
         if self.window_cap < 1:
             raise ValueError("window_cap must be a positive integer")
         if self.icl_shots is None:
@@ -152,17 +156,23 @@ class StrategyConfig:
 def next_decision_time(
     config: StrategyConfig, t_i: Seconds, outcome: DecisionOutcome
 ) -> Seconds:
-    """Schedule the next decision after outcome at t_i.
+    """Schedule the next decision after outcome at t_i, to the millisecond."""
+    check_seconds(t_i, "t_i")
+    return from_ms(to_ms(t_i) + _advance_ms(config, outcome))
+
+
+def _advance_ms(config: StrategyConfig, outcome: DecisionOutcome) -> int:
+    """Milliseconds from a decision to the next one.
 
     Fixed kinds advance by the step regardless of outcome. Realtime advances
     by the spoken duration after a Speak, floored at the step so short
     utterances never poll faster than the fixed cadence.
     """
-    check_seconds(t_i, "t_i")
+    step_ms = to_ms(config.step)
     if config.kind is StrategyKind.REALTIME and isinstance(outcome, Speak):
         d_hat = estimate_duration(outcome.text, config.language, config.rate_model)
-        return t_i + max(config.step, d_hat)
-    return t_i + config.step
+        return max(step_ms, to_ms(d_hat))
+    return step_ms
 
 
 def select_window(
@@ -235,22 +245,24 @@ def run_session(
 
     Decision 0 at t=0 uses the initialization prompt with empty history, then
     decisions follow the scheduler until the next time would pass the end of
-    the video. A backend failure aborts the session and the partial record
-    carries the error; a replay-cache miss propagates (it is a configuration
-    problem, not a transient failure).
+    the video. Times are kept in whole milliseconds, so every time the record
+    holds is the one its SRT and trace show. A backend failure aborts the
+    session and the partial record carries the error; a replay-cache miss
+    propagates (it is a configuration problem, not a transient failure).
     """
-    duration = store.video_duration
+    duration_ms = to_ms(store.video_duration)
     demos = prompts.demonstrations if config.kind is StrategyKind.FEEDBACK_ICL else ()
     renderer = DecisionRenderer(prompts.decision, demos)
     history: list[str] = []
     utterances: list[Utterance] = []
     steps: list[SessionStep] = []
     error: str | None = None
-    t = 0.0
+    t_ms = 0
     t_last_query = 0.0
     index = 0
 
     while True:
+        t = from_ms(t_ms)
         clock.advance_to(t)
         window = select_window(config, store, t, t_last_query)
         if index == 0:
@@ -294,7 +306,8 @@ def run_session(
                     text=outcome.text,
                     language=config.language,
                     start=t,
-                    est_duration=d_hat,
+                    # At least 1 ms, so that every utterance shows as an SRT entry.
+                    est_duration=from_ms(max(1, to_ms(d_hat))),
                 )
             )
             history.append(outcome.text)
@@ -309,18 +322,19 @@ def run_session(
         )
 
         t_last_query = t
-        scheduled = next_decision_time(config, t, outcome)
+        t_ms += _advance_ms(config, outcome)
         # A slow backend may return after the scheduled time; never fire in the past.
-        t_next = max(scheduled, clock.now())
-        if t_next > duration:
+        now = clock.now()
+        if now > t:
+            t_ms = max(t_ms, to_ms(now, round_up=True))
+        if t_ms > duration_ms:
             break
-        t = t_next
         index += 1
 
     track = CommentaryTrack(
         video_id=store.video_id,
         utterances=tuple(utterances),
-        video_duration=duration,
+        video_duration=store.video_duration,
     )
     return GenerationRecord(
         video_id=store.video_id,

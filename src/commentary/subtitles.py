@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CommentaryTrack, Seconds, check_seconds
+from .core import CommentaryTrack, Seconds, check_seconds, from_ms, to_ms
 
 _TIMESTAMP = re.compile(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})")
 _ARROW = "-->"
@@ -37,7 +37,7 @@ class SrtEntry:
 
 def format_timestamp(seconds: Seconds) -> str:
     """SRT timestamp HH:MM:SS,mmm at millisecond precision."""
-    total_ms = round(check_seconds(seconds) * 1000)
+    total_ms = to_ms(check_seconds(seconds))
     hours, rem = divmod(total_ms, 3_600_000)
     minutes, rem = divmod(rem, 60_000)
     secs, ms = divmod(rem, 1000)
@@ -51,7 +51,7 @@ def parse_timestamp(token: str) -> Seconds:
         raise ValueError(f"invalid timestamp {token!r}")
     hours, minutes, secs, frac = m.groups()
     ms = int(frac.ljust(3, "0"))
-    return int(hours) * 3600 + int(minutes) * 60 + int(secs) + ms / 1000.0
+    return from_ms(((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + ms)
 
 
 def track_entries(track: CommentaryTrack) -> list[SrtEntry]:

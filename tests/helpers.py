@@ -149,6 +149,24 @@ class ScanningOracleBackend:
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
 
 
+def reference_decision_ms(
+    duration_ms: int, step_ms: int, realtime: bool, spoken_ms: Sequence[int | None]
+) -> list[int]:
+    """Decision times of a session in whole milliseconds, scheduled with integers
+    alone; the oracle for `run_session`'s schedule.
+
+    `spoken_ms[i]` is how long decision i speaks, or None when it waits;
+    decisions past the end of the list wait.
+    """
+    times: list[int] = []
+    t = 0
+    while t <= duration_ms:
+        spoken = spoken_ms[len(times)] if len(times) < len(spoken_ms) else None
+        times.append(t)
+        t += max(step_ms, spoken) if realtime and spoken is not None else step_ms
+    return times
+
+
 def synth_store(video_id: str = "v1", duration: float = 10.0) -> FrameStore:
     n = max(math.ceil(duration), 1)
     frames = {

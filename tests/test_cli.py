@@ -99,6 +99,11 @@ class TestGenerate:
     def test_unknown_strategy_is_config_error(self, workspace):
         assert main(gen_args(workspace, strategy="bogus")) == 1
 
+    def test_step_between_milliseconds_exits_one_naming_it(self, workspace, capsys):
+        assert main(gen_args(workspace, step="0.0004")) == 1
+        assert "got 0.0004" in capsys.readouterr().err
+        assert not (workspace["root"] / "out").exists()
+
     def test_missing_manifest_is_config_error(self, workspace, capsys):
         args = gen_args(workspace)
         args[args.index("--manifest") + 1] = str(workspace["root"] / "nope.manifest")
@@ -593,7 +598,12 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "steps, message",
-        [("1,1", "step 1 more than once"), ("1,1.0", "step 1 more than once"), ("1,inf", "got inf")],
+        [
+            ("1,1", "step 1 more than once"),
+            ("1,1.0", "step 1 more than once"),
+            ("1,inf", "got inf"),
+            ("1,0.0015", "got 0.0015"),
+        ],
     )
     def test_bad_steps_exit_one_before_any_run(self, workspace, capsys, steps, message):
         ref_dir = self._refs(workspace)
@@ -626,13 +636,14 @@ class TestSweep:
         assert "distinct from cache dir" in capsys.readouterr().err
 
     def _two_video_corpus(self, workspace):
-        """Manifests and references for a 10 s and a 20 s video: every corpus
-        agreement is a multiple of 1/40, so its 4-place report value rounds to
-        the same 3 places as the exact mean.
+        """Manifests and references for a 10 s, a 20 s and a 10.0004 s video:
+        every corpus agreement is a multiple of 1/60, so its 4-place report
+        value rounds to the same 3 places as the exact mean.
 
-        At step 0.3 the tenth decision time sums to 2.9999999999999996, which
-        emits the 2.8 s line; its SRT start reads back as 3.000, so the second
-        [2, 3) is silent in the file and spoken in the in-memory track.
+        At step 0.3 the 2.8 s line of video a is heard at the decision at
+        3.000 s, on a boundary second. The 10.0004 s manifest lists 11 frames,
+        but its session runs for 10.000 s, the duration its trace records and
+        `evaluate` reads back, so it is scored over 10 seconds.
         """
         root = workspace["root"]
         vids, ref_dir = root / "vids", root / "refs2"
@@ -640,6 +651,12 @@ class TestSweep:
         ref_dir.mkdir()
         write_manifest(vids / "a.manifest", "a", 10.0)
         write_manifest(vids / "b.manifest", "b", 20.0)
+        write_manifest(vids / "c.manifest", "c", 10.0004)
+        (ref_dir / "c.srt").write_text(
+            "1\n00:00:03,100 --> 00:00:04,000\nfour short words here\n\n"
+            "2\n00:00:09,500 --> 00:00:10,000\nthe flag\n",
+            encoding="utf-8",
+        )
         (ref_dir / "a.srt").write_text(
             "1\n00:00:02,800 --> 00:00:04,800\neight quick words make two seconds here\n\n"
             "2\n00:00:06,000 --> 00:00:07,000\nfour more words now\n",
@@ -680,6 +697,28 @@ class TestSweep:
                 ]
                 assert cell == f"{float(corpus[0]):.3f}", (step, kind)
 
+    def test_each_manifest_and_reference_is_loaded_once(self, workspace, monkeypatch):
+        vids, ref_dir = self._two_video_corpus(workspace)
+        loads = []
+
+        def counted(load):
+            def wrapper(path, *args, **kwargs):
+                loads.append(Path(path).name)
+                return load(path, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_manifest", counted(cli.load_manifest))
+        monkeypatch.setattr(cli, "load_reference", counted(cli.load_reference))
+        code = main([
+            "sweep", "--manifest", str(vids), "--ref", str(ref_dir),
+            "--steps", "1,2", "--out", str(workspace["root"] / "sweep-once"),
+        ])
+        assert code == 0
+        assert sorted(loads) == [
+            "a.manifest", "a.srt", "b.manifest", "b.srt", "c.manifest", "c.srt"
+        ]
+
     def test_scores_no_lexical_metric(self, workspace, monkeypatch):
         from commentary import evaluation
 
@@ -697,6 +736,45 @@ class TestSweep:
             "--out", str(workspace["root"] / "sweep-align"),
         ])
         assert code == 0
+
+
+class TestMillisecondTimes:
+    @pytest.mark.parametrize(
+        "duration, step, reference, decisions, row",
+        [
+            # A reference line at 2.7 s is heard at decision 9 of a 0.3 s run,
+            # and its subtitle starts at 2.7 s.
+            (
+                10.0,
+                "0.3",
+                "1\n00:00:02,700 --> 00:00:03,450\nthe pack surges\n",
+                34,
+                ["9", "2.700", "SPEAK", "the pack surges"],
+            ),
+            # A 1.5 s video at step 0.1 has a decision at 1.5 s itself.
+            (1.5, "0.1", "", 16, ["15", "1.500", "WAIT", ""]),
+        ],
+        ids=["reference-at-2.7s", "last-decision-at-1.5s"],
+    )
+    def test_trace_and_srt_keep_the_step_grid(
+        self, tmp_path, duration, step, reference, decisions, row
+    ):
+        write_manifest(tmp_path / "v.manifest", "v", duration)
+        (tmp_path / "refs").mkdir()
+        (tmp_path / "refs" / "v.srt").write_text(reference, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([
+            "generate", "--manifest", str(tmp_path / "v.manifest"), "--strategy", "feedback",
+            "--step", step, "--backend", f"oracle:{tmp_path / 'refs'}", "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line for line in read(out / "v.trace").splitlines() if not line.startswith("#")]
+        assert len(rows) == decisions
+        fields = rows[int(row[0])].split("\t")
+        del fields[2]  # the prompt digest
+        assert fields == row
+        # The oracle speaks each reference line at its own start, so the SRT is the reference.
+        assert read(out / "v.srt") == reference
 
 
 class TestParsers:

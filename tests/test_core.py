@@ -14,7 +14,6 @@ from commentary import (
     Utterance,
     WallClock,
     speaking_timeline,
-    utterance_interval,
 )
 
 from helpers import random_track
@@ -66,13 +65,16 @@ class TestCommentaryTrack:
 
 class TestUtteranceInterval:
     def test_plain(self):
-        assert utterance_interval(utt(10.0, 2.0)) == (10.0, 12.0)
+        u = utt(10.0, 2.0)
+        assert (u.start, u.end) == (10.0, 12.0)
 
     def test_short(self):
-        assert utterance_interval(utt(0.0, 0.25)) == (0.0, 0.25)
+        u = utt(0.0, 0.25)
+        assert (u.start, u.end) == (0.0, 0.25)
 
     def test_fractional(self):
-        assert utterance_interval(utt(7.5, 3.5)) == (7.5, 11.0)
+        u = utt(7.5, 3.5)
+        assert (u.start, u.end) == (7.5, 11.0)
 
 
 class TestSpeakingTimeline:

@@ -245,6 +245,17 @@ class TestEvaluate:
         assert report.alignment == 0.8
         assert report.rouge_l == 0.0
 
+    def test_entries_that_touch_in_the_srt_do_not_overlap_read_back(self):
+        # Read back, the first entry lasts 0.010 - 0.001 s; its end is the
+        # second entry's start to the millisecond, not a float sum past it.
+        text = (
+            "1\n00:00:00,001 --> 00:00:00,010\nthe red car\n\n"
+            "2\n00:00:00,010 --> 00:00:01,000\ntakes the lead\n"
+        )
+        gen = reference_from_srt_text(text, "v", 2.0, "en")
+        assert gen.utterances[0].end == gen.utterances[1].start
+        assert evaluate(gen, gen, LexicalOverlapScorer()).overlap == 0.0
+
     def test_overlapping_gen_track_reports_overlap(self):
         gen = track([utt(0.0, 5.0), utt(2.0, 5.0), utt(20.0, 1.0)], duration=30.0)
         ref = track([], duration=30.0)

@@ -1,8 +1,11 @@
 """Schedulers, duration estimation, and the session loop."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commentary import (
     CommentaryTrack,
@@ -18,17 +21,21 @@ from commentary import (
     estimate_duration,
     next_decision_time,
     overlap_proportion,
+    parse_srt,
     run_session,
     select_window,
+    speaking_timeline,
+    to_srt,
 )
 from commentary import prompting, strategies
 from commentary.backends import GeneratorResponse, TransportError
 from commentary.media import FrameRef, FrameWindow
 from commentary.prompting import Demonstration
+from commentary.evaluation import reference_from_srt_text
 from commentary.strategies import count_units
 from commentary.subtitles import track_entries
 
-from helpers import ReferenceRenderer, prompt_set, synth_store
+from helpers import ReferenceRenderer, prompt_set, reference_decision_ms, synth_store
 
 
 RATES = SpeechRateModel.default()
@@ -113,6 +120,12 @@ class TestStrategyConfig:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.0)
+        # Steps run on the millisecond grid, so one below 1 ms or between two
+        # milliseconds is refused rather than rounded.
+        for step in (0.0004, 0.0005, 0.0015, 2.0001):
+            with pytest.raises(ValueError, match=f"whole number of milliseconds, got {step}"):
+                StrategyConfig(kind=StrategyKind.FEEDBACK, step=step)
+        assert StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.001).step == 0.001
 
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
@@ -170,6 +183,14 @@ class TestRunSession:
         assert [s.point.time for s in record.steps] == [0.0, 4.0, 6.0, 8.0, 10.0]
         assert len(record.track.utterances) == 1
         assert record.track.utterances[0].est_duration == 4.0
+
+    def test_utterance_lasts_at_least_a_millisecond(self):
+        rates = SpeechRateModel({"en": SpeechRate(unit="word", rate=5000.0)})
+        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0, rate_model=rates)
+        backend = ScriptedBackend({0: "go"})
+        record = run_session(synth_store(duration=2.0), cfg, backend, SimulatedClock(), prompt_set())
+        assert record.track.utterances[0].est_duration == 0.001
+        assert "00:00:00,000 --> 00:00:00,001" in to_srt(record.track)
 
     def test_zero_length_video_runs_only_initialization(self):
         store = synth_store(duration=0.0)
@@ -264,6 +285,62 @@ class TestRunSession:
             for a, b in zip(record.track.utterances, record.track.utterances[1:]):
                 assert b.start >= a.end
             assert overlap_proportion(track_entries(record.track)) == 0.0
+
+
+class TestMillisecondGrid:
+    # Speaking rates per language, the non-dyadic 3 words/s and 7 characters/s among them.
+    RATES = [
+        ("en", "word", 3.0),
+        ("en", "word", 4.0),
+        ("en", "word", 2.5),
+        ("ja", "character", 7.0),
+        ("ja", "character", 8.0),
+        ("ja", "character", 11.0),
+    ]
+    KINDS = [StrategyKind.STATELESS, StrategyKind.FEEDBACK, StrategyKind.REALTIME]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_session_keeps_the_integer_schedule_and_its_srt(self, data):
+        step_ms = data.draw(st.integers(1, 5000), label="step_ms")
+        kind = data.draw(st.sampled_from(self.KINDS), label="kind")
+        language, unit, rate = data.draw(st.sampled_from(self.RATES), label="rate")
+        duration_ms = data.draw(st.integers(0, 40 * step_ms), label="duration_ms")
+        # Units spoken at each decision; None waits.
+        units = data.draw(
+            st.lists(st.one_of(st.none(), st.integers(1, 30)), max_size=60), label="units"
+        )
+        piece = "go " if language == "en" else "あ"
+        script = {i: (piece * n).strip() for i, n in enumerate(units) if n is not None}
+        spoken_ms = [None if n is None else round(Fraction(1000 * n) / Fraction(rate)) for n in units]
+        cfg = StrategyConfig(
+            kind=kind,
+            step=step_ms / 1000,
+            rate_model=SpeechRateModel({language: SpeechRate(unit=unit, rate=rate)}),
+            language=language,
+        )
+        store = synth_store(duration=duration_ms / 1000)
+        prompts = prompt_set("race-en" if language == "en" else "race-ja")
+        record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
+
+        times_ms = reference_decision_ms(duration_ms, step_ms, kind is StrategyKind.REALTIME, spoken_ms)
+        assert [s.point.time for s in record.steps] == [t / 1000 for t in times_ms]
+        track = record.track
+        assert [(u.start, u.end) for u in track.utterances] == [
+            (t / 1000, (t + d) / 1000) for t, d in zip(times_ms, spoken_ms) if d is not None
+        ]
+        srt = to_srt(track)
+        entries = parse_srt(srt)
+        assert [(e.text, e.start, e.end) for e in entries] == [
+            (u.text, u.start, u.end) for u in track.utterances
+        ]
+        read_back = reference_from_srt_text(srt, track.video_id, track.video_duration, language)
+        assert speaking_timeline(read_back) == speaking_timeline(track)
+        if kind is StrategyKind.REALTIME:
+            for a, b in zip(track.utterances, track.utterances[1:]):
+                assert b.start >= a.end
+            assert overlap_proportion(track_entries(track)) == 0.0
+            assert overlap_proportion(entries) == 0.0
 
 
 def _demos(n):

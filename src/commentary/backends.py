@@ -11,13 +11,12 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
-from .core import WAIT_TOKEN, CommentaryTrack, Seconds, from_ms, to_ms
+from .core import WAIT_TOKEN, CommentaryTrack, Record, Seconds, from_ms, to_ms
 from .prompting import RenderedPrompt
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
@@ -82,27 +81,34 @@ class ReplayMismatchError(ReplayMissError):
         )
 
 
-@dataclass(frozen=True)
-class GeneratorRequest:
+class GeneratorRequest(Record):
     """One backend query: rendered prompt plus decoding parameters."""
 
-    prompt: RenderedPrompt
-    model_id: str
-    max_output_units: int = DEFAULT_MAX_OUTPUT_UNITS
-    temperature: float = DEFAULT_TEMPERATURE
-    decision_time: Seconds | None = None
-    attachment_limit: int = DEFAULT_ATTACHMENT_LIMIT
-
-    def __post_init__(self) -> None:
-        if self.max_output_units < 1:
+    def __init__(
+        self,
+        prompt: RenderedPrompt,
+        model_id: str,
+        max_output_units: int = DEFAULT_MAX_OUTPUT_UNITS,
+        temperature: float = DEFAULT_TEMPERATURE,
+        decision_time: Seconds | None = None,
+        attachment_limit: int = DEFAULT_ATTACHMENT_LIMIT,
+    ) -> None:
+        if max_output_units < 1:
             raise ValueError("max_output_units must be positive")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature must lie in [0, 2], got {self.temperature}")
-        if len(self.prompt.attachments) > self.attachment_limit:
+        if not 0.0 <= temperature <= 2.0:
+            raise ValueError(f"temperature must lie in [0, 2], got {temperature}")
+        if len(prompt.attachments) > attachment_limit:
             raise PayloadTooLargeError(
-                f"{len(self.prompt.attachments)} attachments exceed the "
-                f"limit of {self.attachment_limit}"
+                f"{len(prompt.attachments)} attachments exceed the limit of {attachment_limit}"
             )
+        self.__dict__.update(
+            prompt=prompt,
+            model_id=model_id,
+            max_output_units=max_output_units,
+            temperature=temperature,
+            decision_time=decision_time,
+            attachment_limit=attachment_limit,
+        )
 
     @cached_property
     def frame_bytes(self) -> dict[str, bytes | OSError | None]:
@@ -126,15 +132,11 @@ class GeneratorRequest:
         return frames
 
 
-@dataclass(frozen=True)
-class GeneratorResponse:
-    raw_text: str
-    latency: Seconds
-    model_id: str
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
+class GeneratorResponse(Record):
+    def __init__(self, raw_text: str, latency: Seconds, model_id: str) -> None:
+        if latency < 0:
             raise ValueError("latency must be non-negative")
+        self.__dict__.update(raw_text=raw_text, latency=latency, model_id=model_id)
 
 
 class Generator(Protocol):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -23,7 +22,7 @@ from .backends import (
     ReplayMissError,
     ScriptedBackend,
 )
-from .core import CommentaryTrack, SimulatedClock, Speak, WallClock
+from .core import CommentaryTrack, Record, SimulatedClock, Speak, WallClock, replace
 from .evaluation import (
     EmbeddingScorer,
     EvalReport,
@@ -80,32 +79,45 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Everything one generation run needs, resolved and validated."""
 
-    manifest: Path
-    strategy: StrategyConfig
-    prompts: PromptSet
-    backend_spec: str
-    cache_mode: str
-    cache_dir: Path | None
-    out_dir: Path
-    seed: int
-    jobs: int = 4
-    force: bool = False
-    wall: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cache_mode not in ("off", "record", "replay"):
-            raise CliError(f"cache mode must be off, record or replay, got {self.cache_mode!r}")
-        if self.cache_mode != "off":
-            if self.cache_dir is None:
+    def __init__(
+        self,
+        manifest: Path,
+        strategy: StrategyConfig,
+        prompts: PromptSet,
+        backend_spec: str,
+        cache_mode: str,
+        cache_dir: Path | None,
+        out_dir: Path,
+        seed: int,
+        jobs: int = 4,
+        force: bool = False,
+        wall: bool = False,
+    ) -> None:
+        if cache_mode not in ("off", "record", "replay"):
+            raise CliError(f"cache mode must be off, record or replay, got {cache_mode!r}")
+        if cache_mode != "off":
+            if cache_dir is None:
                 raise CliError("--cache-dir is required when caching is enabled")
-            if self.cache_dir.resolve() == self.out_dir.resolve():
+            if cache_dir.resolve() == out_dir.resolve():
                 raise CliError("output dir must be distinct from cache dir")
-        if self.jobs < 1:
+        if jobs < 1:
             raise CliError("--jobs must be at least 1")
+        self.__dict__.update(
+            manifest=manifest,
+            strategy=strategy,
+            prompts=prompts,
+            backend_spec=backend_spec,
+            cache_mode=cache_mode,
+            cache_dir=cache_dir,
+            out_dir=out_dir,
+            seed=seed,
+            jobs=jobs,
+            force=force,
+            wall=wall,
+        )
 
 
 def _resolve_templates(spec: str) -> tuple[PromptTemplate, PromptTemplate]:
@@ -209,23 +221,31 @@ def _load_stores(manifest: Path) -> list[FrameStore]:
     return stores
 
 
+def _reference_files(ref_dir: Path) -> dict[str, Path]:
+    """Each reference in a dir by video id: <id>.srt, or else the transcript <id>.tsv."""
+    files = {}
+    for suffix in (".tsv", ".srt"):  # the .srt, read last, wins
+        # summary.tsv is a generate artifact, not a reference transcript.
+        files.update((p.stem, p) for p in ref_dir.glob(f"*{suffix}") if p.name != "summary.tsv")
+    return files
+
+
 def _load_references(
     path: Path, stores: list[FrameStore], language: str
 ) -> dict[str, ReferenceTrack]:
     """Each store's reference track by video id, from one file or a dir of <id>.srt/.tsv,
     read as `evaluate` reads it."""
+    if path.is_dir():
+        files = _reference_files(path)
+    elif path.exists():
+        files = {store.video_id: path for store in stores}
+    else:
+        raise CliError(f"reference not found: {path}")
     references = {}
     for store in stores:
-        ref_path = path
-        if path.is_dir():
-            for suffix in (".srt", ".tsv"):
-                ref_path = path / f"{store.video_id}{suffix}"
-                if ref_path.exists():
-                    break
-            else:
-                raise CliError(f"no reference file for video {store.video_id!r} in {path}")
-        elif not path.exists():
-            raise CliError(f"reference not found: {path}")
+        ref_path = files.get(store.video_id)
+        if ref_path is None:
+            raise CliError(f"no reference file for video {store.video_id!r} in {path}")
         try:
             references[store.video_id] = load_reference(
                 ref_path, store.video_id, store.video_duration, language
@@ -430,12 +450,7 @@ def _load_pairs(
     if not ref_dir.is_dir():
         raise CliError(f"reference dir not found: {ref_dir}")
     gen_ids = {p.stem for p in gen_dir.glob("*.srt")}
-    # summary.tsv is a generate artifact, not a reference transcript.
-    ref_files = {
-        p.stem: p
-        for p in list(ref_dir.glob("*.srt")) + list(ref_dir.glob("*.tsv"))
-        if p.name != "summary.tsv"
-    }
+    ref_files = _reference_files(ref_dir)
     gen_orphans = sorted(gen_ids - set(ref_files))
     ref_orphans = sorted(set(ref_files) - gen_ids)
     if gen_orphans or ref_orphans:

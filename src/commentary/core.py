@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Protocol, Union
+from typing import Protocol, TypeVar, Union
 
 # Sentinel a generator emits when it chooses silence at a decision point.
 WAIT_TOKEN = "<WAIT>"
@@ -35,75 +34,126 @@ def from_ms(ms: int) -> Seconds:
     return ms / 1000
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Record:
+    """Base of the immutable value types: ==, hash and repr over its fields, in order.
+
+    A record's fields are the parameters of its `__init__`, read once per
+    class. The `__init__` checks its arguments, then stores the fields, and
+    any value derived from them, with one `self.__dict__.update(...)`. An
+    attribute that is not a parameter, such as a derived or cached value,
+    takes no part in ==, hash or repr. Build a changed copy with `replace`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        args = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_R = TypeVar("_R", bound=Record)
+
+
+def replace(record: _R, **changes: object) -> _R:
+    """A copy of `record` with `changes` applied, built and checked by its `__init__`.
+
+    An unknown field name raises TypeError, a value the record rejects ValueError.
+    """
+    return record.__class__(**dict(zip(record._fields, record._values()), **changes))
+
+
+class Utterance(Record):
     """One timestamped piece of commentary with its estimated speaking time.
 
     The display interval is [start, start + est_duration).
     """
 
-    text: str
-    language: str
-    start: Seconds
-    est_duration: Seconds
-    end: Seconds = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        stripped = self.text.strip()
+    def __init__(self, text: str, language: str, start: Seconds, est_duration: Seconds) -> None:
+        stripped = text.strip()
         if not stripped:
             raise ValueError("utterance text must be non-empty")
         if stripped.casefold() == WAIT_TOKEN.casefold():
             raise ValueError("utterance text must not be the wait token")
-        check_seconds(self.start, "start")
-        check_seconds(self.est_duration, "est_duration")
-        if self.est_duration <= 0:
+        check_seconds(start, "start")
+        check_seconds(est_duration, "est_duration")
+        if est_duration <= 0:
             raise ValueError("est_duration must be positive")
-        # Summed in milliseconds, so an utterance ends exactly where a next one
-        # scheduled after it starts, and where its SRT entry read back ends.
-        object.__setattr__(self, "end", from_ms(to_ms(self.start) + to_ms(self.est_duration)))
+        self.__dict__.update(
+            text=text,
+            language=language,
+            start=start,
+            est_duration=est_duration,
+            # Summed in milliseconds, so an utterance ends exactly where a next one
+            # scheduled after it starts, and where its SRT entry read back ends.
+            end=from_ms(to_ms(start) + to_ms(est_duration)),
+        )
 
 
-@dataclass(frozen=True)
-class Speak:
+class Speak(Record):
     """Decision outcome: emit this text at the decision time."""
 
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __init__(self, text: str) -> None:
+        if not text.strip():
             raise ValueError("spoken text must be non-empty")
+        self.__dict__.update(text=text)
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(Record):
     """Decision outcome: stay silent."""
 
 
 DecisionOutcome = Union[Speak, Wait]
 
 
-@dataclass(frozen=True)
-class CommentaryTrack:
+class CommentaryTrack(Record):
     """Ordered commentary for one video. Start times are strictly increasing."""
 
-    video_id: str
-    utterances: tuple[Utterance, ...]
-    video_duration: Seconds
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        check_seconds(self.video_duration, "video_duration")
+    def __init__(
+        self, video_id: str, utterances: tuple[Utterance, ...], video_duration: Seconds
+    ) -> None:
+        utterances = tuple(utterances)
+        check_seconds(video_duration, "video_duration")
         prev: float | None = None
-        for u in self.utterances:
+        for u in utterances:
             if prev is not None and u.start <= prev:
                 raise ValueError(
                     f"utterance start times must be strictly increasing, got {u.start} after {prev}"
                 )
-            if u.start > self.video_duration:
+            if u.start > video_duration:
                 raise ValueError(
-                    f"utterance at {u.start}s starts after the video ends ({self.video_duration}s)"
+                    f"utterance at {u.start}s starts after the video ends ({video_duration}s)"
                 )
             prev = u.start
+        self.__dict__.update(
+            video_id=video_id, utterances=utterances, video_duration=video_duration
+        )
 
 
 def speaking_timeline(track: CommentaryTrack) -> list[bool]:

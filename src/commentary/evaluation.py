@@ -13,12 +13,11 @@ import math
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 from .backends import _MAX_ATTEMPTS, HttpSession, _HttpSession, _post_with_retry
-from .core import CommentaryTrack, Seconds, Utterance, speaking_timeline
+from .core import CommentaryTrack, Record, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_CHARACTER,
     UNIT_WORD,
@@ -145,27 +144,33 @@ class EmbeddingScorer:
             self._session.close()
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(Record):
     """Per-track total unit counts summarized across tracks."""
 
-    avg: float
-    min: int
-    max: int
+    def __init__(self, avg: float, min: int, max: int) -> None:
+        self.__dict__.update(avg=avg, min=min, max=max)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    alignment: float
-    rouge_l: float
-    bin_scores: tuple[float, ...]
-    overlap: float
-    gen_words: WordStats
-    ref_words: WordStats
-
-    def __post_init__(self) -> None:
-        if len(self.bin_scores) != BIN_COUNT:
+class EvalReport(Record):
+    def __init__(
+        self,
+        alignment: float,
+        rouge_l: float,
+        bin_scores: tuple[float, ...],
+        overlap: float,
+        gen_words: WordStats,
+        ref_words: WordStats,
+    ) -> None:
+        if len(bin_scores) != BIN_COUNT:
             raise ValueError(f"bin_scores must hold {BIN_COUNT} values")
+        self.__dict__.update(
+            alignment=alignment,
+            rouge_l=rouge_l,
+            bin_scores=bin_scores,
+            overlap=overlap,
+            gen_words=gen_words,
+            ref_words=ref_words,
+        )
 
 
 def timing_alignment(gen: CommentaryTrack, ref: ReferenceTrack) -> float:

@@ -8,10 +8,9 @@ module never opens them. Extraction is left to an external tool, e.g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Seconds, check_seconds, from_ms, to_ms
+from .core import Record, Seconds, check_seconds, from_ms, to_ms
 
 MANIFEST_HEADER_TAG = "#video_id"
 
@@ -35,45 +34,40 @@ class WindowRangeError(ValueError):
     """Requested frame window lies outside the video bounds."""
 
 
-@dataclass(frozen=True)
-class FrameRef:
+class FrameRef(Record):
     """Reference to one sampled frame; the image itself is opened by backends only."""
 
-    video_id: str
-    second: int
-    uri: str
+    def __init__(self, video_id: str, second: int, uri: str) -> None:
+        self.__dict__.update(video_id=video_id, second=second, uri=uri)
 
 
-@dataclass(frozen=True)
-class FrameStore:
+class FrameStore(Record):
     """All frames of one video, keyed by integer second. Read-only after load."""
 
-    video_id: str
-    video_duration: Seconds
-    frames: dict[int, FrameRef]
-
-    def __post_init__(self) -> None:
-        check_seconds(self.video_duration, "video_duration")
-        # Kept to the millisecond, the grid that sessions run on.
-        object.__setattr__(self, "video_duration", from_ms(to_ms(self.video_duration)))
+    def __init__(self, video_id: str, video_duration: Seconds, frames: dict[int, FrameRef]) -> None:
+        check_seconds(video_duration, "video_duration")
+        self.__dict__.update(
+            video_id=video_id,
+            # Kept to the millisecond, the grid that sessions run on.
+            video_duration=from_ms(to_ms(video_duration)),
+            frames=frames,
+        )
 
     @property
     def frame_count(self) -> int:
         return len(self.frames)
 
 
-@dataclass(frozen=True)
-class FrameWindow:
+class FrameWindow(Record):
     """Frames covering [window_start, window_end), ascending, newest retained on cap."""
 
-    frames: tuple[FrameRef, ...]
-    window_start: Seconds
-    window_end: Seconds
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if self.window_start > self.window_end:
+    def __init__(
+        self, frames: tuple[FrameRef, ...], window_start: Seconds, window_end: Seconds
+    ) -> None:
+        frames = tuple(frames)
+        if window_start > window_end:
             raise ValueError("window_start must not exceed window_end")
+        self.__dict__.update(frames=frames, window_start=window_start, window_end=window_end)
 
 
 def _required_seconds(duration: float) -> int:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .core import DecisionOutcome, Speak, Wait
+from .core import DecisionOutcome, Record, Speak, Wait
 from .media import FrameRef, FrameWindow
 
 KIND_INIT = "init"
@@ -20,61 +19,55 @@ CONTEXT_PLACEHOLDER = "{context}"
 EMPTY_HISTORY_MARKER = "none"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(Record):
     """A prompt template; decision templates carry a {context} history slot."""
 
-    id: str
-    language: str
-    kind: str
-    body: str
-    role_preamble: str = ""
+    def __init__(
+        self, id: str, language: str, kind: str, body: str, role_preamble: str = ""
+    ) -> None:
+        if kind not in (KIND_INIT, KIND_DECISION):
+            raise ValueError(f"template kind must be 'init' or 'decision', got {kind!r}")
+        has_context = CONTEXT_PLACEHOLDER in body
+        if kind == KIND_DECISION and not has_context:
+            raise ValueError(f"decision template {id!r} must contain {CONTEXT_PLACEHOLDER}")
+        if kind == KIND_INIT and has_context:
+            raise ValueError(f"init template {id!r} must not contain {CONTEXT_PLACEHOLDER}")
+        self.__dict__.update(
+            id=id, language=language, kind=kind, body=body, role_preamble=role_preamble
+        )
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_INIT, KIND_DECISION):
-            raise ValueError(f"template kind must be 'init' or 'decision', got {self.kind!r}")
-        has_context = CONTEXT_PLACEHOLDER in self.body
-        if self.kind == KIND_DECISION and not has_context:
-            raise ValueError(f"decision template {self.id!r} must contain {CONTEXT_PLACEHOLDER}")
-        if self.kind == KIND_INIT and has_context:
-            raise ValueError(f"init template {self.id!r} must not contain {CONTEXT_PLACEHOLDER}")
 
-
-@dataclass(frozen=True)
-class Demonstration:
+class Demonstration(Record):
     """A frame/commentary exemplar prepended to decision prompts."""
 
-    frames: FrameWindow
-    utterance_text: str
-
-    def __post_init__(self) -> None:
-        if not self.utterance_text.strip():
+    def __init__(self, frames: FrameWindow, utterance_text: str) -> None:
+        if not utterance_text.strip():
             raise ValueError("demonstration utterance text must be non-empty")
+        self.__dict__.update(frames=frames, utterance_text=utterance_text)
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(Record):
     """Backend payload: text plus image attachments in presentation order."""
 
-    text: str
-    attachments: tuple[str, ...]
-    digest: str
+    def __init__(self, text: str, attachments: tuple[str, ...], digest: str) -> None:
+        self.__dict__.update(text=text, attachments=attachments, digest=digest)
 
 
-@dataclass(frozen=True)
-class PromptSet:
+class PromptSet(Record):
     """The init/decision template pair (plus sampled demonstrations) for one run."""
 
-    init: PromptTemplate
-    decision: PromptTemplate
-    demonstrations: tuple[Demonstration, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "demonstrations", tuple(self.demonstrations))
-        if self.init.kind != KIND_INIT:
+    def __init__(
+        self,
+        init: PromptTemplate,
+        decision: PromptTemplate,
+        demonstrations: tuple[Demonstration, ...] = (),
+    ) -> None:
+        demonstrations = tuple(demonstrations)
+        if init.kind != KIND_INIT:
             raise ValueError("PromptSet.init must be an init template")
-        if self.decision.kind != KIND_DECISION:
+        if decision.kind != KIND_DECISION:
             raise ValueError("PromptSet.decision must be a decision template")
+        self.__dict__.update(init=init, decision=decision, demonstrations=demonstrations)
 
 
 # A prompt digest is the SHA-256 of the text, then b"\x00" + URI for each

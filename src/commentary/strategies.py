@@ -10,7 +10,6 @@ window to everything elapsed since the previous query.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .backends import (
@@ -25,6 +24,7 @@ from .core import (
     Clock,
     CommentaryTrack,
     DecisionOutcome,
+    Record,
     Seconds,
     Speak,
     Utterance,
@@ -58,25 +58,22 @@ class StrategyKind(Enum):
         raise ValueError(f"unknown strategy {name!r}; valid: {valid}")
 
 
-@dataclass(frozen=True)
-class SpeechRate:
+class SpeechRate(Record):
     """Speaking speed for one language: units per second of speech."""
 
-    unit: str
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.unit not in (UNIT_WORD, UNIT_CHARACTER):
-            raise ValueError(f"unit must be 'word' or 'character', got {self.unit!r}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+    def __init__(self, unit: str, rate: float) -> None:
+        if unit not in (UNIT_WORD, UNIT_CHARACTER):
+            raise ValueError(f"unit must be 'word' or 'character', got {unit!r}")
+        if not rate > 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        self.__dict__.update(unit=unit, rate=rate)
 
 
-@dataclass(frozen=True)
-class SpeechRateModel:
+class SpeechRateModel(Record):
     """Per-language speaking speeds used to convert text length to duration."""
 
-    rates: dict[str, SpeechRate]
+    def __init__(self, rates: dict[str, SpeechRate]) -> None:
+        self.__dict__.update(rates=rates)
 
     @classmethod
     def default(cls) -> "SpeechRateModel":
@@ -121,36 +118,46 @@ def estimate_duration(text: str, language: str, rates: SpeechRateModel) -> Secon
     return units / rate.rate
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Scheduler settings for one run."""
+class StrategyConfig(Record):
+    """Scheduler settings for one run. Without a rate model it gets a fresh default one."""
 
-    kind: StrategyKind
-    step: Seconds = 2.0
-    window_cap: int = DEFAULT_WINDOW_CAP
-    icl_shots: int | None = None
-    rate_model: SpeechRateModel = field(default_factory=SpeechRateModel.default)
-    language: str = "en"
-    max_history: int | None = None
-
-    def __post_init__(self) -> None:
-        check_seconds(self.step, "step")
-        if self.step <= 0:
+    def __init__(
+        self,
+        kind: StrategyKind,
+        step: Seconds = 2.0,
+        window_cap: int = DEFAULT_WINDOW_CAP,
+        icl_shots: int | None = None,
+        rate_model: SpeechRateModel | None = None,
+        language: str = "en",
+        max_history: int | None = None,
+    ) -> None:
+        if rate_model is None:
+            rate_model = SpeechRateModel.default()
+        check_seconds(step, "step")
+        if step <= 0:
             raise ValueError("step must be positive")
-        if from_ms(to_ms(self.step)) != self.step:
-            raise ValueError(f"step must be a whole number of milliseconds, got {self.step!r}")
-        if self.window_cap < 1:
+        if from_ms(to_ms(step)) != step:
+            raise ValueError(f"step must be a whole number of milliseconds, got {step!r}")
+        if window_cap < 1:
             raise ValueError("window_cap must be a positive integer")
-        if self.icl_shots is None:
-            shots = 8 if self.kind is StrategyKind.FEEDBACK_ICL else 0
-            object.__setattr__(self, "icl_shots", shots)
-        elif self.icl_shots < 0:
+        if icl_shots is None:
+            icl_shots = 8 if kind is StrategyKind.FEEDBACK_ICL else 0
+        elif icl_shots < 0:
             raise ValueError("icl_shots must be non-negative")
-        elif self.icl_shots > 0 and self.kind is not StrategyKind.FEEDBACK_ICL:
+        elif icl_shots > 0 and kind is not StrategyKind.FEEDBACK_ICL:
             raise ValueError("icl_shots apply to the feedback-icl strategy only")
-        if self.max_history is not None and self.max_history < 0:
+        if max_history is not None and max_history < 0:
             raise ValueError("max_history must be non-negative")
-        self.rate_model.for_language(self.language)
+        rate_model.for_language(language)
+        self.__dict__.update(
+            kind=kind,
+            step=step,
+            window_cap=window_cap,
+            icl_shots=icl_shots,
+            rate_model=rate_model,
+            language=language,
+            max_history=max_history,
+        )
 
 
 def next_decision_time(
@@ -185,46 +192,56 @@ def select_window(
     """
     if config.kind is StrategyKind.REALTIME:
         return frames_between(store, t_last_query, t_i, config.window_cap)
-    return frames_between(store, max(0.0, t_i - config.step), t_i, config.window_cap)
+    start = from_ms(max(0, to_ms(t_i) - to_ms(config.step)))
+    return frames_between(store, start, t_i, config.window_cap)
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
-    index: int
-    time: Seconds
-    window: FrameWindow
-    history_len: int
+class DecisionPoint(Record):
+    def __init__(self, index: int, time: Seconds, window: FrameWindow, history_len: int) -> None:
+        self.__dict__.update(index=index, time=time, window=window, history_len=history_len)
 
 
-@dataclass(frozen=True)
-class SessionStep:
+class SessionStep(Record):
     """One executed decision: where, what was asked, what came back."""
 
-    point: DecisionPoint
-    prompt_digest: str
-    raw_response: str
-    outcome: DecisionOutcome
-    note: str = ""
+    def __init__(
+        self,
+        point: DecisionPoint,
+        prompt_digest: str,
+        raw_response: str,
+        outcome: DecisionOutcome,
+        note: str = "",
+    ) -> None:
+        self.__dict__.update(
+            point=point,
+            prompt_digest=prompt_digest,
+            raw_response=raw_response,
+            outcome=outcome,
+            note=note,
+        )
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(Record):
     """Full trace of one session; basis for replay, subtitles and evaluation."""
 
-    video_id: str
-    config: StrategyConfig
-    steps: tuple[SessionStep, ...]
-    track: CommentaryTrack
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        speaks = [s for s in self.steps if isinstance(s.outcome, Speak)]
-        if len(speaks) != len(self.track.utterances):
+    def __init__(
+        self,
+        video_id: str,
+        config: StrategyConfig,
+        steps: tuple[SessionStep, ...],
+        track: CommentaryTrack,
+        error: str | None = None,
+    ) -> None:
+        steps = tuple(steps)
+        speaks = [s for s in steps if isinstance(s.outcome, Speak)]
+        if len(speaks) != len(track.utterances):
             raise ValueError("track utterances must match the Speak outcomes")
-        for step, u in zip(speaks, self.track.utterances):
+        for step, u in zip(speaks, track.utterances):
             if step.outcome.text != u.text or step.point.time != u.start:
                 raise ValueError("track utterances must match the Speak outcomes in order")
+        self.__dict__.update(
+            video_id=video_id, config=config, steps=steps, track=track, error=error
+        )
 
     @property
     def complete(self) -> bool:

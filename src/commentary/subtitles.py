@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CommentaryTrack, Seconds, check_seconds, from_ms, to_ms
+from .core import CommentaryTrack, Record, Seconds, check_seconds, from_ms, to_ms
 
 _TIMESTAMP = re.compile(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})")
 _ARROW = "-->"
@@ -17,22 +16,17 @@ class SrtParseError(ValueError):
     """SRT input is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class SrtEntry:
-    index: int
-    start: Seconds
-    end: Seconds
-    text: str
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
+class SrtEntry(Record):
+    def __init__(self, index: int, start: Seconds, end: Seconds, text: str) -> None:
+        if index < 1:
             raise ValueError("entry index must be positive")
-        check_seconds(self.start, "start")
-        check_seconds(self.end, "end")
-        if not self.start < self.end:
-            raise ValueError(f"entry start {self.start} must precede end {self.end}")
-        if not self.text.strip():
+        check_seconds(start, "start")
+        check_seconds(end, "end")
+        if not start < end:
+            raise ValueError(f"entry start {start} must precede end {end}")
+        if not text.strip():
             raise ValueError("entry text must be non-empty")
+        self.__dict__.update(index=index, start=start, end=end, text=text)
 
 
 def format_timestamp(seconds: Seconds) -> str:

@@ -636,14 +636,18 @@ class TestSweep:
         assert "distinct from cache dir" in capsys.readouterr().err
 
     def _two_video_corpus(self, workspace):
-        """Manifests and references for a 10 s, a 20 s and a 10.0004 s video:
-        every corpus agreement is a multiple of 1/60, so its 4-place report
-        value rounds to the same 3 places as the exact mean.
+        """Manifests and references for five videos of 10, 20, 10.0004, 10 and 20 s:
+        every per-video agreement is a multiple of 1/20, so every corpus
+        agreement is a multiple of 1/100, and its 4-place report value rounds
+        to the same 3 places as the exact mean.
 
         At step 0.3 the 2.8 s line of video a is heard at the decision at
         3.000 s, on a boundary second. The 10.0004 s manifest lists 11 frames,
         but its session runs for 10.000 s, the duration its trace records and
-        `evaluate` reads back, so it is scored over 10 seconds.
+        `evaluate` reads back, so it is scored over 10 seconds. The reference
+        dir holds both d.srt and a d.tsv with other lines; both commands take
+        the .srt. Video e has only a transcript, whose durations come from the
+        speech rates.
         """
         root = workspace["root"]
         vids, ref_dir = root / "vids", root / "refs2"
@@ -652,6 +656,8 @@ class TestSweep:
         write_manifest(vids / "a.manifest", "a", 10.0)
         write_manifest(vids / "b.manifest", "b", 20.0)
         write_manifest(vids / "c.manifest", "c", 10.0004)
+        write_manifest(vids / "d.manifest", "d", 10.0)
+        write_manifest(vids / "e.manifest", "e", 20.0)
         (ref_dir / "c.srt").write_text(
             "1\n00:00:03,100 --> 00:00:04,000\nfour short words here\n\n"
             "2\n00:00:09,500 --> 00:00:10,000\nthe flag\n",
@@ -668,6 +674,15 @@ class TestSweep:
             "3\n00:00:14,200 --> 00:00:17,900\nand the leader holds on as the rain begins "
             "to fall on the back straight\n",
             encoding="utf-8",
+        )
+        (ref_dir / "d.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:03,000\nthe safety car comes in\n", encoding="utf-8"
+        )
+        (ref_dir / "d.tsv").write_text(
+            "6.5\ta different line from the transcript side\n", encoding="utf-8"
+        )
+        (ref_dir / "e.tsv").write_text(
+            "4\tsix words from a transcript line\n12.5\tthe last lap\n", encoding="utf-8"
         )
         return vids, ref_dir
 
@@ -716,7 +731,8 @@ class TestSweep:
         ])
         assert code == 0
         assert sorted(loads) == [
-            "a.manifest", "a.srt", "b.manifest", "b.srt", "c.manifest", "c.srt"
+            "a.manifest", "a.srt", "b.manifest", "b.srt", "c.manifest", "c.srt",
+            "d.manifest", "d.srt", "e.manifest", "e.tsv",
         ]
 
     def test_scores_no_lexical_metric(self, workspace, monkeypatch):
@@ -798,7 +814,8 @@ class TestParsers:
 
 class TestOfflineImports:
     """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
-    neither `requests` nor the stdlib's `http.client`, `ssl` or `email`."""
+    neither `requests` nor the stdlib's `http.client`, `ssl` or `email`. No run
+    loads `dataclasses` or `inspect`."""
 
     # Other tests load `http.client` into the test process (`http.server`
     # imports it), so the runs happen in a fresh interpreter.
@@ -810,7 +827,7 @@ class TestOfflineImports:
         def loaded():
             return sorted(m for m in sys.modules
                           if m.split(".")[0] in ("requests", "urllib3", "ssl", "email")
-                          or m == "http.client")
+                          or m in ("http.client", "dataclasses", "inspect"))
 
         manifest, refs, out = sys.argv[1:]
         generate = ["generate", "--manifest", manifest, "--strategy", "realtime",

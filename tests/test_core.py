@@ -1,6 +1,8 @@
 """Core type invariants, the per-second timeline, and the clocks."""
 
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -10,13 +12,22 @@ from hypothesis import strategies as st
 
 from commentary import (
     CommentaryTrack,
+    ScriptedBackend,
     SimulatedClock,
+    StrategyConfig,
+    StrategyKind,
     Utterance,
+    Wait,
     WallClock,
+    run_session,
     speaking_timeline,
 )
+from commentary.backends import GeneratorRequest
+from commentary.core import replace
+from commentary.prompting import RenderedPrompt
+from commentary.subtitles import SrtEntry
 
-from helpers import random_track
+from helpers import prompt_set, random_track, synth_store
 
 
 def utt(start, dur, text="the red car leads", language="en"):
@@ -171,3 +182,109 @@ class TestClocks:
         clock = WallClock()
         clock.advance_to(0.0)
         assert clock.now() >= 0.0
+
+
+def request():
+    prompt = RenderedPrompt(
+        text="t", attachments=("data:image/jpeg;base64,AAAA",), digest="0123456789abcdef"
+    )
+    return GeneratorRequest(prompt=prompt, model_id="m", decision_time=2.0)
+
+
+class TestRecord:
+    """The records' value semantics: those a frozen dataclass gave, and `replace`."""
+
+    # The strings the frozen dataclasses printed.
+    @pytest.mark.parametrize(
+        "record, expected",
+        [
+            (
+                utt(1.5, 0.25, text="go"),
+                "Utterance(text='go', language='en', start=1.5, est_duration=0.25)",
+            ),
+            (
+                StrategyConfig(kind=StrategyKind.REALTIME, step=1.0),
+                "StrategyConfig(kind=<StrategyKind.REALTIME: 'realtime'>, step=1.0, "
+                "window_cap=30, icl_shots=0, rate_model=SpeechRateModel(rates={'en': "
+                "SpeechRate(unit='word', rate=4.0), 'ja': SpeechRate(unit='character', "
+                "rate=8.0)}), language='en', max_history=None)",
+            ),
+            (
+                SrtEntry(index=1, start=0.5, end=2.0, text="a bold move"),
+                "SrtEntry(index=1, start=0.5, end=2.0, text='a bold move')",
+            ),
+            (
+                request(),
+                "GeneratorRequest(prompt=RenderedPrompt(text='t', "
+                "attachments=('data:image/jpeg;base64,AAAA',), digest='0123456789abcdef'), "
+                "model_id='m', max_output_units=256, temperature=0.0, decision_time=2.0, "
+                "attachment_limit=32)",
+            ),
+            (Wait(), "Wait()"),
+        ],
+    )
+    def test_repr(self, record, expected):
+        assert repr(record) == expected
+
+    def test_eq_and_hash_ignore_the_derived_end(self):
+        u = utt(1.5, 0.25)
+        assert u.end == 1.75
+        assert u == utt(1.5, 0.25)
+        assert hash(u) == hash((u.text, u.language, u.start, u.est_duration))
+        assert u != utt(1.5, 0.5)
+
+    def test_eq_and_hash_ignore_the_read_frame_bytes(self):
+        read, fresh = request(), request()
+        assert read.frame_bytes == {"data:image/jpeg;base64,AAAA": None}
+        assert read == fresh
+        assert hash(read) == hash(fresh) == hash(
+            (read.prompt, "m", 256, 0.0, 2.0, 32)
+        )
+        assert repr(read) == repr(fresh)
+
+    def test_records_of_other_types_differ(self):
+        assert Wait() != ()
+        assert hash(Wait()) == hash(())
+        assert utt(1.5, 0.25) != SrtEntry(index=1, start=1.5, end=1.75, text="the red car leads")
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK)
+        with pytest.raises(AttributeError, match="cannot assign to field 'step'"):
+            cfg.step = 1.0
+        with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+            cfg.other = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'step'"):
+            del cfg.step
+        assert cfg.step == 2.0
+
+    def test_replace_builds_a_checked_copy(self):
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, language="ja")
+        faster = replace(cfg, step=0.5)
+        assert faster.step == 0.5
+        assert faster == StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.5, language="ja")
+        assert cfg.step == 2.0
+        with pytest.raises(ValueError, match="step must be positive"):
+            replace(cfg, step=0)
+        with pytest.raises(TypeError):
+            replace(cfg, steps=1.0)
+
+    def test_default_rate_models_are_not_shared(self):
+        a = StrategyConfig(kind=StrategyKind.FEEDBACK)
+        b = StrategyConfig(kind=StrategyKind.FEEDBACK)
+        assert a.rate_model == b.rate_model
+        assert a.rate_model is not b.rate_model
+        assert a.rate_model.rates is not b.rate_model.rates
+
+    def test_generation_record_survives_pickle_and_deepcopy(self):
+        store = synth_store(duration=12.0)
+        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+        script = {1: "the red car takes the lead", 4: "into the last corner"}
+        record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompt_set())
+        assert record.track.utterances
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied == record
+            assert copied is not record
+            assert repr(copied) == repr(record)
+            assert [u.end for u in copied.track.utterances] == [
+                u.end for u in record.track.utterances
+            ]

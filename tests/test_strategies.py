@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commentary import (
@@ -35,7 +35,13 @@ from commentary.evaluation import reference_from_srt_text
 from commentary.strategies import count_units
 from commentary.subtitles import track_entries
 
-from helpers import ReferenceRenderer, prompt_set, reference_decision_ms, synth_store
+from helpers import (
+    ReferenceRenderer,
+    prompt_set,
+    reference_decision_ms,
+    reference_frames_between,
+    synth_store,
+)
 
 
 RATES = SpeechRateModel.default()
@@ -300,16 +306,22 @@ class TestMillisecondGrid:
     KINDS = [StrategyKind.STATELESS, StrategyKind.FEEDBACK, StrategyKind.REALTIME]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_session_keeps_the_integer_schedule_and_its_srt(self, data):
-        step_ms = data.draw(st.integers(1, 5000), label="step_ms")
-        kind = data.draw(st.sampled_from(self.KINDS), label="kind")
-        language, unit, rate = data.draw(st.sampled_from(self.RATES), label="rate")
-        duration_ms = data.draw(st.integers(0, 40 * step_ms), label="duration_ms")
+    @given(
+        # A step, and a duration of up to 40 steps, in whole milliseconds.
+        schedule=st.integers(1, 5000).flatmap(
+            lambda step_ms: st.tuples(st.just(step_ms), st.integers(0, 40 * step_ms))
+        ),
+        kind=st.sampled_from(KINDS),
+        speech=st.sampled_from(RATES),
         # Units spoken at each decision; None waits.
-        units = data.draw(
-            st.lists(st.one_of(st.none(), st.integers(1, 30)), max_size=60), label="units"
-        )
+        units=st.lists(st.one_of(st.none(), st.integers(1, 30)), max_size=60),
+    )
+    # At step 1.24 the decision at 32.24 s looks back to 31 s, which in floats
+    # is 31.000000000000004: a window that drops the frame of second 31.
+    @example(schedule=(1240, 40_000), kind=StrategyKind.STATELESS, speech=RATES[1], units=[])
+    def test_session_keeps_the_integer_schedule_and_its_srt(self, schedule, kind, speech, units):
+        step_ms, duration_ms = schedule
+        language, unit, rate = speech
         piece = "go " if language == "en" else "あ"
         script = {i: (piece * n).strip() for i, n in enumerate(units) if n is not None}
         spoken_ms = [None if n is None else round(Fraction(1000 * n) / Fraction(rate)) for n in units]
@@ -323,8 +335,15 @@ class TestMillisecondGrid:
         prompts = prompt_set("race-en" if language == "en" else "race-ja")
         record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
 
-        times_ms = reference_decision_ms(duration_ms, step_ms, kind is StrategyKind.REALTIME, spoken_ms)
+        realtime = kind is StrategyKind.REALTIME
+        times_ms = reference_decision_ms(duration_ms, step_ms, realtime, spoken_ms)
         assert [s.point.time for s in record.steps] == [t / 1000 for t in times_ms]
+        # Realtime looks back to the previous decision, the fixed kinds one step.
+        starts_ms = [0, *times_ms[:-1]] if realtime else [max(0, t - step_ms) for t in times_ms]
+        assert [s.point.window for s in record.steps] == [
+            reference_frames_between(store, a / 1000, t / 1000, cfg.window_cap)
+            for a, t in zip(starts_ms, times_ms)
+        ]
         track = record.track
         assert [(u.start, u.end) for u in track.utterances] == [
             (t / 1000, (t + d) / 1000) for t, d in zip(times_ms, spoken_ms) if d is not None
@@ -336,7 +355,7 @@ class TestMillisecondGrid:
         ]
         read_back = reference_from_srt_text(srt, track.video_id, track.video_duration, language)
         assert speaking_timeline(read_back) == speaking_timeline(track)
-        if kind is StrategyKind.REALTIME:
+        if realtime:
             for a, b in zip(track.utterances, track.utterances[1:]):
                 assert b.start >= a.end
             assert overlap_proportion(track_entries(track)) == 0.0

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
-from .core import WAIT_TOKEN, CommentaryTrack, Record, Seconds, from_ms, to_ms
+from .core import WAIT_TOKEN, CommentaryTrack, Record, Seconds, from_ms, read_utf8, to_ms
 from .prompting import RenderedPrompt
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
@@ -172,27 +172,33 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        """Load a script file of `key<TAB>response` lines.
+        """A backend that answers from the script file at `path` (see `read_script`)."""
+        return cls(*read_script(path))
 
-        Keys are decision indexes (integers), prompt digests, or the word
-        `default` for the fallback response.
-        """
-        script: dict[int | str, str] = {}
-        default = WAIT_TOKEN
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            key, sep, response = line.partition("\t")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key<TAB>response'")
-            if key == "default":
-                default = response
-            else:
-                try:
-                    script[int(key)] = response
-                except ValueError:
-                    script[key] = response
-        return cls(script=script, default=default)
+
+def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
+    """The responses and the fallback of a script file of `key<TAB>response` lines.
+
+    Keys are decision indexes (integers), prompt digests, or the word
+    `default` for the fallback response. A malformed file raises ValueError
+    naming it.
+    """
+    script: dict[int | str, str] = {}
+    default = WAIT_TOKEN
+    for lineno, line in enumerate(read_utf8(Path(path)).splitlines(), 1):
+        if not line.strip():
+            continue
+        key, sep, response = line.partition("\t")
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected 'key<TAB>response'")
+        if key == "default":
+            default = response
+        else:
+            try:
+                script[int(key)] = response
+            except ValueError:
+                script[key] = response
+    return script, default
 
 
 class OracleBackend:

@@ -21,6 +21,7 @@ from .backends import (
     ReplayCache,
     ReplayMissError,
     ScriptedBackend,
+    read_script,
 )
 from .core import CommentaryTrack, Record, SimulatedClock, Speak, WallClock, replace
 from .evaluation import (
@@ -167,6 +168,10 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         rate_model = (
             parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
         )
+        try:
+            rate_model.for_language(language)
+        except ValueError as exc:
+            raise CliError(f"--templates {args.templates}: {exc}") from exc
         strategy = StrategyConfig(
             kind=StrategyKind.from_name(args.strategy),
             step=args.step,
@@ -181,9 +186,13 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
             if not args.demos:
                 raise CliError("--demos is required when the strategy uses demonstrations")
             pool = load_demonstrations(args.demos)
-            demos = sample_demonstrations(pool, strategy.icl_shots, args.seed)
+            try:
+                demos = sample_demonstrations(pool, strategy.icl_shots, args.seed)
+            except ValueError as exc:
+                raise CliError(f"{args.demos}: {exc}") from exc
         prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
-    except ValueError as exc:
+    # The loaders' ValueErrors name the file, as OSError's message does.
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     return RunConfig(
         manifest=Path(args.manifest),
@@ -290,7 +299,12 @@ def _inner_backend_factory(
         script_path = Path(spec.partition(":")[2])
         if not script_path.exists():
             raise CliError(f"script file not found: {script_path}")
-        return lambda store: ScriptedBackend.from_file(script_path), None
+        try:
+            script, default = read_script(script_path)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"backend: {exc}") from exc
+        # Read once; each video's backend counts its own calls.
+        return lambda store: ScriptedBackend(script, default), None
     if spec.startswith("oracle:"):
         if references is None:
             # Read as `evaluate` reads them: the oracle uses only their starts and texts.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 from typing import Protocol, TypeVar, Union
 
 # Sentinel a generator emits when it chooses silence at a decision point.
@@ -21,6 +22,14 @@ def check_seconds(value: float, name: str = "seconds") -> float:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def read_utf8(path: Path) -> str:
+    """A file's text; a file that is not UTF-8 raises ValueError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def to_ms(seconds: float, round_up: bool = False) -> int:

@@ -19,12 +19,12 @@ from typing import Protocol, Sequence
 from .backends import _MAX_ATTEMPTS, HttpSession, _HttpSession, _post_with_retry
 from .core import CommentaryTrack, Record, Seconds, Utterance, speaking_timeline
 from .strategies import (
-    UNIT_CHARACTER,
     UNIT_WORD,
     SpeechRateModel,
     count_units,
     default_unit_for_language,
     estimate_duration,
+    unit_tokens,
 )
 from .subtitles import overlap_proportion, parse_srt, track_entries
 
@@ -45,14 +45,6 @@ class SimilarityScorer(Protocol):
         ...
 
 
-def _unit_tokens(text: str, unit: str) -> list[str]:
-    if unit == UNIT_WORD:
-        return text.split()
-    if unit == UNIT_CHARACTER:
-        return [ch for ch in text if not ch.isspace()]
-    raise ValueError(f"unit must be 'word' or 'character', got {unit!r}")
-
-
 class LexicalOverlapScorer:
     """Token-multiset F1; the offline default so evaluation needs no network."""
 
@@ -60,8 +52,8 @@ class LexicalOverlapScorer:
         self.unit = unit
 
     def score(self, candidate: str, reference: str) -> float:
-        cand = Counter(_unit_tokens(candidate, self.unit))
-        ref = Counter(_unit_tokens(reference, self.unit))
+        cand = Counter(unit_tokens(candidate, self.unit))
+        ref = Counter(unit_tokens(reference, self.unit))
         if not cand or not ref:
             return 0.0
         overlap = sum((cand & ref).values())
@@ -211,8 +203,8 @@ def rouge_l(candidate: str, reference: str, language: str = "en") -> float:
     side is empty.
     """
     unit = default_unit_for_language(language)
-    cand = _unit_tokens(candidate, unit)
-    ref = _unit_tokens(reference, unit)
+    cand = unit_tokens(candidate, unit)
+    ref = unit_tokens(reference, unit)
     if not cand or not ref:
         return 0.0
     lcs = _lcs_length(cand, ref)

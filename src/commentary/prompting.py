@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .core import DecisionOutcome, Record, Speak, Wait
+from .core import DecisionOutcome, Record, Speak, Wait, read_utf8
 from .media import FrameRef, FrameWindow
 
 KIND_INIT = "init"
@@ -17,6 +18,10 @@ CONTEXT_PLACEHOLDER = "{context}"
 
 # Rendered in place of the history block when nothing has been said yet.
 EMPTY_HISTORY_MARKER = "none"
+
+# Whatever is not a letter or digit: `\W` is exactly the complement of
+# `str.isalnum` plus the underscore.
+_NOT_ALNUM = re.compile(r"[\W_]+")
 
 
 class PromptTemplate(Record):
@@ -110,10 +115,14 @@ def render_init(template: PromptTemplate, window: FrameWindow) -> RenderedPrompt
 class DecisionRenderer:
     """Renders the decision prompts of one session.
 
-    The text and the hash of its bytes are rebuilt only when the history
-    differs from the one last rendered; otherwise a render adds the
-    attachment URIs to a copy of that hash. A decision's cost thus does not
-    grow with the history, and every digest equals a fresh render's.
+    The text is the part of the template before its first {context}, then the
+    numbered history, then the rest of the template (any further {context}
+    replaced too). The renderer keeps the history lines and a SHA-256 state
+    over the text up to their end. A history that extends the last one
+    formats and hashes only its new lines; any other change rebuilds both, at
+    a cost bounded by the history's length. An unchanged history adds only the
+    attachment URIs to a copy of the hash. So no decision formats or hashes
+    the whole history again, and every digest equals a fresh render's.
     """
 
     def __init__(self, template: PromptTemplate, demos: Sequence[Demonstration] = ()) -> None:
@@ -121,26 +130,40 @@ class DecisionRenderer:
             raise ValueError(
                 f"render_decision requires a decision template, got kind {template.kind!r}"
             )
-        self._template = template
-        self._demo_block = ""
+        demo_block = ""
         if demos:
             lines = ["Example commentary for the attached demonstration frames:"]
             lines.extend(f"{i}. {d.utterance_text}" for i, d in enumerate(demos, 1))
-            self._demo_block = "\n".join(lines)
+            demo_block = "\n".join(lines)
+        head, _, self._tail = template.body.partition(CONTEXT_PLACEHOLDER)
+        # `_join` of the preamble, demo block and body: the body is never empty,
+        # since the history it holds reads 'none' at least.
+        self._head = "".join(p + "\n" for p in (template.role_preamble, demo_block) if p) + head
         self._demo_uris = tuple(f.uri for demo in demos for f in demo.frames.frames)
+        # Set by the first render, which always rebuilds.
         self._history: tuple[str, ...] | None = None
+        self._lines = ""
+        self._state = self._hash = _text_hash("")
         self._text = ""
-        self._hash = _text_hash("")
 
     def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
         if not window.frames:
             raise ValueError("window must contain at least one frame")
         key = tuple(history)
-        if key != self._history:
-            template = self._template
-            body = template.body.replace(CONTEXT_PLACEHOLDER, serialize_history(key))
-            self._text = _join(template.role_preamble, self._demo_block, body)
-            self._hash = _text_hash(self._text)
+        last = self._history
+        if key != last:
+            n = len(last) if last else 0
+            if n and key[:n] == last:
+                new = "".join([f"\n{i}. {text}" for i, text in enumerate(key[n:], n + 1)])
+                self._lines += new
+                self._state.update(new.encode("utf-8"))
+            else:
+                self._lines = serialize_history(key)
+                self._state = _text_hash(self._head + self._lines)
+            tail = self._tail.replace(CONTEXT_PLACEHOLDER, self._lines)
+            self._text = self._head + self._lines + tail
+            self._hash = self._state.copy()
+            self._hash.update(tail.encode("utf-8"))
             self._history = key
         attachments = self._demo_uris + tuple(f.uri for f in window.frames)
         digest = _finish(self._hash.copy(), attachments)
@@ -173,8 +196,7 @@ def parse_response(raw: str) -> DecisionOutcome:
     stripped = raw.strip()
     if not stripped:
         return Wait()
-    content = "".join(ch for ch in stripped if ch.isalnum())
-    if content.casefold() == "wait":
+    if _NOT_ALNUM.sub("", stripped).casefold() == "wait":
         return Wait()
     text = " ".join(part.strip() for part in stripped.splitlines() if part.strip())
     return Speak(text=text)
@@ -183,7 +205,7 @@ def parse_response(raw: str) -> DecisionOutcome:
 def load_template(path: str | Path) -> PromptTemplate:
     """Load a template file: three header lines (id:, language:, kind:) then the body."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if len(lines) < 4:
         raise ValueError(f"{path}: template needs 3 header lines and a body")
     fields = {}
@@ -193,16 +215,19 @@ def load_template(path: str | Path) -> PromptTemplate:
             raise ValueError(f"{path}: expected header line '{expected}: ...', got {line!r}")
         fields[expected] = value.strip()
     body = "\n".join(lines[3:]).strip("\n")
-    return PromptTemplate(
-        id=fields["id"], language=fields["language"], kind=fields["kind"], body=body
-    )
+    try:
+        return PromptTemplate(
+            id=fields["id"], language=fields["language"], kind=fields["kind"], body=body
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_demonstrations(path: str | Path) -> list[Demonstration]:
     """Load demonstrations from manifest-style lines: uri<TAB>utterance_text."""
     path = Path(path)
     demos: list[Demonstration] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 1)

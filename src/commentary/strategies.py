@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from typing import Sequence
 
 from .backends import (
     DEFAULT_MAX_OUTPUT_UNITS,
@@ -95,14 +96,19 @@ class SpeechRateModel(Record):
             ) from None
 
 
-def count_units(text: str, unit: str) -> int:
-    """Count speech units: words are maximal non-whitespace runs, characters
-    are non-whitespace characters (punctuation included)."""
+def unit_tokens(text: str, unit: str) -> Sequence[str]:
+    """Speech units in order: words are maximal non-whitespace runs, characters
+    are non-whitespace characters (punctuation included), given as one string."""
     if unit == UNIT_WORD:
-        return len(text.split())
+        return text.split()
     if unit == UNIT_CHARACTER:
-        return sum(1 for ch in text if not ch.isspace())
+        return "".join(text.split())
     raise ValueError(f"unit must be 'word' or 'character', got {unit!r}")
+
+
+def count_units(text: str, unit: str) -> int:
+    """Count speech units, as `unit_tokens` gives them."""
+    return len(unit_tokens(text, unit))
 
 
 def default_unit_for_language(language: str) -> str:
@@ -165,20 +171,25 @@ def next_decision_time(
 ) -> Seconds:
     """Schedule the next decision after outcome at t_i, to the millisecond."""
     check_seconds(t_i, "t_i")
-    return from_ms(to_ms(t_i) + _advance_ms(config, outcome))
+    spoken_ms = _spoken_ms(config, outcome.text) if isinstance(outcome, Speak) else None
+    return from_ms(to_ms(t_i) + _advance_ms(config, spoken_ms))
 
 
-def _advance_ms(config: StrategyConfig, outcome: DecisionOutcome) -> int:
-    """Milliseconds from a decision to the next one.
+def _spoken_ms(config: StrategyConfig, text: str) -> int:
+    """The estimated speaking time of `text`, d̂, in whole milliseconds."""
+    return to_ms(estimate_duration(text, config.language, config.rate_model))
+
+
+def _advance_ms(config: StrategyConfig, spoken_ms: int | None) -> int:
+    """Milliseconds from a decision to the next one; `spoken_ms` is None after a Wait.
 
     Fixed kinds advance by the step regardless of outcome. Realtime advances
     by the spoken duration after a Speak, floored at the step so short
     utterances never poll faster than the fixed cadence.
     """
     step_ms = to_ms(config.step)
-    if config.kind is StrategyKind.REALTIME and isinstance(outcome, Speak):
-        d_hat = estimate_duration(outcome.text, config.language, config.rate_model)
-        return max(step_ms, to_ms(d_hat))
+    if config.kind is StrategyKind.REALTIME and spoken_ms is not None:
+        return max(step_ms, spoken_ms)
     return step_ms
 
 
@@ -270,6 +281,7 @@ def run_session(
     duration_ms = to_ms(store.video_duration)
     demos = prompts.demonstrations if config.kind is StrategyKind.FEEDBACK_ICL else ()
     renderer = DecisionRenderer(prompts.decision, demos)
+    # A tuple, replaced on each Speak, so the renderer sees an unchanged history as the same object.
     history: list[str] = []
     utterances: list[Utterance] = []
     steps: list[SessionStep] = []
@@ -283,11 +295,11 @@ def run_session(
         clock.advance_to(t)
         window = select_window(config, store, t, t_last_query)
         if index == 0:
-            history_used: list[str] = []
+            history_used: tuple[str, ...] = ()
             rendered = render_init(prompts.init, window)
         else:
             if config.kind is StrategyKind.STATELESS:
-                history_used = []
+                history_used = ()
             elif config.max_history is not None:
                 history_used = history[len(history) - config.max_history :]
             else:
@@ -316,15 +328,16 @@ def run_session(
             note = "empty-response-wait"
         elif isinstance(outcome, Speak) and _WAIT_MENTION.search(outcome.text):
             note = "wait-plus-content"
+        spoken_ms = None
         if isinstance(outcome, Speak):
-            d_hat = estimate_duration(outcome.text, config.language, config.rate_model)
+            spoken_ms = _spoken_ms(config, outcome.text)
             utterances.append(
                 Utterance(
                     text=outcome.text,
                     language=config.language,
                     start=t,
                     # At least 1 ms, so that every utterance shows as an SRT entry.
-                    est_duration=from_ms(max(1, to_ms(d_hat))),
+                    est_duration=from_ms(max(1, spoken_ms)),
                 )
             )
             history.append(outcome.text)
@@ -339,7 +352,7 @@ def run_session(
         )
 
         t_last_query = t
-        t_ms += _advance_ms(config, outcome)
+        t_ms += _advance_ms(config, spoken_ms)
         # A slow backend may return after the scheduled time; never fire in the past.
         now = clock.now()
         if now > t:

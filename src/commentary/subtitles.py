@@ -90,7 +90,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
             i += 1
             continue
         index_line = lines[i].strip()
-        if not index_line.isdigit():
+        if not index_line.isdecimal():
             raise SrtParseError(f"line {i + 1}: expected an entry index, got {index_line!r}")
         index = int(index_line)
         i += 1

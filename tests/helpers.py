@@ -21,7 +21,7 @@ from commentary import (
     Utterance,
 )
 from commentary.backends import GeneratorRequest, GeneratorResponse
-from commentary.core import WAIT_TOKEN, check_seconds
+from commentary.core import WAIT_TOKEN, DecisionOutcome, Speak, Wait, check_seconds
 from commentary.media import DEFAULT_WINDOW_CAP, WindowRangeError
 from commentary.prompting import (
     CONTEXT_PLACEHOLDER,
@@ -52,6 +52,26 @@ def dp_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
                 cur.append(max(prev[j], cur[-1]))
         prev = cur
     return prev[-1]
+
+
+def reference_parse_response(raw: str) -> DecisionOutcome:
+    """`parse_response` with the content kept character by character; its oracle."""
+    stripped = raw.strip()
+    if not stripped:
+        return Wait()
+    content = "".join(ch for ch in stripped if ch.isalnum())
+    if content.casefold() == "wait":
+        return Wait()
+    text = " ".join(part.strip() for part in stripped.splitlines() if part.strip())
+    return Speak(text=text)
+
+
+def reference_unit_tokens(text: str, unit: str) -> list[str]:
+    """Speech units taken character by character; the oracle for `unit_tokens`
+    and `count_units`."""
+    if unit == "word":
+        return text.split()
+    return [ch for ch in text if not ch.isspace()]
 
 
 def reference_render_decision(

@@ -159,6 +159,51 @@ class TestGenerate:
         assert (workspace["root"] / "multi" / "a.srt").exists()
         assert (workspace["root"] / "multi" / "b.srt").exists()
 
+    def test_script_is_read_once_and_each_video_counts_its_own_calls(
+        self, workspace, monkeypatch
+    ):
+        reads = []
+        read_script = cli.read_script
+        monkeypatch.setattr(cli, "read_script", lambda path: reads.append(path) or read_script(path))
+        vids = workspace["root"] / "vids"
+        vids.mkdir()
+        write_manifest(vids / "a.manifest", "a", 6.0)
+        write_manifest(vids / "b.manifest", "b", 4.0)
+        args = gen_args(workspace, out="multi", jobs=2)
+        args[args.index("--manifest") + 1] = str(vids)
+        assert main(args) == 0
+        assert reads == [workspace["script"]]
+        for video_id in ("a", "b"):
+            srt = read(workspace["root"] / "multi" / f"{video_id}.srt")
+            assert "Five cars line up on the grid" in srt
+            assert "The blue car takes an early lead" in srt
+
+    def test_malformed_script_exits_one_naming_it_before_any_session(self, workspace, capsys):
+        workspace["script"].write_text("0\tgo\nbadline\n", encoding="utf-8")
+        assert main(gen_args(workspace)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: backend: {workspace['script']}:2: expected 'key<TAB>response'\n"
+        assert not (workspace["root"] / "out").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "not-utf-8"])
+    def test_bad_demos_file_exits_one_naming_it(self, workspace, capsys, case):
+        demos = workspace["root"] / "demos.tsv"
+        if case == "not-utf-8":
+            demos.write_bytes(b"file:///d/0.jpg\t\xff\n")
+        args = gen_args(workspace, strategy="feedback-icl", shots=1, demos=str(demos))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(demos) in err
+        assert "Traceback" not in err
+
+    def test_template_file_not_utf_8_exits_one_naming_it(self, workspace, capsys):
+        templates = workspace["root"] / "templates"
+        templates.mkdir()
+        (templates / "init.txt").write_bytes(b"id: i\nlanguage: en\nkind: init\n\xff\n")
+        assert main(gen_args(workspace, templates=str(templates))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {templates / 'init.txt'}: not UTF-8 text: ")
+
     def test_manifest_gap_names_its_file(self, workspace, capsys):
         vids = workspace["root"] / "vids"
         vids.mkdir()
@@ -490,7 +535,7 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 0
 
     @pytest.mark.parametrize(
-        "case", ["transcript-start", "srt-timestamp", "trace-duration", "with-trace"]
+        "case", ["transcript-start", "srt-timestamp", "srt-index", "trace-duration", "with-trace"]
     )
     def test_unreadable_input_exits_one_naming_the_file(self, workspace, capsys, case):
         gen_dir = self._generate(workspace)
@@ -509,6 +554,9 @@ class TestEvaluateCommand:
             if case == "transcript-start":
                 bad = ref_dir / "race01.tsv"
                 bad.write_text("abc\tFive cars line up\n", encoding="utf-8")
+            elif case == "srt-index":  # a digit, but not a decimal one
+                bad = ref_dir / "race01.srt"
+                bad.write_text("\u00b2\n00:00:00,000 --> 00:00:01,000\nhello\n", encoding="utf-8")
             else:
                 bad = ref_dir / "race01.srt"
                 bad.write_text("1\n00:00:0x,000 --> 00:00:01,000\nhello\n", encoding="utf-8")
@@ -517,6 +565,8 @@ class TestEvaluateCommand:
         assert err.startswith(f"error: race01: {bad}: ")
         if case in ("transcript-start", "with-trace"):
             assert err.rstrip().endswith("line 1: bad start time 'abc'")
+        if case == "srt-index":
+            assert err.rstrip().endswith("line 1: expected an entry index, got '\u00b2'")
         assert "Traceback" not in err
 
 

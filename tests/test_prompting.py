@@ -14,6 +14,7 @@ from commentary import (
     render_decision,
     render_init,
 )
+from commentary import prompting
 from commentary.media import FrameRef, FrameWindow
 from commentary.prompting import (
     DecisionRenderer,
@@ -24,7 +25,7 @@ from commentary.prompting import (
     serialize_history,
 )
 
-from helpers import reference_render_decision, synth_store
+from helpers import reference_parse_response, reference_render_decision, synth_store
 from commentary import frames_between
 
 
@@ -153,7 +154,31 @@ _demos = st.builds(
 )
 _decision_templates = st.sampled_from(
     [decision for _, decision in BUILTIN_TEMPLATES.values()]
-    + [PromptTemplate(id="bare", language="en", kind="decision", body="so far: {context}")]
+    + [
+        PromptTemplate(id="bare", language="en", kind="decision", body="so far: {context}"),
+        PromptTemplate(
+            id="two-slots",
+            language="en",
+            kind="decision",
+            body="Said: {context}\nAgain, said: {context}\nGo on.",
+            role_preamble="You are a commentator.",
+        ),
+        PromptTemplate(
+            id="slot-first",
+            language="en",
+            kind="decision",
+            body="{context}\nWhat comes next?",
+            role_preamble="You are a commentator.",
+        ),
+        PromptTemplate(
+            id="slot-last",
+            language="en",
+            kind="decision",
+            body="Said so far:\n{context}",
+            role_preamble="You are a commentator.",
+        ),
+        PromptTemplate(id="only-slot", language="en", kind="decision", body="{context}"),
+    ]
 )
 # Each step adds a text to the history (or not), then renders with a fresh window.
 # "arbitrary" renders a history of its own at each step, often one seen before.
@@ -232,6 +257,24 @@ class TestParseResponse:
     def test_newlines_collapse_to_spaces(self):
         outcome = parse_response("first line\n\nsecond line\nthird")
         assert outcome == Speak("first line second line third")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["wait", "WAIT", "<", ">", "_", "\n", " ", "ｗａｉｔ", "²", "ß"]),
+                st.text(max_size=4),
+            ),
+            max_size=8,
+        ).map("".join)
+    )
+    def test_equals_the_per_character_check(self, raw):
+        assert parse_response(raw) == reference_parse_response(raw)
+
+    def test_letters_and_digits_are_those_of_isalnum_at_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        kept = "".join(ch for ch in every if ch.isalnum())
+        assert prompting._NOT_ALNUM.sub("", every) == kept
 
 
 class TestTemplateFiles:

@@ -1,6 +1,8 @@
 """Schedulers, duration estimation, and the session loop."""
 
+import hashlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -30,9 +32,9 @@ from commentary import (
 from commentary import prompting, strategies
 from commentary.backends import GeneratorResponse, TransportError
 from commentary.media import FrameRef, FrameWindow
-from commentary.prompting import Demonstration
+from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
-from commentary.strategies import count_units
+from commentary.strategies import count_units, unit_tokens
 from commentary.subtitles import track_entries
 
 from helpers import (
@@ -40,6 +42,7 @@ from helpers import (
     prompt_set,
     reference_decision_ms,
     reference_frames_between,
+    reference_unit_tokens,
     synth_store,
 )
 
@@ -71,6 +74,17 @@ class TestEstimateDuration:
 
     def test_character_counting_skips_whitespace(self):
         assert count_units("あ い\nう", "character") == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.sampled_from(["word", "character"]))
+    def test_units_equal_the_per_character_rule(self, text, unit):
+        expected = reference_unit_tokens(text, unit)
+        assert list(unit_tokens(text, unit)) == expected
+        assert count_units(text, unit) == len(expected)
+
+    def test_whitespace_is_that_of_isspace_at_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert unit_tokens(every, "character") == "".join(reference_unit_tokens(every, "character"))
 
 
 class TestNextDecisionTime:
@@ -402,23 +416,62 @@ class TestRendererInTheSession:
 
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_history_is_serialized_once_per_change(self, kind, monkeypatch):
+        """Only a history that does not extend the last one rendered is serialized
+        in full; an extension formats only its new lines."""
         calls = []
         serialize = prompting.serialize_history
         monkeypatch.setattr(
             prompting, "serialize_history", lambda h: calls.append(len(h)) or serialize(h)
         )
         store = synth_store(duration=30.0)
-        cfg = StrategyConfig(kind=kind, step=1.0)
-        # The first and last of the 31 decisions wait, so every Speak changes
-        # the history that a later decision renders.
         script = {2: "red car leads", 3: "blue car passes", 7: "gap closes", 20: "final lap"}
         prompts = prompt_set(demonstrations=_demos(2))
+        # The first Speak turns 'none' into a line; a sliding window of 2 also
+        # rebuilds at the third and fourth.
+        for max_history, rebuilds in ((None, 1), (2, 3)):
+            if kind is StrategyKind.STATELESS:
+                rebuilds = 0
+            cfg = StrategyConfig(kind=kind, step=1.0, max_history=max_history)
+            calls.clear()
+            record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
+            assert len(record.steps) == 31
+            assert sum(isinstance(s.outcome, Speak) for s in record.steps) == 4
+            assert len(calls) == 1 + rebuilds
+
+    def test_hashed_text_grows_with_the_history_not_its_square(self, monkeypatch):
+        """Over 600 decisions with 200 Speaks, the renderer hashes each history
+        line about once: the bytes it hashes stay within a constant factor of
+        the history's, plus a fixed amount per decision (template and URIs)."""
+        hashed = [0]
+
+        class CountingHash:
+            def __init__(self, data=b"", inner=None):
+                self._inner = hashlib.sha256() if inner is None else inner
+                self.update(data)
+
+            def update(self, data):
+                hashed[0] += len(data)
+                self._inner.update(data)
+
+            def copy(self):
+                return CountingHash(inner=self._inner.copy())
+
+            def hexdigest(self):
+                return self._inner.hexdigest()
+
+        monkeypatch.setattr(prompting, "hashlib", types.SimpleNamespace(sha256=CountingHash))
+        store = synth_store(duration=599.0)
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=1.0)
+        script = {i: f"the red car leads lap {i} by a wide gap" for i in range(1, 600, 3)}
+        decision = PromptTemplate(id="d", language="en", kind="decision", body="so far: {context}")
+        prompts = PromptSet(init=prompt_set().init, decision=decision)
         record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
-        assert len(record.steps) == 31
-        speaks = sum(isinstance(s.outcome, Speak) for s in record.steps)
-        assert speaks == 4
-        expected = 1 if kind is StrategyKind.STATELESS else 1 + speaks
-        assert len(calls) == expected
+        assert len(record.steps) == 600
+        said = [s.outcome.text for s in record.steps if isinstance(s.outcome, Speak)]
+        assert len(said) == 200
+        history_bytes = len(prompting.serialize_history(said).encode("utf-8"))
+        # A rehash of the whole text per Speak would hash about 100 times the history.
+        assert hashed[0] <= 2 * history_bytes + 600 * 64
 
 
 class TestGenerationRecord:

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import base64
 import bisect
 import hashlib
-import logging
-import mimetypes
 import os
 import re
 import threading
@@ -32,7 +29,12 @@ CACHE_LOG_NAME = "cache.log"
 CACHE_LOG_HEADER = b"#commentary-cache 2\n"
 _OLD_ENTRY_NAME = re.compile(r"[0-9a-f]{16}\.txt")  # `<digest>.txt` of the first cache format
 
-_log = logging.getLogger(__name__)
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning by the `commentary.backends` logger; `logging` loads at the first."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 class BackendError(Exception):
@@ -280,6 +282,8 @@ class _Reply:
 
 
 def _basic_auth(user: str, password: str) -> str:
+    import base64
+
     return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
 
 
@@ -575,14 +579,35 @@ def _local_path(uri: str) -> Path | None:
     return Path(uri[7:]) if uri.startswith("file://") else Path(uri)
 
 
+# Frame MIME types by lower-cased suffix; any other suffix is sent as JPEG. A
+# fixed table keeps the request bytes independent of the machine's MIME database.
+_IMAGE_TYPES = {
+    ".jpg": "image/jpeg",
+    ".jpeg": "image/jpeg",
+    ".jpe": "image/jpeg",
+    ".png": "image/png",
+    ".webp": "image/webp",
+    ".gif": "image/gif",
+    ".bmp": "image/bmp",
+    ".tif": "image/tiff",
+    ".tiff": "image/tiff",
+}
+
+
+def _image_type(path: Path) -> str:
+    """The MIME type a frame file is sent as, from its suffix."""
+    return _IMAGE_TYPES.get(path.suffix.lower(), "image/jpeg")
+
+
 def encode_image_uri(uri: str) -> str:
     """Inline a local image as a base64 data URI; pass remote/data URIs through."""
     path = _local_path(uri)
     if path is None:
         return uri
+    import base64
+
     data = path.read_bytes()
-    mime = mimetypes.guess_type(path.name)[0] or "image/jpeg"
-    return f"data:{mime};base64,{base64.b64encode(data).decode('ascii')}"
+    return f"data:{_image_type(path)};base64,{base64.b64encode(data).decode('ascii')}"
 
 
 def build_chat_payload(request: GeneratorRequest) -> dict:
@@ -611,6 +636,7 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     `request.frame_bytes`; one that could not be read raises its `OSError`,
     as `build_chat_payload` does.
     """
+    import base64
     import json
 
     head = json.dumps(
@@ -633,9 +659,8 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
         elif isinstance(data, OSError):
             raise data
         else:
-            mime = mimetypes.guess_type(_local_path(uri).name)[0] or "image/jpeg"
             parts += (
-                json.dumps(f"data:{mime};base64,")[:-1].encode("utf-8"),
+                f'"data:{_image_type(_local_path(uri))};base64,'.encode("ascii"),
                 base64.b64encode(data),
                 b'"',
             )
@@ -673,7 +698,7 @@ def _post_with_retry(
     for attempt in range(max_attempts):
         if attempt:
             delay = backoff_base * (2 ** (attempt - 1))
-            _log.warning(
+            _warn(
                 "attempt %d of %d failed: %s; retrying in %g s",
                 attempt, max_attempts, last_error, delay,
             )
@@ -844,7 +869,7 @@ class CacheLog:
         end = self._load(data)
         if end < len(data):
             action = "dropped" if mode == "record" else "ignored"
-            _log.warning(
+            _warn(
                 "%s: %s a torn last record (%d bytes from byte %d)",
                 self.path, action, len(data) - end, end,
             )

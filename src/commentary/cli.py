@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -58,6 +58,7 @@ from .strategies import (
 from .subtitles import parse_srt, to_srt
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -349,6 +350,52 @@ def read_trace_duration(path: Path) -> float | None:
     return None
 
 
+def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
+    """`[run(item) for item in items]`, with at most `jobs` runs at once.
+
+    The calling thread and `min(jobs, len(items)) - 1` helper threads take the
+    items in order, so `jobs=1` starts no thread. A run that raises an
+    `Exception` leaves the other items running; one that raises an interrupt
+    or exit stops the handing out of items. Either way the first exception in
+    item order is raised only once every helper has joined.
+    """
+    results: list = [None] * len(items)
+    errors: list[BaseException | None] = [None] * len(items)
+    pending = list(range(len(items) - 1, -1, -1))  # popped from the end: item order
+    lock = threading.Lock()
+
+    def stop() -> None:
+        with lock:
+            pending.clear()
+
+    def work() -> None:
+        while True:
+            with lock:
+                if not pending:
+                    return
+                i = pending.pop()
+            try:
+                results[i] = run(items[i])
+            except BaseException as exc:  # re-raised below, once every helper has joined
+                errors[i] = exc
+                if not isinstance(exc, Exception):
+                    stop()
+
+    helpers = [threading.Thread(target=work) for _ in range(min(jobs, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop()  # items are left only when an interrupt ended work() early
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 def _generate(
     cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None = None
 ) -> tuple[int, dict[str, GenerationRecord]]:
@@ -365,8 +412,7 @@ def _generate(
 
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = {record.video_id: record for record in pool.map(run_one, stores)}
+        records = {record.video_id: record for record in _run_in_order(run_one, stores, cfg.jobs)}
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
     finally:

@@ -122,7 +122,9 @@ class DecisionRenderer:
     formats and hashes only its new lines; any other change rebuilds both, at
     a cost bounded by the history's length. An unchanged history adds only the
     attachment URIs to a copy of the hash. So no decision formats or hashes
-    the whole history again, and every digest equals a fresh render's.
+    the whole history again, and every digest equals a fresh render's. The
+    tuple last rendered, passed again, is known unchanged without a compare;
+    any other history, a list mutated in place included, is compared.
     """
 
     def __init__(self, template: PromptTemplate, demos: Sequence[Demonstration] = ()) -> None:
@@ -149,9 +151,9 @@ class DecisionRenderer:
     def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
         if not window.frames:
             raise ValueError("window must contain at least one frame")
-        key = tuple(history)
+        key = history if type(history) is tuple else tuple(history)
         last = self._history
-        if key != last:
+        if key is not last and key != last:
             n = len(last) if last else 0
             if n and key[:n] == last:
                 new = "".join([f"\n{i}. {text}" for i, text in enumerate(key[n:], n + 1)])

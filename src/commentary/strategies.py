@@ -281,8 +281,9 @@ def run_session(
     duration_ms = to_ms(store.video_duration)
     demos = prompts.demonstrations if config.kind is StrategyKind.FEEDBACK_ICL else ()
     renderer = DecisionRenderer(prompts.decision, demos)
-    # A tuple, replaced on each Speak, so the renderer sees an unchanged history as the same object.
-    history: list[str] = []
+    # The history the decision prompts show: a tuple, replaced on each Speak,
+    # so the renderer sees an unchanged history as the same object.
+    history: tuple[str, ...] = ()
     utterances: list[Utterance] = []
     steps: list[SessionStep] = []
     error: str | None = None
@@ -295,17 +296,10 @@ def run_session(
         clock.advance_to(t)
         window = select_window(config, store, t, t_last_query)
         if index == 0:
-            history_used: tuple[str, ...] = ()
             rendered = render_init(prompts.init, window)
         else:
-            if config.kind is StrategyKind.STATELESS:
-                history_used = ()
-            elif config.max_history is not None:
-                history_used = history[len(history) - config.max_history :]
-            else:
-                history_used = history
-            rendered = renderer.render(history_used, window)
-        point = DecisionPoint(index=index, time=t, window=window, history_len=len(history_used))
+            rendered = renderer.render(history, window)
+        point = DecisionPoint(index=index, time=t, window=window, history_len=len(history))
 
         try:
             request = GeneratorRequest(
@@ -340,7 +334,10 @@ def run_session(
                     est_duration=from_ms(max(1, spoken_ms)),
                 )
             )
-            history.append(outcome.text)
+            if config.kind is not StrategyKind.STATELESS:
+                history = (*history, outcome.text)
+                if config.max_history is not None:
+                    history = history[len(history) - config.max_history :]
         steps.append(
             SessionStep(
                 point=point,

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import logging
+import mimetypes
 import os
 import re
 import socket
@@ -976,7 +977,9 @@ _NONLOCAL_URIS = st.one_of(
     ),
 )
 _LOCAL_FRAMES = st.tuples(  # (suffix, bytes, whether named by a file:// URI)
-    st.sampled_from([".jpg", ".PNG", ".webp", ""]), st.binary(max_size=3000), st.booleans()
+    st.sampled_from([".jpg", ".PNG", ".webp", ".TIFF", ".heic", ""]),
+    st.binary(max_size=3000),
+    st.booleans(),
 )
 
 
@@ -990,6 +993,17 @@ class TestPayloadHelpers:
         image.write_bytes(b"jpegbytes")
         inlined = encode_image_uri(f"file://{image}")
         assert inlined.startswith("data:image/jpeg;base64,")
+
+    @pytest.mark.parametrize("suffix", sorted(backends._IMAGE_TYPES))
+    def test_frame_type_is_the_mime_database_type(self, suffix):
+        for name in (f"frame{suffix}", f"frame{suffix.upper()}"):
+            assert backends._image_type(Path(name)) == mimetypes.guess_type(name)[0]
+
+    @pytest.mark.parametrize("name", ["frame.heic", "frame"])
+    def test_other_frames_are_sent_as_jpeg(self, tmp_path, name):
+        image = tmp_path / name
+        image.write_bytes(b"bytes")
+        assert encode_image_uri(str(image)).startswith("data:image/jpeg;base64,")
 
     def test_payload_counts_attachments(self, tmp_path):
         image = tmp_path / "pic.jpg"

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import commentary
 from commentary import cli
 from commentary.cli import main, parse_rate_model, read_trace_duration
+from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
 from commentary.evaluation import EmbeddingScorer
 
@@ -355,6 +358,175 @@ class TestReplay:
         assert err.startswith("error: cache: ") and str(cache) in err
         assert "Traceback" not in err
         assert generated_files(cache) == before
+
+
+class TestSessionRunner:
+    """`generate` runs the sessions on the calling thread and `--jobs` - 1 helper
+    threads at most, keeping `ThreadPoolExecutor.map`'s contract."""
+
+    def _videos(self, workspace, durations):
+        vids = workspace["root"] / "vids"
+        vids.mkdir(exist_ok=True)
+        for video_id, duration in durations.items():
+            write_manifest(vids / f"{video_id}.manifest", video_id, duration)
+        return vids
+
+    def _args(self, workspace, vids, out, **flags):
+        args = gen_args(workspace, out=out, step=1, **flags)
+        args[args.index("--manifest") + 1] = str(vids)
+        return args
+
+    def _sessions(self, monkeypatch, before=None):
+        """Record each session that returns; call `before(store)` as each starts."""
+        finished = []
+        run_session = cli.run_session
+
+        def session(store, *args, **kwargs):
+            if before is not None:
+                before(store)
+            record = run_session(store, *args, **kwargs)
+            finished.append(record)
+            return record
+
+        monkeypatch.setattr(cli, "run_session", session)
+        return finished
+
+    def test_results_come_back_in_item_order(self):
+        def run(i):
+            time.sleep(0.01 * (6 - i))  # later items finish first
+            return i
+
+        assert cli._run_in_order(run, range(6), 3) == list(range(6))
+
+    def test_each_item_runs_once_under_frequent_thread_switches(self):
+        runs = [0] * 400
+
+        def run(i):
+            runs[i] += 1
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert cli._run_in_order(run, range(400), 8) == [i * i for i in range(400)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] * 400
+
+    def test_an_interrupt_on_the_calling_thread_waits_for_the_helper_and_stops(self):
+        caller = threading.current_thread()
+        started, interrupted, done = threading.Event(), threading.Event(), []
+
+        def run(i):
+            if threading.current_thread() is caller:
+                assert started.wait(10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            started.set()
+            interrupted.wait(10)
+            time.sleep(0.05)  # still inside its item while the interrupt propagates
+            done.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_in_order(run, range(8), 2)
+        # The helper finished the item it held, and took no other.
+        assert len(done) == 1
+
+    def test_videos_of_different_lengths_come_back_in_store_order(self, workspace, capsys):
+        durations = {"a": 40.0, "b": 2.0, "c": 20.0, "d": 4.0, "e": 30.0}
+        vids = self._videos(workspace, durations)
+        parsed = cli.build_parser().parse_args(self._args(workspace, vids, "three", jobs=3))
+        cfg = cli._run_config_from_args(parsed)
+        stores = cli._load_stores(cfg.manifest)
+        code, records = cli._generate(cfg, stores)
+        assert code == 0
+        assert list(records) == [store.video_id for store in stores] == list(durations)
+        for video_id, record in records.items():
+            assert record.track.video_duration == durations[video_id]
+            assert len(record.steps) == durations[video_id] + 1
+        three = capsys.readouterr().out
+        assert main(self._args(workspace, vids, "one", jobs=1)) == 0
+        assert capsys.readouterr().out == three
+        root = workspace["root"]
+        assert generated_files(root / "three") == generated_files(root / "one")
+
+    def test_one_job_runs_on_the_calling_thread_and_starts_no_thread(self, workspace, monkeypatch):
+        made = []
+
+        class CountedThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        threads = []
+        self._sessions(monkeypatch, lambda store: threads.append(threading.current_thread()))
+        vids = self._videos(workspace, {"a": 6.0, "b": 4.0, "c": 2.0})
+        assert main(self._args(workspace, vids, "out", jobs=1)) == 0
+        assert threads == [threading.current_thread()] * 3
+        assert made == []
+
+    def test_two_jobs_run_two_sessions_at_once_and_never_more(self, workspace, monkeypatch):
+        # Each session waits for a second one to start: without overlap the
+        # barrier times out and `generate` raises BrokenBarrierError.
+        barrier = threading.Barrier(2, timeout=10)
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def before(store):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            barrier.wait()
+            time.sleep(0.02)  # long enough for a third session, if one could start, to show
+            with lock:
+                running[0] -= 1
+
+        finished = self._sessions(monkeypatch, before)
+        vids = self._videos(workspace, {name: 5.0 for name in "abcdef"})
+        assert main(self._args(workspace, vids, "out", jobs=2)) == 0
+        assert len(finished) == 6
+        assert peak[0] == 2
+
+    def test_a_replay_miss_exits_one_after_the_other_videos_finish(
+        self, workspace, monkeypatch, capsys
+    ):
+        vids = self._videos(workspace, {"b": 30.0, "c": 30.0, "d": 30.0})
+        cache = workspace["root"] / "cache"
+        flags = dict(jobs=4, cache_dir=str(cache))
+        assert main(self._args(workspace, vids, "rec", cache="record", **flags)) == 0
+        self._videos(workspace, {"a": 30.0})  # never recorded: its first decision misses
+        # The recorded videos are slow, so they are still running when `a` misses.
+        finished = self._sessions(
+            monkeypatch, lambda store: store.video_id != "a" and time.sleep(0.05)
+        )
+        capsys.readouterr()
+        assert main(self._args(workspace, vids, "rep", cache="replay", **flags)) == 1
+        assert "replay cache miss" in capsys.readouterr().err
+        assert sorted(record.video_id for record in finished) == ["b", "c", "d"]
+        assert all(record.complete for record in finished)
+
+    def test_a_crashing_backend_leaves_the_other_videos_recording_to_an_open_log(
+        self, workspace, monkeypatch
+    ):
+        class CrashingForA(ScriptedBackend):
+            def generate(self, request):
+                if "/frames/a/" in request.prompt.attachments[-1]:
+                    raise RuntimeError("backend crashed")
+                time.sleep(0.002)  # the other videos are still running when `a` crashes
+                return super().generate(request)
+
+        monkeypatch.setattr(cli, "ScriptedBackend", CrashingForA)
+        finished = self._sessions(monkeypatch)
+        vids = self._videos(workspace, {name: 30.0 for name in "abcd"})
+        cache = workspace["root"] / "cache"
+        args = self._args(workspace, vids, "rec", jobs=4, cache="record", cache_dir=str(cache))
+        with pytest.raises(RuntimeError, match="backend crashed"):
+            main(args)
+        assert sorted(record.video_id for record in finished) == ["b", "c", "d"]
+        assert [record.error for record in finished] == [None] * 3
+        decisions = sum(len(record.steps) for record in finished)
+        assert len(read_cache_log(cache / "cache.log")) == decisions == 3 * 31
 
 
 class FakeReply:
@@ -865,7 +1037,8 @@ class TestParsers:
 class TestOfflineImports:
     """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
     neither `requests` nor the stdlib's `http.client`, `ssl` or `email`. No run
-    loads `dataclasses` or `inspect`."""
+    loads `dataclasses` or `inspect`. An offline run loads no thread pool and no
+    `logging` (nothing is logged), nor the frame encoders `mimetypes` and `base64`."""
 
     # Other tests load `http.client` into the test process (`http.server`
     # imports it), so the runs happen in a fresh interpreter.
@@ -884,12 +1057,15 @@ class TestOfflineImports:
                     "--step", "1", "--backend", f"oracle:{refs}", "--out", out]
         codes = [cli.main(generate), cli.main(["evaluate", out, refs])]
         offline = loaded()
+        unused = sorted(m for m in ("logging", "concurrent.futures", "queue", "mimetypes",
+                                    "base64") if m in sys.modules)
         cli.RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
-        print(json.dumps({"codes": codes, "offline": offline, "remote": loaded()}))
+        print(json.dumps({"codes": codes, "offline": offline, "unused": unused,
+                          "remote": loaded()}))
         """
     )
 
-    def test_oracle_generate_and_lexical_evaluate_do_not_import_requests(self, workspace):
+    def _run(self, workspace):
         ref_dir = workspace["root"] / "refs"
         ref_dir.mkdir()
         (ref_dir / "race01.srt").write_text(
@@ -913,5 +1089,12 @@ class TestOfflineImports:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0]
+        return result
+
+    def test_oracle_generate_and_lexical_evaluate_do_not_import_requests(self, workspace):
+        result = self._run(workspace)
         assert result["offline"] == []
         assert result["remote"] == []
+
+    def test_oracle_generate_and_evaluate_load_no_pool_logging_or_encoders(self, workspace):
+        assert self._run(workspace)["unused"] == []

@@ -217,6 +217,25 @@ class TestDecisionRenderer:
                 template, used, demos, window
             )
 
+    def test_the_tuple_rendered_last_renders_as_a_fresh_render_again(self):
+        decision = BUILTIN_TEMPLATES["race-en"][1]
+        renderer = DecisionRenderer(decision)
+        history = ("red car leads", "blue car passes")
+        for window in (window_of(3), window_of(4, 5), window_of(4, 5)):
+            assert renderer.render(history, window) == reference_render_decision(
+                decision, history, (), window
+            )
+
+    def test_a_list_changed_in_place_renders_as_a_fresh_render(self):
+        decision = BUILTIN_TEMPLATES["race-en"][1]
+        renderer = DecisionRenderer(decision)
+        history = ["red car leads", "blue car passes"]
+        renderer.render(history, window_of(3))
+        history[-1] = "blue car spins"
+        assert renderer.render(history, window_of(4)) == reference_render_decision(
+            decision, history, (), window_of(4)
+        )
+
     def test_rejects_init_template_and_empty_window(self):
         init, decision = BUILTIN_TEMPLATES["race-en"]
         with pytest.raises(ValueError, match="decision template"):

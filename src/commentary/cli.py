@@ -396,6 +396,14 @@ def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[
     return results
 
 
+def _make_out_dir(path: Path) -> None:
+    """`path.mkdir(parents=True, exist_ok=True)`; a file in the way is a CliError naming `path`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"output dir {path}: {exc}") from exc
+
+
 def _generate(
     cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None = None
 ) -> tuple[int, dict[str, GenerationRecord]]:
@@ -411,7 +419,7 @@ def _generate(
         return run_session(store, cfg.strategy, factory(store), clock, cfg.prompts)
 
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(cfg.out_dir)
         records = {record.video_id: record for record in _run_in_order(run_one, stores, cfg.jobs)}
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
@@ -497,8 +505,12 @@ def _report_rows(video_id: str, report: EvalReport) -> list[str]:
 
 def _write_report(path: str | None, lines: list[str]) -> None:
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = Path(path)
+        try:
+            report.parent.mkdir(parents=True, exist_ok=True)
+            report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"report {report}: {exc}") from exc
 
 
 def _load_pairs(
@@ -663,56 +675,86 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--force", action="store_true", help="overwrite existing traces")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="commentary", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="run sessions over manifests and write SRT + traces")
-    _add_run_flags(gen)
-    gen.add_argument(
-        "--strategy",
+# generate's own flags by dest, in help order. Each sweep cell takes the
+# defaults of the _CELL_FLAGS among them; cmd_sweep sets its strategy and step.
+_GENERATE_FLAGS = {
+    "strategy": dict(
         default="feedback",
         choices=[k.value for k in StrategyKind],
         help="decoding strategy (default: feedback)",
-    )
-    gen.add_argument("--step", type=float, default=2.0, help="decision interval in seconds, whole ms")
-    gen.add_argument("--shots", type=int, default=None, help="ICL demonstrations to inject")
-    gen.add_argument("--max-history", type=int, default=None, help="cap on history lines")
-    gen.add_argument(
-        "--backend", required=True, help="remote | scripted:<path> | oracle:<path>"
-    )
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--demos", default=None, help="demonstration manifest (uri<TAB>text)")
-    gen.add_argument("--wall", action="store_true", help="run against the wall clock")
-    gen.set_defaults(func=cmd_generate)
+    ),
+    "step": dict(type=float, default=2.0, help="decision interval in seconds, whole ms"),
+    "shots": dict(type=int, default=None, help="ICL demonstrations to inject"),
+    "max_history": dict(type=int, default=None, help="cap on history lines"),
+    "backend": dict(required=True, help="remote | scripted:<path> | oracle:<path>"),
+    "out": dict(required=True, help="output directory"),
+    "demos": dict(default=None, help="demonstration manifest (uri<TAB>text)"),
+    "wall": dict(action="store_true", default=False, help="run against the wall clock"),
+}
+_CELL_FLAGS = ("strategy", "step", "shots", "max_history", "demos", "wall")
 
-    ev = sub.add_parser("evaluate", help="score generated SRT against references")
-    ev.add_argument("gen_dir", help="directory of generated .srt (+ .trace) files")
-    ev.add_argument("ref_dir", help="directory of reference .srt or .tsv transcripts")
-    ev.add_argument("--scorer", default="lexical", help="lexical | embedding")
-    ev.add_argument("--language", default="en", help="language tag for unit counting")
-    ev.add_argument("--report", default=None, help="write the tab-separated report here")
-    ev.set_defaults(func=cmd_evaluate)
 
-    sw = sub.add_parser("sweep", help="run generate, then score agreement@1s, across step sizes")
-    _add_run_flags(sw)
-    sw.add_argument("--ref", required=True, help="reference directory")
-    sw.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,2,5,10")
-    sw.add_argument("--backend", default=None, help="defaults to oracle:<ref>")
-    sw.add_argument("--out", required=True, help="output root: one dir per step and strategy")
-    sw.add_argument("--report", default=None, help="write the sweep table here")
-    # Each cell takes generate's defaults for the flags sweep does not have;
-    # cmd_sweep sets its strategy and step.
-    cell_defaults = ("strategy", "step", "shots", "max_history", "demos", "wall")
-    sw.set_defaults(func=cmd_sweep, **{key: gen.get_default(key) for key in cell_defaults})
+def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
+    _add_run_flags(parser)
+    for dest, kwargs in _GENERATE_FLAGS.items():
+        parser.add_argument("--" + dest.replace("_", "-"), **kwargs)
+    parser.set_defaults(func=cmd_generate)
 
+
+def _add_evaluate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("gen_dir", help="directory of generated .srt (+ .trace) files")
+    parser.add_argument("ref_dir", help="directory of reference .srt or .tsv transcripts")
+    parser.add_argument("--scorer", default="lexical", help="lexical | embedding")
+    parser.add_argument("--language", default="en", help="language tag for unit counting")
+    parser.add_argument("--report", default=None, help="write the tab-separated report here")
+    parser.set_defaults(func=cmd_evaluate)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_run_flags(parser)
+    parser.add_argument("--ref", required=True, help="reference directory")
+    parser.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,2,5,10")
+    parser.add_argument("--backend", default=None, help="defaults to oracle:<ref>")
+    parser.add_argument("--out", required=True, help="output root: one dir per step and strategy")
+    parser.add_argument("--report", default=None, help="write the sweep table here")
+    cell_defaults = {key: _GENERATE_FLAGS[key]["default"] for key in _CELL_FLAGS}
+    parser.set_defaults(func=cmd_sweep, **cell_defaults)
+
+
+# Each command's help line in the top-level help, and the builder of its flags.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "generate": ("run sessions over manifests and write SRT + traces", _add_generate_flags),
+    "evaluate": ("score generated SRT against references", _add_evaluate_flags),
+    "sweep": ("run generate, then score agreement@1s, across step sizes", _add_sweep_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the whole CLI, or with `command`, of that command's flags alone.
+
+    A command's own parser takes the arguments after the command name and
+    parses, prints help and fails as the whole CLI's parser does for them.
+    """
+    if command is not None:
+        parser = _Parser(prog=f"commentary {command}")
+        _COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
+    parser = _Parser(prog="commentary", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the command that runs needs its parser; the top-level help and
+    # errors (no command, an unknown one, an option first) need them all.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv if command is None else argv[1:])
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,6 +113,14 @@ class TestGenerate:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_blocked_by_a_file_exits_one_naming_it(self, workspace, capsys, out):
+        (workspace["root"] / "afile").write_text("not a directory\n", encoding="utf-8")
+        assert main(gen_args(workspace, out=out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output dir {workspace['root'] / out}: ")
+        assert "Traceback" not in err
+
     def test_out_dir_must_differ_from_cache_dir(self, workspace):
         out = workspace["root"] / "same"
         args = gen_args(workspace, out="same", cache="record", cache_dir=str(out))
@@ -558,6 +566,17 @@ class TestEvaluateCommand:
         assert rows[("race01", "rouge_l_concat")] == "100.0000"
         assert rows[("corpus", "agreement@1s")] == "1.0000"
 
+    @pytest.mark.parametrize("report", ["adir", "afile/report.tsv"])
+    def test_unwritable_report_exits_one_naming_it(self, workspace, capsys, report):
+        gen_dir = self._generate(workspace)
+        (workspace["root"] / "adir").mkdir()
+        (workspace["root"] / "afile").write_text("not a directory\n", encoding="utf-8")
+        path = workspace["root"] / report
+        assert main(["evaluate", str(gen_dir), str(gen_dir), "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {path}: ")
+        assert "Traceback" not in err
+
     def test_disjoint_ids_lists_both_orphans(self, workspace, capsys):
         gen_dir = self._generate(workspace)
         ref_dir = workspace["root"] / "refs"
@@ -841,6 +860,29 @@ class TestSweep:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["out", "report"])
+    def test_out_or_report_in_the_way_exits_one_naming_it(self, workspace, capsys, blocked):
+        ref_dir = self._refs(workspace)
+        afile, adir = workspace["root"] / "afile", workspace["root"] / "adir"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        adir.mkdir()
+        argv = [
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", "1",
+            "--out", str(afile if blocked == "out" else workspace["root"] / "sweep"),
+        ]
+        if blocked == "report":
+            argv += ["--report", str(adir)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        if blocked == "out":
+            assert err.startswith(f"error: output dir {afile / 'step-1' / 'stateless'}: ")
+        else:
+            assert err.startswith(f"error: report {adir}: ")
+        assert "Traceback" not in err
+
     def test_out_root_must_differ_from_cache_dir(self, workspace, capsys):
         ref_dir = self._refs(workspace)
         out = workspace["root"] / "sweep-cache"
@@ -1032,6 +1074,93 @@ class TestParsers:
 
     def test_usage_error_maps_to_exit_one(self, capsys):
         assert main(["generate", "--nonsense"]) == 1
+
+    GENERATE = [
+        "generate", "--manifest", "m", "--templates", "race-ja", "--rate-model", "ja=character:8",
+        "--window-cap", "12", "--cache", "record", "--cache-dir", "c", "--seed", "3", "--jobs", "2",
+        "--force", "--strategy", "realtime", "--step", "0.5", "--shots", "2", "--max-history", "5",
+        "--backend", "oracle:r", "--out", "o", "--demos", "d.tsv", "--wall",
+    ]
+    EVALUATE = ["evaluate", "g", "r", "--scorer", "embedding", "--language", "ja", "--report", "e"]
+    SWEEP = [
+        "sweep", "--manifest", "m", "--templates", "t", "--rate-model", "en=word:3",
+        "--window-cap", "7", "--cache", "replay", "--cache-dir", "c", "--seed", "1", "--jobs", "1",
+        "--force", "--ref", "r", "--steps", "1,2", "--backend", "remote", "--out", "o",
+        "--report", "s",
+    ]
+
+    @pytest.fixture()
+    def ran(self, monkeypatch):
+        """The namespace each command was called with; the commands themselves do nothing."""
+        calls = []
+        for name in ("cmd_generate", "cmd_evaluate", "cmd_sweep"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or 0)
+        return calls
+
+    @staticmethod
+    def _outcome(parse, capsys):
+        """What a parse gives: its namespace, the help it prints, or its error message."""
+        try:
+            result = ("parsed", vars(parse()))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except CliError as exc:
+            result = ("error", str(exc))
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "-h"],
+            ["evaluate", "-h"],
+            ["sweep", "--help"],
+            ["-h"],
+            [],
+            ["bogus"],
+            ["--foo", "generate"],
+            ["generate"],
+            ["evaluate", "g"],
+            ["sweep", "--manifest", "m", "--out", "o"],
+            GENERATE + ["--nonsense"],
+            ["evaluate", "g", "r", "extra"],
+            GENERATE + ["--strategy", "fastest"],
+            GENERATE + ["--step", "two"],
+            SWEEP + ["--jobs", "x"],
+            GENERATE,
+            EVALUATE,
+            SWEEP,
+        ],
+        ids=lambda argv: (" ".join(argv) if len(argv) < 6 else f"{argv[0]} ... {argv[-1]}")
+        or "no-arguments",
+    )
+    def test_each_command_parses_as_the_whole_cli_does(self, argv, ran, capsys):
+        def via_main():
+            code = main(argv)
+            if code != 0:  # main printed the parse error
+                raise CliError(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+            return ran.pop()
+
+        one = self._outcome(via_main, capsys)
+        whole = self._outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert one == whole
+
+    def test_sweep_cells_take_generate_defaults(self):
+        generate, sweep = cli.build_parser("generate"), cli.build_parser("sweep")
+        for key in ("strategy", "step", "shots", "max_history", "demos", "wall"):
+            assert sweep.get_default(key) == generate.get_default(key), key
+
+    @pytest.mark.parametrize("argv", [GENERATE, EVALUATE, SWEEP], ids=lambda argv: argv[0])
+    def test_a_command_builds_one_parser(self, argv, ran, monkeypatch):
+        built = []
+
+        class CountedParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountedParser)
+        assert main(argv) == 0
+        assert built == [f"commentary {argv[0]}"]
 
 
 class TestOfflineImports:

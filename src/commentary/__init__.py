@@ -60,7 +60,6 @@ from .strategies import (
     StrategyConfig,
     StrategyKind,
     estimate_duration,
-    next_decision_time,
     run_session,
     select_window,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "frames_between",
     "load_manifest",
     "load_reference",
-    "next_decision_time",
     "overlap_proportion",
     "parse_response",
     "parse_srt",

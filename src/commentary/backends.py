@@ -172,11 +172,6 @@ class ScriptedBackend:
             raw = self._script.get(index, self._default)
         return GeneratorResponse(raw_text=raw, latency=0.0, model_id=self.model_id)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        """A backend that answers from the script file at `path` (see `read_script`)."""
-        return cls(*read_script(path))
-
 
 def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
     """The responses and the fallback of a script file of `key<TAB>response` lines.
@@ -599,6 +594,7 @@ def _image_type(path: Path) -> str:
     return _IMAGE_TYPES.get(path.suffix.lower(), "image/jpeg")
 
 
+# Kept: perfbench/tracing.py wraps it by this name; the chat backend sends frames without it.
 def encode_image_uri(uri: str) -> str:
     """Inline a local image as a base64 data URI; pass remote/data URIs through."""
     path = _local_path(uri)
@@ -610,6 +606,7 @@ def encode_image_uri(uri: str) -> str:
     return f"data:{_image_type(path)};base64,{base64.b64encode(data).decode('ascii')}"
 
 
+# Kept: perfbench wraps and imports it; the chat backend sends `chat_request_body` instead.
 def build_chat_payload(request: GeneratorRequest) -> dict:
     """Chat-completion JSON body with the prompt text and inline image parts."""
     parts: list[dict] = [{"type": "text", "text": request.prompt.text}]
@@ -669,65 +666,97 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     return b"".join(parts)
 
 
-_MAX_ATTEMPTS = 3  # per request, the first included, for chat and embedding clients alike
+class _Endpoint:
+    """A JSON endpoint's settings, its HTTP client and the retry loop of its POSTs.
 
-
-def _post_with_retry(
-    session: HttpSession,
-    url: str,
-    body: bytes,
-    api_key: str,
-    *,
-    timeout: float,
-    max_attempts: int,
-    backoff_base: float,
-    slots: threading.Semaphore,
-) -> tuple[HttpReply, float]:
-    """POST the JSON `body` and return the 200 reply with its latency in seconds.
-
-    Rate limits (429), server errors (5xx) and transport failures are retried
-    up to `max_attempts` in all, sleeping `backoff_base * 2**(n - 1)` seconds
-    before retry n; each retry is logged as a warning, and resends `body` as
-    it is. Each attempt holds one of `slots`. Other statuses raise their
-    typed `BackendError` at once.
+    `base_url`, `api_key` and `model_id` each come from the subclass's
+    environment variable in `_ENV` when not given. Unless a caller passes
+    its own session, the client is an `_HttpSession`, which reads the proxy,
+    CA-bundle and netrc settings once, here. The defaults are the chat
+    backend's.
     """
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    last_error: BackendError = TransportError("no attempt made")
-    for attempt in range(max_attempts):
-        if attempt:
-            delay = backoff_base * (2 ** (attempt - 1))
-            _warn(
-                "attempt %d of %d failed: %s; retrying in %g s",
-                attempt, max_attempts, last_error, delay,
-            )
-            time.sleep(delay)
-        with slots:
-            started = time.monotonic()
-            try:
-                resp = session.post(url, data=body, headers=headers, timeout=timeout)
-            except OSError as exc:  # raised by `_HttpSession` and `requests` alike
-                last_error = TransportError(f"request to {url} failed: {exc}")
-                continue
-            latency = time.monotonic() - started
-        if resp.status_code == 200:
-            return resp, latency
-        status = resp.status_code
-        if status in (401, 403):
-            raise AuthenticationError(f"{url} rejected the credentials ({status})")
-        if status == 413:
-            raise PayloadTooLargeError(f"{url} rejected the payload as too large (413)")
-        if status == 429:
-            last_error = RateLimitError(f"{url} rate limited the request (429)")
-        elif status >= 500:
-            last_error = TransportError(f"server error {status} from {url}")
-        else:
-            raise TransportError(f"unexpected status {status} from {url}: {resp.text[:200]}")
-    raise last_error
+
+    _ENV: tuple[str, str, str]  # the base URL, API key and model variables
+    _ENDPOINT = "endpoint"  # what the missing base URL's error calls it
+    _NEEDS_MODEL = True
+
+    def __init__(
+        self,
+        base_url: str | None = None,
+        api_key: str | None = None,
+        model_id: str | None = None,
+        timeout: float = 120.0,
+        max_attempts: int = 3,  # per request, the first included
+        backoff_base: float = 0.5,
+        max_concurrency: int = 4,
+        session: HttpSession | None = None,
+    ) -> None:
+        env_base, env_key, env_model = self._ENV
+        self.base_url = (base_url or os.environ.get(env_base, "")).rstrip("/")
+        if not self.base_url:
+            raise ValueError(f"no {self._ENDPOINT} configured; set {env_base} or pass base_url")
+        self.api_key = api_key if api_key is not None else os.environ.get(env_key, "")
+        self.model_id = model_id or os.environ.get(env_model, "")
+        if self._NEEDS_MODEL and not self.model_id:
+            raise ValueError(f"no model configured; set {env_model} or pass model_id")
+        self.timeout = timeout
+        self.max_attempts = max_attempts
+        self.backoff_base = backoff_base
+        self._session = session if session is not None else _HttpSession(self.base_url)
+        self._slots = threading.Semaphore(max_concurrency)
+
+    def _post(self, path: str, body: bytes) -> tuple[HttpReply, float]:
+        """POST the JSON `body` to `base_url + path`; the 200 reply and its latency in seconds.
+
+        Rate limits (429), server errors (5xx) and transport failures are retried
+        up to `max_attempts` in all, sleeping `backoff_base * 2**(n - 1)` seconds
+        before retry n; each retry is logged as a warning, and resends `body` as
+        it is. Each attempt holds one of the `max_concurrency` slots. Other
+        statuses raise their typed `BackendError` at once.
+        """
+        url = self.base_url + path
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        last_error: BackendError = TransportError("no attempt made")
+        for attempt in range(self.max_attempts):
+            if attempt:
+                delay = self.backoff_base * (2 ** (attempt - 1))
+                _warn(
+                    "attempt %d of %d failed: %s; retrying in %g s",
+                    attempt, self.max_attempts, last_error, delay,
+                )
+                time.sleep(delay)
+            with self._slots:
+                started = time.monotonic()
+                try:
+                    resp = self._session.post(url, data=body, headers=headers, timeout=self.timeout)
+                except OSError as exc:  # raised by `_HttpSession` and `requests` alike
+                    last_error = TransportError(f"request to {url} failed: {exc}")
+                    continue
+                latency = time.monotonic() - started
+            if resp.status_code == 200:
+                return resp, latency
+            status = resp.status_code
+            if status in (401, 403):
+                raise AuthenticationError(f"{url} rejected the credentials ({status})")
+            if status == 413:
+                raise PayloadTooLargeError(f"{url} rejected the payload as too large (413)")
+            if status == 429:
+                last_error = RateLimitError(f"{url} rate limited the request (429)")
+            elif status >= 500:
+                last_error = TransportError(f"server error {status} from {url}")
+            else:
+                raise TransportError(f"unexpected status {status} from {url}: {resp.text[:200]}")
+        raise last_error
+
+    def close(self) -> None:
+        """Close the idle connections of its own client; a caller's session stays open."""
+        if isinstance(self._session, _HttpSession):
+            self._session.close()
 
 
-class RemoteChatBackend:
+class RemoteChatBackend(_Endpoint):
     """Client for chat-completion endpoints that accept inline image attachments.
 
     Configured from COMMENTARY_API_BASE / COMMENTARY_API_KEY / COMMENTARY_MODEL
@@ -737,53 +766,17 @@ class RemoteChatBackend:
     are not.
     """
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        model_id: str | None = None,
-        timeout: float = 120.0,
-        max_attempts: int = _MAX_ATTEMPTS,
-        backoff_base: float = 0.5,
-        max_concurrency: int = 4,
-        session: HttpSession | None = None,
-    ) -> None:
-        self.base_url = (base_url or os.environ.get(ENV_API_BASE, "")).rstrip("/")
-        if not self.base_url:
-            raise ValueError(f"no endpoint configured; set {ENV_API_BASE} or pass base_url")
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
-        self.model_id = model_id or os.environ.get(ENV_MODEL, "")
-        if not self.model_id:
-            raise ValueError(f"no model configured; set {ENV_MODEL} or pass model_id")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self._session = session if session is not None else _HttpSession(self.base_url)
-        self._slots = threading.Semaphore(max_concurrency)
+    _ENV = (ENV_API_BASE, ENV_API_KEY, ENV_MODEL)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
             body = chat_request_body(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
-        resp, latency = _post_with_retry(
-            self._session,
-            f"{self.base_url}/chat/completions",
-            body,
-            self.api_key,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
-            slots=self._slots,
-        )
+        resp, latency = self._post("/chat/completions", body)
         return GeneratorResponse(
             raw_text=_extract_content(resp), latency=latency, model_id=self.model_id
         )
-
-    def close(self) -> None:
-        """Close the idle connections of the backend's own client; a caller's session stays open."""
-        if isinstance(self._session, _HttpSession):
-            self._session.close()
 
 
 def _extract_content(resp: HttpReply) -> str:

@@ -174,7 +174,7 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise CliError(f"--templates {args.templates}: {exc}") from exc
         strategy = StrategyConfig(
-            kind=StrategyKind.from_name(args.strategy),
+            kind=StrategyKind(args.strategy),
             step=args.step,
             window_cap=args.window_cap,
             icl_shots=args.shots,
@@ -429,10 +429,8 @@ def _generate(
 
     summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
     for video_id, record in sorted(records.items()):
-        (cfg.out_dir / f"{video_id}.srt").write_text(to_srt(record.track), encoding="utf-8")
-        (cfg.out_dir / f"{video_id}.trace").write_text(
-            render_trace(record, cfg.seed), encoding="utf-8"
-        )
+        _write(cfg.out_dir / f"{video_id}.srt", to_srt(record.track))
+        _write(cfg.out_dir / f"{video_id}.trace", render_trace(record, cfg.seed))
         status = "complete" if record.complete else "partial"
         summary_lines.append(
             f"{video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
@@ -443,7 +441,7 @@ def _generate(
         )
         if not record.complete:
             print(f"  {record.error}", file=sys.stderr)
-    (cfg.out_dir / "summary.tsv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    _write(cfg.out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
     code = EXIT_OK if all(record.complete for record in records.values()) else EXIT_PARTIAL
     return code, records
 
@@ -503,14 +501,18 @@ def _report_rows(video_id: str, report: EvalReport) -> list[str]:
     return rows
 
 
+def _write(path: Path, text: str, label: str = "output") -> None:
+    """Write `text` to `path`, making its dir; an `OSError` is a CliError naming `path`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{label} {path}: {exc}") from exc
+
+
 def _write_report(path: str | None, lines: list[str]) -> None:
     if path:
-        report = Path(path)
-        try:
-            report.parent.mkdir(parents=True, exist_ok=True)
-            report.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"report {report}: {exc}") from exc
+        _write(Path(path), "\n".join(lines) + "\n", "report")
 
 
 def _load_pairs(

@@ -10,13 +10,11 @@ the report keys so the numbers stay interpretable.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import Counter
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .backends import _MAX_ATTEMPTS, HttpSession, _HttpSession, _post_with_retry
+from .backends import HttpSession, _Endpoint
 from .core import CommentaryTrack, Record, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_WORD,
@@ -64,7 +62,7 @@ class LexicalOverlapScorer:
         return 2 * precision * recall / (precision + recall)
 
 
-class EmbeddingScorer:
+class EmbeddingScorer(_Endpoint):
     """Cosine similarity of embeddings fetched from a remote endpoint.
 
     Configured from COMMENTARY_EMBED_API_BASE / _KEY / _MODEL unless
@@ -73,6 +71,10 @@ class EmbeddingScorer:
     attempts in all with exponential backoff. Proxy, CA-bundle and netrc
     settings are read once, when the scorer is built.
     """
+
+    _ENV = (ENV_EMBED_API_BASE, ENV_EMBED_API_KEY, ENV_EMBED_MODEL)
+    _ENDPOINT = "embedding endpoint"
+    _NEEDS_MODEL = False
 
     def __init__(
         self,
@@ -84,32 +86,17 @@ class EmbeddingScorer:
         max_concurrency: int = 4,
         session: HttpSession | None = None,
     ) -> None:
-        self.base_url = (base_url or os.environ.get(ENV_EMBED_API_BASE, "")).rstrip("/")
-        if not self.base_url:
-            raise ValueError(
-                f"no embedding endpoint configured; set {ENV_EMBED_API_BASE} or pass base_url"
-            )
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_API_KEY, "")
-        self.model_id = model_id or os.environ.get(ENV_EMBED_MODEL, "")
-        self.timeout = timeout
-        self.backoff_base = backoff_base
-        self._session = session if session is not None else _HttpSession(self.base_url)
-        self._slots = threading.Semaphore(max_concurrency)
+        super().__init__(
+            base_url, api_key, model_id, timeout=timeout, backoff_base=backoff_base,
+            max_concurrency=max_concurrency, session=session,
+        )
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
         import json
 
+        body = json.dumps({"model": self.model_id, "input": texts}).encode("utf-8")
+        resp, _ = self._post("/embeddings", body)
         url = f"{self.base_url}/embeddings"
-        resp, _ = _post_with_retry(
-            self._session,
-            url,
-            json.dumps({"model": self.model_id, "input": texts}).encode("utf-8"),
-            self.api_key,
-            timeout=self.timeout,
-            max_attempts=_MAX_ATTEMPTS,
-            backoff_base=self.backoff_base,
-            slots=self._slots,
-        )
         try:
             data = resp.json()["data"]
             embeddings = [item["embedding"] for item in data]
@@ -129,11 +116,6 @@ class EmbeddingScorer:
         dot = sum(x * y for x, y in zip(a, b))
         norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
         return dot / norm if norm else 0.0
-
-    def close(self) -> None:
-        """Close the idle connections of the scorer's own client; a caller's session stays open."""
-        if isinstance(self._session, _HttpSession):
-            self._session.close()
 
 
 class WordStats(Record):
@@ -259,29 +241,20 @@ def _track_text(track: CommentaryTrack) -> str:
     return " ".join(u.text for u in track.utterances)
 
 
-def _track_language(gen: CommentaryTrack, ref: ReferenceTrack) -> str:
-    if gen.utterances:
-        return gen.utterances[0].language
-    if ref.utterances:
-        return ref.utterances[0].language
-    return "en"
-
-
 def evaluate(
     gen: CommentaryTrack,
     ref: ReferenceTrack,
     scorer: SimilarityScorer,
-    language: str | None = None,
+    language: str,
 ) -> EvalReport:
     """Assemble the full report for one generated/reference track pair."""
-    lang = language or _track_language(gen, ref)
     return EvalReport(
         alignment=timing_alignment(gen, ref),
-        rouge_l=rouge_l(_track_text(gen), _track_text(ref), lang),
+        rouge_l=rouge_l(_track_text(gen), _track_text(ref), language),
         bin_scores=tuple(binned_similarity(gen, ref, scorer)),
         overlap=overlap_proportion(track_entries(gen)),
-        gen_words=word_stats([gen], lang),
-        ref_words=word_stats([ref], lang),
+        gen_words=word_stats([gen], language),
+        ref_words=word_stats([ref], language),
     )
 
 

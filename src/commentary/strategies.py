@@ -50,14 +50,6 @@ class StrategyKind(Enum):
     FEEDBACK_ICL = "feedback-icl"
     REALTIME = "realtime"
 
-    @classmethod
-    def from_name(cls, name: str) -> "StrategyKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown strategy {name!r}; valid: {valid}")
-
 
 class SpeechRate(Record):
     """Speaking speed for one language: units per second of speech."""
@@ -164,15 +156,6 @@ class StrategyConfig(Record):
             language=language,
             max_history=max_history,
         )
-
-
-def next_decision_time(
-    config: StrategyConfig, t_i: Seconds, outcome: DecisionOutcome
-) -> Seconds:
-    """Schedule the next decision after outcome at t_i, to the millisecond."""
-    check_seconds(t_i, "t_i")
-    spoken_ms = _spoken_ms(config, outcome.text) if isinstance(outcome, Speak) else None
-    return from_ms(to_ms(t_i) + _advance_ms(config, spoken_ms))
 
 
 def _spoken_ms(config: StrategyConfig, text: str) -> int:

@@ -49,6 +49,7 @@ from commentary.backends import (
     build_chat_payload,
     chat_request_body,
     encode_image_uri,
+    read_script,
 )
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
@@ -99,7 +100,7 @@ class TestScriptedBackend:
     def test_from_file(self, tmp_path):
         path = tmp_path / "script.tsv"
         path.write_text("0\thello there race fans\n2\t<WAIT>\ndefault\tmore racing\n", encoding="utf-8")
-        backend = ScriptedBackend.from_file(path)
+        backend = ScriptedBackend(*read_script(path))
         texts = [backend.generate(request_for()).raw_text for _ in range(3)]
         assert texts == ["hello there race fans", "more racing", "<WAIT>"]
 

@@ -121,6 +121,16 @@ class TestGenerate:
         assert err.startswith(f"error: output dir {workspace['root'] / out}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["race01.srt", "race01.trace", "summary.tsv"])
+    def test_output_file_blocked_by_a_dir_exits_one_naming_it(self, workspace, capsys, name):
+        blocked = workspace["root"] / "out" / name
+        blocked.mkdir(parents=True)
+        # --force lets a run past an existing <id>.trace, as far as writing it.
+        assert main(gen_args(workspace, force=True)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output {blocked}: ")
+        assert "Traceback" not in err
+
     def test_out_dir_must_differ_from_cache_dir(self, workspace):
         out = workspace["root"] / "same"
         args = gen_args(workspace, out="same", cache="record", cache_dir=str(out))
@@ -1227,3 +1237,18 @@ class TestOfflineImports:
 
     def test_oracle_generate_and_evaluate_load_no_pool_logging_or_encoders(self, workspace):
         assert self._run(workspace)["unused"] == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """`perfbench/tracing.py` reaches into the program's modules by name; installing it
+    in a fresh interpreter fails if a name it wraps is gone."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from perfbench import tracing; tracing.install(tracing.Tracer())"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

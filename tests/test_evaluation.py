@@ -232,7 +232,7 @@ class TestScorers:
 class TestEvaluate:
     def test_self_evaluation(self):
         t = track([utt(0.0, 2.0), utt(5.0, 1.0, "another line of talk")])
-        report = evaluate(t, t, LexicalOverlapScorer())
+        report = evaluate(t, t, LexicalOverlapScorer(), "en")
         assert report.alignment == 1.0
         assert report.rouge_l == 100.0
         assert report.overlap == 0.0
@@ -241,7 +241,7 @@ class TestEvaluate:
     def test_empty_gen_against_reference(self):
         gen = track([], duration=10.0)
         ref = track([utt(2.0, 2.0)], duration=10.0)  # speaking {2, 3}
-        report = evaluate(gen, ref, LexicalOverlapScorer())
+        report = evaluate(gen, ref, LexicalOverlapScorer(), "en")
         assert report.alignment == 0.8
         assert report.rouge_l == 0.0
 
@@ -254,12 +254,12 @@ class TestEvaluate:
         )
         gen = reference_from_srt_text(text, "v", 2.0, "en")
         assert gen.utterances[0].end == gen.utterances[1].start
-        assert evaluate(gen, gen, LexicalOverlapScorer()).overlap == 0.0
+        assert evaluate(gen, gen, LexicalOverlapScorer(), "en").overlap == 0.0
 
     def test_overlapping_gen_track_reports_overlap(self):
         gen = track([utt(0.0, 5.0), utt(2.0, 5.0), utt(20.0, 1.0)], duration=30.0)
         ref = track([], duration=30.0)
-        report = evaluate(gen, ref, LexicalOverlapScorer())
+        report = evaluate(gen, ref, LexicalOverlapScorer(), "en")
         assert report.overlap == pytest.approx(1 / 2)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commentary.backends import ScriptedBackend
+from commentary.backends import read_script
 from commentary.cli import main
 from commentary.evaluation import load_reference, parse_transcript
 from commentary.media import load_manifest
@@ -46,7 +46,7 @@ PARSERS = {
     "load_manifest": _from_file(load_manifest, ".manifest"),
     "load_template": _from_file(load_template, ".txt"),
     "load_demonstrations": _from_file(load_demonstrations, ".tsv"),
-    "ScriptedBackend.from_file": _from_file(ScriptedBackend.from_file, ".tsv"),
+    "read_script": _from_file(read_script, ".tsv"),
     "load_reference-srt": _from_file(lambda path: load_reference(path, "v", 60.0, "en"), ".srt"),
     "load_reference-tsv": _from_file(lambda path: load_reference(path, "v", 60.0, "ja"), ".tsv"),
 }

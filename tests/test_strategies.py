@@ -21,7 +21,6 @@ from commentary import (
     StrategyKind,
     Wait,
     estimate_duration,
-    next_decision_time,
     overlap_proportion,
     parse_srt,
     run_session,
@@ -88,23 +87,31 @@ class TestEstimateDuration:
 
 
 class TestNextDecisionTime:
+    """When `run_session` holds the decision that follows one at 10 s."""
+
+    @staticmethod
+    def _after_ten(kind, reply):
+        """The time of the decision after the one at 10 s, which gets `reply`; all others wait."""
+        cfg = StrategyConfig(kind=kind, step=2.0)
+        backend = ScriptedBackend({5: reply})
+        record = run_session(synth_store(duration=20.0), cfg, backend, SimulatedClock(), prompt_set())
+        times = [s.point.time for s in record.steps]
+        assert times[5] == 10.0
+        return times[6]
+
     def test_fixed_ignores_outcome(self):
-        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
-        assert next_decision_time(cfg, 10.0, Wait()) == 12.0
-        assert next_decision_time(cfg, 10.0, Speak("a long sentence about cars")) == 12.0
+        assert self._after_ten(StrategyKind.FEEDBACK, "<WAIT>") == 12.0
+        assert self._after_ten(StrategyKind.FEEDBACK, "a long sentence about cars") == 12.0
 
     def test_realtime_delays_by_spoken_duration(self):
-        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
         text = " ".join(["word"] * 21)  # 21 words / 4 wps = 5.25 s
-        assert next_decision_time(cfg, 10.0, Speak(text)) == 15.25
+        assert self._after_ten(StrategyKind.REALTIME, text) == 15.25
 
     def test_realtime_floors_at_step(self):
-        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
-        assert next_decision_time(cfg, 10.0, Speak("go")) == 12.0
+        assert self._after_ten(StrategyKind.REALTIME, "go") == 12.0
 
     def test_realtime_wait_uses_step(self):
-        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
-        assert next_decision_time(cfg, 10.0, Wait()) == 12.0
+        assert self._after_ten(StrategyKind.REALTIME, "<WAIT>") == 12.0
 
 
 class TestSelectWindow:
@@ -152,9 +159,9 @@ class TestStrategyConfig:
             StrategyConfig(kind=StrategyKind.FEEDBACK, language="fr")
 
     def test_from_name(self):
-        assert StrategyKind.from_name("feedback-icl") is StrategyKind.FEEDBACK_ICL
+        assert StrategyKind("feedback-icl") is StrategyKind.FEEDBACK_ICL
         with pytest.raises(ValueError):
-            StrategyKind.from_name("nope")
+            StrategyKind("nope")
 
 
 class _FailingBackend:

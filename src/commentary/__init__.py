@@ -53,7 +53,6 @@ from .prompting import (
     render_init,
 )
 from .strategies import (
-    DecisionPoint,
     GenerationRecord,
     SpeechRate,
     SpeechRateModel,
@@ -73,7 +72,6 @@ __all__ = [
     "Clock",
     "CommentaryTrack",
     "DecisionOutcome",
-    "DecisionPoint",
     "Demonstration",
     "EmbeddingScorer",
     "EvalReport",

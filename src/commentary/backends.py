@@ -20,7 +20,7 @@ ENV_API_BASE = "COMMENTARY_API_BASE"
 ENV_API_KEY = "COMMENTARY_API_KEY"
 ENV_MODEL = "COMMENTARY_MODEL"
 
-DEFAULT_ATTACHMENT_LIMIT = 32
+ATTACHMENT_LIMIT = 32
 DEFAULT_MAX_OUTPUT_UNITS = 256
 DEFAULT_TEMPERATURE = 0.0
 
@@ -93,15 +93,14 @@ class GeneratorRequest(Record):
         max_output_units: int = DEFAULT_MAX_OUTPUT_UNITS,
         temperature: float = DEFAULT_TEMPERATURE,
         decision_time: Seconds | None = None,
-        attachment_limit: int = DEFAULT_ATTACHMENT_LIMIT,
     ) -> None:
         if max_output_units < 1:
             raise ValueError("max_output_units must be positive")
         if not 0.0 <= temperature <= 2.0:
             raise ValueError(f"temperature must lie in [0, 2], got {temperature}")
-        if len(prompt.attachments) > attachment_limit:
+        if len(prompt.attachments) > ATTACHMENT_LIMIT:
             raise PayloadTooLargeError(
-                f"{len(prompt.attachments)} attachments exceed the limit of {attachment_limit}"
+                f"{len(prompt.attachments)} attachments exceed the limit of {ATTACHMENT_LIMIT}"
             )
         self.__dict__.update(
             prompt=prompt,
@@ -109,7 +108,6 @@ class GeneratorRequest(Record):
             max_output_units=max_output_units,
             temperature=temperature,
             decision_time=decision_time,
-            attachment_limit=attachment_limit,
         )
 
     @cached_property

@@ -23,7 +23,7 @@ from .backends import (
     ScriptedBackend,
     read_script,
 )
-from .core import CommentaryTrack, Record, SimulatedClock, Speak, WallClock, replace
+from .core import CommentaryTrack, Record, SimulatedClock, WallClock, replace
 from .evaluation import (
     EmbeddingScorer,
     EvalReport,
@@ -321,7 +321,7 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
     status = "complete" if record.complete else f"aborted: {record.error}"
     lines = [
         f"#video_id\t{record.video_id}",
-        f"#duration\t{record.track.video_duration:.3f}",
+        f"#duration\t{record.video_duration:.3f}",
         f"#strategy\t{record.config.kind.value}",
         f"#step\t{record.config.step:g}",
         f"#window_cap\t{record.config.window_cap}",
@@ -331,23 +331,26 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
         f"#status\t{status}",
     ]
     for step in record.steps:
-        if isinstance(step.outcome, Speak):
-            verdict, text = "SPEAK", step.outcome.text.replace("\t", " ")
+        if step.utterance is not None:
+            verdict, text = "SPEAK", step.utterance.text.replace("\t", " ")
         else:
             verdict, text = "WAIT", ""
-        lines.append(
-            f"{step.point.index}\t{step.point.time:.3f}\t{step.prompt_digest}\t{verdict}\t{text}"
-        )
+        lines.append(f"{step.index}\t{step.time:.3f}\t{step.prompt_digest}\t{verdict}\t{text}")
     return "\n".join(lines) + "\n"
 
 
-def read_trace_duration(path: Path) -> float | None:
+def read_trace_header(path: Path) -> tuple[float | None, str | None]:
+    """The `#duration` and `#language` of a trace's header, None for a line it lacks."""
+    duration = language = None
     for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#duration\t"):
-            return float(line.split("\t", 1)[1])
         if not line.startswith("#"):
             break
-    return None
+        key, _, value = line.partition("\t")
+        if key == "#duration":
+            duration = float(value)
+        elif key == "#language":
+            language = value
+    return duration, language
 
 
 def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
@@ -478,9 +481,12 @@ def _display_ends(path: Path) -> list[float]:
     return [start for start, _ in parse_transcript(text)]
 
 
-def _pair_duration(trace: Path, gen_path: Path, ref_path: Path) -> float:
+def _pair_duration(trace: Path, gen_path: Path, ref_path: Path, language: str) -> float:
+    """The video's duration; a trace made in a language other than `language` is a CliError."""
     if trace.exists():
-        duration = _naming(trace, read_trace_duration)
+        duration, traced = _naming(trace, read_trace_header)
+        if traced is not None and traced != language:
+            raise CliError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
         if duration is not None:
             return duration
     # No trace at hand: take the latest display end across both sides.
@@ -539,7 +545,7 @@ def _load_pairs(
         ref_path = ref_files[video_id]
         gen_path = gen_dir / f"{video_id}.srt"
         try:
-            duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path)
+            duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path, language)
             gen_track = _naming(gen_path, load_reference, video_id, duration, language)
             ref_track = _naming(ref_path, load_reference, video_id, duration, language)
         except (ValueError, OSError) as exc:
@@ -627,7 +633,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     args.backend = args.backend or f"oracle:{ref_dir}"
     base = _run_config_from_args(args)
     try:
-        strategies = [replace(base.strategy, step=step) for step in steps]
+        # Every cell's config is checked before the first runs.
+        cells = [
+            [replace(base.strategy, step=step, kind=kind) for kind in SWEEP_KINDS] for step in steps
+        ]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     stores = _load_stores(base.manifest)
@@ -637,13 +646,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     table_lines = ["step\tstateless\tfeedback\treal-time\tavg"]
     worst = EXIT_OK
-    for strategy in strategies:
+    for row in cells:
         values = []
-        for kind in SWEEP_KINDS:
+        for strategy in row:
             cfg = replace(
                 base,
-                strategy=replace(strategy, kind=kind),
-                out_dir=base.out_dir / f"step-{strategy.step:g}" / kind.value,
+                strategy=strategy,
+                out_dir=base.out_dir / f"step-{strategy.step:g}" / strategy.kind.value,
             )
             code, records = _generate(cfg, stores, oracle_refs)
             worst = max(worst, code)

@@ -119,6 +119,8 @@ def load_manifest(path: str | Path) -> FrameStore:
         uri = parts[1].strip()
         if not uri:
             raise ManifestError(f"{path}:{lineno}: empty frame uri")
+        if "\0" in uri:
+            raise ManifestError(f"{path}:{lineno}: NUL character in frame uri")
         if second < 0 or second >= n:
             raise ManifestError(f"{path}:{lineno}: second {second} outside [0, {n})")
         if second in frames:

@@ -236,6 +236,8 @@ def load_demonstrations(path: str | Path) -> list[Demonstration]:
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise ValueError(f"{path}:{lineno}: expected 'uri<TAB>utterance_text'")
         uri, text = parts[0].strip(), parts[1].strip()
+        if "\0" in uri:
+            raise ValueError(f"{path}:{lineno}: NUL character in frame uri")
         ref = FrameRef(video_id="demo", second=0, uri=uri)
         window = FrameWindow(frames=(ref,), window_start=0.0, window_end=0.0)
         demos.append(Demonstration(frames=window, utterance_text=text))

@@ -9,13 +9,13 @@ window to everything elapsed since the previous query.
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from typing import Sequence
 
 from .backends import (
-    DEFAULT_MAX_OUTPUT_UNITS,
-    DEFAULT_TEMPERATURE,
+    ATTACHMENT_LIMIT,
     BackendError,
     Generator,
     GeneratorRequest,
@@ -24,12 +24,10 @@ from .backends import (
 from .core import (
     Clock,
     CommentaryTrack,
-    DecisionOutcome,
     Record,
     Seconds,
     Speak,
     Utterance,
-    Wait,
     check_seconds,
     from_ms,
     to_ms,
@@ -146,6 +144,15 @@ class StrategyConfig(Record):
             raise ValueError("icl_shots apply to the feedback-icl strategy only")
         if max_history is not None and max_history < 0:
             raise ValueError("max_history must be non-negative")
+        # The most frames a window holds: fixed kinds look back one step.
+        frames = window_cap
+        if kind is not StrategyKind.REALTIME:
+            frames = min(window_cap, max(1, math.ceil(step)))
+        if frames + icl_shots > ATTACHMENT_LIMIT:
+            raise ValueError(
+                f"window_cap {window_cap}: windows of {frames} frames and {icl_shots} "
+                f"demonstrations exceed the attachment limit of {ATTACHMENT_LIMIT}"
+            )
         rate_model.for_language(language)
         self.__dict__.update(
             kind=kind,
@@ -190,51 +197,46 @@ def select_window(
     return frames_between(store, start, t_i, config.window_cap)
 
 
-class DecisionPoint(Record):
-    def __init__(self, index: int, time: Seconds, window: FrameWindow, history_len: int) -> None:
-        self.__dict__.update(index=index, time=time, window=window, history_len=history_len)
-
-
 class SessionStep(Record):
-    """One executed decision: where, what was asked, what came back."""
+    """One executed decision: when, over which frames, what was asked, what came back,
+    and the utterance a Speak put on the track (None after a Wait)."""
 
     def __init__(
         self,
-        point: DecisionPoint,
+        index: int,
+        time: Seconds,
+        window: FrameWindow,
+        history_len: int,
         prompt_digest: str,
         raw_response: str,
-        outcome: DecisionOutcome,
+        utterance: Utterance | None,
         note: str = "",
     ) -> None:
         self.__dict__.update(
-            point=point,
-            prompt_digest=prompt_digest,
-            raw_response=raw_response,
-            outcome=outcome,
-            note=note,
+            index=index, time=time, window=window, history_len=history_len,
+            prompt_digest=prompt_digest, raw_response=raw_response, utterance=utterance, note=note,
         )
 
 
 class GenerationRecord(Record):
-    """Full trace of one session; basis for replay, subtitles and evaluation."""
+    """Full trace of one session; basis for replay, subtitles and evaluation.
+
+    Its `track` is derived: the utterances of its steps, in order.
+    """
 
     def __init__(
         self,
         video_id: str,
         config: StrategyConfig,
         steps: tuple[SessionStep, ...],
-        track: CommentaryTrack,
+        video_duration: Seconds,
         error: str | None = None,
     ) -> None:
         steps = tuple(steps)
-        speaks = [s for s in steps if isinstance(s.outcome, Speak)]
-        if len(speaks) != len(track.utterances):
-            raise ValueError("track utterances must match the Speak outcomes")
-        for step, u in zip(speaks, track.utterances):
-            if step.outcome.text != u.text or step.point.time != u.start:
-                raise ValueError("track utterances must match the Speak outcomes in order")
+        utterances = tuple([s.utterance for s in steps if s.utterance is not None])
         self.__dict__.update(
-            video_id=video_id, config=config, steps=steps, track=track, error=error
+            video_id=video_id, config=config, steps=steps, video_duration=video_duration,
+            error=error, track=CommentaryTrack(video_id, utterances, video_duration),
         )
 
     @property
@@ -248,9 +250,6 @@ def run_session(
     backend: Generator,
     clock: Clock,
     prompts: PromptSet,
-    *,
-    max_output_units: int = DEFAULT_MAX_OUTPUT_UNITS,
-    temperature: float = DEFAULT_TEMPERATURE,
 ) -> GenerationRecord:
     """Run one video end to end and return its trace.
 
@@ -267,7 +266,6 @@ def run_session(
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
     history: tuple[str, ...] = ()
-    utterances: list[Utterance] = []
     steps: list[SessionStep] = []
     error: str | None = None
     t_ms = 0
@@ -282,16 +280,9 @@ def run_session(
             rendered = render_init(prompts.init, window)
         else:
             rendered = renderer.render(history, window)
-        point = DecisionPoint(index=index, time=t, window=window, history_len=len(history))
 
         try:
-            request = GeneratorRequest(
-                prompt=rendered,
-                model_id=backend.model_id,
-                max_output_units=max_output_units,
-                temperature=temperature,
-                decision_time=t,
-            )
+            request = GeneratorRequest(prompt=rendered, model_id=backend.model_id, decision_time=t)
             response = backend.generate(request)
         except ReplayMissError:
             raise
@@ -299,37 +290,28 @@ def run_session(
             error = f"backend failure at step {index} (t={t:.3f}s): {exc}"
             break
 
-        outcome = parse_response(response.raw_text)
-        note = ""
-        if isinstance(outcome, Wait) and not response.raw_text.strip():
-            note = "empty-response-wait"
-        elif isinstance(outcome, Speak) and _WAIT_MENTION.search(outcome.text):
-            note = "wait-plus-content"
-        spoken_ms = None
+        raw = response.raw_text
+        outcome = parse_response(raw)
+        note = "" if raw.strip() else "empty-response-wait"  # an empty reply is a Wait
+        spoken_ms = utterance = None
         if isinstance(outcome, Speak):
+            if _WAIT_MENTION.search(outcome.text):
+                note = "wait-plus-content"
             spoken_ms = _spoken_ms(config, outcome.text)
-            utterances.append(
-                Utterance(
-                    text=outcome.text,
-                    language=config.language,
-                    start=t,
-                    # At least 1 ms, so that every utterance shows as an SRT entry.
-                    est_duration=from_ms(max(1, spoken_ms)),
-                )
+            utterance = Utterance(
+                text=outcome.text,
+                language=config.language,
+                start=t,
+                # At least 1 ms, so that every utterance shows as an SRT entry.
+                est_duration=from_ms(max(1, spoken_ms)),
             )
-            if config.kind is not StrategyKind.STATELESS:
-                history = (*history, outcome.text)
-                if config.max_history is not None:
-                    history = history[len(history) - config.max_history :]
         steps.append(
-            SessionStep(
-                point=point,
-                prompt_digest=rendered.digest,
-                raw_response=response.raw_text,
-                outcome=outcome,
-                note=note,
-            )
+            SessionStep(index, t, window, len(history), rendered.digest, raw, utterance, note)
         )
+        if utterance is not None and config.kind is not StrategyKind.STATELESS:
+            history = (*history, utterance.text)
+            if config.max_history is not None:
+                history = history[len(history) - config.max_history :]
 
         t_last_query = t
         t_ms += _advance_ms(config, spoken_ms)
@@ -341,15 +323,4 @@ def run_session(
             break
         index += 1
 
-    track = CommentaryTrack(
-        video_id=store.video_id,
-        utterances=tuple(utterances),
-        video_duration=store.video_duration,
-    )
-    return GenerationRecord(
-        video_id=store.video_id,
-        config=config,
-        steps=tuple(steps),
-        track=track,
-        error=error,
-    )
+    return GenerationRecord(store.video_id, config, steps, store.video_duration, error)

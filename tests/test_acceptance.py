@@ -360,7 +360,7 @@ def test_criterion_09_live_endpoint_smoke(tmp_path):
 
     prev_time = 0.0
     for step in record.steps:
-        t = step.point.time
+        t = step.time
         expected = [
             s
             for s in range(math.ceil(prev_time), math.ceil(max(t, prev_time + 1.0)))
@@ -369,7 +369,7 @@ def test_criterion_09_live_endpoint_smoke(tmp_path):
         if not expected:
             expected = [min(math.floor(prev_time), 59)]
         expected = expected[-30:]
-        assert [f.second for f in step.point.window.frames] == expected, step.point.index
+        assert [f.second for f in step.window.frames] == expected, step.index
         prev_time = t
 
     ok(9, "live realtime session: valid SRT, zero overlap, elapsed windows")

@@ -77,11 +77,6 @@ class TestGeneratorRequest:
         with pytest.raises(PayloadTooLargeError):
             request_for(heavy)
 
-    def test_custom_attachment_limit(self):
-        heavy = prompt(attachments=tuple(f"u{i}" for i in range(33)))
-        req = GeneratorRequest(prompt=heavy, model_id="m", attachment_limit=40)
-        assert len(req.prompt.attachments) == 33
-
 
 class TestScriptedBackend:
     def test_index_script_with_default(self):

@@ -13,7 +13,7 @@ import pytest
 
 import commentary
 from commentary import cli
-from commentary.cli import main, parse_rate_model, read_trace_duration
+from commentary.cli import main, parse_rate_model, read_trace_header
 from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
 from commentary.evaluation import EmbeddingScorer
@@ -237,6 +237,36 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert str(gap) in err and "missing a frame for second 1" in err
         assert "a.manifest" not in err
+
+    @pytest.mark.parametrize("file, line", [("manifest", 2), ("demos", 1)])
+    def test_nul_in_a_frame_uri_exits_one_naming_the_line(self, workspace, capsys, file, line):
+        demos = workspace["root"] / "demos.tsv"
+        demo_uri, frame_uri = ("d\x000.jpg", "f.jpg") if file == "demos" else ("d.jpg", "f\x000.jpg")
+        demos.write_text(f"{demo_uri}\tthe lights go out\n", encoding="utf-8")
+        workspace["manifest"].write_text(
+            f"#video_id\trace01\tduration\t1\n0\t{frame_uri}\n", encoding="utf-8"
+        )
+        args = gen_args(
+            workspace, strategy="feedback-icl", shots=1, demos=str(demos), cache="record",
+            cache_dir=str(workspace["root"] / "cache"),
+        )
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        path = workspace["manifest"] if file == "manifest" else demos
+        assert f"{path}:{line}: NUL character in frame uri" in err
+        assert "Traceback" not in err
+        assert not (workspace["root"] / "out").exists()
+
+    def test_windows_over_the_attachment_limit_exit_one_before_any_session(self, workspace, capsys):
+        write_manifest(workspace["manifest"], "race01", 120.0)
+        args = gen_args(workspace, strategy="stateless", step=40, window_cap=40)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: window_cap 40: windows of 40 frames and 0 demonstrations exceed the "
+            "attachment limit of 32\n"
+        )
+        assert not (workspace["root"] / "out").exists()
 
 
 def framed_workspace(ws, duration=10.0):
@@ -576,6 +606,15 @@ class TestEvaluateCommand:
         assert rows[("race01", "rouge_l_concat")] == "100.0000"
         assert rows[("corpus", "agreement@1s")] == "1.0000"
 
+    def test_trace_in_another_language_exits_one_naming_both(self, workspace, capsys):
+        gen_dir = self._generate(workspace)
+        report = workspace["root"] / "report.tsv"
+        argv = ["evaluate", str(gen_dir), str(gen_dir), "--report", str(report), "--language", "ja"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gen_dir / 'race01.trace'}: generated in 'en', but --language is 'ja'\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("report", ["adir", "afile/report.tsv"])
     def test_unwritable_report_exits_one_naming_it(self, workspace, capsys, report):
         gen_dir = self._generate(workspace)
@@ -870,6 +909,21 @@ class TestSweep:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    def test_a_cell_over_the_attachment_limit_exits_one_before_any_run(self, workspace, capsys):
+        ref_dir = self._refs(workspace)
+        out = workspace["root"] / "sweep-wide"
+        code = main([
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", "2,40",
+            "--window-cap", "40",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert "window_cap 40: windows of 40 frames and 0 " in capsys.readouterr().err
+
     @pytest.mark.parametrize("blocked", ["out", "report"])
     def test_out_or_report_in_the_way_exits_one_naming_it(self, workspace, capsys, blocked):
         ref_dir = self._refs(workspace)
@@ -1079,8 +1133,8 @@ class TestParsers:
 
     def test_trace_duration_reader(self, workspace):
         main(gen_args(workspace))
-        duration = read_trace_duration(workspace["root"] / "out" / "race01.trace")
-        assert duration == 10.0
+        header = read_trace_header(workspace["root"] / "out" / "race01.trace")
+        assert header == (10.0, "en")
 
     def test_usage_error_maps_to_exit_one(self, capsys):
         assert main(["generate", "--nonsense"]) == 1

@@ -217,8 +217,7 @@ class TestRecord:
                 request(),
                 "GeneratorRequest(prompt=RenderedPrompt(text='t', "
                 "attachments=('data:image/jpeg;base64,AAAA',), digest='0123456789abcdef'), "
-                "model_id='m', max_output_units=256, temperature=0.0, decision_time=2.0, "
-                "attachment_limit=32)",
+                "model_id='m', max_output_units=256, temperature=0.0, decision_time=2.0)",
             ),
             (Wait(), "Wait()"),
         ],
@@ -237,9 +236,7 @@ class TestRecord:
         read, fresh = request(), request()
         assert read.frame_bytes == {"data:image/jpeg;base64,AAAA": None}
         assert read == fresh
-        assert hash(read) == hash(fresh) == hash(
-            (read.prompt, "m", 256, 0.0, 2.0, 32)
-        )
+        assert hash(read) == hash(fresh) == hash((read.prompt, "m", 256, 0.0, 2.0))
         assert repr(read) == repr(fresh)
 
     def test_records_of_other_types_differ(self):

@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from commentary import (
     CommentaryTrack,
-    GenerationRecord,
     ScriptedBackend,
     SimulatedClock,
-    Speak,
     SpeechRate,
     SpeechRateModel,
     StrategyConfig,
     StrategyKind,
-    Wait,
     estimate_duration,
     overlap_proportion,
     parse_srt,
@@ -95,7 +92,7 @@ class TestNextDecisionTime:
         cfg = StrategyConfig(kind=kind, step=2.0)
         backend = ScriptedBackend({5: reply})
         record = run_session(synth_store(duration=20.0), cfg, backend, SimulatedClock(), prompt_set())
-        times = [s.point.time for s in record.steps]
+        times = [s.time for s in record.steps]
         assert times[5] == 10.0
         return times[6]
 
@@ -154,6 +151,43 @@ class TestStrategyConfig:
                 StrategyConfig(kind=StrategyKind.FEEDBACK, step=step)
         assert StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.001).step == 0.001
 
+    @pytest.mark.parametrize(
+        "kind, step, window_cap, shots, frames",
+        [
+            (StrategyKind.REALTIME, 2.0, 33, None, 33),
+            (StrategyKind.FEEDBACK, 40.0, 40, None, 40),
+            (StrategyKind.STATELESS, 32.001, 40, None, 33),
+            (StrategyKind.FEEDBACK_ICL, 30.0, 30, 8, 30),
+            (StrategyKind.FEEDBACK_ICL, 0.5, 30, 32, 1),
+        ],
+    )
+    def test_windows_and_demonstrations_must_fit_the_attachment_limit(
+        self, kind, step, window_cap, shots, frames
+    ):
+        with pytest.raises(ValueError) as info:
+            StrategyConfig(kind=kind, step=step, window_cap=window_cap, icl_shots=shots)
+        assert str(info.value) == (
+            f"window_cap {window_cap}: windows of {frames} frames and {shots or 0} "
+            "demonstrations exceed the attachment limit of 32"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, step, window_cap, shots",
+        [
+            (StrategyKind.REALTIME, 40.0, 32, None),
+            (StrategyKind.FEEDBACK, 40.0, 32, None),
+            (StrategyKind.STATELESS, 32.0, 40, None),
+            (StrategyKind.FEEDBACK_ICL, 24.0, 30, 8),
+            (StrategyKind.FEEDBACK_ICL, 0.5, 30, 31),
+        ],
+    )
+    def test_a_config_at_the_attachment_limit_runs_to_the_end(self, kind, step, window_cap, shots):
+        cfg = StrategyConfig(kind=kind, step=step, window_cap=window_cap, icl_shots=shots)
+        prompts = prompt_set(demonstrations=_demos(cfg.icl_shots))
+        record = run_session(synth_store(duration=100.0), cfg, ScriptedBackend(), SimulatedClock(), prompts)
+        assert record.complete
+        assert max(len(s.window.frames) for s in record.steps) + cfg.icl_shots == 32
+
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, language="fr")
@@ -198,7 +232,7 @@ class TestRunSession:
         store = synth_store(duration=10.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         record = run_session(store, cfg, ScriptedBackend(), SimulatedClock(), prompt_set())
-        assert [s.point.time for s in record.steps] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert [s.time for s in record.steps] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
         assert record.track.utterances == ()
         assert record.complete
 
@@ -207,7 +241,7 @@ class TestRunSession:
         cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
         backend = ScriptedBackend({0: " ".join(["word"] * 16)})
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert [s.point.time for s in record.steps] == [0.0, 4.0, 6.0, 8.0, 10.0]
+        assert [s.time for s in record.steps] == [0.0, 4.0, 6.0, 8.0, 10.0]
         assert len(record.track.utterances) == 1
         assert record.track.utterances[0].est_duration == 4.0
 
@@ -224,14 +258,14 @@ class TestRunSession:
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         record = run_session(store, cfg, ScriptedBackend(), SimulatedClock(), prompt_set())
         assert len(record.steps) == 1
-        assert record.steps[0].point.index == 0
+        assert record.steps[0].index == 0
 
     def test_stateless_history_is_always_empty(self):
         store = synth_store(duration=10.0)
         cfg = StrategyConfig(kind=StrategyKind.STATELESS, step=2.0)
         backend = ScriptedBackend(default="the race goes on and on")
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert all(s.point.history_len == 0 for s in record.steps)
+        assert all(s.history_len == 0 for s in record.steps)
         assert len(record.track.utterances) == 6
 
     def test_feedback_history_grows(self):
@@ -239,14 +273,14 @@ class TestRunSession:
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         backend = ScriptedBackend(default="the race goes on and on")
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert [s.point.history_len for s in record.steps] == [0, 1, 2, 3, 4, 5]
+        assert [s.history_len for s in record.steps] == [0, 1, 2, 3, 4, 5]
 
     def test_max_history_caps_context(self):
         store = synth_store(duration=10.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0, max_history=2)
         backend = ScriptedBackend(default="the race goes on and on")
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert [s.point.history_len for s in record.steps] == [0, 1, 2, 2, 2, 2]
+        assert [s.history_len for s in record.steps] == [0, 1, 2, 2, 2, 2]
 
     def test_deterministic_given_simulated_clock(self):
         store = synth_store(duration=20.0)
@@ -271,14 +305,14 @@ class TestRunSession:
         backend = _ClockPushingBackend(clock, delay=5.0)
         record = run_session(store, cfg, backend, clock, prompt_set())
         # Scheduled times would be 0,2,4..., but each reply lands 5 s later.
-        assert [s.point.time for s in record.steps] == [0.0, 5.0, 10.0, 15.0, 20.0]
+        assert [s.time for s in record.steps] == [0.0, 5.0, 10.0, 15.0, 20.0]
 
     def test_empty_response_noted_as_wait(self):
         store = synth_store(duration=2.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         backend = ScriptedBackend(default="")
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert all(isinstance(s.outcome, Wait) for s in record.steps)
+        assert all(s.utterance is None for s in record.steps)
         assert all(s.note == "empty-response-wait" for s in record.steps)
 
     def test_wait_plus_content_is_spoken_and_flagged(self):
@@ -286,7 +320,7 @@ class TestRunSession:
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         backend = ScriptedBackend({0: "WAIT, no - the red car crashes!"})
         record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
-        assert isinstance(record.steps[0].outcome, Speak)
+        assert record.steps[0].utterance.text == "WAIT, no - the red car crashes!"
         assert record.steps[0].note == "wait-plus-content"
 
     def test_fixed_decision_count_grid(self):
@@ -358,10 +392,10 @@ class TestMillisecondGrid:
 
         realtime = kind is StrategyKind.REALTIME
         times_ms = reference_decision_ms(duration_ms, step_ms, realtime, spoken_ms)
-        assert [s.point.time for s in record.steps] == [t / 1000 for t in times_ms]
+        assert [s.time for s in record.steps] == [t / 1000 for t in times_ms]
         # Realtime looks back to the previous decision, the fixed kinds one step.
         starts_ms = [0, *times_ms[:-1]] if realtime else [max(0, t - step_ms) for t in times_ms]
-        assert [s.point.window for s in record.steps] == [
+        assert [s.window for s in record.steps] == [
             reference_frames_between(store, a / 1000, t / 1000, cfg.window_cap)
             for a, t in zip(starts_ms, times_ms)
         ]
@@ -442,7 +476,7 @@ class TestRendererInTheSession:
             calls.clear()
             record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
             assert len(record.steps) == 31
-            assert sum(isinstance(s.outcome, Speak) for s in record.steps) == 4
+            assert sum(s.utterance is not None for s in record.steps) == 4
             assert len(calls) == 1 + rebuilds
 
     def test_hashed_text_grows_with_the_history_not_its_square(self, monkeypatch):
@@ -474,7 +508,7 @@ class TestRendererInTheSession:
         prompts = PromptSet(init=prompt_set().init, decision=decision)
         record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompts)
         assert len(record.steps) == 600
-        said = [s.outcome.text for s in record.steps if isinstance(s.outcome, Speak)]
+        said = [s.utterance.text for s in record.steps if s.utterance is not None]
         assert len(said) == 200
         history_bytes = len(prompting.serialize_history(said).encode("utf-8"))
         # A rehash of the whole text per Speak would hash about 100 times the history.
@@ -482,20 +516,16 @@ class TestRendererInTheSession:
 
 
 class TestGenerationRecord:
-    def test_rejects_mismatched_track(self):
-        store = synth_store(duration=2.0)
+    def test_track_is_the_utterances_of_the_steps(self):
+        store = synth_store(duration=6.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
-        record = run_session(
-            store, cfg, ScriptedBackend(default="one two three four"), SimulatedClock(), prompt_set()
-        )
-        bad_track = CommentaryTrack("v1", (), 2.0)
-        with pytest.raises(ValueError):
-            GenerationRecord(
-                video_id="v1",
-                config=cfg,
-                steps=record.steps,
-                track=bad_track,
-            )
+        backend = ScriptedBackend({1: "red car leads", 3: "blue car passes"})
+        record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
+        said = [s.utterance for s in record.steps if s.utterance is not None]
+        assert record.track == CommentaryTrack("v1", tuple(said), 6.0)
+        assert [(u.start, u.text) for u in said] == [(2.0, "red car leads"), (6.0, "blue car passes")]
+        # Derived, so it is no field: it takes no part in the record's repr.
+        assert "track=" not in repr(record)
 
     def test_speech_rate_validation(self):
         with pytest.raises(ValueError):

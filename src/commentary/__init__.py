@@ -39,7 +39,6 @@ from .evaluation import (
     load_reference,
     rouge_l,
     timing_alignment,
-    word_stats,
 )
 from .media import FrameRef, FrameStore, FrameWindow, frames_between, load_manifest
 from .prompting import (
@@ -120,5 +119,4 @@ __all__ = [
     "speaking_timeline",
     "timing_alignment",
     "to_srt",
-    "word_stats",
 ]

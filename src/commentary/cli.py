@@ -25,6 +25,7 @@ from .backends import (
 )
 from .core import CommentaryTrack, Record, SimulatedClock, WallClock, replace
 from .evaluation import (
+    BIN_COUNT,
     EmbeddingScorer,
     EvalReport,
     LexicalOverlapScorer,
@@ -35,7 +36,6 @@ from .evaluation import (
     parse_transcript,
     reference_from_srt_text,  # noqa: F401 (perfbench/tracing.py wraps it by this name)
     timing_alignment,
-    word_stats,
 )
 from .media import FrameStore, load_manifest
 from .prompting import (
@@ -70,6 +70,8 @@ SWEEP_KINDS = (StrategyKind.STATELESS, StrategyKind.FEEDBACK, StrategyKind.REALT
 KEY_ALIGNMENT = "agreement@1s"
 KEY_ROUGE = "rouge_l_concat"
 KEY_OVERLAP = "overlap_adjacent_pairs"
+# The EvalReport unit counts, each reported under its own name.
+COUNT_KEYS = ("gen_words", "ref_words")
 
 
 class CliError(Exception):
@@ -493,18 +495,9 @@ def _pair_duration(trace: Path, gen_path: Path, ref_path: Path, language: str) -
     return max([0.0, *_naming(gen_path, _display_ends), *_naming(ref_path, _display_ends)])
 
 
-def _report_rows(video_id: str, report: EvalReport) -> list[str]:
-    rows = [
-        f"{video_id}\t{KEY_ALIGNMENT}\t{report.alignment:.4f}",
-        f"{video_id}\t{KEY_ROUGE}\t{report.rouge_l:.4f}",
-        f"{video_id}\t{KEY_OVERLAP}\t{report.overlap:.4f}",
-    ]
-    rows.extend(
-        f"{video_id}\tbin_{i}\t{score:.4f}" for i, score in enumerate(report.bin_scores)
-    )
-    rows.append(f"{video_id}\tgen_words\t{report.gen_words.min}")
-    rows.append(f"{video_id}\tref_words\t{report.ref_words.min}")
-    return rows
+def _scores(report: EvalReport) -> dict[str, float]:
+    """The report's scores by report key, each a row and a stdout line per video and as a mean."""
+    return {KEY_ALIGNMENT: report.alignment, KEY_ROUGE: report.rouge_l, KEY_OVERLAP: report.overlap}
 
 
 def _write(path: Path, text: str, label: str = "output") -> None:
@@ -567,43 +560,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
                 raise CliError(f"{video_id}: {exc}") from exc
             reports.append(report)
-            rows.extend(_report_rows(video_id, report))
             print(f"video: {video_id}")
-            print(f"  {KEY_ALIGNMENT}: {report.alignment:.4f}")
-            print(f"  {KEY_ROUGE}: {report.rouge_l:.4f}")
-            print(f"  {KEY_OVERLAP}: {report.overlap:.4f}")
+            for key, value in _scores(report).items():
+                rows.append(f"{video_id}\t{key}\t{value:.4f}")
+                print(f"  {key}: {value:.4f}")
+            rows.extend(f"{video_id}\tbin_{i}\t{s:.4f}" for i, s in enumerate(report.bin_scores))
             print(f"  bin_scores: {' '.join(f'{s:.2f}' for s in report.bin_scores)}")
-            print(f"  gen_words: {report.gen_words.min}")
-            print(f"  ref_words: {report.ref_words.min}")
+            for key in COUNT_KEYS:
+                rows.append(f"{video_id}\t{key}\t{getattr(report, key)}")
+                print(f"  {key}: {getattr(report, key)}")
     finally:
         close = getattr(scorer, "close", None)  # the embedding scorer's; lexical has none
         if close is not None:
             close()
 
     n = len(reports)
-    corpus = {
-        KEY_ALIGNMENT: sum(r.alignment for r in reports) / n,
-        KEY_ROUGE: sum(r.rouge_l for r in reports) / n,
-        KEY_OVERLAP: sum(r.overlap for r in reports) / n,
-    }
-    gen_stats = word_stats([gen for _, gen, _ in pairs], language)
-    ref_stats = word_stats([ref for _, _, ref in pairs], language)
-    for key, value in corpus.items():
-        rows.append(f"corpus\t{key}\t{value:.4f}")
-    for i in range(10):
-        bin_avg = sum(r.bin_scores[i] for r in reports) / n
-        rows.append(f"corpus\tbin_{i}\t{bin_avg:.4f}")
-    rows.append(f"corpus\tgen_words_avg\t{gen_stats.avg:.4f}")
-    rows.append(f"corpus\tgen_words_min\t{gen_stats.min}")
-    rows.append(f"corpus\tgen_words_max\t{gen_stats.max}")
-    rows.append(f"corpus\tref_words_avg\t{ref_stats.avg:.4f}")
-    rows.append(f"corpus\tref_words_min\t{ref_stats.min}")
-    rows.append(f"corpus\tref_words_max\t{ref_stats.max}")
+    scores = [_scores(r) for r in reports]
     print(f"corpus ({n} videos)")
-    for key, value in corpus.items():
-        print(f"  {key}: {value:.4f}")
-    print(f"  gen_words avg/min/max: {gen_stats.avg:.1f}/{gen_stats.min}/{gen_stats.max}")
-    print(f"  ref_words avg/min/max: {ref_stats.avg:.1f}/{ref_stats.min}/{ref_stats.max}")
+    for key in scores[0]:
+        mean = sum(s[key] for s in scores) / n
+        rows.append(f"corpus\t{key}\t{mean:.4f}")
+        print(f"  {key}: {mean:.4f}")
+    for i in range(BIN_COUNT):
+        rows.append(f"corpus\tbin_{i}\t{sum(r.bin_scores[i] for r in reports) / n:.4f}")
+    for key in COUNT_KEYS:
+        counts = [getattr(r, key) for r in reports]
+        avg, low, high = sum(counts) / n, min(counts), max(counts)
+        rows.append(f"corpus\t{key}_avg\t{avg:.4f}")
+        rows += [f"corpus\t{key}_min\t{low}", f"corpus\t{key}_max\t{high}"]
+        print(f"  {key} avg/min/max: {avg:.1f}/{low}/{high}")
     _write_report(args.report, rows)
     return EXIT_OK
 

@@ -102,10 +102,15 @@ class EmbeddingScorer(_Endpoint):
             embeddings = [item["embedding"] for item in data]
         except (ValueError, LookupError, TypeError) as exc:
             raise ValueError(f"malformed embedding response from {url}: {exc!r}") from exc
-        if len(embeddings) != len(texts) or not all(isinstance(e, list) for e in embeddings):
+        # A bool is an int to Python, and zip would cut the longer vector short.
+        if (
+            len(embeddings) != len(texts)
+            or not all(isinstance(e, list) and len(e) == len(embeddings[0]) for e in embeddings)
+            or not all(type(x) in (int, float) and math.isfinite(x) for e in embeddings for x in e)
+        ):
             raise ValueError(
                 f"malformed embedding response from {url}: expected {len(texts)} "
-                f"embedding lists, got {len(embeddings)} items"
+                f"equal-length lists of finite numbers, got {len(embeddings)} items"
             )
         return embeddings
 
@@ -118,13 +123,6 @@ class EmbeddingScorer(_Endpoint):
         return dot / norm if norm else 0.0
 
 
-class WordStats(Record):
-    """Per-track total unit counts summarized across tracks."""
-
-    def __init__(self, avg: float, min: int, max: int) -> None:
-        self.__dict__.update(avg=avg, min=min, max=max)
-
-
 class EvalReport(Record):
     def __init__(
         self,
@@ -132,8 +130,8 @@ class EvalReport(Record):
         rouge_l: float,
         bin_scores: tuple[float, ...],
         overlap: float,
-        gen_words: WordStats,
-        ref_words: WordStats,
+        gen_words: int,
+        ref_words: int,
     ) -> None:
         if len(bin_scores) != BIN_COUNT:
             raise ValueError(f"bin_scores must hold {BIN_COUNT} values")
@@ -228,13 +226,10 @@ def binned_similarity(
     return scores
 
 
-def word_stats(tracks: Sequence[CommentaryTrack], language: str = "en") -> WordStats:
-    """Avg/min/max of per-track total unit counts."""
-    if not tracks:
-        raise ValueError("word_stats requires at least one track")
+def _unit_count(track: CommentaryTrack, language: str) -> int:
+    """Speech units (words, or characters for Japanese) over the whole track."""
     unit = default_unit_for_language(language)
-    totals = [sum(count_units(u.text, unit) for u in t.utterances) for t in tracks]
-    return WordStats(avg=sum(totals) / len(totals), min=min(totals), max=max(totals))
+    return sum(count_units(u.text, unit) for u in track.utterances)
 
 
 def _track_text(track: CommentaryTrack) -> str:
@@ -253,8 +248,8 @@ def evaluate(
         rouge_l=rouge_l(_track_text(gen), _track_text(ref), language),
         bin_scores=tuple(binned_similarity(gen, ref, scorer)),
         overlap=overlap_proportion(track_entries(gen)),
-        gen_words=word_stats([gen], language),
-        ref_words=word_stats([ref], language),
+        gen_words=_unit_count(gen, language),
+        ref_words=_unit_count(ref, language),
     )
 
 

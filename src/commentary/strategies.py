@@ -261,8 +261,8 @@ def run_session(
     propagates (it is a configuration problem, not a transient failure).
     """
     duration_ms = to_ms(store.video_duration)
-    demos = prompts.demonstrations if config.kind is StrategyKind.FEEDBACK_ICL else ()
-    renderer = DecisionRenderer(prompts.decision, demos)
+    # icl_shots is 0 for every kind but feedback-icl.
+    renderer = DecisionRenderer(prompts.decision, prompts.demonstrations[: config.icl_shots])
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
     history: tuple[str, ...] = ()

@@ -674,6 +674,83 @@ class TestEvaluateCommand:
         }
         assert rows[("race01", "ref_words")] == "7"
 
+    def test_two_video_report_and_stdout_are_pinned(self, tmp_path, capsys):
+        """Every row and line of a two-video run, with word counts that make the
+        corpus avg, min and max differ; with no trace, each pair's duration is
+        its latest display end (8 s and 4 s)."""
+        srts = {
+            "gen/a": [("00:00:00,000", "00:00:02,000", "the red car leads"),
+                      ("00:00:05,000", "00:00:06,000", "blue car passes now")],
+            "gen/b": [("00:00:01,000", "00:00:03,000", "a long safety car"),
+                      ("00:00:02,000", "00:00:04,000", "under yellow flags")],
+            "ref/a": [("00:00:00,000", "00:00:03,000", "the red car leads the race"),
+                      ("00:00:06,000", "00:00:08,000", "blue car passes")],
+            "ref/b": [("00:00:01,000", "00:00:04,000", "safety car")],
+        }
+        for name, entries in srts.items():
+            path = tmp_path / f"{name}.srt"
+            path.parent.mkdir(exist_ok=True)
+            blocks = (f"{start} --> {end}\n{text}\n" for start, end, text in entries)
+            path.write_text("\n".join(f"{i}\n{b}" for i, b in enumerate(blocks, 1)), "utf-8")
+        report = tmp_path / "report.tsv"
+        argv = ["evaluate", str(tmp_path / "gen"), str(tmp_path / "ref"), "--report", str(report)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == textwrap.dedent(
+            """\
+            video: a
+              agreement@1s: 0.5000
+              rouge_l_concat: 82.3529
+              overlap_adjacent_pairs: 0.0000
+              bin_scores: 0.80 0.00 0.00 0.00 0.00 0.00 0.00 0.00 0.00 0.00
+              gen_words: 8
+              ref_words: 9
+            video: b
+              agreement@1s: 1.0000
+              rouge_l_concat: 44.4444
+              overlap_adjacent_pairs: 1.0000
+              bin_scores: 0.00 0.00 0.67 0.00 0.00 0.00 0.00 0.00 0.00 0.00
+              gen_words: 7
+              ref_words: 2
+            corpus (2 videos)
+              agreement@1s: 0.7500
+              rouge_l_concat: 63.3987
+              overlap_adjacent_pairs: 0.5000
+              gen_words avg/min/max: 7.5/7/8
+              ref_words avg/min/max: 5.5/2/9
+            """
+        )
+        zeros = lambda vid, bins: "".join(f"{vid}\tbin_{i}\t0.0000\n" for i in bins)
+        assert read(report) == (
+            "a\tagreement@1s\t0.5000\n"
+            "a\trouge_l_concat\t82.3529\n"
+            "a\toverlap_adjacent_pairs\t0.0000\n"
+            "a\tbin_0\t0.8000\n"
+            + zeros("a", range(1, 10))
+            + "a\tgen_words\t8\n"
+            "a\tref_words\t9\n"
+            "b\tagreement@1s\t1.0000\n"
+            "b\trouge_l_concat\t44.4444\n"
+            "b\toverlap_adjacent_pairs\t1.0000\n"
+            + zeros("b", (0, 1))
+            + "b\tbin_2\t0.6667\n"
+            + zeros("b", range(3, 10))
+            + "b\tgen_words\t7\n"
+            "b\tref_words\t2\n"
+            "corpus\tagreement@1s\t0.7500\n"
+            "corpus\trouge_l_concat\t63.3987\n"
+            "corpus\toverlap_adjacent_pairs\t0.5000\n"
+            "corpus\tbin_0\t0.4000\n"
+            "corpus\tbin_1\t0.0000\n"
+            "corpus\tbin_2\t0.3333\n"
+            + zeros("corpus", range(3, 10))
+            + "corpus\tgen_words_avg\t7.5000\n"
+            "corpus\tgen_words_min\t7\n"
+            "corpus\tgen_words_max\t8\n"
+            "corpus\tref_words_avg\t5.5000\n"
+            "corpus\tref_words_min\t2\n"
+            "corpus\tref_words_max\t9\n"
+        )
+
     @pytest.mark.parametrize("failure", ["status-500", "connection-refused"])
     def test_embedding_endpoint_failure_exits_one(self, workspace, monkeypatch, capsys, failure):
         class FailingSession:
@@ -741,8 +818,19 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "body",
-        [{"error": "quota"}, {"data": [{"embedding": [1.0, 0.0]}]}],
-        ids=["no-data", "one-embedding-for-two-inputs"],
+        [
+            {"error": "quota"},
+            {"data": [{"embedding": [1.0, 0.0]}]},
+            {"data": [{"embedding": ["a"]}, {"embedding": ["b"]}]},
+            {"data": [{"embedding": [None]}, {"embedding": [None]}]},
+            {"data": [{"embedding": [1.0, 2.0, 3.0]}, {"embedding": [1.0]}]},
+            {"data": [{"embedding": [True, 1.0]}, {"embedding": [1.0, 0.0]}]},
+            {"data": [{"embedding": [float("nan"), 1.0]}, {"embedding": [1.0, 0.0]}]},
+        ],
+        ids=[
+            "no-data", "one-embedding-for-two-inputs", "string-component", "null-component",
+            "unequal-lengths", "bool-component", "nan-component",
+        ],
     )
     def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
         class MalformedSession:

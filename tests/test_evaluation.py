@@ -15,7 +15,6 @@ from commentary import (
     evaluate,
     rouge_l,
     timing_alignment,
-    word_stats,
 )
 from commentary.evaluation import (
     EmbeddingScorer,
@@ -173,30 +172,6 @@ class TestBinnedSimilarity:
             assert len(binned_similarity(gen, ref, LexicalOverlapScorer())) == 10
 
 
-class TestWordStats:
-    def test_single_track(self):
-        t = track([utt(0.0, 1.0, "one two three"), utt(5.0, 1.0, "four five")])
-        stats = word_stats([t])
-        assert stats.avg == stats.min == stats.max == 5
-
-    def test_two_tracks(self):
-        def of_words(n, vid):
-            return track([utt(0.0, 1.0, " ".join(["w"] * n))], video_id=vid)
-
-        stats = word_stats([of_words(180, "a"), of_words(866, "b")])
-        assert stats.avg == 523
-        assert stats.min == 180
-        assert stats.max == 866
-
-    def test_empty_track_counts_zero(self):
-        stats = word_stats([track([])])
-        assert stats.avg == stats.min == stats.max == 0
-
-    def test_requires_tracks(self):
-        with pytest.raises(ValueError):
-            word_stats([])
-
-
 class TestScorers:
     def test_lexical_f1_hand_computed(self):
         scorer = LexicalOverlapScorer()
@@ -237,6 +212,13 @@ class TestEvaluate:
         assert report.rouge_l == 100.0
         assert report.overlap == 0.0
         assert report.gen_words == report.ref_words
+
+    def test_unit_counts_are_whole_track_totals(self):
+        gen = track([utt(0.0, 1.0, "one two three"), utt(5.0, 1.0, "four five")])
+        report = evaluate(gen, track([]), LexicalOverlapScorer(), "en")
+        assert (report.gen_words, report.ref_words) == (5, 0)
+        ja = track([utt(0.0, 1.0, "赤い車"), utt(5.0, 1.0, "先頭だ")])
+        assert evaluate(ja, ja, LexicalOverlapScorer(unit="character"), "ja").gen_words == 6
 
     def test_empty_gen_against_reference(self):
         gen = track([], duration=10.0)

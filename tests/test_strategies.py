@@ -188,6 +188,25 @@ class TestStrategyConfig:
         assert record.complete
         assert max(len(s.window.frames) for s in record.steps) + cfg.icl_shots == 32
 
+    def test_a_session_attaches_icl_shots_of_a_larger_demonstration_pool(self):
+        attachments = []
+
+        class Recording(ScriptedBackend):
+            def generate(self, request):
+                attachments.append(request.prompt.attachments)
+                return super().generate(request)
+
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=2.0)
+        prompts = prompt_set(demonstrations=_demos(31))
+        store = synth_store(duration=10.0)
+        record = run_session(store, cfg, Recording(), SimulatedClock(), prompts)
+        assert record.complete
+        # The init prompt carries none; each decision prompt the first eight.
+        demo_counts = [sum(uri.startswith("file:///demo/") for uri in a) for a in attachments]
+        assert demo_counts == [0] + [8] * (len(record.steps) - 1)
+        first_eight = tuple(f"file:///demo/{i}.jpg" for i in range(8))
+        assert all(a[:8] == first_eight for a in attachments[1:])
+
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, language="fr")

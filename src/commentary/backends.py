@@ -205,6 +205,8 @@ class OracleBackend:
     """
 
     model_id = "oracle"
+    # Every Wait is this one immutable response.
+    _WAIT = GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=model_id)
 
     def __init__(self, reference: CommentaryTrack) -> None:
         self._reference = reference
@@ -228,7 +230,7 @@ class OracleBackend:
             self._emitted.add(i)
             text = self._reference.utterances[i].text
             return GeneratorResponse(raw_text=text, latency=0.0, model_id=self.model_id)
-        return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
+        return self._WAIT
 
 
 class HttpReply(Protocol):

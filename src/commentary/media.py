@@ -46,11 +46,16 @@ class FrameStore(Record):
 
     def __init__(self, video_id: str, video_duration: Seconds, frames: dict[int, FrameRef]) -> None:
         check_seconds(video_duration, "video_duration")
+        # The frames in second order, for `frames_between` to slice: empty unless
+        # the keys are 0..n-1, and then each window looks its seconds up.
+        n = len(frames)
+        ordered = tuple([frames[s] for s in range(n)]) if frames.keys() == set(range(n)) else ()
         self.__dict__.update(
             video_id=video_id,
             # Kept to the millisecond, the grid that sessions run on.
             video_duration=from_ms(to_ms(video_duration)),
             frames=frames,
+            _ordered=ordered,
         )
 
     @property
@@ -155,9 +160,15 @@ def frames_between(
         )
 
     n = store.frame_count
-    limit = max(t_b, t_a + 1.0)
-    seconds = range(math.ceil(t_a), min(math.ceil(limit), n))
-    if not seconds:
-        seconds = (min(math.floor(t_a), n - 1),)
-    refs = tuple(store.frames[s] for s in seconds[-cap:])
+    lo = math.ceil(t_a)
+    hi = min(math.ceil(max(t_b, t_a + 1.0)), n)
+    if lo >= hi:
+        lo = min(math.floor(t_a), n - 1)
+        hi = lo + 1
+    lo = max(lo, hi - cap)
+    if store._ordered:
+        refs = store._ordered[lo:hi]
+    else:
+        # A second missing from the store raises KeyError(second).
+        refs = tuple([store.frames[s] for s in range(lo, hi)])
     return FrameWindow(frames=refs, window_start=t_a, window_end=t_b)

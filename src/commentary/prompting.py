@@ -8,7 +8,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .core import DecisionOutcome, Record, Speak, Wait, read_utf8
+from .core import WAIT_TOKEN, DecisionOutcome, Record, Speak, Wait, read_utf8
 from .media import FrameRef, FrameWindow
 
 KIND_INIT = "init"
@@ -22,6 +22,9 @@ EMPTY_HISTORY_MARKER = "none"
 # Whatever is not a letter or digit: `\W` is exactly the complement of
 # `str.isalnum` plus the underscore.
 _NOT_ALNUM = re.compile(r"[\W_]+")
+
+# `parse_response` hands back this one immutable record for every Wait.
+_WAIT = Wait()
 
 
 class PromptTemplate(Record):
@@ -76,15 +79,15 @@ class PromptSet(Record):
 
 
 # A prompt digest is the SHA-256 of the text, then b"\x00" + URI for each
-# attachment in order, cut to 16 hex digits. `_finish` adds the attachments.
+# attachment in order, cut to 16 hex digits. `_finish` adds the attachments,
+# all in one update.
 def _text_hash(text: str) -> "hashlib._Hash":
     return hashlib.sha256(text.encode("utf-8"))
 
 
 def _finish(h: "hashlib._Hash", attachments: Sequence[str]) -> str:
-    for uri in attachments:
-        h.update(b"\x00")
-        h.update(uri.encode("utf-8"))
+    if attachments:
+        h.update(("\x00" + "\x00".join(attachments)).encode("utf-8"))
     return h.hexdigest()[:16]
 
 
@@ -107,7 +110,7 @@ def render_init(template: PromptTemplate, window: FrameWindow) -> RenderedPrompt
     if not window.frames:
         raise ValueError("window must contain at least one frame")
     text = _join(template.role_preamble, template.body)
-    attachments = tuple(f.uri for f in window.frames)
+    attachments = tuple([f.uri for f in window.frames])
     digest = _finish(_text_hash(text), attachments)
     return RenderedPrompt(text=text, attachments=attachments, digest=digest)
 
@@ -167,7 +170,7 @@ class DecisionRenderer:
             self._hash = self._state.copy()
             self._hash.update(tail.encode("utf-8"))
             self._history = key
-        attachments = self._demo_uris + tuple(f.uri for f in window.frames)
+        attachments = self._demo_uris + tuple([f.uri for f in window.frames])
         digest = _finish(self._hash.copy(), attachments)
         return RenderedPrompt(text=self._text, attachments=attachments, digest=digest)
 
@@ -193,15 +196,17 @@ def parse_response(raw: str) -> DecisionOutcome:
     Wait when the reply, ignoring case, whitespace, punctuation and markup, is
     exactly the wait token (or is empty). Anything with other content-bearing
     characters is Speak, with internal newlines collapsed to single spaces.
-    The wait token is language independent.
+    The wait token is language independent. Every Wait is one shared record.
     """
+    if raw == WAIT_TOKEN:
+        return _WAIT
     stripped = raw.strip()
-    if not stripped:
-        return Wait()
-    if _NOT_ALNUM.sub("", stripped).casefold() == "wait":
-        return Wait()
-    text = " ".join(part.strip() for part in stripped.splitlines() if part.strip())
-    return Speak(text=text)
+    if not stripped or _NOT_ALNUM.sub("", stripped).casefold() == "wait":
+        return _WAIT
+    lines = stripped.splitlines()
+    if len(lines) == 1:
+        return Speak(text=stripped)
+    return Speak(text=" ".join([part.strip() for part in lines if part.strip()]))
 
 
 def load_template(path: str | Path) -> PromptTemplate:

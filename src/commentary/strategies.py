@@ -148,6 +148,7 @@ class StrategyConfig(Record):
         frames = window_cap
         if kind is not StrategyKind.REALTIME:
             frames = min(window_cap, max(1, math.ceil(step)))
+        # One frame per demonstration at least; `run_session` counts them all.
         if frames + icl_shots > ATTACHMENT_LIMIT:
             raise ValueError(
                 f"window_cap {window_cap}: windows of {frames} frames and {icl_shots} "
@@ -162,25 +163,8 @@ class StrategyConfig(Record):
             rate_model=rate_model,
             language=language,
             max_history=max_history,
+            window_frames=frames,
         )
-
-
-def _spoken_ms(config: StrategyConfig, text: str) -> int:
-    """The estimated speaking time of `text`, d̂, in whole milliseconds."""
-    return to_ms(estimate_duration(text, config.language, config.rate_model))
-
-
-def _advance_ms(config: StrategyConfig, spoken_ms: int | None) -> int:
-    """Milliseconds from a decision to the next one; `spoken_ms` is None after a Wait.
-
-    Fixed kinds advance by the step regardless of outcome. Realtime advances
-    by the spoken duration after a Speak, floored at the step so short
-    utterances never poll faster than the fixed cadence.
-    """
-    step_ms = to_ms(config.step)
-    if config.kind is StrategyKind.REALTIME and spoken_ms is not None:
-        return max(step_ms, spoken_ms)
-    return step_ms
 
 
 def select_window(
@@ -258,11 +242,25 @@ def run_session(
     the video. Times are kept in whole milliseconds, so every time the record
     holds is the one its SRT and trace show. A backend failure aborts the
     session and the partial record carries the error; a replay-cache miss
-    propagates (it is a configuration problem, not a transient failure).
+    propagates (it is a configuration problem, not a transient failure). A
+    run whose windows and demonstration frames could exceed the attachment
+    limit raises ValueError before the first backend call.
     """
-    duration_ms = to_ms(store.video_duration)
     # icl_shots is 0 for every kind but feedback-icl.
-    renderer = DecisionRenderer(prompts.decision, prompts.demonstrations[: config.icl_shots])
+    demos = prompts.demonstrations[: config.icl_shots]
+    demo_frames = sum([len(d.frames.frames) for d in demos])
+    if config.window_frames + demo_frames > ATTACHMENT_LIMIT:
+        raise ValueError(
+            f"windows of {config.window_frames} frames and {demo_frames} demonstration "
+            f"frames exceed the attachment limit of {ATTACHMENT_LIMIT}"
+        )
+    renderer = DecisionRenderer(prompts.decision, demos)
+    duration_ms = to_ms(store.video_duration)
+    # Fixed kinds advance by the step. Realtime advances by the spoken duration
+    # after a Speak, floored at the step: short utterances never poll faster.
+    step_ms = to_ms(config.step)
+    realtime = config.kind is StrategyKind.REALTIME
+    keeps_history = config.kind is not StrategyKind.STATELESS
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
     history: tuple[str, ...] = ()
@@ -297,7 +295,8 @@ def run_session(
         if isinstance(outcome, Speak):
             if _WAIT_MENTION.search(outcome.text):
                 note = "wait-plus-content"
-            spoken_ms = _spoken_ms(config, outcome.text)
+            # The estimated speaking time, d̂, in whole milliseconds.
+            spoken_ms = to_ms(estimate_duration(outcome.text, config.language, config.rate_model))
             utterance = Utterance(
                 text=outcome.text,
                 language=config.language,
@@ -308,13 +307,13 @@ def run_session(
         steps.append(
             SessionStep(index, t, window, len(history), rendered.digest, raw, utterance, note)
         )
-        if utterance is not None and config.kind is not StrategyKind.STATELESS:
+        if utterance is not None and keeps_history:
             history = (*history, utterance.text)
             if config.max_history is not None:
                 history = history[len(history) - config.max_history :]
 
         t_last_query = t
-        t_ms += _advance_ms(config, spoken_ms)
+        t_ms += max(step_ms, spoken_ms) if realtime and spoken_ms is not None else step_ms
         # A slow backend may return after the scheduled time; never fire in the past.
         now = clock.now()
         if now > t:

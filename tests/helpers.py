@@ -98,12 +98,20 @@ def reference_render_decision(
     for demo in demos:
         attachments.extend(f.uri for f in demo.frames.frames)
     attachments.extend(f.uri for f in window.frames)
+    return RenderedPrompt(
+        text=text, attachments=tuple(attachments), digest=reference_digest(text, attachments)
+    )
+
+
+def reference_digest(text: str, attachments: Sequence[str]) -> str:
+    """A prompt digest hashed in one update for the text and two for each URI;
+    the oracle for the digests of `render_init` and `DecisionRenderer`."""
     h = hashlib.sha256()
     h.update(text.encode("utf-8"))
     for uri in attachments:
         h.update(b"\x00")
         h.update(uri.encode("utf-8"))
-    return RenderedPrompt(text=text, attachments=tuple(attachments), digest=h.hexdigest()[:16])
+    return h.hexdigest()[:16]
 
 
 class ReferenceRenderer:

@@ -27,6 +27,7 @@ from commentary import (
     FrameRef,
     FrameStore,
     GeneratorRequest,
+    GeneratorResponse,
     OracleBackend,
     RemoteChatBackend,
     ReplayCache,
@@ -51,10 +52,11 @@ from commentary.backends import (
     encode_image_uri,
     read_script,
 )
+from commentary.core import WAIT_TOKEN
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
 
-from helpers import ScanningOracleBackend, prompt_set, read_cache_log
+from helpers import ScanningOracleBackend, prompt_set, read_cache_log, synth_store
 
 
 def prompt(text="describe the scene", attachments=("file:///f/0.jpg",)):
@@ -130,6 +132,27 @@ class TestOracleBackend:
         backend = OracleBackend(self._reference())
         with pytest.raises(ValueError):
             backend.generate(request_for())
+
+    def test_every_wait_is_one_immutable_response(self):
+        backend = OracleBackend(self._reference())
+        shared = backend.generate(request_for(decision_time=1.0))
+        assert shared == GeneratorResponse(WAIT_TOKEN, 0.0, "oracle")
+        assert hash(shared) == hash(GeneratorResponse(WAIT_TOKEN, 0.0, "oracle"))
+        assert OracleBackend(self._reference()).generate(request_for(decision_time=2.0)) is shared
+        with pytest.raises(AttributeError):
+            shared.raw_text = "go"
+
+    def test_a_recorded_oracle_session_replays_to_an_equal_record(self, cache_log):
+        store = synth_store(duration=30.0)
+        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+
+        def session(mode):
+            backend = ReplayCache(OracleBackend(self._reference()), cache_log(mode))
+            return run_session(store, cfg, backend, SimulatedClock(), prompt_set())
+
+        recorded = session("record")
+        assert [s.raw_response for s in recorded.steps].count("the race begins now") == 1
+        assert session("replay") == recorded
 
     @pytest.mark.parametrize("ordered", [True, False], ids=["nondecreasing", "arbitrary"])
     @settings(max_examples=200, deadline=None)

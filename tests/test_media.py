@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commentary import frames_between, load_manifest
-from commentary.media import ManifestError, ManifestGapError, WindowRangeError
+from commentary.core import replace
+from commentary.media import FrameRef, FrameStore, ManifestError, ManifestGapError, WindowRangeError
 
 from helpers import reference_frames_between, synth_store, write_manifest
 
@@ -16,8 +17,13 @@ from helpers import reference_frames_between, synth_store, write_manifest
 def _window_or_error(build, store, t_a, t_b, cap):
     try:
         return build(store, t_a, t_b, cap)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         return type(exc), str(exc)
+
+
+def store_with_seconds(seconds, duration):
+    frames = {s: FrameRef(video_id="v1", second=s, uri=f"f/{s}.jpg") for s in seconds}
+    return FrameStore(video_id="v1", video_duration=duration, frames=frames)
 
 
 class TestLoadManifest:
@@ -204,4 +210,63 @@ class TestFramesBetween:
         cap = data.draw(st.integers(0, 45), label="cap")
         assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
             reference_frames_between, store, t_a, t_b, cap
+        )
+
+
+class TestOrderedView:
+    """`frames_between` slices the store's ordered view; a store whose keys are
+    not 0..n-1 looks each second up instead, as the second-by-second build does."""
+
+    @pytest.mark.parametrize(
+        "seconds, duration, t_a, t_b, cap",
+        [
+            ((0, 1, 3), 4.0, 0.0, 4.0, 30),  # lacks second 2: KeyError(2)
+            ((0, 1, 3), 4.0, 0.0, 2.0, 30),  # the window stops short of the gap
+            ((0, 2, 3), 4.0, 2.0, 3.0, 30),  # the window starts past the gap
+            ((0, 2, 3), 4.0, 0.0, 4.0, 1),  # the cap drops the gap
+            ((1, 2, 3), 4.0, 0.0, 0.0, 30),  # lacks second 0
+            ((0, 1, 5), 6.0, 0.0, 6.0, 30),  # a key past n - 1
+            ((0, 1, 5), 6.0, 5.0, 5.0, 30),  # single-second fallback to n - 1
+            ((), 1.0, 0.0, 1.0, 30),  # no frames at all: KeyError(-1)
+        ],
+    )
+    def test_a_store_with_other_keys_matches_the_second_by_second_build(
+        self, seconds, duration, t_a, t_b, cap
+    ):
+        store = store_with_seconds(seconds, duration)
+        assert store._ordered == ()
+        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+            reference_frames_between, store, t_a, t_b, cap
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_key_set_matches_the_second_by_second_build(self, data):
+        seconds = data.draw(st.sets(st.integers(0, 14), max_size=12), label="seconds")
+        duration = data.draw(st.floats(0.0, 12.0), label="duration")
+        store = store_with_seconds(seconds, duration)
+        moment = st.one_of(st.floats(0.0, duration), st.integers(0, int(duration)).map(float))
+        t_a = data.draw(moment, label="t_a")
+        t_b = data.draw(st.one_of(moment, st.just(t_a)), label="t_b")
+        cap = data.draw(st.integers(1, 14), label="cap")
+        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+            reference_frames_between, store, t_a, t_b, cap
+        )
+
+    def test_replace_rebuilds_the_view(self):
+        store = synth_store(duration=3.0)
+        assert store._ordered == tuple(store.frames[s] for s in range(3))
+        longer = replace(store, video_duration=5.0, frames=synth_store(duration=5.0).frames)
+        assert [f.second for f in longer._ordered] == [0, 1, 2, 3, 4]
+        assert [f.second for f in frames_between(longer, 3.0, 5.0).frames] == [3, 4]
+        gapped = replace(store, frames={0: store.frames[0], 2: store.frames[2]})
+        assert gapped._ordered == ()
+
+    def test_the_view_takes_no_part_in_eq_hash_or_repr(self):
+        store = synth_store(duration=3.0)
+        # == and hash go over these values alone (a store's dict makes it unhashable).
+        assert store._values() == (store.video_id, store.video_duration, store.frames)
+        assert FrameStore(store.video_id, store.video_duration, dict(store.frames)) == store
+        assert repr(store) == (
+            f"FrameStore(video_id='v1', video_duration=3.0, frames={store.frames!r})"
         )

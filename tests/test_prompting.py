@@ -25,7 +25,12 @@ from commentary.prompting import (
     serialize_history,
 )
 
-from helpers import reference_parse_response, reference_render_decision, synth_store
+from helpers import (
+    reference_digest,
+    reference_parse_response,
+    reference_render_decision,
+    synth_store,
+)
 from commentary import frames_between
 
 
@@ -37,6 +42,11 @@ def window_of(*seconds, video_id="v1", duration=60.0):
 def single_frame_window(uri="file:///demo/0.jpg"):
     ref = FrameRef(video_id="demo", second=0, uri=uri)
     return FrameWindow(frames=(ref,), window_start=0.0, window_end=0.0)
+
+
+def window_of_uris(*uris):
+    refs = tuple(FrameRef(video_id="v1", second=i, uri=u) for i, u in enumerate(uris))
+    return FrameWindow(frames=refs, window_start=0.0, window_end=float(len(uris)))
 
 
 class TestTemplates:
@@ -245,6 +255,56 @@ class TestDecisionRenderer:
             DecisionRenderer(decision).render([], empty)
 
 
+class TestDigestFormat:
+    """Digests are replay-cache keys: these literals were taken before the
+    attachments were hashed in one update, and must never move."""
+
+    RACE_EN_INIT, RACE_EN_DECISION = BUILTIN_TEMPLATES["race-en"]
+    RACE_JA_INIT, RACE_JA_DECISION = BUILTIN_TEMPLATES["race-ja"]
+    DEMO = Demonstration(window_of_uris("file:///demo/スタート.jpg"), "赤い車が飛び出した")
+
+    def test_no_attachment_hashes_the_text_alone(self):
+        digest = prompting._finish(prompting._text_hash("text"), ())
+        assert digest == "982d9e3eb996f559" == reference_digest("text", ())
+
+    def test_init_digests_are_pinned(self):
+        one = render_init(self.RACE_EN_INIT, window_of_uris("file:///frames/v1/0000.jpg"))
+        three = render_init(
+            self.RACE_JA_INIT, window_of_uris("file:///frames/レース/0000.jpg", "f/1.jpg", "f/2.jpg")
+        )
+        assert (one.digest, three.digest) == ("727c3131f79c972a", "b9e6eb58f1401e3f")
+
+    def test_decision_digests_are_pinned(self):
+        one = DecisionRenderer(self.RACE_EN_DECISION).render(
+            (), window_of_uris("file:///frames/v1/0005.jpg")
+        )
+        three = DecisionRenderer(self.RACE_JA_DECISION).render(
+            ("赤い車が先頭",), window_of_uris("file:///frames/レース/0007.jpg", "f/8.jpg", "f/9.jpg")
+        )
+        with_demo = DecisionRenderer(self.RACE_JA_DECISION, (self.DEMO,)).render(
+            ("赤い車が先頭", "青い車が追う"), window_of_uris("f/8.jpg", "f/9.jpg")
+        )
+        assert len(with_demo.attachments) == 3
+        assert (one.digest, three.digest, with_demo.digest) == (
+            "094817b4739dcf06", "e5e934a581392bf4", "cb8a2c7b720d2318"
+        )
+
+    # URIs are read from strict UTF-8 files and never hold NUL, so neither do
+    # these; a lone surrogate (category Cs) has no UTF-8 form to hash.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(
+                st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)), min_size=1
+            ),
+            min_size=1,
+        )
+    )
+    def test_init_digest_equals_two_updates_per_uri(self, uris):
+        rendered = render_init(self.RACE_JA_INIT, window_of_uris(*uris))
+        assert rendered.digest == reference_digest(rendered.text, uris)
+
+
 class TestSerializeHistory:
     def test_empty(self):
         assert serialize_history([]) == "none"
@@ -256,6 +316,13 @@ class TestSerializeHistory:
 class TestParseResponse:
     def test_bare_token(self):
         assert parse_response("<WAIT>") == Wait()
+
+    def test_every_wait_is_one_immutable_record(self):
+        shared = parse_response("<WAIT>")
+        assert shared == Wait() and hash(shared) == hash(Wait())
+        assert parse_response(" wait ") is shared and parse_response("") is shared
+        with pytest.raises(AttributeError):
+            shared.text = "go"
 
     def test_case_and_whitespace(self):
         assert parse_response("  wait ") == Wait()
@@ -281,7 +348,9 @@ class TestParseResponse:
     @given(
         st.lists(
             st.one_of(
-                st.sampled_from(["wait", "WAIT", "<", ">", "_", "\n", " ", "ｗａｉｔ", "²", "ß"]),
+                st.sampled_from(
+                    ["wait", "WAIT", "<", ">", "_", "\n", " ", "ｗａｉｔ", "²", "ß", "\r", "\u2028", "\x1c"]
+                ),
                 st.text(max_size=4),
             ),
             max_size=8,

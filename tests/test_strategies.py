@@ -207,6 +207,28 @@ class TestStrategyConfig:
         first_eight = tuple(f"file:///demo/{i}.jpg" for i in range(8))
         assert all(a[:8] == first_eight for a in attachments[1:])
 
+    def test_multi_frame_demonstrations_over_the_limit_fail_before_any_backend_call(self):
+        class Unreachable:
+            model_id = "unreachable"
+
+            def generate(self, request):
+                raise AssertionError("the backend was called")
+
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=24.0, window_cap=30)
+        prompts = prompt_set(demonstrations=_demos(8, frames=2))
+        with pytest.raises(ValueError) as info:
+            run_session(synth_store(duration=100.0), cfg, Unreachable(), SimulatedClock(), prompts)
+        assert str(info.value) == (
+            "windows of 24 frames and 16 demonstration frames exceed the attachment limit of 32"
+        )
+
+    def test_multi_frame_demonstrations_at_the_limit_run_to_the_end(self):
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=16.0, window_cap=30)
+        prompts = prompt_set(demonstrations=_demos(8, frames=2))
+        record = run_session(synth_store(duration=100.0), cfg, ScriptedBackend(), SimulatedClock(), prompts)
+        assert record.complete
+        assert max(len(s.window.frames) for s in record.steps) == cfg.window_frames == 16
+
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, language="fr")
@@ -436,11 +458,14 @@ class TestMillisecondGrid:
             assert overlap_proportion(entries) == 0.0
 
 
-def _demos(n):
+def _demos(n, frames=1):
     return tuple(
         Demonstration(
             frames=FrameWindow(
-                frames=(FrameRef(video_id="demo", second=0, uri=f"file:///demo/{i}.jpg"),),
+                frames=tuple(
+                    FrameRef(video_id="demo", second=0, uri=f"file:///demo/{i}.jpg" + "#b" * k)
+                    for k in range(frames)
+                ),
                 window_start=0.0,
                 window_end=0.0,
             ),

@@ -21,8 +21,14 @@ ENV_API_KEY = "COMMENTARY_API_KEY"
 ENV_MODEL = "COMMENTARY_MODEL"
 
 ATTACHMENT_LIMIT = 32
-DEFAULT_MAX_OUTPUT_UNITS = 256
-DEFAULT_TEMPERATURE = 0.0
+# The decoding settings of every request; the replay cache keys by them too.
+MAX_OUTPUT_UNITS = 256
+TEMPERATURE = 0.0
+# Every endpoint POST: attempts per request (the first included), the backoff
+# before retry n of BACKOFF_BASE * 2**(n - 1) seconds, and requests in flight.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 0.5
+MAX_CONCURRENCY = 4
 
 CACHE_MODES = ("record", "replay")
 CACHE_LOG_NAME = "cache.log"
@@ -84,31 +90,17 @@ class ReplayMismatchError(ReplayMissError):
 
 
 class GeneratorRequest(Record):
-    """One backend query: rendered prompt plus decoding parameters."""
+    """One backend query: the rendered prompt, decoded with `TEMPERATURE` and
+    at most `MAX_OUTPUT_UNITS` tokens."""
 
     def __init__(
-        self,
-        prompt: RenderedPrompt,
-        model_id: str,
-        max_output_units: int = DEFAULT_MAX_OUTPUT_UNITS,
-        temperature: float = DEFAULT_TEMPERATURE,
-        decision_time: Seconds | None = None,
+        self, prompt: RenderedPrompt, model_id: str, decision_time: Seconds | None = None
     ) -> None:
-        if max_output_units < 1:
-            raise ValueError("max_output_units must be positive")
-        if not 0.0 <= temperature <= 2.0:
-            raise ValueError(f"temperature must lie in [0, 2], got {temperature}")
         if len(prompt.attachments) > ATTACHMENT_LIMIT:
             raise PayloadTooLargeError(
                 f"{len(prompt.attachments)} attachments exceed the limit of {ATTACHMENT_LIMIT}"
             )
-        self.__dict__.update(
-            prompt=prompt,
-            model_id=model_id,
-            max_output_units=max_output_units,
-            temperature=temperature,
-            decision_time=decision_time,
-        )
+        self.__dict__.update(prompt=prompt, model_id=model_id, decision_time=decision_time)
 
     @cached_property
     def frame_bytes(self) -> dict[str, bytes | OSError | None]:
@@ -151,16 +143,14 @@ class Generator(Protocol):
 class ScriptedBackend:
     """Deterministic mock: responses keyed by prompt digest or call index."""
 
+    model_id = "scripted"
+
     def __init__(
-        self,
-        script: Mapping[int | str, str] | None = None,
-        default: str = WAIT_TOKEN,
-        model_id: str = "scripted",
+        self, script: Mapping[int | str, str] | None = None, default: str = WAIT_TOKEN
     ) -> None:
         self._script: dict[int | str, str] = dict(script or {})
         self._default = default
         self._calls = 0
-        self.model_id = model_id
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         index = self._calls
@@ -614,8 +604,8 @@ def build_chat_payload(request: GeneratorRequest) -> dict:
         parts.append({"type": "image_url", "image_url": {"url": encode_image_uri(uri)}})
     return {
         "model": request.model_id,
-        "temperature": request.temperature,
-        "max_tokens": request.max_output_units,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_OUTPUT_UNITS,
         "messages": [{"role": "user", "content": parts}],
     }
 
@@ -639,8 +629,8 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     head = json.dumps(
         {
             "model": request.model_id,
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_units,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_OUTPUT_UNITS,
             "messages": [
                 {"role": "user", "content": [{"type": "text", "text": request.prompt.text}]}
             ],
@@ -672,23 +662,20 @@ class _Endpoint:
     `base_url`, `api_key` and `model_id` each come from the subclass's
     environment variable in `_ENV` when not given. Unless a caller passes
     its own session, the client is an `_HttpSession`, which reads the proxy,
-    CA-bundle and netrc settings once, here. The defaults are the chat
+    CA-bundle and netrc settings once, here. The class settings are the chat
     backend's.
     """
 
     _ENV: tuple[str, str, str]  # the base URL, API key and model variables
     _ENDPOINT = "endpoint"  # what the missing base URL's error calls it
     _NEEDS_MODEL = True
+    _TIMEOUT = 120.0  # seconds to connect, and to wait for each read of a reply
 
     def __init__(
         self,
         base_url: str | None = None,
         api_key: str | None = None,
         model_id: str | None = None,
-        timeout: float = 120.0,
-        max_attempts: int = 3,  # per request, the first included
-        backoff_base: float = 0.5,
-        max_concurrency: int = 4,
         session: HttpSession | None = None,
     ) -> None:
         env_base, env_key, env_model = self._ENV
@@ -699,19 +686,16 @@ class _Endpoint:
         self.model_id = model_id or os.environ.get(env_model, "")
         if self._NEEDS_MODEL and not self.model_id:
             raise ValueError(f"no model configured; set {env_model} or pass model_id")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._session = session if session is not None else _HttpSession(self.base_url)
-        self._slots = threading.Semaphore(max_concurrency)
+        self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
     def _post(self, path: str, body: bytes) -> tuple[HttpReply, float]:
         """POST the JSON `body` to `base_url + path`; the 200 reply and its latency in seconds.
 
         Rate limits (429), server errors (5xx) and transport failures are retried
-        up to `max_attempts` in all, sleeping `backoff_base * 2**(n - 1)` seconds
+        up to `MAX_ATTEMPTS` in all, sleeping `BACKOFF_BASE * 2**(n - 1)` seconds
         before retry n; each retry is logged as a warning, and resends `body` as
-        it is. Each attempt holds one of the `max_concurrency` slots. Other
+        it is. Each attempt holds one of the `MAX_CONCURRENCY` slots. Other
         statuses raise their typed `BackendError` at once.
         """
         url = self.base_url + path
@@ -719,18 +703,20 @@ class _Endpoint:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: BackendError = TransportError("no attempt made")
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                delay = self.backoff_base * (2 ** (attempt - 1))
+                delay = BACKOFF_BASE * (2 ** (attempt - 1))
                 _warn(
                     "attempt %d of %d failed: %s; retrying in %g s",
-                    attempt, self.max_attempts, last_error, delay,
+                    attempt, MAX_ATTEMPTS, last_error, delay,
                 )
                 time.sleep(delay)
             with self._slots:
                 started = time.monotonic()
                 try:
-                    resp = self._session.post(url, data=body, headers=headers, timeout=self.timeout)
+                    resp = self._session.post(
+                        url, data=body, headers=headers, timeout=self._TIMEOUT
+                    )
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
@@ -972,11 +958,7 @@ class ReplayCache:
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
         key = CacheKey(
-            request.prompt.digest,
-            request.model_id,
-            request.temperature,
-            request.max_output_units,
-            frames,
+            request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames
         )
         if self._log.mode == "replay":
             latency_ms, raw = self._log.lookup(key)

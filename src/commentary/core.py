@@ -194,10 +194,11 @@ class Clock(Protocol):
 
 
 class SimulatedClock:
-    """Clock whose advance is instantaneous; used for deterministic offline runs."""
+    """Clock whose advance is instantaneous; used for deterministic offline runs.
+    It starts at 0."""
 
-    def __init__(self, start: Seconds = 0.0) -> None:
-        self._now = check_seconds(start, "start")
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> Seconds:
         return self._now

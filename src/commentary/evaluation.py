@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .backends import HttpSession, _Endpoint
+from .backends import _Endpoint
 from .core import CommentaryTrack, Record, Seconds, Utterance, speaking_timeline
 from .strategies import (
     UNIT_WORD,
@@ -75,21 +75,7 @@ class EmbeddingScorer(_Endpoint):
     _ENV = (ENV_EMBED_API_BASE, ENV_EMBED_API_KEY, ENV_EMBED_MODEL)
     _ENDPOINT = "embedding endpoint"
     _NEEDS_MODEL = False
-
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        model_id: str | None = None,
-        timeout: float = 60.0,
-        backoff_base: float = 0.5,
-        max_concurrency: int = 4,
-        session: HttpSession | None = None,
-    ) -> None:
-        super().__init__(
-            base_url, api_key, model_id, timeout=timeout, backoff_base=backoff_base,
-            max_concurrency=max_concurrency, session=session,
-        )
+    _TIMEOUT = 60.0
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
         import json
@@ -298,18 +284,14 @@ def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
 
 
 def reference_from_transcript_text(
-    text: str,
-    video_id: str,
-    video_duration: Seconds,
-    language: str,
-    rates: SpeechRateModel | None = None,
+    text: str, video_id: str, video_duration: Seconds, language: str
 ) -> ReferenceTrack:
     """Build a reference track from `start_seconds<TAB>text` transcript lines.
 
-    Durations come from the speech-rate model. Lines starting after the stated
-    duration are dropped.
+    Durations come from the default speech-rate model. Lines starting after
+    the stated duration are dropped.
     """
-    rates = rates or SpeechRateModel.default()
+    rates = SpeechRateModel.default()
     utterances: list[Utterance] = []
     for start, utt_text in parse_transcript(text):
         if start > video_duration:
@@ -329,15 +311,11 @@ def reference_from_transcript_text(
 
 
 def load_reference(
-    path: str | Path,
-    video_id: str,
-    video_duration: Seconds,
-    language: str,
-    rates: SpeechRateModel | None = None,
+    path: str | Path, video_id: str, video_duration: Seconds, language: str
 ) -> ReferenceTrack:
     """Load a reference track from an .srt file or a tab-separated transcript."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".srt":
         return reference_from_srt_text(text, video_id, video_duration, language)
-    return reference_from_transcript_text(text, video_id, video_duration, language, rates)
+    return reference_from_transcript_text(text, video_id, video_duration, language)

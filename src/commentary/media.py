@@ -42,25 +42,27 @@ class FrameRef(Record):
 
 
 class FrameStore(Record):
-    """All frames of one video, keyed by integer second. Read-only after load."""
+    """All frames of one video in second order: `frames[s]` is the frame of second s."""
 
-    def __init__(self, video_id: str, video_duration: Seconds, frames: dict[int, FrameRef]) -> None:
+    def __init__(
+        self, video_id: str, video_duration: Seconds, frames: tuple[FrameRef, ...]
+    ) -> None:
         check_seconds(video_duration, "video_duration")
-        # The frames in second order, for `frames_between` to slice: empty unless
-        # the keys are 0..n-1, and then each window looks its seconds up.
-        n = len(frames)
-        ordered = tuple([frames[s] for s in range(n)]) if frames.keys() == set(range(n)) else ()
+        frames = tuple(frames)
+        if not frames:
+            raise ValueError("a frame store needs the frame of second 0 at least")
+        for s, frame in enumerate(frames):
+            if frame.second != s:
+                raise ValueError(
+                    f"frames must be of the seconds 0..n-1 in order; frames[{s}] is of "
+                    f"second {frame.second}"
+                )
         self.__dict__.update(
             video_id=video_id,
             # Kept to the millisecond, the grid that sessions run on.
             video_duration=from_ms(to_ms(video_duration)),
             frames=frames,
-            _ordered=ordered,
         )
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.frames)
 
 
 class FrameWindow(Record):
@@ -136,7 +138,7 @@ def load_manifest(path: str | Path) -> FrameStore:
         if second not in frames:
             raise ManifestGapError(path, second)
 
-    return FrameStore(video_id=video_id, video_duration=duration, frames=frames)
+    return FrameStore(video_id, duration, tuple([frames[s] for s in range(n)]))
 
 
 def frames_between(
@@ -159,16 +161,11 @@ def frames_between(
             f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
         )
 
-    n = store.frame_count
+    n = len(store.frames)
     lo = math.ceil(t_a)
     hi = min(math.ceil(max(t_b, t_a + 1.0)), n)
     if lo >= hi:
         lo = min(math.floor(t_a), n - 1)
         hi = lo + 1
     lo = max(lo, hi - cap)
-    if store._ordered:
-        refs = store._ordered[lo:hi]
-    else:
-        # A second missing from the store raises KeyError(second).
-        refs = tuple([store.frames[s] for s in range(lo, hi)])
-    return FrameWindow(frames=refs, window_start=t_a, window_end=t_b)
+    return FrameWindow(frames=store.frames[lo:hi], window_start=t_a, window_end=t_b)

@@ -366,13 +366,12 @@ BUILTIN_TEMPLATES: dict[str, tuple[PromptTemplate, PromptTemplate]] = {
 }
 
 
-def builtin_prompt_set(
-    name: str, demonstrations: Sequence[Demonstration] = ()
-) -> PromptSet:
-    """Look up a built-in template pair by name (race-en, race-ja, fight-ja)."""
+def builtin_prompt_set(name: str) -> PromptSet:
+    """Look up a built-in template pair by name (race-en, race-ja, fight-ja); it
+    holds no demonstrations."""
     try:
         init, decision = BUILTIN_TEMPLATES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_TEMPLATES))
         raise ValueError(f"unknown template set {name!r}; built-ins: {known}") from None
-    return PromptSet(init=init, decision=decision, demonstrations=tuple(demonstrations))
+    return PromptSet(init=init, decision=decision)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import (
     ATTACHMENT_LIMIT,
@@ -55,16 +55,22 @@ class SpeechRate(Record):
     def __init__(self, unit: str, rate: float) -> None:
         if unit not in (UNIT_WORD, UNIT_CHARACTER):
             raise ValueError(f"unit must be 'word' or 'character', got {unit!r}")
-        if not rate > 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate}")
         self.__dict__.update(unit=unit, rate=rate)
 
 
 class SpeechRateModel(Record):
-    """Per-language speaking speeds used to convert text length to duration."""
+    """Per-language speaking speeds used to convert text length to duration.
 
-    def __init__(self, rates: dict[str, SpeechRate]) -> None:
-        self.__dict__.update(rates=rates)
+    Takes a mapping, or (language, rate) pairs, and keeps the pairs sorted
+    by language.
+    """
+
+    def __init__(
+        self, rates: Mapping[str, SpeechRate] | Iterable[tuple[str, SpeechRate]]
+    ) -> None:
+        self.__dict__.update(rates=tuple(sorted(dict(rates).items())))
 
     @classmethod
     def default(cls) -> "SpeechRateModel":
@@ -77,13 +83,11 @@ class SpeechRateModel(Record):
         )
 
     def for_language(self, language: str) -> SpeechRate:
-        try:
-            return self.rates[language]
-        except KeyError:
-            known = ", ".join(sorted(self.rates)) or "(none)"
-            raise ValueError(
-                f"no speech rate configured for language {language!r}; known: {known}"
-            ) from None
+        for lang, rate in self.rates:
+            if lang == language:
+                return rate
+        known = ", ".join([lang for lang, _ in self.rates]) or "(none)"
+        raise ValueError(f"no speech rate configured for language {language!r}; known: {known}")
 
 
 def unit_tokens(text: str, unit: str) -> Sequence[str]:

@@ -139,7 +139,7 @@ def reference_frames_between(
         raise WindowRangeError(
             f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
         )
-    n = store.frame_count
+    n = len(store.frames)
     limit = max(t_b, t_a + 1.0)
     seconds = [s for s in range(math.ceil(t_a), math.ceil(limit)) if s < n]
     if not seconds:
@@ -197,10 +197,10 @@ def reference_decision_ms(
 
 def synth_store(video_id: str = "v1", duration: float = 10.0) -> FrameStore:
     n = max(math.ceil(duration), 1)
-    frames = {
-        s: FrameRef(video_id=video_id, second=s, uri=f"file:///frames/{video_id}/{s:04d}.jpg")
+    frames = tuple(
+        FrameRef(video_id=video_id, second=s, uri=f"file:///frames/{video_id}/{s:04d}.jpg")
         for s in range(n)
-    }
+    )
     return FrameStore(video_id=video_id, video_duration=duration, frames=frames)
 
 

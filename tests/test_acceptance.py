@@ -341,11 +341,11 @@ def test_criterion_09_live_endpoint_smoke(tmp_path):
     duration = 60.0
     from commentary import FrameRef, FrameStore
 
-    frames = {}
+    frames = []
     for s in range(60):
         path = frames_dir / f"{s:04d}.png"
         path.write_bytes(_TINY_PNG)
-        frames[s] = FrameRef(video_id="live", second=s, uri=str(path))
+        frames.append(FrameRef(video_id="live", second=s, uri=str(path)))
     store = FrameStore(video_id="live", video_duration=duration, frames=frames)
 
     cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)

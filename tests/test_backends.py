@@ -56,7 +56,13 @@ from commentary.core import WAIT_TOKEN
 from commentary.evaluation import EmbeddingScorer
 from commentary.prompting import RenderedPrompt
 
-from helpers import ScanningOracleBackend, prompt_set, read_cache_log, synth_store
+from helpers import (
+    ScanningOracleBackend,
+    prompt_set,
+    read_cache_log,
+    synth_store,
+    write_cache_log,
+)
 
 
 def prompt(text="describe the scene", attachments=("file:///f/0.jpg",)):
@@ -68,12 +74,6 @@ def request_for(p=None, **kwargs):
 
 
 class TestGeneratorRequest:
-    def test_temperature_bounds(self):
-        with pytest.raises(ValueError):
-            request_for(temperature=2.5)
-        with pytest.raises(ValueError):
-            request_for(temperature=-0.1)
-
     def test_attachment_limit(self):
         heavy = prompt(attachments=tuple(f"u{i}" for i in range(33)))
         with pytest.raises(PayloadTooLargeError):
@@ -269,14 +269,21 @@ class TestReplayCache:
         frame = tmp_path / "0001.jpg"
         frame.write_bytes(b"first frame")
         p = keyed_prompt(7, attachments=[f"file://{frame}", "data:image/png;base64,AAAA"])
-        record(cache_log("record"), ["the pack surges"], [request_for(p)])
-        frame.write_bytes(b"edited frame" if field == "frames" else b"first frame")
-        current = {
-            "model": GeneratorRequest(prompt=p, model_id="other-model"),
-            "temperature": request_for(p, temperature=0.7),
-            "max_tokens": request_for(p, max_output_units=64),
-            "frames": request_for(p),
-        }[field]
+        log = cache_log("record")
+        record(log, ["the pack surges"], [request_for(p)])
+        log.close()
+        if field == "frames":
+            frame.write_bytes(b"edited frame")
+        elif field != "model":
+            # A log recorded under another decoding setting than the constant one.
+            column, recorded = {"temperature": (2, 0.7), "max_tokens": (3, 64)}[field]
+            records = read_cache_log(log.path)
+            for fields, _ in records:
+                fields[column] = recorded
+            write_cache_log(log.path, records)
+        current = request_for(p)
+        if field == "model":
+            current, recorded = GeneratorRequest(prompt=p, model_id="other-model"), "test-model"
         replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
         with pytest.raises(ReplayMismatchError) as exc:
             replayer.generate(current)
@@ -284,7 +291,6 @@ class TestReplayCache:
         assert exc.value.digest == p.digest
         assert f"{field} " in str(exc.value) and p.digest in str(exc.value)
         if field != "frames":
-            recorded = {"model": "test-model", "temperature": 0.0, "max_tokens": 256}[field]
             assert f"{field} {recorded!r} (now " in str(exc.value)
 
     def test_missing_local_frames_hash_alike(self, tmp_path, cache_log):
@@ -527,11 +533,9 @@ def closing():
         client.close()
 
 
-def _client(server, **kwargs):
+def _client(server):
     base = f"http://127.0.0.1:{server.server_address[1]}"
-    defaults = dict(base_url=base, api_key="sk-test", model_id="test-model", backoff_base=0.001)
-    defaults.update(kwargs)
-    return RemoteChatBackend(**defaults)
+    return RemoteChatBackend(base_url=base, api_key="sk-test", model_id="test-model")
 
 
 CHAT_REPLY = json.dumps({"choices": [{"message": {"content": "the pack surges forward"}}]}).encode()
@@ -544,6 +548,7 @@ def _reply_head(status_line=b"HTTP/1.1 200 OK", length=len(CHAT_REPLY)):
     )
 
 
+@pytest.mark.usefixtures("endpoint_constants")
 class TestRemoteChatBackend:
     def test_success_payload_shape(self, chat_server, tmp_path, closing):
         image = tmp_path / "frame.png"
@@ -558,7 +563,7 @@ class TestRemoteChatBackend:
         assert sent["auth"] == "Bearer sk-test"
         body = sent["body"]
         assert body["model"] == "test-model"
-        assert body["temperature"] == 0.0
+        assert (body["temperature"], body["max_tokens"]) == (0.0, 256)
         parts = body["messages"][0]["content"]
         assert parts[0] == {"type": "text", "text": "describe"}
         url = parts[1]["image_url"]["url"]
@@ -602,11 +607,9 @@ class TestRemoteChatBackend:
         assert first == second == build(request)
         assert built == [request]
 
-    def test_unreachable_host_fails_after_three_attempts(self):
-        client = RemoteChatBackend(
-            base_url="http://127.0.0.1:1", api_key="k", model_id="m",
-            backoff_base=0.001, timeout=0.2,
-        )
+    def test_unreachable_host_fails_after_three_attempts(self, endpoint_constants):
+        endpoint_constants(timeout=0.2)
+        client = RemoteChatBackend(base_url="http://127.0.0.1:1", api_key="k", model_id="m")
         with pytest.raises(TransportError):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
 
@@ -622,6 +625,7 @@ class TestRemoteChatBackend:
             RemoteChatBackend()
 
 
+@pytest.mark.usefixtures("endpoint_constants")
 class TestRecordedFrames:
     """A record run keys each reply by the very frame bytes its request sent."""
 
@@ -630,12 +634,12 @@ class TestRecordedFrames:
     ):
         frames_dir = tmp_path / "frames"
         frames_dir.mkdir()
-        frames = {}
+        frames = []
         for s in range(8):
             path = frames_dir / f"{s:04d}.jpg"
             path.write_bytes(bytes([s]) * (500 + 37 * s))
             uri = f"file://{path}" if s % 2 else str(path)
-            frames[s] = FrameRef(video_id="v", second=s, uri=uri)
+            frames.append(FrameRef(video_id="v", second=s, uri=uri))
         store = FrameStore(video_id="v", video_duration=8.0, frames=frames)
         opened = []
         real_open = io.open
@@ -667,6 +671,7 @@ class TestRecordedFrames:
         assert len(opened) == sent_frames
 
 
+@pytest.mark.usefixtures("endpoint_constants")
 class TestRetryLogging:
     """Each retry is logged as a warning by the `commentary.backends` logger."""
 
@@ -688,11 +693,9 @@ class TestRetryLogging:
              "retrying in 0.002 s"),
         ]
 
-    def test_transport_error_retry_is_logged(self, caplog):
-        client = RemoteChatBackend(
-            base_url="http://127.0.0.1:1", model_id="m", max_attempts=2,
-            backoff_base=0.001, timeout=0.2,
-        )
+    def test_transport_error_retry_is_logged(self, caplog, endpoint_constants):
+        endpoint_constants(timeout=0.2, max_attempts=2)
+        client = RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
         with caplog.at_level(logging.WARNING, logger="commentary.backends"):
             with pytest.raises(TransportError):
                 client.generate(request_for(prompt(attachments=())))
@@ -710,6 +713,7 @@ class TestRetryLogging:
         assert caplog.records == []
 
 
+@pytest.mark.usefixtures("endpoint_constants")
 class TestEmbeddingRetries:
     @pytest.mark.parametrize(
         "plan, error, sent",
@@ -721,13 +725,38 @@ class TestEmbeddingRetries:
     ):
         chat_server.plan = list(plan)
         base = f"http://127.0.0.1:{chat_server.server_address[1]}"
-        scorer = closing(EmbeddingScorer(base_url=base, model_id="e", backoff_base=0))
+        scorer = closing(EmbeddingScorer(base_url=base, model_id="e"))
         if error is None:
             assert scorer.score("the pack", "the pack") == pytest.approx(1.0)
         else:
             with pytest.raises(error):
                 scorer.score("the pack", "the pack")
         assert len(chat_server.requests) == sent
+
+
+class TestEndpointConstants:
+    """The retry schedule and timeouts every request gets, with no constant patched."""
+
+    @pytest.mark.parametrize("kind, timeout", [("chat", 120.0), ("embedding", 60.0)])
+    def test_three_attempts_with_doubling_backoff(self, monkeypatch, kind, timeout):
+        timeouts = []
+
+        class RefusingSession:
+            def post(self, url, *, data, headers, timeout):
+                timeouts.append(timeout)
+                raise ConnectionRefusedError(f"cannot reach {url}")
+
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        base, session = "http://endpoint.example.test", RefusingSession()
+        with pytest.raises(TransportError):
+            if kind == "chat":
+                client = RemoteChatBackend(base_url=base, model_id="m", session=session)
+                client.generate(request_for(prompt(attachments=())))
+            else:
+                EmbeddingScorer(base_url=base, model_id="e", session=session).score("a", "b")
+        assert timeouts == [timeout] * 3
+        assert sleeps == [0.5, 1.0]
 
 
 @pytest.fixture()
@@ -741,33 +770,36 @@ def no_proxy_env(monkeypatch):
 class TestEnvironmentSettings:
     """Proxy and CA-bundle variables are read when a client is built, not per POST."""
 
-    def test_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env, closing):
+    def test_proxy_set_before_construction_is_used(
+        self, chat_server, no_proxy_env, closing, endpoint_constants
+    ):
+        endpoint_constants(timeout=2.0)
         proxy = f"http://127.0.0.1:{chat_server.server_address[1]}"
         no_proxy_env.setenv("HTTP_PROXY", proxy)
         # Nothing listens on port 1: the request succeeds only through the proxy.
-        client = closing(
-            RemoteChatBackend(
-                base_url="http://127.0.0.1:1", model_id="m", backoff_base=0.001, timeout=2.0
-            )
-        )
+        client = closing(RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m"))
         no_proxy_env.delenv("HTTP_PROXY")
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
         assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/chat/completions"
 
     def test_embedding_proxy_set_before_construction_is_used(
-        self, chat_server, no_proxy_env, closing
+        self, chat_server, no_proxy_env, closing, endpoint_constants
     ):
+        endpoint_constants(timeout=2.0)
         no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_address[1]}")
-        scorer = closing(EmbeddingScorer(base_url="http://127.0.0.1:1", model_id="e", timeout=2.0))
+        scorer = closing(EmbeddingScorer(base_url="http://127.0.0.1:1", model_id="e"))
         no_proxy_env.delenv("HTTP_PROXY")
         assert scorer.score("the pack", "surges forward") == pytest.approx(1.0)
         assert chat_server.requests[0]["path"] == "http://127.0.0.1:1/embeddings"
 
-    def test_no_proxy_set_before_construction_is_used(self, chat_server, no_proxy_env, closing):
+    def test_no_proxy_set_before_construction_is_used(
+        self, chat_server, no_proxy_env, closing, endpoint_constants
+    ):
+        endpoint_constants(timeout=2.0)
         no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:1")
         no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
-        client = closing(_client(chat_server, timeout=2.0))
+        client = closing(_client(chat_server))
         no_proxy_env.delenv("NO_PROXY")
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
@@ -844,6 +876,10 @@ class TestNetrcCredentials:
 class TestConnections:
     """The backend's own client keeps connections alive and shares them between threads."""
 
+    @pytest.fixture(autouse=True)
+    def _short_timeout(self, endpoint_constants):
+        endpoint_constants(timeout=5.0)
+
     def _generate(self, client):
         request = GeneratorRequest(prompt=prompt(attachments=()), model_id="m")
         return client.generate(request).raw_text
@@ -886,22 +922,18 @@ class TestConnections:
 
     def test_garbage_status_line_is_a_transport_error(self, raw_server):
         server = raw_server(b"garbage\r\n\r\n")
-        client = RemoteChatBackend(
-            base_url=f"http://127.0.0.1:{server.port}", model_id="m",
-            backoff_base=0.001, timeout=5.0,
-        )
+        client = self._raw_client(server)
         with pytest.raises(TransportError):
             self._generate(client)
-        assert len(server.heads) == client.max_attempts
+        assert len(server.heads) == backends.MAX_ATTEMPTS
 
     def test_https_goes_through_an_authenticated_connect_tunnel(
-        self, raw_server, no_proxy_env
+        self, raw_server, no_proxy_env, endpoint_constants
     ):
+        endpoint_constants(timeout=5.0, max_attempts=1)
         proxy = raw_server(b"")  # records the CONNECT request, then hangs up
         no_proxy_env.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.port}")
-        client = RemoteChatBackend(
-            base_url="https://api.example.test/v1", model_id="m", max_attempts=1, timeout=5.0
-        )
+        client = RemoteChatBackend(base_url="https://api.example.test/v1", model_id="m")
         with pytest.raises(TransportError):
             self._generate(client)
         lines = proxy.heads[0].decode("latin-1").split("\r\n")
@@ -910,8 +942,7 @@ class TestConnections:
 
     def _raw_client(self, server, **kwargs):
         base = f"http://127.0.0.1:{server.port}/v1"
-        options = dict(base_url=base, model_id="m", backoff_base=0.001, timeout=5.0)
-        return RemoteChatBackend(**{**options, **kwargs})
+        return RemoteChatBackend(base_url=base, model_id="m", **kwargs)
 
     def test_request_head(self, raw_server, closing):
         server = raw_server(_reply_head() + CHAT_REPLY)
@@ -942,13 +973,16 @@ class TestConnections:
         assert self._generate(client) == "the pack surges forward"
         assert len(server.heads) == 1
 
-    def test_http_1_0_reply_is_not_reused(self, raw_server, closing, monkeypatch):
+    def test_http_1_0_reply_is_not_reused(
+        self, raw_server, closing, monkeypatch, endpoint_constants
+    ):
         # The server holds the connection open, unanswered: a client that
         # reused it would time out and retry after a backoff sleep.
+        endpoint_constants(timeout=1.0)
         server = raw_server(_reply_head(b"HTTP/1.0 200 OK") + CHAT_REPLY, hold=True)
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        client = closing(self._raw_client(server, timeout=1.0))
+        client = closing(self._raw_client(server))
         assert [self._generate(client) for _ in range(2)] == ["the pack surges forward"] * 2
         assert len(server.heads) == 2
         assert sleeps == []
@@ -958,7 +992,7 @@ class TestConnections:
         client = self._raw_client(server)
         with pytest.raises(TransportError, match="body bytes"):
             self._generate(client)
-        assert len(server.heads) == client.max_attempts
+        assert len(server.heads) == backends.MAX_ATTEMPTS
         assert len(set(server.bodies)) == 1  # every retry resends the same body
 
     @pytest.mark.parametrize("kind", ["chat", "embedding"])
@@ -1035,14 +1069,10 @@ class TestPayloadHelpers:
     @given(
         text=_TRICKY_TEXT,
         model=_TRICKY_TEXT,
-        temperature=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)),
-        max_tokens=st.integers(1, 10**6),
         attachments=st.lists(st.one_of(_NONLOCAL_URIS, _LOCAL_FRAMES), max_size=6),
         missing=st.booleans(),
     )
-    def test_request_body_is_the_payload_as_json(
-        self, text, model, temperature, max_tokens, attachments, missing
-    ):
+    def test_request_body_is_the_payload_as_json(self, text, model, attachments, missing):
         with tempfile.TemporaryDirectory() as tmp:
             uris = []
             for i, item in enumerate(attachments):
@@ -1058,8 +1088,6 @@ class TestPayloadHelpers:
             request = GeneratorRequest(
                 prompt=RenderedPrompt(text=text, attachments=tuple(uris), digest="d"),
                 model_id=model,
-                temperature=temperature,
-                max_output_units=max_tokens,
             )
             if missing:
                 with pytest.raises(FileNotFoundError) as expected:

@@ -257,6 +257,15 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not (workspace["root"] / "out").exists()
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "-1"])
+    def test_speech_rate_not_finite_and_positive_exits_one_naming_it(
+        self, workspace, capsys, rate
+    ):
+        assert main(gen_args(workspace, rate_model=f"en=word:{rate}")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad --rate-model entry 'en=word:{rate}': rate must be ")
+        assert not (workspace["root"] / "out").exists()
+
     def test_windows_over_the_attachment_limit_exit_one_before_any_session(self, workspace, capsys):
         write_manifest(workspace["manifest"], "race01", 120.0)
         args = gen_args(workspace, strategy="stateless", step=40, window_cap=40)
@@ -752,7 +761,9 @@ class TestEvaluateCommand:
         )
 
     @pytest.mark.parametrize("failure", ["status-500", "connection-refused"])
-    def test_embedding_endpoint_failure_exits_one(self, workspace, monkeypatch, capsys, failure):
+    def test_embedding_endpoint_failure_exits_one(
+        self, workspace, monkeypatch, capsys, failure, endpoint_constants
+    ):
         class FailingSession:
             def post(self, url, *, data, headers, timeout):
                 if failure == "connection-refused":
@@ -765,7 +776,6 @@ class TestEvaluateCommand:
             lambda: EmbeddingScorer(
                 base_url="http://embed.example.test",
                 model_id="e",
-                backoff_base=0,
                 session=FailingSession(),
             ),
         )
@@ -796,19 +806,20 @@ class TestEvaluateCommand:
             lambda: EmbeddingScorer(
                 base_url="http://embed.example.test",
                 model_id="e",
-                backoff_base=0,
                 session=PlannedSession(),
             ),
         )
         code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
         return code, PlannedSession.sent
 
-    def test_embedding_rate_limit_is_retried(self, workspace, monkeypatch):
+    def test_embedding_rate_limit_is_retried(self, workspace, monkeypatch, endpoint_constants):
         gen_dir = self._generate(workspace)
         assert self._evaluate_embedding(monkeypatch, gen_dir, []) == (0, 2)
         assert self._evaluate_embedding(monkeypatch, gen_dir, [429]) == (0, 3)
 
-    def test_embedding_server_errors_exhaust_the_retries(self, workspace, monkeypatch, capsys):
+    def test_embedding_server_errors_exhaust_the_retries(
+        self, workspace, monkeypatch, capsys, endpoint_constants
+    ):
         gen_dir = self._generate(workspace)
         code, sent = self._evaluate_embedding(monkeypatch, gen_dir, [503] * 3)
         err = capsys.readouterr().err

@@ -11,19 +11,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commentary import (
+    BUILTIN_TEMPLATES,
     CommentaryTrack,
+    Demonstration,
+    GeneratorResponse,
+    LexicalOverlapScorer,
+    PromptSet,
     ScriptedBackend,
     SimulatedClock,
+    Speak,
     StrategyConfig,
     StrategyKind,
     Utterance,
     Wait,
     WallClock,
+    cli,
+    evaluate,
+    frames_between,
+    render_init,
     run_session,
     speaking_timeline,
 )
 from commentary.backends import GeneratorRequest
-from commentary.core import replace
+from commentary.core import Record, replace
 from commentary.prompting import RenderedPrompt
 from commentary.subtitles import SrtEntry
 
@@ -205,9 +215,9 @@ class TestRecord:
             (
                 StrategyConfig(kind=StrategyKind.REALTIME, step=1.0),
                 "StrategyConfig(kind=<StrategyKind.REALTIME: 'realtime'>, step=1.0, "
-                "window_cap=30, icl_shots=0, rate_model=SpeechRateModel(rates={'en': "
-                "SpeechRate(unit='word', rate=4.0), 'ja': SpeechRate(unit='character', "
-                "rate=8.0)}), language='en', max_history=None)",
+                "window_cap=30, icl_shots=0, rate_model=SpeechRateModel(rates=(('en', "
+                "SpeechRate(unit='word', rate=4.0)), ('ja', SpeechRate(unit='character', "
+                "rate=8.0)))), language='en', max_history=None)",
             ),
             (
                 SrtEntry(index=1, start=0.5, end=2.0, text="a bold move"),
@@ -217,7 +227,7 @@ class TestRecord:
                 request(),
                 "GeneratorRequest(prompt=RenderedPrompt(text='t', "
                 "attachments=('data:image/jpeg;base64,AAAA',), digest='0123456789abcdef'), "
-                "model_id='m', max_output_units=256, temperature=0.0, decision_time=2.0)",
+                "model_id='m', decision_time=2.0)",
             ),
             (Wait(), "Wait()"),
         ],
@@ -236,8 +246,29 @@ class TestRecord:
         read, fresh = request(), request()
         assert read.frame_bytes == {"data:image/jpeg;base64,AAAA": None}
         assert read == fresh
-        assert hash(read) == hash(fresh) == hash((read.prompt, "m", 256, 0.0, 2.0))
+        assert hash(read) == hash(fresh) == hash((read.prompt, "m", 2.0))
         assert repr(read) == repr(fresh)
+
+    def test_every_record_type_hashes(self, tmp_path):
+        store = synth_store(duration=6.0)
+        demo = Demonstration(frames_between(store, 0.0, 0.0), "lights out")
+        prompts = PromptSet(*BUILTIN_TEMPLATES["race-en"], demonstrations=(demo,))
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, icl_shots=1)
+        backend = ScriptedBackend({1: "the red car leads"})
+        record = run_session(store, cfg, backend, SimulatedClock(), prompts)
+        step = record.steps[1]
+        request = GeneratorRequest(render_init(prompts.init, step.window), "m")
+        instances = [
+            record, step, step.window, step.window.frames[0], step.utterance, record.track,
+            cfg, cfg.rate_model, cfg.rate_model.rates[0][1], store, prompts, prompts.init, demo,
+            request, request.prompt, GeneratorResponse("go", 0.0, "m"), Speak("go"), Wait(),
+            evaluate(record.track, record.track, LexicalOverlapScorer(), "en"),
+            SrtEntry(1, 0.0, 1.0, "go"),
+            cli.RunConfig(tmp_path / "m", cfg, prompts, "scripted:s", "off", None, tmp_path, 0),
+        ]
+        assert {type(r) for r in instances} == set(Record.__subclasses__())
+        for r in instances:
+            assert hash(r) == hash(copy.deepcopy(r)), r
 
     def test_records_of_other_types_differ(self):
         assert Wait() != ()

@@ -17,12 +17,12 @@ from helpers import reference_frames_between, synth_store, write_manifest
 def _window_or_error(build, store, t_a, t_b, cap):
     try:
         return build(store, t_a, t_b, cap)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
 def store_with_seconds(seconds, duration):
-    frames = {s: FrameRef(video_id="v1", second=s, uri=f"f/{s}.jpg") for s in seconds}
+    frames = tuple(FrameRef(video_id="v1", second=s, uri=f"f/{s}.jpg") for s in seconds)
     return FrameStore(video_id="v1", video_duration=duration, frames=frames)
 
 
@@ -32,7 +32,7 @@ class TestLoadManifest:
         store = load_manifest(path)
         assert store.video_id == "v1"
         assert store.video_duration == 10.0
-        assert store.frame_count == 10
+        assert len(store.frames) == 10
         assert store.frames[3].second == 3
 
     def test_missing_second_names_the_gap(self, tmp_path):
@@ -85,7 +85,7 @@ class TestLoadManifest:
     def test_fractional_duration_needs_ceil_coverage(self, tmp_path):
         path = write_manifest(tmp_path / "v2.manifest", "v2", 3.5)
         store = load_manifest(path)
-        assert store.frame_count == 4
+        assert len(store.frames) == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -121,7 +121,7 @@ class TestLoadManifest:
         path = tmp_path / "zero.manifest"
         path.write_text("#video_id\tv1\tduration\t0\n0\ta.jpg\n", encoding="utf-8")
         store = load_manifest(path)
-        assert store.frame_count == 1
+        assert len(store.frames) == 1
 
 
 class TestFramesBetween:
@@ -213,38 +213,25 @@ class TestFramesBetween:
         )
 
 
-class TestOrderedView:
-    """`frames_between` slices the store's ordered view; a store whose keys are
-    not 0..n-1 looks each second up instead, as the second-by-second build does."""
+class TestFrameStore:
+    """A store holds the frames of the seconds 0..n-1, in order, in one tuple."""
 
     @pytest.mark.parametrize(
-        "seconds, duration, t_a, t_b, cap",
-        [
-            ((0, 1, 3), 4.0, 0.0, 4.0, 30),  # lacks second 2: KeyError(2)
-            ((0, 1, 3), 4.0, 0.0, 2.0, 30),  # the window stops short of the gap
-            ((0, 2, 3), 4.0, 2.0, 3.0, 30),  # the window starts past the gap
-            ((0, 2, 3), 4.0, 0.0, 4.0, 1),  # the cap drops the gap
-            ((1, 2, 3), 4.0, 0.0, 0.0, 30),  # lacks second 0
-            ((0, 1, 5), 6.0, 0.0, 6.0, 30),  # a key past n - 1
-            ((0, 1, 5), 6.0, 5.0, 5.0, 30),  # single-second fallback to n - 1
-            ((), 1.0, 0.0, 1.0, 30),  # no frames at all: KeyError(-1)
-        ],
+        "seconds",
+        [(0, 1, 3), (1, 2, 3), (0, 2, 1), (0, 1, 1), ()],
+        ids=["gap", "no-second-0", "out-of-order", "duplicate", "empty"],
     )
-    def test_a_store_with_other_keys_matches_the_second_by_second_build(
-        self, seconds, duration, t_a, t_b, cap
-    ):
-        store = store_with_seconds(seconds, duration)
-        assert store._ordered == ()
-        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
-            reference_frames_between, store, t_a, t_b, cap
-        )
+    def test_rejects_frames_that_are_not_seconds_0_to_n_minus_1(self, seconds):
+        with pytest.raises(ValueError, match="seconds 0..n-1|second 0"):
+            store_with_seconds(seconds, 4.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_any_key_set_matches_the_second_by_second_build(self, data):
-        seconds = data.draw(st.sets(st.integers(0, 14), max_size=12), label="seconds")
+    def test_a_store_of_any_length_matches_the_second_by_second_build(self, data):
+        # The store may hold fewer frames than its video has seconds, or more.
+        n = data.draw(st.integers(1, 14), label="frames")
         duration = data.draw(st.floats(0.0, 12.0), label="duration")
-        store = store_with_seconds(seconds, duration)
+        store = store_with_seconds(range(n), duration)
         moment = st.one_of(st.floats(0.0, duration), st.integers(0, int(duration)).map(float))
         t_a = data.draw(moment, label="t_a")
         t_b = data.draw(st.one_of(moment, st.just(t_a)), label="t_b")
@@ -253,20 +240,13 @@ class TestOrderedView:
             reference_frames_between, store, t_a, t_b, cap
         )
 
-    def test_replace_rebuilds_the_view(self):
+    def test_eq_hash_and_repr_go_over_the_frame_tuple(self):
         store = synth_store(duration=3.0)
-        assert store._ordered == tuple(store.frames[s] for s in range(3))
-        longer = replace(store, video_duration=5.0, frames=synth_store(duration=5.0).frames)
-        assert [f.second for f in longer._ordered] == [0, 1, 2, 3, 4]
-        assert [f.second for f in frames_between(longer, 3.0, 5.0).frames] == [3, 4]
-        gapped = replace(store, frames={0: store.frames[0], 2: store.frames[2]})
-        assert gapped._ordered == ()
-
-    def test_the_view_takes_no_part_in_eq_hash_or_repr(self):
-        store = synth_store(duration=3.0)
-        # == and hash go over these values alone (a store's dict makes it unhashable).
-        assert store._values() == (store.video_id, store.video_duration, store.frames)
-        assert FrameStore(store.video_id, store.video_duration, dict(store.frames)) == store
+        assert [f.second for f in store.frames] == [0, 1, 2]
+        same = FrameStore(store.video_id, store.video_duration, list(store.frames))
+        assert same == store and hash(same) == hash(store)
         assert repr(store) == (
             f"FrameStore(video_id='v1', video_duration=3.0, frames={store.frames!r})"
         )
+        longer = replace(store, video_duration=5.0, frames=synth_store(duration=5.0).frames)
+        assert [f.second for f in frames_between(longer, 3.0, 5.0).frames] == [3, 4]

@@ -1,6 +1,7 @@
 """Schedulers, duration estimation, and the session loop."""
 
 import hashlib
+import math
 import random
 import types
 from fractions import Fraction
@@ -576,3 +577,8 @@ class TestGenerationRecord:
             SpeechRate(unit="syllable", rate=4.0)
         with pytest.raises(ValueError):
             SpeechRate(unit="word", rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_speech_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SpeechRate(unit="word", rate=rate)

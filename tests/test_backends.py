@@ -14,7 +14,6 @@ import sys
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -60,6 +59,7 @@ from helpers import (
     ScanningOracleBackend,
     prompt_set,
     read_cache_log,
+    serving_chat,
     synth_store,
     write_cache_log,
 )
@@ -395,68 +395,10 @@ class TestReplayCache:
         assert sorted(digests) == [f"{i:016x}" for i in keys]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "stub"
-    protocol_version = "HTTP/1.1"
-
-    def setup(self):
-        super().setup()
-        self.server.connections.append(self.client_address)  # type: ignore[attr-defined]
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
-        body = json.loads(raw)
-        plan = self.server.plan  # type: ignore[attr-defined]
-        self.server.requests.append(  # type: ignore[attr-defined]
-            {"body": body, "raw": raw, "auth": self.headers.get("Authorization"), "path": self.path}
-        )
-        status = plan.pop(0) if plan else 200
-        if status != 200:
-            reply = {}
-        elif self.path.endswith("/embeddings"):
-            reply = {"data": [{"embedding": [1.0, 0.0]} for _ in body["input"]]}
-        else:
-            reply = {"choices": [{"message": {"content": "the pack surges forward"}}]}
-        payload = json.dumps(reply).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        # Closes without a `Connection: close` header, as a server whose
-        # keep-alive timeout expires between two requests does.
-        self.close_connection = self.server.close_after_reply  # type: ignore[attr-defined]
-
-    def log_message(self, *args):
-        pass
-
-
-class _ChatServer(ThreadingHTTPServer):
-    """Keep-alive test endpoint that records requests and accepted connections."""
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _Handler)
-        self.plan = []
-        self.requests = []
-        self.connections = []
-        self.close_after_reply = False
-        self.closed = threading.Semaphore(0)  # released each time a connection is closed
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        self.closed.release()
-
-
 @pytest.fixture()
 def chat_server():
-    server = _ChatServer()
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
+    with serving_chat() as server:
+        yield server
 
 
 class _RawServer:

@@ -40,7 +40,7 @@ from .evaluation import (
     rouge_l,
     timing_alignment,
 )
-from .media import FrameRef, FrameStore, FrameWindow, frames_between, load_manifest
+from .media import FrameStore, frames_between, load_manifest
 from .prompting import (
     BUILTIN_TEMPLATES,
     Demonstration,
@@ -74,9 +74,7 @@ __all__ = [
     "Demonstration",
     "EmbeddingScorer",
     "EvalReport",
-    "FrameRef",
     "FrameStore",
-    "FrameWindow",
     "GenerationRecord",
     "GeneratorRequest",
     "GeneratorResponse",

@@ -155,10 +155,13 @@ def parse_rate_model(spec: str) -> SpeechRateModel:
     for part in spec.split(","):
         lang, sep, rest = part.partition("=")
         unit, sep2, value = rest.partition(":")
-        if not sep or not sep2 or not lang.strip():
+        lang = lang.strip()
+        if not sep or not sep2 or not lang:
             raise CliError(f"bad --rate-model entry {part!r}; expected lang=unit:rate")
+        if lang in rates:
+            raise CliError(f"bad --rate-model entry {part!r}: language {lang!r} given twice")
         try:
-            rates[lang.strip()] = SpeechRate(unit=unit.strip(), rate=float(value))
+            rates[lang] = SpeechRate(unit=unit.strip(), rate=float(value))
         except ValueError as exc:
             raise CliError(f"bad --rate-model entry {part!r}: {exc}") from exc
     return SpeechRateModel(rates=rates)

@@ -34,47 +34,23 @@ class WindowRangeError(ValueError):
     """Requested frame window lies outside the video bounds."""
 
 
-class FrameRef(Record):
-    """Reference to one sampled frame; the image itself is opened by backends only."""
-
-    def __init__(self, video_id: str, second: int, uri: str) -> None:
-        self.__dict__.update(video_id=video_id, second=second, uri=uri)
-
-
 class FrameStore(Record):
-    """All frames of one video in second order: `frames[s]` is the frame of second s."""
+    """The frame URIs of one video in second order: `frames[s]` is the URI of second s.
 
-    def __init__(
-        self, video_id: str, video_duration: Seconds, frames: tuple[FrameRef, ...]
-    ) -> None:
+    A frame is its URI; the image behind it is opened by backends only.
+    """
+
+    def __init__(self, video_id: str, video_duration: Seconds, frames: tuple[str, ...]) -> None:
         check_seconds(video_duration, "video_duration")
         frames = tuple(frames)
         if not frames:
             raise ValueError("a frame store needs the frame of second 0 at least")
-        for s, frame in enumerate(frames):
-            if frame.second != s:
-                raise ValueError(
-                    f"frames must be of the seconds 0..n-1 in order; frames[{s}] is of "
-                    f"second {frame.second}"
-                )
         self.__dict__.update(
             video_id=video_id,
             # Kept to the millisecond, the grid that sessions run on.
             video_duration=from_ms(to_ms(video_duration)),
             frames=frames,
         )
-
-
-class FrameWindow(Record):
-    """Frames covering [window_start, window_end), ascending, newest retained on cap."""
-
-    def __init__(
-        self, frames: tuple[FrameRef, ...], window_start: Seconds, window_end: Seconds
-    ) -> None:
-        frames = tuple(frames)
-        if window_start > window_end:
-            raise ValueError("window_start must not exceed window_end")
-        self.__dict__.update(frames=frames, window_start=window_start, window_end=window_end)
 
 
 def _required_seconds(duration: float) -> int:
@@ -112,7 +88,7 @@ def load_manifest(path: str | Path) -> FrameStore:
         raise ManifestError(f"{path}: bad duration in header: {exc}") from exc
 
     n = _required_seconds(duration)
-    frames: dict[int, FrameRef] = {}
+    frames: dict[int, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -132,7 +108,7 @@ def load_manifest(path: str | Path) -> FrameStore:
             raise ManifestError(f"{path}:{lineno}: second {second} outside [0, {n})")
         if second in frames:
             raise ManifestError(f"{path}:{lineno}: duplicate second {second}")
-        frames[second] = FrameRef(video_id=video_id, second=second, uri=uri)
+        frames[second] = uri
 
     for second in range(n):
         if second not in frames:
@@ -143,8 +119,8 @@ def load_manifest(path: str | Path) -> FrameStore:
 
 def frames_between(
     store: FrameStore, t_a: Seconds, t_b: Seconds, cap: int = DEFAULT_WINDOW_CAP
-) -> FrameWindow:
-    """Frames whose second lies in [t_a, max(t_b, t_a + 1)), newest `cap` retained.
+) -> tuple[str, ...]:
+    """Frame URIs whose second lies in [t_a, max(t_b, t_a + 1)), newest `cap` retained.
 
     A degenerate window (t_a == t_b) therefore yields the single current frame.
     When the formula reaches past the last stored frame, the newest available
@@ -168,4 +144,4 @@ def frames_between(
         lo = min(math.floor(t_a), n - 1)
         hi = lo + 1
     lo = max(lo, hi - cap)
-    return FrameWindow(frames=store.frames[lo:hi], window_start=t_a, window_end=t_b)
+    return store.frames[lo:hi]

@@ -9,7 +9,6 @@ from random import Random
 from typing import Sequence
 
 from .core import WAIT_TOKEN, DecisionOutcome, Record, Speak, Wait, read_utf8
-from .media import FrameRef, FrameWindow
 
 KIND_INIT = "init"
 KIND_DECISION = "decision"
@@ -46,12 +45,12 @@ class PromptTemplate(Record):
 
 
 class Demonstration(Record):
-    """A frame/commentary exemplar prepended to decision prompts."""
+    """A frame/commentary exemplar prepended to decision prompts: frame URIs and a line."""
 
-    def __init__(self, frames: FrameWindow, utterance_text: str) -> None:
+    def __init__(self, frames: tuple[str, ...], utterance_text: str) -> None:
         if not utterance_text.strip():
             raise ValueError("demonstration utterance text must be non-empty")
-        self.__dict__.update(frames=frames, utterance_text=utterance_text)
+        self.__dict__.update(frames=tuple(frames), utterance_text=utterance_text)
 
 
 class RenderedPrompt(Record):
@@ -103,16 +102,15 @@ def _join(role_preamble: str, *blocks: str) -> str:
     return "\n".join(parts)
 
 
-def render_init(template: PromptTemplate, window: FrameWindow) -> RenderedPrompt:
-    """Render the initialization prompt: role and body only, no history block."""
+def render_init(template: PromptTemplate, window: tuple[str, ...]) -> RenderedPrompt:
+    """Render the initialization prompt: role and body only, no history block, with
+    the window's frame URIs as its attachments."""
     if template.kind != KIND_INIT:
         raise ValueError(f"render_init requires an init template, got kind {template.kind!r}")
-    if not window.frames:
+    if not window:
         raise ValueError("window must contain at least one frame")
     text = _join(template.role_preamble, template.body)
-    attachments = tuple([f.uri for f in window.frames])
-    digest = _finish(_text_hash(text), attachments)
-    return RenderedPrompt(text=text, attachments=attachments, digest=digest)
+    return RenderedPrompt(text=text, attachments=window, digest=_finish(_text_hash(text), window))
 
 
 class DecisionRenderer:
@@ -144,15 +142,15 @@ class DecisionRenderer:
         # `_join` of the preamble, demo block and body: the body is never empty,
         # since the history it holds reads 'none' at least.
         self._head = "".join(p + "\n" for p in (template.role_preamble, demo_block) if p) + head
-        self._demo_uris = tuple(f.uri for demo in demos for f in demo.frames.frames)
+        self._demo_uris = tuple(uri for demo in demos for uri in demo.frames)
         # Set by the first render, which always rebuilds.
         self._history: tuple[str, ...] | None = None
         self._lines = ""
         self._state = self._hash = _text_hash("")
         self._text = ""
 
-    def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
-        if not window.frames:
+    def render(self, history: Sequence[str], window: tuple[str, ...]) -> RenderedPrompt:
+        if not window:
             raise ValueError("window must contain at least one frame")
         key = history if type(history) is tuple else tuple(history)
         last = self._history
@@ -170,7 +168,7 @@ class DecisionRenderer:
             self._hash = self._state.copy()
             self._hash.update(tail.encode("utf-8"))
             self._history = key
-        attachments = self._demo_uris + tuple([f.uri for f in window.frames])
+        attachments = self._demo_uris + window
         digest = _finish(self._hash.copy(), attachments)
         return RenderedPrompt(text=self._text, attachments=attachments, digest=digest)
 
@@ -179,7 +177,7 @@ def render_decision(
     template: PromptTemplate,
     history: Sequence[str],
     demos: Sequence[Demonstration],
-    window: FrameWindow,
+    window: tuple[str, ...],
 ) -> RenderedPrompt:
     """Render a decision prompt with history and optional demonstrations.
 
@@ -243,9 +241,7 @@ def load_demonstrations(path: str | Path) -> list[Demonstration]:
         uri, text = parts[0].strip(), parts[1].strip()
         if "\0" in uri:
             raise ValueError(f"{path}:{lineno}: NUL character in frame uri")
-        ref = FrameRef(video_id="demo", second=0, uri=uri)
-        window = FrameWindow(frames=(ref,), window_start=0.0, window_end=0.0)
-        demos.append(Demonstration(frames=window, utterance_text=text))
+        demos.append(Demonstration(frames=(uri,), utterance_text=text))
     return demos
 
 

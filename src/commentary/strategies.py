@@ -32,7 +32,7 @@ from .core import (
     from_ms,
     to_ms,
 )
-from .media import DEFAULT_WINDOW_CAP, FrameStore, FrameWindow, frames_between
+from .media import DEFAULT_WINDOW_CAP, FrameStore, frames_between
 # render_decision stays importable here: perfbench/tracing.py wraps it by this name.
 from .prompting import DecisionRenderer, PromptSet, parse_response, render_decision, render_init
 
@@ -173,8 +173,8 @@ class StrategyConfig(Record):
 
 def select_window(
     config: StrategyConfig, store: FrameStore, t_i: Seconds, t_last_query: Seconds = 0.0
-) -> FrameWindow:
-    """Frame window for the decision at t_i.
+) -> tuple[str, ...]:
+    """The frame URIs of the window for the decision at t_i.
 
     Fixed kinds look back one step; realtime covers everything since the last
     query. Both are capped at config.window_cap newest frames.
@@ -185,6 +185,20 @@ def select_window(
     return frames_between(store, start, t_i, config.window_cap)
 
 
+def next_query_ms(
+    realtime: bool, step_ms: int, t_ms: int, spoken_ms: int | None, arrival_ms: int
+) -> int:
+    """When the query after the one at `t_ms` fires, all times in whole milliseconds.
+
+    Fixed kinds advance by the step. Realtime advances by the spoken duration
+    `spoken_ms` after a Speak (None after a Wait), floored at the step: short
+    utterances never poll faster. A reply that arrives (at `arrival_ms`) after
+    that time moves the query to its arrival: a query never fires in the past.
+    """
+    advance = max(step_ms, spoken_ms) if realtime and spoken_ms is not None else step_ms
+    return max(t_ms + advance, arrival_ms)
+
+
 class SessionStep(Record):
     """One executed decision: when, over which frames, what was asked, what came back,
     and the utterance a Speak put on the track (None after a Wait)."""
@@ -193,7 +207,7 @@ class SessionStep(Record):
         self,
         index: int,
         time: Seconds,
-        window: FrameWindow,
+        window: tuple[str, ...],
         history_len: int,
         prompt_digest: str,
         raw_response: str,
@@ -252,7 +266,7 @@ def run_session(
     """
     # icl_shots is 0 for every kind but feedback-icl.
     demos = prompts.demonstrations[: config.icl_shots]
-    demo_frames = sum([len(d.frames.frames) for d in demos])
+    demo_frames = sum([len(d.frames) for d in demos])
     if config.window_frames + demo_frames > ATTACHMENT_LIMIT:
         raise ValueError(
             f"windows of {config.window_frames} frames and {demo_frames} demonstration "
@@ -260,8 +274,6 @@ def run_session(
         )
     renderer = DecisionRenderer(prompts.decision, demos)
     duration_ms = to_ms(store.video_duration)
-    # Fixed kinds advance by the step. Realtime advances by the spoken duration
-    # after a Speak, floored at the step: short utterances never poll faster.
     step_ms = to_ms(config.step)
     realtime = config.kind is StrategyKind.REALTIME
     keeps_history = config.kind is not StrategyKind.STATELESS
@@ -317,11 +329,7 @@ def run_session(
                 history = history[len(history) - config.max_history :]
 
         t_last_query = t
-        t_ms += max(step_ms, spoken_ms) if realtime and spoken_ms is not None else step_ms
-        # A slow backend may return after the scheduled time; never fire in the past.
-        now = clock.now()
-        if now > t:
-            t_ms = max(t_ms, to_ms(now, round_up=True))
+        t_ms = next_query_ms(realtime, step_ms, t_ms, spoken_ms, to_ms(clock.now(), round_up=True))
         if t_ms > duration_ms:
             break
         index += 1

@@ -16,9 +16,7 @@ from typing import Sequence
 from commentary import (
     BUILTIN_TEMPLATES,
     CommentaryTrack,
-    FrameRef,
     FrameStore,
-    FrameWindow,
     PromptSet,
     RenderedPrompt,
     Utterance,
@@ -81,14 +79,14 @@ def reference_render_decision(
     template: PromptTemplate,
     history: Sequence[str],
     demos: Sequence[Demonstration],
-    window: FrameWindow,
+    window: tuple[str, ...],
 ) -> RenderedPrompt:
     """A decision prompt rendered from scratch; the oracle for `DecisionRenderer`."""
     if template.kind != KIND_DECISION:
         raise ValueError(
             f"render_decision requires a decision template, got kind {template.kind!r}"
         )
-    if not window.frames:
+    if not window:
         raise ValueError("window must contain at least one frame")
     demo_block = ""
     if demos:
@@ -99,8 +97,8 @@ def reference_render_decision(
     text = "\n".join(p for p in (template.role_preamble, demo_block, body) if p)
     attachments: list[str] = []
     for demo in demos:
-        attachments.extend(f.uri for f in demo.frames.frames)
-    attachments.extend(f.uri for f in window.frames)
+        attachments.extend(demo.frames)
+    attachments.extend(window)
     return RenderedPrompt(
         text=text, attachments=tuple(attachments), digest=reference_digest(text, attachments)
     )
@@ -124,14 +122,14 @@ class ReferenceRenderer:
         self._template = template
         self._demos = demos
 
-    def render(self, history: Sequence[str], window: FrameWindow) -> RenderedPrompt:
+    def render(self, history: Sequence[str], window: tuple[str, ...]) -> RenderedPrompt:
         return reference_render_decision(self._template, history, self._demos, window)
 
 
 def reference_frames_between(
     store: FrameStore, t_a: float, t_b: float, cap: int = DEFAULT_WINDOW_CAP
-) -> FrameWindow:
-    """The window built second by second; the oracle for `frames_between`."""
+) -> tuple[str, ...]:
+    """The window's frame URIs, picked second by second; the oracle for `frames_between`."""
     check_seconds(t_a, "t_a")
     check_seconds(t_b, "t_b")
     if cap < 1:
@@ -149,8 +147,7 @@ def reference_frames_between(
         seconds = [min(math.floor(t_a), n - 1)]
     if len(seconds) > cap:
         seconds = seconds[-cap:]
-    refs = tuple(store.frames[s] for s in seconds)
-    return FrameWindow(frames=refs, window_start=t_a, window_end=t_b)
+    return tuple(store.frames[s] for s in seconds)
 
 
 class ScanningOracleBackend:
@@ -200,11 +197,14 @@ def reference_decision_ms(
 
 def synth_store(video_id: str = "v1", duration: float = 10.0) -> FrameStore:
     n = max(math.ceil(duration), 1)
-    frames = tuple(
-        FrameRef(video_id=video_id, second=s, uri=f"file:///frames/{video_id}/{s:04d}.jpg")
-        for s in range(n)
-    )
+    frames = tuple(f"file:///frames/{video_id}/{s:04d}.jpg" for s in range(n))
     return FrameStore(video_id=video_id, video_duration=duration, frames=frames)
+
+
+def window_seconds(window: Sequence[str]) -> list[int]:
+    """The seconds of the frames in a window of `synth_store` or `write_manifest`
+    frame URIs, read back from their file names."""
+    return [int(uri.rsplit("/", 1)[1].partition(".")[0]) for uri in window]
 
 
 def prompt_set(name: str = "race-en", demonstrations=()) -> PromptSet:

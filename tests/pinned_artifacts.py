@@ -42,6 +42,7 @@ import random
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 from commentary import CommentaryTrack, Utterance, to_srt
 from commentary.cli import main
@@ -83,9 +84,8 @@ def _cli(*argv: str) -> str:
 
 
 def _files(root: Path, base: Path) -> dict[str, bytes]:
-    return {
-        p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()
-    }
+    files = sorted(p for p in base.rglob("*") if p.is_file())
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
 
 
 def _language_runs(root: Path, lang: str, seed: int) -> dict[str, bytes]:
@@ -149,9 +149,8 @@ def _cache_runs(root: Path) -> dict[str, bytes]:
     artifacts = _files(root, home / "rec")
     artifacts.update(_files(root, home / "rep"))
     artifacts["cache/stdout"] = stdout.encode("utf-8")
-    records = sorted(
-        ([*fields[:-2], 0, fields[-1]], raw) for fields, raw in read_cache_log(home / "log" / "cache.log")
-    )
+    recorded = read_cache_log(home / "log" / "cache.log")
+    records = sorted(([*fields[:-2], 0, fields[-1]], raw) for fields, raw in recorded)
     write_cache_log(home / "cache.log", records)
     artifacts["cache/cache.log"] = (home / "cache.log").read_bytes()
     return artifacts
@@ -174,26 +173,19 @@ def _remote_run(root: Path) -> dict[str, bytes]:
         path.write_bytes(f"demo frame {i}".encode("ascii"))
         demos.append(f"file://{path}\tdemonstration line {i}\n")
     (home / "demos.tsv").write_text("".join(demos), encoding="utf-8")
-    saved = {k: os.environ.get(k) for k in ("COMMENTARY_API_BASE", "COMMENTARY_API_KEY", "COMMENTARY_MODEL")}
-    try:
-        with serving_chat() as server:
-            os.environ.update(
-                COMMENTARY_API_BASE=f"http://127.0.0.1:{server.server_address[1]}",
-                COMMENTARY_API_KEY="sk-test",
-                COMMENTARY_MODEL="test-model",
-            )
+    with serving_chat() as server:
+        endpoint = {
+            "COMMENTARY_API_BASE": f"http://127.0.0.1:{server.server_address[1]}",
+            "COMMENTARY_API_KEY": "sk-test",
+            "COMMENTARY_MODEL": "test-model",
+        }
+        with mock.patch.dict(os.environ, endpoint):
             _cli(
                 "generate", "--manifest", home / "r01.manifest", "--backend", "remote",
                 "--strategy", "feedback-icl", "--shots", 2, "--demos", home / "demos.tsv",
                 "--out", home / "out",
             )
-            bodies = [request["raw"] for request in server.requests]
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        bodies = [request["raw"] for request in server.requests]
     artifacts = {f"remote/body-{i}.json": body for i, body in enumerate(bodies)}
     artifacts["remote/out/r01.srt"] = (home / "out" / "r01.srt").read_bytes()
     return artifacts
@@ -209,9 +201,9 @@ def run_all(root: Path) -> dict[str, bytes]:
 
 
 def _is_text_pin(name: str) -> bool:
-    if not name.startswith(("en/gen/", "en/report/")) or name.endswith(".stdout"):
-        return False
-    return name.endswith(("/en01.srt", "/en01.trace", "/summary.tsv")) or name.startswith("en/report/")
+    if name.startswith("en/gen/"):
+        return name.endswith(("/en01.srt", "/en01.trace", "/summary.tsv"))
+    return name.startswith("en/report/") and name.endswith(".tsv")
 
 
 def pins(artifacts: dict[str, bytes]) -> dict[str, bytes | str]:

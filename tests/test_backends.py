@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from commentary import (
     CacheLog,
     CommentaryTrack,
-    FrameRef,
     FrameStore,
     GeneratorRequest,
     GeneratorResponse,
@@ -581,7 +580,7 @@ class TestRecordedFrames:
             path = frames_dir / f"{s:04d}.jpg"
             path.write_bytes(bytes([s]) * (500 + 37 * s))
             uri = f"file://{path}" if s % 2 else str(path)
-            frames.append(FrameRef(video_id="v", second=s, uri=uri))
+            frames.append(uri)
         store = FrameStore(video_id="v", video_duration=8.0, frames=frames)
         opened = []
         real_open = io.open

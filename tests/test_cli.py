@@ -266,6 +266,12 @@ class TestGenerate:
         assert err.startswith(f"error: bad --rate-model entry 'en=word:{rate}': rate must be ")
         assert not (workspace["root"] / "out").exists()
 
+    def test_a_language_given_twice_in_the_rate_model_exits_one_naming_it(self, workspace, capsys):
+        assert main(gen_args(workspace, rate_model="en=word:4,en=word:1")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad --rate-model entry 'en=word:1': language 'en' given twice\n"
+        assert not (workspace["root"] / "out").exists()
+
     def test_windows_over_the_attachment_limit_exit_one_before_any_session(self, workspace, capsys):
         write_manifest(workspace["manifest"], "race01", 120.0)
         args = gen_args(workspace, strategy="stateless", step=40, window_cap=40)

@@ -259,7 +259,7 @@ class TestRecord:
         step = record.steps[1]
         request = GeneratorRequest(render_init(prompts.init, step.window), "m")
         instances = [
-            record, step, step.window, step.window.frames[0], step.utterance, record.track,
+            record, step, step.utterance, record.track,
             cfg, cfg.rate_model, cfg.rate_model.rates[0][1], store, prompts, prompts.init, demo,
             request, request.prompt, GeneratorResponse("go", 0.0, "m"), Speak("go"), Wait(),
             evaluate(record.track, record.track, LexicalOverlapScorer(), "en"),

@@ -7,5 +7,6 @@ from pinned_artifacts import pins, read_pins, run_all
 def test_cli_artifacts_equal_the_pinned_files(tmp_path):
     actual = pins(run_all(tmp_path))
     expected = read_pins()
-    differing = sorted(n for n in actual.keys() | expected.keys() if actual.get(n) != expected.get(n))
+    names = actual.keys() | expected.keys()
+    differing = sorted(n for n in names if actual.get(n) != expected.get(n))
     assert not differing, f"artifacts that differ from tests/pinned/: {differing}"

@@ -15,7 +15,6 @@ from commentary import (
     render_init,
 )
 from commentary import prompting
-from commentary.media import FrameRef, FrameWindow
 from commentary.prompting import (
     DecisionRenderer,
     PromptTemplate,
@@ -37,16 +36,6 @@ from commentary import frames_between
 def window_of(*seconds, video_id="v1", duration=60.0):
     store = synth_store(video_id=video_id, duration=duration)
     return frames_between(store, float(seconds[0]), float(seconds[-1]) + 1.0, cap=60)
-
-
-def single_frame_window(uri="file:///demo/0.jpg"):
-    ref = FrameRef(video_id="demo", second=0, uri=uri)
-    return FrameWindow(frames=(ref,), window_start=0.0, window_end=0.0)
-
-
-def window_of_uris(*uris):
-    refs = tuple(FrameRef(video_id="v1", second=i, uri=u) for i, u in enumerate(uris))
-    return FrameWindow(frames=refs, window_start=0.0, window_end=float(len(uris)))
 
 
 class TestTemplates:
@@ -85,9 +74,8 @@ class TestRenderInit:
 
     def test_rejects_empty_window(self):
         init, _ = BUILTIN_TEMPLATES["race-en"]
-        empty = FrameWindow(frames=(), window_start=0.0, window_end=0.0)
         with pytest.raises(ValueError):
-            render_init(init, empty)
+            render_init(init, ())
 
 
 class TestRenderDecision:
@@ -105,19 +93,19 @@ class TestRenderDecision:
     def test_eight_demos_plus_two_frames_gives_ten_attachments(self):
         _, decision = BUILTIN_TEMPLATES["race-en"]
         demos = [
-            Demonstration(frames=single_frame_window(f"file:///demo/{i}.jpg"), utterance_text=f"demo {i}")
+            Demonstration(frames=(f"file:///demo/{i}.jpg",), utterance_text=f"demo {i}")
             for i in range(8)
         ]
         window = window_of(4, 5)
         rendered = render_decision(decision, [], demos, window)
         assert len(rendered.attachments) == 10
         assert list(rendered.attachments[:8]) == [f"file:///demo/{i}.jpg" for i in range(8)]
-        assert rendered.attachments[8:] == tuple(f.uri for f in window.frames)
+        assert rendered.attachments[8:] == window
 
     def test_demo_texts_are_numbered_in_order(self):
         _, decision = BUILTIN_TEMPLATES["race-en"]
         demos = [
-            Demonstration(frames=single_frame_window(f"u{i}"), utterance_text=f"demo text {i}")
+            Demonstration(frames=(f"u{i}",), utterance_text=f"demo text {i}")
             for i in range(3)
         ]
         rendered = render_decision(decision, [], demos, window_of(0))
@@ -150,15 +138,9 @@ class TestRenderDecision:
 # No lone surrogates: a prompt must encode as UTF-8.
 _texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
 _uris = _texts.map(lambda s: f"file:///frames/{s}.jpg")
-_windows = st.lists(_uris, min_size=1, max_size=4).map(
-    lambda uris: FrameWindow(
-        frames=tuple(FrameRef(video_id="v", second=i, uri=u) for i, u in enumerate(uris)),
-        window_start=0.0,
-        window_end=float(len(uris)),
-    )
-)
+_windows = st.lists(_uris, min_size=1, max_size=4).map(tuple)
 _demos = st.builds(
-    lambda uri, text: Demonstration(frames=single_frame_window(uri), utterance_text=text),
+    lambda uri, text: Demonstration(frames=(uri,), utterance_text=text),
     _uris,
     _texts.filter(str.strip),
 )
@@ -250,9 +232,8 @@ class TestDecisionRenderer:
         init, decision = BUILTIN_TEMPLATES["race-en"]
         with pytest.raises(ValueError, match="decision template"):
             DecisionRenderer(init)
-        empty = FrameWindow(frames=(), window_start=0.0, window_end=0.0)
         with pytest.raises(ValueError, match="at least one frame"):
-            DecisionRenderer(decision).render([], empty)
+            DecisionRenderer(decision).render([], ())
 
 
 class TestDigestFormat:
@@ -261,28 +242,28 @@ class TestDigestFormat:
 
     RACE_EN_INIT, RACE_EN_DECISION = BUILTIN_TEMPLATES["race-en"]
     RACE_JA_INIT, RACE_JA_DECISION = BUILTIN_TEMPLATES["race-ja"]
-    DEMO = Demonstration(window_of_uris("file:///demo/スタート.jpg"), "赤い車が飛び出した")
+    DEMO = Demonstration(("file:///demo/スタート.jpg",), "赤い車が飛び出した")
 
     def test_no_attachment_hashes_the_text_alone(self):
         digest = prompting._finish(prompting._text_hash("text"), ())
         assert digest == "982d9e3eb996f559" == reference_digest("text", ())
 
     def test_init_digests_are_pinned(self):
-        one = render_init(self.RACE_EN_INIT, window_of_uris("file:///frames/v1/0000.jpg"))
+        one = render_init(self.RACE_EN_INIT, ("file:///frames/v1/0000.jpg",))
         three = render_init(
-            self.RACE_JA_INIT, window_of_uris("file:///frames/レース/0000.jpg", "f/1.jpg", "f/2.jpg")
+            self.RACE_JA_INIT, ("file:///frames/レース/0000.jpg", "f/1.jpg", "f/2.jpg")
         )
         assert (one.digest, three.digest) == ("727c3131f79c972a", "b9e6eb58f1401e3f")
 
     def test_decision_digests_are_pinned(self):
         one = DecisionRenderer(self.RACE_EN_DECISION).render(
-            (), window_of_uris("file:///frames/v1/0005.jpg")
+            (), ("file:///frames/v1/0005.jpg",)
         )
         three = DecisionRenderer(self.RACE_JA_DECISION).render(
-            ("赤い車が先頭",), window_of_uris("file:///frames/レース/0007.jpg", "f/8.jpg", "f/9.jpg")
+            ("赤い車が先頭",), ("file:///frames/レース/0007.jpg", "f/8.jpg", "f/9.jpg")
         )
         with_demo = DecisionRenderer(self.RACE_JA_DECISION, (self.DEMO,)).render(
-            ("赤い車が先頭", "青い車が追う"), window_of_uris("f/8.jpg", "f/9.jpg")
+            ("赤い車が先頭", "青い車が追う"), ("f/8.jpg", "f/9.jpg")
         )
         assert len(with_demo.attachments) == 3
         assert (one.digest, three.digest, with_demo.digest) == (
@@ -301,7 +282,7 @@ class TestDigestFormat:
         )
     )
     def test_init_digest_equals_two_updates_per_uri(self, uris):
-        rendered = render_init(self.RACE_JA_INIT, window_of_uris(*uris))
+        rendered = render_init(self.RACE_JA_INIT, tuple(uris))
         assert rendered.digest == reference_digest(rendered.text, uris)
 
 
@@ -396,7 +377,7 @@ class TestDemonstrations:
         )
         demos = load_demonstrations(path)
         assert len(demos) == 2
-        assert demos[0].frames.frames[0].uri == "file:///d/0.jpg"
+        assert demos[0].frames == ("file:///d/0.jpg",)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "demos.tsv"
@@ -406,7 +387,7 @@ class TestDemonstrations:
 
     def test_sampling_is_seeded(self):
         pool = [
-            Demonstration(frames=single_frame_window(f"u{i}"), utterance_text=f"t{i}")
+            Demonstration(frames=(f"u{i}",), utterance_text=f"t{i}")
             for i in range(20)
         ]
         a = sample_demonstrations(pool, 8, seed=3)
@@ -417,7 +398,7 @@ class TestDemonstrations:
         assert a != c
 
     def test_sampling_rejects_oversized_request(self):
-        pool = [Demonstration(frames=single_frame_window(), utterance_text="t")]
+        pool = [Demonstration(frames=("file:///demo/0.jpg",), utterance_text="t")]
         with pytest.raises(ValueError):
             sample_demonstrations(pool, 2, seed=0)
 

@@ -28,10 +28,9 @@ from commentary import (
 )
 from commentary import prompting, strategies
 from commentary.backends import GeneratorResponse, TransportError
-from commentary.media import FrameRef, FrameWindow
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
-from commentary.strategies import count_units, unit_tokens
+from commentary.strategies import count_units, next_query_ms, unit_tokens
 from commentary.subtitles import track_entries
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     reference_frames_between,
     reference_unit_tokens,
     synth_store,
+    window_seconds,
 )
 
 
@@ -111,26 +111,58 @@ class TestNextDecisionTime:
     def test_realtime_wait_uses_step(self):
         assert self._after_ten(StrategyKind.REALTIME, "<WAIT>") == 12.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        duration_ms=st.integers(0, 30_000),
+        step_ms=st.integers(1, 5_000),
+        realtime=st.booleans(),
+        spoken_ms=st.lists(st.one_of(st.none(), st.integers(0, 8_000)), max_size=40),
+    )
+    def test_with_replies_that_arrive_at_once_it_is_the_reference_schedule(
+        self, duration_ms, step_ms, realtime, spoken_ms
+    ):
+        times: list[int] = []
+        t = 0
+        while t <= duration_ms:
+            spoken = spoken_ms[len(times)] if len(times) < len(spoken_ms) else None
+            times.append(t)
+            t = next_query_ms(realtime, step_ms, t, spoken, arrival_ms=t)
+        assert times == reference_decision_ms(duration_ms, step_ms, realtime, spoken_ms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        realtime=st.booleans(),
+        step_ms=st.integers(1, 5_000),
+        t_ms=st.integers(0, 10**7),
+        spoken_ms=st.one_of(st.none(), st.integers(0, 10**6)),
+        arrival_ms=st.integers(0, 2 * 10**7),
+    )
+    def test_a_query_is_never_before_its_arrival_or_a_step_on(
+        self, realtime, step_ms, t_ms, spoken_ms, arrival_ms
+    ):
+        after = next_query_ms(realtime, step_ms, t_ms, spoken_ms, arrival_ms)
+        assert after >= arrival_ms and after >= t_ms + step_ms
+
 
 class TestSelectWindow:
     def test_fixed_looks_back_one_step(self):
         store = synth_store(duration=10.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
         window = select_window(cfg, store, 6.0)
-        assert [f.second for f in window.frames] == [4, 5]
+        assert window_seconds(window) == [4, 5]
 
     def test_realtime_covers_elapsed_span(self):
         store = synth_store(duration=20.0)
         cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
         window = select_window(cfg, store, 15.25, t_last_query=10.0)
-        assert [f.second for f in window.frames] == [10, 11, 12, 13, 14, 15]
+        assert window_seconds(window) == [10, 11, 12, 13, 14, 15]
 
     def test_any_kind_at_zero_sees_opening_frame(self):
         store = synth_store(duration=10.0)
         for kind in StrategyKind:
             cfg = StrategyConfig(kind=kind, step=2.0)
             window = select_window(cfg, store, 0.0, t_last_query=0.0)
-            assert [f.second for f in window.frames] == [0]
+            assert window_seconds(window) == [0]
 
 
 class TestStrategyConfig:
@@ -187,7 +219,7 @@ class TestStrategyConfig:
         prompts = prompt_set(demonstrations=_demos(cfg.icl_shots))
         record = run_session(synth_store(duration=100.0), cfg, ScriptedBackend(), SimulatedClock(), prompts)
         assert record.complete
-        assert max(len(s.window.frames) for s in record.steps) + cfg.icl_shots == 32
+        assert max(len(s.window) for s in record.steps) + cfg.icl_shots == 32
 
     def test_a_session_attaches_icl_shots_of_a_larger_demonstration_pool(self):
         attachments = []
@@ -228,7 +260,7 @@ class TestStrategyConfig:
         prompts = prompt_set(demonstrations=_demos(8, frames=2))
         record = run_session(synth_store(duration=100.0), cfg, ScriptedBackend(), SimulatedClock(), prompts)
         assert record.complete
-        assert max(len(s.window.frames) for s in record.steps) == cfg.window_frames == 16
+        assert max(len(s.window) for s in record.steps) == cfg.window_frames == 16
 
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
@@ -462,14 +494,7 @@ class TestMillisecondGrid:
 def _demos(n, frames=1):
     return tuple(
         Demonstration(
-            frames=FrameWindow(
-                frames=tuple(
-                    FrameRef(video_id="demo", second=0, uri=f"file:///demo/{i}.jpg" + "#b" * k)
-                    for k in range(frames)
-                ),
-                window_start=0.0,
-                window_end=0.0,
-            ),
+            frames=tuple(f"file:///demo/{i}.jpg" + "#b" * k for k in range(frames)),
             utterance_text=f"demo commentary {i}",
         )
         for i in range(n)

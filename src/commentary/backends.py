@@ -682,6 +682,12 @@ class _Endpoint:
         self.base_url = (base_url or os.environ.get(env_base, "")).rstrip("/")
         if not self.base_url:
             raise ValueError(f"no {self._ENDPOINT} configured; set {env_base} or pass base_url")
+        if "@" in urlsplit(self.base_url).netloc:
+            # Not sent, yet echoed by every error that names the URL.
+            raise ValueError(
+                f"the {self._ENDPOINT} URL ({env_base}) must not hold credentials; "
+                f"set {env_key} or put them in ~/.netrc"
+            )
         self.api_key = api_key if api_key is not None else os.environ.get(env_key, "")
         self.model_id = model_id or os.environ.get(env_model, "")
         if self._NEEDS_MODEL and not self.model_id:
@@ -771,10 +777,14 @@ def _extract_content(resp: HttpReply) -> str:
         content = data["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as exc:
         raise TransportError(f"malformed chat-completion response: {exc}") from exc
+    if isinstance(content, str):
+        return content
+    if content is None:  # no text, e.g. cut off by the token limit: a Wait
+        return ""
     if isinstance(content, list):
         # Some servers return structured content parts; keep the text ones.
         return "".join(part.get("text", "") for part in content if isinstance(part, dict))
-    return str(content)
+    raise TransportError(f"malformed chat-completion response: {type(content).__name__} content")
 
 
 class CacheKey(NamedTuple):
@@ -880,7 +890,8 @@ class CacheLog:
             try:
                 *fields, latency_ms, size = json.loads(data[pos:eol])
                 key = CacheKey(*fields)
-                if not isinstance(size, int) or size < 0 or not isinstance(latency_ms, int):
+                # `type(...) is int`: a bool is an int too.
+                if not all(type(n) is int and n >= 0 for n in (latency_ms, size)):
                     raise ValueError("bad latency or length")
                 if eol + 1 + size > len(data):
                     break

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .backends import (
+    CACHE_MODES,
     BackendError,
     CacheLog,
     Generator,
@@ -23,7 +24,7 @@ from .backends import (
     ScriptedBackend,
     read_script,
 )
-from .core import CommentaryTrack, Record, SimulatedClock, WallClock, replace
+from .core import CommentaryTrack, Record, SimulatedClock, WallClock, read_utf8, replace
 from .evaluation import (
     BIN_COUNT,
     EmbeddingScorer,
@@ -100,8 +101,6 @@ class RunConfig(Record):
         force: bool = False,
         wall: bool = False,
     ) -> None:
-        if cache_mode not in ("off", "record", "replay"):
-            raise CliError(f"cache mode must be off, record or replay, got {cache_mode!r}")
         if cache_mode != "off":
             if cache_dir is None:
                 raise CliError("--cache-dir is required when caching is enabled")
@@ -266,7 +265,7 @@ def _load_references(
                 ref_path, store.video_id, store.video_duration, language
             )
         except ValueError as exc:
-            raise CliError(f"reference {ref_path}: {exc}") from exc
+            raise CliError(f"reference {exc}") from exc
     return references
 
 
@@ -279,29 +278,16 @@ def _backend_factory(
     them. Every session's `ReplayCache` shares the one log. An oracle
     replays `references`, or else loads each store's from its path.
     """
-    make, client = _inner_backend_factory(cfg, stores, references)
-    opened: list[RemoteChatBackend | CacheLog] = [] if client is None else [client]
-    if cfg.cache_mode == "off":
-        return make, opened
-    try:
-        log = CacheLog(cfg.cache_dir, cfg.cache_mode)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cache: {exc}") from exc
-    return lambda store: ReplayCache(make(store), log), [*opened, log]
-
-
-def _inner_backend_factory(
-    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None
-) -> tuple[Callable[[FrameStore], Generator], RemoteChatBackend | None]:
-    """The per-video maker of the uncached backend, and the remote client if it built one."""
     spec = cfg.backend_spec
+    opened: list[RemoteChatBackend | CacheLog] = []
     if spec == "remote":
         try:
             client = RemoteChatBackend()
         except ValueError as exc:
             raise CliError(f"backend: {exc}") from exc
-        return lambda store: client, client
-    if spec.startswith("scripted:"):
+        opened.append(client)
+        make: Callable[[FrameStore], Generator] = lambda store: client
+    elif spec.startswith("scripted:"):
         script_path = Path(spec.partition(":")[2])
         if not script_path.exists():
             raise CliError(f"script file not found: {script_path}")
@@ -310,15 +296,23 @@ def _inner_backend_factory(
         except (OSError, ValueError) as exc:
             raise CliError(f"backend: {exc}") from exc
         # Read once; each video's backend counts its own calls.
-        return lambda store: ScriptedBackend(script, default), None
-    if spec.startswith("oracle:"):
+        make = lambda store: ScriptedBackend(script, default)
+    elif spec.startswith("oracle:"):
         if references is None:
             # Read as `evaluate` reads them: the oracle uses only their starts and texts.
             references = _load_references(Path(spec.partition(":")[2]), stores, cfg.strategy.language)
-        return lambda store: OracleBackend(references[store.video_id]), None
-    raise CliError(
-        f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
-    )
+        make = lambda store: OracleBackend(references[store.video_id])
+    else:
+        raise CliError(
+            f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
+        )
+    if cfg.cache_mode == "off":
+        return make, opened
+    try:
+        log = CacheLog(cfg.cache_dir, cfg.cache_mode)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cache: {exc}") from exc
+    return lambda store: ReplayCache(make(store), log), [*opened, log]
 
 
 def render_trace(record: GenerationRecord, seed: int) -> str:
@@ -345,14 +339,18 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
 
 
 def read_trace_header(path: Path) -> tuple[float | None, str | None]:
-    """The `#duration` and `#language` of a trace's header, None for a line it lacks."""
+    """The `#duration` and `#language` of a trace's header, None for a line it lacks;
+    a bad `#duration` raises ValueError naming the file."""
     duration = language = None
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         if not line.startswith("#"):
             break
         key, _, value = line.partition("\t")
         if key == "#duration":
-            duration = float(value)
+            try:
+                duration = float(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         elif key == "#language":
             language = value
     return duration, language
@@ -470,32 +468,27 @@ def _make_scorer(spec: str, language: str) -> SimilarityScorer:
     raise CliError(f"unknown scorer {spec!r}; expected lexical or embedding")
 
 
-def _naming(path: Path, read: Callable[..., T], *args) -> T:
-    """`read(path, *args)`, with a ValueError that names the file."""
+def _display_ends(path: Path) -> list[float]:
+    """Entry ends of an SRT file, or start times of a transcript; a ValueError names the file."""
+    text = read_utf8(path)
     try:
-        return read(path, *args)
+        if path.suffix.lower() == ".srt":
+            return [e.end for e in parse_srt(text)]
+        return [start for start, _ in parse_transcript(text)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _display_ends(path: Path) -> list[float]:
-    """Entry ends of an SRT file, or start times of a transcript."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".srt":
-        return [e.end for e in parse_srt(text)]
-    return [start for start, _ in parse_transcript(text)]
 
 
 def _pair_duration(trace: Path, gen_path: Path, ref_path: Path, language: str) -> float:
     """The video's duration; a trace made in a language other than `language` is a CliError."""
     if trace.exists():
-        duration, traced = _naming(trace, read_trace_header)
+        duration, traced = read_trace_header(trace)
         if traced is not None and traced != language:
             raise CliError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
         if duration is not None:
             return duration
     # No trace at hand: take the latest display end across both sides.
-    return max([0.0, *_naming(gen_path, _display_ends), *_naming(ref_path, _display_ends)])
+    return max([0.0, *_display_ends(gen_path), *_display_ends(ref_path)])
 
 
 def _scores(report: EvalReport) -> dict[str, float]:
@@ -542,8 +535,8 @@ def _load_pairs(
         gen_path = gen_dir / f"{video_id}.srt"
         try:
             duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path, language)
-            gen_track = _naming(gen_path, load_reference, video_id, duration, language)
-            ref_track = _naming(ref_path, load_reference, video_id, duration, language)
+            gen_track = load_reference(gen_path, video_id, duration, language)
+            ref_track = load_reference(ref_path, video_id, duration, language)
         except (ValueError, OSError) as exc:
             raise CliError(f"{video_id}: {exc}") from exc
         pairs.append((video_id, gen_track, ref_track))
@@ -667,7 +660,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--templates", default="race-en", help="built-in set name or directory")
     parser.add_argument("--rate-model", default=None, help="e.g. en=word:4,ja=character:8")
     parser.add_argument("--window-cap", type=int, default=30, help="max frames per window")
-    parser.add_argument("--cache", default="off", choices=["off", "record", "replay"])
+    parser.add_argument("--cache", default="off", choices=["off", *CACHE_MODES])
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=0, help="seed for demonstration sampling")
     parser.add_argument("--jobs", type=int, default=4, help="parallel videos")

@@ -25,9 +25,9 @@ def check_seconds(value: float, name: str = "seconds") -> float:
 
 
 def read_utf8(path: Path) -> str:
-    """A file's text; a file that is not UTF-8 raises ValueError naming it."""
+    """A UTF-8 file's text, a leading BOM dropped; other bytes raise ValueError naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 

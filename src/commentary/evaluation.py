@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .backends import _Endpoint
-from .core import CommentaryTrack, Record, Seconds, Utterance, speaking_timeline
+from .core import CommentaryTrack, Record, Seconds, Utterance, read_utf8, speaking_timeline
 from .strategies import (
     UNIT_WORD,
     SpeechRateModel,
@@ -34,6 +34,7 @@ BIN_COUNT = 10
 
 # A reference track has the same shape as a generated one.
 ReferenceTrack = CommentaryTrack
+_DEFAULT_RATES = SpeechRateModel.default()  # gives transcript lines their durations
 
 
 class SimilarityScorer(Protocol):
@@ -239,30 +240,45 @@ def evaluate(
     )
 
 
-def reference_from_srt_text(
-    text: str, video_id: str, video_duration: Seconds, language: str
+def _reference_track(
+    lines: Iterable[tuple[Seconds, str, Seconds | None]],
+    video_id: str,
+    video_duration: Seconds,
+    language: str,
 ) -> ReferenceTrack:
-    """Build a reference track from SRT text; display spans give the durations.
+    """A reference track from (start, text, duration) lines in file order.
 
-    Entries starting after the stated duration are dropped. Entries sharing a
-    start time become one utterance: their texts joined by a space in SRT
-    order, displayed until the latest of their ends.
+    A duration of None is estimated from the text by the default speech-rate
+    model. Lines starting after the stated duration are dropped. Lines sharing
+    a start become one utterance: their texts joined by a space in file
+    order, lasting the longest of their durations.
     """
     spans: dict[Seconds, tuple[str, Seconds]] = {}
-    for e in parse_srt(text):
-        if e.start > video_duration:
+    for start, text, duration in lines:
+        if start > video_duration:
             continue
-        if e.start in spans:
-            tied_text, tied_end = spans[e.start]
-            spans[e.start] = (f"{tied_text} {e.text}", max(tied_end, e.end))
-        else:
-            spans[e.start] = (e.text, e.end)
+        if duration is None:
+            duration = estimate_duration(text, language, _DEFAULT_RATES)
+        if start in spans:
+            tied_text, tied_duration = spans[start]
+            text, duration = f"{tied_text} {text}", max(tied_duration, duration)
+        spans[start] = (text, duration)
     utterances = [
-        Utterance(text=utt_text, language=language, start=start, est_duration=end - start)
-        for start, (utt_text, end) in sorted(spans.items())
+        Utterance(text=text, language=language, start=start, est_duration=duration)
+        for start, (text, duration) in sorted(spans.items())
     ]
     return CommentaryTrack(
         video_id=video_id, utterances=tuple(utterances), video_duration=video_duration
+    )
+
+
+def reference_from_srt_text(
+    text: str, video_id: str, video_duration: Seconds, language: str
+) -> ReferenceTrack:
+    """Build a reference track from SRT text, display spans giving the durations."""
+    return _reference_track(
+        ((e.start, e.text, e.end - e.start) for e in parse_srt(text)),
+        video_id, video_duration, language,
     )
 
 
@@ -286,36 +302,22 @@ def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
 def reference_from_transcript_text(
     text: str, video_id: str, video_duration: Seconds, language: str
 ) -> ReferenceTrack:
-    """Build a reference track from `start_seconds<TAB>text` transcript lines.
-
-    Durations come from the default speech-rate model. Lines starting after
-    the stated duration are dropped.
-    """
-    rates = SpeechRateModel.default()
-    utterances: list[Utterance] = []
-    for start, utt_text in parse_transcript(text):
-        if start > video_duration:
-            continue
-        utterances.append(
-            Utterance(
-                text=utt_text,
-                language=language,
-                start=start,
-                est_duration=estimate_duration(utt_text, language, rates),
-            )
-        )
-    utterances.sort(key=lambda u: u.start)
-    return CommentaryTrack(
-        video_id=video_id, utterances=tuple(utterances), video_duration=video_duration
+    """Build a reference track from `start_seconds<TAB>text` transcript lines."""
+    return _reference_track(
+        ((start, utt_text, None) for start, utt_text in parse_transcript(text)),
+        video_id, video_duration, language,
     )
 
 
 def load_reference(
     path: str | Path, video_id: str, video_duration: Seconds, language: str
 ) -> ReferenceTrack:
-    """Load a reference track from an .srt file or a tab-separated transcript."""
+    """A reference track from an .srt file or a transcript; a ValueError names the file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".srt":
-        return reference_from_srt_text(text, video_id, video_duration, language)
-    return reference_from_transcript_text(text, video_id, video_duration, language)
+    text = read_utf8(path)
+    try:
+        if path.suffix.lower() == ".srt":
+            return reference_from_srt_text(text, video_id, video_duration, language)
+        return reference_from_transcript_text(text, video_id, video_duration, language)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

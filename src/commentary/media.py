@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core import Record, Seconds, check_seconds, from_ms, to_ms
+from .core import Record, Seconds, check_seconds, from_ms, read_utf8, to_ms
 
 MANIFEST_HEADER_TAG = "#video_id"
 
@@ -69,10 +69,7 @@ def load_manifest(path: str | Path) -> FrameStore:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ManifestError(f"{path}: empty manifest, missing header line")
 

@@ -253,6 +253,31 @@ def poisson_reference(
     return CommentaryTrack(video_id, tuple(utterances), duration)
 
 
+def reference_track_of_lines(
+    lines: Sequence[tuple[float, str, float]],
+    video_id: str,
+    video_duration: float,
+    language: str,
+) -> CommentaryTrack:
+    """The oracle of both reference loaders: one utterance per distinct start of the
+    (start, text, duration) lines not past the video, in start order, with the texts
+    of the lines at that start joined by a space in line order, lasting the longest
+    of their durations."""
+    kept = [line for line in lines if line[0] <= video_duration]
+    utterances = []
+    for start in sorted({start for start, _, _ in kept}):
+        tied = [(text, duration) for s, text, duration in kept if s == start]
+        utterances.append(
+            Utterance(
+                text=" ".join(text for text, _ in tied),
+                language=language,
+                start=start,
+                est_duration=max(duration for _, duration in tied),
+            )
+        )
+    return CommentaryTrack(video_id, tuple(utterances), video_duration)
+
+
 def write_manifest(path: Path, video_id: str, duration: float) -> Path:
     lines = [f"#video_id\t{video_id}\tduration\t{duration:g}"]
     for s in range(max(math.ceil(duration), 1)):
@@ -308,7 +333,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         elif self.path.endswith("/embeddings"):
             reply = {"data": [{"embedding": [1.0, 0.0]} for _ in body["input"]]}
         else:
-            reply = {"choices": [{"message": {"content": "the pack surges forward"}}]}
+            content = self.server.content  # type: ignore[attr-defined]
+            reply = {"choices": [{"message": {"content": content}}]}
         payload = json.dumps(reply).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -332,6 +358,7 @@ class ChatServer(ThreadingHTTPServer):
         self.requests = []
         self.connections = []
         self.close_after_reply = False
+        self.content = "the pack surges forward"  # each chat reply's message content
         self.closed = threading.Semaphore(0)  # released each time a connection is closed
 
     def shutdown_request(self, request):

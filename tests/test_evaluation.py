@@ -23,7 +23,9 @@ from commentary.evaluation import (
     reference_from_transcript_text,
 )
 
-from helpers import WORDS, dp_lcs_length, random_track
+from commentary.subtitles import format_timestamp
+
+from helpers import WORDS, dp_lcs_length, random_track, reference_track_of_lines
 
 # Word tokens and Japanese characters, so both ROUGE-L units are exercised.
 TOKEN_POOL = sorted(set(WORDS) | set("赤い車が先頭に立つ青のドライバーはコーナーで抜く"))
@@ -269,6 +271,15 @@ class TestReferenceLoaders:
             (5.0, "a bold move", 1.0),
         ]
 
+    def test_transcript_lines_with_tied_starts_merge(self):
+        text = "2\tthe race\n5\ta bold move\n2\tbegins now in the rain\n2.0\tat last\n"
+        ref = reference_from_transcript_text(text, "v", 10.0, "en")
+        # Each line's duration is its words at 4 words/s; a merged line lasts the longest.
+        assert [(u.start, u.text, u.est_duration) for u in ref.utterances] == [
+            (2.0, "the race begins now in the rain at last", 1.25),
+            (5.0, "a bold move", 0.75),
+        ]
+
     def test_srt_entries_past_duration_dropped(self):
         text = "1\n00:00:20,000 --> 00:00:21,000\ntoo late to count\n"
         ref = reference_from_srt_text(text, "v", 10.0, "en")
@@ -289,3 +300,42 @@ class TestReferenceLoaders:
         with pytest.raises(ValueError) as exc:
             reference_from_transcript_text("1\tgo\n\nabc\tthe race\n", "v", 10.0, "en")
         assert str(exc.value) == "line 3: bad start time 'abc'"
+
+
+# Reference lines: (start ms, duration ms, words), starts on a coarse grid so that
+# ties are common, and up to 12 s against a 10 s video so that some lines are dropped.
+REFERENCE_LINES = st.lists(
+    st.tuples(
+        st.integers(0, 24).map(lambda half_seconds: half_seconds * 500),
+        st.integers(1, 4000),
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=5).map(" ".join),
+    ),
+    max_size=12,
+)
+
+
+class TestReferenceLoadersMatchTheOracle:
+    """Both loaders: lines in any order, tied starts merged, lines past the end dropped."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(REFERENCE_LINES)
+    def test_srt(self, lines):
+        spans = [(start / 1000, (start + span) / 1000, words) for start, span, words in lines]
+        text = "\n".join(
+            f"{i}\n{format_timestamp(start)} --> {format_timestamp(end)}\n{words}\n"
+            for i, (start, end, words) in enumerate(spans, 1)
+        )
+        expected = reference_track_of_lines(
+            [(start, words, end - start) for start, end, words in spans], "v", 10.0, "en"
+        )
+        assert reference_from_srt_text(text, "v", 10.0, "en") == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(REFERENCE_LINES)
+    def test_transcript(self, lines):
+        text = "".join(f"{start / 1000:g}\t{words}\n" for start, _, words in lines)
+        expected = reference_track_of_lines(
+            [(start / 1000, words, len(words.split()) / 4.0) for start, _, words in lines],
+            "v", 10.0, "en",
+        )
+        assert reference_from_transcript_text(text, "v", 10.0, "en") == expected

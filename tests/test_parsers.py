@@ -1,5 +1,6 @@
 """Every parser of an input file raises nothing but ValueError on arbitrary text,
-and `commentary generate` exits 1 naming a bad input file."""
+reads a file the same with or without a leading byte-order mark, and `commentary
+generate` exits 1 naming a bad input file."""
 
 import io
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commentary.backends import read_script
-from commentary.cli import main
+from commentary.cli import main, read_trace_header
 from commentary.evaluation import load_reference, parse_transcript
 from commentary.media import load_manifest
 from commentary.prompting import load_demonstrations, load_template
@@ -118,3 +119,28 @@ def test_generate_exits_one_naming_a_bad_input_file(input_file, data):
             assert code == 1
             assert err.getvalue().startswith("error: ")
             assert str(named) in err.getvalue()
+
+
+def _reference(path):
+    return load_reference(path, "v", 60.0, "en")
+
+
+# A valid file of each input format, with the reader that loads it.
+VALID_INPUTS = {
+    "manifest": (".manifest", "#video_id\tv\tduration\t2\n0\tf0.jpg\n1\tf1.jpg\n", load_manifest),
+    "template": (".txt", DECISION_TEMPLATE, load_template),
+    "demos": (".tsv", "file:///d/0.jpg\tred car leads\n", load_demonstrations),
+    "script": (".tsv", "0\tred car leads\ndefault\t<WAIT>\n", read_script),
+    "srt-reference": (".srt", "1\n00:00:01,000 --> 00:00:02,000\nred car leads\n", _reference),
+    "transcript-reference": (".tsv", "1.0\tred car leads\n", _reference),
+    "trace": (".trace", "#video_id\tv\n#duration\t3.000\n#language\tja\n", read_trace_header),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_INPUTS))
+def test_a_leading_byte_order_mark_is_ignored(name, tmp_path):
+    suffix, text, read = VALID_INPUTS[name]
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert read(marked) == read(plain)

@@ -782,8 +782,11 @@ def _extract_content(resp: HttpReply) -> str:
     if content is None:  # no text, e.g. cut off by the token limit: a Wait
         return ""
     if isinstance(content, list):
-        # Some servers return structured content parts; keep the text ones.
-        return "".join(part.get("text", "") for part in content if isinstance(part, dict))
+        # Some servers return structured content parts; keep the text ones. A part
+        # whose text is not a string makes the reply malformed.
+        texts = [part.get("text", "") for part in content if isinstance(part, dict)]
+        if all(isinstance(text, str) for text in texts):
+            return "".join(texts)
     raise TransportError(f"malformed chat-completion response: {type(content).__name__} content")
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import threading
 from pathlib import Path
@@ -24,7 +25,15 @@ from .backends import (
     ScriptedBackend,
     read_script,
 )
-from .core import CommentaryTrack, Record, SimulatedClock, WallClock, read_utf8, replace
+from .core import (
+    CommentaryTrack,
+    Record,
+    SimulatedClock,
+    WallClock,
+    check_seconds,
+    read_utf8,
+    replace,
+)
 from .evaluation import (
     BIN_COUNT,
     EmbeddingScorer,
@@ -77,6 +86,17 @@ COUNT_KEYS = ("gen_words", "ref_words")
 
 class CliError(Exception):
     """Configuration or input problem; maps to exit code 1."""
+
+
+def _loaded(label: str, load: Callable[..., T], *args, **kwargs) -> T:
+    """`load(*args, **kwargs)`; an OSError or ValueError is a CliError, `label` its prefix.
+
+    The loaders' ValueErrors name the file, as OSError's message does.
+    """
+    try:
+        return load(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{label}{exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,10 +193,7 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         rate_model = (
             parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
         )
-        try:
-            rate_model.for_language(language)
-        except ValueError as exc:
-            raise CliError(f"--templates {args.templates}: {exc}") from exc
+        _loaded(f"--templates {args.templates}: ", rate_model.for_language, language)
         strategy = StrategyConfig(
             kind=StrategyKind(args.strategy),
             step=args.step,
@@ -191,10 +208,9 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
             if not args.demos:
                 raise CliError("--demos is required when the strategy uses demonstrations")
             pool = load_demonstrations(args.demos)
-            try:
-                demos = sample_demonstrations(pool, strategy.icl_shots, args.seed)
-            except ValueError as exc:
-                raise CliError(f"{args.demos}: {exc}") from exc
+            demos = _loaded(
+                f"{args.demos}: ", sample_demonstrations, pool, strategy.icl_shots, args.seed
+            )
         prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
     # The loaders' ValueErrors name the file, as OSError's message does.
     except (OSError, ValueError) as exc:
@@ -223,10 +239,7 @@ def _load_stores(manifest: Path) -> list[FrameStore]:
         paths = [manifest]
     else:
         raise CliError(f"manifest not found: {manifest}")
-    try:
-        stores = [load_manifest(p) for p in paths]
-    except (OSError, ValueError) as exc:
-        raise CliError(f"media: {exc}") from exc
+    stores = [_loaded("media: ", load_manifest, p) for p in paths]
     seen: set[str] = set()
     for store in stores:
         if store.video_id in seen:
@@ -260,12 +273,9 @@ def _load_references(
         ref_path = files.get(store.video_id)
         if ref_path is None:
             raise CliError(f"no reference file for video {store.video_id!r} in {path}")
-        try:
-            references[store.video_id] = load_reference(
-                ref_path, store.video_id, store.video_duration, language
-            )
-        except ValueError as exc:
-            raise CliError(f"reference {exc}") from exc
+        references[store.video_id] = _loaded(
+            "reference ", load_reference, ref_path, store.video_id, store.video_duration, language
+        )
     return references
 
 
@@ -281,20 +291,14 @@ def _backend_factory(
     spec = cfg.backend_spec
     opened: list[RemoteChatBackend | CacheLog] = []
     if spec == "remote":
-        try:
-            client = RemoteChatBackend()
-        except ValueError as exc:
-            raise CliError(f"backend: {exc}") from exc
+        client = _loaded("backend: ", RemoteChatBackend)
         opened.append(client)
         make: Callable[[FrameStore], Generator] = lambda store: client
     elif spec.startswith("scripted:"):
         script_path = Path(spec.partition(":")[2])
         if not script_path.exists():
             raise CliError(f"script file not found: {script_path}")
-        try:
-            script, default = read_script(script_path)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"backend: {exc}") from exc
+        script, default = _loaded("backend: ", read_script, script_path)
         # Read once; each video's backend counts its own calls.
         make = lambda store: ScriptedBackend(script, default)
     elif spec.startswith("oracle:"):
@@ -308,10 +312,7 @@ def _backend_factory(
         )
     if cfg.cache_mode == "off":
         return make, opened
-    try:
-        log = CacheLog(cfg.cache_dir, cfg.cache_mode)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cache: {exc}") from exc
+    log = _loaded("cache: ", CacheLog, cfg.cache_dir, cfg.cache_mode)
     return lambda store: ReplayCache(make(store), log), [*opened, log]
 
 
@@ -338,9 +339,17 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _timeline_seconds(value: float, name: str) -> float:
+    """`check_seconds(value, name)`, and no longer than a per-second timeline
+    (`core.speaking_timeline`) can index: rounded up, at most `sys.maxsize`."""
+    if math.ceil(check_seconds(value, name)) > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize} seconds, got {value!r}")
+    return value
+
+
 def read_trace_header(path: Path) -> tuple[float | None, str | None]:
     """The `#duration` and `#language` of a trace's header, None for a line it lacks;
-    a bad `#duration` raises ValueError naming the file."""
+    a `#duration` that is not a time a timeline can hold raises ValueError naming the file."""
     duration = language = None
     for line in read_utf8(path).splitlines():
         if not line.startswith("#"):
@@ -348,7 +357,7 @@ def read_trace_header(path: Path) -> tuple[float | None, str | None]:
         key, _, value = line.partition("\t")
         if key == "#duration":
             try:
-                duration = float(value)
+                duration = _timeline_seconds(float(value), "#duration")
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
         elif key == "#language":
@@ -402,14 +411,6 @@ def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[
     return results
 
 
-def _make_out_dir(path: Path) -> None:
-    """`path.mkdir(parents=True, exist_ok=True)`; a file in the way is a CliError naming `path`."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"output dir {path}: {exc}") from exc
-
-
 def _generate(
     cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None = None
 ) -> tuple[int, dict[str, GenerationRecord]]:
@@ -425,7 +426,7 @@ def _generate(
         return run_session(store, cfg.strategy, factory(store), clock, cfg.prompts)
 
     try:
-        _make_out_dir(cfg.out_dir)
+        _loaded(f"output dir {cfg.out_dir}: ", cfg.out_dir.mkdir, parents=True, exist_ok=True)
         records = {record.video_id: record for record in _run_in_order(run_one, stores, cfg.jobs)}
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
@@ -461,20 +462,18 @@ def _make_scorer(spec: str, language: str) -> SimilarityScorer:
     if spec == "lexical":
         return LexicalOverlapScorer(unit=default_unit_for_language(language))
     if spec == "embedding":
-        try:
-            return EmbeddingScorer()
-        except ValueError as exc:
-            raise CliError(f"scorer: {exc}") from exc
+        return _loaded("scorer: ", EmbeddingScorer)
     raise CliError(f"unknown scorer {spec!r}; expected lexical or embedding")
 
 
 def _display_ends(path: Path) -> list[float]:
-    """Entry ends of an SRT file, or start times of a transcript; a ValueError names the file."""
+    """Entry ends of an SRT file, or start times of a transcript, each a time a timeline
+    can hold; a ValueError names the file."""
     text = read_utf8(path)
     try:
         if path.suffix.lower() == ".srt":
-            return [e.end for e in parse_srt(text)]
-        return [start for start, _ in parse_transcript(text)]
+            return [_timeline_seconds(e.end, "end") for e in parse_srt(text)]
+        return [_timeline_seconds(start, "start") for start, _ in parse_transcript(text)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -531,14 +530,11 @@ def _load_pairs(
         raise CliError(f"no .srt files found in {gen_dir}")
     pairs = []
     for video_id in sorted(gen_ids):
-        ref_path = ref_files[video_id]
-        gen_path = gen_dir / f"{video_id}.srt"
-        try:
-            duration = _pair_duration(gen_dir / f"{video_id}.trace", gen_path, ref_path, language)
-            gen_track = load_reference(gen_path, video_id, duration, language)
-            ref_track = load_reference(ref_path, video_id, duration, language)
-        except (ValueError, OSError) as exc:
-            raise CliError(f"{video_id}: {exc}") from exc
+        label, ref_path = f"{video_id}: ", ref_files[video_id]
+        gen_path, trace = gen_dir / f"{video_id}.srt", gen_dir / f"{video_id}.trace"
+        duration = _loaded(label, _pair_duration, trace, gen_path, ref_path, language)
+        gen_track = _loaded(label, load_reference, gen_path, video_id, duration, language)
+        ref_track = _loaded(label, load_reference, ref_path, video_id, duration, language)
         pairs.append((video_id, gen_track, ref_track))
     return pairs
 

@@ -15,7 +15,15 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .backends import _Endpoint
-from .core import CommentaryTrack, Record, Seconds, Utterance, read_utf8, speaking_timeline
+from .core import (
+    CommentaryTrack,
+    Record,
+    Seconds,
+    Utterance,
+    check_seconds,
+    read_utf8,
+    speaking_timeline,
+)
 from .strategies import (
     UNIT_WORD,
     SpeechRateModel,
@@ -295,6 +303,10 @@ def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
             start = float(start_token)
         except ValueError:
             raise ValueError(f"line {lineno}: bad start time {start_token!r}") from None
+        try:
+            check_seconds(start, "start")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         rows.append((start, utt_text.strip()))
     return rows
 

@@ -560,7 +560,10 @@ class TestRemoteChatBackend:
         assert {s.note for s in record.steps} == {"empty-response-wait"}
         assert record.track.utterances == ()
 
-    @pytest.mark.parametrize("content", [5, True, {"text": "go"}])
+    @pytest.mark.parametrize(
+        "content",
+        [5, True, {"text": "go"}, [{"type": "text", "text": None}], [{"type": "text", "text": 5}]],
+    )
     def test_content_of_another_type_is_a_transport_error(self, chat_server, closing, content):
         chat_server.content = content
         client = closing(_client(chat_server))

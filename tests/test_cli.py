@@ -970,6 +970,45 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "bad, text, traced, message",
+        [
+            ("gen/race01.trace", "#duration\t1e308", True,
+             f"#duration must be at most {sys.maxsize} seconds, got 1e+308"),
+            ("gen/race01.trace", "#duration\tnan", True, "#duration must be finite, got nan"),
+            ("gen/race01.trace", "#duration\tinf", True, "#duration must be finite, got inf"),
+            ("gen/race01.trace", "#duration\t-1", True, "#duration must be non-negative, got -1.0"),
+            ("refs/race01.tsv", "0\tgo\ninf\tgo on\n", True,
+             "line 2: start must be finite, got inf"),
+            ("refs/race01.tsv", "0\tgo\ninf\tgo on\n", False,
+             "line 2: start must be finite, got inf"),
+            ("refs/race01.tsv", "0\tgo\n1e308\tgo on\n", False,
+             f"start must be at most {sys.maxsize} seconds, got 1e+308"),
+            ("refs/race01.srt", "1\n00:00:01,000 --> 10000000000000000:00:00,000\ngo\n", False,
+             f"end must be at most {sys.maxsize} seconds, got 3.6e+19"),
+        ],
+        ids=[
+            "duration-1e308", "duration-nan", "duration-inf", "duration-negative",
+            "transcript-inf-with-trace", "transcript-inf", "transcript-1e308", "srt-hour-1e16",
+        ],
+    )
+    def test_a_time_no_timeline_can_hold_exits_one_naming_its_file(
+        self, workspace, capsys, bad, text, traced, message
+    ):
+        gen_dir = self._generate(workspace)
+        ref_dir = workspace["root"] / "refs"
+        ref_dir.mkdir()
+        (ref_dir / "race01.tsv").write_text("0\tFive cars line up\n", encoding="utf-8")
+        trace, bad = gen_dir / "race01.trace", workspace["root"] / bad
+        if bad == trace:  # the trace's other lines stay as generated
+            text = read(trace).replace("#duration\t10.000", text)
+        bad.write_text(text, encoding="utf-8")
+        if not traced:  # the duration then comes from the subtitle files
+            trace.unlink()
+        assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 1
+        assert capsys.readouterr().err == f"error: race01: {bad}: {message}\n"
+
+
 class TestOracleBackendCli:
     def test_generated_texts_are_subset_of_reference(self, workspace):
         ref_dir = workspace["root"] / "refs"
@@ -1495,6 +1534,58 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Each input the CLI reads, by case: its path under the workspace root and the
+# label its error line starts with. A `--demos` file that cannot be read has none.
+_INPUTS = {
+    "manifest": ("vids/race01.manifest", "media: "),
+    "demos": ("demos.tsv", ""),
+    "script": ("script.tsv", "backend: "),
+    "oracle-reference": ("refs/race01.srt", "reference "),
+    "sweep-reference": ("refs/race01.srt", "reference "),
+    "cache-dir": ("cache", "cache: "),
+    "generated-srt": ("gen/race01.srt", "race01: "),
+    "evaluate-reference": ("refs/race01.srt", "race01: "),
+    "trace": ("gen/race01.trace", "race01: "),
+}
+
+
+@pytest.mark.parametrize("case", _INPUTS)
+def test_an_input_that_is_a_directory_exits_one_naming_it(workspace, capsys, case):
+    """Each input file replaced by a directory; the cache dir, the one input
+    that is a directory, by a file."""
+    root = workspace["root"]
+    assert main(gen_args(workspace, out="gen")) == 0
+    (root / "vids").mkdir()
+    (root / "refs").mkdir()
+    (root / "refs" / "race01.srt").write_text(
+        "1\n00:00:01,000 --> 00:00:02,000\nfive cars line up\n", encoding="utf-8"
+    )
+    name, label = _INPUTS[case]
+    bad = root / name
+    if case == "cache-dir":
+        bad.write_text("not a directory\n", encoding="utf-8")
+    else:
+        bad.unlink(missing_ok=True)
+        bad.mkdir()
+    refs = str(root / "refs")
+    argv = {
+        "manifest": gen_args(workspace, manifest=root / "vids"),
+        "demos": gen_args(workspace, strategy="feedback-icl", shots=1, demos=bad),
+        "script": gen_args(workspace),
+        "oracle-reference": gen_args(workspace, backend=f"oracle:{refs}"),
+        "sweep-reference": [
+            "sweep", "--manifest", str(workspace["manifest"]), "--ref", refs,
+            "--steps", "2", "--out", str(root / "sweep"),
+        ],
+        "cache-dir": gen_args(workspace, cache="record", cache_dir=bad),
+    }.get(case, ["evaluate", str(root / "gen"), refs])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label}[Errno ") and str(bad) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

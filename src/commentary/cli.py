@@ -47,7 +47,7 @@ from .evaluation import (
     reference_from_srt_text,  # noqa: F401 (perfbench/tracing.py wraps it by this name)
     timing_alignment,
 )
-from .media import FrameStore, load_manifest
+from .media import DEFAULT_WINDOW_CAP, FrameStore, load_manifest
 from .prompting import (
     BUILTIN_TEMPLATES,
     PromptSet,
@@ -207,7 +207,7 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         if strategy.icl_shots > 0:
             if not args.demos:
                 raise CliError("--demos is required when the strategy uses demonstrations")
-            pool = load_demonstrations(args.demos)
+            pool = _loaded("--demos: ", load_demonstrations, args.demos)
             demos = _loaded(
                 f"{args.demos}: ", sample_demonstrations, pool, strategy.icl_shots, args.seed
             )
@@ -655,7 +655,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--templates", default="race-en", help="built-in set name or directory")
     parser.add_argument("--rate-model", default=None, help="e.g. en=word:4,ja=character:8")
-    parser.add_argument("--window-cap", type=int, default=30, help="max frames per window")
+    parser.add_argument(
+        "--window-cap", type=int, default=DEFAULT_WINDOW_CAP, help="max frames per window"
+    )
     parser.add_argument("--cache", default="off", choices=["off", *CACHE_MODES])
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=0, help="seed for demonstration sampling")

@@ -79,6 +79,9 @@ def load_manifest(path: str | Path) -> FrameStore:
     video_id = header[1]
     if not video_id:
         raise ManifestError(f"{path}: empty video id in header")
+    # The id names the run's output files, `<out>/<video_id>.srt` and `.trace`.
+    if video_id in (".", "..") or any(c in video_id for c in "/\\\0"):
+        raise ManifestError(f"{path}: video id {video_id!r} must be a plain file name")
     try:
         duration = check_seconds(float(header[3]), "duration")
     except ValueError as exc:

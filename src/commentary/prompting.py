@@ -45,12 +45,12 @@ class PromptTemplate(Record):
 
 
 class Demonstration(Record):
-    """A frame/commentary exemplar prepended to decision prompts: frame URIs and a line."""
+    """A frame/commentary exemplar prepended to decision prompts: one frame URI and a line."""
 
-    def __init__(self, frames: tuple[str, ...], utterance_text: str) -> None:
+    def __init__(self, frame: str, utterance_text: str) -> None:
         if not utterance_text.strip():
             raise ValueError("demonstration utterance text must be non-empty")
-        self.__dict__.update(frames=tuple(frames), utterance_text=utterance_text)
+        self.__dict__.update(frame=frame, utterance_text=utterance_text)
 
 
 class RenderedPrompt(Record):
@@ -142,7 +142,7 @@ class DecisionRenderer:
         # `_join` of the preamble, demo block and body: the body is never empty,
         # since the history it holds reads 'none' at least.
         self._head = "".join(p + "\n" for p in (template.role_preamble, demo_block) if p) + head
-        self._demo_uris = tuple(uri for demo in demos for uri in demo.frames)
+        self._demo_uris = tuple([demo.frame for demo in demos])
         # Set by the first render, which always rebuilds.
         self._history: tuple[str, ...] | None = None
         self._lines = ""
@@ -241,7 +241,7 @@ def load_demonstrations(path: str | Path) -> list[Demonstration]:
         uri, text = parts[0].strip(), parts[1].strip()
         if "\0" in uri:
             raise ValueError(f"{path}:{lineno}: NUL character in frame uri")
-        demos.append(Demonstration(frames=(uri,), utterance_text=text))
+        demos.append(Demonstration(uri, text))
     return demos
 
 
@@ -253,8 +253,6 @@ def sample_demonstrations(
         raise ValueError("shots must be non-negative")
     if shots > len(pool):
         raise ValueError(f"requested {shots} demonstrations but the pool holds {len(pool)}")
-    if shots == 0:
-        return ()
     return tuple(Random(seed).sample(list(pool), shots))
 
 

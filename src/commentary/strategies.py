@@ -152,7 +152,7 @@ class StrategyConfig(Record):
         frames = window_cap
         if kind is not StrategyKind.REALTIME:
             frames = min(window_cap, max(1, math.ceil(step)))
-        # One frame per demonstration at least; `run_session` counts them all.
+        # A demonstration is one frame.
         if frames + icl_shots > ATTACHMENT_LIMIT:
             raise ValueError(
                 f"window_cap {window_cap}: windows of {frames} frames and {icl_shots} "
@@ -167,7 +167,6 @@ class StrategyConfig(Record):
             rate_model=rate_model,
             language=language,
             max_history=max_history,
-            window_frames=frames,
         )
 
 
@@ -260,19 +259,10 @@ def run_session(
     the video. Times are kept in whole milliseconds, so every time the record
     holds is the one its SRT and trace show. A backend failure aborts the
     session and the partial record carries the error; a replay-cache miss
-    propagates (it is a configuration problem, not a transient failure). A
-    run whose windows and demonstration frames could exceed the attachment
-    limit raises ValueError before the first backend call.
+    propagates (it is a configuration problem, not a transient failure).
     """
     # icl_shots is 0 for every kind but feedback-icl.
-    demos = prompts.demonstrations[: config.icl_shots]
-    demo_frames = sum([len(d.frames) for d in demos])
-    if config.window_frames + demo_frames > ATTACHMENT_LIMIT:
-        raise ValueError(
-            f"windows of {config.window_frames} frames and {demo_frames} demonstration "
-            f"frames exceed the attachment limit of {ATTACHMENT_LIMIT}"
-        )
-    renderer = DecisionRenderer(prompts.decision, demos)
+    renderer = DecisionRenderer(prompts.decision, prompts.demonstrations[: config.icl_shots])
     duration_ms = to_ms(store.video_duration)
     step_ms = to_ms(config.step)
     realtime = config.kind is StrategyKind.REALTIME

@@ -95,9 +95,7 @@ def reference_render_decision(
         demo_block = "\n".join(lines)
     body = template.body.replace(CONTEXT_PLACEHOLDER, serialize_history(history))
     text = "\n".join(p for p in (template.role_preamble, demo_block, body) if p)
-    attachments: list[str] = []
-    for demo in demos:
-        attachments.extend(demo.frames)
+    attachments = [demo.frame for demo in demos]
     attachments.extend(window)
     return RenderedPrompt(
         text=text, attachments=tuple(attachments), digest=reference_digest(text, attachments)

@@ -153,23 +153,26 @@ class TestOracleBackend:
         assert [s.raw_response for s in recorded.steps].count("the race begins now") == 1
         assert session("replay") == recorded
 
-    @pytest.mark.parametrize("ordered", [True, False], ids=["nondecreasing", "arbitrary"])
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_scan_from_the_first_utterance(self, ordered, data):
-        starts = sorted(data.draw(st.sets(st.floats(0.0, 100.0), max_size=12), label="starts"))
-        utterances = tuple(Utterance(f"u{i}", "en", s, 0.5) for i, s in enumerate(starts))
-        reference = CommentaryTrack("ref", utterances, 100.0)
-        moment = st.floats(0.0, 100.0)
-        if starts:
-            moment = st.one_of(moment, st.sampled_from(starts))
-        times = data.draw(st.lists(moment, max_size=20), label="times")
-        if ordered:
-            times.sort()
-        fast, slow = OracleBackend(reference), ScanningOracleBackend(reference)
-        for t in times:
-            request = request_for(decision_time=t)
-            assert fast.generate(request) == slow.generate(request), t
+
+# A module-level function, not a method: Hypothesis refuses a `@given` method
+# that pytest parametrizes, since each parameter runs on a new instance.
+@pytest.mark.parametrize("ordered", [True, False], ids=["nondecreasing", "arbitrary"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_oracle_backend_matches_the_scan_from_the_first_utterance(ordered, data):
+    starts = sorted(data.draw(st.sets(st.floats(0.0, 100.0), max_size=12), label="starts"))
+    utterances = tuple(Utterance(f"u{i}", "en", s, 0.5) for i, s in enumerate(starts))
+    reference = CommentaryTrack("ref", utterances, 100.0)
+    moment = st.floats(0.0, 100.0)
+    if starts:
+        moment = st.one_of(moment, st.sampled_from(starts))
+    times = data.draw(st.lists(moment, max_size=20), label="times")
+    if ordered:
+        times.sort()
+    fast, slow = OracleBackend(reference), ScanningOracleBackend(reference)
+    for t in times:
+        request = request_for(decision_time=t)
+        assert fast.generate(request) == slow.generate(request), t
 
 
 def keyed_prompt(i, attachments=()):

@@ -206,16 +206,28 @@ class TestGenerate:
         assert err == f"error: backend: {workspace['script']}:2: expected 'key<TAB>response'\n"
         assert not (workspace["root"] / "out").exists()
 
-    @pytest.mark.parametrize("case", ["missing", "not-utf-8"])
+    @pytest.mark.parametrize("case", ["missing", "not-utf-8", "malformed"])
     def test_bad_demos_file_exits_one_naming_it(self, workspace, capsys, case):
         demos = workspace["root"] / "demos.tsv"
         if case == "not-utf-8":
             demos.write_bytes(b"file:///d/0.jpg\t\xff\n")
+        elif case == "malformed":
+            demos.write_text("file:///d/0.jpg\n", encoding="utf-8")
         args = gen_args(workspace, strategy="feedback-icl", shots=1, demos=str(demos))
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(demos) in err
+        assert err.startswith("error: --demos: ") and str(demos) in err
         assert "Traceback" not in err
+        if case == "malformed":
+            assert err == f"error: --demos: {demos}:1: expected 'uri<TAB>utterance_text'\n"
+
+    def test_a_demos_pool_smaller_than_the_shots_exits_one_naming_it(self, workspace, capsys):
+        demos = workspace["root"] / "demos.tsv"
+        demos.write_text("file:///d/0.jpg\tthe lights go out\n", encoding="utf-8")
+        args = gen_args(workspace, strategy="feedback-icl", shots=2, demos=str(demos))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {demos}: requested 2 demonstrations but the pool holds 1\n"
 
     def test_template_file_not_utf_8_exits_one_naming_it(self, workspace, capsys):
         templates = workspace["root"] / "templates"
@@ -256,6 +268,24 @@ class TestGenerate:
         assert f"{path}:{line}: NUL character in frame uri" in err
         assert "Traceback" not in err
         assert not (workspace["root"] / "out").exists()
+
+    @pytest.mark.parametrize("video_id", ["../escaped", "a\0b"])
+    def test_a_video_id_that_is_not_a_plain_file_name_exits_one_writing_nothing(
+        self, workspace, capsys, video_id
+    ):
+        root = workspace["root"]
+        workspace["manifest"].write_text(
+            f"#video_id\t{video_id}\tduration\t1\n0\tf.jpg\n", encoding="utf-8"
+        )
+        before = sorted(root.rglob("*"))
+        assert main(gen_args(workspace)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: media: {workspace['manifest']}: video id {video_id!r} "
+            "must be a plain file name\n"
+        )
+        assert sorted(root.rglob("*")) == before
+        assert not (root / "out").exists()
 
     @pytest.mark.parametrize("rate", ["inf", "nan", "-1"])
     def test_speech_rate_not_finite_and_positive_exits_one_naming_it(
@@ -1537,10 +1567,10 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
 
 
 # Each input the CLI reads, by case: its path under the workspace root and the
-# label its error line starts with. A `--demos` file that cannot be read has none.
+# label its error line starts with.
 _INPUTS = {
     "manifest": ("vids/race01.manifest", "media: "),
-    "demos": ("demos.tsv", ""),
+    "demos": ("demos.tsv", "--demos: "),
     "script": ("script.tsv", "backend: "),
     "oracle-reference": ("refs/race01.srt", "reference "),
     "sweep-reference": ("refs/race01.srt", "reference "),

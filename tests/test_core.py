@@ -27,7 +27,6 @@ from commentary import (
     WallClock,
     cli,
     evaluate,
-    frames_between,
     render_init,
     run_session,
     speaking_timeline,
@@ -251,7 +250,7 @@ class TestRecord:
 
     def test_every_record_type_hashes(self, tmp_path):
         store = synth_store(duration=6.0)
-        demo = Demonstration(frames_between(store, 0.0, 0.0), "lights out")
+        demo = Demonstration(store.frames[0], "lights out")
         prompts = PromptSet(*BUILTIN_TEMPLATES["race-en"], demonstrations=(demo,))
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, icl_shots=1)
         backend = ScriptedBackend({1: "the red car leads"})

@@ -82,6 +82,22 @@ class TestLoadManifest:
             except ValueError as exc:
                 assert str(path) in str(exc)
 
+    @pytest.mark.parametrize(
+        "video_id", ["../escaped", "a/b", "/abs", "a\\b", "a\0b", ".", ".."]
+    )
+    def test_a_video_id_that_is_not_a_plain_file_name_is_refused(self, tmp_path, video_id):
+        path = tmp_path / "v.manifest"
+        path.write_text(f"#video_id\t{video_id}\tduration\t1\n0\ta.jpg\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: video id {video_id!r} must be a plain file name"
+
+    @pytest.mark.parametrize("video_id", ["race01", "...", ".hidden", "a..b", "レース 1"])
+    def test_a_plain_file_name_is_a_video_id(self, tmp_path, video_id):
+        path = tmp_path / "v.manifest"
+        path.write_text(f"#video_id\t{video_id}\tduration\t1\n0\ta.jpg\n", encoding="utf-8")
+        assert load_manifest(path).video_id == video_id
+
     def test_fractional_duration_needs_ceil_coverage(self, tmp_path):
         path = write_manifest(tmp_path / "v2.manifest", "v2", 3.5)
         store = load_manifest(path)

@@ -92,10 +92,7 @@ class TestRenderDecision:
 
     def test_eight_demos_plus_two_frames_gives_ten_attachments(self):
         _, decision = BUILTIN_TEMPLATES["race-en"]
-        demos = [
-            Demonstration(frames=(f"file:///demo/{i}.jpg",), utterance_text=f"demo {i}")
-            for i in range(8)
-        ]
+        demos = [Demonstration(f"file:///demo/{i}.jpg", f"demo {i}") for i in range(8)]
         window = window_of(4, 5)
         rendered = render_decision(decision, [], demos, window)
         assert len(rendered.attachments) == 10
@@ -104,10 +101,7 @@ class TestRenderDecision:
 
     def test_demo_texts_are_numbered_in_order(self):
         _, decision = BUILTIN_TEMPLATES["race-en"]
-        demos = [
-            Demonstration(frames=(f"u{i}",), utterance_text=f"demo text {i}")
-            for i in range(3)
-        ]
+        demos = [Demonstration(f"u{i}", f"demo text {i}") for i in range(3)]
         rendered = render_decision(decision, [], demos, window_of(0))
         assert "1. demo text 0" in rendered.text
         assert "3. demo text 2" in rendered.text
@@ -139,11 +133,7 @@ class TestRenderDecision:
 _texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
 _uris = _texts.map(lambda s: f"file:///frames/{s}.jpg")
 _windows = st.lists(_uris, min_size=1, max_size=4).map(tuple)
-_demos = st.builds(
-    lambda uri, text: Demonstration(frames=(uri,), utterance_text=text),
-    _uris,
-    _texts.filter(str.strip),
-)
+_demos = st.builds(Demonstration, _uris, _texts.filter(str.strip))
 _decision_templates = st.sampled_from(
     [decision for _, decision in BUILTIN_TEMPLATES.values()]
     + [
@@ -242,7 +232,7 @@ class TestDigestFormat:
 
     RACE_EN_INIT, RACE_EN_DECISION = BUILTIN_TEMPLATES["race-en"]
     RACE_JA_INIT, RACE_JA_DECISION = BUILTIN_TEMPLATES["race-ja"]
-    DEMO = Demonstration(("file:///demo/スタート.jpg",), "赤い車が飛び出した")
+    DEMO = Demonstration("file:///demo/スタート.jpg", "赤い車が飛び出した")
 
     def test_no_attachment_hashes_the_text_alone(self):
         digest = prompting._finish(prompting._text_hash("text"), ())
@@ -377,7 +367,7 @@ class TestDemonstrations:
         )
         demos = load_demonstrations(path)
         assert len(demos) == 2
-        assert demos[0].frames == ("file:///d/0.jpg",)
+        assert demos[0].frame == "file:///d/0.jpg"
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "demos.tsv"
@@ -386,10 +376,7 @@ class TestDemonstrations:
             load_demonstrations(path)
 
     def test_sampling_is_seeded(self):
-        pool = [
-            Demonstration(frames=(f"u{i}",), utterance_text=f"t{i}")
-            for i in range(20)
-        ]
+        pool = [Demonstration(f"u{i}", f"t{i}") for i in range(20)]
         a = sample_demonstrations(pool, 8, seed=3)
         b = sample_demonstrations(pool, 8, seed=3)
         c = sample_demonstrations(pool, 8, seed=4)
@@ -398,7 +385,7 @@ class TestDemonstrations:
         assert a != c
 
     def test_sampling_rejects_oversized_request(self):
-        pool = [Demonstration(frames=("file:///demo/0.jpg",), utterance_text="t")]
+        pool = [Demonstration("file:///demo/0.jpg", "t")]
         with pytest.raises(ValueError):
             sample_demonstrations(pool, 2, seed=0)
 

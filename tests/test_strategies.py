@@ -19,6 +19,7 @@ from commentary import (
     StrategyConfig,
     StrategyKind,
     estimate_duration,
+    frames_between,
     overlap_proportion,
     parse_srt,
     run_session,
@@ -27,7 +28,7 @@ from commentary import (
     to_srt,
 )
 from commentary import prompting, strategies
-from commentary.backends import GeneratorResponse, TransportError
+from commentary.backends import ATTACHMENT_LIMIT, GeneratorResponse, TransportError
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
 from commentary.strategies import count_units, next_query_ms, unit_tokens
@@ -240,27 +241,54 @@ class TestStrategyConfig:
         first_eight = tuple(f"file:///demo/{i}.jpg" for i in range(8))
         assert all(a[:8] == first_eight for a in attachments[1:])
 
-    def test_multi_frame_demonstrations_over_the_limit_fail_before_any_backend_call(self):
-        class Unreachable:
-            model_id = "unreachable"
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=st.sampled_from(StrategyKind).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.integers(100, 40_000),
+                st.integers(1, 40),
+                st.one_of(st.none(), st.integers(0, 40))
+                if kind is StrategyKind.FEEDBACK_ICL
+                else st.sampled_from([None, 0]),
+            )
+        ),
+        duration_ms=st.integers(0, 30_000),
+        speech=st.dictionaries(st.integers(0, 300), st.integers(1, 200), max_size=8),
+    )
+    def test_the_config_alone_keeps_every_request_within_the_attachment_limit(
+        self, config, duration_ms, speech
+    ):
+        kind, step_ms, window_cap, shots = config
+        # A window of the most frames the kind sees: realtime's spans the whole
+        # video; a fixed kind's one step, ending just past a whole second.
+        start = 0.0 if kind is StrategyKind.REALTIME else (41_001 - step_ms) / 1000
+        largest = len(frames_between(synth_store(duration=42.0), start, 41.001, window_cap))
+        if shots is None:
+            demos = 8 if kind is StrategyKind.FEEDBACK_ICL else 0
+        else:
+            demos = shots
+        try:
+            cfg = StrategyConfig(kind, step_ms / 1000, window_cap, icl_shots=shots)
+        except ValueError as exc:
+            assert "exceed the attachment limit" in str(exc)
+            assert largest + demos > ATTACHMENT_LIMIT
+            return
+        assert largest + cfg.icl_shots <= ATTACHMENT_LIMIT
+        counts = []
 
+        class Recording(ScriptedBackend):
             def generate(self, request):
-                raise AssertionError("the backend was called")
+                counts.append(len(request.prompt.attachments))
+                return super().generate(request)
 
-        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=24.0, window_cap=30)
-        prompts = prompt_set(demonstrations=_demos(8, frames=2))
-        with pytest.raises(ValueError) as info:
-            run_session(synth_store(duration=100.0), cfg, Unreachable(), SimulatedClock(), prompts)
-        assert str(info.value) == (
-            "windows of 24 frames and 16 demonstration frames exceed the attachment limit of 32"
-        )
-
-    def test_multi_frame_demonstrations_at_the_limit_run_to_the_end(self):
-        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=16.0, window_cap=30)
-        prompts = prompt_set(demonstrations=_demos(8, frames=2))
-        record = run_session(synth_store(duration=100.0), cfg, ScriptedBackend(), SimulatedClock(), prompts)
-        assert record.complete
-        assert max(len(s.window) for s in record.steps) == cfg.window_frames == 16
+        # Long utterances stretch realtime's next window over what they took to say.
+        script = {i: " ".join(["go"] * words) for i, words in speech.items()}
+        store = synth_store(duration=duration_ms / 1000)
+        prompts = prompt_set(demonstrations=_demos(40))
+        record = run_session(store, cfg, Recording(script), SimulatedClock(), prompts)
+        assert record.complete and len(counts) == len(record.steps)
+        assert max(counts) <= ATTACHMENT_LIMIT
 
     def test_language_must_have_a_rate(self):
         with pytest.raises(ValueError):
@@ -491,13 +519,9 @@ class TestMillisecondGrid:
             assert overlap_proportion(entries) == 0.0
 
 
-def _demos(n, frames=1):
+def _demos(n):
     return tuple(
-        Demonstration(
-            frames=tuple(f"file:///demo/{i}.jpg" + "#b" * k for k in range(frames)),
-            utterance_text=f"demo commentary {i}",
-        )
-        for i in range(n)
+        Demonstration(f"file:///demo/{i}.jpg", f"demo commentary {i}") for i in range(n)
     )
 
 

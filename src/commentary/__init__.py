@@ -32,7 +32,6 @@ from .evaluation import (
     EmbeddingScorer,
     EvalReport,
     LexicalOverlapScorer,
-    ReferenceTrack,
     SimilarityScorer,
     binned_similarity,
     evaluate,
@@ -82,7 +81,6 @@ __all__ = [
     "OracleBackend",
     "PromptSet",
     "PromptTemplate",
-    "ReferenceTrack",
     "RemoteChatBackend",
     "RenderedPrompt",
     "ReplayCache",

@@ -777,8 +777,6 @@ def _extract_content(resp: HttpReply) -> str:
         content = data["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as exc:
         raise TransportError(f"malformed chat-completion response: {exc}") from exc
-    if isinstance(content, str):
-        return content
     if content is None:  # no text, e.g. cut off by the token limit: a Wait
         return ""
     if isinstance(content, list):
@@ -786,8 +784,15 @@ def _extract_content(resp: HttpReply) -> str:
         # whose text is not a string makes the reply malformed.
         texts = [part.get("text", "") for part in content if isinstance(part, dict)]
         if all(isinstance(text, str) for text in texts):
-            return "".join(texts)
-    raise TransportError(f"malformed chat-completion response: {type(content).__name__} content")
+            content = "".join(texts)
+    if not isinstance(content, str):
+        what = f"{type(content).__name__} content"
+    elif content.encode("utf-8", "replace").decode("utf-8") != content:
+        # A JSON \ud83d escape without its pair: no prompt, cache log or SRT can encode it.
+        what = "content holding a lone surrogate"
+    else:
+        return content
+    raise TransportError(f"malformed chat-completion response: {what}")
 
 
 class CacheKey(NamedTuple):

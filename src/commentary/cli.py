@@ -39,7 +39,6 @@ from .evaluation import (
     EmbeddingScorer,
     EvalReport,
     LexicalOverlapScorer,
-    ReferenceTrack,
     SimilarityScorer,
     evaluate,
     load_reference,
@@ -189,18 +188,16 @@ def parse_rate_model(spec: str) -> SpeechRateModel:
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     try:
         init, decision = _resolve_templates(args.templates)
-        language = decision.language
         rate_model = (
             parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
         )
-        _loaded(f"--templates {args.templates}: ", rate_model.for_language, language)
+        _loaded(f"--templates {args.templates}: ", rate_model.for_language, decision.language)
         strategy = StrategyConfig(
             kind=StrategyKind(args.strategy),
             step=args.step,
             window_cap=args.window_cap,
             icl_shots=args.shots,
             rate_model=rate_model,
-            language=language,
             max_history=args.max_history,
         )
         demos = ()
@@ -208,9 +205,8 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
             if not args.demos:
                 raise CliError("--demos is required when the strategy uses demonstrations")
             pool = _loaded("--demos: ", load_demonstrations, args.demos)
-            demos = _loaded(
-                f"{args.demos}: ", sample_demonstrations, pool, strategy.icl_shots, args.seed
-            )
+            label = f"--demos: {args.demos}: "
+            demos = _loaded(label, sample_demonstrations, pool, strategy.icl_shots, args.seed)
         prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
     # The loaders' ValueErrors name the file, as OSError's message does.
     except (OSError, ValueError) as exc:
@@ -259,7 +255,7 @@ def _reference_files(ref_dir: Path) -> dict[str, Path]:
 
 def _load_references(
     path: Path, stores: list[FrameStore], language: str
-) -> dict[str, ReferenceTrack]:
+) -> dict[str, CommentaryTrack]:
     """Each store's reference track by video id, from one file or a dir of <id>.srt/.tsv,
     read as `evaluate` reads it."""
     if path.is_dir():
@@ -274,13 +270,13 @@ def _load_references(
         if ref_path is None:
             raise CliError(f"no reference file for video {store.video_id!r} in {path}")
         references[store.video_id] = _loaded(
-            "reference ", load_reference, ref_path, store.video_id, store.video_duration, language
+            "reference: ", load_reference, ref_path, store.video_id, store.video_duration, language
         )
     return references
 
 
 def _backend_factory(
-    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None
+    cfg: RunConfig, stores: list[FrameStore], references: dict[str, CommentaryTrack] | None
 ) -> tuple[Callable[[FrameStore], Generator], list[RemoteChatBackend | CacheLog]]:
     """The per-video backend maker, and what the caller closes when the run ends.
 
@@ -304,7 +300,9 @@ def _backend_factory(
     elif spec.startswith("oracle:"):
         if references is None:
             # Read as `evaluate` reads them: the oracle uses only their starts and texts.
-            references = _load_references(Path(spec.partition(":")[2]), stores, cfg.strategy.language)
+            references = _load_references(
+                Path(spec.partition(":")[2]), stores, cfg.prompts.decision.language
+            )
         make = lambda store: OracleBackend(references[store.video_id])
     else:
         raise CliError(
@@ -326,7 +324,7 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
         f"#step\t{record.config.step:g}",
         f"#window_cap\t{record.config.window_cap}",
         f"#icl_shots\t{record.config.icl_shots}",
-        f"#language\t{record.config.language}",
+        f"#language\t{record.language}",
         f"#seed\t{seed}",
         f"#status\t{status}",
     ]
@@ -412,7 +410,7 @@ def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[
 
 
 def _generate(
-    cfg: RunConfig, stores: list[FrameStore], references: dict[str, ReferenceTrack] | None = None
+    cfg: RunConfig, stores: list[FrameStore], references: dict[str, CommentaryTrack] | None = None
 ) -> tuple[int, dict[str, GenerationRecord]]:
     """Run each store's session and write its outputs; return the exit code and the records."""
     for store in stores:
@@ -511,7 +509,7 @@ def _write_report(path: str | None, lines: list[str]) -> None:
 
 def _load_pairs(
     gen_dir: Path, ref_dir: Path, language: str
-) -> list[tuple[str, CommentaryTrack, ReferenceTrack]]:
+) -> list[tuple[str, CommentaryTrack, CommentaryTrack]]:
     """The (video_id, generated, reference) tracks of matching files, in sorted-id order."""
     if not gen_dir.is_dir():
         raise CliError(f"generated dir not found: {gen_dir}")
@@ -618,7 +616,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     stores = _load_stores(base.manifest)
     # The default oracle replays the same tracks the cells are scored against.
-    references = _load_references(ref_dir, stores, base.strategy.language)
+    references = _load_references(ref_dir, stores, base.prompts.decision.language)
     oracle_refs = references if base.backend_spec == f"oracle:{ref_dir}" else None
 
     table_lines = ["step\tstateless\tfeedback\treal-time\tavg"]

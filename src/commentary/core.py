@@ -104,7 +104,7 @@ class Utterance(Record):
     The display interval is [start, start + est_duration).
     """
 
-    def __init__(self, text: str, language: str, start: Seconds, est_duration: Seconds) -> None:
+    def __init__(self, text: str, start: Seconds, est_duration: Seconds) -> None:
         stripped = text.strip()
         if not stripped:
             raise ValueError("utterance text must be non-empty")
@@ -116,7 +116,6 @@ class Utterance(Record):
             raise ValueError("est_duration must be positive")
         self.__dict__.update(
             text=text,
-            language=language,
             start=start,
             est_duration=est_duration,
             # Summed in milliseconds, so an utterance ends exactly where a next one

@@ -10,6 +10,7 @@ the report keys so the numbers stay interpretable.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -40,8 +41,6 @@ ENV_EMBED_MODEL = "COMMENTARY_EMBED_MODEL"
 
 BIN_COUNT = 10
 
-# A reference track has the same shape as a generated one.
-ReferenceTrack = CommentaryTrack
 _DEFAULT_RATES = SpeechRateModel.default()  # gives transcript lines their durations
 
 
@@ -97,17 +96,19 @@ class EmbeddingScorer(_Endpoint):
             embeddings = [item["embedding"] for item in data]
         except (ValueError, LookupError, TypeError) as exc:
             raise ValueError(f"malformed embedding response from {url}: {exc!r}") from exc
-        # A bool is an int to Python, and zip would cut the longer vector short.
+        # A bool is an int to Python, zip would cut the longer vector short, and an
+        # int beyond the float range would overflow the cosine (NaN compares false).
         if (
             len(embeddings) != len(texts)
             or not all(isinstance(e, list) and len(e) == len(embeddings[0]) for e in embeddings)
-            or not all(type(x) in (int, float) and math.isfinite(x) for e in embeddings for x in e)
+            or not all(type(x) in (int, float) for e in embeddings for x in e)
+            or not all(abs(x) <= sys.float_info.max for e in embeddings for x in e)
         ):
             raise ValueError(
                 f"malformed embedding response from {url}: expected {len(texts)} "
                 f"equal-length lists of finite numbers, got {len(embeddings)} items"
             )
-        return embeddings
+        return [[float(x) for x in e] for e in embeddings]
 
     def score(self, candidate: str, reference: str) -> float:
         if not candidate.strip() or not reference.strip():
@@ -140,7 +141,7 @@ class EvalReport(Record):
         )
 
 
-def timing_alignment(gen: CommentaryTrack, ref: ReferenceTrack) -> float:
+def timing_alignment(gen: CommentaryTrack, ref: CommentaryTrack) -> float:
     """Fraction of seconds where both tracks speak or both are silent."""
     if gen.video_duration != ref.video_duration:
         raise ValueError(
@@ -191,7 +192,7 @@ def rouge_l(candidate: str, reference: str, language: str = "en") -> float:
 
 
 def binned_similarity(
-    gen: CommentaryTrack, ref: ReferenceTrack, scorer: SimilarityScorer
+    gen: CommentaryTrack, ref: CommentaryTrack, scorer: SimilarityScorer
 ) -> list[float]:
     """Scores over ten uniform duration bins; an utterance belongs to the bin
     containing its start. Bins where either side is empty score 0."""
@@ -233,7 +234,7 @@ def _track_text(track: CommentaryTrack) -> str:
 
 def evaluate(
     gen: CommentaryTrack,
-    ref: ReferenceTrack,
+    ref: CommentaryTrack,
     scorer: SimilarityScorer,
     language: str,
 ) -> EvalReport:
@@ -249,30 +250,24 @@ def evaluate(
 
 
 def _reference_track(
-    lines: Iterable[tuple[Seconds, str, Seconds | None]],
-    video_id: str,
-    video_duration: Seconds,
-    language: str,
-) -> ReferenceTrack:
+    lines: Iterable[tuple[Seconds, str, Seconds]], video_id: str, video_duration: Seconds
+) -> CommentaryTrack:
     """A reference track from (start, text, duration) lines in file order.
 
-    A duration of None is estimated from the text by the default speech-rate
-    model. Lines starting after the stated duration are dropped. Lines sharing
-    a start become one utterance: their texts joined by a space in file
-    order, lasting the longest of their durations.
+    Lines starting after the stated duration are dropped. Lines sharing a
+    start become one utterance: their texts joined by a space in file order,
+    lasting the longest of their durations.
     """
     spans: dict[Seconds, tuple[str, Seconds]] = {}
     for start, text, duration in lines:
         if start > video_duration:
             continue
-        if duration is None:
-            duration = estimate_duration(text, language, _DEFAULT_RATES)
         if start in spans:
             tied_text, tied_duration = spans[start]
             text, duration = f"{tied_text} {text}", max(tied_duration, duration)
         spans[start] = (text, duration)
     utterances = [
-        Utterance(text=text, language=language, start=start, est_duration=duration)
+        Utterance(text=text, start=start, est_duration=duration)
         for start, (text, duration) in sorted(spans.items())
     ]
     return CommentaryTrack(
@@ -280,13 +275,10 @@ def _reference_track(
     )
 
 
-def reference_from_srt_text(
-    text: str, video_id: str, video_duration: Seconds, language: str
-) -> ReferenceTrack:
+def reference_from_srt_text(text: str, video_id: str, video_duration: Seconds) -> CommentaryTrack:
     """Build a reference track from SRT text, display spans giving the durations."""
     return _reference_track(
-        ((e.start, e.text, e.end - e.start) for e in parse_srt(text)),
-        video_id, video_duration, language,
+        ((e.start, e.text, e.end - e.start) for e in parse_srt(text)), video_id, video_duration
     )
 
 
@@ -313,23 +305,26 @@ def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
 
 def reference_from_transcript_text(
     text: str, video_id: str, video_duration: Seconds, language: str
-) -> ReferenceTrack:
-    """Build a reference track from `start_seconds<TAB>text` transcript lines."""
+) -> CommentaryTrack:
+    """Build a reference track from `start_seconds<TAB>text` transcript lines, each
+    lasting its text's duration under the default speech-rate model."""
+    # Lines past the video are dropped before a duration is estimated for them.
+    rows = [(s, t) for s, t in parse_transcript(text) if s <= video_duration]
     return _reference_track(
-        ((start, utt_text, None) for start, utt_text in parse_transcript(text)),
-        video_id, video_duration, language,
+        ((s, t, estimate_duration(t, language, _DEFAULT_RATES)) for s, t in rows),
+        video_id, video_duration,
     )
 
 
 def load_reference(
     path: str | Path, video_id: str, video_duration: Seconds, language: str
-) -> ReferenceTrack:
+) -> CommentaryTrack:
     """A reference track from an .srt file or a transcript; a ValueError names the file."""
     path = Path(path)
     text = read_utf8(path)
     try:
         if path.suffix.lower() == ".srt":
-            return reference_from_srt_text(text, video_id, video_duration, language)
+            return reference_from_srt_text(text, video_id, video_duration)
         return reference_from_transcript_text(text, video_id, video_duration, language)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -128,7 +128,6 @@ class StrategyConfig(Record):
         window_cap: int = DEFAULT_WINDOW_CAP,
         icl_shots: int | None = None,
         rate_model: SpeechRateModel | None = None,
-        language: str = "en",
         max_history: int | None = None,
     ) -> None:
         if rate_model is None:
@@ -158,14 +157,12 @@ class StrategyConfig(Record):
                 f"window_cap {window_cap}: windows of {frames} frames and {icl_shots} "
                 f"demonstrations exceed the attachment limit of {ATTACHMENT_LIMIT}"
             )
-        rate_model.for_language(language)
         self.__dict__.update(
             kind=kind,
             step=step,
             window_cap=window_cap,
             icl_shots=icl_shots,
             rate_model=rate_model,
-            language=language,
             max_history=max_history,
         )
 
@@ -222,13 +219,15 @@ class SessionStep(Record):
 class GenerationRecord(Record):
     """Full trace of one session; basis for replay, subtitles and evaluation.
 
-    Its `track` is derived: the utterances of its steps, in order.
+    `language` is the run's, its decision template's. Its `track` is derived:
+    the utterances of its steps, in order.
     """
 
     def __init__(
         self,
         video_id: str,
         config: StrategyConfig,
+        language: str,
         steps: tuple[SessionStep, ...],
         video_duration: Seconds,
         error: str | None = None,
@@ -236,8 +235,9 @@ class GenerationRecord(Record):
         steps = tuple(steps)
         utterances = tuple([s.utterance for s in steps if s.utterance is not None])
         self.__dict__.update(
-            video_id=video_id, config=config, steps=steps, video_duration=video_duration,
-            error=error, track=CommentaryTrack(video_id, utterances, video_duration),
+            video_id=video_id, config=config, language=language, steps=steps,
+            video_duration=video_duration, error=error,
+            track=CommentaryTrack(video_id, utterances, video_duration),
         )
 
     @property
@@ -257,10 +257,14 @@ def run_session(
     Decision 0 at t=0 uses the initialization prompt with empty history, then
     decisions follow the scheduler until the next time would pass the end of
     the video. Times are kept in whole milliseconds, so every time the record
-    holds is the one its SRT and trace show. A backend failure aborts the
-    session and the partial record carries the error; a replay-cache miss
-    propagates (it is a configuration problem, not a transient failure).
+    holds is the one its SRT and trace show. The run's language is its
+    decision template's; a rate model without it raises ValueError before the
+    first request. A backend failure aborts the session and the partial record
+    carries the error; a replay-cache miss propagates (it is a configuration
+    problem, not a transient failure).
     """
+    language = prompts.decision.language
+    config.rate_model.for_language(language)  # raises ValueError for a language it lacks
     # icl_shots is 0 for every kind but feedback-icl.
     renderer = DecisionRenderer(prompts.decision, prompts.demonstrations[: config.icl_shots])
     duration_ms = to_ms(store.video_duration)
@@ -302,10 +306,9 @@ def run_session(
             if _WAIT_MENTION.search(outcome.text):
                 note = "wait-plus-content"
             # The estimated speaking time, d̂, in whole milliseconds.
-            spoken_ms = to_ms(estimate_duration(outcome.text, config.language, config.rate_model))
+            spoken_ms = to_ms(estimate_duration(outcome.text, language, config.rate_model))
             utterance = Utterance(
                 text=outcome.text,
-                language=config.language,
                 start=t,
                 # At least 1 ms, so that every utterance shows as an SRT entry.
                 est_duration=from_ms(max(1, spoken_ms)),
@@ -324,4 +327,4 @@ def run_session(
             break
         index += 1
 
-    return GenerationRecord(store.video_id, config, steps, store.video_duration, error)
+    return GenerationRecord(store.video_id, config, language, steps, store.video_duration, error)

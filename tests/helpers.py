@@ -218,7 +218,6 @@ def random_track(
     rng: random.Random,
     video_id: str = "v1",
     duration: float = 120.0,
-    language: str = "en",
 ) -> CommentaryTrack:
     utterances = []
     t = rng.uniform(0.0, 4.0)
@@ -227,7 +226,6 @@ def random_track(
         utterances.append(
             Utterance(
                 text=" ".join(rng.choice(WORDS) for _ in range(words)),
-                language=language,
                 start=t,
                 est_duration=rng.uniform(0.25, 8.0),
             )
@@ -246,7 +244,7 @@ def poisson_reference(
     while t <= duration:
         words = rng.randint(4, 20)
         text = " ".join(rng.choice(WORDS) for _ in range(words))
-        utterances.append(Utterance(text=text, language="en", start=t, est_duration=words / 4.0))
+        utterances.append(Utterance(text=text, start=t, est_duration=words / 4.0))
         t += words / 4.0 + rng.expovariate(1.0 / mean_gap)
     return CommentaryTrack(video_id, tuple(utterances), duration)
 
@@ -255,7 +253,6 @@ def reference_track_of_lines(
     lines: Sequence[tuple[float, str, float]],
     video_id: str,
     video_duration: float,
-    language: str,
 ) -> CommentaryTrack:
     """The oracle of both reference loaders: one utterance per distinct start of the
     (start, text, duration) lines not past the video, in start order, with the texts
@@ -268,7 +265,6 @@ def reference_track_of_lines(
         utterances.append(
             Utterance(
                 text=" ".join(text for text, _ in tied),
-                language=language,
                 start=start,
                 est_duration=max(duration for _, duration in tied),
             )

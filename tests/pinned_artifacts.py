@@ -68,7 +68,7 @@ def ja_reference(seed: int, video_id: str, duration: float) -> CommentaryTrack:
     t = rng.expovariate(1.0 / 3.0)
     while t <= duration:
         text = "".join(rng.choice(JA_PHRASES) for _ in range(rng.randint(1, 4)))
-        utterances.append(Utterance(text, "ja", t, len(text) / 8.0))
+        utterances.append(Utterance(text, t, len(text) / 8.0))
         t += len(text) / 8.0 + rng.expovariate(1.0 / 3.0)
     return CommentaryTrack(video_id, tuple(utterances), duration)
 

@@ -193,8 +193,8 @@ def test_criterion_05_metric_oracles():
         assert rouge_l(" ".join(a), " ".join(b)) == expected, (a, b)
 
     # Worked example: gen speaks {1,2}, ref speaks {2,3}, agree on 8 of 10.
-    gen = CommentaryTrack("v", (Utterance("a b", "en", 1.0, 2.0),), 10.0)
-    ref = CommentaryTrack("v", (Utterance("c d", "en", 2.0, 2.0),), 10.0)
+    gen = CommentaryTrack("v", (Utterance("a b", 1.0, 2.0),), 10.0)
+    ref = CommentaryTrack("v", (Utterance("c d", 2.0, 2.0),), 10.0)
     assert timing_alignment(gen, ref) == 0.8
 
     # Hand-built pairs checked against an enumerated interval-measure oracle.
@@ -224,7 +224,7 @@ def test_criterion_05_metric_oracles():
 
 
 def test_criterion_06_srt_bit_exactness():
-    track = CommentaryTrack("v", (Utterance("x y", "en", 0.0, 8.616),), 60.0)
+    track = CommentaryTrack("v", (Utterance("x y", 0.0, 8.616),), 60.0)
     assert "00:00:00,000 --> 00:00:08,616" in to_srt(track)
 
     rng = random.Random(2024)

@@ -105,7 +105,7 @@ class TestOracleBackend:
     def _reference(self):
         return CommentaryTrack(
             "ref",
-            (Utterance("the race begins now", "en", 5.0, 1.25),),
+            (Utterance("the race begins now", 5.0, 1.25),),
             30.0,
         )
 
@@ -123,7 +123,7 @@ class TestOracleBackend:
         assert again.raw_text == "<WAIT>"
 
     def test_first_window_includes_time_zero(self):
-        ref = CommentaryTrack("ref", (Utterance("lights out", "en", 0.0, 0.5),), 10.0)
+        ref = CommentaryTrack("ref", (Utterance("lights out", 0.0, 0.5),), 10.0)
         backend = OracleBackend(ref)
         assert backend.generate(request_for(decision_time=0.0)).raw_text == "lights out"
 
@@ -161,7 +161,7 @@ class TestOracleBackend:
 @given(data=st.data())
 def test_oracle_backend_matches_the_scan_from_the_first_utterance(ordered, data):
     starts = sorted(data.draw(st.sets(st.floats(0.0, 100.0), max_size=12), label="starts"))
-    utterances = tuple(Utterance(f"u{i}", "en", s, 0.5) for i, s in enumerate(starts))
+    utterances = tuple(Utterance(f"u{i}", s, 0.5) for i, s in enumerate(starts))
     reference = CommentaryTrack("ref", utterances, 100.0)
     moment = st.floats(0.0, 100.0)
     if starts:
@@ -571,6 +571,18 @@ class TestRemoteChatBackend:
         chat_server.content = content
         client = closing(_client(chat_server))
         with pytest.raises(TransportError, match="^malformed chat-completion response: .* content$"):
+            client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
+        assert len(chat_server.requests) == 1
+
+    @pytest.mark.parametrize(
+        "content", ["go \ud83d fast", [{"type": "text", "text": "go "}, {"text": "\ude00"}]]
+    )
+    def test_text_holding_a_lone_surrogate_is_a_transport_error(
+        self, chat_server, closing, content
+    ):
+        chat_server.content = content
+        client = closing(_client(chat_server))
+        with pytest.raises(TransportError, match="^malformed chat-completion response: content "):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 

@@ -18,7 +18,7 @@ from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
 from commentary.evaluation import EmbeddingScorer
 
-from helpers import read_cache_log, write_cache_log, write_manifest
+from helpers import read_cache_log, serving_chat, write_cache_log, write_manifest
 
 
 def read(path):
@@ -98,6 +98,33 @@ class TestGenerate:
         assert "cannot read a frame" in err and "/nonexistent/0.jpg" in err
         assert "Traceback" not in err
         assert "#status\taborted: " in read(workspace["root"] / "run" / "gone.trace")
+
+    @pytest.mark.parametrize("cache", ["off", "record"])
+    def test_a_reply_holding_a_lone_surrogate_ends_the_session_as_a_backend_failure(
+        self, workspace, capsys, monkeypatch, cache
+    ):
+        # Frames the client sends by URI, as they are not local files.
+        manifest = workspace["root"] / "web.manifest"
+        manifest.write_text(
+            "#video_id\tweb\tduration\t2\n0\thttps://f.test/0.jpg\n1\thttps://f.test/1.jpg\n",
+            encoding="utf-8",
+        )
+        args = gen_args(workspace, out="run", cache=cache, cache_dir=workspace["root"] / "cache")
+        args[args.index("--manifest") + 1] = str(manifest)
+        args[args.index("--backend") + 1] = "remote"
+        with serving_chat() as server:
+            # JSON's \u escape carries half of a surrogate pair on its own.
+            server.content = "go \ud83d fast"
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            monkeypatch.setenv("COMMENTARY_API_BASE", base)
+            monkeypatch.setenv("COMMENTARY_MODEL", "m")
+            assert main(args) == 2
+        assert len(server.requests) == 1
+        err = capsys.readouterr().err
+        assert "malformed chat-completion response: content holding a lone surrogate" in err
+        assert "Traceback" not in err
+        trace = read(workspace["root"] / "run" / "web.trace")
+        assert "#status\taborted: backend failure at step 0 (t=0.000s): " in trace
 
     def test_unknown_strategy_is_config_error(self, workspace):
         assert main(gen_args(workspace, strategy="bogus")) == 1
@@ -227,7 +254,7 @@ class TestGenerate:
         args = gen_args(workspace, strategy="feedback-icl", shots=2, demos=str(demos))
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {demos}: requested 2 demonstrations but the pool holds 1\n"
+        assert err == f"error: --demos: {demos}: requested 2 demonstrations but the pool holds 1\n"
 
     def test_template_file_not_utf_8_exits_one_naming_it(self, workspace, capsys):
         templates = workspace["root"] / "templates"
@@ -294,6 +321,16 @@ class TestGenerate:
         assert main(gen_args(workspace, rate_model=f"en=word:{rate}")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad --rate-model entry 'en=word:{rate}': rate must be ")
+        assert not (workspace["root"] / "out").exists()
+
+    def test_a_rate_model_without_the_template_language_exits_one_naming_the_templates(
+        self, workspace, capsys
+    ):
+        assert main(gen_args(workspace, templates="race-ja", rate_model="en=word:4")) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --templates race-ja: no speech rate configured for language 'ja'; known: en\n"
+        )
         assert not (workspace["root"] / "out").exists()
 
     def test_a_language_given_twice_in_the_rate_model_exits_one_naming_it(self, workspace, capsys):
@@ -909,10 +946,11 @@ class TestEvaluateCommand:
             {"data": [{"embedding": [1.0, 2.0, 3.0]}, {"embedding": [1.0]}]},
             {"data": [{"embedding": [True, 1.0]}, {"embedding": [1.0, 0.0]}]},
             {"data": [{"embedding": [float("nan"), 1.0]}, {"embedding": [1.0, 0.0]}]},
+            {"data": [{"embedding": [10**400, 1.0]}, {"embedding": [1.0, 0.0]}]},
         ],
         ids=[
             "no-data", "one-embedding-for-two-inputs", "string-component", "null-component",
-            "unequal-lengths", "bool-component", "nan-component",
+            "unequal-lengths", "bool-component", "nan-component", "huge-int-component",
         ],
     )
     def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
@@ -1075,7 +1113,7 @@ class TestOracleBackendCli:
         args[args.index("--backend") + 1] = f"oracle:{ref_dir}"
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: reference {bad}: {message}")
+        assert err.startswith(f"error: reference: {bad}: {message}")
         assert err.count(str(bad)) == 1
 
     def test_transcript_lines_with_tied_starts_are_spoken_as_one(self, workspace):
@@ -1555,10 +1593,13 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     """`perfbench/tracing.py` reaches into the program's modules by name; installing it
     in a fresh interpreter fails if a name it wraps is gone."""
     root = Path(__file__).resolve().parents[1]
+    # The program's source first, then the paths the test run itself was given.
+    inherited = os.environ.get("PYTHONPATH")
+    path = f"{root / 'src'}{os.pathsep}{inherited}" if inherited else str(root / "src")
     proc = subprocess.run(
         [sys.executable, "-c", "from perfbench import tracing; tracing.install(tracing.Tracer())"],
         cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         encoding="utf-8",
         timeout=60,
@@ -1572,8 +1613,8 @@ _INPUTS = {
     "manifest": ("vids/race01.manifest", "media: "),
     "demos": ("demos.tsv", "--demos: "),
     "script": ("script.tsv", "backend: "),
-    "oracle-reference": ("refs/race01.srt", "reference "),
-    "sweep-reference": ("refs/race01.srt", "reference "),
+    "oracle-reference": ("refs/race01.srt", "reference: "),
+    "sweep-reference": ("refs/race01.srt", "reference: "),
     "cache-dir": ("cache", "cache: "),
     "generated-srt": ("gen/race01.srt", "race01: "),
     "evaluate-reference": ("refs/race01.srt", "race01: "),

@@ -39,8 +39,8 @@ from commentary.subtitles import SrtEntry
 from helpers import prompt_set, random_track, synth_store
 
 
-def utt(start, dur, text="the red car leads", language="en"):
-    return Utterance(text=text, language=language, start=start, est_duration=dur)
+def utt(start, dur, text="the red car leads"):
+    return Utterance(text=text, start=start, est_duration=dur)
 
 
 class TestUtterance:
@@ -148,7 +148,7 @@ class TestSpeakingTimeline:
         shifted = CommentaryTrack(
             "v",
             tuple(
-                Utterance(u.text, u.language, u.start + k, u.est_duration)
+                Utterance(u.text, u.start + k, u.est_duration)
                 for u in base.utterances
             ),
             10.0 + k,
@@ -203,20 +203,21 @@ def request():
 class TestRecord:
     """The records' value semantics: those a frozen dataclass gave, and `replace`."""
 
-    # The strings the frozen dataclasses printed.
+    # The strings the frozen dataclasses printed, but for the language fields
+    # since removed.
     @pytest.mark.parametrize(
         "record, expected",
         [
             (
                 utt(1.5, 0.25, text="go"),
-                "Utterance(text='go', language='en', start=1.5, est_duration=0.25)",
+                "Utterance(text='go', start=1.5, est_duration=0.25)",
             ),
             (
                 StrategyConfig(kind=StrategyKind.REALTIME, step=1.0),
                 "StrategyConfig(kind=<StrategyKind.REALTIME: 'realtime'>, step=1.0, "
                 "window_cap=30, icl_shots=0, rate_model=SpeechRateModel(rates=(('en', "
                 "SpeechRate(unit='word', rate=4.0)), ('ja', SpeechRate(unit='character', "
-                "rate=8.0)))), language='en', max_history=None)",
+                "rate=8.0)))), max_history=None)",
             ),
             (
                 SrtEntry(index=1, start=0.5, end=2.0, text="a bold move"),
@@ -238,7 +239,7 @@ class TestRecord:
         u = utt(1.5, 0.25)
         assert u.end == 1.75
         assert u == utt(1.5, 0.25)
-        assert hash(u) == hash((u.text, u.language, u.start, u.est_duration))
+        assert hash(u) == hash((u.text, u.start, u.est_duration))
         assert u != utt(1.5, 0.5)
 
     def test_eq_and_hash_ignore_the_read_frame_bytes(self):
@@ -285,10 +286,10 @@ class TestRecord:
         assert cfg.step == 2.0
 
     def test_replace_builds_a_checked_copy(self):
-        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, language="ja")
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, max_history=3)
         faster = replace(cfg, step=0.5)
         assert faster.step == 0.5
-        assert faster == StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.5, language="ja")
+        assert faster == StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.5, max_history=3)
         assert cfg.step == 2.0
         with pytest.raises(ValueError, match="step must be positive"):
             replace(cfg, step=0)

@@ -44,8 +44,8 @@ def token_pairs(draw):
     return tokens(), tokens()
 
 
-def utt(start, dur, text="the red car leads", language="en"):
-    return Utterance(text=text, language=language, start=start, est_duration=dur)
+def utt(start, dur, text="the red car leads"):
+    return Utterance(text=text, start=start, est_duration=dur)
 
 
 def track(utterances, duration=10.0, video_id="v"):
@@ -236,7 +236,7 @@ class TestEvaluate:
             "1\n00:00:00,001 --> 00:00:00,010\nthe red car\n\n"
             "2\n00:00:00,010 --> 00:00:01,000\ntakes the lead\n"
         )
-        gen = reference_from_srt_text(text, "v", 2.0, "en")
+        gen = reference_from_srt_text(text, "v", 2.0)
         assert gen.utterances[0].end == gen.utterances[1].start
         assert evaluate(gen, gen, LexicalOverlapScorer(), "en").overlap == 0.0
 
@@ -253,7 +253,7 @@ class TestReferenceLoaders:
             "1\n00:00:02,000 --> 00:00:04,500\nthe race begins\n\n"
             "2\n00:00:08,000 --> 00:00:09,000\na bold move\n"
         )
-        ref = reference_from_srt_text(text, "v", 10.0, "en")
+        ref = reference_from_srt_text(text, "v", 10.0)
         assert len(ref.utterances) == 2
         assert ref.utterances[0].start == 2.0
         assert ref.utterances[0].est_duration == 2.5
@@ -265,7 +265,7 @@ class TestReferenceLoaders:
             "3\n00:00:02,000 --> 00:00:04,500\nbegins now\n\n"
             "4\n00:00:02,000 --> 00:00:03,500\nin the rain\n"
         )
-        ref = reference_from_srt_text(text, "v", 10.0, "en")
+        ref = reference_from_srt_text(text, "v", 10.0)
         assert [(u.start, u.text, u.est_duration) for u in ref.utterances] == [
             (2.0, "the race begins now in the rain", 2.5),
             (5.0, "a bold move", 1.0),
@@ -282,7 +282,7 @@ class TestReferenceLoaders:
 
     def test_srt_entries_past_duration_dropped(self):
         text = "1\n00:00:20,000 --> 00:00:21,000\ntoo late to count\n"
-        ref = reference_from_srt_text(text, "v", 10.0, "en")
+        ref = reference_from_srt_text(text, "v", 10.0)
         assert ref.utterances == ()
 
     def test_from_transcript_text(self):
@@ -326,9 +326,9 @@ class TestReferenceLoadersMatchTheOracle:
             for i, (start, end, words) in enumerate(spans, 1)
         )
         expected = reference_track_of_lines(
-            [(start, words, end - start) for start, end, words in spans], "v", 10.0, "en"
+            [(start, words, end - start) for start, end, words in spans], "v", 10.0
         )
-        assert reference_from_srt_text(text, "v", 10.0, "en") == expected
+        assert reference_from_srt_text(text, "v", 10.0) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(REFERENCE_LINES)
@@ -336,6 +336,6 @@ class TestReferenceLoadersMatchTheOracle:
         text = "".join(f"{start / 1000:g}\t{words}\n" for start, _, words in lines)
         expected = reference_track_of_lines(
             [(start / 1000, words, len(words.split()) / 4.0) for start, _, words in lines],
-            "v", 10.0, "en",
+            "v", 10.0,
         )
         assert reference_from_transcript_text(text, "v", 10.0, "en") == expected

@@ -29,6 +29,7 @@ from commentary import (
 )
 from commentary import prompting, strategies
 from commentary.backends import ATTACHMENT_LIMIT, GeneratorResponse, TransportError
+from commentary.cli import render_trace
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
 from commentary.strategies import count_units, next_query_ms, unit_tokens
@@ -290,10 +291,6 @@ class TestStrategyConfig:
         assert record.complete and len(counts) == len(record.steps)
         assert max(counts) <= ATTACHMENT_LIMIT
 
-    def test_language_must_have_a_rate(self):
-        with pytest.raises(ValueError):
-            StrategyConfig(kind=StrategyKind.FEEDBACK, language="fr")
-
     def test_from_name(self):
         assert StrategyKind("feedback-icl") is StrategyKind.FEEDBACK_ICL
         with pytest.raises(ValueError):
@@ -346,6 +343,31 @@ class TestRunSession:
         assert [s.time for s in record.steps] == [0.0, 4.0, 6.0, 8.0, 10.0]
         assert len(record.track.utterances) == 1
         assert record.track.utterances[0].est_duration == 4.0
+
+    def test_the_run_language_is_the_decision_templates(self):
+        # 12 characters at 8 per second: 1.5 s, where one English word would take 0.25 s.
+        store = synth_store(duration=4.0)
+        cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+        backend = ScriptedBackend({0: "赤い車が先頭に立ちました"})
+        record = run_session(store, cfg, backend, SimulatedClock(), prompt_set("race-ja"))
+        assert [u.est_duration for u in record.track.utterances] == [1.5]
+        assert [s.time for s in record.steps] == [0.0, 1.5, 2.5, 3.5]
+        assert record.language == "ja"
+        assert "\n#language\tja\n" in render_trace(record, seed=0)
+
+    @pytest.mark.parametrize(
+        "name, language, other", [("race-en", "en", "ja"), ("race-ja", "ja", "en")]
+    )
+    def test_a_rate_model_without_the_run_language_fails_before_any_request(
+        self, name, language, other
+    ):
+        rates = SpeechRateModel({other: SpeechRate(unit="word", rate=4.0)})
+        cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, rate_model=rates)
+        backend = _FailingBackend(fail_at=0)
+        message = f"^no speech rate configured for language '{language}'"
+        with pytest.raises(ValueError, match=message):
+            run_session(synth_store(), cfg, backend, SimulatedClock(), prompt_set(name))
+        assert backend.calls == 0
 
     def test_utterance_lasts_at_least_a_millisecond(self):
         rates = SpeechRateModel({"en": SpeechRate(unit="word", rate=5000.0)})
@@ -486,7 +508,6 @@ class TestMillisecondGrid:
             kind=kind,
             step=step_ms / 1000,
             rate_model=SpeechRateModel({language: SpeechRate(unit=unit, rate=rate)}),
-            language=language,
         )
         store = synth_store(duration=duration_ms / 1000)
         prompts = prompt_set("race-en" if language == "en" else "race-ja")
@@ -510,7 +531,7 @@ class TestMillisecondGrid:
         assert [(e.text, e.start, e.end) for e in entries] == [
             (u.text, u.start, u.end) for u in track.utterances
         ]
-        read_back = reference_from_srt_text(srt, track.video_id, track.video_duration, language)
+        read_back = reference_from_srt_text(srt, track.video_id, track.video_duration)
         assert speaking_timeline(read_back) == speaking_timeline(track)
         if realtime:
             for a, b in zip(track.utterances, track.utterances[1:]):

@@ -11,7 +11,7 @@ from helpers import random_track
 
 
 def utt(start, dur, text="the red car leads"):
-    return Utterance(text=text, language="en", start=start, est_duration=dur)
+    return Utterance(text=text, start=start, est_duration=dur)
 
 
 class TestFormatTimestamp:

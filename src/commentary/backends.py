@@ -8,7 +8,7 @@ import os
 import re
 import threading
 import time
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
@@ -118,7 +118,7 @@ class GeneratorRequest(Record):
                 frames[uri] = None
             elif uri not in frames:
                 try:
-                    frames[uri] = path.read_bytes()
+                    frames[uri] = _read_file(path)
                 except OSError as exc:
                     frames[uri] = exc.with_traceback(None)
         return frames
@@ -273,10 +273,15 @@ def _basic_auth(user: str, password: str) -> str:
 
 
 def _netrc_auth(host: str) -> tuple[str, str] | None:
-    """Login and password for `host` from `$NETRC` or `~/.netrc`, if it has them."""
+    """Login and password for `host` from `$NETRC` or `~/.netrc`, if it has them.
+
+    `netrc` (and the `shlex` it loads) is imported only when the file exists.
+    """
+    path = os.environ.get("NETRC") or os.path.join(os.path.expanduser("~"), ".netrc")
+    if not os.path.exists(path):
+        return None
     import netrc
 
-    path = os.environ.get("NETRC") or os.path.join(os.path.expanduser("~"), ".netrc")
     try:
         entry = netrc.netrc(path).authenticators(host)
     except (OSError, netrc.NetrcParseError):
@@ -403,18 +408,20 @@ class _HttpSession:
     """Keep-alive HTTP/1.1 client for one endpoint, built on `socket`.
 
     Each request leaves in one write of head and body, on a socket with
-    Nagle's algorithm off. The proxy, CA-bundle and netrc settings are read
-    from the environment once, here. Netrc credentials are sent only on
-    requests that carry no `Authorization` header of their own. Idle
-    connections wait in a lock-guarded list that the backend's threads
-    share; a connection goes back only after its whole reply has been read
-    and the server keeps it open, and one the server has closed meanwhile is
-    dropped before reuse. Redirects are not followed and no compressed reply
-    is asked for.
+    Nagle's algorithm off. The head is built once per URL and header set;
+    each request splices in its body's length. The proxy, CA-bundle and
+    netrc settings are read from the environment once, here. Netrc
+    credentials are sent only on requests that carry no `Authorization`
+    header of their own. Idle connections wait in a lock-guarded list that
+    the backend's threads share; a connection goes back only after its
+    whole reply has been read and the server keeps it open, and one the
+    server has closed meanwhile is dropped before reuse. Redirects are not
+    followed and no compressed reply is asked for.
 
     `ssl` is imported only for an `https://` endpoint, and `urllib.request`
     only when the environment names a proxy variable, so a run that sends
-    no HTTP, or plain HTTP without a proxy, never loads them.
+    no HTTP, or plain HTTP without a proxy, never loads them. Nor does
+    plain HTTP load the IDNA codec, or `netrc` when there is no netrc file.
     """
 
     def __init__(self, base_url: str) -> None:
@@ -424,9 +431,7 @@ class _HttpSession:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {base_url!r}")
         self._https = url.scheme == "https"
-        self._host = url.hostname
-        if not self._host.isascii():
-            self._host = self._host.encode("idna").decode("ascii")
+        self._host = _ascii_host(url.hostname)
         default_port = 443 if self._https else 80
         self._port = url.port or default_port
         host = f"[{self._host}]" if ":" in self._host else self._host
@@ -445,11 +450,13 @@ class _HttpSession:
             os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
         )
         self.auth = _netrc_auth(url.hostname)
-        self._proxy: tuple[str, int] | None = None
+        # Hosts go to `getaddrinfo` as bytes: a str host makes it load the IDNA codec.
+        self._address = (self._host.encode("ascii"), self._port)
+        self._proxy: tuple[bytes, int] | None = None
         self._proxy_headers: dict[str, str] = {}
         if proxy:
             purl = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            self._proxy = (purl.hostname or "", purl.port or 80)
+            self._proxy = (_ascii_host(purl.hostname or "").encode("ascii"), purl.port or 80)
             if purl.username is not None:
                 self._proxy_headers["Proxy-Authorization"] = _basic_auth(
                     unquote(purl.username), unquote(purl.password or "")
@@ -457,6 +464,9 @@ class _HttpSession:
         self._tls: Any = None
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
+        # The last (url, headers) posted and its head, split where the Content-Length
+        # value goes; replaced by one assignment, so the threads can share it.
+        self._head: tuple[str, dict[str, str], bytes, bytes] | None = None
 
     def _tls_context(self) -> Any:
         if self._tls is None:
@@ -478,12 +488,13 @@ class _HttpSession:
                     break
                 conn = self._idle.pop()
             if not _dropped(conn.sock):
-                conn.sock.settimeout(timeout)
+                if conn.sock.gettimeout() != timeout:
+                    conn.sock.settimeout(timeout)
                 return conn
             conn.close()
         import socket
 
-        sock = socket.create_connection(self._proxy or (self._host, self._port), timeout)
+        sock = socket.create_connection(self._proxy or self._address, timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._https:
@@ -509,13 +520,19 @@ class _HttpSession:
         if status != 200:
             raise ConnectionError(f"proxy refused the tunnel to {self._authority}: {status}")
 
-    def post(self, url: str, *, data: bytes, headers: dict[str, str], timeout: float) -> _Reply:
+    def _split_head(self, url: str, headers: dict[str, str]) -> tuple[bytes, bytes]:
+        """The head of a POST to `url` with `headers`, cut where the Content-Length value goes.
+
+        The session sets `Content-Length` itself, whatever `headers` say.
+        `ValueError` if a header would hold a line break.
+        """
         fields = {
             "Host": self._host_field,
             "Accept-Encoding": "identity",
-            "Content-Length": str(len(data)),
+            "Content-Length": "",
             **headers,
         }
+        fields["Content-Length"] = ""  # in its place, empty whatever `headers` say
         if self.auth and "Authorization" not in headers:
             fields["Authorization"] = _basic_auth(*self.auth)
         if self._proxy and not self._https:
@@ -525,9 +542,17 @@ class _HttpSession:
             parts = urlsplit(url)
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         head = _request_head(f"POST {target} HTTP/1.1", fields)
+        before, _, after = head.partition(b"\r\nContent-Length: \r\n")
+        return before + b"\r\nContent-Length: ", b"\r\n" + after
+
+    def post(self, url: str, *, data: bytes, headers: dict[str, str], timeout: float) -> _Reply:
+        head = self._head
+        if head is None or head[0] != url or head[1] != headers:
+            head = self._head = (url, dict(headers), *self._split_head(url, headers))
+        _, _, before, after = head
         conn = self._connection(timeout)
         try:
-            conn.sock.sendall(head + data)
+            conn.sock.sendall(b"".join((before, b"%d" % len(data), after, data)))
             status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
@@ -547,21 +572,35 @@ class _HttpSession:
             conn.close()
 
 
-def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
-    """A request head; `ValueError` if a header would hold a line break."""
-    lines = [request_line]
+def _check_fields(fields: Mapping[str, str]) -> None:
+    """`ValueError` naming the first header whose name or value holds a line break."""
     for name, value in fields.items():
         if _LINE_BREAK.search(name) or _LINE_BREAK.search(value):
             raise ValueError(f"line break in the {name!r} header")
-        lines.append(f"{name}: {value}")
+
+
+def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
+    """A request head; `ValueError` if a header would hold a line break."""
+    _check_fields(fields)
+    lines = [request_line, *(f"{name}: {value}" for name, value in fields.items())]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-def _local_path(uri: str) -> Path | None:
+def _ascii_host(hostname: str) -> str:
+    """`hostname` with a non-ASCII name in its IDNA form."""
+    return hostname if hostname.isascii() else hostname.encode("idna").decode("ascii")
+
+
+def _local_path(uri: str) -> str | None:
     """The file behind a plain path or `file://` URI; None for data and remote URIs."""
     if uri.startswith(("data:", "http://", "https://")):
         return None
-    return Path(uri[7:]) if uri.startswith("file://") else Path(uri)
+    return uri[7:] if uri.startswith("file://") else uri
+
+
+def _read_file(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
 
 
 # Frame MIME types by lower-cased suffix; any other suffix is sent as JPEG. A
@@ -579,9 +618,9 @@ _IMAGE_TYPES = {
 }
 
 
-def _image_type(path: Path) -> str:
+def _image_type(path: str) -> str:
     """The MIME type a frame file is sent as, from its suffix."""
-    return _IMAGE_TYPES.get(path.suffix.lower(), "image/jpeg")
+    return _IMAGE_TYPES.get(os.path.splitext(path)[1].lower(), "image/jpeg")
 
 
 # Kept: perfbench/tracing.py wraps it by this name; the chat backend sends frames without it.
@@ -592,7 +631,7 @@ def encode_image_uri(uri: str) -> str:
         return uri
     import base64
 
-    data = path.read_bytes()
+    data = _read_file(path)
     return f"data:{_image_type(path)};base64,{base64.b64encode(data).decode('ascii')}"
 
 
@@ -614,29 +653,35 @@ _IMAGE_PART = b', {"type": "image_url", "image_url": {"url": '
 _PAYLOAD_END = b"]}]}"  # closes the content parts, the message, the messages and the payload
 
 
+@lru_cache(maxsize=16)
+def _body_prefix(model_id: str) -> bytes:
+    """The JSON of a chat request for `model_id` up to its prompt text's string."""
+    import json
+
+    body = json.dumps(
+        {
+            "model": model_id,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_OUTPUT_UNITS,
+            "messages": [{"role": "user", "content": [{"type": "text", "text": ""}]}],
+        }
+    ).encode("utf-8")
+    return body[: -len(b'""}' + _PAYLOAD_END)]
+
+
 def chat_request_body(request: GeneratorRequest) -> bytes:
     """`json.dumps(build_chat_payload(request)).encode("utf-8")`, without escaping base64.
 
-    `json` encodes the model, decoding settings and prompt text, and each
-    data or `http(s)://` URI; each local frame's base64 is spliced in as
-    bytes, since base64 needs no JSON escape. The frames are
-    `request.frame_bytes`; one that could not be read raises its `OSError`,
-    as `build_chat_payload` does.
+    The JSON up to the prompt text is built once per model id. `json`
+    encodes the prompt text and each data or `http(s)://` URI; each local
+    frame's base64 is spliced in as bytes, since base64 needs no JSON
+    escape. The frames are `request.frame_bytes`; one that could not be
+    read raises its `OSError`, as `build_chat_payload` does.
     """
     import base64
     import json
 
-    head = json.dumps(
-        {
-            "model": request.model_id,
-            "temperature": TEMPERATURE,
-            "max_tokens": MAX_OUTPUT_UNITS,
-            "messages": [
-                {"role": "user", "content": [{"type": "text", "text": request.prompt.text}]}
-            ],
-        }
-    )
-    parts = [head[: -len(_PAYLOAD_END)].encode("utf-8")]
+    parts = [_body_prefix(request.model_id), json.dumps(request.prompt.text).encode("ascii"), b"}"]
     frames = request.frame_bytes
     for uri in request.prompt.attachments:
         data = frames[uri]
@@ -662,7 +707,9 @@ class _Endpoint:
     `base_url`, `api_key` and `model_id` each come from the subclass's
     environment variable in `_ENV` when not given. Unless a caller passes
     its own session, the client is an `_HttpSession`, which reads the proxy,
-    CA-bundle and netrc settings once, here. The class settings are the chat
+    CA-bundle and netrc settings once, here. The request headers are built
+    here too, and a line break in one (say, in the API key) raises
+    `ValueError` naming the header. The class settings are the chat
     backend's.
     """
 
@@ -692,6 +739,10 @@ class _Endpoint:
         self.model_id = model_id or os.environ.get(env_model, "")
         if self._NEEDS_MODEL and not self.model_id:
             raise ValueError(f"no model configured; set {env_model} or pass model_id")
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        _check_fields(self._headers)  # names the header, never echoes the key
         self._session = session if session is not None else _HttpSession(self.base_url)
         self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
@@ -705,9 +756,6 @@ class _Endpoint:
         statuses raise their typed `BackendError` at once.
         """
         url = self.base_url + path
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: BackendError = TransportError("no attempt made")
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
@@ -721,7 +769,7 @@ class _Endpoint:
                 started = time.monotonic()
                 try:
                     resp = self._session.post(
-                        url, data=body, headers=headers, timeout=self._TIMEOUT
+                        url, data=body, headers=self._headers, timeout=self._TIMEOUT
                     )
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")

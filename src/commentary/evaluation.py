@@ -70,6 +70,13 @@ class LexicalOverlapScorer:
         return 2 * precision * recall / (precision + recall)
 
 
+def _scaled(vector: list[float]) -> list[float]:
+    """`vector` over its largest magnitude, so that no square of it overflows and
+    not all of them underflow; a zero vector as it is."""
+    top = max(map(abs, vector), default=0.0)
+    return [x / top for x in vector] if top else vector
+
+
 class EmbeddingScorer(_Endpoint):
     """Cosine similarity of embeddings fetched from a remote endpoint.
 
@@ -113,7 +120,7 @@ class EmbeddingScorer(_Endpoint):
     def score(self, candidate: str, reference: str) -> float:
         if not candidate.strip() or not reference.strip():
             return 0.0
-        a, b = self._embed([candidate, reference])
+        a, b = map(_scaled, self._embed([candidate, reference]))
         dot = sum(x * y for x, y in zip(a, b))
         norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
         return dot / norm if norm else 0.0

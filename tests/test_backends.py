@@ -406,11 +406,13 @@ def chat_server():
 class _RawServer:
     """TCP server that reads one request per connection, records its head and
     body, sends `reply` (possibly nothing) and closes; with `hold` it keeps
-    each connection open, reading nothing more, until the server stops."""
+    each connection open, reading nothing more, until the server stops; with
+    `keep` it answers each request on a connection until the client closes it."""
 
-    def __init__(self, reply: bytes, hold: bool = False):
+    def __init__(self, reply: bytes, hold: bool = False, keep: bool = False):
         self.reply = reply
         self.hold = hold
+        self.keep = keep
         self.heads: list[bytes] = []
         self.bodies: list[bytes] = []
         self._conns: list[socket.socket] = []
@@ -429,18 +431,26 @@ class _RawServer:
                 continue
             self._conns.append(conn)
             conn.settimeout(5)
-            data = b""
-            while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
-                data += chunk
-            head, _, body = data.partition(b"\r\n\r\n")
-            length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
-            while length and len(body) < int(length[1]) and (chunk := conn.recv(65536)):
-                body += chunk
-            self.heads.append(head)
-            self.bodies.append(body)
-            conn.sendall(self.reply)
+            while self._answer(conn) and self.keep:
+                pass
             if not self.hold:
                 conn.close()
+
+    def _answer(self, conn) -> bool:
+        """Read one request and send the reply; False if the client closed first."""
+        data = b""
+        while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
+            data += chunk
+        if not data and self.keep:
+            return False
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+        while length and len(body) < int(length[1]) and (chunk := conn.recv(65536)):
+            body += chunk
+        self.heads.append(head)
+        self.bodies.append(body)
+        conn.sendall(self.reply)
+        return True
 
     def close(self):
         self._stop.set()
@@ -454,8 +464,8 @@ class _RawServer:
 def raw_server():
     servers = []
 
-    def start(reply: bytes, hold: bool = False) -> _RawServer:
-        servers.append(_RawServer(reply, hold))
+    def start(reply: bytes, hold: bool = False, keep: bool = False) -> _RawServer:
+        servers.append(_RawServer(reply, hold, keep))
         return servers[-1]
 
     yield start
@@ -912,6 +922,34 @@ class TestConnections:
         assert len(chat_server.requests) == 20
         assert len(chat_server.connections) <= 4
 
+    def test_threads_posting_other_headers_each_send_their_own(self, chat_server):
+        # The session keeps one request head, for the last URL and headers posted;
+        # threads that alternate header sets must never send another's head.
+        session = backends._HttpSession(f"http://127.0.0.1:{chat_server.server_address[1]}")
+        url = f"http://127.0.0.1:{chat_server.server_address[1]}/chat/completions"
+
+        def work(i):
+            headers = {"Content-Type": "application/json", "Authorization": f"Bearer t{i}"}
+            for n in range(20):
+                body = json.dumps({"thread": i, "pad": "x" * n}).encode()
+                assert session.post(url, data=body, headers=headers, timeout=5.0).status_code == 200
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(chat_server.requests) == 8 * 20
+        for sent in chat_server.requests:
+            assert sent["auth"] == f"Bearer t{sent['body']['thread']}"
+
     def test_garbage_status_line_is_a_transport_error(self, raw_server):
         server = raw_server(b"garbage\r\n\r\n")
         client = self._raw_client(server)
@@ -937,16 +975,23 @@ class TestConnections:
         return RemoteChatBackend(base_url=base, model_id="m", **kwargs)
 
     def test_request_head(self, raw_server, closing):
-        server = raw_server(_reply_head() + CHAT_REPLY)
+        server = raw_server(_reply_head() + CHAT_REPLY, keep=True)
         client = closing(self._raw_client(server, api_key="sk-test"))
-        assert self._generate(client) == "the pack surges forward"
-        lines = server.heads[0].decode("latin-1").split("\r\n")
-        assert lines[0] == "POST /v1/chat/completions HTTP/1.1"
-        assert f"Host: 127.0.0.1:{server.port}" in lines
-        assert f"Content-Length: {len(server.bodies[0])}" in lines
-        assert "Content-Type: application/json" in lines
-        assert "Authorization: Bearer sk-test" in lines
-        assert json.loads(server.bodies[0])["model"] == "m"
+        for text in ("go", "the pack surges into the first corner"):
+            request = GeneratorRequest(prompt=prompt(text=text, attachments=()), model_id="m")
+            assert client.generate(request).raw_text == "the pack surges forward"
+        assert len(server._conns) == 1
+        assert len({len(body) for body in server.bodies}) == 2
+        for head, body in zip(server.heads, server.bodies, strict=True):
+            assert head.decode("latin-1") == (
+                "POST /v1/chat/completions HTTP/1.1\r\n"
+                f"Host: 127.0.0.1:{server.port}\r\n"
+                "Accept-Encoding: identity\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Content-Type: application/json\r\n"
+                "Authorization: Bearer sk-test"
+            )
+            assert json.loads(body)["model"] == "m"
 
     def test_chunked_reply(self, raw_server, closing):
         chunks = [CHAT_REPLY[:7], CHAT_REPLY[7:40], CHAT_REPLY[40:]]
@@ -1042,7 +1087,7 @@ class TestPayloadHelpers:
     @pytest.mark.parametrize("suffix", sorted(backends._IMAGE_TYPES))
     def test_frame_type_is_the_mime_database_type(self, suffix):
         for name in (f"frame{suffix}", f"frame{suffix.upper()}"):
-            assert backends._image_type(Path(name)) == mimetypes.guess_type(name)[0]
+            assert backends._image_type(name) == mimetypes.guess_type(name)[0]
 
     @pytest.mark.parametrize("name", ["frame.heic", "frame"])
     def test_other_frames_are_sent_as_jpeg(self, tmp_path, name):

@@ -1531,13 +1531,16 @@ class TestOfflineImports:
 
     # Other tests load `http.client` into the test process (`http.server`
     # imports it), so the runs happen in a fresh interpreter.
+    # Only modules the program loads count: on some interpreters a `.pth` file
+    # imports one of them (`inspect`, say) at start-up.
     SCRIPT = textwrap.dedent(
         """
         import json, sys
+        preloaded = set(sys.modules)
         from commentary import cli
 
         def loaded():
-            return sorted(m for m in sys.modules
+            return sorted(m for m in set(sys.modules) - preloaded
                           if m.split(".")[0] in ("requests", "urllib3", "ssl", "email")
                           or m in ("http.client", "dataclasses", "inspect"))
 
@@ -1547,7 +1550,7 @@ class TestOfflineImports:
         codes = [cli.main(generate), cli.main(["evaluate", out, refs])]
         offline = loaded()
         unused = sorted(m for m in ("logging", "concurrent.futures", "queue", "mimetypes",
-                                    "base64") if m in sys.modules)
+                                    "base64") if m in set(sys.modules) - preloaded)
         cli.RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
         print(json.dumps({"codes": codes, "offline": offline, "unused": unused,
                           "remote": loaded()}))
@@ -1587,6 +1590,54 @@ class TestOfflineImports:
 
     def test_oracle_generate_and_evaluate_load_no_pool_logging_or_encoders(self, workspace):
         assert self._run(workspace)["unused"] == []
+
+    REMOTE_SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        preloaded = set(sys.modules)
+        from commentary import cli
+
+        code = cli.main(sys.argv[1:])
+        print(json.dumps({"code": code, "loaded": sorted(
+            m for m in set(sys.modules) - preloaded
+            if m in ("encodings.idna", "stringprep", "unicodedata", "netrc", "shlex"))}))
+        """
+    )
+
+    def test_plain_http_remote_generate_loads_no_idna_codec_or_netrc(self, workspace, tmp_path):
+        # Frames named by URL are sent as they are, so the run reads no frame file.
+        manifest = workspace["root"] / "web.manifest"
+        manifest.write_text(
+            "#video_id\tweb\tduration\t2\n0\thttps://f.test/0.jpg\n1\thttps://f.test/1.jpg\n",
+            encoding="utf-8",
+        )
+        home = tmp_path / "home"  # holds no .netrc
+        home.mkdir()
+        src = str(Path(commentary.__file__).resolve().parents[1])
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if not k.lower().endswith("_proxy") and not k.startswith("COMMENTARY_")
+        }
+        env.pop("NETRC", None)
+        with serving_chat() as server:
+            env.update(
+                PYTHONPATH=src,
+                HOME=str(home),
+                COMMENTARY_API_BASE=f"http://127.0.0.1:{server.server_address[1]}",
+                COMMENTARY_MODEL="m",
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", self.REMOTE_SCRIPT, "generate", "--manifest",
+                 str(manifest), "--backend", "remote", "--out", str(workspace["root"] / "out")],
+                capture_output=True,
+                encoding="utf-8",
+                timeout=60,
+                env=env,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert server.requests
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -1657,6 +1708,34 @@ def test_an_input_that_is_a_directory_exits_one_naming_it(workspace, capsys, cas
     err = capsys.readouterr().err
     assert err.startswith(f"error: {label}[Errno ") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_an_api_key_holding_a_line_break_exits_one_naming_the_header(
+    workspace, capsys, monkeypatch, command
+):
+    key = "sk-a\nX-Evil: 1"
+    if command == "generate":
+        # Nothing listens here: the key is checked before any session starts.
+        monkeypatch.setenv("COMMENTARY_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.setenv("COMMENTARY_API_KEY", key)
+        monkeypatch.setenv("COMMENTARY_MODEL", "m")
+        args = gen_args(workspace, out="run")
+        args[args.index("--backend") + 1] = "remote"
+        label = "backend"
+    else:
+        assert main(gen_args(workspace)) == 0
+        monkeypatch.setenv("COMMENTARY_EMBED_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.setenv("COMMENTARY_EMBED_API_KEY", key)
+        out = str(workspace["root"] / "out")
+        args = ["evaluate", out, out, "--scorer", "embedding"]
+        label = "scorer"
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {label}: line break in the 'Authorization' header\n"
+    assert captured.out == ""
+    assert not (workspace["root"] / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -174,6 +174,29 @@ class TestBinnedSimilarity:
             assert len(binned_similarity(gen, ref, LexicalOverlapScorer())) == 10
 
 
+class _SameVector:
+    """An embedding session that answers `vector` for every input text."""
+
+    status_code = 200
+
+    def __init__(self, vector):
+        self.vector = vector
+
+    def post(self, url, *, data, headers, timeout):
+        return self
+
+    def json(self):
+        return {"data": [{"embedding": self.vector}, {"embedding": self.vector}]}
+
+
+def _self_cosine(vector):
+    """The embedding scorer's cosine of `vector` against itself."""
+    session = _SameVector(vector)
+    return EmbeddingScorer(base_url="http://example.invalid", model_id="e", session=session).score(
+        "a", "a"
+    )
+
+
 class TestScorers:
     def test_lexical_f1_hand_computed(self):
         scorer = LexicalOverlapScorer()
@@ -199,6 +222,29 @@ class TestScorers:
         monkeypatch.setattr(scorer, "_embed", lambda texts: [vectors[t] for t in texts])
         assert scorer.score("a b", "b a") == pytest.approx(0.0)
         assert scorer.score("same", "same") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("vector", [[1e200, 0.0], [1e-170, 0.0]], ids=["huge", "tiny"])
+    def test_embedding_scorer_cosine_of_extreme_components(self, vector):
+        # Unscaled, [1e200, 0] overflows to inf / inf (NaN) and [1e-170, 0] underflows to 0.
+        assert _self_cosine(vector) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(1e-300, 1e300),
+                st.floats(-1e300, -1e-300),
+            ),
+            min_size=1,
+            max_size=64,
+        ).filter(any)
+    )
+    def test_embedding_scorer_scores_a_nonzero_vector_one_against_itself(self, vector):
+        assert _self_cosine(vector) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_embedding_scorer_scores_a_zero_vector_zero(self):
+        assert _self_cosine([0.0, 0.0]) == 0.0
 
     def test_embedding_scorer_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("COMMENTARY_EMBED_API_BASE", raising=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import errno
 import hashlib
 import os
 import re
@@ -106,19 +107,17 @@ class GeneratorRequest(Record):
     def frame_bytes(self) -> dict[str, bytes | OSError | None]:
         """Each attachment's bytes, read at first use and then kept for this request.
 
-        A local file (plain path or `file://` URI) maps to its bytes, or to
+        A local file (plain path or `file:` URI) maps to its bytes, or to
         the `OSError` reading it raised; data and `http(s)://` URIs map to
         None. The cache key and the request body both use these bytes, so
         the key hashes exactly the bytes that were sent.
         """
         frames: dict[str, bytes | OSError | None] = {}
         for uri in self.prompt.attachments:
-            path = _local_path(uri)
-            if path is None:
-                frames[uri] = None
-            elif uri not in frames:
+            if uri not in frames:
                 try:
-                    frames[uri] = _read_file(path)
+                    path = _local_path(uri)
+                    frames[uri] = None if path is None else _read_file(path)
                 except OSError as exc:
                     frames[uri] = exc.with_traceback(None)
         return frames
@@ -592,10 +591,21 @@ def _ascii_host(hostname: str) -> str:
 
 
 def _local_path(uri: str) -> str | None:
-    """The file behind a plain path or `file://` URI; None for data and remote URIs."""
+    """The file behind a plain path or `file:` URI; None for data and remote URIs.
+
+    A `file:` URI's path is percent-decoded (RFC 8089), its authority empty or
+    `localhost`. One naming another host, or a path holding a NUL, is a file
+    that does not exist: FileNotFoundError names the URI.
+    """
     if uri.startswith(("data:", "http://", "https://")):
         return None
-    return uri[7:] if uri.startswith("file://") else uri
+    if not uri.startswith("file:"):
+        return uri
+    parts = urlsplit(uri)
+    path = unquote(parts.path)
+    if parts.netloc.lower() not in ("", "localhost") or "\0" in path:
+        raise FileNotFoundError(errno.ENOENT, "not a file on this machine", uri)
+    return path
 
 
 def _read_file(path: str) -> bytes:

@@ -186,31 +186,22 @@ def parse_rate_model(spec: str) -> SpeechRateModel:
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    try:
-        init, decision = _resolve_templates(args.templates)
-        rate_model = (
-            parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
-        )
-        _loaded(f"--templates {args.templates}: ", rate_model.for_language, decision.language)
-        strategy = StrategyConfig(
-            kind=StrategyKind(args.strategy),
-            step=args.step,
-            window_cap=args.window_cap,
-            icl_shots=args.shots,
-            rate_model=rate_model,
-            max_history=args.max_history,
-        )
-        demos = ()
-        if strategy.icl_shots > 0:
-            if not args.demos:
-                raise CliError("--demos is required when the strategy uses demonstrations")
-            pool = _loaded("--demos: ", load_demonstrations, args.demos)
-            label = f"--demos: {args.demos}: "
-            demos = _loaded(label, sample_demonstrations, pool, strategy.icl_shots, args.seed)
-        prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
-    # The loaders' ValueErrors name the file, as OSError's message does.
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    init, decision = _loaded("", _resolve_templates, args.templates)
+    rate_model = parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
+    _loaded(f"--templates {args.templates}: ", rate_model.for_language, decision.language)
+    strategy = _loaded(
+        "", StrategyConfig, kind=StrategyKind(args.strategy), step=args.step,
+        window_cap=args.window_cap, icl_shots=args.shots, rate_model=rate_model,
+        max_history=args.max_history,
+    )
+    demos = ()
+    if strategy.icl_shots > 0:
+        if not args.demos:
+            raise CliError("--demos is required when the strategy uses demonstrations")
+        pool = _loaded("--demos: ", load_demonstrations, args.demos)
+        label = f"--demos: {args.demos}: "
+        demos = _loaded(label, sample_demonstrations, pool, strategy.icl_shots, args.seed)
+    prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
     return RunConfig(
         manifest=Path(args.manifest),
         strategy=strategy,
@@ -227,14 +218,9 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_stores(manifest: Path) -> list[FrameStore]:
-    if manifest.is_dir():
-        paths = sorted(manifest.glob("*.manifest"))
-        if not paths:
-            raise CliError(f"no *.manifest files found in {manifest}")
-    elif manifest.exists():
-        paths = [manifest]
-    else:
-        raise CliError(f"manifest not found: {manifest}")
+    paths = sorted(manifest.glob("*.manifest")) if manifest.is_dir() else [manifest]
+    if not paths:
+        raise CliError(f"no *.manifest files found in {manifest}")
     stores = [_loaded("media: ", load_manifest, p) for p in paths]
     seen: set[str] = set()
     for store in stores:
@@ -258,12 +244,7 @@ def _load_references(
 ) -> dict[str, CommentaryTrack]:
     """Each store's reference track by video id, from one file or a dir of <id>.srt/.tsv,
     read as `evaluate` reads it."""
-    if path.is_dir():
-        files = _reference_files(path)
-    elif path.exists():
-        files = {store.video_id: path for store in stores}
-    else:
-        raise CliError(f"reference not found: {path}")
+    files = _reference_files(path) if path.is_dir() else {store.video_id: path for store in stores}
     references = {}
     for store in stores:
         ref_path = files.get(store.video_id)
@@ -291,10 +272,7 @@ def _backend_factory(
         opened.append(client)
         make: Callable[[FrameStore], Generator] = lambda store: client
     elif spec.startswith("scripted:"):
-        script_path = Path(spec.partition(":")[2])
-        if not script_path.exists():
-            raise CliError(f"script file not found: {script_path}")
-        script, default = _loaded("backend: ", read_script, script_path)
+        script, default = _loaded("backend: ", read_script, Path(spec.partition(":")[2]))
         # Read once; each video's backend counts its own calls.
         make = lambda store: ScriptedBackend(script, default)
     elif spec.startswith("oracle:"):
@@ -494,12 +472,9 @@ def _scores(report: EvalReport) -> dict[str, float]:
 
 
 def _write(path: Path, text: str, label: str = "output") -> None:
-    """Write `text` to `path`, making its dir; an `OSError` is a CliError naming `path`."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"{label} {path}: {exc}") from exc
+    """Write `text` to `path`, making its dir; an error doing so is a CliError naming `path`."""
+    _loaded(f"{label} {path}: ", path.parent.mkdir, parents=True, exist_ok=True)
+    _loaded(f"{label} {path}: ", path.write_text, text, encoding="utf-8")
 
 
 def _write_report(path: str | None, lines: list[str]) -> None:
@@ -607,13 +582,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"reference dir not found: {ref_dir}")
     args.backend = args.backend or f"oracle:{ref_dir}"
     base = _run_config_from_args(args)
-    try:
-        # Every cell's config is checked before the first runs.
-        cells = [
-            [replace(base.strategy, step=step, kind=kind) for kind in SWEEP_KINDS] for step in steps
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # Every cell's config is checked before the first runs.
+    cells = [
+        [_loaded("", replace, base.strategy, step=step, kind=kind) for kind in SWEEP_KINDS]
+        for step in steps
+    ]
     stores = _load_stores(base.manifest)
     # The default oracle replays the same tracks the cells are scored against.
     references = _load_references(ref_dir, stores, base.prompts.decision.language)

@@ -33,14 +33,21 @@ def read_utf8(path: Path) -> str:
 
 
 def to_ms(seconds: float, round_up: bool = False) -> int:
-    """A time in whole milliseconds: the nearest, or with round_up the first not before it."""
-    ms = seconds * 1000
-    return math.ceil(ms) if round_up else round(ms)
+    """A time in whole milliseconds: the nearest, or with round_up the first not before it;
+    a time whose milliseconds no float holds raises ValueError naming it."""
+    try:
+        ms = seconds * 1000
+        return math.ceil(ms) if round_up else round(ms)
+    except OverflowError:
+        raise ValueError(f"{seconds!r} seconds is past the millisecond grid") from None
 
 
 def from_ms(ms: int) -> Seconds:
-    """A whole number of milliseconds in seconds."""
-    return ms / 1000
+    """A whole number of milliseconds in seconds; one no float holds raises ValueError."""
+    try:
+        return ms / 1000
+    except OverflowError:
+        raise ValueError(f"{ms} milliseconds is more time than a float holds") from None
 
 
 class Record:
@@ -101,7 +108,9 @@ def replace(record: _R, **changes: object) -> _R:
 class Utterance(Record):
     """One timestamped piece of commentary with its estimated speaking time.
 
-    The display interval is [start, start + est_duration).
+    The display interval is [start, end), `end` being start + est_duration
+    summed in milliseconds; a duration that leaves `end` no later than
+    `start` raises ValueError.
     """
 
     def __init__(self, text: str, start: Seconds, est_duration: Seconds) -> None:
@@ -114,14 +123,14 @@ class Utterance(Record):
         check_seconds(est_duration, "est_duration")
         if est_duration <= 0:
             raise ValueError("est_duration must be positive")
-        self.__dict__.update(
-            text=text,
-            start=start,
-            est_duration=est_duration,
-            # Summed in milliseconds, so an utterance ends exactly where a next one
-            # scheduled after it starts, and where its SRT entry read back ends.
-            end=from_ms(to_ms(start) + to_ms(est_duration)),
-        )
+        # Summed in milliseconds, so an utterance ends exactly where a next one
+        # scheduled after it starts, and where its SRT entry read back ends.
+        end = from_ms(to_ms(start) + to_ms(est_duration))
+        if end <= start:
+            raise ValueError(
+                f"est_duration {est_duration!r} must end after start {start!r} in whole ms"
+            )
+        self.__dict__.update(text=text, start=start, est_duration=est_duration, end=end)
 
 
 class Speak(Record):
@@ -169,16 +178,14 @@ def speaking_timeline(track: CommentaryTrack) -> list[bool]:
 
     The vector has exactly ceil(video_duration) entries. Second s is True when
     some utterance interval overlaps [s, s+1) with nonzero measure; touching at
-    a single point does not count.
+    a single point does not count. As every utterance ends after it starts,
+    those are the seconds from floor(start) up to ceil(end).
     """
     n = math.ceil(track.video_duration)
     flags = [False] * n
     for u in track.utterances:
-        lo = max(0, math.floor(u.start))
-        hi = min(n, math.ceil(u.end))
-        for s in range(lo, hi):
-            if u.start < s + 1 and u.end > s:
-                flags[s] = True
+        lo, hi = math.floor(u.start), min(n, math.ceil(u.end))
+        flags[lo:hi] = [True] * (hi - lo)
     return flags
 
 

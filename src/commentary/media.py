@@ -67,8 +67,6 @@ def load_manifest(path: str | Path) -> FrameStore:
     of the video contiguously.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
     lines = read_utf8(path).splitlines()
     if not lines:
         raise ManifestError(f"{path}: empty manifest, missing header line")

@@ -38,6 +38,8 @@ from .prompting import DecisionRenderer, PromptSet, parse_response, render_decis
 
 UNIT_WORD = "word"
 UNIT_CHARACTER = "character"
+# The slowest speech rate, in units per second.
+MIN_RATE = 0.01
 
 _WAIT_MENTION = re.compile(r"<\s*wait\s*>|\bwait\b", re.IGNORECASE)
 
@@ -57,6 +59,9 @@ class SpeechRate(Record):
             raise ValueError(f"unit must be 'word' or 'character', got {unit!r}")
         if not 0 < rate < math.inf:
             raise ValueError(f"rate must be finite and positive, got {rate}")
+        # So no estimated speaking time leaves the millisecond grid.
+        if rate < MIN_RATE:
+            raise ValueError(f"rate must be at least {MIN_RATE} units per second, got {rate}")
         self.__dict__.update(unit=unit, rate=rate)
 
 
@@ -135,7 +140,11 @@ class StrategyConfig(Record):
         check_seconds(step, "step")
         if step <= 0:
             raise ValueError("step must be positive")
-        if from_ms(to_ms(step)) != step:
+        try:
+            step_ms = to_ms(step)
+        except ValueError as exc:
+            raise ValueError(f"step: {exc}") from None
+        if from_ms(step_ms) != step:
             raise ValueError(f"step must be a whole number of milliseconds, got {step!r}")
         if window_cap < 1:
             raise ValueError("window_cap must be a positive integer")

@@ -100,6 +100,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
         try:
             start = parse_timestamp(start_token)
             end = parse_timestamp(end_token)
+            to_ms(end)  # an end past the millisecond grid raises ValueError naming this entry
         except ValueError as exc:
             raise SrtParseError(f"entry {index}, line {i + 1}: {exc}") from exc
         i += 1

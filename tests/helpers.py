@@ -272,6 +272,15 @@ def reference_track_of_lines(
     return CommentaryTrack(video_id, tuple(utterances), video_duration)
 
 
+def reference_speaking_timeline(track: CommentaryTrack) -> list[bool]:
+    """The oracle of `core.speaking_timeline`: second s speaks iff some utterance's
+    [start, end) overlaps [s, s + 1) with positive measure."""
+    return [
+        any(min(u.end, s + 1) - max(u.start, s) > 0 for u in track.utterances)
+        for s in range(math.ceil(track.video_duration))
+    ]
+
+
 def write_manifest(path: Path, video_id: str, duration: float) -> Path:
     lines = [f"#video_id\t{video_id}\tduration\t{duration:g}"]
     for s in range(max(math.ceil(duration), 1)):

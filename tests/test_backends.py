@@ -15,6 +15,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +78,39 @@ class TestGeneratorRequest:
         heavy = prompt(attachments=tuple(f"u{i}" for i in range(33)))
         with pytest.raises(PayloadTooLargeError):
             request_for(heavy)
+
+
+class TestFileUris:
+    """A `file:` URI names its file as RFC 8089 reads it."""
+
+    def test_the_path_is_percent_decoded_under_an_empty_or_localhost_authority(self, tmp_path):
+        frame = tmp_path / "sp ace" / "0.jpg"
+        frame.parent.mkdir()
+        frame.write_bytes(b"frame")
+        path = frame.as_posix()
+        uris = (
+            f"file://{quote(path)}",
+            f"file://localhost{path}",
+            f"file://LOCALHOST{quote(path)}",
+            f"file:{quote(path)}",
+            f"file://{path}",
+            path,
+        )
+        assert request_for(prompt(attachments=uris)).frame_bytes == dict.fromkeys(uris, b"frame")
+
+    @pytest.mark.parametrize("form", ["file://elsewhere{}", "file://{}%00"], ids=["host", "nul"])
+    def test_a_uri_naming_another_host_or_a_nul_is_a_missing_frame_named_by_it(
+        self, tmp_path, form
+    ):
+        frame = tmp_path / "0.jpg"
+        frame.write_bytes(b"frame")
+        uri = form.format(frame.as_posix())
+        request = request_for(prompt(attachments=(uri,)))
+        read = request.frame_bytes[uri]
+        assert isinstance(read, FileNotFoundError) and read.filename == uri
+        # The cache key hashes it as it hashes any frame that does not exist.
+        never = request_for(prompt(attachments=(f"{tmp_path}/never-written.jpg",)))
+        assert backends._frames_hash(request) == backends._frames_hash(never)
 
 
 class TestScriptedBackend:

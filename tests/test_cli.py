@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: generate, evaluate, sweep, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ import sys
 import textwrap
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import commentary
 from commentary import cli
@@ -691,6 +695,11 @@ class FakeReply:
         return json.loads(self.text)
 
 
+# SRT hours whose end no float holds in milliseconds, and in seconds.
+_HOUR_NEAR_1E306_S = int(1e306) // 3600
+_HOUR_OF_400_DIGITS = int("9" * 400)
+
+
 class TestEvaluateCommand:
     def _generate(self, workspace, out="gen"):
         assert main(gen_args(workspace, out=out)) == 0
@@ -1054,10 +1063,21 @@ class TestEvaluateCommand:
              f"start must be at most {sys.maxsize} seconds, got 1e+308"),
             ("refs/race01.srt", "1\n00:00:01,000 --> 10000000000000000:00:00,000\ngo\n", False,
              f"end must be at most {sys.maxsize} seconds, got 3.6e+19"),
+            *(
+                ("refs/race01.srt", f"1\n00:00:01,000 --> {_HOUR_OF_400_DIGITS}:00:00,000\ngo\n",
+                 traced, f"entry 1, line 2: {_HOUR_OF_400_DIGITS * 3_600_000} milliseconds "
+                 "is more time than a float holds")
+                for traced in (True, False)
+            ),
+            ("refs/race01.srt", f"1\n00:00:01,000 --> {_HOUR_NEAR_1E306_S}:00:00,000\ngo\n", True,
+             f"entry 1, line 2: {float(_HOUR_NEAR_1E306_S * 3600)!r} seconds "
+             "is past the millisecond grid"),
         ],
         ids=[
             "duration-1e308", "duration-nan", "duration-inf", "duration-negative",
             "transcript-inf-with-trace", "transcript-inf", "transcript-1e308", "srt-hour-1e16",
+            "srt-hour-of-400-digits-with-trace", "srt-hour-of-400-digits",
+            "srt-end-near-1e306s-with-trace",
         ],
     )
     def test_a_time_no_timeline_can_hold_exits_one_naming_its_file(
@@ -1416,6 +1436,90 @@ class TestMillisecondTimes:
         # The oracle speaks each reference line at its own start, so the SRT is the reference.
         assert read(out / "v.srt") == reference
 
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("generate", ("--step", "1e308"), "step: 1e+308 seconds is past the millisecond grid"),
+            ("sweep", ("--steps", "1e308"), "step: 1e+308 seconds is past the millisecond grid"),
+            (
+                "generate",
+                ("--rate-model", "en=word:1e-320"),
+                "bad --rate-model entry 'en=word:1e-320': "
+                "rate must be at least 0.01 units per second, got 1e-320",
+            ),
+        ],
+        ids=["generate-step", "sweep-steps", "rate-model"],
+    )
+    def test_a_setting_past_the_grid_exits_one_naming_it(
+        self, workspace, capsys, command, flag, message
+    ):
+        refs = workspace["root"] / "refs"
+        refs.mkdir()
+        argv = gen_args(workspace) if command == "generate" else [
+            "sweep", "--manifest", str(workspace["manifest"]), "--ref", str(refs),
+            "--out", str(workspace["root"] / "sweep"),
+        ]
+        assert main([*argv, *flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Time settings from subnormal to near the largest float, and counts past any a
+# machine word holds; each mixed with values a run takes, so sessions run too.
+_TIMES = st.floats(min_value=1e-320, max_value=1e308) | st.integers(10, 4000).map(
+    lambda ms: ms / 1000
+)
+_COUNTS = st.integers(min_value=-1, max_value=10**30) | st.integers(0, 4)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    strategy=st.sampled_from(["stateless", "feedback", "feedback-icl", "realtime"]),
+    step=_TIMES,
+    steps=st.lists(_TIMES, min_size=1, max_size=3),
+    rate=_TIMES,
+    window_cap=_COUNTS,
+    shots=_COUNTS,
+    max_history=_COUNTS,
+)
+def test_no_time_or_count_setting_ends_in_a_traceback(
+    tmp_path, strategy, step, steps, rate, window_cap, shots, max_history
+):
+    """`generate` and `sweep` of one 3 s video exit 0, 1 or 2, and exit 1 with
+    `error:` lines only, whatever these settings are."""
+    manifest = tmp_path / "v.manifest"
+    if not manifest.exists():
+        write_manifest(manifest, "v", 3.0)
+        (tmp_path / "refs").mkdir()
+        (tmp_path / "refs" / "v.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:02,000\nthe pack surges\n", encoding="utf-8"
+        )
+        (tmp_path / "demos.tsv").write_text(
+            "".join(f"file:///d/{i}.jpg\tdemo line {i}\n" for i in range(4)), encoding="utf-8"
+        )
+    common = [
+        "--manifest", str(manifest), "--rate-model", f"en=word:{rate!r}",
+        "--window-cap", str(window_cap), "--force",
+    ]
+    generate = [
+        "generate", *common, "--strategy", strategy, "--step", repr(step),
+        "--shots", str(shots), "--max-history", str(max_history),
+        "--demos", str(tmp_path / "demos.tsv"), "--backend", f"oracle:{tmp_path / 'refs'}",
+        "--out", str(tmp_path / "gen"),
+    ]
+    sweep = [
+        "sweep", *common, "--steps", ",".join(map(repr, steps)), "--ref", str(tmp_path / "refs"),
+        "--out", str(tmp_path / "sweep"),
+    ]
+    for argv in (generate, sweep):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+
 
 class TestParsers:
     def test_rate_model_flag(self):
@@ -1708,6 +1812,23 @@ def test_an_input_that_is_a_directory_exits_one_naming_it(workspace, capsys, cas
     err = capsys.readouterr().err
     assert err.startswith(f"error: {label}[Errno ") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case, label",
+    [("manifest", "media: "), ("script", "backend: "), ("oracle-reference", "reference: ")],
+    ids=["manifest", "script", "oracle-reference"],
+)
+def test_a_missing_input_file_exits_one_with_the_systems_message(workspace, capsys, case, label):
+    missing = workspace["root"] / "nope"
+    argv = {
+        "manifest": gen_args(workspace, manifest=missing),
+        "script": gen_args(workspace, backend=f"scripted:{missing}"),
+        "oracle-reference": gen_args(workspace, backend=f"oracle:{missing}"),
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {label}[Errno 2] No such file or directory: '{missing}'\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

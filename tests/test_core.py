@@ -32,11 +32,11 @@ from commentary import (
     speaking_timeline,
 )
 from commentary.backends import GeneratorRequest
-from commentary.core import Record, replace
+from commentary.core import Record, from_ms, replace, to_ms
 from commentary.prompting import RenderedPrompt
 from commentary.subtitles import SrtEntry
 
-from helpers import prompt_set, random_track, synth_store
+from helpers import prompt_set, random_track, reference_speaking_timeline, synth_store
 
 
 def utt(start, dur, text="the red car leads"):
@@ -63,6 +63,22 @@ class TestUtterance:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             utt(float("nan"), 1.0)
+
+    @pytest.mark.parametrize(
+        "start, dur", [(1.5, 0.0004), (1.5004, 0.0004)], ids=["ends-at-start", "ends-before"]
+    )
+    def test_rejects_a_duration_that_ends_no_later_than_its_start(self, start, dur):
+        # Summed in whole milliseconds, 0.0004 s adds nothing to the start.
+        with pytest.raises(ValueError, match=f"est_duration {dur} must end after start {start}"):
+            utt(start, dur)
+
+    def test_a_time_past_the_millisecond_grid_is_a_value_error(self):
+        with pytest.raises(ValueError, match="1e\\+306 seconds is past the millisecond grid"):
+            utt(0.0, 1e306)
+        with pytest.raises(ValueError, match="seconds is past the millisecond grid"):
+            to_ms(1e308, round_up=True)
+        with pytest.raises(ValueError, match="more time than a float holds"):
+            from_ms(10**400)
 
 
 class TestCommentaryTrack:
@@ -97,6 +113,20 @@ class TestUtteranceInterval:
         assert (u.start, u.end) == (7.5, 11.0)
 
 
+@st.composite
+def arbitrary_tracks(draw):
+    """Tracks of up to 8 utterances at any starts, of any durations an utterance takes."""
+    duration = draw(st.floats(0.0, 50.0))
+    spans = draw(st.dictionaries(st.floats(0.0, duration), st.floats(0.0, 60.0), max_size=8))
+    utterances = []
+    for start, dur in sorted(spans.items()):
+        try:
+            utterances.append(utt(start, dur))
+        except ValueError:  # a zero duration, or one that ends no later than its start
+            pass
+    return CommentaryTrack("v", tuple(utterances), duration)
+
+
 class TestSpeakingTimeline:
     def test_empty_track(self):
         track = CommentaryTrack("v", (), 5.0)
@@ -122,22 +152,9 @@ class TestSpeakingTimeline:
             track = random_track(rng, duration=duration)
             assert len(speaking_timeline(track)) == math.ceil(duration)
 
-    def test_matches_measure_oracle(self):
-        # Independent check: second s speaks iff the interval overlap has
-        # positive measure.
-        rng = random.Random(11)
-        for _ in range(30):
-            track = random_track(rng, duration=rng.uniform(5.0, 60.0))
-            flags = speaking_timeline(track)
-            for s, flag in enumerate(flags):
-                measure = max(
-                    (
-                        max(0.0, min(u.end, s + 1) - max(u.start, s))
-                        for u in track.utterances
-                    ),
-                    default=0.0,
-                )
-                assert flag == (measure > 0), f"second {s}"
+    @given(arbitrary_tracks())
+    def test_matches_measure_oracle(self, track):
+        assert speaking_timeline(track) == reference_speaking_timeline(track)
 
     @given(st.integers(min_value=0, max_value=50))
     def test_whole_second_shift_shifts_timeline(self, k):

@@ -652,3 +652,10 @@ class TestGenerationRecord:
     def test_speech_rate_must_be_finite(self, rate):
         with pytest.raises(ValueError, match="finite and positive"):
             SpeechRate(unit="word", rate=rate)
+
+    @pytest.mark.parametrize("rate", [1e-320, 0.0099])
+    def test_speech_rate_has_a_floor(self, rate):
+        # Slower speech could time an utterance past the millisecond grid.
+        with pytest.raises(ValueError, match=f"at least 0.01 units per second, got {rate}"):
+            SpeechRate(unit="word", rate=rate)
+        assert SpeechRate(unit="word", rate=0.01).rate == 0.01

@@ -58,7 +58,6 @@ from .strategies import (
     StrategyKind,
     estimate_duration,
     run_session,
-    select_window,
 )
 from .subtitles import SrtEntry, overlap_proportion, parse_srt, to_srt
 
@@ -111,7 +110,6 @@ __all__ = [
     "render_init",
     "rouge_l",
     "run_session",
-    "select_window",
     "speaking_timeline",
     "timing_alignment",
     "to_srt",

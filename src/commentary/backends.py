@@ -64,7 +64,7 @@ class PayloadTooLargeError(BackendError):
     """Request exceeds the payload limit; retrying cannot help."""
 
 
-class ReplayMissError(BackendError):
+class ReplayMissError(Exception):
     """Replay cache has no entry for the requested prompt digest."""
 
     def __init__(self, digest: str, message: str | None = None) -> None:
@@ -124,10 +124,10 @@ class GeneratorRequest(Record):
 
 
 class GeneratorResponse(Record):
-    def __init__(self, raw_text: str, latency: Seconds, model_id: str) -> None:
+    def __init__(self, raw_text: str, latency: Seconds) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        self.__dict__.update(raw_text=raw_text, latency=latency, model_id=model_id)
+        self.__dict__.update(raw_text=raw_text, latency=latency)
 
 
 class Generator(Protocol):
@@ -157,7 +157,7 @@ class ScriptedBackend:
         raw = self._script.get(request.prompt.digest)
         if raw is None:
             raw = self._script.get(index, self._default)
-        return GeneratorResponse(raw_text=raw, latency=0.0, model_id=self.model_id)
+        return GeneratorResponse(raw_text=raw, latency=0.0)
 
 
 def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
@@ -195,7 +195,7 @@ class OracleBackend:
 
     model_id = "oracle"
     # Every Wait is this one immutable response.
-    _WAIT = GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=model_id)
+    _WAIT = GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
 
     def __init__(self, reference: CommentaryTrack) -> None:
         self._reference = reference
@@ -218,7 +218,7 @@ class OracleBackend:
         if i < end:
             self._emitted.add(i)
             text = self._reference.utterances[i].text
-            return GeneratorResponse(raw_text=text, latency=0.0, model_id=self.model_id)
+            return GeneratorResponse(raw_text=text, latency=0.0)
         return self._WAIT
 
 
@@ -824,9 +824,7 @@ class RemoteChatBackend(_Endpoint):
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
         resp, latency = self._post("/chat/completions", body)
-        return GeneratorResponse(
-            raw_text=_extract_content(resp), latency=latency, model_id=self.model_id
-        )
+        return GeneratorResponse(raw_text=_extract_content(resp), latency=latency)
 
 
 def _extract_content(resp: HttpReply) -> str:
@@ -1045,4 +1043,4 @@ class ReplayCache:
                 latency_ms, raw = self._log.add(key, response)
             except OSError as exc:
                 raise BackendError(f"cannot record to {self._log.path}: {exc}") from exc
-        return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms), model_id=self.model_id)
+        return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms))

@@ -14,13 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .backends import (
-    ATTACHMENT_LIMIT,
-    BackendError,
-    Generator,
-    GeneratorRequest,
-    ReplayMissError,
-)
+from .backends import ATTACHMENT_LIMIT, BackendError, Generator, GeneratorRequest
 from .core import (
     Clock,
     CommentaryTrack,
@@ -176,20 +170,6 @@ class StrategyConfig(Record):
         )
 
 
-def select_window(
-    config: StrategyConfig, store: FrameStore, t_i: Seconds, t_last_query: Seconds = 0.0
-) -> tuple[str, ...]:
-    """The frame URIs of the window for the decision at t_i.
-
-    Fixed kinds look back one step; realtime covers everything since the last
-    query. Both are capped at config.window_cap newest frames.
-    """
-    if config.kind is StrategyKind.REALTIME:
-        return frames_between(store, t_last_query, t_i, config.window_cap)
-    start = from_ms(max(0, to_ms(t_i) - to_ms(config.step)))
-    return frames_between(store, start, t_i, config.window_cap)
-
-
 def next_query_ms(
     realtime: bool, step_ms: int, t_ms: int, spoken_ms: int | None, arrival_ms: int
 ) -> int:
@@ -269,8 +249,8 @@ def run_session(
     holds is the one its SRT and trace show. The run's language is its
     decision template's; a rate model without it raises ValueError before the
     first request. A backend failure aborts the session and the partial record
-    carries the error; a replay-cache miss propagates (it is a configuration
-    problem, not a transient failure).
+    carries the error; a replay-cache miss is no backend failure and propagates
+    (it is a configuration problem, not a transient failure).
     """
     language = prompts.decision.language
     config.rate_model.for_language(language)  # raises ValueError for a language it lacks
@@ -285,15 +265,14 @@ def run_session(
     history: tuple[str, ...] = ()
     steps: list[SessionStep] = []
     error: str | None = None
-    t_ms = 0
-    t_last_query = 0.0
-    index = 0
+    t_ms = last_ms = 0
 
     while True:
         t = from_ms(t_ms)
         clock.advance_to(t)
-        window = select_window(config, store, t, t_last_query)
-        if index == 0:
+        start_ms = last_ms if realtime else max(0, t_ms - step_ms)
+        window = frames_between(store, from_ms(start_ms), t, config.window_cap)
+        if not steps:
             rendered = render_init(prompts.init, window)
         else:
             rendered = renderer.render(history, window)
@@ -301,10 +280,8 @@ def run_session(
         try:
             request = GeneratorRequest(prompt=rendered, model_id=backend.model_id, decision_time=t)
             response = backend.generate(request)
-        except ReplayMissError:
-            raise
         except BackendError as exc:
-            error = f"backend failure at step {index} (t={t:.3f}s): {exc}"
+            error = f"backend failure at step {len(steps)} (t={t:.3f}s): {exc}"
             break
 
         raw = response.raw_text
@@ -323,17 +300,16 @@ def run_session(
                 est_duration=from_ms(max(1, spoken_ms)),
             )
         steps.append(
-            SessionStep(index, t, window, len(history), rendered.digest, raw, utterance, note)
+            SessionStep(len(steps), t, window, len(history), rendered.digest, raw, utterance, note)
         )
         if utterance is not None and keeps_history:
             history = (*history, utterance.text)
             if config.max_history is not None:
                 history = history[len(history) - config.max_history :]
 
-        t_last_query = t
+        last_ms = t_ms
         t_ms = next_query_ms(realtime, step_ms, t_ms, spoken_ms, to_ms(clock.now(), round_up=True))
         if t_ms > duration_ms:
             break
-        index += 1
 
     return GenerationRecord(store.video_id, config, language, steps, store.video_duration, error)

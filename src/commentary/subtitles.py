@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Sequence
 
 from .core import CommentaryTrack, Record, Seconds, check_seconds, from_ms, to_ms
@@ -76,14 +75,14 @@ def parse_srt(text: str) -> list[SrtEntry]:
 
     Tolerates CRLF line endings, a leading byte-order mark, and a dot
     millisecond separator. A malformed timestamp line raises SrtParseError
-    naming the entry and line; a non-monotonic index sequence only warns.
+    naming the entry and line. The index order is not checked: entries are
+    used in start order.
     """
     if text.startswith("﻿"):
         text = text[1:]
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     entries: list[SrtEntry] = []
-    prev_index = 0
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -110,11 +109,6 @@ def parse_srt(text: str) -> list[SrtEntry]:
             i += 1
         if not text_lines:
             raise SrtParseError(f"entry {index}: missing subtitle text")
-        if index <= prev_index:
-            warnings.warn(
-                f"non-monotonic subtitle index {index} after {prev_index}", stacklevel=2
-            )
-        prev_index = index
         try:
             entries.append(SrtEntry(index=index, start=start, end=end, text=" ".join(text_lines)))
         except ValueError as exc:

@@ -171,8 +171,8 @@ class ScanningOracleBackend:
                 continue
             if prev is None or u.start > prev:
                 self._emitted.add(i)
-                return GeneratorResponse(raw_text=u.text, latency=0.0, model_id=self.model_id)
-        return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0, model_id=self.model_id)
+                return GeneratorResponse(raw_text=u.text, latency=0.0)
+        return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
 
 
 def reference_decision_ms(

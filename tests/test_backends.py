@@ -169,8 +169,8 @@ class TestOracleBackend:
     def test_every_wait_is_one_immutable_response(self):
         backend = OracleBackend(self._reference())
         shared = backend.generate(request_for(decision_time=1.0))
-        assert shared == GeneratorResponse(WAIT_TOKEN, 0.0, "oracle")
-        assert hash(shared) == hash(GeneratorResponse(WAIT_TOKEN, 0.0, "oracle"))
+        assert shared == GeneratorResponse(WAIT_TOKEN, 0.0)
+        assert hash(shared) == hash(GeneratorResponse(WAIT_TOKEN, 0.0))
         assert OracleBackend(self._reference()).generate(request_for(decision_time=2.0)) is shared
         with pytest.raises(AttributeError):
             shared.raw_text = "go"
@@ -267,6 +267,8 @@ class TestReplayCache:
             replayer.generate(request_for(p))
         assert exc.value.digest == p.digest
         assert p.digest in str(exc.value)
+        # A miss is a configuration problem, which no session takes for a backend failure.
+        assert not isinstance(exc.value, BackendError)
 
     def test_one_entry_per_distinct_digest(self, tmp_path, cache_log):
         recorder = ReplayCache(ScriptedBackend(default="r"), cache_log("record"))
@@ -534,6 +536,9 @@ def _reply_head(status_line=b"HTTP/1.1 200 OK", length=len(CHAT_REPLY)):
         status_line,
         length,
     )
+
+
+_CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
 
 
 @pytest.mark.usefixtures("endpoint_constants")
@@ -984,12 +989,61 @@ class TestConnections:
         for sent in chat_server.requests:
             assert sent["auth"] == f"Bearer t{sent['body']['thread']}"
 
-    def test_garbage_status_line_is_a_transport_error(self, raw_server):
-        server = raw_server(b"garbage\r\n\r\n")
-        client = self._raw_client(server)
-        with pytest.raises(TransportError):
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [
+            (b"garbage\r\n\r\n", "malformed status line b'garbage\\r\\n'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n", "malformed Content-Length b'1x'"),
+            (_CHUNKED + b"zz\r\n", "malformed chunk size line b'zz\\r\\n'"),
+            (_CHUNKED + b"2\r\nabc\r\n0\r\n\r\n", "chunk longer than its size line says"),
+            (
+                b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+                "reply line longer than 65536 bytes",
+            ),
+            (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+             "more than 100 header lines in a reply"),
+            (b"HTTP/1.1 200 OK\r\ngarbage header\r\n\r\n",
+             "malformed header line b'garbage header\\r\\n'"),
+        ],
+        ids=[
+            "status-line", "content-length", "chunk-size", "chunk-too-long", "line-too-long",
+            "too-many-headers", "header-without-colon",
+        ],
+    )
+    def test_a_malformed_reply_is_a_transport_error(self, raw_server, closing, reply, reason):
+        server = raw_server(reply)
+        client = closing(self._raw_client(server))
+        with pytest.raises(TransportError) as exc:
             self._generate(client)
+        url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
+        assert str(exc.value) == f"request to {url} failed: {reason}"
         assert len(server.heads) == backends.MAX_ATTEMPTS
+
+    def test_a_body_framed_by_the_close_parses(self, raw_server, closing):
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"  # no length
+        server = raw_server(head + CHAT_REPLY)
+        client = closing(self._raw_client(server))
+        assert self._generate(client) == "the pack surges forward"
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (b"HTTP/1.1 204 No Content\r\n\r\n", "unexpected status 204 from {url}: "),
+            (_reply_head(length=5) + b"hello", "malformed chat-completion response: "
+             "Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["204", "not-json"],
+    )
+    def test_a_reply_with_no_chat_completion_is_a_transport_error(
+        self, raw_server, closing, reply, message
+    ):
+        server = raw_server(reply)
+        client = closing(self._raw_client(server))
+        with pytest.raises(TransportError) as exc:
+            self._generate(client)
+        url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
+        assert str(exc.value) == message.format(url=url)
+        assert len(server.heads) == 1
 
     def test_https_goes_through_an_authenticated_connect_tunnel(
         self, raw_server, no_proxy_env, endpoint_constants

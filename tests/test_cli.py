@@ -1072,12 +1072,19 @@ class TestEvaluateCommand:
             ("refs/race01.srt", f"1\n00:00:01,000 --> {_HOUR_NEAR_1E306_S}:00:00,000\ngo\n", True,
              f"entry 1, line 2: {float(_HOUR_NEAR_1E306_S * 3600)!r} seconds "
              "is past the millisecond grid"),
+            ("refs/race01.srt", "1\n00:00:02,000 --> 00:00:01,000\ngo\n", True,
+             "entry 1: entry start 2.0 must precede end 1.0"),
+            ("refs/race01.srt", "1\n00:00:00,000 --> 00:00:01,000\n\n", True,
+             "entry 1: missing subtitle text"),
+            ("refs/race01.srt", "0\n00:00:00,000 --> 00:00:01,000\ngo\n", True,
+             "entry 0: entry index must be positive"),
         ],
         ids=[
             "duration-1e308", "duration-nan", "duration-inf", "duration-negative",
             "transcript-inf-with-trace", "transcript-inf", "transcript-1e308", "srt-hour-1e16",
             "srt-hour-of-400-digits-with-trace", "srt-hour-of-400-digits",
-            "srt-end-near-1e306s-with-trace",
+            "srt-end-near-1e306s-with-trace", "srt-start-after-end", "srt-missing-text",
+            "srt-index-0",
         ],
     )
     def test_a_time_no_timeline_can_hold_exits_one_naming_its_file(
@@ -1744,22 +1751,90 @@ class TestOfflineImports:
         assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
-    """`perfbench/tracing.py` reaches into the program's modules by name; installing it
-    in a fresh interpreter fails if a name it wraps is gone."""
+# In a fresh interpreter: install the benchmark's tracer, with each wrap counting
+# its calls, then run a benchmark round on a small corpus in the working dir.
+_TRACED_ROUND = textwrap.dedent(
+    """
+    import json
+    from pathlib import Path
+
+    from perfbench import tracing
+    from perfbench.corpus import CorpusSpec, make_videos, write_corpus
+    from commentary import cli
+
+    class CountingTracer(tracing.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.calls = {}
+
+        def wrap(self, owner, attr, name, on_result=None):
+            where = owner.__name__ if isinstance(owner, type) else ""
+            module = (owner.__module__ if where else owner.__name__).rpartition(".")[2]
+            key = ".".join(filter(None, (module, where, attr)))
+            self.calls[key] = 0
+
+            def counted(result):
+                self.calls[key] += 1
+                if on_result is not None:
+                    on_result(result)
+
+            super().wrap(owner, attr, name, counted)
+
+    spec = CorpusSpec(language="en", videos=1, utterances=4, frame_bytes=256)
+    write_corpus(Path("."), spec, make_videos(spec, 0), 0)
+    tracer = CountingTracer()
+    tracing.install(tracer)
+    common = ["--manifest", "manifests", "--strategy", "realtime", "--step", "1", "--jobs", "1"]
+    runs = [["generate", *common, "--backend", "oracle:refs", "--out", "oracle"]]
+    runs += [["generate", *common, "--backend", "remote", "--out", mode, "--cache", mode,
+              "--cache-dir", "cache"] for mode in ("record", "replay")]
+    runs.append(["evaluate", "record", "refs", "--report", "report.tsv"])
+    codes = [cli.main(argv) for argv in runs]
+    print(json.dumps({"codes": codes, "calls": tracer.calls}))
+    """
+)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    """`perfbench/tracing.py` reaches into the program's modules by name: installing it
+    fails if a name it wraps is gone, and a benchmark round shows which wrapped names
+    the program still calls. A wrap that is never called reads 0 in the benchmark."""
     root = Path(__file__).resolve().parents[1]
-    # The program's source first, then the paths the test run itself was given.
+    # The program's source and the benchmark first, then the paths the test run was given.
     inherited = os.environ.get("PYTHONPATH")
-    path = f"{root / 'src'}{os.pathsep}{inherited}" if inherited else str(root / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", "from perfbench import tracing; tracing.install(tracing.Tracer())"],
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    path = os.pathsep.join(filter(None, (str(root / "src"), str(root), inherited)))
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env.pop("NETRC", None)
+    with serving_chat() as server:
+        env.update(
+            PYTHONPATH=path,
+            HOME=str(tmp_path),  # holds no .netrc
+            COMMENTARY_API_BASE=f"http://127.0.0.1:{server.server_address[1]}",
+            COMMENTARY_MODEL="m",
+        )
+        env.pop("COMMENTARY_API_KEY", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACED_ROUND],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            encoding="utf-8",
+            timeout=120,
+        )
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert server.requests  # the record run reached the endpoint
+    never = sorted(key for key, calls in result["calls"].items() if not calls)
+    assert never == sorted([
+        # Names the program keeps only for the benchmark's wraps.
+        "backends.build_chat_payload",
+        "backends.encode_image_uri",
+        "cli.reference_from_srt_text",
+        "strategies.render_decision",
+        # Runs only for a pair with no trace.
+        "cli.parse_srt",
+    ])
 
 
 # Each input the CLI reads, by case: its path under the workspace root and the
@@ -1881,3 +1956,113 @@ def test_credentials_in_an_endpoint_url_exit_one_without_echoing_them(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {label}: ")
     assert "s3cret" not in err and "Traceback" not in err
+
+
+_INIT = "id: i\nlanguage: en\nkind: init\nDescribe the start.\n"
+_DECISION = "id: d\nlanguage: en\nkind: decision\nSo far: {context}\n"
+_ENTRY = "1\n00:00:00,000 --> 00:00:01,000\ngo\n"
+_MANIFEST = "#video_id\tv\tduration\t1\n0\tfile:///frames/v/0000.jpg\n"
+
+
+def _argv(command, defaults, **flags):
+    """`command` with `defaults` overridden by `flags`, each as --flag value."""
+    pairs = {**defaults, **flags}.items()
+    return [command, *(arg for key, value in pairs for arg in ("--" + key, value))]
+
+
+def _generate_argv(**flags):
+    defaults = {"manifest": "v.manifest", "backend": "scripted:s.tsv", "out": "out"}
+    return _argv("generate", defaults, **flags)
+
+
+def _sweep_argv(**flags):
+    defaults = {"manifest": "v.manifest", "ref": "refs", "steps": "2", "out": "out"}
+    return _argv("sweep", defaults, **flags)
+
+
+def _evaluate_argv(gen, ref, *flags):
+    return ["evaluate", gen, ref, *flags, "--report", "out/report.tsv"]
+
+
+# Each configuration error by case: the files the run finds besides v.manifest
+# (None makes an empty dir), its arguments and its error line.
+_CONFIG_ERRORS = {
+    "cache-without-dir": (
+        {}, _generate_argv(cache="record"), "--cache-dir is required when caching is enabled"
+    ),
+    "cache-dir-is-out": (
+        {}, _generate_argv(cache="record", **{"cache-dir": "out"}),
+        "output dir must be distinct from cache dir",
+    ),
+    "jobs-0": ({}, _generate_argv(jobs="0"), "--jobs must be at least 1"),
+    "templates-unknown": (
+        {}, _generate_argv(templates="nope"),
+        "--templates must name a built-in set (fight-ja, race-en, race-ja) or a directory",
+    ),
+    "templates-two-init": (
+        {"t/a.txt": _INIT, "t/b.txt": _INIT, "t/c.txt": _DECISION},
+        _generate_argv(templates="t"), "template directory t holds more than one init template",
+    ),
+    "templates-two-decision": (
+        {"t/a.txt": _INIT, "t/b.txt": _DECISION, "t/c.txt": _DECISION},
+        _generate_argv(templates="t"),
+        "template directory t holds more than one decision template",
+    ),
+    "templates-init-only": (
+        {"t/a.txt": _INIT}, _generate_argv(templates="t"),
+        "template directory t needs one init and one decision template",
+    ),
+    "manifest-dir-empty": (
+        {"m": None}, _generate_argv(manifest="m"), "no *.manifest files found in m"
+    ),
+    "manifest-duplicate-id": (
+        {"m/a.manifest": _MANIFEST, "m/b.manifest": _MANIFEST}, _generate_argv(manifest="m"),
+        "duplicate video id 'v' across manifests",
+    ),
+    "oracle-reference-absent": (
+        {"refs": None}, _generate_argv(backend="oracle:refs"),
+        "no reference file for video 'v' in refs",
+    ),
+    "backend-unknown": (
+        {}, _generate_argv(backend="magic"),
+        "unknown backend spec 'magic'; expected remote, scripted:<path> or oracle:<path>",
+    ),
+    "scorer-unknown": (
+        {"gen/v.srt": _ENTRY, "refs/v.srt": _ENTRY},
+        _evaluate_argv("gen", "refs", "--scorer", "nope"),
+        "unknown scorer 'nope'; expected lexical or embedding",
+    ),
+    "generated-dir-missing": (
+        {"refs": None}, _evaluate_argv("nope", "refs"), "generated dir not found: nope"
+    ),
+    "reference-dir-missing": (
+        {"gen": None}, _evaluate_argv("gen", "nope"), "reference dir not found: nope"
+    ),
+    "no-srt": (
+        {"gen": None, "refs": None}, _evaluate_argv("gen", "refs"), "no .srt files found in gen"
+    ),
+    "steps-unparsable": ({"refs": None}, _sweep_argv(steps="a"), "bad --steps value 'a'"),
+    "steps-empty": (
+        {"refs": None}, _sweep_argv(steps=","), "--steps must list at least one step size"
+    ),
+    "sweep-reference-missing": ({}, _sweep_argv(ref="nope"), "reference dir not found: nope"),
+}
+
+
+@pytest.mark.parametrize("case", _CONFIG_ERRORS)
+def test_a_configuration_error_exits_one_writing_nothing(tmp_path, monkeypatch, capsys, case):
+    files, argv, message = _CONFIG_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.manifest").write_text(_MANIFEST, encoding="utf-8")
+    for name, text in files.items():
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -278,7 +278,7 @@ class TestRecord:
         instances = [
             record, step, step.utterance, record.track,
             cfg, cfg.rate_model, cfg.rate_model.rates[0][1], store, prompts, prompts.init, demo,
-            request, request.prompt, GeneratorResponse("go", 0.0, "m"), Speak("go"), Wait(),
+            request, request.prompt, GeneratorResponse("go", 0.0), Speak("go"), Wait(),
             evaluate(record.track, record.track, LexicalOverlapScorer(), "en"),
             SrtEntry(1, 0.0, 1.0, "go"),
             cli.RunConfig(tmp_path / "m", cfg, prompts, "scripted:s", "off", None, tmp_path, 0),

@@ -4,7 +4,6 @@ generate` exits 1 naming a bad input file."""
 
 import io
 import tempfile
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -58,8 +57,7 @@ PARSERS = {
 @given(text=TEXTS)
 def test_parser_raises_only_value_error(name, text):
     # A fresh dir per example: hypothesis reruns the body, which a fixture's dir would outlive.
-    with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # parse_srt warns on a non-monotonic index
+    with tempfile.TemporaryDirectory() as directory:
         try:
             PARSERS[name](text, directory)
         except ValueError:

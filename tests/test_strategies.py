@@ -23,7 +23,6 @@ from commentary import (
     overlap_proportion,
     parse_srt,
     run_session,
-    select_window,
     speaking_timeline,
     to_srt,
 )
@@ -146,25 +145,29 @@ class TestNextDecisionTime:
         assert after >= arrival_ms and after >= t_ms + step_ms
 
 
-class TestSelectWindow:
+class TestSessionWindows:
     def test_fixed_looks_back_one_step(self):
         store = synth_store(duration=10.0)
         cfg = StrategyConfig(kind=StrategyKind.FEEDBACK, step=2.0)
-        window = select_window(cfg, store, 6.0)
-        assert window_seconds(window) == [4, 5]
+        record = run_session(store, cfg, ScriptedBackend(), SimulatedClock(), prompt_set())
+        assert record.steps[3].time == 6.0
+        assert window_seconds(record.steps[3].window) == [4, 5]
 
     def test_realtime_covers_elapsed_span(self):
         store = synth_store(duration=20.0)
         cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=2.0)
-        window = select_window(cfg, store, 15.25, t_last_query=10.0)
-        assert window_seconds(window) == [10, 11, 12, 13, 14, 15]
+        # 40 words at 4 per second, then 21: queries at 0, 10 and 15.25 s.
+        backend = ScriptedBackend({0: "go " * 40, 1: "go " * 21})
+        record = run_session(store, cfg, backend, SimulatedClock(), prompt_set())
+        assert [s.time for s in record.steps[:3]] == [0.0, 10.0, 15.25]
+        assert window_seconds(record.steps[2].window) == [10, 11, 12, 13, 14, 15]
 
     def test_any_kind_at_zero_sees_opening_frame(self):
         store = synth_store(duration=10.0)
         for kind in StrategyKind:
             cfg = StrategyConfig(kind=kind, step=2.0)
-            window = select_window(cfg, store, 0.0, t_last_query=0.0)
-            assert window_seconds(window) == [0]
+            record = run_session(store, cfg, ScriptedBackend(), SimulatedClock(), prompt_set())
+            assert window_seconds(record.steps[0].window) == [0]
 
 
 class TestStrategyConfig:
@@ -309,7 +312,7 @@ class _FailingBackend:
         self.calls += 1
         if index == self.fail_at:
             raise TransportError("boom")
-        return GeneratorResponse("the race continues on", 0.0, self.model_id)
+        return GeneratorResponse("the race continues on", 0.0)
 
 
 class _ClockPushingBackend:
@@ -323,7 +326,7 @@ class _ClockPushingBackend:
 
     def generate(self, request):
         self.clock.advance_to(self.clock.now() + self.delay)
-        return GeneratorResponse("<WAIT>", self.delay, self.model_id)
+        return GeneratorResponse("<WAIT>", self.delay)
 
 
 class TestRunSession:

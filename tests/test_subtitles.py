@@ -1,6 +1,7 @@
 """SRT formatting, lenient parsing, round trips, and overlap counting."""
 
 import random
+import warnings
 
 import pytest
 
@@ -70,14 +71,15 @@ class TestParseSrt:
         with pytest.raises(SrtParseError, match="entry 1, line 2"):
             parse_srt(text)
 
-    def test_non_monotonic_index_warns(self):
+    def test_non_monotonic_index_parses_without_a_warning(self):
         text = (
             "2\n00:00:00,000 --> 00:00:01,000\na b\n\n"
             "1\n00:00:02,000 --> 00:00:03,000\nc d\n"
         )
-        with pytest.warns(UserWarning, match="non-monotonic"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             entries = parse_srt(text)
-        assert len(entries) == 2
+        assert [(e.index, e.text) for e in entries] == [(2, "a b"), (1, "c d")]
 
     def test_multiline_text_joined(self):
         text = "1\n00:00:00,000 --> 00:00:01,000\nline one\nline two\n"

@@ -14,7 +14,16 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
-from .core import WAIT_TOKEN, CommentaryTrack, Record, Seconds, from_ms, read_utf8, to_ms
+from .core import (
+    WAIT_TOKEN,
+    CommentaryTrack,
+    Record,
+    Seconds,
+    entries_ending,
+    from_ms,
+    read_utf8,
+    to_ms,
+)
 from .prompting import RenderedPrompt
 
 ENV_API_BASE = "COMMENTARY_API_BASE"
@@ -218,7 +227,7 @@ class OracleBackend:
         if i < end:
             self._emitted.add(i)
             text = self._reference.utterances[i].text
-            return GeneratorResponse(raw_text=text, latency=0.0)
+            return GeneratorResponse(text, 0.0)
         return self._WAIT
 
 
@@ -797,7 +806,9 @@ class _Endpoint:
             elif status >= 500:
                 last_error = TransportError(f"server error {status} from {url}")
             else:
-                raise TransportError(f"unexpected status {status} from {url}: {resp.text[:200]}")
+                body = resp.text[:200]
+                detail = f": {body}" if body else ""
+                raise TransportError(f"unexpected status {status} from {url}{detail}")
         raise last_error
 
     def close(self) -> None:
@@ -913,7 +924,8 @@ class CacheLog:
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
-            if any(_OLD_ENTRY_NAME.fullmatch(p.name) for p in Path(cache_dir).glob("*.txt")):
+            entries = entries_ending(self.path.parent, ".txt")
+            if any(_OLD_ENTRY_NAME.fullmatch(p.name) for p in entries):
                 raise ValueError(
                     f"cache dir {cache_dir} holds one-file-per-digest entries of the old "
                     f"cache format and no {CACHE_LOG_NAME}; record it again"

@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -31,6 +32,7 @@ from .core import (
     SimulatedClock,
     WallClock,
     check_seconds,
+    entries_ending,
     read_utf8,
     replace,
 )
@@ -44,7 +46,9 @@ from .evaluation import (
     load_reference,
     parse_transcript,
     reference_from_srt_text,  # noqa: F401 (perfbench/tracing.py wraps it by this name)
+    srt_reference,
     timing_alignment,
+    transcript_reference,
 )
 from .media import DEFAULT_WINDOW_CAP, FrameStore, load_manifest
 from .prompting import (
@@ -218,7 +222,7 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_stores(manifest: Path) -> list[FrameStore]:
-    paths = sorted(manifest.glob("*.manifest")) if manifest.is_dir() else [manifest]
+    paths = sorted(entries_ending(manifest, ".manifest")) if manifest.is_dir() else [manifest]
     if not paths:
         raise CliError(f"no *.manifest files found in {manifest}")
     stores = [_loaded("media: ", load_manifest, p) for p in paths]
@@ -232,11 +236,10 @@ def _load_stores(manifest: Path) -> list[FrameStore]:
 
 def _reference_files(ref_dir: Path) -> dict[str, Path]:
     """Each reference in a dir by video id: <id>.srt, or else the transcript <id>.tsv."""
-    files = {}
-    for suffix in (".tsv", ".srt"):  # the .srt, read last, wins
-        # summary.tsv is a generate artifact, not a reference transcript.
-        files.update((p.stem, p) for p in ref_dir.glob(f"*{suffix}") if p.name != "summary.tsv")
-    return files
+    # summary.tsv is a generate artifact, not a reference transcript.
+    paths = [p for p in entries_ending(ref_dir, (".tsv", ".srt")) if p.name != "summary.tsv"]
+    paths.sort(key=lambda p: p.name.endswith(".srt"))  # the .srt, put last, wins
+    return {p.stem: p for p in paths}
 
 
 def _load_references(
@@ -442,28 +445,37 @@ def _make_scorer(spec: str, language: str) -> SimilarityScorer:
     raise CliError(f"unknown scorer {spec!r}; expected lexical or embedding")
 
 
-def _display_ends(path: Path) -> list[float]:
-    """Entry ends of an SRT file, or start times of a transcript, each a time a timeline
-    can hold; a ValueError names the file."""
+def _trace_duration(trace: Path, language: str) -> float | None:
+    """The video's duration by its trace, None without one; a trace made in a language
+    other than `language` is a CliError."""
+    if not trace.exists():
+        return None
+    duration, traced = read_trace_header(trace)
+    if traced is not None and traced != language:
+        raise CliError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
+    return duration
+
+
+def _parsed_pair_file(
+    path: Path, language: str
+) -> tuple[float, Callable[[str, float], CommentaryTrack]]:
+    """A pair's file, read and parsed once: its latest display end (the latest entry end
+    or transcript start, at least 0, each a time a timeline can hold) and the builder of
+    its track for a video id and duration, as `load_reference` builds it. A ValueError
+    names the file."""
     text = read_utf8(path)
     try:
         if path.suffix.lower() == ".srt":
-            return [_timeline_seconds(e.end, "end") for e in parse_srt(text)]
-        return [_timeline_seconds(start, "start") for start, _ in parse_transcript(text)]
+            entries = parse_srt(text)
+            ends = [_timeline_seconds(e.end, "end") for e in entries]
+            build = partial(srt_reference, entries)
+        else:
+            rows = parse_transcript(text)
+            ends = [_timeline_seconds(start, "start") for start, _ in rows]
+            build = partial(transcript_reference, rows, language=language)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _pair_duration(trace: Path, gen_path: Path, ref_path: Path, language: str) -> float:
-    """The video's duration; a trace made in a language other than `language` is a CliError."""
-    if trace.exists():
-        duration, traced = read_trace_header(trace)
-        if traced is not None and traced != language:
-            raise CliError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
-        if duration is not None:
-            return duration
-    # No trace at hand: take the latest display end across both sides.
-    return max([0.0, *_display_ends(gen_path), *_display_ends(ref_path)])
+    return max([0.0, *ends]), build
 
 
 def _scores(report: EvalReport) -> dict[str, float]:
@@ -490,7 +502,7 @@ def _load_pairs(
         raise CliError(f"generated dir not found: {gen_dir}")
     if not ref_dir.is_dir():
         raise CliError(f"reference dir not found: {ref_dir}")
-    gen_ids = {p.stem for p in gen_dir.glob("*.srt")}
+    gen_ids = {p.stem for p in entries_ending(gen_dir, ".srt")}
     ref_files = _reference_files(ref_dir)
     gen_orphans = sorted(gen_ids - set(ref_files))
     ref_orphans = sorted(set(ref_files) - gen_ids)
@@ -505,9 +517,19 @@ def _load_pairs(
     for video_id in sorted(gen_ids):
         label, ref_path = f"{video_id}: ", ref_files[video_id]
         gen_path, trace = gen_dir / f"{video_id}.srt", gen_dir / f"{video_id}.trace"
-        duration = _loaded(label, _pair_duration, trace, gen_path, ref_path, language)
-        gen_track = _loaded(label, load_reference, gen_path, video_id, duration, language)
-        ref_track = _loaded(label, load_reference, ref_path, video_id, duration, language)
+        duration = _loaded(label, _trace_duration, trace, language)
+        if duration is not None:
+            gen_track = _loaded(label, load_reference, gen_path, video_id, duration, language)
+            ref_track = _loaded(label, load_reference, ref_path, video_id, duration, language)
+        else:
+            # No duration at hand: take the latest display end across both sides.
+            parsed = [
+                (p, *_loaded(label, _parsed_pair_file, p, language)) for p in (gen_path, ref_path)
+            ]
+            duration = max(end for _, end, _ in parsed)
+            gen_track, ref_track = [
+                _loaded(f"{label}{p}: ", build, video_id, duration) for p, _, build in parsed
+            ]
         pairs.append((video_id, gen_track, ref_track))
     return pairs
 

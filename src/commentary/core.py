@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from pathlib import Path
 from typing import Protocol, TypeVar, Union
@@ -30,6 +31,17 @@ def read_utf8(path: Path) -> str:
         return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def entries_ending(directory: Path, suffixes: str | tuple[str, ...]) -> list[Path]:
+    """The entries of `directory` whose names end in one of `suffixes`, unordered: for one
+    suffix, what `directory.glob("*" + suffix)` yields, hidden names and dirs included,
+    with no pattern to compile. A directory that cannot be listed has none."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return [directory / name for name in names if name.endswith(suffixes)]
 
 
 def to_ms(seconds: float, round_up: bool = False) -> int:
@@ -210,7 +222,8 @@ class SimulatedClock:
         return self._now
 
     def advance_to(self, t: Seconds) -> None:
-        check_seconds(t, "t")
+        if not 0 <= t < math.inf:  # one comparison passes a valid time
+            check_seconds(t, "t")
         # Never moves backwards; advancing to the past is a no-op.
         if t > self._now:
             self._now = t

@@ -33,7 +33,7 @@ from .strategies import (
     estimate_duration,
     unit_tokens,
 )
-from .subtitles import overlap_proportion, parse_srt, track_entries
+from .subtitles import SrtEntry, overlap_proportion, parse_srt, track_entries
 
 ENV_EMBED_API_BASE = "COMMENTARY_EMBED_API_BASE"
 ENV_EMBED_API_KEY = "COMMENTARY_EMBED_API_KEY"
@@ -284,8 +284,15 @@ def _reference_track(
 
 def reference_from_srt_text(text: str, video_id: str, video_duration: Seconds) -> CommentaryTrack:
     """Build a reference track from SRT text, display spans giving the durations."""
+    return srt_reference(parse_srt(text), video_id, video_duration)
+
+
+def srt_reference(
+    entries: Iterable[SrtEntry], video_id: str, video_duration: Seconds
+) -> CommentaryTrack:
+    """A reference track from parsed SRT entries, display spans giving the durations."""
     return _reference_track(
-        ((e.start, e.text, e.end - e.start) for e in parse_srt(text)), video_id, video_duration
+        ((e.start, e.text, e.end - e.start) for e in entries), video_id, video_duration
     )
 
 
@@ -315,8 +322,16 @@ def reference_from_transcript_text(
 ) -> CommentaryTrack:
     """Build a reference track from `start_seconds<TAB>text` transcript lines, each
     lasting its text's duration under the default speech-rate model."""
+    return transcript_reference(parse_transcript(text), video_id, video_duration, language)
+
+
+def transcript_reference(
+    rows: Iterable[tuple[Seconds, str]], video_id: str, video_duration: Seconds, language: str
+) -> CommentaryTrack:
+    """A reference track from parsed transcript (start, text) rows, as
+    `reference_from_transcript_text` builds it."""
     # Lines past the video are dropped before a duration is estimated for them.
-    rows = [(s, t) for s, t in parse_transcript(text) if s <= video_duration]
+    rows = [(s, t) for s, t in rows if s <= video_duration]
     return _reference_track(
         ((s, t, estimate_duration(t, language, _DEFAULT_RATES)) for s, t in rows),
         video_id, video_duration,

@@ -88,16 +88,19 @@ def load_manifest(path: str | Path) -> FrameStore:
     n = _required_seconds(duration)
     frames: dict[int, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise ManifestError(f"{path}:{lineno}: expected 'second<TAB>uri', got {line!r}")
         try:
-            second = int(parts[0])
+            second_token, uri = parts
+            second = int(second_token)
         except ValueError as exc:
+            if not line.strip():
+                continue
+            if len(parts) != 2:
+                raise ManifestError(
+                    f"{path}:{lineno}: expected 'second<TAB>uri', got {line!r}"
+                ) from None
             raise ManifestError(f"{path}:{lineno}: non-integer second {parts[0]!r}") from exc
-        uri = parts[1].strip()
+        uri = uri.strip()
         if not uri:
             raise ManifestError(f"{path}:{lineno}: empty frame uri")
         if "\0" in uri:
@@ -108,10 +111,9 @@ def load_manifest(path: str | Path) -> FrameStore:
             raise ManifestError(f"{path}:{lineno}: duplicate second {second}")
         frames[second] = uri
 
-    for second in range(n):
-        if second not in frames:
-            raise ManifestGapError(path, second)
-
+    if len(frames) < n:
+        # Some second up to len(frames) is missing, so the search is bounded by the file.
+        raise ManifestGapError(path, next(s for s in range(n) if s not in frames))
     return FrameStore(video_id, duration, tuple([frames[s] for s in range(n)]))
 
 
@@ -124,22 +126,28 @@ def frames_between(
     When the formula reaches past the last stored frame, the newest available
     frame is served instead so a window is never empty.
     """
-    check_seconds(t_a, "t_a")
-    check_seconds(t_b, "t_b")
-    if cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap}")
-    if t_a > t_b:
-        raise WindowRangeError(f"window start {t_a} exceeds window end {t_b}")
-    if t_b > store.video_duration:
-        raise WindowRangeError(
-            f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
-        )
+    # One comparison passes every valid window; the checks below name what is wrong.
+    if not (0 <= t_a <= t_b <= store.video_duration and cap >= 1):
+        check_seconds(t_a, "t_a")
+        check_seconds(t_b, "t_b")
+        if cap < 1:
+            raise ValueError(f"cap must be a positive integer, got {cap}")
+        if t_a > t_b:
+            raise WindowRangeError(f"window start {t_a} exceeds window end {t_b}")
+        if t_b > store.video_duration:
+            raise WindowRangeError(
+                f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
+            )
 
-    n = len(store.frames)
+    frames = store.frames
+    n = len(frames)
     lo = math.ceil(t_a)
-    hi = min(math.ceil(max(t_b, t_a + 1.0)), n)
+    hi = math.ceil(t_b if t_b > t_a + 1.0 else t_a + 1.0)
+    if hi > n:
+        hi = n
     if lo >= hi:
         lo = min(math.floor(t_a), n - 1)
         hi = lo + 1
-    lo = max(lo, hi - cap)
-    return store.frames[lo:hi]
+    if lo < hi - cap:
+        lo = hi - cap
+    return frames[lo:hi]

@@ -110,7 +110,7 @@ def render_init(template: PromptTemplate, window: tuple[str, ...]) -> RenderedPr
     if not window:
         raise ValueError("window must contain at least one frame")
     text = _join(template.role_preamble, template.body)
-    return RenderedPrompt(text=text, attachments=window, digest=_finish(_text_hash(text), window))
+    return RenderedPrompt(text, window, _finish(_text_hash(text), window))
 
 
 class DecisionRenderer:
@@ -170,7 +170,7 @@ class DecisionRenderer:
             self._history = key
         attachments = self._demo_uris + window
         digest = _finish(self._hash.copy(), attachments)
-        return RenderedPrompt(text=self._text, attachments=attachments, digest=digest)
+        return RenderedPrompt(self._text, attachments, digest)
 
 
 def render_decision(

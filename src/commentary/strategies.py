@@ -278,7 +278,7 @@ def run_session(
             rendered = renderer.render(history, window)
 
         try:
-            request = GeneratorRequest(prompt=rendered, model_id=backend.model_id, decision_time=t)
+            request = GeneratorRequest(rendered, backend.model_id, t)
             response = backend.generate(request)
         except BackendError as exc:
             error = f"backend failure at step {len(steps)} (t={t:.3f}s): {exc}"

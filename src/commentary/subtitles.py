@@ -9,6 +9,9 @@ from .core import CommentaryTrack, Record, Seconds, check_seconds, from_ms, to_m
 
 _TIMESTAMP = re.compile(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})")
 _ARROW = "-->"
+# A whole timestamp line, `start --> end`: what splitting it at the arrow and
+# parsing each stripped side with `_TIMESTAMP` accepts.
+_TIMESTAMP_LINE = re.compile(rf"\s*{_TIMESTAMP.pattern}\s*{_ARROW}\s*{_TIMESTAMP.pattern}\s*")
 
 
 class SrtParseError(ValueError):
@@ -30,11 +33,14 @@ class SrtEntry(Record):
 
 def format_timestamp(seconds: Seconds) -> str:
     """SRT timestamp HH:MM:SS,mmm at millisecond precision."""
-    total_ms = to_ms(check_seconds(seconds))
-    hours, rem = divmod(total_ms, 3_600_000)
-    minutes, rem = divmod(rem, 60_000)
-    secs, ms = divmod(rem, 1000)
-    return f"{hours:02d}:{minutes:02d}:{secs:02d},{ms:03d}"
+    return _format_ms(to_ms(check_seconds(seconds)))
+
+
+def _format_ms(total_ms: int) -> str:
+    secs, ms = divmod(total_ms, 1000)
+    minutes, secs = divmod(secs, 60)
+    hours, minutes = divmod(minutes, 60)
+    return "%02d:%02d:%02d,%03d" % (hours, minutes, secs, ms)
 
 
 def parse_timestamp(token: str) -> Seconds:
@@ -42,9 +48,11 @@ def parse_timestamp(token: str) -> Seconds:
     m = _TIMESTAMP.fullmatch(token.strip())
     if not m:
         raise ValueError(f"invalid timestamp {token!r}")
-    hours, minutes, secs, frac = m.groups()
-    ms = int(frac.ljust(3, "0"))
-    return from_ms(((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + ms)
+    return from_ms(_timestamp_ms(*m.groups()))
+
+
+def _timestamp_ms(hours: str, minutes: str, secs: str, frac: str) -> int:
+    return ((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + int(frac.ljust(3, "0"))
 
 
 def track_entries(track: CommentaryTrack) -> list[SrtEntry]:
@@ -63,10 +71,13 @@ def to_srt(track: CommentaryTrack) -> str:
     separator, blocks are separated by exactly one blank line, and the output
     ends with a newline. An empty track yields the empty string.
     """
-    blocks = [
-        f"{e.index}\n{format_timestamp(e.start)} {_ARROW} {format_timestamp(e.end)}\n{e.text}\n"
-        for e in track_entries(track)
-    ]
+    # The entries of `track_entries`, formatted straight from the utterances:
+    # an utterance's times and text already pass every check an entry makes.
+    blocks = []
+    for i, u in enumerate(track.utterances, 1):
+        start, end = _format_ms(to_ms(u.start)), _format_ms(to_ms(u.end))
+        text = u.text.replace("\n", " ")
+        blocks.append(f"{i}\n{start} {_ARROW} {end}\n{text}\n")
     return "\n".join(blocks)
 
 
@@ -83,34 +94,42 @@ def parse_srt(text: str) -> list[SrtEntry]:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     entries: list[SrtEntry] = []
+    n = len(lines)
     i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
+    while i < n:
         index_line = lines[i].strip()
-        if not index_line.isdecimal():
-            raise SrtParseError(f"line {i + 1}: expected an entry index, got {index_line!r}")
-        index = int(index_line)
         i += 1
-        if i >= len(lines) or _ARROW not in lines[i]:
+        if not index_line:
+            continue
+        if not index_line.isdecimal():
+            raise SrtParseError(f"line {i}: expected an entry index, got {index_line!r}")
+        index = int(index_line)
+        if i >= n or _ARROW not in lines[i]:
             raise SrtParseError(f"entry {index}, line {i + 1}: expected a timestamp line")
-        start_token, _, end_token = lines[i].partition(_ARROW)
+        line = lines[i]
         try:
-            start = parse_timestamp(start_token)
-            end = parse_timestamp(end_token)
+            m = _TIMESTAMP_LINE.fullmatch(line)
+            if m is None:  # parsed side by side, the bad side raises naming itself
+                start_token, _, end_token = line.partition(_ARROW)
+                start, end = parse_timestamp(start_token), parse_timestamp(end_token)
+            else:
+                times = m.groups()
+                start, end = from_ms(_timestamp_ms(*times[:4])), from_ms(_timestamp_ms(*times[4:]))
             to_ms(end)  # an end past the millisecond grid raises ValueError naming this entry
         except ValueError as exc:
             raise SrtParseError(f"entry {index}, line {i + 1}: {exc}") from exc
         i += 1
         text_lines: list[str] = []
-        while i < len(lines) and lines[i].strip():
-            text_lines.append(lines[i].strip())
+        while i < n:
+            text_line = lines[i].strip()
+            if not text_line:
+                break
+            text_lines.append(text_line)
             i += 1
         if not text_lines:
             raise SrtParseError(f"entry {index}: missing subtitle text")
         try:
-            entries.append(SrtEntry(index=index, start=start, end=end, text=" ".join(text_lines)))
+            entries.append(SrtEntry(index, start, end, " ".join(text_lines)))
         except ValueError as exc:
             raise SrtParseError(f"entry {index}: {exc}") from exc
     return entries

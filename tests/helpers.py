@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -22,8 +23,23 @@ from commentary import (
     Utterance,
 )
 from commentary.backends import GeneratorRequest, GeneratorResponse
-from commentary.core import WAIT_TOKEN, DecisionOutcome, Speak, Wait, check_seconds
-from commentary.media import DEFAULT_WINDOW_CAP, WindowRangeError
+from commentary.core import (
+    WAIT_TOKEN,
+    DecisionOutcome,
+    Speak,
+    Wait,
+    check_seconds,
+    from_ms,
+    read_utf8,
+    to_ms,
+)
+from commentary.media import (
+    DEFAULT_WINDOW_CAP,
+    MANIFEST_HEADER_TAG,
+    ManifestError,
+    ManifestGapError,
+    WindowRangeError,
+)
 from commentary.prompting import (
     CONTEXT_PLACEHOLDER,
     KIND_DECISION,
@@ -31,6 +47,7 @@ from commentary.prompting import (
     PromptTemplate,
     serialize_history,
 )
+from commentary.subtitles import SrtEntry, SrtParseError, track_entries
 
 WORDS = [
     "red", "car", "takes", "the", "lead", "blue", "driver", "turns", "into",
@@ -146,6 +163,128 @@ def reference_frames_between(
     if len(seconds) > cap:
         seconds = seconds[-cap:]
     return tuple(store.frames[s] for s in seconds)
+
+
+def reference_load_manifest(path: str | Path) -> FrameStore:
+    """A manifest read line by line into a dict by second, each line stripped first;
+    the oracle for `load_manifest`, its results and its errors."""
+    path = Path(path)
+    lines = read_utf8(path).splitlines()
+    if not lines:
+        raise ManifestError(f"{path}: empty manifest, missing header line")
+
+    header = lines[0].split("\t")
+    if len(header) != 4 or header[0] != MANIFEST_HEADER_TAG or header[2] != "duration":
+        raise ManifestError(f"{path}: malformed header line: {lines[0]!r}")
+    video_id = header[1]
+    if not video_id:
+        raise ManifestError(f"{path}: empty video id in header")
+    if video_id in (".", "..") or any(c in video_id for c in "/\\\0"):
+        raise ManifestError(f"{path}: video id {video_id!r} must be a plain file name")
+    try:
+        duration = check_seconds(float(header[3]), "duration")
+    except ValueError as exc:
+        raise ManifestError(f"{path}: bad duration in header: {exc}") from exc
+
+    n = max(math.ceil(duration), 1)
+    frames: dict[int, str] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ManifestError(f"{path}:{lineno}: expected 'second<TAB>uri', got {line!r}")
+        try:
+            second = int(parts[0])
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: non-integer second {parts[0]!r}") from exc
+        uri = parts[1].strip()
+        if not uri:
+            raise ManifestError(f"{path}:{lineno}: empty frame uri")
+        if "\0" in uri:
+            raise ManifestError(f"{path}:{lineno}: NUL character in frame uri")
+        if second < 0 or second >= n:
+            raise ManifestError(f"{path}:{lineno}: second {second} outside [0, {n})")
+        if second in frames:
+            raise ManifestError(f"{path}:{lineno}: duplicate second {second}")
+        frames[second] = uri
+
+    for second in range(n):
+        if second not in frames:
+            raise ManifestGapError(path, second)
+
+    return FrameStore(video_id, duration, tuple([frames[s] for s in range(n)]))
+
+
+def reference_parse_timestamp(token: str) -> float:
+    """One SRT timestamp parsed on its own; the oracle for `parse_timestamp`."""
+    m = re.fullmatch(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})", token.strip())
+    if not m:
+        raise ValueError(f"invalid timestamp {token!r}")
+    hours, minutes, secs, frac = m.groups()
+    ms = int(frac.ljust(3, "0"))
+    return from_ms(((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + ms)
+
+
+def reference_parse_srt(text: str) -> list[SrtEntry]:
+    """SRT text parsed line by line, each timestamp line split at its arrow and each
+    side parsed on its own, every line stripped where it is tested; the oracle for
+    `parse_srt`, its results and its errors."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    entries: list[SrtEntry] = []
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        index_line = lines[i].strip()
+        if not index_line.isdecimal():
+            raise SrtParseError(f"line {i + 1}: expected an entry index, got {index_line!r}")
+        index = int(index_line)
+        i += 1
+        if i >= len(lines) or "-->" not in lines[i]:
+            raise SrtParseError(f"entry {index}, line {i + 1}: expected a timestamp line")
+        start_token, _, end_token = lines[i].partition("-->")
+        try:
+            start = reference_parse_timestamp(start_token)
+            end = reference_parse_timestamp(end_token)
+            to_ms(end)
+        except ValueError as exc:
+            raise SrtParseError(f"entry {index}, line {i + 1}: {exc}") from exc
+        i += 1
+        text_lines: list[str] = []
+        while i < len(lines) and lines[i].strip():
+            text_lines.append(lines[i].strip())
+            i += 1
+        if not text_lines:
+            raise SrtParseError(f"entry {index}: missing subtitle text")
+        try:
+            entries.append(SrtEntry(index=index, start=start, end=end, text=" ".join(text_lines)))
+        except ValueError as exc:
+            raise SrtParseError(f"entry {index}: {exc}") from exc
+    return entries
+
+
+def reference_format_timestamp(seconds: float) -> str:
+    """One SRT timestamp, checked and formatted field by field; the oracle for
+    `format_timestamp`."""
+    total_ms = to_ms(check_seconds(seconds))
+    hours, rem = divmod(total_ms, 3_600_000)
+    minutes, rem = divmod(rem, 60_000)
+    secs, ms = divmod(rem, 1000)
+    return f"{hours:02d}:{minutes:02d}:{secs:02d},{ms:03d}"
+
+
+def reference_to_srt(track: CommentaryTrack) -> str:
+    """A track's SRT built from a checked `SrtEntry` per utterance; the oracle for `to_srt`."""
+    return "\n".join(
+        f"{e.index}\n{reference_format_timestamp(e.start)} --> "
+        f"{reference_format_timestamp(e.end)}\n{e.text}\n"
+        for e in track_entries(track)
+    )
 
 
 class ScanningOracleBackend:

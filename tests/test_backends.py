@@ -1028,11 +1028,14 @@ class TestConnections:
     @pytest.mark.parametrize(
         "reply, message",
         [
-            (b"HTTP/1.1 204 No Content\r\n\r\n", "unexpected status 204 from {url}: "),
+            # An empty body leaves no bare colon at the end.
+            (b"HTTP/1.1 204 No Content\r\n\r\n", "unexpected status 204 from {url}"),
+            (_reply_head(b"HTTP/1.1 404 Not Found", length=9) + b"not found",
+             "unexpected status 404 from {url}: not found"),
             (_reply_head(length=5) + b"hello", "malformed chat-completion response: "
              "Expecting value: line 1 column 1 (char 0)"),
         ],
-        ids=["204", "not-json"],
+        ids=["204", "404-with-body", "not-json"],
     )
     def test_a_reply_with_no_chat_completion_is_a_transport_error(
         self, raw_server, closing, reply, message

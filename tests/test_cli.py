@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import commentary
-from commentary import cli
+from commentary import cli, evaluation
 from commentary.cli import main, parse_rate_model, read_trace_header
 from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
@@ -801,6 +801,40 @@ class TestEvaluateCommand:
         }
         assert rows[("race01", "ref_words")] == "7"
 
+    @pytest.mark.parametrize("ref_name", ["a.srt", "a.tsv"])
+    def test_a_pair_with_no_trace_reads_and_parses_each_file_once(
+        self, tmp_path, monkeypatch, capsys, ref_name
+    ):
+        gen, ref = tmp_path / "gen", tmp_path / "ref"
+        gen.mkdir()
+        ref.mkdir()
+        (gen / "a.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:03,000\nthe red car leads\n", encoding="utf-8"
+        )
+        (ref / ref_name).write_text(
+            "1\n00:00:02,000 --> 00:00:05,000\nthe red car\n"
+            if ref_name.endswith(".srt") else "2\tthe red car\n",
+            encoding="utf-8",
+        )
+        reads, parses = [], []
+        read_text = Path.read_text
+
+        def counted_read(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted_read)
+        for module in (cli, evaluation):
+            for name in ("parse_srt", "parse_transcript"):
+                parse = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda text, parse=parse: parses.append(text) or parse(text)
+                )
+        assert main(["evaluate", str(gen), str(ref)]) == 0
+        assert sorted(reads) == sorted(["a.srt", ref_name])
+        assert len(parses) == 2
+        assert "  agreement@1s: " in capsys.readouterr().out
+
     def test_two_video_report_and_stdout_are_pinned(self, tmp_path, capsys):
         """Every row and line of a two-video run, with word counts that make the
         corpus avg, min and max differ; with no trace, each pair's duration is
@@ -1102,6 +1136,67 @@ class TestEvaluateCommand:
             trace.unlink()
         assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 1
         assert capsys.readouterr().err == f"error: race01: {bad}: {message}\n"
+
+
+class TestListing:
+    """The dirs the CLI lists are listed by name suffix, each picking what
+    `Path.glob("*<suffix>")` picks: hidden names and dirs too, names in another case not."""
+
+    def test_reference_files_are_what_the_globs_pick(self, tmp_path):
+        for name in (".x.srt", "a.srt", "a.tsv", "b.tsv", "X.SRT", "Y.TSV", "summary.tsv", "c.srt~"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        (tmp_path / "d.srt").mkdir()
+        globbed = {}
+        for suffix in (".tsv", ".srt"):
+            globbed.update(
+                (p.stem, p) for p in tmp_path.glob(f"*{suffix}") if p.name != "summary.tsv"
+            )
+        files = cli._reference_files(tmp_path)
+        assert files == globbed
+        assert files == {
+            ".x": tmp_path / ".x.srt", "a": tmp_path / "a.srt", "b": tmp_path / "b.tsv",
+            "d": tmp_path / "d.srt",
+        }
+
+    def test_a_hidden_srt_is_a_generated_video_and_an_upper_case_one_is_not(
+        self, workspace, capsys
+    ):
+        assert main(gen_args(workspace, out="gen")) == 0
+        gen = workspace["root"] / "gen"
+        srt = read(gen / "race01.srt")
+        (gen / "RACE02.SRT").write_text(srt, encoding="utf-8")
+        # summary.tsv in the reference dir is no reference.
+        assert main(["evaluate", str(gen), str(gen)]) == 0
+        (gen / ".race03.srt").write_text(srt, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", str(gen), str(gen)]) == 0
+        assert "video: .race03\n" in capsys.readouterr().out
+        refs = workspace["root"] / "refs"
+        refs.mkdir()
+        (refs / "race01.srt").write_text(srt, encoding="utf-8")
+        assert main(["evaluate", str(gen), str(refs)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unmatched generated ids: .race03; unmatched reference ids: (none)\n"
+        )
+
+    def test_a_dir_named_like_a_manifest_is_listed_and_exits_one_naming_it(
+        self, workspace, capsys
+    ):
+        vids = workspace["root"] / "vids"
+        vids.mkdir()
+        write_manifest(vids / "a.manifest", "a", 4.0)
+        (vids / "b.manifest").mkdir()
+        (vids / "C.MANIFEST").write_text("not read\n", encoding="utf-8")
+        assert main(gen_args(workspace, manifest=vids)) == 1
+        assert capsys.readouterr().err == (
+            f"error: media: [Errno 21] Is a directory: '{vids / 'b.manifest'}'\n"
+        )
+
+    def test_a_record_cache_dir_that_does_not_exist_yet_is_made(self, workspace):
+        cache = workspace["root"] / "new" / "cache"
+        assert main(gen_args(workspace, out="rec", cache="record", cache_dir=cache)) == 0
+        assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=cache)) == 0
+        assert generated_files(workspace["root"] / "rec") == generated_files(workspace["root"] / "rep")
 
 
 class TestOracleBackendCli:
@@ -1904,6 +1999,14 @@ def test_a_missing_input_file_exits_one_with_the_systems_message(workspace, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {label}[Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_a_manifest_claiming_a_huge_duration_exits_one_naming_its_gap(workspace, capsys):
+    manifest = workspace["root"] / "huge.manifest"
+    manifest.write_text("#video_id\thuge\tduration\t1e12\n", encoding="utf-8")
+    assert main(gen_args(workspace, manifest=manifest)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: media: {manifest}: manifest is missing a frame for second 0\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -32,7 +32,7 @@ from commentary import (
     speaking_timeline,
 )
 from commentary.backends import GeneratorRequest
-from commentary.core import Record, from_ms, replace, to_ms
+from commentary.core import Record, check_seconds, entries_ending, from_ms, replace, to_ms
 from commentary.prompting import RenderedPrompt
 from commentary.subtitles import SrtEntry
 
@@ -196,6 +196,21 @@ class TestClocks:
             seen.append(clock.now())
         assert seen == sorted(seen)
 
+    @given(st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3))
+    def test_simulated_advance_takes_what_check_seconds_takes(self, t):
+        """NaN, infinities and negative times raise `check_seconds`'s own error."""
+        clock = SimulatedClock()
+        try:
+            check_seconds(t, "t")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                clock.advance_to(t)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            assert clock.now() == 0.0
+        else:
+            clock.advance_to(t)
+            assert clock.now() == max(0.0, t)
+
     def test_wall_clock_sleeps_to_target(self):
         clock = WallClock()
         before = time.monotonic()
@@ -333,3 +348,34 @@ class TestRecord:
             assert [u.end for u in copied.track.utterances] == [
                 u.end for u in record.track.utterances
             ]
+
+
+class TestEntriesEnding:
+    """A listing by name suffix picks what `Path.glob("*<suffix>")` picks."""
+
+    NAMES = (
+        "a.srt", ".x.srt", ".srt", "X.SRT", "a.srt.bak", "summary.tsv", "b.tsv",
+        "v.manifest", ".v.manifest", "V.MANIFEST", "notes.txt", "0123456789abcdef.txt",
+    )
+
+    def _dir(self, tmp_path):
+        for name in self.NAMES:
+            (tmp_path / name).write_text("", encoding="utf-8")
+        (tmp_path / "x.manifest").mkdir()
+        (tmp_path / "d.srt").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize("suffix", [".srt", ".tsv", ".manifest", ".txt", ".SRT", "srt"])
+    def test_picks_what_the_glob_picks(self, tmp_path, suffix):
+        directory = self._dir(tmp_path)
+        assert sorted(entries_ending(directory, suffix)) == sorted(directory.glob("*" + suffix))
+
+    def test_picks_hidden_names_and_dirs_but_matches_case(self, tmp_path):
+        directory = self._dir(tmp_path)
+        names = sorted(p.name for p in entries_ending(directory, (".srt", ".manifest")))
+        assert names == [".srt", ".v.manifest", ".x.srt", "a.srt", "d.srt", "v.manifest", "x.manifest"]
+
+    def test_a_dir_that_is_missing_or_a_file_has_no_entries(self, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        for missing in (tmp_path / "missing", tmp_path / "file"):
+            assert entries_ending(missing, ".txt") == list(missing.glob("*.txt")) == []

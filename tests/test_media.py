@@ -1,5 +1,6 @@
 """Manifest ingestion and frame-window selection."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,12 +12,18 @@ from commentary import frames_between, load_manifest
 from commentary.core import replace
 from commentary.media import FrameStore, ManifestError, ManifestGapError, WindowRangeError
 
-from helpers import reference_frames_between, synth_store, window_seconds, write_manifest
+from helpers import (
+    reference_frames_between,
+    reference_load_manifest,
+    synth_store,
+    window_seconds,
+    write_manifest,
+)
 
 
-def _window_or_error(build, store, t_a, t_b, cap):
+def _result_or_error(call, *args):
     try:
-        return build(store, t_a, t_b, cap)
+        return call(*args)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -44,6 +51,15 @@ class TestLoadManifest:
             load_manifest(path)
         assert exc.value.second == 4
         assert "4" in str(exc.value)
+
+    @pytest.mark.parametrize("duration", ["1e12", "1e300"])
+    def test_a_claimed_duration_past_the_file_reports_the_first_gap(self, tmp_path, duration):
+        """Memory grows with the file, not with the duration its header claims."""
+        path = tmp_path / "huge.manifest"
+        path.write_text(f"#video_id\tv\tduration\t{duration}\n0\tf0.jpg\n", encoding="utf-8")
+        with pytest.raises(ManifestGapError, match="second 1$") as exc:
+            load_manifest(path)
+        assert exc.value.second == 1
 
     def test_gap_error_names_the_file(self, tmp_path):
         path = tmp_path / "gap.manifest"
@@ -81,6 +97,45 @@ class TestLoadManifest:
                 load_manifest(path)
             except ValueError as exc:
                 assert str(path) in str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        duration=st.sampled_from(["4", "3.5", "0", "-1", "nan", "inf", "x", "1e12", "1e300"]),
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.one_of(
+                        st.integers(-1, 5).map(str),
+                        st.sampled_from([" 2", "2 ", "+1", "03", "1_0", "\u0663", "x", ""]),
+                    ),
+                    st.sampled_from(
+                        ["f.jpg", " f.jpg ", "f\u3000", "", " ", "a\0b", "a\tb", "ﬁ.jpg"]
+                    ),
+                ).map("\t".join),
+                st.sampled_from(["", " ", "\t", " \t ", "\x0b", "1\t2\t3", "4"]),
+            ),
+            max_size=8,
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=st.booleans(),
+    )
+    @example(duration="4", lines=[f"{s}\tf{s}.jpg" for s in range(4)], newline="\r\n", bom=True)
+    @example(duration="1e12", lines=[], newline="\n", bom=False)
+    @example(duration="1e12", lines=["0\ta.jpg", "1\tb.jpg"], newline="\n", bom=False)
+    def test_a_manifest_reads_as_the_line_by_line_oracle_reads_it(
+        self, duration, lines, newline, bom
+    ):
+        """Result or error type and message: gaps, duplicates, CRLF, a BOM, blank and
+        whitespace lines, signed or spaced seconds and bad URIs alike. A header claiming
+        far more seconds than the file holds reports its first gap without building a
+        frame list of the claimed length."""
+        text = newline.join([f"#video_id\tv\tduration\t{duration}", *lines])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.manifest"
+            path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+            assert _result_or_error(load_manifest, path) == _result_or_error(
+                reference_load_manifest, path
+            )
 
     @pytest.mark.parametrize(
         "video_id", ["../escaped", "a/b", "/abs", "a\\b", "a\0b", ".", ".."]
@@ -200,11 +255,19 @@ class TestFramesBetween:
             (10.0, 6.0, 5.0, 30),  # the errors stay the same
             (10.0, 5.0, 10.5, 30),
             (10.0, 0.0, 5.0, 0),
+            (10.0, 0.0, 5.0, -1),
+            (10.0, math.nan, 5.0, 30),
+            (10.0, 0.0, math.nan, 30),
+            (10.0, math.inf, math.inf, 30),
+            (10.0, 0.0, math.inf, 30),
+            (10.0, -math.inf, 5.0, 30),
+            (10.0, -1.0, 5.0, 30),
+            (10.0, -0.0, -0.0, 30),
         ],
     )
     def test_edge_cases_match_the_second_by_second_build(self, duration, t_a, t_b, cap):
         store = synth_store(duration=duration)
-        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+        assert _result_or_error(frames_between, store, t_a, t_b, cap) == _result_or_error(
             reference_frames_between, store, t_a, t_b, cap
         )
 
@@ -224,7 +287,26 @@ class TestFramesBetween:
         t_a = data.draw(moment, label="t_a")
         t_b = data.draw(st.one_of(moment, st.just(t_a)), label="t_b")
         cap = data.draw(st.integers(0, 45), label="cap")
-        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+        assert _result_or_error(frames_between, store, t_a, t_b, cap) == _result_or_error(
+            reference_frames_between, store, t_a, t_b, cap
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_any_float_window_passes_or_fails_as_the_checks_say(self, data):
+        """NaN, infinities, negative times, a reversed window and caps below 1 raise
+        the checks' own error, type and message; every other window is served."""
+        duration = data.draw(st.floats(0.0, 40.0), label="duration")
+        store = synth_store(duration=duration)
+        moment = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-3.0, duration + 3.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0, duration]),
+        )
+        t_a = data.draw(moment, label="t_a")
+        t_b = data.draw(moment, label="t_b")
+        cap = data.draw(st.integers(-2, 45), label="cap")
+        assert _result_or_error(frames_between, store, t_a, t_b, cap) == _result_or_error(
             reference_frames_between, store, t_a, t_b, cap
         )
 
@@ -247,7 +329,7 @@ class TestFrameStore:
         t_a = data.draw(moment, label="t_a")
         t_b = data.draw(st.one_of(moment, st.just(t_a)), label="t_b")
         cap = data.draw(st.integers(1, 14), label="cap")
-        assert _window_or_error(frames_between, store, t_a, t_b, cap) == _window_or_error(
+        assert _result_or_error(frames_between, store, t_a, t_b, cap) == _result_or_error(
             reference_frames_between, store, t_a, t_b, cap
         )
 

@@ -9,9 +9,9 @@ import os
 import re
 import threading
 import time
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Protocol
+from typing import Any, Callable, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
 from .core import (
@@ -99,37 +99,124 @@ class ReplayMismatchError(ReplayMissError):
         )
 
 
+class _Frame:
+    """A local frame file's bytes, read once, and their base64 and SHA-256 digest,
+    each made from those bytes at first use."""
+
+    __slots__ = ("data", "_base64", "_digest")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self._base64: bytes | None = None
+        self._digest: bytes | None = None
+
+    def base64(self) -> bytes:
+        if self._base64 is None:
+            import base64
+
+            self._base64 = base64.b64encode(self.data)
+        return self._base64
+
+    def digest(self) -> bytes:
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.data).digest()
+        return self._digest
+
+
+class ReadAhead:
+    """One session's frames, made ready for its next request while the current one is in flight.
+
+    `run_session` makes one per session when its backend `reads_ahead`,
+    passes it to each request, and sets `next` before each request to the
+    frames the next request holds at the least. During the request's POST,
+    `warm` keeps that request's frames and reads, base64-encodes and hashes
+    each frame of `next` it lacks; the next request takes its frames from
+    there, and what it does not take is dropped at the following `warm`. A
+    read that fails is not kept: the request that needs the frame reads it
+    itself and reports the failure.
+    """
+
+    __slots__ = ("next", "ready")
+
+    def __init__(self) -> None:
+        self.next: tuple[str, ...] = ()
+        self.ready: dict[str, _Frame] = {}
+
+    def warm(self, held: Mapping[str, _Frame | OSError | None]) -> None:
+        """Make the frames of `next` ready, handing on those of `held`, the current request's."""
+        ready = {uri: frame for uri, frame in held.items() if isinstance(frame, _Frame)}
+        for uri in self.next:
+            if uri in ready:
+                continue
+            try:
+                path = _local_path(uri)
+                if path is None:
+                    continue
+                frame = _Frame(_read_file(path))
+            except OSError:
+                continue
+            frame.base64()
+            frame.digest()
+            ready[uri] = frame
+        self.ready = ready
+
+
 class GeneratorRequest(Record):
     """One backend query: the rendered prompt, decoded with `TEMPERATURE` and
-    at most `MAX_OUTPUT_UNITS` tokens."""
+    at most `MAX_OUTPUT_UNITS` tokens.
+
+    `read_ahead`, the session's `ReadAhead` when its backend reads ahead,
+    supplies the frames made ready during the previous request. It is no
+    field: it takes no part in ==, hash or repr.
+    """
+
+    _fields = ("prompt", "model_id", "decision_time")
 
     def __init__(
-        self, prompt: RenderedPrompt, model_id: str, decision_time: Seconds | None = None
+        self,
+        prompt: RenderedPrompt,
+        model_id: str,
+        decision_time: Seconds | None = None,
+        read_ahead: ReadAhead | None = None,
     ) -> None:
         if len(prompt.attachments) > ATTACHMENT_LIMIT:
             raise PayloadTooLargeError(
                 f"{len(prompt.attachments)} attachments exceed the limit of {ATTACHMENT_LIMIT}"
             )
-        self.__dict__.update(prompt=prompt, model_id=model_id, decision_time=decision_time)
+        self.__dict__.update(
+            prompt=prompt, model_id=model_id, decision_time=decision_time, read_ahead=read_ahead
+        )
 
     @cached_property
-    def frame_bytes(self) -> dict[str, bytes | OSError | None]:
-        """Each attachment's bytes, read at first use and then kept for this request.
+    def _frames(self) -> dict[str, _Frame | OSError | None]:
+        """Each attachment's frame, taken from `read_ahead` or read at first use, then kept.
 
-        A local file (plain path or `file:` URI) maps to its bytes, or to
+        A local file (plain path or `file:` URI) maps to its frame, or to
         the `OSError` reading it raised; data and `http(s)://` URIs map to
-        None. The cache key and the request body both use these bytes, so
+        None. The cache key and the request body both use these frames, so
         the key hashes exactly the bytes that were sent.
         """
-        frames: dict[str, bytes | OSError | None] = {}
+        ready = self.read_ahead.ready if self.read_ahead is not None else {}
+        frames: dict[str, _Frame | OSError | None] = {}
         for uri in self.prompt.attachments:
             if uri not in frames:
-                try:
-                    path = _local_path(uri)
-                    frames[uri] = None if path is None else _read_file(path)
-                except OSError as exc:
-                    frames[uri] = exc.with_traceback(None)
+                frame = ready.get(uri)
+                if frame is None:
+                    try:
+                        path = _local_path(uri)
+                        frame = None if path is None else _Frame(_read_file(path))
+                    except OSError as exc:
+                        frame = exc.with_traceback(None)
+                frames[uri] = frame
         return frames
+
+    @property
+    def frame_bytes(self) -> dict[str, bytes | OSError | None]:
+        """Each attachment's bytes, as the request sends and hashes them (see `_frames`)."""
+        return {
+            uri: frame.data if isinstance(frame, _Frame) else frame
+            for uri, frame in self._frames.items()
+        }
 
 
 class GeneratorResponse(Record):
@@ -140,7 +227,11 @@ class GeneratorResponse(Record):
 
 
 class Generator(Protocol):
-    """Anything that can answer one prompt at a time."""
+    """Anything that can answer one prompt at a time.
+
+    One whose `reads_ahead` attribute is true gets its session's `ReadAhead`
+    with each request; one without that attribute reads nothing ahead.
+    """
 
     model_id: str
 
@@ -553,7 +644,17 @@ class _HttpSession:
         before, _, after = head.partition(b"\r\nContent-Length: \r\n")
         return before + b"\r\nContent-Length: ", b"\r\n" + after
 
-    def post(self, url: str, *, data: bytes, headers: dict[str, str], timeout: float) -> _Reply:
+    def post(
+        self,
+        url: str,
+        *,
+        data: bytes,
+        headers: dict[str, str],
+        timeout: float,
+        in_flight: Callable[[], None] | None = None,
+    ) -> _Reply:
+        """POST `data` to `url`; `in_flight`, if given, runs once the request is sent,
+        before its reply is read."""
         head = self._head
         if head is None or head[0] != url or head[1] != headers:
             head = self._head = (url, dict(headers), *self._split_head(url, headers))
@@ -561,6 +662,8 @@ class _HttpSession:
         conn = self._connection(timeout)
         try:
             conn.sock.sendall(b"".join((before, b"%d" % len(data), after, data)))
+            if in_flight is not None:
+                in_flight()
             status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
@@ -694,25 +797,25 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     The JSON up to the prompt text is built once per model id. `json`
     encodes the prompt text and each data or `http(s)://` URI; each local
     frame's base64 is spliced in as bytes, since base64 needs no JSON
-    escape. The frames are `request.frame_bytes`; one that could not be
-    read raises its `OSError`, as `build_chat_payload` does.
+    escape. The frames are the request's, each base64-encoded once, unless
+    the read-ahead made it ready; one that could not be read raises its
+    `OSError`, as `build_chat_payload` does.
     """
-    import base64
     import json
 
     parts = [_body_prefix(request.model_id), json.dumps(request.prompt.text).encode("ascii"), b"}"]
-    frames = request.frame_bytes
+    frames = request._frames
     for uri in request.prompt.attachments:
-        data = frames[uri]
+        frame = frames[uri]
         parts.append(_IMAGE_PART)
-        if data is None:
+        if frame is None:
             parts.append(json.dumps(uri).encode("utf-8"))
-        elif isinstance(data, OSError):
-            raise data
+        elif isinstance(frame, OSError):
+            raise frame
         else:
             parts += (
                 f'"data:{_image_type(_local_path(uri))};base64,'.encode("ascii"),
-                base64.b64encode(data),
+                frame.base64(),
                 b'"',
             )
         parts.append(b"}}")
@@ -765,7 +868,9 @@ class _Endpoint:
         self._session = session if session is not None else _HttpSession(self.base_url)
         self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
-    def _post(self, path: str, body: bytes) -> tuple[HttpReply, float]:
+    def _post(
+        self, path: str, body: bytes, in_flight: Callable[[], None] | None = None
+    ) -> tuple[HttpReply, float]:
         """POST the JSON `body` to `base_url + path`; the 200 reply and its latency in seconds.
 
         Rate limits (429), server errors (5xx) and transport failures are retried
@@ -773,6 +878,9 @@ class _Endpoint:
         before retry n; each retry is logged as a warning, and resends `body` as
         it is. Each attempt holds one of the `MAX_CONCURRENCY` slots. Other
         statuses raise their typed `BackendError` at once.
+
+        `in_flight` runs at most once, in the first attempt: on its own client
+        while the request is in flight, on a caller's session after the reply.
         """
         url = self.base_url + path
         last_error: BackendError = TransportError("no attempt made")
@@ -787,12 +895,22 @@ class _Endpoint:
             with self._slots:
                 started = time.monotonic()
                 try:
-                    resp = self._session.post(
-                        url, data=body, headers=self._headers, timeout=self._TIMEOUT
-                    )
+                    if isinstance(self._session, _HttpSession):
+                        resp = self._session.post(
+                            url, data=body, headers=self._headers, timeout=self._TIMEOUT,
+                            in_flight=in_flight,
+                        )
+                    else:
+                        resp = self._session.post(
+                            url, data=body, headers=self._headers, timeout=self._TIMEOUT
+                        )
+                        if in_flight is not None:
+                            in_flight()
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
+                finally:
+                    in_flight = None
                 latency = time.monotonic() - started
             if resp.status_code == 200:
                 return resp, latency
@@ -828,13 +946,17 @@ class RemoteChatBackend(_Endpoint):
     """
 
     _ENV = (ENV_API_BASE, ENV_API_KEY, ENV_MODEL)
+    # Sessions hand it a `ReadAhead`: the next request's frames are read during each POST.
+    reads_ahead = True
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
             body = chat_request_body(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
-        resp, latency = self._post("/chat/completions", body)
+        ahead = request.read_ahead
+        in_flight = None if ahead is None else partial(ahead.warm, request._frames)
+        resp, latency = self._post("/chat/completions", body, in_flight)
         return GeneratorResponse(raw_text=_extract_content(resp), latency=latency)
 
 
@@ -873,7 +995,7 @@ class CacheKey(NamedTuple):
 
 
 def _frames_hash(request: GeneratorRequest) -> str:
-    """Content hash of a request's local attachments, in order, from `request.frame_bytes`.
+    """Content hash of a request's local attachments, in order, from the request's frames.
 
     Data and remote URIs are skipped: the prompt digest already covers them.
     A local file that does not exist hashes as a fixed marker, since scripted
@@ -881,17 +1003,17 @@ def _frames_hash(request: GeneratorRequest) -> str:
     failure raises its `OSError`.
     """
     h = hashlib.sha256()
-    frames = request.frame_bytes
+    frames = request._frames
     for uri in request.prompt.attachments:
-        data = frames[uri]
-        if data is None:
+        frame = frames[uri]
+        if frame is None:
             continue
-        if isinstance(data, (FileNotFoundError, NotADirectoryError)):
+        if isinstance(frame, (FileNotFoundError, NotADirectoryError)):
             h.update(b"missing")
-        elif isinstance(data, OSError):
-            raise data
+        elif isinstance(frame, OSError):
+            raise frame
         else:
-            h.update(hashlib.sha256(data).digest())
+            h.update(frame.digest())
     return h.hexdigest()[:16]
 
 
@@ -1038,6 +1160,8 @@ class ReplayCache:
         self._inner = inner
         self._log = log
         self.model_id = inner.model_id
+        # Only `record` reaches the inner backend, the one that may read ahead.
+        self.reads_ahead = log.mode == "record" and getattr(inner, "reads_ahead", False)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:

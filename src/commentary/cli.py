@@ -483,15 +483,22 @@ def _scores(report: EvalReport) -> dict[str, float]:
     return {KEY_ALIGNMENT: report.alignment, KEY_ROUGE: report.rouge_l, KEY_OVERLAP: report.overlap}
 
 
+def _write_utf8(path: Path, text: str) -> None:
+    with open(path, "wb") as f:  # opened before encoding, as `Path.write_text` does
+        f.write(text.encode("utf-8"))
+
+
 def _write(path: Path, text: str, label: str = "output") -> None:
-    """Write `text` to `path`, making its dir; an error doing so is a CliError naming `path`."""
-    _loaded(f"{label} {path}: ", path.parent.mkdir, parents=True, exist_ok=True)
-    _loaded(f"{label} {path}: ", path.write_text, text, encoding="utf-8")
+    """Write `text` in UTF-8 to `path`, in a dir that exists; an error doing so is a
+    CliError naming `path`."""
+    _loaded(f"{label} {path}: ", _write_utf8, path, text)
 
 
 def _write_report(path: str | None, lines: list[str]) -> None:
     if path:
-        _write(Path(path), "\n".join(lines) + "\n", "report")
+        report = Path(path)
+        _loaded(f"report {report}: ", report.parent.mkdir, parents=True, exist_ok=True)
+        _write(report, "\n".join(lines) + "\n", "report")
 
 
 def _load_pairs(

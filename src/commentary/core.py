@@ -66,10 +66,11 @@ class Record:
     """Base of the immutable value types: ==, hash and repr over its fields, in order.
 
     A record's fields are the parameters of its `__init__`, read once per
-    class. The `__init__` checks its arguments, then stores the fields, and
-    any value derived from them, with one `self.__dict__.update(...)`. An
-    attribute that is not a parameter, such as a derived or cached value,
-    takes no part in ==, hash or repr. Build a changed copy with `replace`.
+    class, unless the class names them in its own `_fields`. The `__init__`
+    checks its arguments, then stores the fields, and any value derived from
+    them, with one `self.__dict__.update(...)`. An attribute that is not a
+    field, such as a derived or cached value, takes no part in ==, hash or
+    repr. Build a changed copy with `replace`.
     """
 
     _fields: tuple[str, ...] = ()
@@ -79,8 +80,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+        if "_fields" not in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
 
     def _values(self) -> tuple:
         d = self.__dict__

@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .backends import ATTACHMENT_LIMIT, BackendError, Generator, GeneratorRequest
+from .backends import ATTACHMENT_LIMIT, BackendError, Generator, GeneratorRequest, ReadAhead
 from .core import (
     Clock,
     CommentaryTrack,
@@ -251,6 +251,10 @@ def run_session(
     first request. A backend failure aborts the session and the partial record
     carries the error; a replay-cache miss is no backend failure and propagates
     (it is a configuration problem, not a transient failure).
+
+    For a backend that reads ahead, each request carries the frames the next
+    window holds at the least, those from its own time t to t + step, so the
+    backend can make them ready while the request is in flight.
     """
     language = prompts.decision.language
     config.rate_model.for_language(language)  # raises ValueError for a language it lacks
@@ -263,6 +267,8 @@ def run_session(
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
     history: tuple[str, ...] = ()
+    # Asked once per session: other backends cost no work per decision.
+    read_ahead = ReadAhead() if getattr(backend, "reads_ahead", False) else None
     steps: list[SessionStep] = []
     error: str | None = None
     t_ms = last_ms = 0
@@ -277,8 +283,16 @@ def run_session(
         else:
             rendered = renderer.render(history, window)
 
+        if read_ahead is not None:
+            # The next decision comes at t + step at the earliest, its window starting at t.
+            end_ms = t_ms + step_ms
+            read_ahead.next = (
+                frames_between(store, t, from_ms(end_ms), config.window_cap)
+                if end_ms <= duration_ms
+                else ()
+            )
         try:
-            request = GeneratorRequest(rendered, backend.model_id, t)
+            request = GeneratorRequest(rendered, backend.model_id, t, read_ahead)
             response = backend.generate(request)
         except BackendError as exc:
             error = f"backend failure at step {len(steps)} (t={t:.3f}s): {exc}"

@@ -2,6 +2,7 @@
 
 import base64
 import builtins
+import errno
 import hashlib
 import io
 import json
@@ -708,8 +709,123 @@ class TestRecordedFrames:
                 key.update(hashlib.sha256(data).digest())
                 sent_frames += 1
             assert key.hexdigest()[:16] == recorded[step.prompt_digest]
-        assert sent_frames >= len(frames)
-        assert len(opened) == sent_frames
+        assert sent_frames > len(frames)  # frame 0 is sent at t = 0 and again at t = 1
+        # Each frame file is read once in the session, however many requests send it.
+        assert sorted(opened) == sorted(set(opened)) and len(opened) == len(frames)
+
+
+def _frame_files(directory, count):
+    """`count` frame files of distinct bytes in `directory`, and their paths in order."""
+    directory.mkdir()
+    paths = []
+    for s in range(count):
+        path = directory / f"{s:04d}.jpg"
+        path.write_bytes(bytes([s]) * (300 + s))
+        paths.append(path)
+    return paths
+
+
+def _sent_frames(sent):
+    """The frame bytes of one request the chat server received, in order."""
+    parts = sent["body"]["messages"][0]["content"][1:]
+    return [base64.b64decode(part["image_url"]["url"].split(",", 1)[1]) for part in parts]
+
+
+@pytest.mark.usefixtures("endpoint_constants")
+class TestReadAhead:
+    """The chat backend reads the next request's frames while the current one is in flight."""
+
+    def _session(self, server, paths, cache=None):
+        store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
+        backend = _client(server)
+        try:
+            generator = backend if cache is None else ReplayCache(backend, cache)
+            config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+            return run_session(store, config, generator, SimulatedClock(), prompt_set())
+        finally:
+            backend.close()
+
+    def test_the_next_frame_is_read_while_the_request_is_in_flight_and_never_again(
+        self, chat_server, tmp_path, monkeypatch
+    ):
+        chat_server.content = WAIT_TOKEN
+        paths = _frame_files(tmp_path / "frames", 8)
+        events = []
+
+        class SpySocket:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data):
+                self._sock.sendall(data)
+                events.append("sent")
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        read_file, read_reply, connect = (
+            backends._read_file, backends._read_reply, backends._Connection.__init__
+        )
+        monkeypatch.setattr(backends, "_read_file", lambda p: events.append(p) or read_file(p))
+        monkeypatch.setattr(
+            backends, "_read_reply", lambda r: events.append("reply") or read_reply(r)
+        )
+        monkeypatch.setattr(
+            backends._Connection, "__init__", lambda self, sock: connect(self, SpySocket(sock))
+        )
+        session = self._session(chat_server, paths)
+        monkeypatch.undo()
+        assert session.complete, session.error
+        assert [step.time for step in session.steps] == [float(t) for t in range(9)]
+        # Decision t sends frame t - 1 (frame 0 at t = 0 and 1); frame t is read once
+        # decision t's request is sent and before its reply is read, for the decision after.
+        expected = [str(paths[0])]
+        for t in range(9):
+            expected += ["sent", *([str(paths[t])] if 1 <= t <= 7 else []), "reply"]
+        assert events == expected
+        sent = [_sent_frames(request) for request in chat_server.requests]
+        assert sent == [[paths[max(0, t - 1)].read_bytes()] for t in range(9)]
+
+    def test_a_frame_gone_after_it_was_warmed_is_sent_as_read(
+        self, chat_server, tmp_path, monkeypatch
+    ):
+        paths = _frame_files(tmp_path / "frames", 6)
+        contents = [path.read_bytes() for path in paths]
+        warm = backends.ReadAhead.warm
+
+        def warm_then_delete(self, held):
+            warm(self, held)
+            for uri in self.ready:
+                if uri not in held:
+                    os.remove(uri)
+
+        monkeypatch.setattr(backends.ReadAhead, "warm", warm_then_delete)
+        session = self._session(chat_server, paths)
+        assert session.complete, session.error
+        assert [p.exists() for p in paths] == [True] + [False] * 5
+        sent = [_sent_frames(request) for request in chat_server.requests]
+        assert sent == [[contents[max(0, t - 1)]] for t in range(7)]
+
+    @pytest.mark.parametrize(
+        "cache, message", [(None, "for the request"), ("record", "for the cache key")]
+    )
+    def test_a_frame_unreadable_when_warmed_fails_the_next_request_as_before(
+        self, chat_server, tmp_path, monkeypatch, cache_log, cache, message
+    ):
+        paths = _frame_files(tmp_path / "frames", 6)
+        paths[3].unlink()
+        paths[3].mkdir()  # a frame that exists but cannot be read
+        errors = []
+        for reads_ahead, name in ((True, "ahead"), (False, "plain")):
+            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
+            log = cache and cache_log(cache, tmp_path / name)
+            session = self._session(chat_server, paths, log)
+            errors.append(session.error)
+        ahead, plain = errors
+        assert ahead == plain == (
+            f"backend failure at step 4 (t=4.000s): cannot read a frame {message}: "
+            f"[Errno {errno.EISDIR}] Is a directory: '{paths[3]}'"
+        )
 
 
 @pytest.mark.usefixtures("endpoint_constants")

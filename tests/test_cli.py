@@ -643,6 +643,43 @@ class TestSessionRunner:
         assert len(finished) == 6
         assert peak[0] == 2
 
+    def test_two_jobs_sharing_a_remote_backend_record_what_one_job_records(
+        self, workspace, monkeypatch
+    ):
+        """Each session reads its own frames ahead, so two sessions on two threads
+        sharing one remote backend send and record what one thread does."""
+        root = workspace["root"]
+        vids = root / "vids"
+        vids.mkdir()
+        for video_id in ("a", "b"):
+            frames = root / f"frames-{video_id}"
+            frames.mkdir()
+            lines = [f"#video_id\t{video_id}\tduration\t12"]
+            for s in range(12):
+                (frames / f"{s:04d}.jpg").write_bytes(f"{video_id} frame {s}".encode("ascii"))
+                lines.append(f"{s}\t{frames / f'{s:04d}.jpg'}")
+            (vids / f"{video_id}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with serving_chat() as server:
+            monkeypatch.setenv("COMMENTARY_API_BASE", f"http://127.0.0.1:{server.server_address[1]}")
+            monkeypatch.setenv("COMMENTARY_MODEL", "m")
+            for jobs in (1, 2):
+                cache = str(root / f"cache{jobs}")
+                args = self._args(
+                    workspace, vids, f"out{jobs}", jobs=jobs, strategy="realtime",
+                    cache="record", cache_dir=cache,
+                )
+                args[args.index("--backend") + 1] = "remote"
+                assert main(args) == 0
+        assert generated_files(root / "out1") == generated_files(root / "out2")
+        # The threads interleave their appends, and each latency is the one measured:
+        # the records agree in everything else.
+        logs = [
+            sorted((fields[:5], raw) for fields, raw in read_cache_log(root / name / "cache.log"))
+            for name in ("cache1", "cache2")
+        ]
+        assert logs[0] == logs[1]
+        assert len(logs[0]) == 2 * 13
+
     def test_a_replay_miss_exits_one_after_the_other_videos_finish(
         self, workspace, monkeypatch, capsys
     ):

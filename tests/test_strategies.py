@@ -4,7 +4,9 @@ import hashlib
 import math
 import random
 import types
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,8 +28,9 @@ from commentary import (
     speaking_timeline,
     to_srt,
 )
-from commentary import prompting, strategies
+from commentary import backends, prompting, strategies
 from commentary.backends import ATTACHMENT_LIMIT, GeneratorResponse, TransportError
+from commentary.core import from_ms, to_ms
 from commentary.cli import render_trace
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
@@ -631,6 +634,102 @@ class TestRendererInTheSession:
         history_bytes = len(prompting.serialize_history(said).encode("utf-8"))
         # A rehash of the whole text per Speak would hash about 100 times the history.
         assert hashed[0] <= 2 * history_bytes + 600 * 64
+
+
+class _ReadingBackend:
+    """A chat backend's frame work without the HTTP: each request's frames are read
+    before it is sent, and with `reads_ahead` the next ones are warmed while it is in
+    flight. Replies come from `replies` in turn, each after advancing the clock by
+    the next of `delays_ms`. Records each request's attachments and the frames the
+    warm step read, those made ready that the request does not hold."""
+
+    model_id = "reading"
+
+    def __init__(self, clock, replies, delays_ms, reads_ahead):
+        self.clock = clock
+        self.replies = replies
+        self.delays_ms = delays_ms
+        self.reads_ahead = reads_ahead
+        self.sent = []
+
+    def generate(self, request):
+        index = len(self.sent)
+        request._frames  # what the body and the cache key are built from
+        warmed = ()
+        if request.read_ahead is not None:
+            request.read_ahead.warm(request._frames)
+            warmed = tuple(uri for uri in request.read_ahead.ready if uri not in request._frames)
+        self.sent.append((request.prompt.attachments, warmed))
+        self.clock.advance_to(self.clock.now() + from_ms(self.delays_ms[index % len(self.delays_ms)]))
+        return GeneratorResponse(self.replies[index % len(self.replies)], 0.0)
+
+
+class TestReadAhead:
+    """A backend that reads ahead is handed the frames of the next window, and the
+    session it runs is the one a backend that does not read ahead runs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(list(StrategyKind)),
+        step_ms=st.integers(250, 4000),
+        cap=st.integers(1, 6),
+        duration_ms=st.integers(0, 25_000),
+        shots=st.integers(0, 3),
+        replies=st.lists(
+            st.sampled_from(["<WAIT>", "", "go", "the red car leads", "go " * 20]),
+            min_size=1,
+            max_size=6,
+        ),
+        delays_ms=st.lists(st.sampled_from([0, 0, 600, 2500]), min_size=1, max_size=4),
+    )
+    def test_the_next_window_is_warmed_once_and_nothing_else_changes(
+        self, kind, step_ms, cap, duration_ms, shots, replies, delays_ms
+    ):
+        store = synth_store(duration=from_ms(duration_ms))
+        icl = kind is StrategyKind.FEEDBACK_ICL
+        cfg = StrategyConfig(
+            kind=kind, step=from_ms(step_ms), window_cap=cap, icl_shots=shots if icl else None
+        )
+        prompts = prompt_set(demonstrations=_demos(shots))
+
+        def run(reads_ahead):
+            reads = Counter()
+
+            def read_file(path):
+                reads[path] += 1
+                return path.encode()
+
+            clock = SimulatedClock()
+            backend = _ReadingBackend(clock, replies, delays_ms, reads_ahead)
+            with mock.patch.object(backends, "_read_file", read_file):
+                record = run_session(store, cfg, backend, clock, prompts)
+            return record, backend.sent, reads
+
+        record, sent, reads = run(True)
+        plain, plain_sent, _ = run(False)
+        assert record == plain
+        assert to_srt(record.track) == to_srt(plain.track)
+        assert render_trace(record, 0) == render_trace(plain, 0)
+        assert [warmed for _, warmed in plain_sent] == [()] * len(plain_sent)
+        assert set(reads.values()) == {1}  # each frame file read once in the session
+
+        realtime = kind is StrategyKind.REALTIME
+        for i, (held, warmed) in enumerate(sent):
+            t_ms = to_ms(record.steps[i].time)
+            end_ms = t_ms + step_ms
+            if end_ms <= duration_ms:
+                earliest = frames_between(store, from_ms(t_ms), from_ms(end_ms), cap)
+                assert warmed == tuple(uri for uri in earliest if uri not in held)
+            else:
+                assert warmed == ()  # there is no next decision
+            if i + 1 == len(sent):
+                continue  # the session ended
+            next_ms = to_ms(record.steps[i + 1].time)
+            # A late reply moves a fixed window's start past t; the cap may cut a long one.
+            start_ms = t_ms if realtime else max(0, next_ms - step_ms)
+            whole = frames_between(store, from_ms(start_ms), from_ms(next_ms), 10**6)
+            if start_ms == t_ms and len(whole) <= cap:
+                assert set(warmed) <= set(sent[i + 1][0])
 
 
 class TestGenerationRecord:

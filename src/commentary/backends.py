@@ -210,14 +210,6 @@ class GeneratorRequest(Record):
                 frames[uri] = frame
         return frames
 
-    @property
-    def frame_bytes(self) -> dict[str, bytes | OSError | None]:
-        """Each attachment's bytes, as the request sends and hashes them (see `_frames`)."""
-        return {
-            uri: frame.data if isinstance(frame, _Frame) else frame
-            for uri, frame in self._frames.items()
-        }
-
 
 class GeneratorResponse(Record):
     def __init__(self, raw_text: str, latency: Seconds) -> None:
@@ -404,6 +396,7 @@ def _dropped(sock: Any) -> bool:
 
 _MAX_LINE = 65536  # longest status, header or chunk-size line accepted in a reply
 _MAX_FIELDS = 100  # most header (or trailer) lines accepted in a reply
+_MAX_PIECE = 1 << 20  # most body bytes asked of the socket in one read
 _STATUS_LINE = re.compile(rb"(HTTP/\d\.\d) (\d{3})(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _LINE_BREAK = re.compile(r"[\r\n]")
@@ -443,10 +436,16 @@ def _read_head(reader: Any) -> tuple[bytes, int, dict[bytes, bytes]]:
 
 
 def _read_exactly(reader: Any, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) < size:
-        raise ConnectionError(f"connection closed after {len(data)} of {size} body bytes")
-    return data
+    """`size` body bytes, asked for at most `_MAX_PIECE` at a time, so that a size the
+    reply states is never allocated before its bytes arrive."""
+    pieces, got = [], 0
+    while got < size:
+        piece = reader.read(min(size - got, _MAX_PIECE))
+        if not piece:
+            raise ConnectionError(f"connection closed after {got} of {size} body bytes")
+        pieces.append(piece)
+        got += len(piece)
+    return b"".join(pieces)  # one piece is returned as it is, not copied
 
 
 def _read_chunked(reader: Any) -> bytes:
@@ -964,7 +963,7 @@ def _extract_content(resp: HttpReply) -> str:
     try:
         data = resp.json()
         content = data["choices"][0]["message"]["content"]
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise TransportError(f"malformed chat-completion response: {exc}") from exc
     if content is None:  # no text, e.g. cut off by the token limit: a Wait
         return ""
@@ -1096,7 +1095,8 @@ class CacheLog:
                 raw = data[eol + 1 : eol + 1 + size].decode("utf-8")
                 self._records.setdefault(key, (latency_ms, raw))
                 self._last_key[key.digest] = key
-            except (ValueError, TypeError) as exc:  # TypeError: wrong shape or unhashable field
+            # TypeError: wrong shape or unhashable field; RecursionError: deep JSON
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{self.path}: corrupt record at byte {pos}: {exc}") from exc
             pos = eol + 1 + size
         return pos

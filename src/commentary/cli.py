@@ -7,10 +7,8 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import threading
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -31,7 +29,7 @@ from .core import (
     Record,
     SimulatedClock,
     WallClock,
-    check_seconds,
+    check_timeline_seconds,
     entries_ending,
     read_utf8,
     replace,
@@ -44,11 +42,8 @@ from .evaluation import (
     SimilarityScorer,
     evaluate,
     load_reference,
-    parse_transcript,
     reference_from_srt_text,  # noqa: F401 (perfbench/tracing.py wraps it by this name)
-    srt_reference,
     timing_alignment,
-    transcript_reference,
 )
 from .media import DEFAULT_WINDOW_CAP, FrameStore, load_manifest
 from .prompting import (
@@ -68,7 +63,7 @@ from .strategies import (
     default_unit_for_language,
     run_session,
 )
-from .subtitles import parse_srt, to_srt
+from .subtitles import parse_srt, to_srt  # noqa: F401 (perfbench/tracing.py wraps parse_srt)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -318,14 +313,6 @@ def render_trace(record: GenerationRecord, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _timeline_seconds(value: float, name: str) -> float:
-    """`check_seconds(value, name)`, and no longer than a per-second timeline
-    (`core.speaking_timeline`) can index: rounded up, at most `sys.maxsize`."""
-    if math.ceil(check_seconds(value, name)) > sys.maxsize:
-        raise ValueError(f"{name} must be at most {sys.maxsize} seconds, got {value!r}")
-    return value
-
-
 def read_trace_header(path: Path) -> tuple[float | None, str | None]:
     """The `#duration` and `#language` of a trace's header, None for a line it lacks;
     a `#duration` that is not a time a timeline can hold raises ValueError naming the file."""
@@ -336,7 +323,7 @@ def read_trace_header(path: Path) -> tuple[float | None, str | None]:
         key, _, value = line.partition("\t")
         if key == "#duration":
             try:
-                duration = _timeline_seconds(float(value), "#duration")
+                duration = check_timeline_seconds(float(value), "#duration")
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
         elif key == "#language":
@@ -456,28 +443,6 @@ def _trace_duration(trace: Path, language: str) -> float | None:
     return duration
 
 
-def _parsed_pair_file(
-    path: Path, language: str
-) -> tuple[float, Callable[[str, float], CommentaryTrack]]:
-    """A pair's file, read and parsed once: its latest display end (the latest entry end
-    or transcript start, at least 0, each a time a timeline can hold) and the builder of
-    its track for a video id and duration, as `load_reference` builds it. A ValueError
-    names the file."""
-    text = read_utf8(path)
-    try:
-        if path.suffix.lower() == ".srt":
-            entries = parse_srt(text)
-            ends = [_timeline_seconds(e.end, "end") for e in entries]
-            build = partial(srt_reference, entries)
-        else:
-            rows = parse_transcript(text)
-            ends = [_timeline_seconds(start, "start") for start, _ in rows]
-            build = partial(transcript_reference, rows, language=language)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return max([0.0, *ends]), build
-
-
 def _scores(report: EvalReport) -> dict[str, float]:
     """The report's scores by report key, each a row and a stdout line per video and as a mean."""
     return {KEY_ALIGNMENT: report.alignment, KEY_ROUGE: report.rouge_l, KEY_OVERLAP: report.overlap}
@@ -522,21 +487,16 @@ def _load_pairs(
         raise CliError(f"no .srt files found in {gen_dir}")
     pairs = []
     for video_id in sorted(gen_ids):
-        label, ref_path = f"{video_id}: ", ref_files[video_id]
-        gen_path, trace = gen_dir / f"{video_id}.srt", gen_dir / f"{video_id}.trace"
-        duration = _loaded(label, _trace_duration, trace, language)
-        if duration is not None:
-            gen_track = _loaded(label, load_reference, gen_path, video_id, duration, language)
-            ref_track = _loaded(label, load_reference, ref_path, video_id, duration, language)
-        else:
-            # No duration at hand: take the latest display end across both sides.
-            parsed = [
-                (p, *_loaded(label, _parsed_pair_file, p, language)) for p in (gen_path, ref_path)
-            ]
-            duration = max(end for _, end, _ in parsed)
-            gen_track, ref_track = [
-                _loaded(f"{label}{p}: ", build, video_id, duration) for p, _, build in parsed
-            ]
+        label = f"{video_id}: "
+        duration = _loaded(label, _trace_duration, gen_dir / f"{video_id}.trace", language)
+        gen_track, ref_track = [
+            _loaded(label, load_reference, path, video_id, duration, language)
+            for path in (gen_dir / f"{video_id}.srt", ref_files[video_id])
+        ]
+        if duration is None:  # no trace: both run to the later of the two files' ends
+            duration = max(gen_track.video_duration, ref_track.video_duration)
+            gen_track = replace(gen_track, video_duration=duration)
+            ref_track = replace(ref_track, video_duration=duration)
         pairs.append((video_id, gen_track, ref_track))
     return pairs
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Protocol, TypeVar, Union
@@ -185,6 +186,14 @@ class CommentaryTrack(Record):
         self.__dict__.update(
             video_id=video_id, utterances=utterances, video_duration=video_duration
         )
+
+
+def check_timeline_seconds(value: float, name: str) -> float:
+    """`check_seconds(value, name)`, and no longer than a per-second timeline
+    (`speaking_timeline`) can index: rounded up, at most `sys.maxsize`."""
+    if math.ceil(check_seconds(value, name)) > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize} seconds, got {value!r}")
+    return value
 
 
 def speaking_timeline(track: CommentaryTrack) -> list[bool]:

@@ -22,6 +22,7 @@ from .core import (
     Seconds,
     Utterance,
     check_seconds,
+    check_timeline_seconds,
     read_utf8,
     speaking_timeline,
 )
@@ -33,7 +34,7 @@ from .strategies import (
     estimate_duration,
     unit_tokens,
 )
-from .subtitles import SrtEntry, overlap_proportion, parse_srt, track_entries
+from .subtitles import overlap_proportion, parse_srt, track_entries
 
 ENV_EMBED_API_BASE = "COMMENTARY_EMBED_API_BASE"
 ENV_EMBED_API_KEY = "COMMENTARY_EMBED_API_KEY"
@@ -101,7 +102,8 @@ class EmbeddingScorer(_Endpoint):
         try:
             data = resp.json()["data"]
             embeddings = [item["embedding"] for item in data]
-        except (ValueError, LookupError, TypeError) as exc:
+        # RecursionError: deep JSON
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed embedding response from {url}: {exc!r}") from exc
         # A bool is an int to Python, zip would cut the longer vector short, and an
         # int beyond the float range would overflow the cosine (NaN compares false).
@@ -282,15 +284,19 @@ def _reference_track(
     )
 
 
-def reference_from_srt_text(text: str, video_id: str, video_duration: Seconds) -> CommentaryTrack:
-    """Build a reference track from SRT text, display spans giving the durations."""
-    return srt_reference(parse_srt(text), video_id, video_duration)
+def _latest_end(ends: Iterable[Seconds], name: str) -> Seconds:
+    """The latest of a file's display `ends`, at least 0, each a time a timeline can hold."""
+    return max([0.0, *(check_timeline_seconds(end, name) for end in ends)])
 
 
-def srt_reference(
-    entries: Iterable[SrtEntry], video_id: str, video_duration: Seconds
+def reference_from_srt_text(
+    text: str, video_id: str, video_duration: Seconds | None
 ) -> CommentaryTrack:
-    """A reference track from parsed SRT entries, display spans giving the durations."""
+    """Build a reference track from SRT text, display spans giving the durations. With
+    no `video_duration`, the track runs to the latest entry end."""
+    entries = parse_srt(text)
+    if video_duration is None:
+        video_duration = _latest_end((e.end for e in entries), "end")
     return _reference_track(
         ((e.start, e.text, e.end - e.start) for e in entries), video_id, video_duration
     )
@@ -318,18 +324,14 @@ def parse_transcript(text: str) -> list[tuple[Seconds, str]]:
 
 
 def reference_from_transcript_text(
-    text: str, video_id: str, video_duration: Seconds, language: str
+    text: str, video_id: str, video_duration: Seconds | None, language: str
 ) -> CommentaryTrack:
     """Build a reference track from `start_seconds<TAB>text` transcript lines, each
-    lasting its text's duration under the default speech-rate model."""
-    return transcript_reference(parse_transcript(text), video_id, video_duration, language)
-
-
-def transcript_reference(
-    rows: Iterable[tuple[Seconds, str]], video_id: str, video_duration: Seconds, language: str
-) -> CommentaryTrack:
-    """A reference track from parsed transcript (start, text) rows, as
-    `reference_from_transcript_text` builds it."""
+    lasting its text's duration under the default speech-rate model. With no
+    `video_duration`, the track runs to the latest start."""
+    rows = parse_transcript(text)
+    if video_duration is None:
+        video_duration = _latest_end((start for start, _ in rows), "start")
     # Lines past the video are dropped before a duration is estimated for them.
     rows = [(s, t) for s, t in rows if s <= video_duration]
     return _reference_track(
@@ -339,9 +341,14 @@ def transcript_reference(
 
 
 def load_reference(
-    path: str | Path, video_id: str, video_duration: Seconds, language: str
+    path: str | Path, video_id: str, video_duration: Seconds | None, language: str
 ) -> CommentaryTrack:
-    """A reference track from an .srt file or a transcript; a ValueError names the file."""
+    """A reference track from an .srt file or a transcript; a ValueError names the file.
+
+    With no `video_duration`, the track runs to the file's latest display end: the
+    latest entry end of an .srt, the latest start of a transcript, 0 for a file with
+    no lines.
+    """
     path = Path(path)
     text = read_utf8(path)
     try:

@@ -97,7 +97,8 @@ class TestFileUris:
             f"file://{path}",
             path,
         )
-        assert request_for(prompt(attachments=uris)).frame_bytes == dict.fromkeys(uris, b"frame")
+        frames = request_for(prompt(attachments=uris))._frames
+        assert {uri: frame.data for uri, frame in frames.items()} == dict.fromkeys(uris, b"frame")
 
     @pytest.mark.parametrize("form", ["file://elsewhere{}", "file://{}%00"], ids=["host", "nul"])
     def test_a_uri_naming_another_host_or_a_nul_is_a_missing_frame_named_by_it(
@@ -107,7 +108,7 @@ class TestFileUris:
         frame.write_bytes(b"frame")
         uri = form.format(frame.as_posix())
         request = request_for(prompt(attachments=(uri,)))
-        read = request.frame_bytes[uri]
+        read = request._frames[uri]
         assert isinstance(read, FileNotFoundError) and read.filename == uri
         # The cache key hashes it as it hashes any frame that does not exist.
         never = request_for(prompt(attachments=(f"{tmp_path}/never-written.jpg",)))
@@ -1120,10 +1121,15 @@ class TestConnections:
              "more than 100 header lines in a reply"),
             (b"HTTP/1.1 200 OK\r\ngarbage header\r\n\r\n",
              "malformed header line b'garbage header\\r\\n'"),
+            # Sizes no buffer could hold are read as far as the bytes go.
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000000\r\n\r\n",
+             "connection closed after 0 of 100000000000000 body bytes"),
+            (_CHUNKED + b"FFFFFFFFFFFF\r\nabc",
+             "connection closed after 3 of 281474976710655 body bytes"),
         ],
         ids=[
             "status-line", "content-length", "chunk-size", "chunk-too-long", "line-too-long",
-            "too-many-headers", "header-without-colon",
+            "too-many-headers", "header-without-colon", "huge-content-length", "huge-chunk",
         ],
     )
     def test_a_malformed_reply_is_a_transport_error(self, raw_server, closing, reply, reason):
@@ -1134,6 +1140,22 @@ class TestConnections:
         url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
         assert str(exc.value) == f"request to {url} failed: {reason}"
         assert len(server.heads) == backends.MAX_ATTEMPTS
+
+    def test_a_body_is_asked_for_in_pieces_of_at_most_one_mib(self):
+        """A body within one piece takes one `read`, as every stub reply does."""
+        sizes = []
+
+        class Counted(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        body = bytes(range(256)) * (backends._MAX_PIECE // 256 + 1)
+        assert backends._read_exactly(Counted(body), 300) == body[:300]
+        assert sizes == [300]
+        sizes.clear()
+        assert backends._read_exactly(Counted(body), len(body)) == body
+        assert sizes == [backends._MAX_PIECE, len(body) - backends._MAX_PIECE]
 
     def test_a_body_framed_by_the_close_parses(self, raw_server, closing):
         head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"  # no length
@@ -1150,8 +1172,11 @@ class TestConnections:
              "unexpected status 404 from {url}: not found"),
             (_reply_head(length=5) + b"hello", "malformed chat-completion response: "
              "Expecting value: line 1 column 1 (char 0)"),
+            # The interpreter words its recursion limit: only the prefix is ours.
+            (_reply_head(length=100_000) + b"[" * 100_000,
+             "malformed chat-completion response: ..."),
         ],
-        ids=["204", "404-with-body", "not-json"],
+        ids=["204", "404-with-body", "not-json", "nested-too-deep"],
     )
     def test_a_reply_with_no_chat_completion_is_a_transport_error(
         self, raw_server, closing, reply, message
@@ -1161,7 +1186,11 @@ class TestConnections:
         with pytest.raises(TransportError) as exc:
             self._generate(client)
         url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
-        assert str(exc.value) == message.format(url=url)
+        expected = message.format(url=url)
+        if expected.endswith("..."):  # a prefix
+            assert str(exc.value).startswith(expected[:-3])
+        else:
+            assert str(exc.value) == expected
         assert len(server.heads) == 1
 
     def test_https_goes_through_an_authenticated_connect_tunnel(

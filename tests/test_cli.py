@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import commentary
@@ -20,9 +20,17 @@ from commentary import cli, evaluation
 from commentary.cli import main, parse_rate_model, read_trace_header
 from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
+from commentary.core import replace
 from commentary.evaluation import EmbeddingScorer
+from commentary.subtitles import format_timestamp
 
-from helpers import read_cache_log, serving_chat, write_cache_log, write_manifest
+from helpers import (
+    CACHE_LOG_HEADER,
+    read_cache_log,
+    serving_chat,
+    write_cache_log,
+    write_manifest,
+)
 
 
 def read(path):
@@ -495,19 +503,22 @@ class TestReplay:
 
     @pytest.mark.parametrize(
         "column, value",
-        [(-2, -5), (-2, True), (-1, True)],
-        ids=["negative-latency", "true-latency", "true-length"],
+        [(-2, -5), (-2, True), (-1, True), (None, None)],
+        ids=["negative-latency", "true-latency", "true-length", "fields-nested-too-deep"],
     )
     def test_corrupt_latency_or_length_exits_one_naming_the_log(
         self, workspace, capsys, column, value
     ):
         cache = workspace["root"] / "cache"
         assert main(gen_args(workspace, out="rec", cache="record", cache_dir=str(cache))) == 0
-        records = read_cache_log(cache / "cache.log")
-        fields, raw = records[0]
-        fields[column] = value
-        records[0] = (fields, b"x" if column == -1 else raw)  # `true` as a length counts 1 byte
-        write_cache_log(cache / "cache.log", records)
+        if column is None:  # a first record whose fields line is nested too deep to parse
+            (cache / "cache.log").write_bytes(CACHE_LOG_HEADER + b"[" * 100_000 + b"\n")
+        else:
+            records = read_cache_log(cache / "cache.log")
+            fields, raw = records[0]
+            fields[column] = value
+            records[0] = (fields, b"x" if column == -1 else raw)  # `true` as a length counts 1 byte
+            write_cache_log(cache / "cache.log", records)
         capsys.readouterr()
         assert main(gen_args(workspace, out="rep", cache="replay", cache_dir=str(cache))) == 1
         err = capsys.readouterr().err
@@ -722,11 +733,11 @@ class TestSessionRunner:
 
 
 class FakeReply:
-    """An `HttpReply` carrying `body` as JSON."""
+    """An `HttpReply` carrying `body` as JSON, or as it is when it is bytes."""
 
     def __init__(self, status_code, body):
         self.status_code = status_code
-        self.text = json.dumps(body)
+        self.text = body.decode() if isinstance(body, bytes) else json.dumps(body)
 
     def json(self):
         return json.loads(self.text)
@@ -861,12 +872,11 @@ class TestEvaluateCommand:
             return read_text(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", counted_read)
-        for module in (cli, evaluation):
-            for name in ("parse_srt", "parse_transcript"):
-                parse = getattr(module, name)
-                monkeypatch.setattr(
-                    module, name, lambda text, parse=parse: parses.append(text) or parse(text)
-                )
+        for name in ("parse_srt", "parse_transcript"):
+            parse = getattr(evaluation, name)
+            monkeypatch.setattr(
+                evaluation, name, lambda text, parse=parse: parses.append(text) or parse(text)
+            )
         assert main(["evaluate", str(gen), str(ref)]) == 0
         assert sorted(reads) == sorted(["a.srt", ref_name])
         assert len(parses) == 2
@@ -1027,10 +1037,12 @@ class TestEvaluateCommand:
             {"data": [{"embedding": [True, 1.0]}, {"embedding": [1.0, 0.0]}]},
             {"data": [{"embedding": [float("nan"), 1.0]}, {"embedding": [1.0, 0.0]}]},
             {"data": [{"embedding": [10**400, 1.0]}, {"embedding": [1.0, 0.0]}]},
+            b"[" * 100_000,
         ],
         ids=[
             "no-data", "one-embedding-for-two-inputs", "string-component", "null-component",
             "unequal-lengths", "bool-component", "nan-component", "huge-int-component",
+            "nested-too-deep",
         ],
     )
     def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
@@ -1602,6 +1614,80 @@ class TestMillisecondTimes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# A subtitle line (start s, display ms, text) and a transcript line (start in quarter
+# seconds, text), with tied starts likely; texts mix English words and Japanese characters.
+_LINE_TEXT = st.lists(
+    st.sampled_from(["red", "car", "leads", "gap", "赤い", "車", "抜く"]), min_size=1, max_size=4
+).map(" ".join)
+_SRT_LINES = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6000), _LINE_TEXT), max_size=5)
+_TSV_LINES = st.lists(st.tuples(st.integers(0, 20), _LINE_TEXT), max_size=5)
+
+
+def _srt_of(lines) -> tuple[str, float]:
+    """SRT text of `lines`, starts in whole seconds, and its latest display end."""
+    ends = [(1000 * s + ms) / 1000 for s, ms, _ in lines]
+    blocks = [
+        f"{i}\n{format_timestamp(s)} --> {format_timestamp(end)}\n{text}\n"
+        for i, ((s, _, text), end) in enumerate(zip(lines, ends), 1)
+    ]
+    return "\n".join(blocks), max([0.0, *ends])
+
+
+def _pair_file(ref: str, srt_lines, tsv_lines) -> tuple[str, float]:
+    """A reference file's text, SRT or transcript as `ref` names it, and its latest display end."""
+    if ref == "srt":
+        return _srt_of(srt_lines)
+    tsv = "".join(f"{s / 4!r}\t{text}\n" for s, text in tsv_lines)
+    return tsv, max([0.0, *(s / 4 for s, _ in tsv_lines)])
+
+
+# No explain phase: it traces every line `main` runs, which on a failure took minutes.
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
+@given(
+    gen_lines=_SRT_LINES,
+    ref=st.sampled_from(["srt", "tsv"]),
+    srt_lines=_SRT_LINES,
+    tsv_lines=_TSV_LINES,
+    language=st.sampled_from(["en", "ja"]),
+    extra_ms=st.integers(0, 5000),
+)
+def test_a_pair_with_no_trace_scores_as_one_traced_to_its_latest_display_end(
+    tmp_path, gen_lines, ref, srt_lines, tsv_lines, language, extra_ms
+):
+    """`evaluate` of an untraced pair gives the stdout and report of the same pair with a
+    trace of `#duration` the later of the two files' latest display ends; and a file read
+    with no duration, re-dated to any D not before its own, is the file read with D."""
+    run = tmp_path / str(len(list(tmp_path.iterdir())))
+    gen, refs = run / "gen", run / "refs"
+    gen.mkdir(parents=True)
+    refs.mkdir()
+    gen_text, gen_end = _srt_of(gen_lines)
+    ref_text, ref_end = _pair_file(ref, srt_lines, tsv_lines)
+    (gen / "v.srt").write_text(gen_text, encoding="utf-8")
+    (refs / f"v.{ref}").write_text(ref_text, encoding="utf-8")
+
+    def evaluated(report: Path) -> tuple[int, str, bytes]:
+        argv = ["evaluate", str(gen), str(refs), "--language", language, "--report", str(report)]
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        return code, out.getvalue(), report.read_bytes()
+
+    untraced = evaluated(run / "untraced.tsv")
+    (gen / "v.trace").write_text(f"#duration\t{max(gen_end, ref_end)!r}\n", encoding="utf-8")
+    assert untraced == evaluated(run / "traced.tsv")
+    assert untraced[0] == 0
+
+    for path, own_end in ((gen / "v.srt", gen_end), (refs / f"v.{ref}", ref_end)):
+        own = evaluation.load_reference(path, "v", None, language)
+        assert own.video_duration == own_end
+        duration = own_end + extra_ms / 1000
+        dated = evaluation.load_reference(path, "v", duration, language)
+        assert replace(own, video_duration=duration) == dated
+
+
 # Time settings from subnormal to near the largest float, and counts past any a
 # machine word holds; each mixed with values a run takes, so sessions run too.
 _TIMES = st.floats(min_value=1e-320, max_value=1e308) | st.integers(10, 4000).map(
@@ -1962,10 +2048,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         # Names the program keeps only for the benchmark's wraps.
         "backends.build_chat_payload",
         "backends.encode_image_uri",
+        "cli.parse_srt",
         "cli.reference_from_srt_text",
         "strategies.render_decision",
-        # Runs only for a pair with no trace.
-        "cli.parse_srt",
     ])
 
 

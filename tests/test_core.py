@@ -276,7 +276,7 @@ class TestRecord:
 
     def test_eq_and_hash_ignore_the_read_frame_bytes(self):
         read, fresh = request(), request()
-        assert read.frame_bytes == {"data:image/jpeg;base64,AAAA": None}
+        assert read._frames == {"data:image/jpeg;base64,AAAA": None}
         assert read == fresh
         assert hash(read) == hash(fresh) == hash((read.prompt, "m", 2.0))
         assert repr(read) == repr(fresh)

@@ -8,7 +8,12 @@ import commentary
 SOURCE = Path(commentary.__file__).parent
 
 # Imported and not used: perfbench/tracing.py wraps these by their module's name.
-KEPT = {("cli", "reference_from_srt_text"), ("strategies", "render_decision")}
+KEPT = {
+    ("cli", "parse_srt"),
+    ("cli", "reference_from_srt_text"),
+    ("strategies", "render_decision"),
+}
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _bound_names(tree: ast.Module) -> set[str]:
@@ -43,3 +48,22 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused.update((path.stem, name) for name in _bound_names(tree) - _used_names(tree))
     assert unused == KEPT
+
+
+def test_every_kept_name_is_one_the_benchmark_wraps():
+    """A name in KEPT is kept for a `tracer.wrap(<module>, "<name>", ...)` call in
+    perfbench/tracing.py; read as source, so the benchmark is not imported."""
+    wrapped = set()
+    for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "tracer"
+            and len(node.args) >= 2
+            and isinstance(node.args[0], ast.Name)
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            wrapped.add((node.args[0].id, node.args[1].value))
+    assert KEPT <= wrapped

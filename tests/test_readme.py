@@ -20,8 +20,14 @@ def library_use_blocks() -> list[str]:
 
 def test_library_use_blocks_run_in_order(tmp_path, monkeypatch):
     blocks = library_use_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     write_manifest(tmp_path / "race01.manifest", "race01", 20.0)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "gen" / "race01.srt").write_text(
+        "1\n00:00:01,000 --> 00:00:04,000\nthe red car leads\n", encoding="utf-8"
+    )
+    (tmp_path / "refs").mkdir()
+    (tmp_path / "refs" / "race01.tsv").write_text("6\tthe red car leads\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     out = io.StringIO()
@@ -33,6 +39,9 @@ def test_library_use_blocks_run_in_order(tmp_path, monkeypatch):
     # The scripted backend waits at every decision: the SRT printed is empty.
     assert out.getvalue() == "\n"
     assert namespace["faster"].step == 1.0
+    # The transcript's start (6 s) is later than the SRT's end (4 s).
+    assert namespace["duration"] == 6.0
+    assert namespace["report"].rouge_l == 100.0
 
 
 def test_every_exported_name_resolves():

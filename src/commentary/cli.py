@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 
 from __future__ import annotations
 
-import argparse
 import sys
 import threading
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from .backends import (
     CACHE_MODES,
@@ -65,6 +65,11 @@ from .strategies import (
 )
 from .subtitles import parse_srt, to_srt  # noqa: F401 (perfbench/tracing.py wraps parse_srt)
 
+if TYPE_CHECKING:
+    import argparse
+
+    Args = argparse.Namespace | SimpleNamespace
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -95,11 +100,6 @@ def _loaded(label: str, load: Callable[..., T], *args, **kwargs) -> T:
         return load(*args, **kwargs)
     except (OSError, ValueError) as exc:
         raise CliError(f"{label}{exc}") from exc
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise CliError(message)
 
 
 class RunConfig(Record):
@@ -184,7 +184,7 @@ def parse_rate_model(spec: str) -> SpeechRateModel:
     return SpeechRateModel(rates=rates)
 
 
-def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
+def _run_config_from_args(args: Args) -> RunConfig:
     init, decision = _loaded("", _resolve_templates, args.templates)
     rate_model = parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
     _loaded(f"--templates {args.templates}: ", rate_model.for_language, decision.language)
@@ -419,7 +419,7 @@ def _generate(
     return code, records
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: Args) -> int:
     cfg = _run_config_from_args(args)
     return _generate(cfg, _load_stores(cfg.manifest))[0]
 
@@ -501,7 +501,7 @@ def _load_pairs(
     return pairs
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: Args) -> int:
     language = args.language
     pairs = _load_pairs(Path(args.gen_dir), Path(args.ref_dir), language)
     scorer = _make_scorer(args.scorer, language)
@@ -564,7 +564,7 @@ def _parse_steps(spec: str) -> list[float]:
     return steps
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: Args) -> int:
     steps = _parse_steps(args.steps)
     ref_dir = Path(args.ref)
     if not ref_dir.is_dir():
@@ -608,7 +608,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return worst
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser | _Flags) -> None:
     """The run flags that `generate` and `sweep` share."""
     parser.add_argument(
         "--manifest", required=True, help="manifest file or directory of *.manifest"
@@ -644,14 +644,14 @@ _GENERATE_FLAGS = {
 _CELL_FLAGS = ("strategy", "step", "shots", "max_history", "demos", "wall")
 
 
-def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
+def _add_generate_flags(parser: argparse.ArgumentParser | _Flags) -> None:
     _add_run_flags(parser)
     for dest, kwargs in _GENERATE_FLAGS.items():
         parser.add_argument("--" + dest.replace("_", "-"), **kwargs)
     parser.set_defaults(func=cmd_generate)
 
 
-def _add_evaluate_flags(parser: argparse.ArgumentParser) -> None:
+def _add_evaluate_flags(parser: argparse.ArgumentParser | _Flags) -> None:
     parser.add_argument("gen_dir", help="directory of generated .srt (+ .trace) files")
     parser.add_argument("ref_dir", help="directory of reference .srt or .tsv transcripts")
     parser.add_argument("--scorer", default="lexical", help="lexical | embedding")
@@ -660,7 +660,7 @@ def _add_evaluate_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=cmd_evaluate)
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_flags(parser: argparse.ArgumentParser | _Flags) -> None:
     _add_run_flags(parser)
     parser.add_argument("--ref", required=True, help="reference directory")
     parser.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,2,5,10")
@@ -672,11 +672,80 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # Each command's help line in the top-level help, and the builder of its flags.
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser | _Flags], None]]] = {
     "generate": ("run sessions over manifests and write SRT + traces", _add_generate_flags),
     "evaluate": ("score generated SRT against references", _add_evaluate_flags),
     "sweep": ("run generate, then score agreement@1s, across step sizes", _add_sweep_flags),
 }
+
+
+class _Flags:
+    """A command's flags as its builder declares them to an argparse parser, read back
+    without argparse: `parse` takes an argument list written in full."""
+
+    def __init__(self, command: str) -> None:
+        self.options: dict[str, tuple[str, dict]] = {}  # "--flag": (dest, add_argument kwargs)
+        self.positionals: list[str] = []
+        self.required: set[str] = set()
+        self.defaults: dict[str, object] = {}
+        _COMMANDS[command][1](self)
+        self.set_defaults(command=command)
+
+    def add_argument(self, name: str, **kwargs) -> None:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            self.options[name] = (dest, kwargs)
+            if kwargs.get("required"):
+                self.required.add(dest)
+        else:
+            dest = name
+            self.positionals.append(dest)
+        store_true = kwargs.get("action") == "store_true"
+        self.defaults[dest] = kwargs.get("default", False if store_true else None)
+
+    def set_defaults(self, **kwargs: object) -> None:
+        self.defaults.update(kwargs)
+
+    def parse(self, args: Sequence[str]) -> SimpleNamespace | None:
+        """The namespace the command's argparse parser gives for `args`, or None where
+        argparse must read them: help, an abbreviation, `--`, a repeated flag, a value
+        that is empty, starts with `-`, or fails its type or choices, a missing flag or
+        positional, or an extra one."""
+        values = dict(self.defaults)
+        given: set[str] = set()
+        positionals = []
+        rest = iter(args)
+        for arg in rest:
+            if not arg.startswith("-"):
+                positionals.append(arg)
+                continue
+            name, eq, value = arg.partition("=")
+            if name not in self.options:
+                return None
+            dest, kwargs = self.options[name]
+            if dest in given:
+                return None
+            given.add(dest)
+            if kwargs.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                value = next(rest, "")
+            if not value or value.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+            values[dest] = value
+        if len(positionals) != len(self.positionals) or not self.required <= given:
+            return None
+        values.update(zip(self.positionals, positionals))
+        return SimpleNamespace(**values)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -685,6 +754,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     A command's own parser takes the arguments after the command name and
     parses, prints help and fails as the whole CLI's parser does for them.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise CliError(message)
+
     if command is not None:
         parser = _Parser(prog=f"commentary {command}")
         _COMMANDS[command][1](parser)
@@ -699,12 +774,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the command that runs needs its parser; the top-level help and
-    # errors (no command, an unknown one, an option first) need them all.
+    # A command's flags written in full need no parser. Help, abbreviations and
+    # errors go to argparse: to the command's own parser, or with no command
+    # named (the top-level help, an unknown command, an option first), the whole CLI's.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv if command is None else argv[1:])
+        args = _Flags(command).parse(argv[1:]) if command else None
+        if args is None:
+            args = build_parser(command).parse_args(argv[1:] if command else argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
 
+from hypothesis import HealthCheck, Phase, settings
+
 from commentary import (
     BUILTIN_TEMPLATES,
     CommentaryTrack,
@@ -48,6 +50,15 @@ from commentary.prompting import (
     serialize_history,
 )
 from commentary.subtitles import SrtEntry, SrtParseError, track_entries
+
+# The settings every property that runs `cli.main` derives its own from. No explain
+# phase: it traces every line `main` runs, and on one failure ran for over 100 s and
+# grew past 470 MB.
+MAIN_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 
 WORDS = [
     "red", "car", "takes", "the", "lead", "blue", "driver", "turns", "into",

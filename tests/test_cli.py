@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: generate, evaluate, sweep, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commentary
@@ -26,6 +27,7 @@ from commentary.subtitles import format_timestamp
 
 from helpers import (
     CACHE_LOG_HEADER,
+    MAIN_SETTINGS,
     read_cache_log,
     serving_chat,
     write_cache_log,
@@ -1641,11 +1643,7 @@ def _pair_file(ref: str, srt_lines, tsv_lines) -> tuple[str, float]:
     return tsv, max([0.0, *(s / 4 for s, _ in tsv_lines)])
 
 
-# No explain phase: it traces every line `main` runs, which on a failure took minutes.
-@settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
-    phases=[phase for phase in Phase if phase is not Phase.explain],
-)
+@settings(MAIN_SETTINGS, max_examples=40)
 @given(
     gen_lines=_SRT_LINES,
     ref=st.sampled_from(["srt", "tsv"]),
@@ -1696,9 +1694,7 @@ _TIMES = st.floats(min_value=1e-320, max_value=1e308) | st.integers(10, 4000).ma
 _COUNTS = st.integers(min_value=-1, max_value=10**30) | st.integers(0, 4)
 
 
-@settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+@settings(MAIN_SETTINGS, max_examples=60)
 @given(
     strategy=st.sampled_from(["stateless", "feedback", "feedback-icl", "realtime"]),
     step=_TIMES,
@@ -1770,6 +1766,8 @@ class TestParsers:
         "--force", "--strategy", "realtime", "--step", "0.5", "--shots", "2", "--max-history", "5",
         "--backend", "oracle:r", "--out", "o", "--demos", "d.tsv", "--wall",
     ]
+    # The required flags alone: a flag added to them is given once.
+    REQUIRED_ONLY = ["generate", "--manifest", "m", "--backend", "oracle:r", "--out", "o"]
     EVALUATE = ["evaluate", "g", "r", "--scorer", "embedding", "--language", "ja", "--report", "e"]
     SWEEP = [
         "sweep", "--manifest", "m", "--templates", "t", "--rate-model", "en=word:3",
@@ -1797,6 +1795,21 @@ class TestParsers:
             result = ("error", str(exc))
         return result, capsys.readouterr()
 
+    def _agrees_with_the_whole_cli(self, argv, ran, capsys):
+        """`main(argv)` calls its command with the namespace, prints the help or exits 1
+        with the error line that the whole CLI's parser gives for `argv`."""
+
+        def via_main():
+            code = main(argv)
+            if code:  # main printed the parse error
+                assert code == cli.EXIT_CONFIG
+                raise CliError(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+            return ran.pop()
+
+        one = self._outcome(via_main, capsys)
+        whole = self._outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert one == whole
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1812,26 +1825,98 @@ class TestParsers:
             ["sweep", "--manifest", "m", "--out", "o"],
             GENERATE + ["--nonsense"],
             ["evaluate", "g", "r", "extra"],
-            GENERATE + ["--strategy", "fastest"],
-            GENERATE + ["--step", "two"],
-            SWEEP + ["--jobs", "x"],
+            REQUIRED_ONLY + ["--strategy", "fastest"],
+            REQUIRED_ONLY + ["--step", "two"],
+            ["sweep", "--manifest", "m", "--ref", "r", "--steps", "1", "--out", "o", "--jobs", "x"],
             GENERATE,
             EVALUATE,
             SWEEP,
+            # Spellings main reads with no parser (--out=o), and ones it hands to argparse.
+            pytest.param(["generate", "--man", "m", "--backend", "b", "--out", "o"],
+                         id="generate --man m (abbreviation)"),
+            pytest.param(["generate", "--manifest", "m", "--backend", "b", "--out=o"],
+                         id="generate ... --out=o"),
+            pytest.param(REQUIRED_ONLY + ["--wall=1"], id="generate ... --wall=1"),
+            pytest.param(REQUIRED_ONLY + ["--seed", "-1"], id="generate ... --seed -1"),
+            pytest.param(REQUIRED_ONLY + ["--demos", "-x"], id="generate ... --demos -x"),
+            pytest.param(["evaluate", "--language", "ja", "--", "g", "r"], id="evaluate ... -- g r"),
+            pytest.param(GENERATE + ["--out", "o2"], id="generate ... --out o2 (repeated)"),
+            pytest.param(["generate", "--manifest=", "--backend", "b", "--out", "o"],
+                         id="generate --manifest= ..."),
+            pytest.param(["evaluate", "g", "--language", "ja", "r", "x"],
+                         id="evaluate g ... r x (third positional)"),
         ],
         ids=lambda argv: (" ".join(argv) if len(argv) < 6 else f"{argv[0]} ... {argv[-1]}")
         or "no-arguments",
     )
     def test_each_command_parses_as_the_whole_cli_does(self, argv, ran, capsys):
-        def via_main():
-            code = main(argv)
-            if code != 0:  # main printed the parse error
-                raise CliError(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
-            return ran.pop()
+        self._agrees_with_the_whole_cli(argv, ran, capsys)
 
-        one = self._outcome(via_main, capsys)
-        whole = self._outcome(lambda: cli.build_parser().parse_args(argv), capsys)
-        assert one == whole
+    # The flags of the three commands, each with a value it takes (None: the flag alone)
+    # and then others; any flag may also take one of OTHER_VALUES, or be abbreviated.
+    FLAG_VALUES = {
+        "--manifest": ["m"], "--out": ["o"], "--ref": ["r"], "--steps": ["1,2"],
+        "--templates": ["race-ja"], "--rate-model": ["ja=character:8"],
+        "--window-cap": ["12", "x"], "--cache": ["record", "on"], "--cache-dir": ["c"],
+        "--seed": ["3", "-1"], "--jobs": ["2", "two"], "--force": [None],
+        "--strategy": ["realtime", "fastest"], "--step": ["0.5", "two"], "--shots": ["2"],
+        "--max-history": ["5"], "--demos": ["d"], "--wall": [None], "--scorer": ["embedding"],
+        "--language": ["ja"], "--report": ["e"], "--backend": ["remote"], "--help": [None],
+    }
+    OTHER_VALUES = [None, "-x", "", "m", "1"]
+    # Each command's required pieces, and the flags it may take besides.
+    REQUIRED = {
+        "generate": [["--manifest", "m"], ["--backend", "oracle:r"], ["--out", "o"]],
+        "evaluate": [["g"], ["r"]],
+        "sweep": [["--manifest", "m"], ["--ref", "r"], ["--steps", "1,2"], ["--out", "o"]],
+    }
+    RUN_FLAGS = "--templates --rate-model --window-cap --cache --cache-dir --seed --jobs --force"
+    OPTIONAL = {
+        "generate": f"{RUN_FLAGS} --strategy --step --shots --max-history --demos --wall".split(),
+        "evaluate": ["--scorer", "--language", "--report"],
+        "sweep": f"{RUN_FLAGS} --backend --report".split(),
+    }
+
+    @staticmethod
+    @st.composite
+    def flag_pieces(draw, flags, in_full=False):
+        """One of `flags`, alone or with a value after it or after `=`: spelled out with
+        the value it takes, or unless `in_full`, maybe abbreviated or with another value."""
+        flag = draw(st.sampled_from(flags))
+        spelled, value = flag, TestParsers.FLAG_VALUES[flag][0]
+        if not in_full:
+            spelled = draw(st.just(flag) | st.sampled_from([flag[:k] for k in range(3, len(flag))]))
+            value = draw(
+                st.sampled_from(TestParsers.FLAG_VALUES[flag])
+                | st.sampled_from(TestParsers.OTHER_VALUES)
+            )
+        if value is None:
+            return [spelled]
+        return draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+
+    @staticmethod
+    @st.composite
+    def command_lines(draw):
+        """A command line in full, with up to three flags of the command besides the
+        required ones; then at most one required piece left out, and up to two pieces
+        added: a flag of the command or of any, `-h`, `--` or a positional. All in any
+        order."""
+        command = draw(st.sampled_from(sorted(TestParsers.REQUIRED)))
+        required = TestParsers.REQUIRED[command]
+        missing = draw(st.sets(st.sampled_from(range(len(required))), max_size=1))
+        pieces = [p for i, p in enumerate(required) if i not in missing]
+        optional = st.lists(st.sampled_from(TestParsers.OPTIONAL[command]), unique=True, max_size=3)
+        pieces += [draw(TestParsers.flag_pieces([f], in_full=True)) for f in draw(optional)]
+        own, every = TestParsers.OPTIONAL[command], sorted(TestParsers.FLAG_VALUES)
+        other = st.sampled_from(["-h", "--", "g", "r", "x"]).map(lambda arg: [arg])
+        added = TestParsers.flag_pieces(own) | TestParsers.flag_pieces(every) | other
+        pieces += draw(st.lists(added, max_size=2))
+        return [command, *(arg for p in draw(st.permutations(pieces)) for arg in p)]
+
+    @settings(MAIN_SETTINGS, max_examples=300)
+    @given(argv=command_lines())
+    def test_any_command_line_parses_as_the_whole_cli_does(self, argv, ran, capsys):
+        self._agrees_with_the_whole_cli(argv, ran, capsys)
 
     def test_sweep_cells_take_generate_defaults(self):
         generate, sweep = cli.build_parser("generate"), cli.build_parser("sweep")
@@ -1840,15 +1925,18 @@ class TestParsers:
 
     @pytest.mark.parametrize("argv", [GENERATE, EVALUATE, SWEEP], ids=lambda argv: argv[0])
     def test_a_command_builds_one_parser(self, argv, ran, monkeypatch):
+        """A command line in full builds no parser; a malformed one builds its command's alone."""
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        class CountedParser(cli._Parser):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("prog"))
-                super().__init__(*args, **kwargs)
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_Parser", CountedParser)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert main(argv) == 0
+        assert built == []
+        assert main([*argv, "--nonsense"]) == 1
         assert built == [f"commentary {argv[0]}"]
 
 
@@ -1856,7 +1944,8 @@ class TestOfflineImports:
     """Runs that send no HTTP load no HTTP client; a plain-HTTP remote backend loads
     neither `requests` nor the stdlib's `http.client`, `ssl` or `email`. No run
     loads `dataclasses` or `inspect`. An offline run loads no thread pool and no
-    `logging` (nothing is logged), nor the frame encoders `mimetypes` and `base64`."""
+    `logging` (nothing is logged), nor the frame encoders `mimetypes` and `base64`.
+    A command line written in full loads no `argparse`, nor its `gettext` and `locale`."""
 
     # Other tests load `http.client` into the test process (`http.server`
     # imports it), so the runs happen in a fresh interpreter.
@@ -1879,7 +1968,8 @@ class TestOfflineImports:
         codes = [cli.main(generate), cli.main(["evaluate", out, refs])]
         offline = loaded()
         unused = sorted(m for m in ("logging", "concurrent.futures", "queue", "mimetypes",
-                                    "base64") if m in set(sys.modules) - preloaded)
+                                    "base64", "argparse", "gettext", "locale")
+                        if m in set(sys.modules) - preloaded)
         cli.RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
         print(json.dumps({"codes": codes, "offline": offline, "unused": unused,
                           "remote": loaded()}))
@@ -1919,6 +2009,44 @@ class TestOfflineImports:
 
     def test_oracle_generate_and_evaluate_load_no_pool_logging_or_encoders(self, workspace):
         assert self._run(workspace)["unused"] == []
+
+    # Runs main() as the console script does, reading sys.argv; then says on stderr's
+    # last line whether it loaded argparse.
+    ENTRY_SCRIPT = textwrap.dedent(
+        """
+        import sys
+        preloaded = set(sys.modules)
+        from commentary import cli
+
+        try:
+            sys.exit(cli.main())
+        finally:
+            print("argparse" in set(sys.modules) - preloaded, file=sys.stderr)
+        """
+    )
+
+    @pytest.mark.parametrize(
+        "args, code, stdout, stderr",
+        [
+            (["-h"], 0, "usage: commentary generate [-h] --manifest MANIFEST", ""),
+            (["--manifest", "m", "--backend", "oracle:r", "--out", "o", "--step", "two"], 1, "",
+             "error: argument --step: invalid float value: 'two'\n"),
+        ],
+        ids=["help", "bad-step"],
+    )
+    def test_help_and_errors_still_come_from_argparse(self, tmp_path, args, code, stdout, stderr):
+        src = str(Path(commentary.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.ENTRY_SCRIPT, "generate", *args],
+            capture_output=True,
+            encoding="utf-8",
+            timeout=60,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+        )
+        assert proc.returncode == code
+        assert proc.stdout.startswith(stdout)
+        assert proc.stderr == f"{stderr}True\n"
 
     REMOTE_SCRIPT = textwrap.dedent(
         """

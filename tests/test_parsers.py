@@ -18,7 +18,7 @@ from commentary.media import load_manifest
 from commentary.prompting import load_demonstrations, load_template
 from commentary.subtitles import parse_srt
 
-from helpers import write_manifest
+from helpers import MAIN_SETTINGS, write_manifest
 
 # Pieces of the file formats, so that the text often gets past a parser's first line.
 TOKENS = [
@@ -79,7 +79,7 @@ DECISION_TEMPLATE = "id: d\nlanguage: en\nkind: decision\nSo far: {context}\n"
 
 
 @pytest.mark.parametrize("input_file", ["template", "demos", "script"])
-@settings(max_examples=60, deadline=None)
+@settings(MAIN_SETTINGS, max_examples=60)
 @given(data=FILE_BYTES)
 @example(data=b"\xff")
 @example(data=b"badline\n")

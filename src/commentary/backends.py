@@ -124,16 +124,17 @@ class _Frame:
 
 
 class ReadAhead:
-    """One session's frames, made ready for its next request while the current one is in flight.
+    """One session's frames, made ready for its next request while the current reply is awaited.
 
     `run_session` makes one per session when its backend `reads_ahead`,
-    passes it to each request, and sets `next` before each request to the
-    frames the next request holds at the least. During the request's POST,
-    `warm` keeps that request's frames and reads, base64-encodes and hashes
-    each frame of `next` it lacks; the next request takes its frames from
-    there, and what it does not take is dropped at the following `warm`. A
-    read that fails is not kept: the request that needs the frame reads it
-    itself and reports the failure.
+    passes it to each request, and sets `next`, the look-ahead, before each
+    request to the frames the next request's window may hold, in schedule
+    order. Once the request is sent, `warm` keeps that request's frames and
+    the ready ones still in `next`, then reads, base64-encodes and hashes
+    each other frame of `next` in order until the reply is readable; the
+    next request takes its frames from there, and what is not kept is
+    dropped at the following `warm`. A read that fails is not kept: the
+    request that needs the frame reads it itself and reports the failure.
     """
 
     __slots__ = ("next", "ready")
@@ -142,12 +143,22 @@ class ReadAhead:
         self.next: tuple[str, ...] = ()
         self.ready: dict[str, _Frame] = {}
 
-    def warm(self, held: Mapping[str, _Frame | OSError | None]) -> None:
-        """Make the frames of `next` ready, handing on those of `held`, the current request's."""
+    def warm(self, held: Mapping[str, _Frame | OSError | None], sock: Any) -> None:
+        """Make the frames of `next` ready: keep `held`, the current request's frames, and
+        the ready ones still in `next`, then read the others in order while `sock`, which
+        carries the request, has no reply to read."""
         ready = {uri: frame for uri, frame in held.items() if isinstance(frame, _Frame)}
+        missing = []
         for uri in self.next:
-            if uri in ready:
-                continue
+            if uri not in ready:
+                frame = self.ready.get(uri)
+                if frame is None:
+                    missing.append(uri)
+                else:
+                    ready[uri] = frame
+        for uri in missing:
+            if _readable(sock):
+                break
             try:
                 path = _local_path(uri)
                 if path is None:
@@ -383,8 +394,9 @@ def _netrc_auth(host: str) -> tuple[str, str] | None:
     return login or account or "", password or ""
 
 
-def _dropped(sock: Any) -> bool:
-    """Whether an idle connection's socket is readable, that is closed by the server."""
+def _readable(sock: Any) -> bool:
+    """Whether `sock` has bytes or an end of stream to read: on an idle connection,
+    that the server closed it; on one that carries a request, that the reply came."""
     import select
 
     if hasattr(select, "poll"):
@@ -585,7 +597,7 @@ class _HttpSession:
                 if not self._idle:
                     break
                 conn = self._idle.pop()
-            if not _dropped(conn.sock):
+            if not _readable(conn.sock):
                 if conn.sock.gettimeout() != timeout:
                     conn.sock.settimeout(timeout)
                 return conn
@@ -650,10 +662,10 @@ class _HttpSession:
         data: bytes,
         headers: dict[str, str],
         timeout: float,
-        in_flight: Callable[[], None] | None = None,
+        in_flight: Callable[[Any], None] | None = None,
     ) -> _Reply:
         """POST `data` to `url`; `in_flight`, if given, runs once the request is sent,
-        before its reply is read."""
+        before its reply is read, with the socket that carries it."""
         head = self._head
         if head is None or head[0] != url or head[1] != headers:
             head = self._head = (url, dict(headers), *self._split_head(url, headers))
@@ -662,7 +674,7 @@ class _HttpSession:
         try:
             conn.sock.sendall(b"".join((before, b"%d" % len(data), after, data)))
             if in_flight is not None:
-                in_flight()
+                in_flight(conn.sock)
             status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
@@ -868,7 +880,7 @@ class _Endpoint:
         self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
     def _post(
-        self, path: str, body: bytes, in_flight: Callable[[], None] | None = None
+        self, path: str, body: bytes, in_flight: Callable[[Any], None] | None = None
     ) -> tuple[HttpReply, float]:
         """POST the JSON `body` to `base_url + path`; the 200 reply and its latency in seconds.
 
@@ -878,8 +890,9 @@ class _Endpoint:
         it is. Each attempt holds one of the `MAX_CONCURRENCY` slots. Other
         statuses raise their typed `BackendError` at once.
 
-        `in_flight` runs at most once, in the first attempt: on its own client
-        while the request is in flight, on a caller's session after the reply.
+        On its own client, `in_flight` runs in each attempt once the request is
+        sent, with the socket that carries it; a caller's session answers only
+        once the reply is in, so there it does not run.
         """
         url = self.base_url + path
         last_error: BackendError = TransportError("no attempt made")
@@ -903,13 +916,9 @@ class _Endpoint:
                         resp = self._session.post(
                             url, data=body, headers=self._headers, timeout=self._TIMEOUT
                         )
-                        if in_flight is not None:
-                            in_flight()
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
-                finally:
-                    in_flight = None
                 latency = time.monotonic() - started
             if resp.status_code == 200:
                 return resp, latency
@@ -945,7 +954,8 @@ class RemoteChatBackend(_Endpoint):
     """
 
     _ENV = (ENV_API_BASE, ENV_API_KEY, ENV_MODEL)
-    # Sessions hand it a `ReadAhead`: the next request's frames are read during each POST.
+    # Sessions hand it a `ReadAhead`: the next request's frames are read while each reply
+    # is awaited, on its own client.
     reads_ahead = True
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:

@@ -54,6 +54,7 @@ from commentary.backends import (
 )
 from commentary.core import WAIT_TOKEN
 from commentary.evaluation import EmbeddingScorer
+from commentary.media import DEFAULT_WINDOW_CAP
 from commentary.prompting import RenderedPrompt
 
 from helpers import (
@@ -734,24 +735,26 @@ def _sent_frames(sent):
 
 @pytest.mark.usefixtures("endpoint_constants")
 class TestReadAhead:
-    """The chat backend reads the next request's frames while the current one is in flight."""
+    """The chat backend reads the frames the next window may hold while each reply is awaited."""
 
-    def _session(self, server, paths, cache=None):
+    def _session(self, server, paths, cache=None, window_cap=DEFAULT_WINDOW_CAP):
         store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
         backend = _client(server)
         try:
             generator = backend if cache is None else ReplayCache(backend, cache)
-            config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+            config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0, window_cap=window_cap)
             return run_session(store, config, generator, SimulatedClock(), prompt_set())
         finally:
             backend.close()
 
+    @pytest.mark.parametrize("held_back", [0, 1, 3, 8])
     def test_the_next_frame_is_read_while_the_request_is_in_flight_and_never_again(
-        self, chat_server, tmp_path, monkeypatch
+        self, chat_server, tmp_path, monkeypatch, held_back
     ):
         chat_server.content = WAIT_TOKEN
         paths = _frame_files(tmp_path / "frames", 8)
         events = []
+        flight = {"sent": False, "checks": 0}
 
         class SpySocket:
             def __init__(self, sock):
@@ -760,32 +763,80 @@ class TestReadAhead:
             def sendall(self, data):
                 self._sock.sendall(data)
                 events.append("sent")
+                flight.update(sent=True, checks=0)
 
             def __getattr__(self, name):
                 return getattr(self._sock, name)
 
-        read_file, read_reply, connect = (
-            backends._read_file, backends._read_reply, backends._Connection.__init__
+        read_file, read_reply, connect, readable = (
+            backends._read_file,
+            backends._read_reply,
+            backends._Connection.__init__,
+            backends._readable,
         )
+
+        def reply_after_held_back(sock):
+            """While a request is in flight, its reply is readable once the warm step
+            has read `held_back` frames; an idle connection is checked for real."""
+            if not flight["sent"]:
+                return readable(sock)
+            flight["checks"] += 1
+            return flight["checks"] > held_back
+
+        def spy_reply(reader):
+            events.append("reply")
+            flight["sent"] = False
+            return read_reply(reader)
+
         monkeypatch.setattr(backends, "_read_file", lambda p: events.append(p) or read_file(p))
-        monkeypatch.setattr(
-            backends, "_read_reply", lambda r: events.append("reply") or read_reply(r)
-        )
+        monkeypatch.setattr(backends, "_read_reply", spy_reply)
+        monkeypatch.setattr(backends, "_readable", reply_after_held_back)
         monkeypatch.setattr(
             backends._Connection, "__init__", lambda self, sock: connect(self, SpySocket(sock))
         )
-        session = self._session(chat_server, paths)
+        session = self._session(chat_server, paths, window_cap=4)
         monkeypatch.undo()
         assert session.complete, session.error
         assert [step.time for step in session.steps] == [float(t) for t in range(9)]
-        # Decision t sends frame t - 1 (frame 0 at t = 0 and 1); frame t is read once
-        # decision t's request is sent and before its reply is read, for the decision after.
-        expected = [str(paths[0])]
+        # Decision t sends frame t - 1 (frame 0 at t = 0 and 1), read before it is sent
+        # unless it is ready. Its look-ahead is frames t to t + 3; of those never read,
+        # the first `held_back` are read once it is sent and before its reply is read.
+        expected, read = [], set()
         for t in range(9):
-            expected += ["sent", *([str(paths[t])] if 1 <= t <= 7 else []), "reply"]
+            held = str(paths[max(0, t - 1)])
+            if held not in read:
+                expected.append(held)
+                read.add(held)
+            warmed = [str(p) for p in paths[t : t + 4] if str(p) not in read][:held_back]
+            read.update(warmed)
+            expected += ["sent", *warmed, "reply"]
         assert events == expected
+        frames_read = [event for event in events if event not in ("sent", "reply")]
+        assert sorted(frames_read) == [str(p) for p in paths]  # each read once
         sent = [_sent_frames(request) for request in chat_server.requests]
         assert sent == [[paths[max(0, t - 1)].read_bytes()] for t in range(9)]
+
+    def test_a_callers_session_reads_nothing_ahead(self, tmp_path, monkeypatch):
+        paths = _frame_files(tmp_path / "frames", 6)
+        events = []
+        reply = json.dumps({"choices": [{"message": {"content": WAIT_TOKEN}}]}).encode()
+
+        class CallerSession:
+            def post(self, url, *, data, headers, timeout):
+                events.append("post")
+                return backends._Reply(200, reply)
+
+        read_file = backends._read_file
+        monkeypatch.setattr(backends, "_read_file", lambda p: events.append(p) or read_file(p))
+        monkeypatch.setattr(backends, "_readable", lambda sock: events.append("check"))
+        store = FrameStore(video_id="v", video_duration=6.0, frames=[str(p) for p in paths])
+        session = CallerSession()
+        client = RemoteChatBackend(base_url="http://api.example.test", model_id="m", session=session)
+        config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+        record = run_session(store, config, client, SimulatedClock(), prompt_set())
+        assert record.complete, record.error
+        # Each request reads its own frame before it is sent, and nothing else is read.
+        assert events == [item for t in range(7) for item in (str(paths[max(0, t - 1)]), "post")]
 
     def test_a_frame_gone_after_it_was_warmed_is_sent_as_read(
         self, chat_server, tmp_path, monkeypatch
@@ -794,13 +845,15 @@ class TestReadAhead:
         contents = [path.read_bytes() for path in paths]
         warm = backends.ReadAhead.warm
 
-        def warm_then_delete(self, held):
-            warm(self, held)
+        def warm_then_delete(self, held, sock):
+            warm(self, held, sock)
             for uri in self.ready:
                 if uri not in held:
-                    os.remove(uri)
+                    Path(uri).unlink(missing_ok=True)
 
         monkeypatch.setattr(backends.ReadAhead, "warm", warm_then_delete)
+        # No reply is readable before the warm step is done: it reads the whole look-ahead.
+        monkeypatch.setattr(backends, "_readable", lambda sock: False)
         session = self._session(chat_server, paths)
         assert session.complete, session.error
         assert [p.exists() for p in paths] == [True] + [False] * 5

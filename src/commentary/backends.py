@@ -159,16 +159,11 @@ class ReadAhead:
         for uri in missing:
             if _readable(sock):
                 break
-            try:
-                path = _local_path(uri)
-                if path is None:
-                    continue
-                frame = _Frame(_read_file(path))
-            except OSError:
-                continue
-            frame.base64()
-            frame.digest()
-            ready[uri] = frame
+            frame = _load_frame(uri)
+            if isinstance(frame, _Frame):
+                frame.base64()
+                frame.digest()
+                ready[uri] = frame
         self.ready = ready
 
 
@@ -200,25 +195,16 @@ class GeneratorRequest(Record):
 
     @cached_property
     def _frames(self) -> dict[str, _Frame | OSError | None]:
-        """Each attachment's frame, taken from `read_ahead` or read at first use, then kept.
+        """Each attachment's frame, taken from `read_ahead` or loaded at first use, then kept.
 
-        A local file (plain path or `file:` URI) maps to its frame, or to
-        the `OSError` reading it raised; data and `http(s)://` URIs map to
-        None. The cache key and the request body both use these frames, so
-        the key hashes exactly the bytes that were sent.
+        The cache key and the request body both use these frames, so the key
+        hashes exactly the bytes that were sent.
         """
         ready = self.read_ahead.ready if self.read_ahead is not None else {}
         frames: dict[str, _Frame | OSError | None] = {}
         for uri in self.prompt.attachments:
             if uri not in frames:
-                frame = ready.get(uri)
-                if frame is None:
-                    try:
-                        path = _local_path(uri)
-                        frame = None if path is None else _Frame(_read_file(path))
-                    except OSError as exc:
-                        frame = exc.with_traceback(None)
-                frames[uri] = frame
+                frames[uri] = ready.get(uri) or _load_frame(uri)
         return frames
 
 
@@ -734,6 +720,16 @@ def _local_path(uri: str) -> str | None:
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as f:
         return f.read()
+
+
+def _load_frame(uri: str) -> _Frame | OSError | None:
+    """The frame of a local file (plain path or `file:` URI), or the `OSError` reading
+    it raised; None for data and `http(s)://` URIs."""
+    try:
+        path = _local_path(uri)
+        return None if path is None else _Frame(_read_file(path))
+    except OSError as exc:
+        return exc.with_traceback(None)
 
 
 # Frame MIME types by lower-cased suffix; any other suffix is sent as JPEG. A

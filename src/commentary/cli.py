@@ -707,8 +707,8 @@ class _Flags:
         self.defaults.update(kwargs)
 
     def parse(self, args: Sequence[str]) -> SimpleNamespace | None:
-        """The namespace the command's argparse parser gives for `args`, or None where
-        argparse must read them: help, an abbreviation, `--`, a repeated flag, a value
+        """The namespace the whole CLI's parser gives for the command and `args`, or None
+        where argparse must read them: help, an abbreviation, `--`, a repeated flag, a value
         that is empty, starts with `-`, or fails its type or choices, a missing flag or
         positional, or an extra one."""
         values = dict(self.defaults)
@@ -748,23 +748,14 @@ class _Flags:
         return SimpleNamespace(**values)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the whole CLI, or with `command`, of that command's flags alone.
-
-    A command's own parser takes the arguments after the command name and
-    parses, prints help and fails as the whole CLI's parser does for them.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole CLI."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message: str) -> None:  # type: ignore[override]
             raise CliError(message)
 
-    if command is not None:
-        parser = _Parser(prog=f"commentary {command}")
-        _COMMANDS[command][1](parser)
-        parser.set_defaults(command=command)
-        return parser
     parser = _Parser(prog="commentary", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags) in _COMMANDS.items():
@@ -775,13 +766,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A command's flags written in full need no parser. Help, abbreviations and
-    # errors go to argparse: to the command's own parser, or with no command
-    # named (the top-level help, an unknown command, an option first), the whole CLI's.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # errors, and a line that names no command first, go to the whole CLI's parser.
     try:
-        args = _Flags(command).parse(argv[1:]) if command else None
+        args = _Flags(argv[0]).parse(argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            args = build_parser(command).parse_args(argv[1:] if command else argv)
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

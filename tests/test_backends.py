@@ -881,6 +881,50 @@ class TestReadAhead:
             f"[Errno {errno.EISDIR}] Is a directory: '{paths[3]}'"
         )
 
+    def test_only_local_frames_are_read_ahead(self, chat_server, tmp_path, monkeypatch):
+        """`https://` and data frames are never read nor kept ready, and every request body
+        is the one a run that reads nothing ahead sends."""
+        local = [str(p) for p in _frame_files(tmp_path / "frames", 2)]
+        inline = "data:image/png;base64," + base64.b64encode(b"frame").decode("ascii")
+        uris = [local[0], "https://frames.example.test/1.jpg", inline, local[1], inline]
+        read, kept = [], set()
+        read_file, warm = backends._read_file, backends.ReadAhead.warm
+
+        def spy_warm(self, held, sock):
+            warm(self, held, sock)
+            kept.update(self.ready)
+
+        monkeypatch.setattr(backends, "_read_file", lambda p: read.append(p) or read_file(p))
+        monkeypatch.setattr(backends.ReadAhead, "warm", spy_warm)
+        monkeypatch.setattr(backends, "_readable", lambda sock: False)
+        bodies = []
+        for reads_ahead in (True, False):
+            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
+            session = self._session(chat_server, uris)
+            assert session.complete, session.error
+            bodies.append([request["raw"] for request in chat_server.requests])
+            chat_server.requests.clear()
+            if reads_ahead:
+                assert sorted(read) == sorted(kept) == local  # each local frame read once
+        ahead, plain = bodies
+        assert ahead == plain and len(ahead) == len(uris) + 1
+
+    def test_a_file_uri_of_another_host_fails_the_request_as_before(
+        self, chat_server, tmp_path, monkeypatch
+    ):
+        uris = [str(p) for p in _frame_files(tmp_path / "frames", 6)]
+        uris[3] = f"file://otherhost{uris[3]}"
+        monkeypatch.setattr(backends, "_readable", lambda sock: False)
+        errors = []
+        for reads_ahead in (True, False):
+            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
+            errors.append(self._session(chat_server, uris).error)
+        ahead, plain = errors
+        assert ahead == plain == (
+            f"backend failure at step 4 (t=4.000s): cannot read a frame for the request: "
+            f"[Errno {errno.ENOENT}] not a file on this machine: '{uris[3]}'"
+        )
+
 
 @pytest.mark.usefixtures("endpoint_constants")
 class TestRetryLogging:

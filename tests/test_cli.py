@@ -1919,13 +1919,17 @@ class TestParsers:
         self._agrees_with_the_whole_cli(argv, ran, capsys)
 
     def test_sweep_cells_take_generate_defaults(self):
-        generate, sweep = cli.build_parser("generate"), cli.build_parser("sweep")
+        parser = cli.build_parser()
+        generate = parser.parse_args(self.REQUIRED_ONLY)
+        sweep = parser.parse_args(
+            ["sweep", "--manifest", "m", "--ref", "r", "--steps", "1", "--out", "o"]
+        )
         for key in ("strategy", "step", "shots", "max_history", "demos", "wall"):
-            assert sweep.get_default(key) == generate.get_default(key), key
+            assert getattr(sweep, key) == getattr(generate, key), key
 
     @pytest.mark.parametrize("argv", [GENERATE, EVALUATE, SWEEP], ids=lambda argv: argv[0])
     def test_a_command_builds_one_parser(self, argv, ran, monkeypatch):
-        """A command line in full builds no parser; a malformed one builds its command's alone."""
+        """A command line in full builds no parser; a malformed one builds the whole CLI's."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1937,7 +1941,9 @@ class TestParsers:
         assert main(argv) == 0
         assert built == []
         assert main([*argv, "--nonsense"]) == 1
-        assert built == [f"commentary {argv[0]}"]
+        assert built == [
+            "commentary", "commentary generate", "commentary evaluate", "commentary sweep"
+        ]
 
 
 class TestOfflineImports:

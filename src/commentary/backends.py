@@ -315,13 +315,7 @@ class HttpReply(Protocol):
     """What the backends read of an HTTP reply; `requests.Response` has it too."""
 
     status_code: int
-
-    @property
-    def text(self) -> str:
-        ...
-
-    def json(self) -> Any:
-        ...
+    content: bytes
 
 
 class HttpSession(Protocol):
@@ -335,23 +329,6 @@ class HttpSession(Protocol):
         self, url: str, *, data: bytes, headers: dict[str, str], timeout: float
     ) -> HttpReply:
         ...
-
-
-class _Reply:
-    """A reply whose body has been read in full."""
-
-    def __init__(self, status_code: int, content: bytes) -> None:
-        self.status_code = status_code
-        self.content = content
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", errors="replace")
-
-    def json(self) -> Any:
-        import json
-
-        return json.loads(self.content)
 
 
 def _basic_auth(user: str, password: str) -> str:
@@ -501,51 +478,49 @@ class _Connection:
 
 
 class _HttpSession:
-    """Keep-alive HTTP/1.1 client for one endpoint, built on `socket`.
+    """Keep-alive HTTP/1.1 client that POSTs to one URL, with one header set and one
+    timeout, built on `socket`.
 
     Each request leaves in one write of head and body, on a socket with
-    Nagle's algorithm off. The head is built once per URL and header set;
-    each request splices in its body's length. The proxy, CA-bundle and
-    netrc settings are read from the environment once, here. Netrc
-    credentials are sent only on requests that carry no `Authorization`
-    header of their own. Idle connections wait in a lock-guarded list that
-    the backend's threads share; a connection goes back only after its
-    whole reply has been read and the server keeps it open, and one the
-    server has closed meanwhile is dropped before reuse. Redirects are not
-    followed and no compressed reply is asked for.
+    Nagle's algorithm off. The head is built once, here; each request
+    splices in its body's length. The proxy, CA-bundle and netrc settings
+    are read from the environment once, here too. Netrc credentials are
+    sent only when `headers` hold no `Authorization`. Idle connections
+    wait in a lock-guarded list that the backend's threads share; a
+    connection goes back only after its whole reply has been read and the
+    server keeps it open, and one the server has closed meanwhile is
+    dropped before reuse. Redirects are not followed and no compressed
+    reply is asked for. `url` must be an `http://` or `https://` URL with a
+    host; a header that would hold a line break raises `ValueError`.
 
-    `ssl` is imported only for an `https://` endpoint, and `urllib.request`
+    `ssl` is imported only for an `https://` URL, and `urllib.request`
     only when the environment names a proxy variable, so a run that sends
     no HTTP, or plain HTTP without a proxy, never loads them. Nor does
     plain HTTP load the IDNA codec, or `netrc` when there is no netrc file.
     """
 
-    def __init__(self, base_url: str) -> None:
+    def __init__(self, url: str, headers: Mapping[str, str], timeout: float) -> None:
         import socket  # noqa: F401  (loaded with the client, not by the first POST)
 
-        url = urlsplit(base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"endpoint must be an http:// or https:// URL, got {base_url!r}")
-        self._https = url.scheme == "https"
-        self._host = _ascii_host(url.hostname)
+        parts = urlsplit(url)
+        self._https = parts.scheme == "https"
+        self._timeout = timeout
+        self._host = _ascii_host(parts.hostname)
         default_port = 443 if self._https else 80
-        self._port = url.port or default_port
+        self._port = parts.port or default_port
         host = f"[{self._host}]" if ":" in self._host else self._host
         self._authority = f"{host}:{self._port}"
-        self._host_field = host if self._port == default_port else self._authority
         proxy = None
         if any(name.lower().endswith("_proxy") for name in os.environ):
             from urllib.request import getproxies_environment, proxy_bypass_environment
 
             env = getproxies_environment()
-            proxy = env.get(url.scheme) or env.get("all")
-            if proxy and proxy_bypass_environment(f"{url.hostname}:{self._port}", env):
+            proxy = env.get(parts.scheme) or env.get("all")
+            if proxy and proxy_bypass_environment(f"{parts.hostname}:{self._port}", env):
                 proxy = None
-        self.proxies = {url.scheme: proxy} if proxy else {}
-        self.verify: str | bool = (
+        self._verify: str | bool = (
             os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
         )
-        self.auth = _netrc_auth(url.hostname)
         # Hosts go to `getaddrinfo` as bytes: a str host makes it load the IDNA codec.
         self._address = (self._host.encode("ascii"), self._port)
         self._proxy: tuple[bytes, int] | None = None
@@ -560,23 +535,39 @@ class _HttpSession:
         self._tls: Any = None
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
-        # The last (url, headers) posted and its head, split where the Content-Length
-        # value goes; replaced by one assignment, so the threads can share it.
-        self._head: tuple[str, dict[str, str], bytes, bytes] | None = None
+        # The request head, cut where each body's length goes.
+        fields = {
+            "Host": host if self._port == default_port else self._authority,
+            "Accept-Encoding": "identity",
+            "Content-Length": "",
+            **headers,
+        }
+        fields["Content-Length"] = ""  # in its place, empty whatever `headers` say
+        auth = _netrc_auth(parts.hostname)
+        if auth and "Authorization" not in headers:
+            fields["Authorization"] = _basic_auth(*auth)
+        if self._proxy and not self._https:
+            fields.update(self._proxy_headers)
+            target = url
+        else:
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        head = _request_head(f"POST {target} HTTP/1.1", fields)
+        before, _, after = head.partition(b"\r\nContent-Length: \r\n")
+        self._before, self._after = before + b"\r\nContent-Length: ", b"\r\n" + after
 
     def _tls_context(self) -> Any:
         if self._tls is None:
             import ssl
 
-            if self.verify is True:
+            if self._verify is True:
                 self._tls = ssl.create_default_context()
-            elif os.path.isdir(self.verify):
-                self._tls = ssl.create_default_context(capath=self.verify)
+            elif os.path.isdir(self._verify):
+                self._tls = ssl.create_default_context(capath=self._verify)
             else:
-                self._tls = ssl.create_default_context(cafile=self.verify)
+                self._tls = ssl.create_default_context(cafile=self._verify)
         return self._tls
 
-    def _connection(self, timeout: float) -> _Connection:
+    def _connection(self) -> _Connection:
         """An idle connection the server has kept open, or a new one."""
         while True:
             with self._lock:
@@ -584,13 +575,11 @@ class _HttpSession:
                     break
                 conn = self._idle.pop()
             if not _readable(conn.sock):
-                if conn.sock.gettimeout() != timeout:
-                    conn.sock.settimeout(timeout)
                 return conn
             conn.close()
         import socket
 
-        sock = socket.create_connection(self._proxy or self._address, timeout)
+        sock = socket.create_connection(self._proxy or self._address, self._timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._https:
@@ -616,49 +605,14 @@ class _HttpSession:
         if status != 200:
             raise ConnectionError(f"proxy refused the tunnel to {self._authority}: {status}")
 
-    def _split_head(self, url: str, headers: dict[str, str]) -> tuple[bytes, bytes]:
-        """The head of a POST to `url` with `headers`, cut where the Content-Length value goes.
-
-        The session sets `Content-Length` itself, whatever `headers` say.
-        `ValueError` if a header would hold a line break.
-        """
-        fields = {
-            "Host": self._host_field,
-            "Accept-Encoding": "identity",
-            "Content-Length": "",
-            **headers,
-        }
-        fields["Content-Length"] = ""  # in its place, empty whatever `headers` say
-        if self.auth and "Authorization" not in headers:
-            fields["Authorization"] = _basic_auth(*self.auth)
-        if self._proxy and not self._https:
-            fields.update(self._proxy_headers)
-            target = url
-        else:
-            parts = urlsplit(url)
-            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        head = _request_head(f"POST {target} HTTP/1.1", fields)
-        before, _, after = head.partition(b"\r\nContent-Length: \r\n")
-        return before + b"\r\nContent-Length: ", b"\r\n" + after
-
     def post(
-        self,
-        url: str,
-        *,
-        data: bytes,
-        headers: dict[str, str],
-        timeout: float,
-        in_flight: Callable[[Any], None] | None = None,
-    ) -> _Reply:
-        """POST `data` to `url`; `in_flight`, if given, runs once the request is sent,
-        before its reply is read, with the socket that carries it."""
-        head = self._head
-        if head is None or head[0] != url or head[1] != headers:
-            head = self._head = (url, dict(headers), *self._split_head(url, headers))
-        _, _, before, after = head
-        conn = self._connection(timeout)
+        self, body: bytes, in_flight: Callable[[Any], None] | None = None
+    ) -> tuple[int, bytes]:
+        """POST `body`; the reply's status and body. `in_flight`, if given, runs once the
+        request is sent, before its reply is read, with the socket that carries it."""
+        conn = self._connection()
         try:
-            conn.sock.sendall(b"".join((before, b"%d" % len(data), after, data)))
+            conn.sock.sendall(b"".join((self._before, b"%d" % len(body), self._after, body)))
             if in_flight is not None:
                 in_flight(conn.sock)
             status, content, keep = _read_reply(conn.reader)
@@ -670,7 +624,7 @@ class _HttpSession:
                 self._idle.append(conn)
         else:
             conn.close()
-        return _Reply(status, content)
+        return status, content
 
     def close(self) -> None:
         """Close the idle connections."""
@@ -834,16 +788,18 @@ class _Endpoint:
     """A JSON endpoint's settings, its HTTP client and the retry loop of its POSTs.
 
     `base_url`, `api_key` and `model_id` each come from the subclass's
-    environment variable in `_ENV` when not given. Unless a caller passes
-    its own session, the client is an `_HttpSession`, which reads the proxy,
-    CA-bundle and netrc settings once, here. The request headers are built
-    here too, and a line break in one (say, in the API key) raises
-    `ValueError` naming the header. The class settings are the chat
-    backend's.
+    environment variable in `_ENV` when not given; the requests go to
+    `url`, the base URL and the subclass's `_PATH`. Unless a caller passes
+    its own session, the client is an `_HttpSession` for that URL, which
+    reads the proxy, CA-bundle and netrc settings once, here. The request
+    headers are built here too, and a line break in one (say, in the API
+    key) raises `ValueError` naming the header. The class settings are the
+    chat backend's.
     """
 
     _ENV: tuple[str, str, str]  # the base URL, API key and model variables
     _ENDPOINT = "endpoint"  # what the missing base URL's error calls it
+    _PATH = "/chat/completions"
     _NEEDS_MODEL = True
     _TIMEOUT = 120.0  # seconds to connect, and to wait for each read of a reply
 
@@ -858,7 +814,8 @@ class _Endpoint:
         self.base_url = (base_url or os.environ.get(env_base, "")).rstrip("/")
         if not self.base_url:
             raise ValueError(f"no {self._ENDPOINT} configured; set {env_base} or pass base_url")
-        if "@" in urlsplit(self.base_url).netloc:
+        parts = urlsplit(self.base_url)
+        if "@" in parts.netloc:
             # Not sent, yet echoed by every error that names the URL.
             raise ValueError(
                 f"the {self._ENDPOINT} URL ({env_base}) must not hold credentials; "
@@ -872,13 +829,20 @@ class _Endpoint:
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         _check_fields(self._headers)  # names the header, never echoes the key
-        self._session = session if session is not None else _HttpSession(self.base_url)
+        self.url = self.base_url + self._PATH
+        if session is None:
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError(
+                    f"endpoint must be an http:// or https:// URL, got {self.base_url!r}"
+                )
+            session = _HttpSession(self.url, self._headers, self._TIMEOUT)
+        self._session = session
         self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
     def _post(
-        self, path: str, body: bytes, in_flight: Callable[[Any], None] | None = None
-    ) -> tuple[HttpReply, float]:
-        """POST the JSON `body` to `base_url + path`; the 200 reply and its latency in seconds.
+        self, body: bytes, in_flight: Callable[[Any], None] | None = None
+    ) -> tuple[bytes, float]:
+        """POST the JSON `body` to `url`; the body of the 200 reply and its latency in seconds.
 
         Rate limits (429), server errors (5xx) and transport failures are retried
         up to `MAX_ATTEMPTS` in all, sleeping `BACKOFF_BASE * 2**(n - 1)` seconds
@@ -890,7 +854,7 @@ class _Endpoint:
         sent, with the socket that carries it; a caller's session answers only
         once the reply is in, so there it does not run.
         """
-        url = self.base_url + path
+        url = self.url
         last_error: BackendError = TransportError("no attempt made")
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
@@ -904,21 +868,18 @@ class _Endpoint:
                 started = time.monotonic()
                 try:
                     if isinstance(self._session, _HttpSession):
-                        resp = self._session.post(
-                            url, data=body, headers=self._headers, timeout=self._TIMEOUT,
-                            in_flight=in_flight,
-                        )
+                        status, content = self._session.post(body, in_flight)
                     else:
                         resp = self._session.post(
                             url, data=body, headers=self._headers, timeout=self._TIMEOUT
                         )
+                        status, content = resp.status_code, resp.content
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
                     last_error = TransportError(f"request to {url} failed: {exc}")
                     continue
                 latency = time.monotonic() - started
-            if resp.status_code == 200:
-                return resp, latency
-            status = resp.status_code
+            if status == 200:
+                return content, latency
             if status in (401, 403):
                 raise AuthenticationError(f"{url} rejected the credentials ({status})")
             if status == 413:
@@ -928,8 +889,8 @@ class _Endpoint:
             elif status >= 500:
                 last_error = TransportError(f"server error {status} from {url}")
             else:
-                body = resp.text[:200]
-                detail = f": {body}" if body else ""
+                excerpt = content.decode("utf-8", "replace")[:200]
+                detail = f": {excerpt}" if excerpt else ""
                 raise TransportError(f"unexpected status {status} from {url}{detail}")
         raise last_error
 
@@ -961,13 +922,16 @@ class RemoteChatBackend(_Endpoint):
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
         ahead = request.read_ahead
         in_flight = None if ahead is None else partial(ahead.warm, request._frames)
-        resp, latency = self._post("/chat/completions", body, in_flight)
-        return GeneratorResponse(raw_text=_extract_content(resp), latency=latency)
+        reply, latency = self._post(body, in_flight)
+        return GeneratorResponse(raw_text=_extract_content(reply), latency=latency)
 
 
-def _extract_content(resp: HttpReply) -> str:
+def _extract_content(body: bytes) -> str:
+    """The message text of a chat-completion reply's body."""
+    import json
+
     try:
-        data = resp.json()
+        data = json.loads(body)
         content = data["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise TransportError(f"malformed chat-completion response: {exc}") from exc

@@ -90,6 +90,7 @@ class EmbeddingScorer(_Endpoint):
 
     _ENV = (ENV_EMBED_API_BASE, ENV_EMBED_API_KEY, ENV_EMBED_MODEL)
     _ENDPOINT = "embedding endpoint"
+    _PATH = "/embeddings"
     _NEEDS_MODEL = False
     _TIMEOUT = 60.0
 
@@ -97,14 +98,13 @@ class EmbeddingScorer(_Endpoint):
         import json
 
         body = json.dumps({"model": self.model_id, "input": texts}).encode("utf-8")
-        resp, _ = self._post("/embeddings", body)
-        url = f"{self.base_url}/embeddings"
+        reply, _ = self._post(body)
         try:
-            data = resp.json()["data"]
+            data = json.loads(reply)["data"]
             embeddings = [item["embedding"] for item in data]
         # RecursionError: deep JSON
         except (ValueError, LookupError, TypeError, RecursionError) as exc:
-            raise ValueError(f"malformed embedding response from {url}: {exc!r}") from exc
+            raise ValueError(f"malformed embedding response from {self.url}: {exc!r}") from exc
         # A bool is an int to Python, zip would cut the longer vector short, and an
         # int beyond the float range would overflow the cosine (NaN compares false).
         if (
@@ -114,7 +114,7 @@ class EmbeddingScorer(_Endpoint):
             or not all(abs(x) <= sys.float_info.max for e in embeddings for x in e)
         ):
             raise ValueError(
-                f"malformed embedding response from {url}: expected {len(texts)} "
+                f"malformed embedding response from {self.url}: expected {len(texts)} "
                 f"equal-length lists of finite numbers, got {len(embeddings)} items"
             )
         return [[float(x) for x in e] for e in embeddings]

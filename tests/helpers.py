@@ -482,13 +482,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
         )
         status = plan.pop(0) if plan else 200
         if status != 200:
-            reply = {}
+            payload = b"{}"
+        elif self.server.reply_body is not None:  # type: ignore[attr-defined]
+            payload = self.server.reply_body  # type: ignore[attr-defined]
         elif self.path.endswith("/embeddings"):
-            reply = {"data": [{"embedding": [1.0, 0.0]} for _ in body["input"]]}
+            vector = self.server.embedding  # type: ignore[attr-defined]
+            payload = json.dumps({"data": [{"embedding": vector} for _ in body["input"]]}).encode()
         else:
             content = self.server.content  # type: ignore[attr-defined]
-            reply = {"choices": [{"message": {"content": content}}]}
-        payload = json.dumps(reply).encode("utf-8")
+            payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -512,6 +514,8 @@ class ChatServer(ThreadingHTTPServer):
         self.connections = []
         self.close_after_reply = False
         self.content = "the pack surges forward"  # each chat reply's message content
+        self.embedding = [1.0, 0.0]  # each embedding reply's vector, for every input text
+        self.reply_body = None  # when set, the bytes every 200 reply sends in place of the above
         self.closed = threading.Semaphore(0)  # released each time a connection is closed
 
     def shutdown_request(self, request):
@@ -520,9 +524,12 @@ class ChatServer(ThreadingHTTPServer):
 
 
 @contextlib.contextmanager
-def serving_chat():
-    """A `ChatServer` that serves on a daemon thread until the block ends."""
+def serving_chat(tls=None):
+    """A `ChatServer` that serves on a daemon thread until the block ends; with `tls`,
+    a server-side `ssl.SSLContext`, it serves HTTPS."""
     server = ChatServer()
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:

@@ -10,12 +10,16 @@ import logging
 import mimetypes
 import os
 import re
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import quote
 
 import pytest
@@ -80,6 +84,10 @@ class TestGeneratorRequest:
         heavy = prompt(attachments=tuple(f"u{i}" for i in range(33)))
         with pytest.raises(PayloadTooLargeError):
             request_for(heavy)
+
+    def test_a_response_of_negative_latency_is_refused(self):
+        with pytest.raises(ValueError, match="^latency must be non-negative$"):
+            GeneratorResponse("go", -0.001)
 
 
 class TestFileUris:
@@ -659,14 +667,19 @@ class TestRemoteChatBackend:
 
     @pytest.mark.parametrize("base_url", ["127.0.0.1:8000", "localhost:8000/v1", "ftp://host/v1"])
     def test_endpoint_must_be_an_http_url(self, base_url):
-        with pytest.raises(ValueError, match="http:// or https://"):
+        with pytest.raises(ValueError) as exc:
             RemoteChatBackend(base_url=base_url, model_id="m")
+        assert str(exc.value) == f"endpoint must be an http:// or https:// URL, got {base_url!r}"
 
     def test_missing_configuration(self, monkeypatch):
         monkeypatch.delenv("COMMENTARY_API_BASE", raising=False)
         monkeypatch.delenv("COMMENTARY_MODEL", raising=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             RemoteChatBackend()
+        assert str(exc.value) == "no endpoint configured; set COMMENTARY_API_BASE or pass base_url"
+        with pytest.raises(ValueError) as exc:
+            RemoteChatBackend(base_url="http://127.0.0.1:9")
+        assert str(exc.value) == "no model configured; set COMMENTARY_MODEL or pass model_id"
 
 
 @pytest.mark.usefixtures("endpoint_constants")
@@ -824,7 +837,7 @@ class TestReadAhead:
         class CallerSession:
             def post(self, url, *, data, headers, timeout):
                 events.append("post")
-                return backends._Reply(200, reply)
+                return SimpleNamespace(status_code=200, content=reply)
 
         read_file = backends._read_file
         monkeypatch.setattr(backends, "_read_file", lambda p: events.append(p) or read_file(p))
@@ -992,24 +1005,26 @@ class TestEmbeddingRetries:
 class TestEndpointConstants:
     """The retry schedule and timeouts every request gets, with no constant patched."""
 
+    @pytest.mark.usefixtures("no_proxy_env")
     @pytest.mark.parametrize("kind, timeout", [("chat", 120.0), ("embedding", 60.0)])
     def test_three_attempts_with_doubling_backoff(self, monkeypatch, kind, timeout):
         timeouts = []
+        connect = socket.create_connection
 
-        class RefusingSession:
-            def post(self, url, *, data, headers, timeout):
-                timeouts.append(timeout)
-                raise ConnectionRefusedError(f"cannot reach {url}")
+        def spy_connect(address, timeout, *args):
+            timeouts.append(timeout)
+            return connect(address, timeout, *args)
 
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        base, session = "http://endpoint.example.test", RefusingSession()
-        with pytest.raises(TransportError):
+        monkeypatch.setattr(socket, "create_connection", spy_connect)
+        base = "http://127.0.0.1:1"  # nothing listens on port 1: each attempt is refused
+        with pytest.raises(TransportError, match="Connection refused"):
             if kind == "chat":
-                client = RemoteChatBackend(base_url=base, model_id="m", session=session)
+                client = RemoteChatBackend(base_url=base, model_id="m")
                 client.generate(request_for(prompt(attachments=())))
             else:
-                EmbeddingScorer(base_url=base, model_id="e", session=session).score("a", "b")
+                EmbeddingScorer(base_url=base, model_id="e").score("a", "b")
         assert timeouts == [timeout] * 3
         assert sleeps == [0.5, 1.0]
 
@@ -1059,18 +1074,6 @@ class TestEnvironmentSettings:
         response = client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert response.raw_text == "the pack surges forward"
         assert chat_server.requests[0]["path"] == "/chat/completions"
-
-    def test_https_proxy_ca_bundle_and_netrc_reach_the_session(self, no_proxy_env, tmp_path):
-        bundle = str(tmp_path / "ca.pem")
-        netrc = tmp_path / "netrc"
-        netrc.write_text("machine api.example.test login user password secret\n", encoding="utf-8")
-        no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
-        no_proxy_env.setenv("REQUESTS_CA_BUNDLE", bundle)
-        no_proxy_env.setenv("NETRC", str(netrc))
-        session = RemoteChatBackend(base_url="https://api.example.test/v1", model_id="m")._session
-        assert session.proxies["https"] == "http://proxy.example.test:3128"
-        assert session.verify == bundle
-        assert session.auth == ("user", "secret")
 
     def test_caller_session_is_left_untouched(self, no_proxy_env):
         no_proxy_env.setenv("HTTPS_PROXY", "http://proxy.example.test:3128")
@@ -1127,6 +1130,88 @@ class TestNetrcCredentials:
     def test_netrc_alone_sends_basic_credentials(self, chat_server, netrc_env, kind):
         assert _auth_sent(kind, chat_server, "") == "Basic dXNlcjpzZWNyZXQ="
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "machine 127.0.0.1 login user password secret port 80\n",
+            "machine api.example.test login user password secret\n",
+        ],
+        ids=["unparsable", "without-the-host"],
+    )
+    def test_a_netrc_with_no_entry_for_the_host_sends_no_credentials(
+        self, chat_server, no_proxy_env, tmp_path, text
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text(text, encoding="utf-8")
+        no_proxy_env.setenv("NETRC", str(netrc))
+        assert _auth_sent("chat", chat_server, "") is None
+
+
+@pytest.fixture(scope="module")
+def tls_files(tmp_path_factory):
+    """A self-signed certificate for 127.0.0.1 and its key, as PEM files `openssl` made."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not on PATH")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-subj", "/CN=localhost",
+         "-addext", "subjectAltName=IP:127.0.0.1", "-days", "1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    return cert, key
+
+
+@pytest.fixture()
+def tls_server(tls_files):
+    """A `ChatServer` that serves HTTPS with the certificate of `tls_files`."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(*tls_files)
+    with serving_chat(tls=context) as server:
+        yield server
+
+
+@pytest.mark.usefixtures("endpoint_constants")
+class TestTls:
+    """An `https://` endpoint's certificate is checked against the CA bundle that was
+    configured when the client was built."""
+
+    def _client(self, server):
+        base = f"https://127.0.0.1:{server.server_address[1]}"
+        return RemoteChatBackend(base_url=base, model_id="m")
+
+    def test_ca_bundle_and_netrc_set_before_construction_are_used(
+        self, tls_server, tls_files, no_proxy_env, tmp_path, closing
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+        no_proxy_env.setenv("REQUESTS_CA_BUNDLE", str(tls_files[0]))
+        no_proxy_env.setenv("NETRC", str(netrc))
+        client = closing(self._client(tls_server))
+        no_proxy_env.delenv("REQUESTS_CA_BUNDLE")
+        no_proxy_env.delenv("NETRC")
+        response = client.generate(request_for(prompt(attachments=())))
+        assert response.raw_text == "the pack surges forward"
+        assert tls_server.requests[0]["auth"] == "Basic dXNlcjpzZWNyZXQ="
+
+    def test_a_certificate_outside_the_bundle_fails_every_attempt(
+        self, tls_server, no_proxy_env, caplog
+    ):
+        no_proxy_env.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        no_proxy_env.delenv("CURL_CA_BUNDLE", raising=False)
+        client = self._client(tls_server)
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            with pytest.raises(TransportError) as exc:
+                client.generate(request_for(prompt(attachments=())))
+        failed = f"request to {client.url} failed: [SSL: CERTIFICATE_VERIFY_FAILED]"
+        assert str(exc.value).startswith(failed)
+        retries = [r.getMessage() for r in caplog.records if r.name == "commentary.backends"]
+        assert len(retries) == 2
+        for n, message in enumerate(retries, 1):
+            assert message.startswith(f"attempt {n} of 3 failed: {failed}")
+        assert tls_server.requests == []
+
 
 class TestConnections:
     """The backend's own client keeps connections alive and shares them between threads."""
@@ -1175,17 +1260,17 @@ class TestConnections:
         assert len(chat_server.requests) == 20
         assert len(chat_server.connections) <= 4
 
-    def test_threads_posting_other_headers_each_send_their_own(self, chat_server):
-        # The session keeps one request head, for the last URL and headers posted;
-        # threads that alternate header sets must never send another's head.
-        session = backends._HttpSession(f"http://127.0.0.1:{chat_server.server_address[1]}")
+    def test_threads_posting_through_one_client_each_send_their_own_body(self, chat_server):
+        # Threads switched about every microsecond share the pool of idle connections;
+        # one connection handed to two threads at once would mix their requests.
         url = f"http://127.0.0.1:{chat_server.server_address[1]}/chat/completions"
+        session = backends._HttpSession(url, {"Content-Type": "application/json"}, 5.0)
+        statuses = []
 
         def work(i):
-            headers = {"Content-Type": "application/json", "Authorization": f"Bearer t{i}"}
             for n in range(20):
                 body = json.dumps({"thread": i, "pad": "x" * n}).encode()
-                assert session.post(url, data=body, headers=headers, timeout=5.0).status_code == 200
+                statuses.append(session.post(body)[0])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1199,9 +1284,9 @@ class TestConnections:
             sys.setswitchinterval(interval)
             session.close()
         assert not any(thread.is_alive() for thread in threads)
-        assert len(chat_server.requests) == 8 * 20
-        for sent in chat_server.requests:
-            assert sent["auth"] == f"Bearer t{sent['body']['thread']}"
+        assert statuses == [200] * 8 * 20
+        sent = sorted((r["body"]["thread"], len(r["body"]["pad"])) for r in chat_server.requests)
+        assert sent == [(i, n) for i in range(8) for n in range(20)]
 
     @pytest.mark.parametrize(
         "reply, reason",
@@ -1237,6 +1322,16 @@ class TestConnections:
         url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
         assert str(exc.value) == f"request to {url} failed: {reason}"
         assert len(server.heads) == backends.MAX_ATTEMPTS
+
+    def test_readable_falls_back_to_select_without_poll(self, monkeypatch):
+        import select
+
+        monkeypatch.delattr(select, "poll")
+        here, there = socket.socketpair()
+        with here, there:
+            assert backends._readable(here) is False
+            there.sendall(b"x")
+            assert backends._readable(here) is True
 
     def test_a_body_is_asked_for_in_pieces_of_at_most_one_mib(self):
         """A body within one piece takes one `read`, as every stub reply does."""
@@ -1302,6 +1397,22 @@ class TestConnections:
         lines = proxy.heads[0].decode("latin-1").split("\r\n")
         assert lines[0].startswith("CONNECT api.example.test:443 HTTP/1.")
         assert "Proxy-Authorization: Basic dTpw" in lines[1:]
+
+    def test_a_refused_tunnel_fails_every_attempt(
+        self, raw_server, no_proxy_env, endpoint_constants
+    ):
+        proxy = raw_server(b"HTTP/1.1 407 Proxy Authentication Required\r\n\r\n")
+        no_proxy_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+        client = RemoteChatBackend(base_url="https://api.example.test", model_id="m")
+        no_proxy_env.delenv("HTTPS_PROXY")
+        with pytest.raises(TransportError) as exc:
+            self._generate(client)
+        assert str(exc.value) == (
+            "request to https://api.example.test/chat/completions failed: "
+            "proxy refused the tunnel to api.example.test:443: 407"
+        )
+        assert len(proxy.heads) == backends.MAX_ATTEMPTS
+        assert all(head.startswith(b"CONNECT api.example.test:443 ") for head in proxy.heads)
 
     def _raw_client(self, server, **kwargs):
         base = f"http://127.0.0.1:{server.port}/v1"

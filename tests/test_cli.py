@@ -22,7 +22,6 @@ from commentary.cli import main, parse_rate_model, read_trace_header
 from commentary.backends import ScriptedBackend
 from commentary.cli import CliError
 from commentary.core import replace
-from commentary.evaluation import EmbeddingScorer
 from commentary.subtitles import format_timestamp
 
 from helpers import (
@@ -734,17 +733,6 @@ class TestSessionRunner:
         assert len(read_cache_log(cache / "cache.log")) == decisions == 3 * 31
 
 
-class FakeReply:
-    """An `HttpReply` carrying `body` as JSON, or as it is when it is bytes."""
-
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self.text = body.decode() if isinstance(body, bytes) else json.dumps(body)
-
-    def json(self):
-        return json.loads(self.text)
-
-
 # SRT hours whose end no float holds in milliseconds, and in seconds.
 _HOUR_NEAR_1E306_S = int(1e306) // 3600
 _HOUR_OF_400_DIGITS = int("9" * 400)
@@ -961,72 +949,52 @@ class TestEvaluateCommand:
             "corpus\tref_words_max\t9\n"
         )
 
+    def _evaluate_embedding(self, monkeypatch, gen_dir, base):
+        """The exit code of evaluating `gen_dir` against itself by the embedding endpoint
+        at `base`."""
+        monkeypatch.setenv("COMMENTARY_EMBED_API_BASE", base)
+        monkeypatch.setenv("COMMENTARY_EMBED_MODEL", "e")
+        monkeypatch.delenv("COMMENTARY_EMBED_API_KEY", raising=False)
+        return main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+
+    def _requests_sent(self, monkeypatch, gen_dir, plan):
+        """Evaluate against an embedding endpoint answering statuses from `plan`, then
+        200; the exit code and the number of requests sent."""
+        with serving_chat() as server:
+            server.plan = plan
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            return self._evaluate_embedding(monkeypatch, gen_dir, base), len(server.requests)
+
     @pytest.mark.parametrize("failure", ["status-500", "connection-refused"])
     def test_embedding_endpoint_failure_exits_one(
         self, workspace, monkeypatch, capsys, failure, endpoint_constants
     ):
-        class FailingSession:
-            def post(self, url, *, data, headers, timeout):
-                if failure == "connection-refused":
-                    raise ConnectionRefusedError(f"cannot reach {url}")
-                return FakeReply(500, {})
-
-        monkeypatch.setattr(
-            cli,
-            "EmbeddingScorer",
-            lambda: EmbeddingScorer(
-                base_url="http://embed.example.test",
-                model_id="e",
-                session=FailingSession(),
-            ),
-        )
         gen_dir = self._generate(workspace)
-        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+        if failure == "connection-refused":  # nothing listens on port 1
+            code = self._evaluate_embedding(monkeypatch, gen_dir, "http://127.0.0.1:1")
+        else:
+            code, _ = self._requests_sent(monkeypatch, gen_dir, [500] * 3)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: race01: ")
         assert "Traceback" not in err
 
-    def _evaluate_embedding(self, monkeypatch, gen_dir, plan):
-        """Evaluate against a fake embedding endpoint answering statuses from `plan`,
-        then 200; return the exit code and the number of requests sent."""
-
-        class PlannedSession:
-            sent = 0
-
-            def post(self, url, *, data, headers, timeout):
-                PlannedSession.sent += 1
-                if plan:
-                    return FakeReply(plan.pop(0), {})
-                texts = json.loads(data)["input"]
-                return FakeReply(200, {"data": [{"embedding": [1.0, 0.0]} for _ in texts]})
-
-        monkeypatch.setattr(
-            cli,
-            "EmbeddingScorer",
-            lambda: EmbeddingScorer(
-                base_url="http://embed.example.test",
-                model_id="e",
-                session=PlannedSession(),
-            ),
-        )
-        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
-        return code, PlannedSession.sent
-
     def test_embedding_rate_limit_is_retried(self, workspace, monkeypatch, endpoint_constants):
         gen_dir = self._generate(workspace)
-        assert self._evaluate_embedding(monkeypatch, gen_dir, []) == (0, 2)
-        assert self._evaluate_embedding(monkeypatch, gen_dir, [429]) == (0, 3)
+        assert self._requests_sent(monkeypatch, gen_dir, []) == (0, 2)
+        assert self._requests_sent(monkeypatch, gen_dir, [429]) == (0, 3)
 
     def test_embedding_server_errors_exhaust_the_retries(
         self, workspace, monkeypatch, capsys, endpoint_constants
     ):
         gen_dir = self._generate(workspace)
-        code, sent = self._evaluate_embedding(monkeypatch, gen_dir, [503] * 3)
+        with serving_chat() as server:
+            server.plan = [503] * 3
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            code = self._evaluate_embedding(monkeypatch, gen_dir, base)
         err = capsys.readouterr().err
-        assert (code, sent) == (1, 3)
-        assert err.startswith("error: race01: server error 503 from http://embed.example.test/")
-        assert "Traceback" not in err
+        assert (code, len(server.requests)) == (1, 3)
+        assert err == f"error: race01: server error 503 from {base}/embeddings\n"
 
     @pytest.mark.parametrize(
         "body",
@@ -1048,23 +1016,15 @@ class TestEvaluateCommand:
         ],
     )
     def test_malformed_embedding_reply_exits_one(self, workspace, monkeypatch, capsys, body):
-        class MalformedSession:
-            def post(self, url, *, data, headers, timeout):
-                return FakeReply(200, body)
-
-        monkeypatch.setattr(
-            cli,
-            "EmbeddingScorer",
-            lambda: EmbeddingScorer(
-                base_url="http://embed.example.test", model_id="e", session=MalformedSession()
-            ),
-        )
         gen_dir = self._generate(workspace)
-        code = main(["evaluate", str(gen_dir), str(gen_dir), "--scorer", "embedding"])
+        with serving_chat() as server:
+            server.reply_body = body if isinstance(body, bytes) else json.dumps(body).encode()
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            code = self._evaluate_embedding(monkeypatch, gen_dir, base)
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: race01: malformed embedding response from ")
-        assert "http://embed.example.test/embeddings" in err
+        url = f"{base}/embeddings"
+        assert err.startswith(f"error: race01: malformed embedding response from {url}: ")
         assert "Traceback" not in err
 
     def test_reference_transcripts_are_accepted(self, workspace):
@@ -2369,6 +2329,11 @@ _CONFIG_ERRORS = {
     ),
     "templates-init-only": (
         {"t/a.txt": _INIT}, _generate_argv(templates="t"),
+        "template directory t needs one init and one decision template",
+    ),
+    # A subdirectory is no template: it is skipped, not read.
+    "templates-init-and-a-subdirectory": (
+        {"t/a.txt": _INIT, "t/b.txt": None}, _generate_argv(templates="t"),
         "template directory t needs one init and one decision template",
     ),
     "manifest-dir-empty": (

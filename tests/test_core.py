@@ -52,6 +52,10 @@ class TestUtterance:
         with pytest.raises(ValueError):
             utt(0.0, 1.0, text="<WAIT>")
 
+    def test_a_blank_speak_is_refused(self):
+        with pytest.raises(ValueError, match="^spoken text must be non-empty$"):
+            Speak("  ")
+
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError):
             utt(0.0, 0.0)

@@ -18,6 +18,7 @@ from commentary import (
 )
 from commentary.evaluation import (
     EmbeddingScorer,
+    EvalReport,
     _lcs_length,
     reference_from_srt_text,
     reference_from_transcript_text,
@@ -25,7 +26,7 @@ from commentary.evaluation import (
 
 from commentary.subtitles import format_timestamp
 
-from helpers import WORDS, dp_lcs_length, random_track, reference_track_of_lines
+from helpers import WORDS, dp_lcs_length, random_track, reference_track_of_lines, serving_chat
 
 # Word tokens and Japanese characters, so both ROUGE-L units are exercised.
 TOKEN_POOL = sorted(set(WORDS) | set("赤い車が先頭に立つ青のドライバーはコーナーで抜く"))
@@ -165,6 +166,16 @@ class TestBinnedSimilarity:
         scores = binned_similarity(gen, ref, LexicalOverlapScorer())
         assert scores[9] == 1.0
 
+    def test_tracks_of_other_durations_are_refused(self):
+        with pytest.raises(ValueError) as info:
+            binned_similarity(track([], 10.0), track([], 12.0), LexicalOverlapScorer())
+        assert str(info.value) == "duration mismatch: 10.0 vs 12.0"
+
+    def test_a_report_of_other_than_ten_bins_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            EvalReport(1.0, 0.0, (0.0,) * 9, 0.0, 0, 0)
+        assert str(info.value) == "bin_scores must hold 10 values"
+
     def test_length_always_ten(self):
         rng = random.Random(8)
         for _ in range(10):
@@ -174,27 +185,20 @@ class TestBinnedSimilarity:
             assert len(binned_similarity(gen, ref, LexicalOverlapScorer())) == 10
 
 
-class _SameVector:
-    """An embedding session that answers `vector` for every input text."""
-
-    status_code = 200
-
-    def __init__(self, vector):
-        self.vector = vector
-
-    def post(self, url, *, data, headers, timeout):
-        return self
-
-    def json(self):
-        return {"data": [{"embedding": self.vector}, {"embedding": self.vector}]}
+@pytest.fixture(scope="module")
+def embed_server():
+    with serving_chat() as server:
+        yield server
 
 
-def _self_cosine(vector):
-    """The embedding scorer's cosine of `vector` against itself."""
-    session = _SameVector(vector)
-    return EmbeddingScorer(base_url="http://example.invalid", model_id="e", session=session).score(
-        "a", "a"
-    )
+def _self_cosine(server, vector):
+    """The embedding scorer's cosine of `vector` against itself, answered by `server`."""
+    server.embedding = vector
+    scorer = EmbeddingScorer(base_url=f"http://127.0.0.1:{server.server_address[1]}", model_id="e")
+    try:
+        return scorer.score("a", "a")
+    finally:
+        scorer.close()
 
 
 class TestScorers:
@@ -202,6 +206,7 @@ class TestScorers:
         scorer = LexicalOverlapScorer()
         # overlap {a, c} of 3 and 3 tokens: P = R = 2/3.
         assert scorer.score("a b c", "a c d") == pytest.approx(2 / 3)
+        assert scorer.score("a b", "c d") == 0.0  # no overlap
 
     def test_lexical_self_score_is_maximum(self):
         scorer = LexicalOverlapScorer()
@@ -224,9 +229,9 @@ class TestScorers:
         assert scorer.score("same", "same") == pytest.approx(1.0)
 
     @pytest.mark.parametrize("vector", [[1e200, 0.0], [1e-170, 0.0]], ids=["huge", "tiny"])
-    def test_embedding_scorer_cosine_of_extreme_components(self, vector):
+    def test_embedding_scorer_cosine_of_extreme_components(self, embed_server, vector):
         # Unscaled, [1e200, 0] overflows to inf / inf (NaN) and [1e-170, 0] underflows to 0.
-        assert _self_cosine(vector) == 1.0
+        assert _self_cosine(embed_server, vector) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -240,11 +245,23 @@ class TestScorers:
             max_size=64,
         ).filter(any)
     )
-    def test_embedding_scorer_scores_a_nonzero_vector_one_against_itself(self, vector):
-        assert _self_cosine(vector) == pytest.approx(1.0, rel=0, abs=1e-12)
+    def test_embedding_scorer_scores_a_nonzero_vector_one_against_itself(
+        self, embed_server, vector
+    ):
+        assert _self_cosine(embed_server, vector) == pytest.approx(1.0, rel=0, abs=1e-12)
 
-    def test_embedding_scorer_scores_a_zero_vector_zero(self):
-        assert _self_cosine([0.0, 0.0]) == 0.0
+    def test_embedding_scorer_scores_a_zero_vector_zero(self, embed_server):
+        assert _self_cosine(embed_server, [0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("candidate, reference", [(" \n", "the pack"), ("the pack", "")])
+    def test_embedding_scorer_scores_a_blank_text_zero_without_a_request(
+        self, embed_server, candidate, reference
+    ):
+        sent = len(embed_server.requests)
+        base = f"http://127.0.0.1:{embed_server.server_address[1]}"
+        scorer = EmbeddingScorer(base_url=base, model_id="e")
+        assert scorer.score(candidate, reference) == 0.0
+        assert len(embed_server.requests) == sent
 
     def test_embedding_scorer_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("COMMENTARY_EMBED_API_BASE", raising=False)

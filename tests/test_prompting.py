@@ -18,6 +18,7 @@ from commentary import prompting
 from commentary.prompting import (
     DecisionRenderer,
     PromptTemplate,
+    builtin_prompt_set,
     load_demonstrations,
     load_template,
     sample_demonstrations,
@@ -46,6 +47,34 @@ class TestTemplates:
     def test_init_template_rejects_context_slot(self):
         with pytest.raises(ValueError):
             PromptTemplate(id="x", language="en", kind="init", body="bad {context}")
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: PromptTemplate(id="x", language="en", kind="other", body="b"),
+                "template kind must be 'init' or 'decision', got 'other'",
+            ),
+            (lambda: Demonstration("f.jpg", " \t"), "demonstration utterance text must be non-empty"),
+            (lambda: sample_demonstrations([], -1, seed=0), "shots must be non-negative"),
+            (
+                lambda: builtin_prompt_set("race-fr"),
+                "unknown template set 'race-fr'; built-ins: fight-ja, race-en, race-ja",
+            ),
+        ],
+        ids=["kind", "blank-demonstration", "negative-shots", "unknown-set"],
+    )
+    def test_an_invalid_setting_is_refused(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_a_decision_file_without_the_context_slot_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "decision.txt"
+        path.write_text("id: d\nlanguage: en\nkind: decision\nno slot here\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_template(path)
+        assert str(info.value) == f"{path}: decision template 'd' must contain {{context}}"
 
     def test_builtin_sets_are_complete(self):
         assert set(BUILTIN_TEMPLATES) == {"race-en", "race-ja", "fight-ja"}

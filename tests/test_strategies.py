@@ -182,6 +182,23 @@ class TestStrategyConfig:
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, icl_shots=4)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"icl_shots": -1}, "icl_shots must be non-negative"),
+            ({"max_history": -1}, "max_history must be non-negative"),
+        ],
+    )
+    def test_a_negative_count_is_refused(self, settings, message):
+        with pytest.raises(ValueError) as info:
+            StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, **settings)
+        assert str(info.value) == message
+
+    def test_an_unknown_unit_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            unit_tokens("the pack", "syllable")
+        assert str(info.value) == "unit must be 'word' or 'character', got 'syllable'"
+
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind=StrategyKind.FEEDBACK, step=0.0)

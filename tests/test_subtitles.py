@@ -130,6 +130,10 @@ class TestToSrt:
 
 
 class TestParseSrt:
+    def test_an_entry_of_blank_text_is_refused(self):
+        with pytest.raises(ValueError, match="^entry text must be non-empty$"):
+            SrtEntry(1, 0.0, 1.0, " \n ")
+
     def test_parse_timestamp_values(self):
         assert parse_timestamp("00:00:20,000") == 20.0
         assert parse_timestamp("00:00:24,940") == 24.94

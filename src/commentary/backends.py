@@ -341,6 +341,7 @@ def _netrc_auth(host: str) -> tuple[str, str] | None:
     """Login and password for `host` from `$NETRC` or `~/.netrc`, if it has them.
 
     `netrc` (and the `shlex` it loads) is imported only when the file exists.
+    A file that cannot be read or parsed gives none, with a warning naming it.
     """
     path = os.environ.get("NETRC") or os.path.join(os.path.expanduser("~"), ".netrc")
     if not os.path.exists(path):
@@ -349,7 +350,8 @@ def _netrc_auth(host: str) -> tuple[str, str] | None:
 
     try:
         entry = netrc.netrc(path).authenticators(host)
-    except (OSError, netrc.NetrcParseError):
+    except (OSError, netrc.NetrcParseError) as exc:
+        _warn("netrc credentials not used: %s", exc)
         return None
     if entry is None:
         return None
@@ -543,9 +545,10 @@ class _HttpSession:
             **headers,
         }
         fields["Content-Length"] = ""  # in its place, empty whatever `headers` say
-        auth = _netrc_auth(parts.hostname)
-        if auth and "Authorization" not in headers:
-            fields["Authorization"] = _basic_auth(*auth)
+        if "Authorization" not in headers:
+            auth = _netrc_auth(parts.hostname)
+            if auth:
+                fields["Authorization"] = _basic_auth(*auth)
         if self._proxy and not self._https:
             fields.update(self._proxy_headers)
             target = url

@@ -26,7 +26,6 @@ from .backends import (
 )
 from .core import (
     CommentaryTrack,
-    Record,
     SimulatedClock,
     WallClock,
     check_timeline_seconds,
@@ -102,45 +101,6 @@ def _loaded(label: str, load: Callable[..., T], *args, **kwargs) -> T:
         raise CliError(f"{label}{exc}") from exc
 
 
-class RunConfig(Record):
-    """Everything one generation run needs, resolved and validated."""
-
-    def __init__(
-        self,
-        manifest: Path,
-        strategy: StrategyConfig,
-        prompts: PromptSet,
-        backend_spec: str,
-        cache_mode: str,
-        cache_dir: Path | None,
-        out_dir: Path,
-        seed: int,
-        jobs: int = 4,
-        force: bool = False,
-        wall: bool = False,
-    ) -> None:
-        if cache_mode != "off":
-            if cache_dir is None:
-                raise CliError("--cache-dir is required when caching is enabled")
-            if cache_dir.resolve() == out_dir.resolve():
-                raise CliError("output dir must be distinct from cache dir")
-        if jobs < 1:
-            raise CliError("--jobs must be at least 1")
-        self.__dict__.update(
-            manifest=manifest,
-            strategy=strategy,
-            prompts=prompts,
-            backend_spec=backend_spec,
-            cache_mode=cache_mode,
-            cache_dir=cache_dir,
-            out_dir=out_dir,
-            seed=seed,
-            jobs=jobs,
-            force=force,
-            wall=wall,
-        )
-
-
 def _resolve_templates(spec: str) -> tuple[PromptTemplate, PromptTemplate]:
     if spec in BUILTIN_TEMPLATES:
         return BUILTIN_TEMPLATES[spec]
@@ -184,7 +144,8 @@ def parse_rate_model(spec: str) -> SpeechRateModel:
     return SpeechRateModel(rates=rates)
 
 
-def _run_config_from_args(args: Args) -> RunConfig:
+def _run_settings(args: Args) -> tuple[StrategyConfig, PromptSet]:
+    """The strategy and prompts a `generate` or `sweep` run's flags give, every flag checked."""
     init, decision = _loaded("", _resolve_templates, args.templates)
     rate_model = parse_rate_model(args.rate_model) if args.rate_model else SpeechRateModel.default()
     _loaded(f"--templates {args.templates}: ", rate_model.for_language, decision.language)
@@ -200,20 +161,17 @@ def _run_config_from_args(args: Args) -> RunConfig:
         pool = _loaded("--demos: ", load_demonstrations, args.demos)
         label = f"--demos: {args.demos}: "
         demos = _loaded(label, sample_demonstrations, pool, strategy.icl_shots, args.seed)
-    prompts = PromptSet(init=init, decision=decision, demonstrations=demos)
-    return RunConfig(
-        manifest=Path(args.manifest),
-        strategy=strategy,
-        prompts=prompts,
-        backend_spec=args.backend,
-        cache_mode=args.cache,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        out_dir=Path(args.out),
-        seed=args.seed,
-        jobs=args.jobs,
-        force=args.force,
-        wall=args.wall,
-    )
+    if args.cache != "off" and not args.cache_dir:
+        raise CliError("--cache-dir is required when caching is enabled")
+    _check_out_dir(args, Path(args.out))
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
+    return strategy, PromptSet(init=init, decision=decision, demonstrations=demos)
+
+
+def _check_out_dir(args: Args, out_dir: Path) -> None:
+    if args.cache != "off" and Path(args.cache_dir).resolve() == out_dir.resolve():
+        raise CliError("output dir must be distinct from cache dir")
 
 
 def _load_stores(manifest: Path) -> list[FrameStore]:
@@ -255,7 +213,10 @@ def _load_references(
 
 
 def _backend_factory(
-    cfg: RunConfig, stores: list[FrameStore], references: dict[str, CommentaryTrack] | None
+    args: Args,
+    language: str,
+    stores: list[FrameStore],
+    references: dict[str, CommentaryTrack] | None,
 ) -> tuple[Callable[[FrameStore], Generator], list[RemoteChatBackend | CacheLog]]:
     """The per-video backend maker, and what the caller closes when the run ends.
 
@@ -263,7 +224,7 @@ def _backend_factory(
     them. Every session's `ReplayCache` shares the one log. An oracle
     replays `references`, or else loads each store's from its path.
     """
-    spec = cfg.backend_spec
+    spec = args.backend
     opened: list[RemoteChatBackend | CacheLog] = []
     if spec == "remote":
         client = _loaded("backend: ", RemoteChatBackend)
@@ -276,17 +237,15 @@ def _backend_factory(
     elif spec.startswith("oracle:"):
         if references is None:
             # Read as `evaluate` reads them: the oracle uses only their starts and texts.
-            references = _load_references(
-                Path(spec.partition(":")[2]), stores, cfg.prompts.decision.language
-            )
+            references = _load_references(Path(spec.partition(":")[2]), stores, language)
         make = lambda store: OracleBackend(references[store.video_id])
     else:
         raise CliError(
             f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
         )
-    if cfg.cache_mode == "off":
+    if args.cache == "off":
         return make, opened
-    log = _loaded("cache: ", CacheLog, cfg.cache_dir, cfg.cache_mode)
+    log = _loaded("cache: ", CacheLog, args.cache_dir, args.cache)
     return lambda store: ReplayCache(make(store), log), [*opened, log]
 
 
@@ -378,22 +337,28 @@ def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[
 
 
 def _generate(
-    cfg: RunConfig, stores: list[FrameStore], references: dict[str, CommentaryTrack] | None = None
+    args: Args,
+    strategy: StrategyConfig,
+    prompts: PromptSet,
+    out_dir: Path,
+    stores: list[FrameStore],
+    references: dict[str, CommentaryTrack] | None = None,
 ) -> tuple[int, dict[str, GenerationRecord]]:
-    """Run each store's session and write its outputs; return the exit code and the records."""
+    """Run each store's session and write its outputs to `out_dir`; return the exit code
+    and the records."""
     for store in stores:
-        trace_path = cfg.out_dir / f"{store.video_id}.trace"
-        if trace_path.exists() and not cfg.force:
+        trace_path = out_dir / f"{store.video_id}.trace"
+        if trace_path.exists() and not args.force:
             raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
-    factory, opened = _backend_factory(cfg, stores, references)
+    factory, opened = _backend_factory(args, prompts.decision.language, stores, references)
 
     def run_one(store: FrameStore) -> GenerationRecord:
-        clock = WallClock() if cfg.wall else SimulatedClock()
-        return run_session(store, cfg.strategy, factory(store), clock, cfg.prompts)
+        clock = WallClock() if args.wall else SimulatedClock()
+        return run_session(store, strategy, factory(store), clock, prompts)
 
     try:
-        _loaded(f"output dir {cfg.out_dir}: ", cfg.out_dir.mkdir, parents=True, exist_ok=True)
-        records = {record.video_id: record for record in _run_in_order(run_one, stores, cfg.jobs)}
+        _loaded(f"output dir {out_dir}: ", out_dir.mkdir, parents=True, exist_ok=True)
+        records = {record.video_id: record for record in _run_in_order(run_one, stores, args.jobs)}
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
     finally:
@@ -402,8 +367,8 @@ def _generate(
 
     summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
     for video_id, record in sorted(records.items()):
-        _write(cfg.out_dir / f"{video_id}.srt", to_srt(record.track))
-        _write(cfg.out_dir / f"{video_id}.trace", render_trace(record, cfg.seed))
+        _write(out_dir / f"{video_id}.srt", to_srt(record.track))
+        _write(out_dir / f"{video_id}.trace", render_trace(record, args.seed))
         status = "complete" if record.complete else "partial"
         summary_lines.append(
             f"{video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
@@ -414,14 +379,14 @@ def _generate(
         )
         if not record.complete:
             print(f"  {record.error}", file=sys.stderr)
-    _write(cfg.out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
+    _write(out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
     code = EXIT_OK if all(record.complete for record in records.values()) else EXIT_PARTIAL
     return code, records
 
 
 def cmd_generate(args: Args) -> int:
-    cfg = _run_config_from_args(args)
-    return _generate(cfg, _load_stores(cfg.manifest))[0]
+    strategy, prompts = _run_settings(args)
+    return _generate(args, strategy, prompts, Path(args.out), _load_stores(Path(args.manifest)))[0]
 
 
 def _make_scorer(spec: str, language: str) -> SimilarityScorer:
@@ -570,28 +535,25 @@ def cmd_sweep(args: Args) -> int:
     if not ref_dir.is_dir():
         raise CliError(f"reference dir not found: {ref_dir}")
     args.backend = args.backend or f"oracle:{ref_dir}"
-    base = _run_config_from_args(args)
-    # Every cell's config is checked before the first runs.
+    base, prompts = _run_settings(args)
+    # Every cell's strategy is checked before the first runs.
     cells = [
-        [_loaded("", replace, base.strategy, step=step, kind=kind) for kind in SWEEP_KINDS]
+        [_loaded("", replace, base, step=step, kind=kind) for kind in SWEEP_KINDS]
         for step in steps
     ]
-    stores = _load_stores(base.manifest)
+    stores = _load_stores(Path(args.manifest))
     # The default oracle replays the same tracks the cells are scored against.
-    references = _load_references(ref_dir, stores, base.prompts.decision.language)
-    oracle_refs = references if base.backend_spec == f"oracle:{ref_dir}" else None
+    references = _load_references(ref_dir, stores, prompts.decision.language)
+    oracle_refs = references if args.backend == f"oracle:{ref_dir}" else None
 
     table_lines = ["step\tstateless\tfeedback\treal-time\tavg"]
     worst = EXIT_OK
     for row in cells:
         values = []
         for strategy in row:
-            cfg = replace(
-                base,
-                strategy=strategy,
-                out_dir=base.out_dir / f"step-{strategy.step:g}" / strategy.kind.value,
-            )
-            code, records = _generate(cfg, stores, oracle_refs)
+            out_dir = Path(args.out) / f"step-{strategy.step:g}" / strategy.kind.value
+            _check_out_dir(args, out_dir)
+            code, records = _generate(args, strategy, prompts, out_dir, stores, oracle_refs)
             worst = max(worst, code)
             # Each track equals its own SRT, so this is what `evaluate` of the cell dir reads.
             alignment = sum(

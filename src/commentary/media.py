@@ -120,11 +120,11 @@ def load_manifest(path: str | Path) -> FrameStore:
 def frames_between(
     store: FrameStore, t_a: Seconds, t_b: Seconds, cap: int = DEFAULT_WINDOW_CAP
 ) -> tuple[str, ...]:
-    """Frame URIs whose second lies in [t_a, max(t_b, t_a + 1)), newest `cap` retained.
+    """Frame URIs whose second lies in [t_a, t_b), newest `cap` retained.
 
-    A degenerate window (t_a == t_b) therefore yields the single current frame.
-    When the formula reaches past the last stored frame, the newest available
-    frame is served instead so a window is never empty.
+    Frame s exists from time s on, so no frame is past t_b: when the range
+    holds no stored frame, as a degenerate window (t_a == t_b) does, the window
+    is the newest frame whose second is at most t_b, and so is never empty.
     """
     # One comparison passes every valid window; the checks below name what is wrong.
     if not (0 <= t_a <= t_b <= store.video_duration and cap >= 1):
@@ -142,11 +142,11 @@ def frames_between(
     frames = store.frames
     n = len(frames)
     lo = math.ceil(t_a)
-    hi = math.ceil(t_b if t_b > t_a + 1.0 else t_a + 1.0)
+    hi = math.ceil(t_b)
     if hi > n:
         hi = n
     if lo >= hi:
-        lo = min(math.floor(t_a), n - 1)
+        lo = min(math.floor(t_b), n - 1)
         hi = lo + 1
     if lo < hi - cap:
         lo = hi - cap

@@ -167,10 +167,9 @@ def reference_frames_between(
             f"window [{t_a}, {t_b}] exceeds video duration {store.video_duration}"
         )
     n = len(store.frames)
-    limit = max(t_b, t_a + 1.0)
-    seconds = [s for s in range(math.ceil(t_a), math.ceil(limit)) if s < n]
+    seconds = [s for s in range(math.ceil(t_a), math.ceil(t_b)) if s < n]
     if not seconds:
-        seconds = [min(math.floor(t_a), n - 1)]
+        seconds = [min(math.floor(t_b), n - 1)]
     if len(seconds) > cap:
         seconds = seconds[-cap:]
     return tuple(store.frames[s] for s in seconds)

@@ -420,6 +420,29 @@ class TestReplayCache:
         record(log, ["three"], [request_for(keyed_prompt(2))])
         assert [raw for _, raw in read_cache_log(path)] == [b"one", b"three"]
 
+    def test_a_header_that_cannot_be_written_closes_the_log_and_raises(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "cache" / "cache.log"
+        real_write, real_close = os.write, os.close
+        written, closed = [], []
+
+        def write(fd, data):  # the first write, the header's, writes nothing
+            written.append(fd)
+            return 0 if len(written) == 1 else real_write(fd, data)
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "close", close)
+        with pytest.raises(OSError) as exc:
+            CacheLog(tmp_path / "cache", "record")
+        assert str(exc.value) == f"short write to {path}: 0 of 20 bytes"
+        assert closed == written
+        assert path.read_bytes() == b""
+
     def test_threads_record_each_key_once(self, tmp_path, cache_log):
         log = cache_log("record")
         keys = list(range(1000))
@@ -1113,6 +1136,10 @@ def _auth_sent(kind, server, api_key):
     return server.requests[-1]["auth"]
 
 
+# Python's `netrc` does not read curl's `port` token.
+_UNPARSABLE_NETRC = "machine 127.0.0.1 login user password secret port 80\n"
+
+
 class TestNetrcCredentials:
     """Netrc credentials apply only where no API key is configured."""
 
@@ -1131,20 +1158,34 @@ class TestNetrcCredentials:
         assert _auth_sent(kind, chat_server, "") == "Basic dXNlcjpzZWNyZXQ="
 
     @pytest.mark.parametrize(
-        "text",
+        "text, warning",
         [
-            "machine 127.0.0.1 login user password secret port 80\n",
-            "machine api.example.test login user password secret\n",
+            (_UNPARSABLE_NETRC, "netrc credentials not used: bad follower token 'port' ({}, line 1)"),
+            ("machine api.example.test login user password secret\n", None),
         ],
         ids=["unparsable", "without-the-host"],
     )
     def test_a_netrc_with_no_entry_for_the_host_sends_no_credentials(
-        self, chat_server, no_proxy_env, tmp_path, text
+        self, chat_server, no_proxy_env, tmp_path, caplog, text, warning
     ):
         netrc = tmp_path / "netrc"
         netrc.write_text(text, encoding="utf-8")
         no_proxy_env.setenv("NETRC", str(netrc))
-        assert _auth_sent("chat", chat_server, "") is None
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            assert _auth_sent("chat", chat_server, "") is None
+        logged = [r.getMessage() for r in caplog.records if r.name == "commentary.backends"]
+        assert logged == ([] if warning is None else [warning.format(netrc)])
+
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_a_client_with_an_api_key_reads_no_netrc(
+        self, chat_server, no_proxy_env, tmp_path, caplog, kind
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text(_UNPARSABLE_NETRC, encoding="utf-8")
+        no_proxy_env.setenv("NETRC", str(netrc))
+        with caplog.at_level(logging.WARNING, logger="commentary.backends"):
+            assert _auth_sent(kind, chat_server, "sk-test") == "Bearer sk-test"
+        assert [r for r in caplog.records if r.name == "commentary.backends"] == []
 
 
 @pytest.fixture(scope="module")
@@ -1194,6 +1235,24 @@ class TestTls:
         response = client.generate(request_for(prompt(attachments=())))
         assert response.raw_text == "the pack surges forward"
         assert tls_server.requests[0]["auth"] == "Basic dXNlcjpzZWNyZXQ="
+
+    def test_a_ca_directory_set_before_construction_is_used(
+        self, tls_server, tls_files, no_proxy_env, tmp_path, closing
+    ):
+        # A CA directory holds each certificate under its subject hash, as `c_rehash` names it.
+        digest = subprocess.run(
+            ["openssl", "x509", "-hash", "-noout", "-in", str(tls_files[0])],
+            check=True, capture_output=True, encoding="ascii",
+        ).stdout.strip()
+        cas = tmp_path / "cas"
+        cas.mkdir()
+        shutil.copyfile(tls_files[0], cas / f"{digest}.0")
+        no_proxy_env.setenv("REQUESTS_CA_BUNDLE", str(cas))
+        client = closing(self._client(tls_server))
+        no_proxy_env.delenv("REQUESTS_CA_BUNDLE")
+        response = client.generate(request_for(prompt(attachments=())))
+        assert response.raw_text == "the pack surges forward"
+        assert len(tls_server.requests) == 1
 
     def test_a_certificate_outside_the_bundle_fails_every_attempt(
         self, tls_server, no_proxy_env, caplog

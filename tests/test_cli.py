@@ -502,6 +502,23 @@ class TestReplay:
         assert "Traceback" not in err
         assert generated_files(cache) == before
 
+    def test_a_cache_log_header_that_cannot_be_written_exits_one(
+        self, workspace, capsys, monkeypatch
+    ):
+        cache = workspace["root"] / "cache"
+        real_write = os.write
+        calls = []
+
+        def write(fd, data):  # the first write, the new log's header, writes nothing
+            calls.append(fd)
+            return 0 if len(calls) == 1 else real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        assert main(gen_args(workspace, out="run", cache="record", cache_dir=str(cache))) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cache: short write to {cache / 'cache.log'}: 0 of 20 bytes\n"
+        assert not (workspace["root"] / "run").exists()
+
     @pytest.mark.parametrize(
         "column, value",
         [(-2, -5), (-2, True), (-1, True), (None, None)],
@@ -603,9 +620,9 @@ class TestSessionRunner:
         durations = {"a": 40.0, "b": 2.0, "c": 20.0, "d": 4.0, "e": 30.0}
         vids = self._videos(workspace, durations)
         parsed = cli.build_parser().parse_args(self._args(workspace, vids, "three", jobs=3))
-        cfg = cli._run_config_from_args(parsed)
-        stores = cli._load_stores(cfg.manifest)
-        code, records = cli._generate(cfg, stores)
+        strategy, prompts = cli._run_settings(parsed)
+        stores = cli._load_stores(Path(parsed.manifest))
+        code, records = cli._generate(parsed, strategy, prompts, Path(parsed.out), stores)
         assert code == 0
         assert list(records) == [store.video_id for store in stores] == list(durations)
         for video_id, record in records.items():
@@ -1391,6 +1408,29 @@ class TestSweep:
         assert code == 1
         assert not out.exists()
         assert "distinct from cache dir" in capsys.readouterr().err
+
+    def test_a_cell_dir_that_is_the_cache_dir_stops_the_sweep_at_that_cell(
+        self, workspace, capsys
+    ):
+        ref_dir = self._refs(workspace)
+        out = workspace["root"] / "sweep"
+        cache = out / "step-2" / "feedback"
+        code = main([
+            "sweep",
+            "--manifest", str(workspace["manifest"]),
+            "--ref", str(ref_dir),
+            "--steps", "1,2",
+            "--cache", "record",
+            "--cache-dir", str(cache),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: output dir must be distinct from cache dir\n"
+        # The cells before it ran; the log they recorded to is all the cache dir holds.
+        for cell in ("step-1/stateless", "step-1/feedback", "step-1/realtime", "step-2/stateless"):
+            assert (out / cell / "race01.trace").is_file()
+        assert sorted(p.name for p in cache.iterdir()) == ["cache.log"]
+        assert sorted(p.name for p in (out / "step-2").iterdir()) == ["feedback", "stateless"]
 
     def _two_video_corpus(self, workspace):
         """Manifests and references for five videos of 10, 20, 10.0004, 10 and 20 s:

@@ -25,7 +25,6 @@ from commentary import (
     Utterance,
     Wait,
     WallClock,
-    cli,
     evaluate,
     render_init,
     run_session,
@@ -285,7 +284,7 @@ class TestRecord:
         assert hash(read) == hash(fresh) == hash((read.prompt, "m", 2.0))
         assert repr(read) == repr(fresh)
 
-    def test_every_record_type_hashes(self, tmp_path):
+    def test_every_record_type_hashes(self):
         store = synth_store(duration=6.0)
         demo = Demonstration(store.frames[0], "lights out")
         prompts = PromptSet(*BUILTIN_TEMPLATES["race-en"], demonstrations=(demo,))
@@ -300,7 +299,6 @@ class TestRecord:
             request, request.prompt, GeneratorResponse("go", 0.0), Speak("go"), Wait(),
             evaluate(record.track, record.track, LexicalOverlapScorer(), "en"),
             SrtEntry(1, 0.0, 1.0, "go"),
-            cli.RunConfig(tmp_path / "m", cfg, prompts, "scripted:s", "off", None, tmp_path, 0),
         ]
         assert {type(r) for r in instances} == set(Record.__subclasses__())
         for r in instances:

@@ -216,6 +216,11 @@ class TestFramesBetween:
         window = frames_between(store, 10.0, 15.25, cap=30)
         assert window_seconds(window) == [10, 11, 12, 13, 14, 15]
 
+    def test_a_window_within_one_second_shows_no_later_frame(self):
+        store = synth_store(duration=10.0)
+        assert window_seconds(frames_between(store, 0.25, 0.5, cap=30)) == [0]
+        assert window_seconds(frames_between(store, 2.5, 3.0, cap=30)) == [3]
+
     def test_degenerate_at_video_end_serves_last_frame(self):
         store = synth_store(duration=10.0)
         window = frames_between(store, 10.0, 10.0, cap=30)

@@ -172,6 +172,31 @@ class TestSessionWindows:
             record = run_session(store, cfg, ScriptedBackend(), SimulatedClock(), prompt_set())
             assert window_seconds(record.steps[0].window) == [0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(list(StrategyKind)),
+        step_ms=st.one_of(st.sampled_from([250, 500]), st.integers(100, 3000)),
+        cap=st.integers(1, 6),
+        duration_ms=st.integers(0, 20_000),
+        replies=st.lists(
+            st.sampled_from(["<WAIT>", "", "go", "the red car leads", "go " * 9]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    # Frame 1 exists from 1 s on, so the stateless decision at 0.5 s cannot show it.
+    @example(kind=StrategyKind.STATELESS, step_ms=250, cap=30, duration_ms=2000, replies=[""])
+    def test_no_window_holds_a_frame_from_after_its_decision(
+        self, kind, step_ms, cap, duration_ms, replies
+    ):
+        store = synth_store(duration=from_ms(duration_ms))
+        cfg = StrategyConfig(kind=kind, step=from_ms(step_ms), window_cap=cap)
+        script = {i: replies[i % len(replies)] for i in range(duration_ms // step_ms + 1)}
+        record = run_session(store, cfg, ScriptedBackend(script), SimulatedClock(), prompt_set())
+        for step in record.steps:
+            assert step.window
+            assert max(window_seconds(step.window)) <= step.time
+
 
 class TestStrategyConfig:
     def test_icl_shots_default_by_kind(self):

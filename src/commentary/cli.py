@@ -338,55 +338,61 @@ def _run_in_order(run: Callable[[T], R], items: Sequence[T], jobs: int) -> list[
 
 def _generate(
     args: Args,
-    strategy: StrategyConfig,
     prompts: PromptSet,
-    out_dir: Path,
+    cells: list[tuple[StrategyConfig, Path]],
     stores: list[FrameStore],
     references: dict[str, CommentaryTrack] | None = None,
-) -> tuple[int, dict[str, GenerationRecord]]:
-    """Run each store's session and write its outputs to `out_dir`; return the exit code
-    and the records."""
-    for store in stores:
-        trace_path = out_dir / f"{store.video_id}.trace"
-        if trace_path.exists() and not args.force:
-            raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
+) -> tuple[int, list[dict[str, GenerationRecord]]]:
+    """Run the `(strategy, out_dir)` cells in turn on one backend, writing each cell's outputs
+    to its dir when it ends; return the exit code and each cell's records by video id."""
+    for _, out_dir in cells:
+        _check_out_dir(args, out_dir)
+        for store in stores:
+            trace_path = out_dir / f"{store.video_id}.trace"
+            if trace_path.exists() and not args.force:
+                raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
     factory, opened = _backend_factory(args, prompts.decision.language, stores, references)
 
-    def run_one(store: FrameStore) -> GenerationRecord:
+    def run_one(session: tuple[StrategyConfig, FrameStore]) -> GenerationRecord:
+        strategy, store = session
         clock = WallClock() if args.wall else SimulatedClock()
         return run_session(store, strategy, factory(store), clock, prompts)
 
+    cell_records = []
     try:
-        _loaded(f"output dir {out_dir}: ", out_dir.mkdir, parents=True, exist_ok=True)
-        records = {record.video_id: record for record in _run_in_order(run_one, stores, args.jobs)}
+        for strategy, out_dir in cells:
+            _loaded(f"output dir {out_dir}: ", out_dir.mkdir, parents=True, exist_ok=True)
+            ended = _run_in_order(run_one, [(strategy, store) for store in stores], args.jobs)
+            records = {record.video_id: record for record in ended}
+            cell_records.append(records)
+            summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
+            for video_id, record in sorted(records.items()):
+                _write(out_dir / f"{video_id}.srt", to_srt(record.track))
+                _write(out_dir / f"{video_id}.trace", render_trace(record, args.seed))
+                status = "complete" if record.complete else "partial"
+                summary_lines.append(
+                    f"{video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
+                )
+                print(
+                    f"{video_id}: {len(record.steps)} decisions, "
+                    f"{len(record.track.utterances)} utterances ({status})"
+                )
+                if not record.complete:
+                    print(f"  {record.error}", file=sys.stderr)
+            _write(out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
     except ReplayMissError as exc:
         raise CliError(str(exc)) from exc
     finally:
         for resource in opened:
             resource.close()
-
-    summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
-    for video_id, record in sorted(records.items()):
-        _write(out_dir / f"{video_id}.srt", to_srt(record.track))
-        _write(out_dir / f"{video_id}.trace", render_trace(record, args.seed))
-        status = "complete" if record.complete else "partial"
-        summary_lines.append(
-            f"{video_id}\t{status}\t{len(record.steps)}\t{len(record.track.utterances)}"
-        )
-        print(
-            f"{video_id}: {len(record.steps)} decisions, "
-            f"{len(record.track.utterances)} utterances ({status})"
-        )
-        if not record.complete:
-            print(f"  {record.error}", file=sys.stderr)
-    _write(out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
-    code = EXIT_OK if all(record.complete for record in records.values()) else EXIT_PARTIAL
-    return code, records
+    complete = all(record.complete for records in cell_records for record in records.values())
+    return EXIT_OK if complete else EXIT_PARTIAL, cell_records
 
 
 def cmd_generate(args: Args) -> int:
     strategy, prompts = _run_settings(args)
-    return _generate(args, strategy, prompts, Path(args.out), _load_stores(Path(args.manifest)))[0]
+    stores = _load_stores(Path(args.manifest))
+    return _generate(args, prompts, [(strategy, Path(args.out))], stores)[0]
 
 
 def _make_scorer(spec: str, language: str) -> SimilarityScorer:
@@ -537,34 +543,27 @@ def cmd_sweep(args: Args) -> int:
     args.backend = args.backend or f"oracle:{ref_dir}"
     base, prompts = _run_settings(args)
     # Every cell's strategy is checked before the first runs.
-    cells = [
-        [_loaded("", replace, base, step=step, kind=kind) for kind in SWEEP_KINDS]
-        for step in steps
+    strategies = [
+        _loaded("", replace, base, step=step, kind=kind) for step in steps for kind in SWEEP_KINDS
     ]
+    cells = [(s, Path(args.out) / f"step-{s.step:g}" / s.kind.value) for s in strategies]
     stores = _load_stores(Path(args.manifest))
-    # The default oracle replays the same tracks the cells are scored against.
     references = _load_references(ref_dir, stores, prompts.decision.language)
-    oracle_refs = references if args.backend == f"oracle:{ref_dir}" else None
-
+    # An oracle of the --ref dir replays the same tracks the cells are scored against.
+    spec, _, path = args.backend.partition(":")
+    same_refs = spec == "oracle" and Path(path).resolve() == ref_dir.resolve()
+    worst, cell_records = _generate(args, prompts, cells, stores, references if same_refs else None)
+    # Each track equals its own SRT, so each value is what `evaluate` of the cell dir reads.
+    values = [
+        sum(timing_alignment(records[v].track, references[v]) for v in sorted(references))
+        / len(references)
+        for records in cell_records
+    ]
     table_lines = ["step\tstateless\tfeedback\treal-time\tavg"]
-    worst = EXIT_OK
-    for row in cells:
-        values = []
-        for strategy in row:
-            out_dir = Path(args.out) / f"step-{strategy.step:g}" / strategy.kind.value
-            _check_out_dir(args, out_dir)
-            code, records = _generate(args, strategy, prompts, out_dir, stores, oracle_refs)
-            worst = max(worst, code)
-            # Each track equals its own SRT, so this is what `evaluate` of the cell dir reads.
-            alignment = sum(
-                timing_alignment(records[video_id].track, references[video_id])
-                for video_id in sorted(references)
-            )
-            values.append(alignment / len(references))
-        avg = sum(values) / len(values)
-        table_lines.append(
-            f"{strategy.step:g}\t" + "\t".join(f"{v:.3f}" for v in values) + f"\t{avg:.3f}"
-        )
+    for i, step in enumerate(steps):
+        row = values[i * len(SWEEP_KINDS) : (i + 1) * len(SWEEP_KINDS)]
+        avg = sum(row) / len(row)
+        table_lines.append(f"{step:g}\t" + "\t".join(f"{v:.3f}" for v in row) + f"\t{avg:.3f}")
     print("\n".join(table_lines))
     _write_report(args.report, table_lines)
     return worst

@@ -622,7 +622,7 @@ class TestSessionRunner:
         parsed = cli.build_parser().parse_args(self._args(workspace, vids, "three", jobs=3))
         strategy, prompts = cli._run_settings(parsed)
         stores = cli._load_stores(Path(parsed.manifest))
-        code, records = cli._generate(parsed, strategy, prompts, Path(parsed.out), stores)
+        code, [records] = cli._generate(parsed, prompts, [(strategy, Path(parsed.out))], stores)
         assert code == 0
         assert list(records) == [store.video_id for store in stores] == list(durations)
         for video_id, record in records.items():
@@ -1409,28 +1409,34 @@ class TestSweep:
         assert not out.exists()
         assert "distinct from cache dir" in capsys.readouterr().err
 
-    def test_a_cell_dir_that_is_the_cache_dir_stops_the_sweep_at_that_cell(
-        self, workspace, capsys
+    @pytest.mark.parametrize("in_the_way", ["cache-dir", "trace"])
+    def test_a_later_cell_dir_in_the_way_exits_one_before_any_cell_runs(
+        self, workspace, capsys, in_the_way
     ):
         ref_dir = self._refs(workspace)
         out = workspace["root"] / "sweep"
-        cache = out / "step-2" / "feedback"
-        code = main([
+        cell = out / "step-2" / "feedback"
+        argv = [
             "sweep",
             "--manifest", str(workspace["manifest"]),
             "--ref", str(ref_dir),
             "--steps", "1,2",
-            "--cache", "record",
-            "--cache-dir", str(cache),
             "--out", str(out),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == "error: output dir must be distinct from cache dir\n"
-        # The cells before it ran; the log they recorded to is all the cache dir holds.
-        for cell in ("step-1/stateless", "step-1/feedback", "step-1/realtime", "step-2/stateless"):
-            assert (out / cell / "race01.trace").is_file()
-        assert sorted(p.name for p in cache.iterdir()) == ["cache.log"]
-        assert sorted(p.name for p in (out / "step-2").iterdir()) == ["feedback", "stateless"]
+        ]
+        if in_the_way == "cache-dir":
+            argv += ["--cache", "record", "--cache-dir", str(cell)]
+            before, message = [], "output dir must be distinct from cache dir"
+        else:
+            cell.mkdir(parents=True)
+            (cell / "race01.trace").write_text("kept\n", encoding="utf-8")
+            before = [out / "step-2", cell, cell / "race01.trace"]
+            message = f"refusing to overwrite {cell / 'race01.trace'}; pass --force to allow"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # No cell ran and no cache log was opened: `out` holds what it held before.
+        assert sorted(out.rglob("*")) == before
+        if in_the_way == "trace":
+            assert read(cell / "race01.trace") == "kept\n"
 
     def _two_video_corpus(self, workspace):
         """Manifests and references for five videos of 10, 20, 10.0004, 10 and 20 s:
@@ -1509,7 +1515,12 @@ class TestSweep:
                 ]
                 assert cell == f"{float(corpus[0]):.3f}", (step, kind)
 
-    def test_each_manifest_and_reference_is_loaded_once(self, workspace, monkeypatch):
+    @pytest.mark.parametrize("backend", ["default", "oracle-of-ref-dir-slash", "scripted-record"])
+    def test_each_manifest_and_reference_is_loaded_once(self, workspace, monkeypatch, backend):
+        """And the run builds one backend for all its cells: an oracle of the --ref dir,
+        however spelled, replays the scored references, and a script is read and a cache
+        log opened once."""
+        root = workspace["root"]
         vids, ref_dir = self._two_video_corpus(workspace)
         loads = []
 
@@ -1520,17 +1531,67 @@ class TestSweep:
 
             return wrapper
 
-        monkeypatch.setattr(cli, "load_manifest", counted(cli.load_manifest))
-        monkeypatch.setattr(cli, "load_reference", counted(cli.load_reference))
-        code = main([
+        for name in ("load_manifest", "load_reference", "read_script", "CacheLog"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        argv = [
             "sweep", "--manifest", str(vids), "--ref", str(ref_dir),
-            "--steps", "1,2", "--out", str(workspace["root"] / "sweep-once"),
-        ])
-        assert code == 0
-        assert sorted(loads) == [
+            "--steps", "1,2", "--out", str(root / "sweep-once"),
+        ]
+        expected = [
             "a.manifest", "a.srt", "b.manifest", "b.srt", "c.manifest", "c.srt",
             "d.manifest", "d.srt", "e.manifest", "e.tsv",
         ]
+        if backend == "oracle-of-ref-dir-slash":
+            argv += ["--backend", f"oracle:{ref_dir}/"]
+        elif backend == "scripted-record":
+            argv += ["--backend", f"scripted:{workspace['script']}"]
+            argv += ["--cache", "record", "--cache-dir", str(root / "cache")]
+            expected += ["cache", "script.tsv"]
+        assert main(argv) == 0
+        assert sorted(loads) == sorted(expected)
+
+    def test_a_remote_sweep_at_one_job_keeps_one_connection(self, workspace, monkeypatch):
+        ref_dir = self._refs(workspace)
+        manifest = workspace["manifest"]
+        manifest.write_text(
+            read(manifest).replace("file:///frames/", "https://f.test/"), encoding="utf-8"
+        )
+        with serving_chat() as server:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            monkeypatch.setenv("COMMENTARY_API_BASE", base)
+            monkeypatch.setenv("COMMENTARY_MODEL", "m")
+            code = main([
+                "sweep", "--manifest", str(manifest), "--ref", str(ref_dir), "--steps", "1,2",
+                "--backend", "remote", "--jobs", "1", "--out", str(workspace["root"] / "sweep"),
+            ])
+        assert code == 0
+        assert len(server.connections) == 1
+
+    def test_a_recorded_sweep_replays_exactly(self, workspace, monkeypatch):
+        vids, ref_dir = self._two_video_corpus(workspace)
+        root = workspace["root"]
+
+        def sweep(mode):
+            argv = [
+                "sweep", "--manifest", str(vids), "--ref", str(ref_dir), "--steps", "0.3,1,2",
+                "--backend", f"scripted:{workspace['script']}", "--cache", mode,
+                "--cache-dir", str(root / "cache"), "--out", str(root / mode),
+                "--report", str(root / f"{mode}.tsv"),
+            ]
+            assert main(argv) == 0
+
+        sweep("record")
+        opened = []
+        cache_log = cli.CacheLog
+        monkeypatch.setattr(cli, "CacheLog", lambda *args: opened.append(args) or cache_log(*args))
+        sweep("replay")
+        assert opened == [(str(root / "cache"), "replay")]
+        assert read(root / "replay.tsv") == read(root / "record.tsv")
+        for step in ("0.3", "1", "2"):
+            for kind in ("stateless", "feedback", "realtime"):
+                cell = Path(f"step-{step}") / kind
+                replayed, recorded = root / "replay" / cell, root / "record" / cell
+                assert generated_files(replayed) == generated_files(recorded)
 
     def test_scores_no_lexical_metric(self, workspace, monkeypatch):
         from commentary import evaluation

@@ -232,6 +232,7 @@ class ScriptedBackend:
     """Deterministic mock: responses keyed by prompt digest or call index."""
 
     model_id = "scripted"
+    stateful = True  # it counts its calls
 
     def __init__(
         self, script: Mapping[int | str, str] | None = None, default: str = WAIT_TOKEN
@@ -283,6 +284,7 @@ class OracleBackend:
     """
 
     model_id = "oracle"
+    stateful = True  # it keeps the previous decision's time
     # Every Wait is this one immutable response.
     _WAIT = GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
 
@@ -1074,25 +1076,28 @@ class CacheLog:
             pos = eol + 1 + size
         return pos
 
-    def lookup(self, key: CacheKey) -> tuple[int, str]:
-        """The recorded latency in ms and raw reply for `key`.
+    def answer(self, key: CacheKey, ask: Callable[[], GeneratorResponse]) -> tuple[int, str]:
+        """The latency in ms and raw reply the log holds for `key`.
 
-        Raises `ReplayMismatchError` when the digest was recorded only under
-        other settings, and `ReplayMissError` when it was never recorded.
+        On a miss, `record` calls `ask()` and adds its reply; `replay` raises
+        `ReplayMismatchError` when the digest was recorded only under other
+        settings, and `ReplayMissError` when it was never recorded.
         """
-        try:
+        if key in self._records:  # never removed, so no lock is needed
             return self._records[key]
-        except KeyError:
-            recorded = self._last_key.get(key.digest)
-            if recorded is None:
-                raise ReplayMissError(key.digest) from None
-            raise ReplayMismatchError(recorded, key) from None
+        if self.mode == "record":
+            return self.add(key, ask())
+        recorded = self._last_key.get(key.digest)
+        if recorded is None:
+            raise ReplayMissError(key.digest)
+        raise ReplayMismatchError(recorded, key)
 
     def add(self, key: CacheKey, response: GeneratorResponse) -> tuple[int, str]:
         """Append `response` under `key` unless the log already holds the key.
 
-        Returns the latency in ms and raw reply the log holds for `key` now,
-        which is what a replay will serve.
+        Returns the latency in ms and raw reply the log holds for `key` now:
+        when two threads miss the same key at once, both get the first reply
+        added. A failed write raises `BackendError`.
         """
         import json
 
@@ -1101,7 +1106,10 @@ class CacheLog:
         header = json.dumps([*key, latency_ms, len(raw)]).encode("ascii")
         with self._lock:
             if key not in self._records:
-                self._append(header + b"\n" + raw)
+                try:
+                    self._append(header + b"\n" + raw)
+                except OSError as exc:
+                    raise BackendError(f"cannot record to {self.path}: {exc}") from exc
                 self._records[key] = (latency_ms, response.raw_text)
                 self._last_key[key.digest] = key
             return self._records[key]
@@ -1122,11 +1130,11 @@ class CacheLog:
 class ReplayCache:
     """Record/replay wrapper around one backend, keyed by the whole request.
 
-    In `record` mode every request goes to the inner backend and its reply is
-    added to the shared `CacheLog`; in `replay` mode the reply comes from the
-    log alone. Both modes return the reply the log holds, so when a key was
-    recorded before, in this run or an earlier one into the same dir, a
-    record run uses that first reply, just as its replay will.
+    Every reply is the one the shared `CacheLog` holds for the request. A key it
+    lacks is asked of the inner backend in `record` mode, and is a miss in
+    `replay` mode. So no request the log holds is sent again, and a record run
+    serves what its replay will. `record` asks a `stateful` inner backend, whose
+    replies also depend on its earlier requests, every request.
     """
 
     def __init__(self, inner: Generator, log: CacheLog) -> None:
@@ -1135,6 +1143,7 @@ class ReplayCache:
         self.model_id = inner.model_id
         # Only `record` reaches the inner backend, the one that may read ahead.
         self.reads_ahead = log.mode == "record" and getattr(inner, "reads_ahead", False)
+        self._asks_every_request = log.mode == "record" and getattr(inner, "stateful", False)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
@@ -1144,12 +1153,6 @@ class ReplayCache:
         key = CacheKey(
             request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames
         )
-        if self._log.mode == "replay":
-            latency_ms, raw = self._log.lookup(key)
-        else:
-            response = self._inner.generate(request)
-            try:
-                latency_ms, raw = self._log.add(key, response)
-            except OSError as exc:
-                raise BackendError(f"cannot record to {self._log.path}: {exc}") from exc
+        reply = self._inner.generate(request) if self._asks_every_request else None
+        latency_ms, raw = self._log.answer(key, lambda: reply or self._inner.generate(request))
         return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms))

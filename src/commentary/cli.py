@@ -91,13 +91,14 @@ class CliError(Exception):
 
 
 def _loaded(label: str, load: Callable[..., T], *args, **kwargs) -> T:
-    """`load(*args, **kwargs)`; an OSError or ValueError is a CliError, `label` its prefix.
+    """`load(*args, **kwargs)`; an OSError, ValueError, BackendError or replay miss is a
+    CliError, `label` its prefix.
 
     The loaders' ValueErrors name the file, as OSError's message does.
     """
     try:
         return load(*args, **kwargs)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BackendError, ReplayMissError) as exc:
         raise CliError(f"{label}{exc}") from exc
 
 
@@ -362,7 +363,7 @@ def _generate(
     try:
         for strategy, out_dir in cells:
             _loaded(f"output dir {out_dir}: ", out_dir.mkdir, parents=True, exist_ok=True)
-            ended = _run_in_order(run_one, [(strategy, store) for store in stores], args.jobs)
+            ended = _loaded("", _run_in_order, run_one, [(strategy, s) for s in stores], args.jobs)
             records = {record.video_id: record for record in ended}
             cell_records.append(records)
             summary_lines = ["video_id\tstatus\tdecisions\tutterances"]
@@ -380,8 +381,6 @@ def _generate(
                 if not record.complete:
                     print(f"  {record.error}", file=sys.stderr)
             _write(out_dir / "summary.tsv", "\n".join(summary_lines) + "\n")
-    except ReplayMissError as exc:
-        raise CliError(str(exc)) from exc
     finally:
         for resource in opened:
             resource.close()
@@ -405,12 +404,12 @@ def _make_scorer(spec: str, language: str) -> SimilarityScorer:
 
 def _trace_duration(trace: Path, language: str) -> float | None:
     """The video's duration by its trace, None without one; a trace made in a language
-    other than `language` is a CliError."""
+    other than `language` raises ValueError."""
     if not trace.exists():
         return None
     duration, traced = read_trace_header(trace)
     if traced is not None and traced != language:
-        raise CliError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
+        raise ValueError(f"{trace}: generated in {traced!r}, but --language is {language!r}")
     return duration
 
 
@@ -480,10 +479,7 @@ def cmd_evaluate(args: Args) -> int:
     reports: list[EvalReport] = []
     try:
         for video_id, gen_track, ref_track in pairs:
-            try:
-                report = evaluate(gen_track, ref_track, scorer, language)
-            except (ValueError, OSError, BackendError) as exc:  # BackendError: embedding endpoint
-                raise CliError(f"{video_id}: {exc}") from exc
+            report = _loaded(f"{video_id}: ", evaluate, gen_track, ref_track, scorer, language)
             reports.append(report)
             print(f"video: {video_id}")
             for key, value in _scores(report).items():

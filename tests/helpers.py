@@ -466,6 +466,9 @@ def write_cache_log(path: Path, records: Sequence[tuple[list, bytes]]) -> None:
 class _ChatHandler(BaseHTTPRequestHandler):
     server_version = "stub"
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out in two writes: with Nagle's algorithm on, the
+    # body would wait for the client's delayed ACK, about 40 ms a reply.
+    disable_nagle_algorithm = True
 
     def setup(self):
         super().setup()

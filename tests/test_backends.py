@@ -238,6 +238,13 @@ def cache_log(tmp_path):
         log.close()
 
 
+class StatelessScript(ScriptedBackend):
+    """A `ScriptedBackend` that declares its replies a function of the request alone,
+    so a recording cache asks it only for a key the log lacks; `_calls` counts its asks."""
+
+    stateful = False
+
+
 def record(log, replies, requests_=None):
     for i, raw in enumerate(replies):
         req = requests_[i] if requests_ else request_for(keyed_prompt(i))
@@ -364,13 +371,27 @@ class TestReplayCache:
     def test_recording_a_key_again_keeps_its_first_reply(self, cache_log):
         req = request_for(keyed_prompt(3))
         log = cache_log("record")
-        assert ReplayCache(ScriptedBackend(default="first"), log).generate(req).raw_text == "first"
-        assert ReplayCache(ScriptedBackend(default="again"), log).generate(req).raw_text == "first"
+        first, again = StatelessScript(default="first"), StatelessScript(default="again")
+        assert ReplayCache(first, log).generate(req).raw_text == "first"
+        assert ReplayCache(again, log).generate(req).raw_text == "first"
         log.close()
-        later = ReplayCache(ScriptedBackend(default="second"), cache_log("record"))
-        assert later.generate(req).raw_text == "first"
+        later = StatelessScript(default="second")
+        assert ReplayCache(later, cache_log("record")).generate(req).raw_text == "first"
         replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
         assert replayer.generate(req).raw_text == "first"
+        # The log answers the key, so no recorder after the first asks its backend.
+        assert (first._calls, again._calls, later._calls) == (1, 0, 0)
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_a_stateful_backend_is_asked_every_request_only_when_recording(self, cache_log, mode):
+        record(cache_log("record"), ["held"])
+        inner = ScriptedBackend({0: "first call", 1: "second call"})
+        cache = ReplayCache(inner, cache_log(mode))
+        assert cache.generate(request_for(keyed_prompt(0))).raw_text == "held"
+        if mode == "record":
+            # It saw the held request too, so the new one gets its second call's reply.
+            assert cache.generate(request_for(keyed_prompt(1))).raw_text == "second call"
+        assert inner._calls == (2 if mode == "record" else 0)
 
     @pytest.mark.parametrize(
         "torn",

@@ -402,6 +402,33 @@ class TestReplay:
         rec2, rep = workspace["root"] / "rec2", workspace["root"] / "rep"
         assert generated_files(rec2) == generated_files(rep)
 
+    def test_recording_into_a_used_dir_sends_no_request_the_log_answers(
+        self, workspace, monkeypatch
+    ):
+        manifest = workspace["manifest"]
+        manifest.write_text(
+            read(manifest).replace("file:///frames/", "https://f.test/"), encoding="utf-8"
+        )
+        root, cache = workspace["root"], workspace["root"] / "cache"
+
+        def run(out, mode):
+            args = gen_args(workspace, out, cache=mode, cache_dir=str(cache), strategy="realtime")
+            args[args.index("--backend") + 1] = "remote"
+            assert main(args) == 0
+
+        with serving_chat() as server:
+            monkeypatch.setenv("COMMENTARY_API_BASE", f"http://127.0.0.1:{server.server_address[1]}")
+            monkeypatch.setenv("COMMENTARY_MODEL", "m")
+            run("rec1", "record")
+            sent, log = len(server.requests), (cache / "cache.log").read_bytes()
+            run("rec2", "record")
+            run("rep", "replay")
+        assert sent == len(read_cache_log(cache / "cache.log")) > 1
+        assert len(server.requests) == sent
+        assert (cache / "cache.log").read_bytes() == log
+        assert generated_files(root / "rec2") == generated_files(root / "rec1")
+        assert generated_files(root / "rep") == generated_files(root / "rec1")
+
     @pytest.mark.parametrize("mode", ["record", "replay"])
     def test_frame_that_is_a_directory_ends_the_session_naming_it(self, workspace, capsys, mode):
         frames = framed_workspace(workspace)
@@ -779,7 +806,8 @@ class TestEvaluateCommand:
         argv = ["evaluate", str(gen_dir), str(gen_dir), "--report", str(report), "--language", "ja"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {gen_dir / 'race01.trace'}: generated in 'en', but --language is 'ja'\n"
+        trace = gen_dir / "race01.trace"
+        assert err == f"error: race01: {trace}: generated in 'en', but --language is 'ja'\n"
         assert not report.exists()
 
     @pytest.mark.parametrize("report", ["adir", "afile/report.tsv"])
@@ -1592,6 +1620,28 @@ class TestSweep:
                 cell = Path(f"step-{step}") / kind
                 replayed, recorded = root / "replay" / cell, root / "record" / cell
                 assert generated_files(replayed) == generated_files(recorded)
+
+    @pytest.mark.parametrize("backend", ["oracle", "scripted"])
+    def test_a_recorded_sweep_of_a_mock_writes_what_an_uncached_sweep_writes(
+        self, workspace, backend
+    ):
+        """Cells share requests: every cell's first, and a stateless and a feedback
+        cell's until their first Speak. A mock is asked each of them even so, so its
+        call count and its previous decision's time follow its own session."""
+        ref_dir = self._refs(workspace)
+        root = workspace["root"]
+        spec = f"oracle:{ref_dir}" if backend == "oracle" else f"scripted:{workspace['script']}"
+        for cache in ("off", "record"):
+            assert main([
+                "sweep", "--manifest", str(workspace["manifest"]), "--ref", str(ref_dir),
+                "--steps", "2", "--backend", spec, "--cache", cache,
+                "--cache-dir", str(root / "cache"), "--out", str(root / cache),
+                "--report", str(root / f"{cache}.tsv"),
+            ]) == 0
+        assert read(root / "record.tsv") == read(root / "off.tsv")
+        for kind in ("stateless", "feedback", "realtime"):
+            cell = Path("step-2") / kind
+            assert generated_files(root / "record" / cell) == generated_files(root / "off" / cell)
 
     def test_scores_no_lexical_metric(self, workspace, monkeypatch):
         from commentary import evaluation

@@ -221,6 +221,14 @@ class TestScorers:
         scorer = LexicalOverlapScorer(unit="character")
         assert scorer.score("赤い", "赤い") == 1.0
 
+    @pytest.mark.parametrize("unit", ["word", "character"])
+    @pytest.mark.parametrize("empty", ["", " \t\n "], ids=["empty", "whitespace"])
+    def test_lexical_side_with_no_units_scores_zero(self, unit, empty):
+        scorer = LexicalOverlapScorer(unit=unit)
+        assert scorer.score(empty, "赤い car") == 0.0
+        assert scorer.score("赤い car", empty) == 0.0
+        assert scorer.score(empty, empty) == 0.0
+
     def test_embedding_scorer_cosine(self, monkeypatch):
         scorer = EmbeddingScorer(base_url="http://example.invalid", model_id="embed")
         vectors = {"a b": [1.0, 0.0], "b a": [0.0, 2.0], "same": [3.0, 4.0]}

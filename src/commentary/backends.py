@@ -9,7 +9,7 @@ import os
 import re
 import threading
 import time
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
@@ -124,47 +124,19 @@ class _Frame:
 
 
 class ReadAhead:
-    """One session's frames, made ready for its next request while the current reply is awaited.
+    """One session's hand-off of frames from each request to the next.
 
-    `run_session` makes one per session when its backend `reads_ahead`,
-    passes it to each request, and sets `next`, the look-ahead, before each
-    request to the frames the next request's window may hold, in schedule
-    order. Once the request is sent, `warm` keeps that request's frames and
-    the ready ones still in `next`, then reads, base64-encodes and hashes
-    each other frame of `next` in order until the reply is readable; the
-    next request takes its frames from there, and what is not kept is
-    dropped at the following `warm`. A read that fails is not kept: the
-    request that needs the frame reads it itself and reports the failure.
+    `run_session` makes one per session when its backend `reads_ahead`, and
+    passes it to each request. `ready` holds the readable frames the last
+    request loaded, with their base64 and digest once made; the next request
+    takes those it sends from there and reads the rest before it is sent. A
+    frame that failed to read is not kept, so the next request reads it again.
     """
 
-    __slots__ = ("next", "ready")
+    __slots__ = ("ready",)
 
     def __init__(self) -> None:
-        self.next: tuple[str, ...] = ()
         self.ready: dict[str, _Frame] = {}
-
-    def warm(self, held: Mapping[str, _Frame | OSError | None], sock: Any) -> None:
-        """Make the frames of `next` ready: keep `held`, the current request's frames, and
-        the ready ones still in `next`, then read the others in order while `sock`, which
-        carries the request, has no reply to read."""
-        ready = {uri: frame for uri, frame in held.items() if isinstance(frame, _Frame)}
-        missing = []
-        for uri in self.next:
-            if uri not in ready:
-                frame = self.ready.get(uri)
-                if frame is None:
-                    missing.append(uri)
-                else:
-                    ready[uri] = frame
-        for uri in missing:
-            if _readable(sock):
-                break
-            frame = _load_frame(uri)
-            if isinstance(frame, _Frame):
-                frame.base64()
-                frame.digest()
-                ready[uri] = frame
-        self.ready = ready
 
 
 class GeneratorRequest(Record):
@@ -172,8 +144,8 @@ class GeneratorRequest(Record):
     at most `MAX_OUTPUT_UNITS` tokens.
 
     `read_ahead`, the session's `ReadAhead` when its backend reads ahead,
-    supplies the frames made ready during the previous request. It is no
-    field: it takes no part in ==, hash or repr.
+    supplies the frames its previous request read, and gets this request's.
+    It is no field: it takes no part in ==, hash or repr.
     """
 
     _fields = ("prompt", "model_id", "decision_time")
@@ -195,16 +167,20 @@ class GeneratorRequest(Record):
 
     @cached_property
     def _frames(self) -> dict[str, _Frame | OSError | None]:
-        """Each attachment's frame, taken from `read_ahead` or loaded at first use, then kept.
+        """Each attachment's frame, taken from `read_ahead` or loaded at first use, then kept
+        and, with `read_ahead`, handed on to the session's next request.
 
         The cache key and the request body both use these frames, so the key
         hashes exactly the bytes that were sent.
         """
-        ready = self.read_ahead.ready if self.read_ahead is not None else {}
+        ahead = self.read_ahead
+        ready = ahead.ready if ahead is not None else {}
         frames: dict[str, _Frame | OSError | None] = {}
         for uri in self.prompt.attachments:
             if uri not in frames:
                 frames[uri] = ready.get(uri) or _load_frame(uri)
+        if ahead is not None:
+            ahead.ready = {uri: frame for uri, frame in frames.items() if isinstance(frame, _Frame)}
         return frames
 
 
@@ -219,7 +195,8 @@ class Generator(Protocol):
     """Anything that can answer one prompt at a time.
 
     One whose `reads_ahead` attribute is true gets its session's `ReadAhead`
-    with each request; one without that attribute reads nothing ahead.
+    with each request, so each request reuses the frames the previous one
+    read; one without that attribute gets none.
     """
 
     model_id: str
@@ -362,8 +339,7 @@ def _netrc_auth(host: str) -> tuple[str, str] | None:
 
 
 def _readable(sock: Any) -> bool:
-    """Whether `sock` has bytes or an end of stream to read: on an idle connection,
-    that the server closed it; on one that carries a request, that the reply came."""
+    """Whether idle `sock` has bytes or an end of stream to read: that the server closed it."""
     import select
 
     if hasattr(select, "poll"):
@@ -610,16 +586,11 @@ class _HttpSession:
         if status != 200:
             raise ConnectionError(f"proxy refused the tunnel to {self._authority}: {status}")
 
-    def post(
-        self, body: bytes, in_flight: Callable[[Any], None] | None = None
-    ) -> tuple[int, bytes]:
-        """POST `body`; the reply's status and body. `in_flight`, if given, runs once the
-        request is sent, before its reply is read, with the socket that carries it."""
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """POST `body`; the reply's status and body."""
         conn = self._connection()
         try:
             conn.sock.sendall(b"".join((self._before, b"%d" % len(body), self._after, body)))
-            if in_flight is not None:
-                in_flight(conn.sock)
             status, content, keep = _read_reply(conn.reader)
         except BaseException:
             conn.close()
@@ -763,9 +734,9 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     The JSON up to the prompt text is built once per model id. `json`
     encodes the prompt text and each data or `http(s)://` URI; each local
     frame's base64 is spliced in as bytes, since base64 needs no JSON
-    escape. The frames are the request's, each base64-encoded once, unless
-    the read-ahead made it ready; one that could not be read raises its
-    `OSError`, as `build_chat_payload` does.
+    escape. The frames are the request's, each base64-encoded once per
+    session when the session hands them on; one that could not be read
+    raises its `OSError`, as `build_chat_payload` does.
     """
     import json
 
@@ -787,6 +758,15 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
         parts.append(b"}}")
     parts.append(_PAYLOAD_END)
     return b"".join(parts)
+
+
+def configured_model(variable: str, model_id: str | None = None, required: bool = True) -> str:
+    """`model_id`, or else the value of the environment `variable`; `ValueError` when
+    neither names one and a model is `required`."""
+    model_id = model_id or os.environ.get(variable, "")
+    if required and not model_id:
+        raise ValueError(f"no model configured; set {variable} or pass model_id")
+    return model_id
 
 
 class _Endpoint:
@@ -827,9 +807,7 @@ class _Endpoint:
                 f"set {env_key} or put them in ~/.netrc"
             )
         self.api_key = api_key if api_key is not None else os.environ.get(env_key, "")
-        self.model_id = model_id or os.environ.get(env_model, "")
-        if self._NEEDS_MODEL and not self.model_id:
-            raise ValueError(f"no model configured; set {env_model} or pass model_id")
+        self.model_id = configured_model(env_model, model_id, self._NEEDS_MODEL)
         self._headers = {"Content-Type": "application/json"}
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
@@ -844,20 +822,15 @@ class _Endpoint:
         self._session = session
         self._slots = threading.Semaphore(MAX_CONCURRENCY)
 
-    def _post(
-        self, body: bytes, in_flight: Callable[[Any], None] | None = None
-    ) -> tuple[bytes, float]:
-        """POST the JSON `body` to `url`; the body of the 200 reply and its latency in seconds.
+    def _post(self, body: bytes) -> tuple[bytes, float]:
+        """POST the JSON `body` to `url`; the body of the 200 reply and its latency in seconds,
+        the time of its attempt from send to reply read.
 
         Rate limits (429), server errors (5xx) and transport failures are retried
         up to `MAX_ATTEMPTS` in all, sleeping `BACKOFF_BASE * 2**(n - 1)` seconds
         before retry n; each retry is logged as a warning, and resends `body` as
         it is. Each attempt holds one of the `MAX_CONCURRENCY` slots. Other
         statuses raise their typed `BackendError` at once.
-
-        On its own client, `in_flight` runs in each attempt once the request is
-        sent, with the socket that carries it; a caller's session answers only
-        once the reply is in, so there it does not run.
         """
         url = self.url
         last_error: BackendError = TransportError("no attempt made")
@@ -873,7 +846,7 @@ class _Endpoint:
                 started = time.monotonic()
                 try:
                     if isinstance(self._session, _HttpSession):
-                        status, content = self._session.post(body, in_flight)
+                        status, content = self._session.post(body)
                     else:
                         resp = self._session.post(
                             url, data=body, headers=self._headers, timeout=self._TIMEOUT
@@ -916,8 +889,7 @@ class RemoteChatBackend(_Endpoint):
     """
 
     _ENV = (ENV_API_BASE, ENV_API_KEY, ENV_MODEL)
-    # Sessions hand it a `ReadAhead`: the next request's frames are read while each reply
-    # is awaited, on its own client.
+    # Sessions hand it a `ReadAhead`, so a frame that consecutive requests send is read once.
     reads_ahead = True
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
@@ -925,9 +897,7 @@ class RemoteChatBackend(_Endpoint):
             body = chat_request_body(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the request: {exc}") from exc
-        ahead = request.read_ahead
-        in_flight = None if ahead is None else partial(ahead.warm, request._frames)
-        reply, latency = self._post(body, in_flight)
+        reply, latency = self._post(body)
         return GeneratorResponse(raw_text=_extract_content(reply), latency=latency)
 
 
@@ -1134,15 +1104,17 @@ class ReplayCache:
     lacks is asked of the inner backend in `record` mode, and is a miss in
     `replay` mode. So no request the log holds is sent again, and a record run
     serves what its replay will. `record` asks a `stateful` inner backend, whose
-    replies also depend on its earlier requests, every request.
+    replies also depend on its earlier requests, every request. A replay asks
+    no backend, so in `replay` mode `inner` may be just the model id it answers as.
     """
 
-    def __init__(self, inner: Generator, log: CacheLog) -> None:
+    # The key reads each request's frames, so sessions hand them on in both modes.
+    reads_ahead = True
+
+    def __init__(self, inner: Generator | str, log: CacheLog) -> None:
         self._inner = inner
         self._log = log
-        self.model_id = inner.model_id
-        # Only `record` reaches the inner backend, the one that may read ahead.
-        self.reads_ahead = log.mode == "record" and getattr(inner, "reads_ahead", False)
+        self.model_id = inner if isinstance(inner, str) else inner.model_id
         self._asks_every_request = log.mode == "record" and getattr(inner, "stateful", False)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from .backends import (
     CACHE_MODES,
+    ENV_MODEL,
     BackendError,
     CacheLog,
     Generator,
@@ -22,6 +23,7 @@ from .backends import (
     ReplayCache,
     ReplayMissError,
     ScriptedBackend,
+    configured_model,
     read_script,
 )
 from .core import (
@@ -223,23 +225,33 @@ def _backend_factory(
 
     That is the remote client and the run's cache log, where the run has
     them. Every session's `ReplayCache` shares the one log. An oracle
-    replays `references`, or else loads each store's from its path.
+    replays `references`, or else loads each store's from its path. A
+    replay asks no backend, so it builds none: it reads only the model id
+    the named backend answers as, and no endpoint, script or reference.
     """
     spec = args.backend
+    replay = args.cache == "replay"
     opened: list[RemoteChatBackend | CacheLog] = []
     if spec == "remote":
-        client = _loaded("backend: ", RemoteChatBackend)
-        opened.append(client)
-        make: Callable[[FrameStore], Generator] = lambda store: client
+        if replay:
+            model_id = _loaded("backend: ", configured_model, ENV_MODEL)
+        else:
+            client = _loaded("backend: ", RemoteChatBackend)
+            opened.append(client)
+            make: Callable[[FrameStore], Generator] = lambda store: client
     elif spec.startswith("scripted:"):
-        script, default = _loaded("backend: ", read_script, Path(spec.partition(":")[2]))
-        # Read once; each video's backend counts its own calls.
-        make = lambda store: ScriptedBackend(script, default)
+        model_id = ScriptedBackend.model_id
+        if not replay:
+            script, default = _loaded("backend: ", read_script, Path(spec.partition(":")[2]))
+            # Read once; each video's backend counts its own calls.
+            make = lambda store: ScriptedBackend(script, default)
     elif spec.startswith("oracle:"):
-        if references is None:
-            # Read as `evaluate` reads them: the oracle uses only their starts and texts.
-            references = _load_references(Path(spec.partition(":")[2]), stores, language)
-        make = lambda store: OracleBackend(references[store.video_id])
+        model_id = OracleBackend.model_id
+        if not replay:
+            if references is None:
+                # Read as `evaluate` reads them: the oracle uses only their starts and texts.
+                references = _load_references(Path(spec.partition(":")[2]), stores, language)
+            make = lambda store: OracleBackend(references[store.video_id])
     else:
         raise CliError(
             f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
@@ -247,6 +259,8 @@ def _backend_factory(
     if args.cache == "off":
         return make, opened
     log = _loaded("cache: ", CacheLog, args.cache_dir, args.cache)
+    if replay:
+        return lambda store: ReplayCache(model_id, log), [log]
     return lambda store: ReplayCache(make(store), log), [*opened, log]
 
 

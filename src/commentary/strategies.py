@@ -252,12 +252,8 @@ def run_session(
     carries the error; a replay-cache miss is no backend failure and propagates
     (it is a configuration problem, not a transient failure).
 
-    For a backend that reads ahead, each request carries the look-ahead, the
-    frames the next window may hold, so the backend can make them ready while
-    it awaits the reply. The next decision comes at t + step at the earliest,
-    its window starting at t. A fixed kind's window is then [t, t + step). A
-    realtime window may reach further, to where a Speak moves the next query:
-    its look-ahead is the frames from t on, `window_cap` of them at the most.
+    For a backend that reads ahead, every request carries the session's
+    `ReadAhead`, which hands the frames one request read on to the next.
     """
     language = prompts.decision.language
     config.rate_model.for_language(language)  # raises ValueError for a language it lacks
@@ -266,7 +262,6 @@ def run_session(
     duration_ms = to_ms(store.video_duration)
     step_ms = to_ms(config.step)
     realtime = config.kind is StrategyKind.REALTIME
-    ahead_ms = max(step_ms, 1000 * config.window_cap) if realtime else step_ms
     keeps_history = config.kind is not StrategyKind.STATELESS
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
@@ -287,14 +282,6 @@ def run_session(
         else:
             rendered = renderer.render(history, window)
 
-        if read_ahead is not None:
-            read_ahead.next = (
-                frames_between(
-                    store, t, from_ms(min(t_ms + ahead_ms, duration_ms)), config.window_cap
-                )
-                if t_ms + step_ms <= duration_ms
-                else ()
-            )
         try:
             request = GeneratorRequest(rendered, backend.model_id, t, read_ahead)
             response = backend.generate(request)

@@ -792,7 +792,8 @@ def _sent_frames(sent):
 
 @pytest.mark.usefixtures("endpoint_constants")
 class TestReadAhead:
-    """The chat backend reads the frames the next window may hold while each reply is awaited."""
+    """The chat backend reads each request's frames before it is sent, and hands them on
+    to the session's next request."""
 
     def _session(self, server, paths, cache=None, window_cap=DEFAULT_WINDOW_CAP):
         store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
@@ -804,14 +805,13 @@ class TestReadAhead:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("held_back", [0, 1, 3, 8])
-    def test_the_next_frame_is_read_while_the_request_is_in_flight_and_never_again(
-        self, chat_server, tmp_path, monkeypatch, held_back
+    def test_each_frame_is_read_before_the_request_that_first_sends_it_and_never_again(
+        self, chat_server, tmp_path, monkeypatch
     ):
-        chat_server.content = WAIT_TOKEN
-        paths = _frame_files(tmp_path / "frames", 8)
+        # 6 words at 4 a second: each Speak moves the next query 1.5 s on, over 1 or 2 frames.
+        chat_server.content = "the red car leads the pack"
+        paths = _frame_files(tmp_path / "frames", 12)
         events = []
-        flight = {"sent": False, "checks": 0}
 
         class SpySocket:
             def __init__(self, sock):
@@ -820,60 +820,53 @@ class TestReadAhead:
             def sendall(self, data):
                 self._sock.sendall(data)
                 events.append("sent")
-                flight.update(sent=True, checks=0)
 
             def __getattr__(self, name):
                 return getattr(self._sock, name)
 
-        read_file, read_reply, connect, readable = (
+        read_file, read_reply, connect = (
             backends._read_file,
             backends._read_reply,
             backends._Connection.__init__,
-            backends._readable,
         )
-
-        def reply_after_held_back(sock):
-            """While a request is in flight, its reply is readable once the warm step
-            has read `held_back` frames; an idle connection is checked for real."""
-            if not flight["sent"]:
-                return readable(sock)
-            flight["checks"] += 1
-            return flight["checks"] > held_back
 
         def spy_reply(reader):
             events.append("reply")
-            flight["sent"] = False
             return read_reply(reader)
 
         monkeypatch.setattr(backends, "_read_file", lambda p: events.append(p) or read_file(p))
         monkeypatch.setattr(backends, "_read_reply", spy_reply)
-        monkeypatch.setattr(backends, "_readable", reply_after_held_back)
         monkeypatch.setattr(
             backends._Connection, "__init__", lambda self, sock: connect(self, SpySocket(sock))
         )
         session = self._session(chat_server, paths, window_cap=4)
         monkeypatch.undo()
         assert session.complete, session.error
-        assert [step.time for step in session.steps] == [float(t) for t in range(9)]
-        # Decision t sends frame t - 1 (frame 0 at t = 0 and 1), read before it is sent
-        # unless it is ready. Its look-ahead is frames t to t + 3; of those never read,
-        # the first `held_back` are read once it is sent and before its reply is read.
-        expected, read = [], set()
-        for t in range(9):
-            held = str(paths[max(0, t - 1)])
-            if held not in read:
-                expected.append(held)
-                read.add(held)
-            warmed = [str(p) for p in paths[t : t + 4] if str(p) not in read][:held_back]
-            read.update(warmed)
-            expected += ["sent", *warmed, "reply"]
-        assert events == expected
-        frames_read = [event for event in events if event not in ("sent", "reply")]
+        assert {len(step.window) for step in session.steps} == {1, 2}
+        # Each request reads, before it is sent, the frames of its window that the request
+        # before it did not send, and nothing is read from its send to its reply.
+        flights, reads = [], []
+        for event in events:
+            if event == "sent":
+                flights.append(reads)
+                reads = []
+            elif event == "reply":
+                assert not reads
+            else:
+                reads.append(event)
+        assert not reads
+        marks = [event for event in events if event in ("sent", "reply")]
+        assert marks == ["sent", "reply"] * len(session.steps)
+        previous: tuple[str, ...] = ()
+        for step, read in zip(session.steps, flights, strict=True):
+            assert read == [uri for uri in step.window if uri not in previous]
+            previous = step.window
+        frames_read = [path for read in flights for path in read]
         assert sorted(frames_read) == [str(p) for p in paths]  # each read once
         sent = [_sent_frames(request) for request in chat_server.requests]
-        assert sent == [[paths[max(0, t - 1)].read_bytes()] for t in range(9)]
+        assert sent == [[Path(uri).read_bytes() for uri in step.window] for step in session.steps]
 
-    def test_a_callers_session_reads_nothing_ahead(self, tmp_path, monkeypatch):
+    def test_a_callers_session_reads_each_frame_once_before_its_post(self, tmp_path, monkeypatch):
         paths = _frame_files(tmp_path / "frames", 6)
         events = []
         reply = json.dumps({"choices": [{"message": {"content": WAIT_TOKEN}}]}).encode()
@@ -892,30 +885,72 @@ class TestReadAhead:
         config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
         record = run_session(store, config, client, SimulatedClock(), prompt_set())
         assert record.complete, record.error
-        # Each request reads its own frame before it is sent, and nothing else is read.
-        assert events == [item for t in range(7) for item in (str(paths[max(0, t - 1)]), "post")]
+        # Each request reads the frame it lacks before it is sent, and no connection is checked.
+        expected = []
+        for t in range(7):
+            if t != 1:  # frame 0, sent at t = 0 and t = 1, is read once
+                expected.append(str(paths[max(0, t - 1)]))
+            expected.append("post")
+        assert events == expected
 
-    def test_a_frame_gone_after_it_was_warmed_is_sent_as_read(
-        self, chat_server, tmp_path, monkeypatch
+    def test_a_recorded_latency_is_the_time_from_send_to_reply(
+        self, chat_server, tmp_path, monkeypatch, cache_log
+    ):
+        """Each frame read takes a second of the clock `_post` times by, and nothing else
+        moves it: a latency that held frame work would read 1000 ms or more."""
+        paths = _frame_files(tmp_path / "frames", 8)
+        now = [0.0]
+        read_file = backends._read_file
+
+        def slow_read(path):
+            now[0] += 1.0
+            return read_file(path)
+
+        monkeypatch.setattr(backends, "_read_file", slow_read)
+        monkeypatch.setattr(
+            backends, "time", SimpleNamespace(monotonic=lambda: now[0], sleep=time.sleep)
+        )
+        # No reply is ever seen readable before it is read.
+        monkeypatch.setattr(backends, "_readable", lambda sock: False)
+        log = cache_log("record")
+        session = self._session(chat_server, paths, log)
+        assert session.complete, session.error
+        assert now[0] == len(paths)  # every frame was read, once
+        latencies = [fields[5] for fields, _ in read_cache_log(log.path)]
+        assert len(latencies) == len(session.steps) == 9
+        assert max(latencies) < 1000
+
+    def test_a_replay_reads_each_frame_once(self, chat_server, tmp_path, monkeypatch, cache_log):
+        paths = _frame_files(tmp_path / "frames", 6)
+        recorded = self._session(chat_server, paths, cache_log("record"))
+        read, read_file = [], backends._read_file
+        monkeypatch.setattr(backends, "_read_file", lambda p: read.append(p) or read_file(p))
+        replayed = self._session(chat_server, paths, cache_log("replay"))
+        assert replayed == recorded and replayed.complete
+        assert read == [str(p) for p in paths]
+
+    def test_a_frame_gone_after_it_was_read_is_sent_as_read(
+        self, chat_server, tmp_path, monkeypatch, cache_log
     ):
         paths = _frame_files(tmp_path / "frames", 6)
         contents = [path.read_bytes() for path in paths]
-        warm = backends.ReadAhead.warm
+        read_file = backends._read_file
 
-        def warm_then_delete(self, held, sock):
-            warm(self, held, sock)
-            for uri in self.ready:
-                if uri not in held:
-                    Path(uri).unlink(missing_ok=True)
+        def read_then_delete(path):
+            data = read_file(path)
+            Path(path).unlink()
+            return data
 
-        monkeypatch.setattr(backends.ReadAhead, "warm", warm_then_delete)
-        # No reply is readable before the warm step is done: it reads the whole look-ahead.
-        monkeypatch.setattr(backends, "_readable", lambda sock: False)
-        session = self._session(chat_server, paths)
+        monkeypatch.setattr(backends, "_read_file", read_then_delete)
+        log = cache_log("record")
+        session = self._session(chat_server, paths, log)
         assert session.complete, session.error
-        assert [p.exists() for p in paths] == [True] + [False] * 5
+        assert not any(p.exists() for p in paths)
         sent = [_sent_frames(request) for request in chat_server.requests]
         assert sent == [[contents[max(0, t - 1)]] for t in range(7)]
+        # Frame 0, gone when the request at t = 1 sends it, is hashed as sent, not as missing.
+        keys = [fields[4] for fields, _ in read_cache_log(log.path)]
+        assert keys[1] == hashlib.sha256(hashlib.sha256(contents[0]).digest()).hexdigest()[:16]
 
     @pytest.mark.parametrize(
         "cache, message", [(None, "for the request"), ("record", "for the cache key")]
@@ -929,6 +964,7 @@ class TestReadAhead:
         errors = []
         for reads_ahead, name in ((True, "ahead"), (False, "plain")):
             monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
+            monkeypatch.setattr(ReplayCache, "reads_ahead", reads_ahead)
             log = cache and cache_log(cache, tmp_path / name)
             session = self._session(chat_server, paths, log)
             errors.append(session.error)
@@ -938,22 +974,24 @@ class TestReadAhead:
             f"[Errno {errno.EISDIR}] Is a directory: '{paths[3]}'"
         )
 
-    def test_only_local_frames_are_read_ahead(self, chat_server, tmp_path, monkeypatch):
-        """`https://` and data frames are never read nor kept ready, and every request body
-        is the one a run that reads nothing ahead sends."""
+    def test_only_local_frames_are_handed_on(self, chat_server, tmp_path, monkeypatch):
+        """`https://` and data frames are never read nor handed on, and every request body
+        is the one a run that hands nothing on sends."""
         local = [str(p) for p in _frame_files(tmp_path / "frames", 2)]
         inline = "data:image/png;base64," + base64.b64encode(b"frame").decode("ascii")
         uris = [local[0], "https://frames.example.test/1.jpg", inline, local[1], inline]
-        read, kept = [], set()
-        read_file, warm = backends._read_file, backends.ReadAhead.warm
+        read, kept = [], []
+        read_file, generate = backends._read_file, RemoteChatBackend.generate
 
-        def spy_warm(self, held, sock):
-            warm(self, held, sock)
-            kept.update(self.ready)
+        def spy_generate(self, request):
+            try:
+                return generate(self, request)
+            finally:
+                if request.read_ahead is not None:
+                    kept.append(set(request.read_ahead.ready))
 
         monkeypatch.setattr(backends, "_read_file", lambda p: read.append(p) or read_file(p))
-        monkeypatch.setattr(backends.ReadAhead, "warm", spy_warm)
-        monkeypatch.setattr(backends, "_readable", lambda sock: False)
+        monkeypatch.setattr(RemoteChatBackend, "generate", spy_generate)
         bodies = []
         for reads_ahead in (True, False):
             monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
@@ -962,7 +1000,9 @@ class TestReadAhead:
             bodies.append([request["raw"] for request in chat_server.requests])
             chat_server.requests.clear()
             if reads_ahead:
-                assert sorted(read) == sorted(kept) == local  # each local frame read once
+                assert read == local  # each local frame read once
+                # Decision t sends frame t - 1 (frame 0 at t = 0 and 1).
+                assert kept == [{local[0]}, {local[0]}, set(), set(), {local[1]}, set()]
         ahead, plain = bodies
         assert ahead == plain and len(ahead) == len(uris) + 1
 
@@ -971,7 +1011,6 @@ class TestReadAhead:
     ):
         uris = [str(p) for p in _frame_files(tmp_path / "frames", 6)]
         uris[3] = f"file://otherhost{uris[3]}"
-        monkeypatch.setattr(backends, "_readable", lambda sock: False)
         errors = []
         for reads_ahead in (True, False):
             monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)

@@ -429,6 +429,55 @@ class TestReplay:
         assert generated_files(root / "rec2") == generated_files(root / "rec1")
         assert generated_files(root / "rep") == generated_files(root / "rec1")
 
+    def test_a_remote_replay_needs_no_endpoint(self, workspace, monkeypatch, capsys):
+        """A replay builds no backend: with the endpoint gone and unconfigured, it reads
+        only COMMENTARY_MODEL, and writes what the record run wrote."""
+        framed_workspace(workspace)
+        root, cache = workspace["root"], workspace["root"] / "cache"
+
+        def run(out, mode):
+            args = gen_args(workspace, out, cache=mode, cache_dir=str(cache), strategy="realtime")
+            args[args.index("--backend") + 1] = "remote"
+            return main(args)
+
+        monkeypatch.setenv("COMMENTARY_MODEL", "m")
+        with serving_chat() as server:
+            monkeypatch.setenv("COMMENTARY_API_BASE", f"http://127.0.0.1:{server.server_address[1]}")
+            assert run("rec", "record") == 0
+        assert server.requests
+        monkeypatch.delenv("COMMENTARY_API_BASE")
+        assert run("rep", "replay") == 0
+        assert generated_files(root / "rep") == generated_files(root / "rec")
+        monkeypatch.delenv("COMMENTARY_MODEL")
+        capsys.readouterr()
+        assert run("nomodel", "replay") == 1
+        assert capsys.readouterr().err == (
+            "error: backend: no model configured; set COMMENTARY_MODEL or pass model_id\n"
+        )
+
+    @pytest.mark.parametrize("backend", ["scripted", "oracle"])
+    def test_a_mock_replay_reads_no_script_or_reference(self, workspace, backend):
+        root, cache = workspace["root"], workspace["root"] / "cache"
+        source = workspace["script"]
+        if backend == "oracle":
+            source = root / "ref.srt"
+            source.write_text(
+                "1\n00:00:01,000 --> 00:00:02,500\nThe blue car takes an early lead\n",
+                encoding="utf-8",
+            )
+        flags = dict(cache_dir=str(cache), strategy="realtime")
+
+        def run(out, mode):
+            args = gen_args(workspace, out, cache=mode, **flags)
+            args[args.index("--backend") + 1] = f"{backend}:{source}"
+            return main(args)
+
+        assert run("rec", "record") == 0
+        source.unlink()
+        assert run("rep", "replay") == 0
+        assert generated_files(root / "rep") == generated_files(root / "rec")
+        assert "The blue car takes an early lead" in read(root / "rep" / "race01.srt")
+
     @pytest.mark.parametrize("mode", ["record", "replay"])
     def test_frame_that_is_a_directory_ends_the_session_naming_it(self, workspace, capsys, mode):
         frames = framed_workspace(workspace)
@@ -702,8 +751,8 @@ class TestSessionRunner:
     def test_two_jobs_sharing_a_remote_backend_record_what_one_job_records(
         self, workspace, monkeypatch
     ):
-        """Each session reads its own frames ahead, so two sessions on two threads
-        sharing one remote backend send and record what one thread does."""
+        """Each session hands its own frames on from request to request, so two sessions
+        on two threads sharing one remote backend send and record what one thread does."""
         root = workspace["root"]
         vids = root / "vids"
         vids.mkdir()

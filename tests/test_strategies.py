@@ -678,90 +678,53 @@ class TestRendererInTheSession:
         assert hashed[0] <= 2 * history_bytes + 600 * 64
 
 
-class _HeldReply:
-    """A reply held back while the warm step reads `frames` frames: the scripted
-    reply check says it is readable from the check after those on. Logs each check."""
-
-    def __init__(self, frames, log):
-        self.frames = frames
-        self.log = log
-        self.checks = 0
-
-    def readable(self):
-        self.checks += 1
-        ready = self.checks > self.frames
-        self.log.append(("check", ready))
-        return ready
-
-
 class _ReadingBackend:
-    """A chat backend's frame work without the HTTP: each request's frames are read
-    before it is sent, and with `reads_ahead` the look-ahead is warmed while its
-    reply is held back for the next of `held_back` frames. Replies come from
+    """A chat backend's frame work without the HTTP: each request's frames are loaded
+    before it is sent, as the body and the cache key load them. Replies come from
     `replies` in turn, each after advancing the clock by the next of `delays_ms`.
-    `log` gets each frame file read and each reply check. Records per request its
-    attachments, the frames it holds, the ready set and look-ahead the warm step
-    found, what the warm step logged and the ready set it left."""
+    Records per request its attachments, the frames it was handed and the frames it
+    handed on."""
 
     model_id = "reading"
 
-    def __init__(self, clock, replies, delays_ms, held_back, reads_ahead, log):
+    def __init__(self, clock, replies, delays_ms, reads_ahead):
         self.clock = clock
         self.replies = replies
         self.delays_ms = delays_ms
-        self.held_back = held_back
         self.reads_ahead = reads_ahead
-        self.log = log
         self.sent = []
 
     def generate(self, request):
         index = len(self.sent)
-        frames = request._frames  # what the body and the cache key are built from
         ahead = request.read_ahead
-        flight = types.SimpleNamespace(attachments=request.prompt.attachments, held=set(frames))
-        if ahead is not None:
-            flight.found, flight.next, mark = set(ahead.ready), ahead.next, len(self.log)
-            ahead.warm(frames, _HeldReply(self.held_back[index % len(self.held_back)], self.log))
-            flight.events, flight.left = self.log[mark:], set(ahead.ready)
+        flight = types.SimpleNamespace(attachments=request.prompt.attachments)
+        flight.found = set(ahead.ready) if ahead is not None else set()
+        request._frames  # what the body and the cache key are built from
+        flight.left = set(ahead.ready) if ahead is not None else set()
         self.sent.append(flight)
         self.clock.advance_to(self.clock.now() + from_ms(self.delays_ms[index % len(self.delays_ms)]))
         return GeneratorResponse(self.replies[index % len(self.replies)], 0.0)
 
 
-def _reading_session(store, cfg, prompts, replies, delays_ms, held_back, reads_ahead=True):
+def _reading_session(store, cfg, prompts, replies, delays_ms, reads_ahead=True):
     """The record of a session run by a `_ReadingBackend`, its flights and the frame
-    files read, with reads and reply checks scripted."""
-    log = []
+    files read."""
+    reads = Counter()
 
     def read_file(path):
-        log.append(("read", path))
+        reads[path] += 1
         return path.encode()
 
     clock = SimulatedClock()
-    backend = _ReadingBackend(clock, replies, delays_ms, held_back, reads_ahead, log)
-    with mock.patch.object(backends, "_read_file", read_file), mock.patch.object(
-        backends, "_readable", lambda reply: reply.readable()
-    ):
+    backend = _ReadingBackend(clock, replies, delays_ms, reads_ahead)
+    with mock.patch.object(backends, "_read_file", read_file):
         record = run_session(store, cfg, backend, clock, prompts)
-    return record, backend.sent, Counter([path for kind, path in log if kind == "read"])
-
-
-def _look_ahead(store, cfg, t_ms):
-    """The frames a request at `t_ms` hands the read-ahead: those the next window may
-    hold, from t up to the step or, under realtime, `window_cap` seconds ahead."""
-    step_ms = to_ms(cfg.step)
-    duration_ms = to_ms(store.video_duration)
-    if t_ms + step_ms > duration_ms:
-        return ()  # there is no next decision
-    reach_ms = max(step_ms, 1000 * cfg.window_cap) if cfg.kind is StrategyKind.REALTIME else step_ms
-    end_ms = min(t_ms + reach_ms, duration_ms)
-    return frames_between(store, from_ms(t_ms), from_ms(end_ms), cfg.window_cap)
+    return record, backend.sent, reads
 
 
 class TestReadAhead:
-    """A backend that reads ahead is handed the frames the next window may hold, reads
-    those it lacks in order until the reply is readable, and runs the session a
-    backend that does not read ahead runs."""
+    """A backend that reads ahead is handed the frames its session's previous request
+    read, and runs the session a backend that does not read ahead runs."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -776,10 +739,9 @@ class TestReadAhead:
             max_size=6,
         ),
         delays_ms=st.lists(st.sampled_from([0, 0, 600, 2500]), min_size=1, max_size=4),
-        held_back=st.lists(st.integers(0, 8), min_size=1, max_size=4),
     )
-    def test_the_look_ahead_is_warmed_in_order_until_the_reply_and_nothing_else_changes(
-        self, kind, step_ms, cap, duration_ms, shots, replies, delays_ms, held_back
+    def test_each_frame_is_read_once_per_session_and_nothing_else_changes(
+        self, kind, step_ms, cap, duration_ms, shots, replies, delays_ms
     ):
         store = synth_store(duration=from_ms(duration_ms))
         icl = kind is StrategyKind.FEEDBACK_ICL
@@ -787,65 +749,22 @@ class TestReadAhead:
             kind=kind, step=from_ms(step_ms), window_cap=cap, icl_shots=shots if icl else None
         )
         prompts = prompt_set(demonstrations=_demos(shots))
-        record, sent, reads = _reading_session(store, cfg, prompts, replies, delays_ms, held_back)
-        plain, plain_sent, _ = _reading_session(
-            store, cfg, prompts, replies, delays_ms, held_back, reads_ahead=False
+        record, sent, reads = _reading_session(store, cfg, prompts, replies, delays_ms)
+        plain, plain_sent, plain_reads = _reading_session(
+            store, cfg, prompts, replies, delays_ms, reads_ahead=False
         )
         assert record == plain
         assert to_srt(record.track) == to_srt(plain.track)
         assert render_trace(record, 0) == render_trace(plain, 0)
-        assert not any(hasattr(flight, "events") for flight in plain_sent)
         assert set(reads.values()) == {1}  # each frame file read once in the session
-
-        realtime = kind is StrategyKind.REALTIME
-        # The windows the requests would send with no cap, to tell a cut one.
-        starts = [0] + [to_ms(step.time) for step in record.steps]
-        whole = [
-            frames_between(
-                store,
-                from_ms(start_ms if realtime else max(0, to_ms(step.time) - step_ms)),
-                step.time,
-                10**6,
-            )
-            for start_ms, step in zip(starts, record.steps)
-        ]
-        for i, flight in enumerate(sent):
-            look = _look_ahead(store, cfg, to_ms(record.steps[i].time))
-            assert flight.next == look
-            missing = [uri for uri in look if uri not in flight.held | flight.found]
-            k = held_back[i % len(held_back)]
-            warmed = [uri for kind_, uri in flight.events if kind_ == "read"]
-            assert warmed == [uri.removeprefix("file://") for uri in missing[:k]]
-            # No frame is started once the reply is readable: a check that finds it ends the step.
-            assert ("check", True) not in flight.events[:-1]
-            assert flight.left <= flight.held | set(look)
-            for uri in missing[:k]:
-                later = [j for j in range(i + 1, len(sent)) if uri in whole[j]]
-                if later:
-                    # Sent by the later request whose window holds it, unless the cap cut that window.
-                    assert uri in sent[later[0]].attachments or len(whole[later[0]]) > cap
-                else:
-                    # No later window holds it: the session ended first, or a late
-                    # reply moved a fixed window's start past it.
-                    (second,) = window_seconds([uri])
-                    assert not realtime or second >= math.ceil(record.steps[-1].time)
-
-    @pytest.mark.parametrize(
-        "kind, step, cap, bound",
-        [(StrategyKind.STATELESS, 2.0, 1000, 2), (StrategyKind.REALTIME, 1.0, 32, 32)],
-    )
-    def test_the_ready_set_holds_at_most_the_look_ahead_and_the_request_frames(
-        self, kind, step, cap, bound
-    ):
-        store = synth_store(duration=100.0)
-        cfg = StrategyConfig(kind=kind, step=step, window_cap=cap)
-        # The reply never comes before the warm step is done: it reads all it may.
-        _, sent, reads = _reading_session(store, cfg, prompt_set(), ["<WAIT>"], [0], [10**6])
-        assert set(reads.values()) == {1}
-        assert max(len(flight.left - flight.held) for flight in sent) == bound
+        assert set(reads) == set(plain_reads)
+        previous: set[str] = set()
         for flight in sent:
-            assert flight.left <= flight.held | set(flight.next)
-            assert len(flight.next) <= bound
+            # Handed exactly the previous request's frames, and hands on exactly its own.
+            assert flight.found == previous
+            assert flight.left == set(flight.attachments)
+            previous = flight.left
+        assert not any(flight.found for flight in plain_sent)
 
 
 class TestGenerationRecord:

@@ -140,21 +140,24 @@ class ReadAhead:
 
 
 class GeneratorRequest(Record):
-    """One backend query: the rendered prompt, decoded with `TEMPERATURE` and
-    at most `MAX_OUTPUT_UNITS` tokens.
+    """One backend query: the rendered prompt, decoded with `TEMPERATURE` and at most
+    `MAX_OUTPUT_UNITS` tokens, and the session position that `run_session` fills.
 
     `read_ahead`, the session's `ReadAhead` when its backend reads ahead,
     supplies the frames its previous request read, and gets this request's.
     It is no field: it takes no part in ==, hash or repr.
     """
 
-    _fields = ("prompt", "model_id", "decision_time")
+    _fields = ("prompt", "model_id", "decision_time", "video_id", "index", "prev_time")
 
     def __init__(
         self,
         prompt: RenderedPrompt,
         model_id: str,
         decision_time: Seconds | None = None,
+        video_id: str | None = None,
+        index: int | None = None,
+        prev_time: Seconds | None = None,
         read_ahead: ReadAhead | None = None,
     ) -> None:
         if len(prompt.attachments) > ATTACHMENT_LIMIT:
@@ -162,7 +165,8 @@ class GeneratorRequest(Record):
                 f"{len(prompt.attachments)} attachments exceed the limit of {ATTACHMENT_LIMIT}"
             )
         self.__dict__.update(
-            prompt=prompt, model_id=model_id, decision_time=decision_time, read_ahead=read_ahead
+            prompt=prompt, model_id=model_id, decision_time=decision_time, video_id=video_id,
+            index=index, prev_time=prev_time, read_ahead=read_ahead,
         )
 
     @cached_property
@@ -194,9 +198,9 @@ class GeneratorResponse(Record):
 class Generator(Protocol):
     """Anything that can answer one prompt at a time.
 
-    One whose `reads_ahead` attribute is true gets its session's `ReadAhead`
-    with each request, so each request reuses the frames the previous one
-    read; one without that attribute gets none.
+    One whose `reads_ahead` attribute is true gets its session's `ReadAhead` with each request,
+    so each request reuses the frames the previous one read. One whose `reads_position` is true
+    answers from the request's session position too, so a `ReplayCache` keys by it.
     """
 
     model_id: str
@@ -206,24 +210,21 @@ class Generator(Protocol):
 
 
 class ScriptedBackend:
-    """Deterministic mock: responses keyed by prompt digest or call index."""
+    """Deterministic mock: responses keyed by prompt digest or by the request's decision index."""
 
     model_id = "scripted"
-    stateful = True  # it counts its calls
+    reads_position = True
 
     def __init__(
         self, script: Mapping[int | str, str] | None = None, default: str = WAIT_TOKEN
     ) -> None:
         self._script: dict[int | str, str] = dict(script or {})
         self._default = default
-        self._calls = 0
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        index = self._calls
-        self._calls += 1
         raw = self._script.get(request.prompt.digest)
         if raw is None:
-            raw = self._script.get(index, self._default)
+            raw = self._script.get(request.index, self._default)
         return GeneratorResponse(raw_text=raw, latency=0.0)
 
 
@@ -253,40 +254,36 @@ def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
 
 
 class OracleBackend:
-    """Mock that replays a reference track as its timing becomes observable.
+    """Mock that replays each video's reference track as its timing becomes observable.
 
-    At a decision at time t it speaks the earliest unemitted reference
-    utterance whose start lies in the window since the previous decision,
-    otherwise it waits. Each reference utterance is emitted at most once.
+    At a decision at time t it speaks the earliest reference utterance of the
+    request's video whose start lies in the window since the previous
+    decision, both times read from the request; otherwise it waits. So in a
+    session, whose decision times rise, each utterance is spoken at most once.
     """
 
     model_id = "oracle"
-    stateful = True  # it keeps the previous decision's time
+    reads_position = True
     # Every Wait is this one immutable response.
     _WAIT = GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
 
-    def __init__(self, reference: CommentaryTrack) -> None:
-        self._reference = reference
-        self._starts = [u.start for u in reference.utterances]  # strictly increasing
-        self._emitted: set[int] = set()
-        self._prev_time: float | None = None
+    def __init__(self, references: Mapping[str, CommentaryTrack]) -> None:
+        # Each video's utterances and their starts, strictly increasing.
+        self._references = {
+            video_id: (track.utterances, [u.start for u in track.utterances])
+            for video_id, track in references.items()
+        }
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         t = request.decision_time
         if t is None:
             raise ValueError("OracleBackend requires decision_time on the request")
-        prev = self._prev_time
-        self._prev_time = t
-        # The utterances starting in (prev, t] are [i, end); with decision times
-        # that never go back, none of them has been emitted yet.
-        i = 0 if prev is None else bisect.bisect_right(self._starts, prev)
-        end = bisect.bisect_right(self._starts, t)
-        while i < end and i in self._emitted:
-            i += 1
-        if i < end:
-            self._emitted.add(i)
-            text = self._reference.utterances[i].text
-            return GeneratorResponse(text, 0.0)
+        utterances, starts = self._references[request.video_id]
+        prev = request.prev_time
+        # The i-th utterance is the first to start after prev; it is spoken if it starts by t.
+        i = 0 if prev is None else bisect.bisect_right(starts, prev)
+        if i < bisect.bisect_right(starts, t):
+            return GeneratorResponse(utterances[i].text, 0.0)
         return self._WAIT
 
 
@@ -936,6 +933,8 @@ class CacheKey(NamedTuple):
     temperature: float
     max_tokens: int
     frames: str
+    # The request's (video_id, index, decision_time, prev_time), for a backend that reads it.
+    position: tuple | None = None
 
 
 def _frames_hash(request: GeneratorRequest) -> str:
@@ -964,13 +963,13 @@ def _frames_hash(request: GeneratorRequest) -> str:
 class CacheLog:
     """The append-only `cache.log` of one cache dir, shared by every session of a run.
 
-    The file starts with the line `#commentary-cache 2`. Each record is one
-    JSON array line `[digest, model, temperature, max_tokens, frames,
-    latency_ms, byte_len]` followed by exactly `byte_len` bytes of the raw
-    reply in UTF-8. The whole log is read into an index when it is opened. In
-    `record` mode each new key is appended with one write on an `O_APPEND`
-    descriptor, under the log's lock; a key already in the log is not
-    appended again. `replay` never modifies the file.
+    The file starts with the line `#commentary-cache 2`. Each record is one JSON array
+    line `[digest, model, temperature, max_tokens, frames, latency_ms, byte_len]`, with
+    a key's position as an array after `frames`, followed by exactly `byte_len` bytes of
+    the raw reply in UTF-8. The whole log is read into an index when it is opened. In
+    `record` mode each new key is appended with one write on an `O_APPEND` descriptor,
+    under the log's lock; a key already in the log is not appended again. `replay`
+    never modifies the file.
 
     A torn last record (a crash during a write) is truncated with a warning in
     `record` mode and ignored with a warning in `replay` mode. A dir of
@@ -1031,7 +1030,7 @@ class CacheLog:
                 break
             try:
                 *fields, latency_ms, size = json.loads(data[pos:eol])
-                key = CacheKey(*fields)
+                key = CacheKey(*fields[:5], *map(tuple, fields[5:]))  # a position is an array
                 # `type(...) is int`: a bool is an int too.
                 if not all(type(n) is int and n >= 0 for n in (latency_ms, size)):
                     raise ValueError("bad latency or length")
@@ -1073,7 +1072,8 @@ class CacheLog:
 
         raw = response.raw_text.encode("utf-8")
         latency_ms = to_ms(response.latency)
-        header = json.dumps([*key, latency_ms, len(raw)]).encode("ascii")
+        fields = key if key.position is not None else key[:-1]
+        header = json.dumps([*fields, latency_ms, len(raw)]).encode("ascii")
         with self._lock:
             if key not in self._records:
                 try:
@@ -1103,28 +1103,29 @@ class ReplayCache:
     Every reply is the one the shared `CacheLog` holds for the request. A key it
     lacks is asked of the inner backend in `record` mode, and is a miss in
     `replay` mode. So no request the log holds is sent again, and a record run
-    serves what its replay will. `record` asks a `stateful` inner backend, whose
-    replies also depend on its earlier requests, every request. A replay asks
-    no backend, so in `replay` mode `inner` may be just the model id it answers as.
+    serves what its replay will. The key holds the session position for an inner
+    backend that `reads_position`. A replay asks no backend, so in `replay` mode
+    `inner` may be just the model id it answers as, or its class.
     """
 
     # The key reads each request's frames, so sessions hand them on in both modes.
     reads_ahead = True
 
-    def __init__(self, inner: Generator | str, log: CacheLog) -> None:
+    def __init__(self, inner: Generator | type | str, log: CacheLog) -> None:
         self._inner = inner
         self._log = log
         self.model_id = inner if isinstance(inner, str) else inner.model_id
-        self._asks_every_request = log.mode == "record" and getattr(inner, "stateful", False)
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
             frames = _frames_hash(request)
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
+        position = None
+        if getattr(self._inner, "reads_position", False):
+            position = (request.video_id, request.index, request.decision_time, request.prev_time)
         key = CacheKey(
-            request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames
+            request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames, position
         )
-        reply = self._inner.generate(request) if self._asks_every_request else None
-        latency_ms, raw = self._log.answer(key, lambda: reply or self._inner.generate(request))
+        latency_ms, raw = self._log.answer(key, lambda: self._inner.generate(request))
         return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration or input error, 2 partial results
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 from pathlib import Path
@@ -215,58 +216,52 @@ def _load_references(
     return references
 
 
-def _backend_factory(
+def _backend(
     args: Args,
     language: str,
     stores: list[FrameStore],
     references: dict[str, CommentaryTrack] | None,
-) -> tuple[Callable[[FrameStore], Generator], list[RemoteChatBackend | CacheLog]]:
-    """The per-video backend maker, and what the caller closes when the run ends.
+) -> tuple[Generator, list[RemoteChatBackend | CacheLog]]:
+    """The run's one backend, shared by its sessions, and what the caller closes when the
+    run ends: the remote client and the cache log, where the run has them.
 
-    That is the remote client and the run's cache log, where the run has
-    them. Every session's `ReplayCache` shares the one log. An oracle
-    replays `references`, or else loads each store's from its path. A
-    replay asks no backend, so it builds none: it reads only the model id
-    the named backend answers as, and no endpoint, script or reference.
+    An oracle replays `references`, or else loads each store's from its path. A replay
+    builds no backend: its `ReplayCache` gets the named backend's model id or class.
     """
     spec = args.backend
     replay = args.cache == "replay"
     opened: list[RemoteChatBackend | CacheLog] = []
     if spec == "remote":
         if replay:
-            model_id = _loaded("backend: ", configured_model, ENV_MODEL)
+            backend = _loaded("backend: ", configured_model, ENV_MODEL)
         else:
-            client = _loaded("backend: ", RemoteChatBackend)
-            opened.append(client)
-            make: Callable[[FrameStore], Generator] = lambda store: client
+            backend = _loaded("backend: ", RemoteChatBackend)
+            opened.append(backend)
     elif spec.startswith("scripted:"):
-        model_id = ScriptedBackend.model_id
+        backend = ScriptedBackend
         if not replay:
-            script, default = _loaded("backend: ", read_script, Path(spec.partition(":")[2]))
-            # Read once; each video's backend counts its own calls.
-            make = lambda store: ScriptedBackend(script, default)
+            script = _loaded("backend: ", read_script, Path(spec.partition(":")[2]))
+            backend = ScriptedBackend(*script)
     elif spec.startswith("oracle:"):
-        model_id = OracleBackend.model_id
+        backend = OracleBackend
         if not replay:
             if references is None:
                 # Read as `evaluate` reads them: the oracle uses only their starts and texts.
                 references = _load_references(Path(spec.partition(":")[2]), stores, language)
-            make = lambda store: OracleBackend(references[store.video_id])
+            backend = OracleBackend(references)
     else:
         raise CliError(
             f"unknown backend spec {spec!r}; expected remote, scripted:<path> or oracle:<path>"
         )
     if args.cache == "off":
-        return make, opened
+        return backend, opened
     log = _loaded("cache: ", CacheLog, args.cache_dir, args.cache)
-    if replay:
-        return lambda store: ReplayCache(model_id, log), [log]
-    return lambda store: ReplayCache(make(store), log), [*opened, log]
+    return ReplayCache(backend, log), [*opened, log]
 
 
 def render_trace(record: GenerationRecord, seed: int) -> str:
     """Line-oriented session trace: header block, then one row per decision."""
-    status = "complete" if record.complete else f"aborted: {record.error}"
+    status = "complete" if record.complete else re.sub(r"[\r\n]+", " ", f"aborted: {record.error}")
     lines = [
         f"#video_id\t{record.video_id}",
         f"#duration\t{record.video_duration:.3f}",
@@ -366,12 +361,12 @@ def _generate(
             trace_path = out_dir / f"{store.video_id}.trace"
             if trace_path.exists() and not args.force:
                 raise CliError(f"refusing to overwrite {trace_path}; pass --force to allow")
-    factory, opened = _backend_factory(args, prompts.decision.language, stores, references)
+    backend, opened = _backend(args, prompts.decision.language, stores, references)
 
     def run_one(session: tuple[StrategyConfig, FrameStore]) -> GenerationRecord:
         strategy, store = session
         clock = WallClock() if args.wall else SimulatedClock()
-        return run_session(store, strategy, factory(store), clock, prompts)
+        return run_session(store, strategy, backend, clock, prompts)
 
     cell_records = []
     try:

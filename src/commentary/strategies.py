@@ -252,8 +252,8 @@ def run_session(
     carries the error; a replay-cache miss is no backend failure and propagates
     (it is a configuration problem, not a transient failure).
 
-    For a backend that reads ahead, every request carries the session's
-    `ReadAhead`, which hands the frames one request read on to the next.
+    Each request carries its session position, and, for a backend that reads
+    ahead, the session's `ReadAhead`, which hands on the frames it read.
     """
     language = prompts.decision.language
     config.rate_model.for_language(language)  # raises ValueError for a language it lacks
@@ -283,7 +283,10 @@ def run_session(
             rendered = renderer.render(history, window)
 
         try:
-            request = GeneratorRequest(rendered, backend.model_id, t, read_ahead)
+            request = GeneratorRequest(
+                rendered, backend.model_id, t, store.video_id, len(steps),
+                steps[-1].time if steps else None, read_ahead,
+            )
             response = backend.generate(request)
         except BackendError as exc:
             error = f"backend failure at step {len(steps)} (t={t:.3f}s): {exc}"

@@ -298,28 +298,22 @@ def reference_to_srt(track: CommentaryTrack) -> str:
 
 
 class ScanningOracleBackend:
-    """`OracleBackend` scanning the reference from its first utterance; its oracle."""
+    """`OracleBackend` scanning the request's reference from its first utterance; its oracle."""
 
     model_id = "oracle"
 
-    def __init__(self, reference: CommentaryTrack) -> None:
-        self._reference = reference
-        self._emitted: set[int] = set()
-        self._prev_time: float | None = None
+    def __init__(self, references: dict[str, CommentaryTrack]) -> None:
+        self._references = references
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         t = request.decision_time
         if t is None:
             raise ValueError("OracleBackend requires decision_time on the request")
-        prev = self._prev_time
-        self._prev_time = t
-        for i, u in enumerate(self._reference.utterances):
+        prev = request.prev_time
+        for u in self._references[request.video_id].utterances:
             if u.start > t:
                 break
-            if i in self._emitted:
-                continue
             if prev is None or u.start > prev:
-                self._emitted.add(i)
                 return GeneratorResponse(raw_text=u.text, latency=0.0)
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
 
@@ -484,7 +478,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         )
         status = plan.pop(0) if plan else 200
         if status != 200:
-            payload = b"{}"
+            payload = self.server.error_body  # type: ignore[attr-defined]
         elif self.server.reply_body is not None:  # type: ignore[attr-defined]
             payload = self.server.reply_body  # type: ignore[attr-defined]
         elif self.path.endswith("/embeddings"):
@@ -518,6 +512,7 @@ class ChatServer(ThreadingHTTPServer):
         self.content = "the pack surges forward"  # each chat reply's message content
         self.embedding = [1.0, 0.0]  # each embedding reply's vector, for every input text
         self.reply_body = None  # when set, the bytes every 200 reply sends in place of the above
+        self.error_body = b"{}"  # the bytes every other reply sends
         self.closed = threading.Semaphore(0)  # released each time a connection is closed
 
     def shutdown_request(self, request):

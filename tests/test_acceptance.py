@@ -106,7 +106,8 @@ def test_criterion_02_step_size_direction():
             cfg = StrategyConfig(kind=kind, step=step)
             values = []
             for ref in references:
-                record = run_session(store, cfg, OracleBackend(ref), SimulatedClock(), prompts)
+                oracle = OracleBackend({store.video_id: ref})
+                record = run_session(store, cfg, oracle, SimulatedClock(), prompts)
                 values.append(timing_alignment(record.track, ref))
             per_kind.append(sum(values) / len(values))
         avg_by_step.append(sum(per_kind) / len(per_kind))

@@ -56,7 +56,7 @@ from commentary.backends import (
     encode_image_uri,
     read_script,
 )
-from commentary.core import WAIT_TOKEN
+from commentary.core import WAIT_TOKEN, replace
 from commentary.evaluation import EmbeddingScorer
 from commentary.media import DEFAULT_WINDOW_CAP
 from commentary.prompting import RenderedPrompt
@@ -127,7 +127,7 @@ class TestFileUris:
 class TestScriptedBackend:
     def test_index_script_with_default(self):
         backend = ScriptedBackend({3: "<WAIT>"}, default="something happens")
-        responses = [backend.generate(request_for()).raw_text for _ in range(5)]
+        responses = [backend.generate(request_for(index=i)).raw_text for i in range(5)]
         assert responses == ["something happens"] * 3 + ["<WAIT>", "something happens"]
 
     def test_digest_script_wins_over_index(self):
@@ -142,61 +142,70 @@ class TestScriptedBackend:
         path = tmp_path / "script.tsv"
         path.write_text("0\thello there race fans\n2\t<WAIT>\ndefault\tmore racing\n", encoding="utf-8")
         backend = ScriptedBackend(*read_script(path))
-        texts = [backend.generate(request_for()).raw_text for _ in range(3)]
+        texts = [backend.generate(request_for(index=i)).raw_text for i in range(3)]
         assert texts == ["hello there race fans", "more racing", "<WAIT>"]
 
 
+def oracle_request(t, prev=None, video_id="ref"):
+    return request_for(decision_time=t, prev_time=prev, video_id=video_id)
+
+
 class TestOracleBackend:
-    def _reference(self):
-        return CommentaryTrack(
-            "ref",
-            (Utterance("the race begins now", 5.0, 1.25),),
-            30.0,
-        )
+    def _references(self):
+        return {"ref": CommentaryTrack("ref", (Utterance("the race begins now", 5.0, 1.25),), 30.0)}
 
     def test_speaks_when_start_enters_window(self):
-        backend = OracleBackend(self._reference())
-        first = backend.generate(request_for(decision_time=4.0))
-        second = backend.generate(request_for(decision_time=6.0))
+        backend = OracleBackend(self._references())
+        first = backend.generate(oracle_request(4.0))
+        second = backend.generate(oracle_request(6.0, prev=4.0))
         assert first.raw_text == "<WAIT>"
         assert second.raw_text == "the race begins now"
 
     def test_emits_each_utterance_once(self):
-        backend = OracleBackend(self._reference())
-        backend.generate(request_for(decision_time=6.0))
-        again = backend.generate(request_for(decision_time=8.0))
+        backend = OracleBackend(self._references())
+        backend.generate(oracle_request(6.0))
+        again = backend.generate(oracle_request(8.0, prev=6.0))
         assert again.raw_text == "<WAIT>"
 
     def test_first_window_includes_time_zero(self):
         ref = CommentaryTrack("ref", (Utterance("lights out", 0.0, 0.5),), 10.0)
-        backend = OracleBackend(ref)
-        assert backend.generate(request_for(decision_time=0.0)).raw_text == "lights out"
+        backend = OracleBackend({"ref": ref})
+        assert backend.generate(oracle_request(0.0)).raw_text == "lights out"
 
     def test_requires_decision_time(self):
-        backend = OracleBackend(self._reference())
+        backend = OracleBackend(self._references())
         with pytest.raises(ValueError):
-            backend.generate(request_for())
+            backend.generate(request_for(video_id="ref"))
+
+    def test_each_video_speaks_its_own_reference(self):
+        other = CommentaryTrack("v2", (Utterance("a second race", 1.0, 0.75),), 10.0)
+        backend = OracleBackend({**self._references(), "v2": other})
+        assert backend.generate(oracle_request(2.0, video_id="v2")).raw_text == "a second race"
+        assert backend.generate(oracle_request(6.0)).raw_text == "the race begins now"
 
     def test_every_wait_is_one_immutable_response(self):
-        backend = OracleBackend(self._reference())
-        shared = backend.generate(request_for(decision_time=1.0))
+        backend = OracleBackend(self._references())
+        shared = backend.generate(oracle_request(1.0))
         assert shared == GeneratorResponse(WAIT_TOKEN, 0.0)
         assert hash(shared) == hash(GeneratorResponse(WAIT_TOKEN, 0.0))
-        assert OracleBackend(self._reference()).generate(request_for(decision_time=2.0)) is shared
+        assert OracleBackend(self._references()).generate(oracle_request(2.0)) is shared
         with pytest.raises(AttributeError):
             shared.raw_text = "go"
 
     def test_a_recorded_oracle_session_replays_to_an_equal_record(self, cache_log):
         store = synth_store(duration=30.0)
         cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
+        references = {store.video_id: self._references()["ref"]}
 
         def session(mode):
-            backend = ReplayCache(OracleBackend(self._reference()), cache_log(mode))
+            backend = ReplayCache(OracleBackend(references), cache_log(mode))
             return run_session(store, cfg, backend, SimulatedClock(), prompt_set())
 
         recorded = session("record")
         assert [s.raw_response for s in recorded.steps].count("the race begins now") == 1
         assert session("replay") == recorded
+        uncached = run_session(store, cfg, OracleBackend(references), SimulatedClock(), prompt_set())
+        assert recorded == uncached
 
 
 # A module-level function, not a method: Hypothesis refuses a `@given` method
@@ -207,17 +216,17 @@ class TestOracleBackend:
 def test_oracle_backend_matches_the_scan_from_the_first_utterance(ordered, data):
     starts = sorted(data.draw(st.sets(st.floats(0.0, 100.0), max_size=12), label="starts"))
     utterances = tuple(Utterance(f"u{i}", s, 0.5) for i, s in enumerate(starts))
-    reference = CommentaryTrack("ref", utterances, 100.0)
+    references = {"ref": CommentaryTrack("ref", utterances, 100.0)}
     moment = st.floats(0.0, 100.0)
     if starts:
         moment = st.one_of(moment, st.sampled_from(starts))
     times = data.draw(st.lists(moment, max_size=20), label="times")
     if ordered:
         times.sort()
-    fast, slow = OracleBackend(reference), ScanningOracleBackend(reference)
-    for t in times:
-        request = request_for(decision_time=t)
-        assert fast.generate(request) == slow.generate(request), t
+    fast, slow = OracleBackend(references), ScanningOracleBackend(references)
+    for prev, t in zip([None, *times], times):
+        request = oracle_request(t, prev)
+        assert fast.generate(request) == slow.generate(request), (prev, t)
 
 
 def keyed_prompt(i, attachments=()):
@@ -238,11 +247,19 @@ def cache_log(tmp_path):
         log.close()
 
 
-class StatelessScript(ScriptedBackend):
-    """A `ScriptedBackend` that declares its replies a function of the request alone,
-    so a recording cache asks it only for a key the log lacks; `_calls` counts its asks."""
+class CountedScript(ScriptedBackend):
+    """A `ScriptedBackend` whose replies are keyed, as a remote backend's are, with no
+    session position; `calls` counts its asks."""
 
-    stateful = False
+    reads_position = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        return super().generate(request)
 
 
 def record(log, replies, requests_=None):
@@ -256,14 +273,14 @@ class TestReplayCache:
         inner = ScriptedBackend({0: "line one\nline two"})
         recorder = ReplayCache(inner, cache_log("record"))
         p = prompt("multi")
-        recorded = recorder.generate(request_for(p))
+        recorded = recorder.generate(request_for(p, index=0))
 
         replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_log("replay"))
-        replayed = replayer.generate(request_for(p))
+        replayed = replayer.generate(request_for(p, index=0))
         assert replayed.raw_text == recorded.raw_text == "line one\nline two"
 
     def test_entry_file_format(self, tmp_path, cache_log):
-        recorder = ReplayCache(ScriptedBackend({0: "reply"}), cache_log("record"))
+        recorder = ReplayCache(CountedScript(default="reply"), cache_log("record"))
         p = prompt("fmt")
         recorder.generate(request_for(p))
         data = (tmp_path / "cache" / "cache.log").read_bytes()
@@ -371,27 +388,43 @@ class TestReplayCache:
     def test_recording_a_key_again_keeps_its_first_reply(self, cache_log):
         req = request_for(keyed_prompt(3))
         log = cache_log("record")
-        first, again = StatelessScript(default="first"), StatelessScript(default="again")
+        first, again = CountedScript(default="first"), CountedScript(default="again")
         assert ReplayCache(first, log).generate(req).raw_text == "first"
         assert ReplayCache(again, log).generate(req).raw_text == "first"
         log.close()
-        later = StatelessScript(default="second")
+        later = CountedScript(default="second")
         assert ReplayCache(later, cache_log("record")).generate(req).raw_text == "first"
-        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        replayer = ReplayCache("test-model", cache_log("replay"))
         assert replayer.generate(req).raw_text == "first"
         # The log answers the key, so no recorder after the first asks its backend.
-        assert (first._calls, again._calls, later._calls) == (1, 0, 0)
+        assert (first.calls, again.calls, later.calls) == (1, 0, 0)
 
-    @pytest.mark.parametrize("mode", ["record", "replay"])
-    def test_a_stateful_backend_is_asked_every_request_only_when_recording(self, cache_log, mode):
-        record(cache_log("record"), ["held"])
-        inner = ScriptedBackend({0: "first call", 1: "second call"})
-        cache = ReplayCache(inner, cache_log(mode))
-        assert cache.generate(request_for(keyed_prompt(0))).raw_text == "held"
-        if mode == "record":
-            # It saw the held request too, so the new one gets its second call's reply.
-            assert cache.generate(request_for(keyed_prompt(1))).raw_text == "second call"
-        assert inner._calls == (2 if mode == "record" else 0)
+    def test_a_mock_record_holds_the_session_position_after_the_frames(self, tmp_path, cache_log):
+        p = keyed_prompt(4)
+        request = request_for(p, decision_time=2.5, video_id="v1", index=3, prev_time=1.5)
+        ReplayCache(ScriptedBackend({3: "third"}), cache_log("record")).generate(request)
+        [(fields, raw)] = read_cache_log(tmp_path / "cache" / "cache.log")
+        assert fields[:2] == [p.digest, "test-model"]
+        assert fields[5:] == [["v1", 3, 2.5, 1.5], 0, 5] and raw == b"third"
+        replayer = ReplayCache(ScriptedBackend, cache_log("replay"))
+        assert replayer.generate(request).raw_text == "third"
+        with pytest.raises(ReplayMismatchError) as exc:
+            replayer.generate(replace(request, index=4))
+        assert exc.value.fields == ("position",)
+
+    def test_a_mock_is_keyed_by_position_and_asked_only_for_a_key_the_log_lacks(self, cache_log):
+        class CountedMock(CountedScript):
+            reads_position = True
+
+        requests_ = [request_for(keyed_prompt(0), index=i) for i in (0, 1, 0)]
+        first = CountedMock({0: "first call", 1: "second call"})
+        recorder = ReplayCache(first, cache_log("record"))
+        replies = [recorder.generate(r).raw_text for r in requests_]
+        assert replies == ["first call", "second call", "first call"]
+        again = CountedMock(default="other")
+        replies = [ReplayCache(again, cache_log("record")).generate(r).raw_text for r in requests_]
+        assert replies == ["first call", "second call", "first call"]
+        assert (first.calls, again.calls) == (2, 0)
 
     @pytest.mark.parametrize(
         "torn",

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import commentary
 from commentary import cli, evaluation
 from commentary.cli import main, parse_rate_model, read_trace_header
-from commentary.backends import ScriptedBackend
+from commentary.backends import OracleBackend, ScriptedBackend
 from commentary.cli import CliError
 from commentary.core import replace
 from commentary.subtitles import format_timestamp
@@ -138,6 +139,34 @@ class TestGenerate:
         assert "Traceback" not in err
         trace = read(workspace["root"] / "run" / "web.trace")
         assert "#status\taborted: backend failure at step 0 (t=0.000s): " in trace
+
+    def test_an_error_reply_of_many_lines_leaves_one_status_line(self, workspace, monkeypatch):
+        """A 400 reply's pretty-printed JSON body ends the session; the trace's `#status`
+        holds it on one line, so no line of it reads as a decision row."""
+        manifest = workspace["manifest"]
+        manifest.write_text(
+            read(manifest).replace("file:///frames/", "https://f.test/"), encoding="utf-8"
+        )
+        body = json.dumps({"error": {"message": "bad request", "type": "invalid"}}, indent=2)
+        args = gen_args(workspace)
+        args[args.index("--backend") + 1] = "remote"
+        with serving_chat() as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            monkeypatch.setenv("COMMENTARY_API_BASE", url)
+            monkeypatch.setenv("COMMENTARY_MODEL", "m")
+            server.plan = [400]
+            server.error_body = body.replace("\n", "\r\n", 1).encode("utf-8")
+            assert main(args) == 2
+        assert len(body.splitlines()) == 6
+        lines = read(workspace["root"] / "out" / "race01.trace").splitlines()
+        assert [line.partition("\t")[0] for line in lines] == [
+            "#video_id", "#duration", "#strategy", "#step", "#window_cap", "#icl_shots",
+            "#language", "#seed", "#status",
+        ]
+        assert lines[-1] == (
+            "#status\taborted: backend failure at step 0 (t=0.000s): unexpected status 400 "
+            f"from {url}/chat/completions: {' '.join(body.splitlines())}"
+        )
 
     def test_unknown_strategy_is_config_error(self, workspace):
         assert main(gen_args(workspace, strategy="bogus")) == 1
@@ -1674,9 +1703,9 @@ class TestSweep:
     def test_a_recorded_sweep_of_a_mock_writes_what_an_uncached_sweep_writes(
         self, workspace, backend
     ):
-        """Cells share requests: every cell's first, and a stateless and a feedback
-        cell's until their first Speak. A mock is asked each of them even so, so its
-        call count and its previous decision's time follow its own session."""
+        """Cells share prompts: every cell's first, and a stateless and a feedback
+        cell's until their first Speak. A mock's key holds each request's session
+        position too, so each cell gets the reply its own session asked for."""
         ref_dir = self._refs(workspace)
         root = workspace["root"]
         spec = f"oracle:{ref_dir}" if backend == "oracle" else f"scripted:{workspace['script']}"
@@ -1691,6 +1720,33 @@ class TestSweep:
         for kind in ("stateless", "feedback", "realtime"):
             cell = Path("step-2") / kind
             assert generated_files(root / "record" / cell) == generated_files(root / "off" / cell)
+
+    def test_a_recorded_oracle_sweep_and_its_replay_speak_no_line_before_it_starts(
+        self, workspace
+    ):
+        """The realtime cell's request at 5.750 s holds the prompt and frames of the
+        feedback cell's at 6.000 s. A key without the decision time served it that
+        request's reply: a line spoken before its start at 6 s."""
+        root = workspace["root"]
+        manifest = write_manifest(root / "race01.manifest", "race01", 12.0)
+        ref_dir = root / "refs"
+        ref_dir.mkdir()
+        (ref_dir / "race01.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:02,750\nseven quick words make two seconds here\n\n"
+            "2\n00:00:06,000 --> 00:00:07,000\nfour more words now\n",
+            encoding="utf-8",
+        )
+        for cache in ("off", "record", "replay"):
+            assert main([
+                "sweep", "--manifest", str(manifest), "--ref", str(ref_dir), "--steps", "1",
+                "--cache", cache, "--cache-dir", str(root / "cache"), "--out", str(root / cache),
+            ]) == 0
+        realtime = read(root / "off" / "step-1" / "realtime" / "race01.srt")
+        assert "00:00:06,750 --> 00:00:07,750\nfour more words now\n" in realtime
+        for cache in ("record", "replay"):
+            for kind in ("stateless", "feedback", "realtime"):
+                cell = Path("step-1") / kind
+                assert generated_files(root / cache / cell) == generated_files(root / "off" / cell)
 
     def test_scores_no_lexical_metric(self, workspace, monkeypatch):
         from commentary import evaluation
@@ -1709,6 +1765,83 @@ class TestSweep:
             "--out", str(workspace["root"] / "sweep-align"),
         ])
         assert code == 0
+
+
+_MOCK_REPLIES = st.sampled_from(["the red car leads", "blue takes the corner now", "<WAIT>", ""])
+
+
+class _Asks(list):
+    """The requests the mock backends answered, shown by their count."""
+
+    def __repr__(self):
+        return f"<{len(self)} requests>"
+
+
+@pytest.fixture()
+def mock_asks(monkeypatch):
+    """Every request the two mock backends answer, in any session of any run."""
+    asks = _Asks()
+    for mock in (ScriptedBackend, OracleBackend):
+        monkeypatch.setattr(
+            mock,
+            "generate",
+            lambda self, request, answer=mock.generate: asks.append(request) or answer(self, request),
+        )
+    return asks
+
+
+@settings(MAIN_SETTINGS, max_examples=30)
+@given(
+    backend=st.sampled_from(["scripted", "oracle"]),
+    steps=st.lists(st.sampled_from(["0.5", "1", "1.5", "2"]), min_size=1, max_size=3, unique=True),
+    jobs=st.sampled_from([1, 3]),
+    script=st.dictionaries(st.integers(0, 20), _MOCK_REPLIES, max_size=8),
+    default=_MOCK_REPLIES,
+    starts=st.lists(st.sets(st.integers(0, 23), min_size=1, max_size=5), min_size=2, max_size=2),
+)
+def test_a_mock_sweep_recorded_fresh_recorded_again_and_replayed_writes_the_uncached_sweep(
+    mock_asks, backend, steps, jobs, script, default, starts
+):
+    """Every kind a sweep runs, at steps below 1 s too, on two videos in `jobs` threads:
+    a `scripted:` or `oracle:` sweep writes the same cell files uncached, recorded into
+    a fresh cache dir, recorded into that used dir, and replayed from it; the second
+    record asks the mock nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        vids, ref_dir = root / "vids", root / "refs"
+        vids.mkdir()
+        ref_dir.mkdir()
+        for (video_id, duration), quarters in zip((("a", 6.0), ("b", 9.0)), starts):
+            write_manifest(vids / f"{video_id}.manifest", video_id, duration)
+            entries = [
+                f"{i}\n{format_timestamp(q / 4)} --> {format_timestamp(q / 4 + 0.2)}\nline {q}\n"
+                for i, q in enumerate(sorted(quarters), 1)
+            ]
+            (ref_dir / f"{video_id}.srt").write_text("\n".join(entries), encoding="utf-8")
+        lines = [f"{i}\t{reply}\n" for i, reply in script.items()]
+        (root / "script.tsv").write_text("".join(lines) + f"default\t{default}\n", encoding="utf-8")
+        spec = f"oracle:{ref_dir}" if backend == "oracle" else f"scripted:{root / 'script.tsv'}"
+
+        def sweep(out, cache):
+            assert main([
+                "sweep", "--manifest", str(vids), "--ref", str(ref_dir), "--steps", ",".join(steps),
+                "--backend", spec, "--jobs", str(jobs), "--cache", cache,
+                "--cache-dir", str(root / "cache"), "--out", str(root / out),
+            ]) == 0
+
+        sweep("off", "off")
+        sweep("fresh", "record")
+        asked = len(mock_asks)
+        sweep("used", "record")
+        assert len(mock_asks) == asked
+        sweep("replay", "replay")
+        assert len(mock_asks) == asked
+        for step in steps:
+            for kind in ("stateless", "feedback", "realtime"):
+                cell = Path(f"step-{step}") / kind
+                uncached = generated_files(root / "off" / cell)
+                for out in ("fresh", "used", "replay"):
+                    assert generated_files(root / out / cell) == uncached, (out, cell)
 
 
 class TestMillisecondTimes:

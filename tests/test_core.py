@@ -262,7 +262,7 @@ class TestRecord:
                 request(),
                 "GeneratorRequest(prompt=RenderedPrompt(text='t', "
                 "attachments=('data:image/jpeg;base64,AAAA',), digest='0123456789abcdef'), "
-                "model_id='m', decision_time=2.0)",
+                "model_id='m', decision_time=2.0, video_id=None, index=None, prev_time=None)",
             ),
             (Wait(), "Wait()"),
         ],
@@ -281,7 +281,7 @@ class TestRecord:
         read, fresh = request(), request()
         assert read._frames == {"data:image/jpeg;base64,AAAA": None}
         assert read == fresh
-        assert hash(read) == hash(fresh) == hash((read.prompt, "m", 2.0))
+        assert hash(read) == hash(fresh) == hash((read.prompt, "m", 2.0, None, None, None))
         assert repr(read) == repr(fresh)
 
     def test_every_record_type_hashes(self):

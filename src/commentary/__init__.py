@@ -7,7 +7,6 @@ timestamped human references.
 """
 
 from .backends import (
-    CacheLog,
     GeneratorRequest,
     GeneratorResponse,
     OracleBackend,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "WAIT_TOKEN",
-    "CacheLog",
     "Clock",
     "CommentaryTrack",
     "DecisionOutcome",

@@ -11,7 +11,7 @@ import threading
 import time
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Protocol
+from typing import Any, Mapping, NamedTuple, Protocol
 from urllib.parse import unquote, urlsplit
 
 from .core import (
@@ -43,6 +43,7 @@ MAX_CONCURRENCY = 4
 CACHE_MODES = ("record", "replay")
 CACHE_LOG_NAME = "cache.log"
 CACHE_LOG_HEADER = b"#commentary-cache 2\n"
+_DIGEST = re.compile(r"[0-9a-f]{16}")  # a prompt digest
 _OLD_ENTRY_NAME = re.compile(r"[0-9a-f]{16}\.txt")  # `<digest>.txt` of the first cache format
 
 
@@ -231,8 +232,10 @@ class ScriptedBackend:
 def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
     """The responses and the fallback of a script file of `key<TAB>response` lines.
 
-    Keys are decision indexes (integers), prompt digests, or the word
-    `default` for the fallback response. A malformed file raises ValueError
+    Keys are prompt digests, decision indexes, or the word `default` for the
+    fallback response. A key of 16 lowercase hex digits, the form of a rendered
+    prompt's digest, is a digest even when every digit is decimal; any other
+    key that `int()` reads is an index. A malformed file raises ValueError
     naming it.
     """
     script: dict[int | str, str] = {}
@@ -245,6 +248,8 @@ def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
             raise ValueError(f"{path}:{lineno}: expected 'key<TAB>response'")
         if key == "default":
             default = response
+        elif _DIGEST.fullmatch(key):
+            script[key] = response
         else:
             try:
                 script[int(key)] = response
@@ -960,16 +965,25 @@ def _frames_hash(request: GeneratorRequest) -> str:
     return h.hexdigest()[:16]
 
 
-class CacheLog:
-    """The append-only `cache.log` of one cache dir, shared by every session of a run.
+class ReplayCache:
+    """Record/replay wrapper around one backend, keyed by the whole request, and the
+    append-only `cache.log` of its cache dir.
 
-    The file starts with the line `#commentary-cache 2`. Each record is one JSON array
+    Every reply is the one the log holds for the request. A key it lacks is asked of
+    the inner backend in `record` mode, and is a miss in `replay` mode. So no request
+    the log holds is sent again, and a record run serves what its replay will. The key
+    holds the session position for an inner backend that `reads_position`. A replay
+    asks no backend, so in `replay` mode `inner` may be just the model id it answers
+    as, or its class.
+
+    The log starts with the line `#commentary-cache 2`. Each record is one JSON array
     line `[digest, model, temperature, max_tokens, frames, latency_ms, byte_len]`, with
     a key's position as an array after `frames`, followed by exactly `byte_len` bytes of
-    the raw reply in UTF-8. The whole log is read into an index when it is opened. In
-    `record` mode each new key is appended with one write on an `O_APPEND` descriptor,
-    under the log's lock; a key already in the log is not appended again. `replay`
-    never modifies the file.
+    the raw reply in UTF-8. The whole log is read into an index when the cache is
+    opened. In `record` mode each new key is appended with one write on an `O_APPEND`
+    descriptor, under the cache's lock; a key already in the log is not appended again,
+    so when two threads miss the same key at once, both get the first reply added.
+    `replay` never modifies the file; `close` closes it.
 
     A torn last record (a crash during a write) is truncated with a warning in
     `record` mode and ignored with a warning in `replay` mode. A dir of
@@ -977,13 +991,17 @@ class CacheLog:
     the v2 header, raises `ValueError`.
     """
 
-    def __init__(self, cache_dir: str | Path, mode: str) -> None:
+    # The key reads each request's frames, so sessions hand them on in both modes.
+    reads_ahead = True
+
+    def __init__(self, inner: Generator | type | str, cache_dir: str | Path, mode: str) -> None:
         if mode not in CACHE_MODES:
             raise ValueError(f"cache mode must be one of {CACHE_MODES}, got {mode!r}")
+        self._inner = inner
+        self.model_id = inner if isinstance(inner, str) else inner.model_id
         self.mode = mode
         self.path = Path(cache_dir) / CACHE_LOG_NAME
         self._records: dict[CacheKey, tuple[int, str]] = {}  # key -> (latency_ms, raw)
-        self._last_key: dict[str, CacheKey] = {}  # digest -> its latest recorded key
         self._lock = threading.Lock()
         self._fd: int | None = None
         try:
@@ -1038,38 +1056,45 @@ class CacheLog:
                     break
                 raw = data[eol + 1 : eol + 1 + size].decode("utf-8")
                 self._records.setdefault(key, (latency_ms, raw))
-                self._last_key[key.digest] = key
             # TypeError: wrong shape or unhashable field; RecursionError: deep JSON
             except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{self.path}: corrupt record at byte {pos}: {exc}") from exc
             pos = eol + 1 + size
         return pos
 
-    def answer(self, key: CacheKey, ask: Callable[[], GeneratorResponse]) -> tuple[int, str]:
-        """The latency in ms and raw reply the log holds for `key`.
+    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        try:
+            frames = _frames_hash(request)
+        except OSError as exc:
+            raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
+        position = None
+        if getattr(self._inner, "reads_position", False):
+            position = (request.video_id, request.index, request.decision_time, request.prev_time)
+        key = CacheKey(
+            request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames, position
+        )
+        held = self._records.get(key)  # never removed, so no lock is needed
+        if held is None:
+            held = self._miss(key, request)
+        latency_ms, raw = held
+        return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms))
 
-        On a miss, `record` calls `ask()` and adds its reply; `replay` raises
-        `ReplayMismatchError` when the digest was recorded only under other
-        settings, and `ReplayMissError` when it was never recorded.
-        """
-        if key in self._records:  # never removed, so no lock is needed
-            return self._records[key]
-        if self.mode == "record":
-            return self.add(key, ask())
-        recorded = self._last_key.get(key.digest)
-        if recorded is None:
-            raise ReplayMissError(key.digest)
-        raise ReplayMismatchError(recorded, key)
+    def _miss(self, key: CacheKey, request: GeneratorRequest) -> tuple[int, str]:
+        """The latency in ms and raw reply for a key the log lacked at lookup.
 
-    def add(self, key: CacheKey, response: GeneratorResponse) -> tuple[int, str]:
-        """Append `response` under `key` unless the log already holds the key.
-
-        Returns the latency in ms and raw reply the log holds for `key` now:
-        when two threads miss the same key at once, both get the first reply
-        added. A failed write raises `BackendError`.
+        `record` asks the inner backend and appends its reply unless the log
+        holds the key by then, and returns what the log holds; a failed write
+        raises `BackendError`. `replay` raises `ReplayMismatchError` naming the
+        digest's latest recorded key when it has one, else `ReplayMissError`.
         """
         import json
 
+        if self.mode == "replay":  # the index does not change, so it can be scanned
+            for recorded in reversed(self._records):
+                if recorded.digest == key.digest:
+                    raise ReplayMismatchError(recorded, key)
+            raise ReplayMissError(key.digest)
+        response = self._inner.generate(request)
         raw = response.raw_text.encode("utf-8")
         latency_ms = to_ms(response.latency)
         fields = key if key.position is not None else key[:-1]
@@ -1081,7 +1106,6 @@ class CacheLog:
                 except OSError as exc:
                     raise BackendError(f"cannot record to {self.path}: {exc}") from exc
                 self._records[key] = (latency_ms, response.raw_text)
-                self._last_key[key.digest] = key
             return self._records[key]
 
     def _append(self, data: bytes) -> None:
@@ -1095,37 +1119,3 @@ class CacheLog:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-
-class ReplayCache:
-    """Record/replay wrapper around one backend, keyed by the whole request.
-
-    Every reply is the one the shared `CacheLog` holds for the request. A key it
-    lacks is asked of the inner backend in `record` mode, and is a miss in
-    `replay` mode. So no request the log holds is sent again, and a record run
-    serves what its replay will. The key holds the session position for an inner
-    backend that `reads_position`. A replay asks no backend, so in `replay` mode
-    `inner` may be just the model id it answers as, or its class.
-    """
-
-    # The key reads each request's frames, so sessions hand them on in both modes.
-    reads_ahead = True
-
-    def __init__(self, inner: Generator | type | str, log: CacheLog) -> None:
-        self._inner = inner
-        self._log = log
-        self.model_id = inner if isinstance(inner, str) else inner.model_id
-
-    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
-        try:
-            frames = _frames_hash(request)
-        except OSError as exc:
-            raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
-        position = None
-        if getattr(self._inner, "reads_position", False):
-            position = (request.video_id, request.index, request.decision_time, request.prev_time)
-        key = CacheKey(
-            request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames, position
-        )
-        latency_ms, raw = self._log.answer(key, lambda: self._inner.generate(request))
-        return GeneratorResponse(raw_text=raw, latency=from_ms(latency_ms))

@@ -17,7 +17,6 @@ from .backends import (
     CACHE_MODES,
     ENV_MODEL,
     BackendError,
-    CacheLog,
     Generator,
     OracleBackend,
     RemoteChatBackend,
@@ -221,16 +220,16 @@ def _backend(
     language: str,
     stores: list[FrameStore],
     references: dict[str, CommentaryTrack] | None,
-) -> tuple[Generator, list[RemoteChatBackend | CacheLog]]:
+) -> tuple[Generator, list[RemoteChatBackend | ReplayCache]]:
     """The run's one backend, shared by its sessions, and what the caller closes when the
-    run ends: the remote client and the cache log, where the run has them.
+    run ends: the remote client and the cache, where the run has them.
 
     An oracle replays `references`, or else loads each store's from its path. A replay
     builds no backend: its `ReplayCache` gets the named backend's model id or class.
     """
     spec = args.backend
     replay = args.cache == "replay"
-    opened: list[RemoteChatBackend | CacheLog] = []
+    opened: list[RemoteChatBackend | ReplayCache] = []
     if spec == "remote":
         if replay:
             backend = _loaded("backend: ", configured_model, ENV_MODEL)
@@ -255,13 +254,17 @@ def _backend(
         )
     if args.cache == "off":
         return backend, opened
-    log = _loaded("cache: ", CacheLog, args.cache_dir, args.cache)
-    return ReplayCache(backend, log), [*opened, log]
+    cache = _loaded("cache: ", ReplayCache, backend, args.cache_dir, args.cache)
+    return cache, [*opened, cache]
+
+
+# A run of the characters `str.splitlines()` breaks at, which `#status` turns into one space.
+_LINE_BREAKS = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def render_trace(record: GenerationRecord, seed: int) -> str:
     """Line-oriented session trace: header block, then one row per decision."""
-    status = "complete" if record.complete else re.sub(r"[\r\n]+", " ", f"aborted: {record.error}")
+    status = "complete" if record.complete else _LINE_BREAKS.sub(" ", f"aborted: {record.error}")
     lines = [
         f"#video_id\t{record.video_id}",
         f"#duration\t{record.video_duration:.3f}",

@@ -18,6 +18,7 @@ import sys
 import tempfile
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import quote
@@ -27,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commentary import (
-    CacheLog,
     CommentaryTrack,
     FrameStore,
     GeneratorRequest,
@@ -145,6 +145,23 @@ class TestScriptedBackend:
         texts = [backend.generate(request_for(index=i)).raw_text for i in range(3)]
         assert texts == ["hello there race fans", "more racing", "<WAIT>"]
 
+    def test_a_key_of_sixteen_hex_digits_is_a_digest_even_when_all_are_decimal(self, tmp_path):
+        path = tmp_path / "script.tsv"
+        path.write_text(
+            "1234567890123456\tthe red car leads\n123456789012345\tfifteen digits\n"
+            "12345678901234567\tseventeen digits\n",
+            encoding="utf-8",
+        )
+        script, default = read_script(path)
+        assert script == {
+            "1234567890123456": "the red car leads",
+            123456789012345: "fifteen digits",
+            12345678901234567: "seventeen digits",
+        }
+        p = RenderedPrompt(text="t", attachments=(), digest="1234567890123456")
+        reply = ScriptedBackend(script, default).generate(request_for(p, index=0))
+        assert reply.raw_text == "the red car leads"
+
 
 def oracle_request(t, prev=None, video_id="ref"):
     return request_for(decision_time=t, prev_time=prev, video_id=video_id)
@@ -192,13 +209,13 @@ class TestOracleBackend:
         with pytest.raises(AttributeError):
             shared.raw_text = "go"
 
-    def test_a_recorded_oracle_session_replays_to_an_equal_record(self, cache_log):
+    def test_a_recorded_oracle_session_replays_to_an_equal_record(self, open_cache):
         store = synth_store(duration=30.0)
         cfg = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
         references = {store.video_id: self._references()["ref"]}
 
         def session(mode):
-            backend = ReplayCache(OracleBackend(references), cache_log(mode))
+            backend = open_cache(OracleBackend(references), mode)
             return run_session(store, cfg, backend, SimulatedClock(), prompt_set())
 
         recorded = session("record")
@@ -235,16 +252,18 @@ def keyed_prompt(i, attachments=()):
 
 
 @pytest.fixture()
-def cache_log(tmp_path):
+def open_cache(tmp_path):
+    """Opens a `ReplayCache` in `tmp_path / "cache"` or the dir given, and closes each one
+    it opened when the test ends."""
     opened = []
 
-    def open_log(mode, cache_dir=None):
-        opened.append(CacheLog(cache_dir or tmp_path / "cache", mode))
+    def open_(inner, mode, cache_dir=None):
+        opened.append(ReplayCache(inner, cache_dir or tmp_path / "cache", mode))
         return opened[-1]
 
-    yield open_log
-    for log in opened:
-        log.close()
+    yield open_
+    for cache in opened:
+        cache.close()
 
 
 class CountedScript(ScriptedBackend):
@@ -262,25 +281,37 @@ class CountedScript(ScriptedBackend):
         return super().generate(request)
 
 
-def record(log, replies, requests_=None):
-    for i, raw in enumerate(replies):
-        req = requests_[i] if requests_ else request_for(keyed_prompt(i))
-        ReplayCache(ScriptedBackend(default=raw), log).generate(req)
+def keyed_requests(count):
+    return [request_for(keyed_prompt(i)) for i in range(count)]
+
+
+def replying(replies, requests_):
+    """A script that answers each of `requests_` with its reply, keyed by prompt digest."""
+    return ScriptedBackend({r.prompt.digest: raw for r, raw in zip(requests_, replies, strict=True)})
+
+
+def record(open_cache, replies, requests_=None):
+    """A recording cache, opened by `open_cache`, that has recorded each of `replies` as the
+    reply to its request: by default a keyed prompt each."""
+    requests_ = requests_ or keyed_requests(len(replies))
+    cache = open_cache(replying(replies, requests_), "record")
+    for req in requests_:
+        cache.generate(req)
+    return cache
 
 
 class TestReplayCache:
-    def test_record_then_replay_round_trip(self, cache_log):
-        inner = ScriptedBackend({0: "line one\nline two"})
-        recorder = ReplayCache(inner, cache_log("record"))
+    def test_record_then_replay_round_trip(self, open_cache):
+        recorder = open_cache(ScriptedBackend({0: "line one\nline two"}), "record")
         p = prompt("multi")
         recorded = recorder.generate(request_for(p, index=0))
 
-        replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_log("replay"))
+        replayer = open_cache(ScriptedBackend(default="wrong"), "replay")
         replayed = replayer.generate(request_for(p, index=0))
         assert replayed.raw_text == recorded.raw_text == "line one\nline two"
 
-    def test_entry_file_format(self, tmp_path, cache_log):
-        recorder = ReplayCache(CountedScript(default="reply"), cache_log("record"))
+    def test_entry_file_format(self, tmp_path, open_cache):
+        recorder = open_cache(CountedScript(default="reply"), "record")
         p = prompt("fmt")
         recorder.generate(request_for(p))
         data = (tmp_path / "cache" / "cache.log").read_bytes()
@@ -294,9 +325,9 @@ class TestReplayCache:
         assert size == 5
         assert raw == b"reply"
 
-    def test_replay_miss_names_digest(self, tmp_path, cache_log):
+    def test_replay_miss_names_digest(self, tmp_path, open_cache):
         (tmp_path / "cache").mkdir()
-        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        replayer = open_cache(ScriptedBackend(), "replay")
         p = prompt("missing")
         with pytest.raises(ReplayMissError) as exc:
             replayer.generate(request_for(p))
@@ -305,59 +336,51 @@ class TestReplayCache:
         # A miss is a configuration problem, which no session takes for a backend failure.
         assert not isinstance(exc.value, BackendError)
 
-    def test_one_entry_per_distinct_digest(self, tmp_path, cache_log):
-        recorder = ReplayCache(ScriptedBackend(default="r"), cache_log("record"))
+    def test_one_entry_per_distinct_digest(self, tmp_path, open_cache):
+        recorder = open_cache(ScriptedBackend(default="r"), "record")
         for i in (0, 0, 1, 2, 1, 3, 4, 5):
             recorder.generate(request_for(keyed_prompt(i)))
         records = read_cache_log(tmp_path / "cache" / "cache.log")
         assert [fields[0] for fields, _ in records] == [f"{i:016x}" for i in range(6)]
-        replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_log("replay"))
+        replayer = open_cache(ScriptedBackend(default="wrong"), "replay")
         for i in range(6):
             assert replayer.generate(request_for(keyed_prompt(i))).raw_text == "r"
 
     def test_bad_mode(self, tmp_path):
         for mode in ("sometimes", "passthrough"):
             with pytest.raises(ValueError):
-                CacheLog(tmp_path, mode)
+                ReplayCache(ScriptedBackend(), tmp_path, mode)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.text(), min_size=1, max_size=6))
     @example(["", "a\nb", "tab\there", "\r", "line\r\n", "日本語の実況 ✓"])
     def test_raw_replies_survive_record_and_replay(self, replies):
         with tempfile.TemporaryDirectory() as cache_dir:
-            log = CacheLog(cache_dir, "record")
-            try:
-                record(log, replies)
-            finally:
-                log.close()
-            replayer = ReplayCache(ScriptedBackend(default="wrong"), CacheLog(cache_dir, "replay"))
-            replayed = [
-                replayer.generate(request_for(keyed_prompt(i))).raw_text
-                for i in range(len(replies))
-            ]
+            record(lambda inner, mode: ReplayCache(inner, cache_dir, mode), replies).close()
+            replayer = ReplayCache(ScriptedBackend(default="wrong"), cache_dir, "replay")
+            replayed = [replayer.generate(req).raw_text for req in keyed_requests(len(replies))]
         assert replayed == replies
 
     @pytest.mark.parametrize("field", ["model", "temperature", "max_tokens", "frames"])
-    def test_other_settings_fail_naming_the_field(self, tmp_path, cache_log, field):
+    def test_other_settings_fail_naming_the_field(self, tmp_path, open_cache, field):
         frame = tmp_path / "0001.jpg"
         frame.write_bytes(b"first frame")
         p = keyed_prompt(7, attachments=[f"file://{frame}", "data:image/png;base64,AAAA"])
-        log = cache_log("record")
-        record(log, ["the pack surges"], [request_for(p)])
-        log.close()
+        recorder = record(open_cache, ["the pack surges"], [request_for(p)])
+        recorder.close()
         if field == "frames":
             frame.write_bytes(b"edited frame")
         elif field != "model":
             # A log recorded under another decoding setting than the constant one.
             column, recorded = {"temperature": (2, 0.7), "max_tokens": (3, 64)}[field]
-            records = read_cache_log(log.path)
+            records = read_cache_log(recorder.path)
             for fields, _ in records:
                 fields[column] = recorded
-            write_cache_log(log.path, records)
+            write_cache_log(recorder.path, records)
         current = request_for(p)
         if field == "model":
             current, recorded = GeneratorRequest(prompt=p, model_id="other-model"), "test-model"
-        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        replayer = open_cache(ScriptedBackend(), "replay")
         with pytest.raises(ReplayMismatchError) as exc:
             replayer.generate(current)
         assert exc.value.fields == (field,)
@@ -366,63 +389,76 @@ class TestReplayCache:
         if field != "frames":
             assert f"{field} {recorded!r} (now " in str(exc.value)
 
-    def test_missing_local_frames_hash_alike(self, tmp_path, cache_log):
+    def test_a_mismatch_names_the_latest_key_recorded_for_the_digest(self, open_cache):
+        p = keyed_prompt(5)
+        for model in ("a", "b"):
+            recorder = open_cache(CountedScript(), "record")
+            recorder.generate(GeneratorRequest(prompt=p, model_id=model))
+            recorder.close()
+        replayer = open_cache("c", "replay")
+        with pytest.raises(ReplayMismatchError) as exc:
+            replayer.generate(GeneratorRequest(prompt=p, model_id="c"))
+        assert exc.value.fields == ("model",)
+        assert "model 'b' (now 'c')" in str(exc.value)
+
+    def test_missing_local_frames_hash_alike(self, tmp_path, open_cache):
         (tmp_path / "a-file").write_bytes(b"not a dir")
         p = keyed_prompt(1, attachments=["file:///frames/never/0000.jpg", "/frames/never/1.jpg"])
-        record(cache_log("record"), ["said"], [request_for(p)])
+        record(open_cache, ["said"], [request_for(p)])
         under_a_file = keyed_prompt(1, attachments=[f"{tmp_path / 'a-file'}/0000.jpg"] * 2)
-        replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+        replayer = open_cache(ScriptedBackend(), "replay")
         assert replayer.generate(request_for(p)).raw_text == "said"
         assert replayer.generate(request_for(under_a_file)).raw_text == "said"
 
     @pytest.mark.parametrize("mode", ["record", "replay"])
-    def test_unreadable_frame_is_a_backend_error_naming_it(self, tmp_path, cache_log, mode):
+    def test_unreadable_frame_is_a_backend_error_naming_it(self, tmp_path, open_cache, mode):
         frame = tmp_path / "0000.jpg"
         frame.mkdir()
         (tmp_path / "cache").mkdir()
-        cache = ReplayCache(ScriptedBackend(default="said"), cache_log(mode))
+        cache = open_cache(ScriptedBackend(default="said"), mode)
         with pytest.raises(BackendError, match="cannot read a frame") as exc:
             cache.generate(request_for(keyed_prompt(1, attachments=[f"file://{frame}"])))
         assert str(frame) in str(exc.value)
 
-    def test_recording_a_key_again_keeps_its_first_reply(self, cache_log):
+    def test_recording_a_key_again_keeps_its_first_reply(self, open_cache):
         req = request_for(keyed_prompt(3))
-        log = cache_log("record")
-        first, again = CountedScript(default="first"), CountedScript(default="again")
-        assert ReplayCache(first, log).generate(req).raw_text == "first"
-        assert ReplayCache(again, log).generate(req).raw_text == "first"
-        log.close()
+        first = CountedScript(default="first")
+        recorder = open_cache(first, "record")
+        assert recorder.generate(req).raw_text == "first"
+        assert recorder.generate(req).raw_text == "first"
+        recorder.close()
         later = CountedScript(default="second")
-        assert ReplayCache(later, cache_log("record")).generate(req).raw_text == "first"
-        replayer = ReplayCache("test-model", cache_log("replay"))
+        assert open_cache(later, "record").generate(req).raw_text == "first"
+        replayer = open_cache("test-model", "replay")
         assert replayer.generate(req).raw_text == "first"
-        # The log answers the key, so no recorder after the first asks its backend.
-        assert (first.calls, again.calls, later.calls) == (1, 0, 0)
+        # The log answers the key, so the backend is asked once, by the first recorder.
+        assert (first.calls, later.calls) == (1, 0)
 
-    def test_a_mock_record_holds_the_session_position_after_the_frames(self, tmp_path, cache_log):
+    def test_a_mock_record_holds_the_session_position_after_the_frames(self, tmp_path, open_cache):
         p = keyed_prompt(4)
         request = request_for(p, decision_time=2.5, video_id="v1", index=3, prev_time=1.5)
-        ReplayCache(ScriptedBackend({3: "third"}), cache_log("record")).generate(request)
+        open_cache(ScriptedBackend({3: "third"}), "record").generate(request)
         [(fields, raw)] = read_cache_log(tmp_path / "cache" / "cache.log")
         assert fields[:2] == [p.digest, "test-model"]
         assert fields[5:] == [["v1", 3, 2.5, 1.5], 0, 5] and raw == b"third"
-        replayer = ReplayCache(ScriptedBackend, cache_log("replay"))
+        replayer = open_cache(ScriptedBackend, "replay")
         assert replayer.generate(request).raw_text == "third"
         with pytest.raises(ReplayMismatchError) as exc:
             replayer.generate(replace(request, index=4))
         assert exc.value.fields == ("position",)
 
-    def test_a_mock_is_keyed_by_position_and_asked_only_for_a_key_the_log_lacks(self, cache_log):
+    def test_a_mock_is_keyed_by_position_and_asked_only_for_a_key_the_log_lacks(self, open_cache):
         class CountedMock(CountedScript):
             reads_position = True
 
         requests_ = [request_for(keyed_prompt(0), index=i) for i in (0, 1, 0)]
         first = CountedMock({0: "first call", 1: "second call"})
-        recorder = ReplayCache(first, cache_log("record"))
+        recorder = open_cache(first, "record")
         replies = [recorder.generate(r).raw_text for r in requests_]
         assert replies == ["first call", "second call", "first call"]
         again = CountedMock(default="other")
-        replies = [ReplayCache(again, cache_log("record")).generate(r).raw_text for r in requests_]
+        recorder = open_cache(again, "record")
+        replies = [recorder.generate(r).raw_text for r in requests_]
         assert replies == ["first call", "second call", "first call"]
         assert (first.calls, again.calls) == (2, 0)
 
@@ -434,27 +470,25 @@ class TestReplayCache:
         ],
         ids=["in-header-line", "in-reply"],
     )
-    def test_torn_last_record_is_truncated_when_recording(self, tmp_path, cache_log, caplog, torn):
+    def test_torn_last_record_is_truncated_when_recording(self, tmp_path, open_cache, caplog, torn):
         path = tmp_path / "cache" / "cache.log"
-        log = cache_log("record")
-        record(log, ["one", "two"])
-        log.close()
+        record(open_cache, ["one", "two"]).close()
         intact = path.read_bytes()
         path.write_bytes(intact + torn)
         with caplog.at_level(logging.WARNING, logger="commentary.backends"):
-            log = cache_log("record")
+            recorder = open_cache(ScriptedBackend(default="three"), "record")
         assert "torn last record" in caplog.text and str(path) in caplog.text
         assert path.read_bytes() == intact
-        ReplayCache(ScriptedBackend(default="three"), log).generate(request_for(keyed_prompt(2)))
+        recorder.generate(request_for(keyed_prompt(2)))
         assert [raw for _, raw in read_cache_log(path)] == [b"one", b"two", b"three"]
 
-    def test_torn_last_record_is_left_alone_when_replaying(self, tmp_path, cache_log, caplog):
+    def test_torn_last_record_is_left_alone_when_replaying(self, tmp_path, open_cache, caplog):
         path = tmp_path / "cache" / "cache.log"
-        record(cache_log("record"), ["one", "two"])
+        record(open_cache, ["one", "two"])
         torn = path.read_bytes() + b'["00000000000000ff", "m", 0.0, 256, "f", 0, 9]\nshort'
         path.write_bytes(torn)
         with caplog.at_level(logging.WARNING, logger="commentary.backends"):
-            replayer = ReplayCache(ScriptedBackend(), cache_log("replay"))
+            replayer = open_cache(ScriptedBackend(), "replay")
         assert "torn last record" in caplog.text
         assert [replayer.generate(request_for(keyed_prompt(i))).raw_text for i in (0, 1)] == [
             "one",
@@ -462,16 +496,17 @@ class TestReplayCache:
         ]
         assert path.read_bytes() == torn
 
-    def test_short_write_is_cut_off_and_aborts(self, tmp_path, cache_log, monkeypatch):
+    def test_short_write_is_cut_off_and_aborts(self, tmp_path, open_cache, monkeypatch):
         path = tmp_path / "cache" / "cache.log"
-        log = cache_log("record")
-        record(log, ["one"])
+        requests_ = keyed_requests(3)
+        recorder = open_cache(replying(["one", "two", "three"], requests_), "record")
+        recorder.generate(requests_[0])
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[: len(data) // 2]))
         with pytest.raises(BackendError, match="short write"):
-            record(log, ["two"], [request_for(keyed_prompt(1))])
+            recorder.generate(requests_[1])
         monkeypatch.undo()
-        record(log, ["three"], [request_for(keyed_prompt(2))])
+        recorder.generate(requests_[2])
         assert [raw for _, raw in read_cache_log(path)] == [b"one", b"three"]
 
     def test_a_header_that_cannot_be_written_closes_the_log_and_raises(
@@ -492,19 +527,20 @@ class TestReplayCache:
         monkeypatch.setattr(os, "write", write)
         monkeypatch.setattr(os, "close", close)
         with pytest.raises(OSError) as exc:
-            CacheLog(tmp_path / "cache", "record")
+            ReplayCache(ScriptedBackend(), tmp_path / "cache", "record")
         assert str(exc.value) == f"short write to {path}: 0 of 20 bytes"
         assert closed == written
         assert path.read_bytes() == b""
 
-    def test_threads_record_each_key_once(self, tmp_path, cache_log):
-        log = cache_log("record")
+    def test_threads_record_each_key_once(self, tmp_path, open_cache):
+        recorder = open_cache(ScriptedBackend(default="x"), "record")
         keys = list(range(1000))
         start = threading.Barrier(8)
 
         def record_all():
             start.wait(timeout=10)
-            record(log, ["x"] * len(keys), [request_for(keyed_prompt(i)) for i in keys])
+            for req in keyed_requests(len(keys)):
+                recorder.generate(req)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -764,7 +800,7 @@ class TestRecordedFrames:
     """A record run keys each reply by the very frame bytes its request sent."""
 
     def test_cache_key_hashes_the_frame_bytes_sent(
-        self, chat_server, tmp_path, closing, cache_log, monkeypatch
+        self, chat_server, tmp_path, closing, open_cache, monkeypatch
     ):
         frames_dir = tmp_path / "frames"
         frames_dir.mkdir()
@@ -785,14 +821,13 @@ class TestRecordedFrames:
 
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
-        log = cache_log("record")
-        cache = ReplayCache(closing(_client(chat_server)), log)
+        cache = open_cache(closing(_client(chat_server)), "record")
         config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0)
         session = run_session(store, config, cache, SimulatedClock(), prompt_set())
         monkeypatch.undo()
         assert session.complete, session.error
 
-        recorded = {fields[0]: fields[4] for fields, _ in read_cache_log(log.path)}
+        recorded = {fields[0]: fields[4] for fields, _ in read_cache_log(cache.path)}
         sent_frames = 0
         for step, sent in zip(session.steps, chat_server.requests, strict=True):
             key = hashlib.sha256()
@@ -828,11 +863,13 @@ class TestReadAhead:
     """The chat backend reads each request's frames before it is sent, and hands them on
     to the session's next request."""
 
-    def _session(self, server, paths, cache=None, window_cap=DEFAULT_WINDOW_CAP):
+    def _session(self, server, paths, open_cache=None, window_cap=DEFAULT_WINDOW_CAP):
+        """One realtime session over `paths`, against `server` through the client, or through
+        the cache that `open_cache` opens on it."""
         store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
         backend = _client(server)
         try:
-            generator = backend if cache is None else ReplayCache(backend, cache)
+            generator = backend if open_cache is None else open_cache(backend)
             config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0, window_cap=window_cap)
             return run_session(store, config, generator, SimulatedClock(), prompt_set())
         finally:
@@ -927,7 +964,7 @@ class TestReadAhead:
         assert events == expected
 
     def test_a_recorded_latency_is_the_time_from_send_to_reply(
-        self, chat_server, tmp_path, monkeypatch, cache_log
+        self, chat_server, tmp_path, monkeypatch, open_cache
     ):
         """Each frame read takes a second of the clock `_post` times by, and nothing else
         moves it: a latency that held frame work would read 1000 ms or more."""
@@ -945,25 +982,24 @@ class TestReadAhead:
         )
         # No reply is ever seen readable before it is read.
         monkeypatch.setattr(backends, "_readable", lambda sock: False)
-        log = cache_log("record")
-        session = self._session(chat_server, paths, log)
+        session = self._session(chat_server, paths, partial(open_cache, mode="record"))
         assert session.complete, session.error
         assert now[0] == len(paths)  # every frame was read, once
-        latencies = [fields[5] for fields, _ in read_cache_log(log.path)]
+        latencies = [fields[5] for fields, _ in read_cache_log(tmp_path / "cache" / "cache.log")]
         assert len(latencies) == len(session.steps) == 9
         assert max(latencies) < 1000
 
-    def test_a_replay_reads_each_frame_once(self, chat_server, tmp_path, monkeypatch, cache_log):
+    def test_a_replay_reads_each_frame_once(self, chat_server, tmp_path, monkeypatch, open_cache):
         paths = _frame_files(tmp_path / "frames", 6)
-        recorded = self._session(chat_server, paths, cache_log("record"))
+        recorded = self._session(chat_server, paths, partial(open_cache, mode="record"))
         read, read_file = [], backends._read_file
         monkeypatch.setattr(backends, "_read_file", lambda p: read.append(p) or read_file(p))
-        replayed = self._session(chat_server, paths, cache_log("replay"))
+        replayed = self._session(chat_server, paths, partial(open_cache, mode="replay"))
         assert replayed == recorded and replayed.complete
         assert read == [str(p) for p in paths]
 
     def test_a_frame_gone_after_it_was_read_is_sent_as_read(
-        self, chat_server, tmp_path, monkeypatch, cache_log
+        self, chat_server, tmp_path, monkeypatch, open_cache
     ):
         paths = _frame_files(tmp_path / "frames", 6)
         contents = [path.read_bytes() for path in paths]
@@ -975,21 +1011,20 @@ class TestReadAhead:
             return data
 
         monkeypatch.setattr(backends, "_read_file", read_then_delete)
-        log = cache_log("record")
-        session = self._session(chat_server, paths, log)
+        session = self._session(chat_server, paths, partial(open_cache, mode="record"))
         assert session.complete, session.error
         assert not any(p.exists() for p in paths)
         sent = [_sent_frames(request) for request in chat_server.requests]
         assert sent == [[contents[max(0, t - 1)]] for t in range(7)]
         # Frame 0, gone when the request at t = 1 sends it, is hashed as sent, not as missing.
-        keys = [fields[4] for fields, _ in read_cache_log(log.path)]
+        keys = [fields[4] for fields, _ in read_cache_log(tmp_path / "cache" / "cache.log")]
         assert keys[1] == hashlib.sha256(hashlib.sha256(contents[0]).digest()).hexdigest()[:16]
 
     @pytest.mark.parametrize(
         "cache, message", [(None, "for the request"), ("record", "for the cache key")]
     )
     def test_a_frame_unreadable_when_warmed_fails_the_next_request_as_before(
-        self, chat_server, tmp_path, monkeypatch, cache_log, cache, message
+        self, chat_server, tmp_path, monkeypatch, open_cache, cache, message
     ):
         paths = _frame_files(tmp_path / "frames", 6)
         paths[3].unlink()
@@ -998,8 +1033,8 @@ class TestReadAhead:
         for reads_ahead, name in ((True, "ahead"), (False, "plain")):
             monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
             monkeypatch.setattr(ReplayCache, "reads_ahead", reads_ahead)
-            log = cache and cache_log(cache, tmp_path / name)
-            session = self._session(chat_server, paths, log)
+            opens = cache and partial(open_cache, mode=cache, cache_dir=tmp_path / name)
+            session = self._session(chat_server, paths, opens)
             errors.append(session.error)
         ahead, plain = errors
         assert ahead == plain == (
@@ -1143,6 +1178,41 @@ class TestEndpointConstants:
                 EmbeddingScorer(base_url=base, model_id="e").score("a", "b")
         assert timeouts == [timeout] * 3
         assert sleeps == [0.5, 1.0]
+
+    def test_at_most_four_requests_are_in_flight(self, monkeypatch):
+        """Each POST is held until four are in, and then a little longer, so that a fifth
+        would get in if the cap let it."""
+        reply = json.dumps({"choices": [{"message": {"content": WAIT_TOKEN}}]}).encode()
+        lock, four_in = threading.Lock(), threading.Barrier(4)
+        flight = {"now": 0, "most": 0}
+
+        def post(self, body):
+            with lock:
+                flight["now"] += 1
+                flight["most"] = max(flight["most"], flight["now"])
+            try:
+                four_in.wait(timeout=10)
+                time.sleep(0.05)
+            finally:
+                with lock:
+                    flight["now"] -= 1
+            return 200, reply
+
+        monkeypatch.setattr(backends._HttpSession, "post", post)
+        client = RemoteChatBackend(base_url="http://127.0.0.1:9", model_id="m")
+        replies = []
+
+        def ask():
+            replies.append(client.generate(request_for(prompt(attachments=()))).raw_text)
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert replies == [WAIT_TOKEN] * 8
+        assert flight["most"] == backends.MAX_CONCURRENCY == 4
 
 
 @pytest.fixture()

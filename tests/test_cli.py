@@ -140,14 +140,24 @@ class TestGenerate:
         trace = read(workspace["root"] / "run" / "web.trace")
         assert "#status\taborted: backend failure at step 0 (t=0.000s): " in trace
 
-    def test_an_error_reply_of_many_lines_leaves_one_status_line(self, workspace, monkeypatch):
-        """A 400 reply's pretty-printed JSON body ends the session; the trace's `#status`
-        holds it on one line, so no line of it reads as a decision row."""
+    @pytest.mark.parametrize(
+        "body, pieces",
+        [
+            (json.dumps({"error": {"message": "bad request", "type": "invalid"}}, indent=2), 6),
+            ("bad\u2028request:\x85the\x0bframe\x0cis\x1ctoo\x1dlarge\x1efor\u2029it", 9),
+        ],
+        ids=["pretty-json", "unicode-breaks"],
+    )
+    def test_an_error_reply_of_many_lines_leaves_one_status_line(
+        self, workspace, monkeypatch, body, pieces
+    ):
+        """A 400 reply's body of many lines ends the session; the trace's `#status` holds it
+        on one line, by every line break `str.splitlines` knows, so no line of it reads as
+        a decision row."""
         manifest = workspace["manifest"]
         manifest.write_text(
             read(manifest).replace("file:///frames/", "https://f.test/"), encoding="utf-8"
         )
-        body = json.dumps({"error": {"message": "bad request", "type": "invalid"}}, indent=2)
         args = gen_args(workspace)
         args[args.index("--backend") + 1] = "remote"
         with serving_chat() as server:
@@ -157,7 +167,7 @@ class TestGenerate:
             server.plan = [400]
             server.error_body = body.replace("\n", "\r\n", 1).encode("utf-8")
             assert main(args) == 2
-        assert len(body.splitlines()) == 6
+        assert len(body.splitlines()) == pieces
         lines = read(workspace["root"] / "out" / "race01.trace").splitlines()
         assert [line.partition("\t")[0] for line in lines] == [
             "#video_id", "#duration", "#strategy", "#step", "#window_cap", "#icl_shots",
@@ -1637,8 +1647,15 @@ class TestSweep:
 
             return wrapper
 
-        for name in ("load_manifest", "load_reference", "read_script", "CacheLog"):
+        for name in ("load_manifest", "load_reference", "read_script"):
             monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        cache = cli.ReplayCache
+
+        def counted_cache(inner, cache_dir, mode):
+            loads.append(Path(cache_dir).name)
+            return cache(inner, cache_dir, mode)
+
+        monkeypatch.setattr(cli, "ReplayCache", counted_cache)
         argv = [
             "sweep", "--manifest", str(vids), "--ref", str(ref_dir),
             "--steps", "1,2", "--out", str(root / "sweep-once"),
@@ -1688,8 +1705,10 @@ class TestSweep:
 
         sweep("record")
         opened = []
-        cache_log = cli.CacheLog
-        monkeypatch.setattr(cli, "CacheLog", lambda *args: opened.append(args) or cache_log(*args))
+        cache = cli.ReplayCache
+        monkeypatch.setattr(
+            cli, "ReplayCache", lambda inner, *args: opened.append(args) or cache(inner, *args)
+        )
         sweep("replay")
         assert opened == [(str(root / "cache"), "replay")]
         assert read(root / "replay.tsv") == read(root / "record.tsv")

@@ -124,28 +124,12 @@ class _Frame:
         return self._digest
 
 
-class ReadAhead:
-    """One session's hand-off of frames from each request to the next.
-
-    `run_session` makes one per session when its backend `reads_ahead`, and
-    passes it to each request. `ready` holds the readable frames the last
-    request loaded, with their base64 and digest once made; the next request
-    takes those it sends from there and reads the rest before it is sent. A
-    frame that failed to read is not kept, so the next request reads it again.
-    """
-
-    __slots__ = ("ready",)
-
-    def __init__(self) -> None:
-        self.ready: dict[str, _Frame] = {}
-
-
 class GeneratorRequest(Record):
     """One backend query: the rendered prompt, decoded with `TEMPERATURE` and at most
     `MAX_OUTPUT_UNITS` tokens, and the session position that `run_session` fills.
 
-    `read_ahead`, the session's `ReadAhead` when its backend reads ahead,
-    supplies the frames its previous request read, and gets this request's.
+    `read_ahead`, the session's dict of the readable frames its last request
+    read, by URI, supplies those this request sends, and gets this request's.
     It is no field: it takes no part in ==, hash or repr.
     """
 
@@ -159,7 +143,7 @@ class GeneratorRequest(Record):
         video_id: str | None = None,
         index: int | None = None,
         prev_time: Seconds | None = None,
-        read_ahead: ReadAhead | None = None,
+        read_ahead: dict[str, _Frame] | None = None,
     ) -> None:
         if len(prompt.attachments) > ATTACHMENT_LIMIT:
             raise PayloadTooLargeError(
@@ -173,19 +157,19 @@ class GeneratorRequest(Record):
     @cached_property
     def _frames(self) -> dict[str, _Frame | OSError | None]:
         """Each attachment's frame, taken from `read_ahead` or loaded at first use, then kept
-        and, with `read_ahead`, handed on to the session's next request.
+        and, in `read_ahead`, handed on to the session's next request in place of the
+        frames it held. A frame that failed to read is not handed on.
 
         The cache key and the request body both use these frames, so the key
         hashes exactly the bytes that were sent.
         """
-        ahead = self.read_ahead
-        ready = ahead.ready if ahead is not None else {}
+        ready = {} if self.read_ahead is None else self.read_ahead
         frames: dict[str, _Frame | OSError | None] = {}
         for uri in self.prompt.attachments:
             if uri not in frames:
                 frames[uri] = ready.get(uri) or _load_frame(uri)
-        if ahead is not None:
-            ahead.ready = {uri: frame for uri, frame in frames.items() if isinstance(frame, _Frame)}
+        ready.clear()
+        ready.update((uri, frame) for uri, frame in frames.items() if isinstance(frame, _Frame))
         return frames
 
 
@@ -199,9 +183,8 @@ class GeneratorResponse(Record):
 class Generator(Protocol):
     """Anything that can answer one prompt at a time.
 
-    One whose `reads_ahead` attribute is true gets its session's `ReadAhead` with each request,
-    so each request reuses the frames the previous one read. One whose `reads_position` is true
-    answers from the request's session position too, so a `ReplayCache` keys by it.
+    One whose `reads_position` is true answers from the request's session position too,
+    so a `ReplayCache` keys by it.
     """
 
     model_id: str
@@ -357,6 +340,7 @@ _MAX_PIECE = 1 << 20  # most body bytes asked of the socket in one read
 _STATUS_LINE = re.compile(rb"(HTTP/\d\.\d) (\d{3})(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _LINE_BREAK = re.compile(r"[\r\n]")
+_NOT_LATIN1 = re.compile(r"[^\x00-\xff]")
 
 
 def _read_line(reader: Any) -> bytes:
@@ -473,7 +457,8 @@ class _HttpSession:
     server keeps it open, and one the server has closed meanwhile is
     dropped before reuse. Redirects are not followed and no compressed
     reply is asked for. `url` must be an `http://` or `https://` URL with a
-    host; a header that would hold a line break raises `ValueError`.
+    host; a header that would hold a line break or a character outside
+    Latin-1 raises `ValueError`.
 
     `ssl` is imported only for an `https://` URL, and `urllib.request`
     only when the environment names a proxy variable, so a run that sends
@@ -613,14 +598,19 @@ class _HttpSession:
 
 
 def _check_fields(fields: Mapping[str, str]) -> None:
-    """`ValueError` naming the first header whose name or value holds a line break."""
+    """`ValueError` naming the first header whose name or value holds a line break or a
+    character outside Latin-1; it echoes no part of the value."""
     for name, value in fields.items():
-        if _LINE_BREAK.search(name) or _LINE_BREAK.search(value):
+        field = name + value
+        if _LINE_BREAK.search(field):
             raise ValueError(f"line break in the {name!r} header")
+        if _NOT_LATIN1.search(field):
+            raise ValueError(f"character outside Latin-1 in the {name!r} header")
 
 
 def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
-    """A request head; `ValueError` if a header would hold a line break."""
+    """A request head; `ValueError` if a header would hold a line break or a character
+    outside Latin-1."""
     _check_fields(fields)
     lines = [request_line, *(f"{name}: {value}" for name, value in fields.items())]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
@@ -636,11 +626,13 @@ def _local_path(uri: str) -> str | None:
 
     A `file:` URI's path is percent-decoded (RFC 8089), its authority empty or
     `localhost`. One naming another host, or a path holding a NUL, is a file
-    that does not exist: FileNotFoundError names the URI.
+    that does not exist: FileNotFoundError names the URI. Schemes match in any
+    case (RFC 3986).
     """
-    if uri.startswith(("data:", "http://", "https://")):
+    prefix = uri[:8].lower()
+    if prefix.startswith(("data:", "http://", "https://")):
         return None
-    if not uri.startswith("file:"):
+    if not prefix.startswith("file:"):
         return uri
     parts = urlsplit(uri)
     path = unquote(parts.path)
@@ -737,7 +729,7 @@ def chat_request_body(request: GeneratorRequest) -> bytes:
     encodes the prompt text and each data or `http(s)://` URI; each local
     frame's base64 is spliced in as bytes, since base64 needs no JSON
     escape. The frames are the request's, each base64-encoded once per
-    session when the session hands them on; one that could not be read
+    session as the session hands them on; one that could not be read
     raises its `OSError`, as `build_chat_payload` does.
     """
     import json
@@ -779,9 +771,9 @@ class _Endpoint:
     `url`, the base URL and the subclass's `_PATH`. Unless a caller passes
     its own session, the client is an `_HttpSession` for that URL, which
     reads the proxy, CA-bundle and netrc settings once, here. The request
-    headers are built here too, and a line break in one (say, in the API
-    key) raises `ValueError` naming the header. The class settings are the
-    chat backend's.
+    headers are built here too, and a line break or a character outside
+    Latin-1 in one (say, in the API key) raises `ValueError` naming the
+    header. The class settings are the chat backend's.
     """
 
     _ENV: tuple[str, str, str]  # the base URL, API key and model variables
@@ -891,8 +883,6 @@ class RemoteChatBackend(_Endpoint):
     """
 
     _ENV = (ENV_API_BASE, ENV_API_KEY, ENV_MODEL)
-    # Sessions hand it a `ReadAhead`, so a frame that consecutive requests send is read once.
-    reads_ahead = True
 
     def generate(self, request: GeneratorRequest) -> GeneratorResponse:
         try:
@@ -991,14 +981,12 @@ class ReplayCache:
     the v2 header, raises `ValueError`.
     """
 
-    # The key reads each request's frames, so sessions hand them on in both modes.
-    reads_ahead = True
-
     def __init__(self, inner: Generator | type | str, cache_dir: str | Path, mode: str) -> None:
         if mode not in CACHE_MODES:
             raise ValueError(f"cache mode must be one of {CACHE_MODES}, got {mode!r}")
         self._inner = inner
         self.model_id = inner if isinstance(inner, str) else inner.model_id
+        self._reads_position = getattr(inner, "reads_position", False)
         self.mode = mode
         self.path = Path(cache_dir) / CACHE_LOG_NAME
         self._records: dict[CacheKey, tuple[int, str]] = {}  # key -> (latency_ms, raw)
@@ -1068,7 +1056,7 @@ class ReplayCache:
         except OSError as exc:
             raise BackendError(f"cannot read a frame for the cache key: {exc}") from exc
         position = None
-        if getattr(self._inner, "reads_position", False):
+        if self._reads_position:
             position = (request.video_id, request.index, request.decision_time, request.prev_time)
         key = CacheKey(
             request.prompt.digest, request.model_id, TEMPERATURE, MAX_OUTPUT_UNITS, frames, position

@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .backends import ATTACHMENT_LIMIT, BackendError, Generator, GeneratorRequest, ReadAhead
+from .backends import ATTACHMENT_LIMIT, BackendError, Generator, GeneratorRequest
 from .core import (
     Clock,
     CommentaryTrack,
@@ -252,8 +252,8 @@ def run_session(
     carries the error; a replay-cache miss is no backend failure and propagates
     (it is a configuration problem, not a transient failure).
 
-    Each request carries its session position, and, for a backend that reads
-    ahead, the session's `ReadAhead`, which hands on the frames it read.
+    Each request carries its session position, and the session's dict of the
+    frames its last request read, which it hands on to the next.
     """
     language = prompts.decision.language
     config.rate_model.for_language(language)  # raises ValueError for a language it lacks
@@ -266,8 +266,8 @@ def run_session(
     # The history the decision prompts show: a tuple, replaced on each Speak,
     # so the renderer sees an unchanged history as the same object.
     history: tuple[str, ...] = ()
-    # Asked once per session: other backends cost no work per decision.
-    read_ahead = ReadAhead() if getattr(backend, "reads_ahead", False) else None
+    # The frames the last request read, by URI: the next takes those it sends from here.
+    read_ahead: dict = {}
     steps: list[SessionStep] = []
     error: str | None = None
     t_ms = last_ms = 0

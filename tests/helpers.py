@@ -33,6 +33,7 @@ from commentary.core import (
     check_seconds,
     from_ms,
     read_utf8,
+    replace,
     to_ms,
 )
 from commentary.media import (
@@ -316,6 +317,18 @@ class ScanningOracleBackend:
             if prev is None or u.start > prev:
                 return GeneratorResponse(raw_text=u.text, latency=0.0)
         return GeneratorResponse(raw_text=WAIT_TOKEN, latency=0.0)
+
+
+class HandsNothingOn:
+    """`inner` on the plain path: each request goes on rebuilt by `replace`, without its
+    session's frames, so it reads every frame it sends and hands none on."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.model_id = inner.model_id
+
+    def generate(self, request: GeneratorRequest) -> GeneratorResponse:
+        return self.inner.generate(replace(request))
 
 
 def reference_decision_ms(

@@ -18,6 +18,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -59,9 +60,10 @@ from commentary.backends import (
 from commentary.core import WAIT_TOKEN, replace
 from commentary.evaluation import EmbeddingScorer
 from commentary.media import DEFAULT_WINDOW_CAP
-from commentary.prompting import RenderedPrompt
+from commentary.prompting import Demonstration, RenderedPrompt
 
 from helpers import (
+    HandsNothingOn,
     ScanningOracleBackend,
     prompt_set,
     read_cache_log,
@@ -122,6 +124,26 @@ class TestFileUris:
         # The cache key hashes it as it hashes any frame that does not exist.
         never = request_for(prompt(attachments=(f"{tmp_path}/never-written.jpg",)))
         assert backends._frames_hash(request) == backends._frames_hash(never)
+
+    def test_a_scheme_matches_in_any_case(self, tmp_path):
+        frame = tmp_path / "0.png"
+        frame.write_bytes(b"frame")
+        remote = "HTTPS://cdn.example.test/0.jpg"
+        inline = "Data:image/png;base64," + base64.b64encode(b"inline").decode("ascii")
+        local = f"FILE://{frame.as_posix()}"
+        other = "Http://cdn.example.test/1.jpg"
+        request = request_for(prompt(attachments=(other, remote, inline, local)))
+        body = json.loads(chat_request_body(request))
+        urls = [part["image_url"]["url"] for part in body["messages"][0]["content"][1:]]
+        # Remote and data URIs are sent as written; the local frame is read.
+        assert urls == [
+            other, remote, inline, "data:image/png;base64," + base64.b64encode(b"frame").decode()
+        ]
+        assert [encode_image_uri(uri) for uri in urls[:3]] == urls[:3]
+        # The cache key skips them, as it skips every remote and data URI.
+        assert backends._frames_hash(request) == backends._frames_hash(
+            request_for(prompt(attachments=(local,)))
+        )
 
 
 class TestScriptedBackend:
@@ -863,13 +885,15 @@ class TestReadAhead:
     """The chat backend reads each request's frames before it is sent, and hands them on
     to the session's next request."""
 
-    def _session(self, server, paths, open_cache=None, window_cap=DEFAULT_WINDOW_CAP):
+    def _session(self, server, paths, open_cache=None, window_cap=DEFAULT_WINDOW_CAP, plain=False):
         """One realtime session over `paths`, against `server` through the client, or through
-        the cache that `open_cache` opens on it."""
+        the cache that `open_cache` opens on it; with `plain`, its requests hand nothing on."""
         store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
         backend = _client(server)
         try:
             generator = backend if open_cache is None else open_cache(backend)
+            if plain:
+                generator = HandsNothingOn(generator)
             config = StrategyConfig(kind=StrategyKind.REALTIME, step=1.0, window_cap=window_cap)
             return run_session(store, config, generator, SimulatedClock(), prompt_set())
         finally:
@@ -1020,21 +1044,54 @@ class TestReadAhead:
         keys = [fields[4] for fields, _ in read_cache_log(tmp_path / "cache" / "cache.log")]
         assert keys[1] == hashlib.sha256(hashlib.sha256(contents[0]).digest()).hexdigest()[:16]
 
+    def test_a_feedback_icl_session_reads_each_demonstration_and_frame_once(
+        self, chat_server, tmp_path, monkeypatch
+    ):
+        (tmp_path / "demos").mkdir()
+        demos = []
+        for i in range(4):
+            path = tmp_path / "demos" / f"{i}.png"
+            path.write_bytes(b"demo %d " % i * (200 + i))
+            demos.append(Demonstration(str(path), f"demonstration line {i}"))
+        paths = _frame_files(tmp_path / "frames", 8)
+        reads, read_file = Counter(), backends._read_file
+        monkeypatch.setattr(backends, "_read_file", lambda p: reads.update([p]) or read_file(p))
+        store = FrameStore(video_id="v", video_duration=len(paths), frames=[str(p) for p in paths])
+        config = StrategyConfig(kind=StrategyKind.FEEDBACK_ICL, step=1.0, icl_shots=len(demos))
+        client = _client(chat_server)
+        try:
+            record = run_session(
+                store, config, client, SimulatedClock(), prompt_set(demonstrations=demos)
+            )
+        finally:
+            client.close()
+        monkeypatch.undo()
+        assert record.complete, record.error
+        assert len(record.steps) == len(chat_server.requests) == 9
+        # Each demonstration and frame file is read once in the session.
+        assert reads == Counter([demo.frame for demo in demos] + [str(p) for p in paths])
+        # Every decision prompt sends the demonstrations, then its window; the init prompt
+        # sends its window alone.
+        shown = [Path(demo.frame).read_bytes() for demo in demos]
+        sent = [_sent_frames(request) for request in chat_server.requests]
+        assert sent == [
+            (shown if step.index else []) + [Path(uri).read_bytes() for uri in step.window]
+            for step in record.steps
+        ]
+
     @pytest.mark.parametrize(
         "cache, message", [(None, "for the request"), ("record", "for the cache key")]
     )
     def test_a_frame_unreadable_when_warmed_fails_the_next_request_as_before(
-        self, chat_server, tmp_path, monkeypatch, open_cache, cache, message
+        self, chat_server, tmp_path, open_cache, cache, message
     ):
         paths = _frame_files(tmp_path / "frames", 6)
         paths[3].unlink()
         paths[3].mkdir()  # a frame that exists but cannot be read
         errors = []
-        for reads_ahead, name in ((True, "ahead"), (False, "plain")):
-            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
-            monkeypatch.setattr(ReplayCache, "reads_ahead", reads_ahead)
+        for plain, name in ((False, "ahead"), (True, "plain")):
             opens = cache and partial(open_cache, mode=cache, cache_dir=tmp_path / name)
-            session = self._session(chat_server, paths, opens)
+            session = self._session(chat_server, paths, opens, plain=plain)
             errors.append(session.error)
         ahead, plain = errors
         assert ahead == plain == (
@@ -1056,33 +1113,29 @@ class TestReadAhead:
                 return generate(self, request)
             finally:
                 if request.read_ahead is not None:
-                    kept.append(set(request.read_ahead.ready))
+                    kept.append(set(request.read_ahead))
 
         monkeypatch.setattr(backends, "_read_file", lambda p: read.append(p) or read_file(p))
         monkeypatch.setattr(RemoteChatBackend, "generate", spy_generate)
         bodies = []
-        for reads_ahead in (True, False):
-            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
-            session = self._session(chat_server, uris)
+        for plain in (False, True):
+            session = self._session(chat_server, uris, plain=plain)
             assert session.complete, session.error
             bodies.append([request["raw"] for request in chat_server.requests])
             chat_server.requests.clear()
-            if reads_ahead:
+            if not plain:
                 assert read == local  # each local frame read once
                 # Decision t sends frame t - 1 (frame 0 at t = 0 and 1).
                 assert kept == [{local[0]}, {local[0]}, set(), set(), {local[1]}, set()]
         ahead, plain = bodies
         assert ahead == plain and len(ahead) == len(uris) + 1
 
-    def test_a_file_uri_of_another_host_fails_the_request_as_before(
-        self, chat_server, tmp_path, monkeypatch
-    ):
+    def test_a_file_uri_of_another_host_fails_the_request_as_before(self, chat_server, tmp_path):
         uris = [str(p) for p in _frame_files(tmp_path / "frames", 6)]
         uris[3] = f"file://otherhost{uris[3]}"
         errors = []
-        for reads_ahead in (True, False):
-            monkeypatch.setattr(RemoteChatBackend, "reads_ahead", reads_ahead)
-            errors.append(self._session(chat_server, uris).error)
+        for plain in (False, True):
+            errors.append(self._session(chat_server, uris, plain=plain).error)
         ahead, plain = errors
         assert ahead == plain == (
             f"backend failure at step 4 (t=4.000s): cannot read a frame for the request: "
@@ -1297,6 +1350,19 @@ def _auth_sent(kind, server, api_key):
         client.score("a", "b")
     client.close()
     return server.requests[-1]["auth"]
+
+
+@pytest.mark.parametrize("client", [RemoteChatBackend, EmbeddingScorer])
+@pytest.mark.parametrize("session", [None, SimpleNamespace()], ids=["own", "callers"])
+@pytest.mark.parametrize(
+    "key, what",
+    [("sk-a\nX-Evil: 1", "line break"), ("sk-test\u2019", "character outside Latin-1")],
+    ids=["line-break", "not-latin-1"],
+)
+def test_an_api_key_no_header_can_hold_is_refused_naming_the_header(client, session, key, what):
+    with pytest.raises(ValueError) as info:
+        client(base_url="http://127.0.0.1:9/v1", api_key=key, model_id="m", session=session)
+    assert str(info.value) == f"{what} in the 'Authorization' header"
 
 
 # Python's `netrc` does not read curl's `port` token.

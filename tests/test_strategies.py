@@ -38,6 +38,7 @@ from commentary.strategies import count_units, next_query_ms, unit_tokens
 from commentary.subtitles import track_entries
 
 from helpers import (
+    HandsNothingOn,
     ReferenceRenderer,
     prompt_set,
     reference_decision_ms,
@@ -687,28 +688,27 @@ class _ReadingBackend:
 
     model_id = "reading"
 
-    def __init__(self, clock, replies, delays_ms, reads_ahead):
+    def __init__(self, clock, replies, delays_ms):
         self.clock = clock
         self.replies = replies
         self.delays_ms = delays_ms
-        self.reads_ahead = reads_ahead
         self.sent = []
 
     def generate(self, request):
         index = len(self.sent)
         ahead = request.read_ahead
         flight = types.SimpleNamespace(attachments=request.prompt.attachments)
-        flight.found = set(ahead.ready) if ahead is not None else set()
+        flight.found = set(ahead) if ahead is not None else set()
         request._frames  # what the body and the cache key are built from
-        flight.left = set(ahead.ready) if ahead is not None else set()
+        flight.left = set(ahead) if ahead is not None else set()
         self.sent.append(flight)
         self.clock.advance_to(self.clock.now() + from_ms(self.delays_ms[index % len(self.delays_ms)]))
         return GeneratorResponse(self.replies[index % len(self.replies)], 0.0)
 
 
-def _reading_session(store, cfg, prompts, replies, delays_ms, reads_ahead=True):
+def _reading_session(store, cfg, prompts, replies, delays_ms, plain=False):
     """The record of a session run by a `_ReadingBackend`, its flights and the frame
-    files read."""
+    files read; with `plain`, the session's requests hand nothing on."""
     reads = Counter()
 
     def read_file(path):
@@ -716,15 +716,16 @@ def _reading_session(store, cfg, prompts, replies, delays_ms, reads_ahead=True):
         return path.encode()
 
     clock = SimulatedClock()
-    backend = _ReadingBackend(clock, replies, delays_ms, reads_ahead)
+    backend = _ReadingBackend(clock, replies, delays_ms)
+    generator = HandsNothingOn(backend) if plain else backend
     with mock.patch.object(backends, "_read_file", read_file):
-        record = run_session(store, cfg, backend, clock, prompts)
+        record = run_session(store, cfg, generator, clock, prompts)
     return record, backend.sent, reads
 
 
 class TestReadAhead:
-    """A backend that reads ahead is handed the frames its session's previous request
-    read, and runs the session a backend that does not read ahead runs."""
+    """Each request is handed the frames its session's previous request read, and the
+    session runs as one whose requests hand nothing on runs."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -751,7 +752,7 @@ class TestReadAhead:
         prompts = prompt_set(demonstrations=_demos(shots))
         record, sent, reads = _reading_session(store, cfg, prompts, replies, delays_ms)
         plain, plain_sent, plain_reads = _reading_session(
-            store, cfg, prompts, replies, delays_ms, reads_ahead=False
+            store, cfg, prompts, replies, delays_ms, plain=True
         )
         assert record == plain
         assert to_srt(record.track) == to_srt(plain.track)

@@ -12,7 +12,7 @@ import time
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Protocol
-from urllib.parse import unquote, urlsplit
+from urllib.parse import quote, unquote, urlsplit
 
 from .core import (
     WAIT_TOKEN,
@@ -218,8 +218,8 @@ def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
     Keys are prompt digests, decision indexes, or the word `default` for the
     fallback response. A key of 16 lowercase hex digits, the form of a rendered
     prompt's digest, is a digest even when every digit is decimal; any other
-    key that `int()` reads is an index. A malformed file raises ValueError
-    naming it.
+    key that `int()` reads as a non-negative number is an index. A malformed
+    file, or a key that no request could match, raises ValueError naming it.
     """
     script: dict[int | str, str] = {}
     default = WAIT_TOKEN
@@ -235,9 +235,15 @@ def read_script(path: str | Path) -> tuple[dict[int | str, str], str]:
             script[key] = response
         else:
             try:
-                script[int(key)] = response
+                index = int(key)
             except ValueError:
-                script[key] = response
+                index = -1
+            if index < 0:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} is not a decision index, a prompt digest "
+                    "(16 lowercase hex digits) or 'default'"
+                )
+            script[index] = response
     return script, default
 
 
@@ -519,6 +525,9 @@ class _HttpSession:
             target = url
         else:
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        # Each character outside RFC 3986's unreserved and reserved sets goes out
+        # percent-encoded as UTF-8; a `%` is kept as written, as `requests` keeps it.
+        target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
         head = _request_head(f"POST {target} HTTP/1.1", fields)
         before, _, after = head.partition(b"\r\nContent-Length: \r\n")
         self._before, self._after = before + b"\r\nContent-Length: ", b"\r\n" + after

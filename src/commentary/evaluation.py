@@ -34,7 +34,7 @@ from .strategies import (
     estimate_duration,
     unit_tokens,
 )
-from .subtitles import overlap_proportion, parse_srt, track_entries
+from .subtitles import overlap_proportion, parse_srt
 
 ENV_EMBED_API_BASE = "COMMENTARY_EMBED_API_BASE"
 ENV_EMBED_API_KEY = "COMMENTARY_EMBED_API_KEY"
@@ -252,7 +252,7 @@ def evaluate(
         alignment=timing_alignment(gen, ref),
         rouge_l=rouge_l(_track_text(gen), _track_text(ref), language),
         bin_scores=tuple(binned_similarity(gen, ref, scorer)),
-        overlap=overlap_proportion(track_entries(gen)),
+        overlap=overlap_proportion(gen.utterances),
         gen_words=_unit_count(gen, language),
         ref_words=_unit_count(ref, language),
     )

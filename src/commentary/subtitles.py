@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import CommentaryTrack, Record, Seconds, check_seconds, from_ms, to_ms
+from .core import CommentaryTrack, Record, Seconds, Utterance, check_seconds, from_ms, to_ms
 
 _TIMESTAMP = re.compile(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})")
 _ARROW = "-->"
@@ -31,11 +31,6 @@ class SrtEntry(Record):
         self.__dict__.update(index=index, start=start, end=end, text=text)
 
 
-def format_timestamp(seconds: Seconds) -> str:
-    """SRT timestamp HH:MM:SS,mmm at millisecond precision."""
-    return _format_ms(to_ms(check_seconds(seconds)))
-
-
 def _format_ms(total_ms: int) -> str:
     secs, ms = divmod(total_ms, 1000)
     minutes, secs = divmod(secs, 60)
@@ -55,14 +50,6 @@ def _timestamp_ms(hours: str, minutes: str, secs: str, frac: str) -> int:
     return ((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + int(frac.ljust(3, "0"))
 
 
-def track_entries(track: CommentaryTrack) -> list[SrtEntry]:
-    """Subtitle entries for a track: one per utterance, numbered from 1."""
-    return [
-        SrtEntry(index=i, start=u.start, end=u.end, text=u.text.replace("\n", " "))
-        for i, u in enumerate(track.utterances, 1)
-    ]
-
-
 def to_srt(track: CommentaryTrack) -> str:
     """Serialize a track as SRT text.
 
@@ -71,8 +58,6 @@ def to_srt(track: CommentaryTrack) -> str:
     separator, blocks are separated by exactly one blank line, and the output
     ends with a newline. An empty track yields the empty string.
     """
-    # The entries of `track_entries`, formatted straight from the utterances:
-    # an utterance's times and text already pass every check an entry makes.
     blocks = []
     for i, u in enumerate(track.utterances, 1):
         start, end = _format_ms(to_ms(u.start)), _format_ms(to_ms(u.end))
@@ -135,10 +120,11 @@ def parse_srt(text: str) -> list[SrtEntry]:
     return entries
 
 
-def overlap_proportion(entries: Sequence[SrtEntry]) -> float:
+def overlap_proportion(entries: Sequence[SrtEntry | Utterance]) -> float:
     """Fraction of adjacent entry pairs (by start order) whose intervals intersect.
 
-    Zero when there are fewer than two entries.
+    Takes SRT entries or a track's utterances, which are its SRT's entries:
+    the same starts and ends. Zero when there are fewer than two.
     """
     if len(entries) < 2:
         return 0.0

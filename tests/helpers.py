@@ -50,7 +50,7 @@ from commentary.prompting import (
     PromptTemplate,
     serialize_history,
 )
-from commentary.subtitles import SrtEntry, SrtParseError, track_entries
+from commentary.subtitles import SrtEntry, SrtParseError
 
 # The settings every property that runs `cli.main` derives its own from. No explain
 # phase: it traces every line `main` runs, and on one failure ran for over 100 s and
@@ -281,12 +281,20 @@ def reference_parse_srt(text: str) -> list[SrtEntry]:
 
 def reference_format_timestamp(seconds: float) -> str:
     """One SRT timestamp, checked and formatted field by field; the oracle for
-    `format_timestamp`."""
+    the timestamps `to_srt` writes."""
     total_ms = to_ms(check_seconds(seconds))
     hours, rem = divmod(total_ms, 3_600_000)
     minutes, rem = divmod(rem, 60_000)
     secs, ms = divmod(rem, 1000)
     return f"{hours:02d}:{minutes:02d}:{secs:02d},{ms:03d}"
+
+
+def track_entries(track: CommentaryTrack) -> list[SrtEntry]:
+    """Subtitle entries for a track: one per utterance, numbered from 1."""
+    return [
+        SrtEntry(index=i, start=u.start, end=u.end, text=u.text.replace("\n", " "))
+        for i, u in enumerate(track.utterances, 1)
+    ]
 
 
 def reference_to_srt(track: CommentaryTrack) -> str:

@@ -36,7 +36,6 @@ from commentary import (
     to_srt,
 )
 from commentary.cli import main
-from commentary.subtitles import track_entries
 
 from helpers import (
     WORDS,
@@ -45,6 +44,7 @@ from helpers import (
     random_track,
     read_cache_log,
     synth_store,
+    track_entries,
     window_seconds,
     write_cache_log,
     write_manifest,

@@ -185,6 +185,25 @@ class TestScriptedBackend:
         assert reply.raw_text == "the red car leads"
 
 
+    @pytest.mark.parametrize(
+        "key", ["ABCDEF0123456789", "abcdef012345678", "-1", "foo", "0x10", "default ", ""]
+    )
+    def test_a_key_no_request_can_match_is_refused_naming_the_line(self, tmp_path, key):
+        path = tmp_path / "script.tsv"
+        path.write_text(f"0\tgo\n{key}\tthe red car leads\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_script(path)
+        assert str(info.value) == (
+            f"{path}:2: key {key!r} is not a decision index, a prompt digest "
+            "(16 lowercase hex digits) or 'default'"
+        )
+
+    def test_every_key_int_reads_as_a_non_negative_number_is_an_index(self, tmp_path):
+        path = tmp_path / "script.tsv"
+        path.write_text("-0\tzero\n+1\tone\n 2\ttwo\n0_3\tthree\n", encoding="utf-8")
+        assert read_script(path) == ({0: "zero", 1: "one", 2: "two", 3: "three"}, "<WAIT>")
+
+
 def oracle_request(t, prev=None, video_id="ref"):
     return request_for(decision_time=t, prev_time=prev, video_id=video_id)
 
@@ -1363,6 +1382,36 @@ def test_an_api_key_no_header_can_hold_is_refused_naming_the_header(client, sess
     with pytest.raises(ValueError) as info:
         client(base_url="http://127.0.0.1:9/v1", api_key=key, model_id="m", session=session)
     assert str(info.value) == f"{what} in the 'Authorization' header"
+
+
+@pytest.mark.parametrize("proxied", [False, True], ids=["origin-form", "proxy-form"])
+@pytest.mark.parametrize("kind, suffix", [("chat", "/chat/completions"), ("embedding", "/embeddings")])
+@pytest.mark.parametrize(
+    "path, sent",
+    [
+        ("/v1", "/v1"),
+        ("/v\u20191", "/v%E2%80%991"),
+        ("/v\u00e91", "/v%C3%A91"),
+        ("/v 1", "/v%201"),
+        ("/v%201", "/v%201"),
+        ("/v1;x=[a]@b~!$&'()*+,", "/v1;x=[a]@b~!$&'()*+,"),
+    ],
+    ids=["ascii", "outside-latin-1", "latin-1", "space", "escaped", "reserved"],
+)
+def test_the_request_target_escapes_what_rfc_3986_does_not_allow_as_utf_8(
+    chat_server, no_proxy_env, closing, endpoint_constants, proxied, kind, suffix, path, sent
+):
+    endpoint_constants(timeout=2.0)
+    origin = f"http://127.0.0.1:{chat_server.server_address[1]}"
+    if proxied:  # nothing listens on port 1: the request reaches the server as a proxy
+        no_proxy_env.setenv("HTTP_PROXY", origin)
+        origin = "http://127.0.0.1:1"
+    if kind == "chat":
+        client = closing(RemoteChatBackend(base_url=origin + path, model_id="m"))
+        client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
+    else:
+        closing(EmbeddingScorer(base_url=origin + path, model_id="e")).score("a", "b")
+    assert chat_server.requests[0]["path"] == (origin if proxied else "") + sent + suffix
 
 
 # Python's `netrc` does not read curl's `port` token.

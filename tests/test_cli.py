@@ -23,12 +23,12 @@ from commentary.cli import main, parse_rate_model, read_trace_header
 from commentary.backends import OracleBackend, ScriptedBackend
 from commentary.cli import CliError
 from commentary.core import replace
-from commentary.subtitles import format_timestamp
 
 from helpers import (
     CACHE_LOG_HEADER,
     MAIN_SETTINGS,
     read_cache_log,
+    reference_format_timestamp,
     serving_chat,
     write_cache_log,
     write_manifest,
@@ -283,6 +283,16 @@ class TestGenerate:
         assert main(gen_args(workspace)) == 1
         err = capsys.readouterr().err
         assert err == f"error: backend: {workspace['script']}:2: expected 'key<TAB>response'\n"
+        assert not (workspace["root"] / "out").exists()
+
+    def test_a_script_key_no_request_can_match_exits_one_naming_it(self, workspace, capsys):
+        workspace["script"].write_text("0\tgo\nfoo\tthe red car leads\n", encoding="utf-8")
+        assert main(gen_args(workspace)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: backend: {workspace['script']}:2: key 'foo' is not a decision index, "
+            "a prompt digest (16 lowercase hex digits) or 'default'\n"
+        )
         assert not (workspace["root"] / "out").exists()
 
     @pytest.mark.parametrize("case", ["missing", "not-utf-8", "malformed"])
@@ -1833,7 +1843,8 @@ def test_a_mock_sweep_recorded_fresh_recorded_again_and_replayed_writes_the_unca
         for (video_id, duration), quarters in zip((("a", 6.0), ("b", 9.0)), starts):
             write_manifest(vids / f"{video_id}.manifest", video_id, duration)
             entries = [
-                f"{i}\n{format_timestamp(q / 4)} --> {format_timestamp(q / 4 + 0.2)}\nline {q}\n"
+                f"{i}\n{reference_format_timestamp(q / 4)} --> "
+                f"{reference_format_timestamp(q / 4 + 0.2)}\nline {q}\n"
                 for i, q in enumerate(sorted(quarters), 1)
             ]
             (ref_dir / f"{video_id}.srt").write_text("\n".join(entries), encoding="utf-8")
@@ -1941,7 +1952,7 @@ def _srt_of(lines) -> tuple[str, float]:
     """SRT text of `lines`, starts in whole seconds, and its latest display end."""
     ends = [(1000 * s + ms) / 1000 for s, ms, _ in lines]
     blocks = [
-        f"{i}\n{format_timestamp(s)} --> {format_timestamp(end)}\n{text}\n"
+        f"{i}\n{reference_format_timestamp(s)} --> {reference_format_timestamp(end)}\n{text}\n"
         for i, ((s, _, text), end) in enumerate(zip(lines, ends), 1)
     ]
     return "\n".join(blocks), max([0.0, *ends])

@@ -15,6 +15,7 @@ from commentary import (
     evaluate,
     rouge_l,
     timing_alignment,
+    to_srt,
 )
 from commentary.evaluation import (
     EmbeddingScorer,
@@ -23,10 +24,16 @@ from commentary.evaluation import (
     reference_from_srt_text,
     reference_from_transcript_text,
 )
+from commentary.strategies import default_unit_for_language
 
-from commentary.subtitles import format_timestamp
-
-from helpers import WORDS, dp_lcs_length, random_track, reference_track_of_lines, serving_chat
+from helpers import (
+    WORDS,
+    dp_lcs_length,
+    random_track,
+    reference_format_timestamp,
+    reference_track_of_lines,
+    serving_chat,
+)
 
 # Word tokens and Japanese characters, so both ROUGE-L units are exercised.
 TOKEN_POOL = sorted(set(WORDS) | set("赤い車が先頭に立つ青のドライバーはコーナーで抜く"))
@@ -51,6 +58,22 @@ def utt(start, dur, text="the red car leads"):
 
 def track(utterances, duration=10.0, video_id="v"):
     return CommentaryTrack(video_id, tuple(utterances), duration)
+
+
+@st.composite
+def ms_grid_tracks(draw, duration_ms):
+    """A track on the millisecond grid, its texts over the alphabet of `to_srt`'s
+    property, its utterances free to overlap."""
+    starts = draw(st.lists(st.integers(0, duration_ms), max_size=8, unique=True))
+    utterances = [
+        Utterance(
+            draw(st.text(st.sampled_from("ab \n\t車"), min_size=1, max_size=8).filter(str.strip)),
+            start / 1000,
+            draw(st.integers(1, 20_000)) / 1000,
+        )
+        for start in sorted(starts)
+    ]
+    return track(utterances, duration_ms / 1000)
 
 
 def brute_force_lcs(a: tuple, b: tuple) -> int:
@@ -311,6 +334,15 @@ class TestEvaluate:
         assert gen.utterances[0].end == gen.utterances[1].start
         assert evaluate(gen, gen, LexicalOverlapScorer(), "en").overlap == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 120_000), st.sampled_from(["en", "ja"]))
+    def test_a_track_scores_as_its_srt_read_back(self, data, duration_ms, language):
+        gen = data.draw(ms_grid_tracks(duration_ms))
+        ref = data.draw(ms_grid_tracks(duration_ms))
+        scorer = LexicalOverlapScorer(default_unit_for_language(language))
+        read_back = reference_from_srt_text(to_srt(gen), gen.video_id, gen.video_duration)
+        assert evaluate(read_back, ref, scorer, language) == evaluate(gen, ref, scorer, language)
+
     def test_overlapping_gen_track_reports_overlap(self):
         gen = track([utt(0.0, 5.0), utt(2.0, 5.0), utt(20.0, 1.0)], duration=30.0)
         ref = track([], duration=30.0)
@@ -393,7 +425,8 @@ class TestReferenceLoadersMatchTheOracle:
     def test_srt(self, lines):
         spans = [(start / 1000, (start + span) / 1000, words) for start, span, words in lines]
         text = "\n".join(
-            f"{i}\n{format_timestamp(start)} --> {format_timestamp(end)}\n{words}\n"
+            f"{i}\n{reference_format_timestamp(start)} --> "
+            f"{reference_format_timestamp(end)}\n{words}\n"
             for i, (start, end, words) in enumerate(spans, 1)
         )
         expected = reference_track_of_lines(

@@ -35,7 +35,6 @@ from commentary.cli import render_trace
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
 from commentary.evaluation import reference_from_srt_text
 from commentary.strategies import count_units, next_query_ms, unit_tokens
-from commentary.subtitles import track_entries
 
 from helpers import (
     HandsNothingOn,
@@ -45,6 +44,7 @@ from helpers import (
     reference_frames_between,
     reference_unit_tokens,
     synth_store,
+    track_entries,
     window_seconds,
 )
 

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commentary import CommentaryTrack, SrtEntry, Utterance, overlap_proportion, parse_srt, to_srt
-from commentary.subtitles import SrtParseError, format_timestamp, parse_timestamp, track_entries
+from commentary.subtitles import SrtParseError, parse_timestamp
 
 from helpers import (
     random_track,
-    reference_format_timestamp,
     reference_parse_srt,
     reference_to_srt,
+    track_entries,
 )
 
 
@@ -95,17 +95,6 @@ _BLOCK = st.one_of(_WELL_FORMED_BLOCK, _WELL_FORMED_BLOCK, _ANY_BLOCK)
 
 def utt(start, dur, text="the red car leads"):
     return Utterance(text=text, start=start, est_duration=dur)
-
-
-class TestFormatTimestamp:
-    def test_fractional_duration(self):
-        assert format_timestamp(8.616) == "00:00:08,616"
-
-    def test_hours_minutes(self):
-        assert format_timestamp(3661.5) == "01:01:01,500"
-
-    def test_zero(self):
-        assert format_timestamp(0.0) == "00:00:00,000"
 
 
 class TestToSrt:
@@ -238,8 +227,11 @@ class TestAgainstTheLineByLineParser:
         assert to_srt(track) == reference_to_srt(track)
 
     @given(st.floats(0.0, 1e12) | st.integers(0, 10**12))
-    def test_a_timestamp_formats_as_the_field_by_field_formatter_formats_it(self, seconds):
-        assert format_timestamp(seconds) == reference_format_timestamp(seconds)
+    def test_a_track_starting_at_any_time_writes_as_the_entry_by_entry_writer_writes_it(
+        self, seconds
+    ):
+        track = CommentaryTrack("v", (utt(seconds, 1.0),), seconds)
+        assert to_srt(track) == reference_to_srt(track)
 
 
 class TestOverlapProportion:

@@ -25,6 +25,7 @@ from .core import (
     check_timeline_seconds,
     read_utf8,
     speaking_timeline,
+    to_ms,
 )
 from .strategies import (
     UNIT_WORD,
@@ -163,22 +164,67 @@ def timing_alignment(gen: CommentaryTrack, ref: CommentaryTrack) -> float:
     return sum(x == y for x, y in zip(a, b)) / len(a)
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Exact LCS length, bit-parallel (Allison & Dix 1986, in Hyyrö's 2004 form).
+def _shared_run(
+    a: Sequence[str], b: Sequence[str], limit: int, from_end: bool = False
+) -> int:
+    """How many tokens `a` and `b` share at their start, or with `from_end` at their
+    end, counting up to `limit`. Spans of 1, 2, 4, ... tokens are compared as
+    slices, at C speed, until one differs, and that span is then halved; so the
+    work is linear in the run found, and a run of 0 costs one compare."""
 
-    The clear bits of `v` mark the positions of `a` where the LCS against the
-    tokens of `b` seen so far steps up by one, so each token of `b` costs a
-    few word operations per machine word of `a`.
+    def span(x: Sequence[str], i: int, j: int) -> Sequence[str]:
+        """Tokens i to j - 1 of `x`, counted from the end the run is taken at."""
+        return x[len(x) - j : len(x) - i] if from_end else x[i:j]
+
+    lo, step = 0, 1
+    while lo < limit:
+        hi = min(lo + step, limit)
+        if span(a, lo, hi) != span(b, lo, hi):
+            break
+        lo, step = hi, 2 * step
+    else:
+        return limit
+    hi -= 1  # the run is at least lo long, and shorter than the differing span's end
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if span(a, lo, mid) == span(b, lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Exact LCS length of two token lists or two strings of character tokens.
+
+    A shared prefix p and suffix s are matched first, as some LCS matches them:
+    LCS(p + x + s, p + y + s) = |p| + |s| + LCS(x, y). Only the middles x and y
+    go through the bit-parallel pass (Allison & Dix 1986, in Hyyrö's 2004 form).
+    The clear bits of `v` mark the positions of the shorter middle where the LCS
+    against the tokens of the longer one seen so far steps up by one, so each
+    token of the longer middle costs a few word operations per machine word of
+    the shorter; a token absent from the shorter middle changes nothing and is
+    skipped. The masks go over the shorter middle because building them costs
+    time quadratic in its length.
     """
+    p = _shared_run(a, b, min(len(a), len(b)))
+    s = _shared_run(a, b, min(len(a), len(b)) - p, from_end=True)
+    if p or s:
+        a, b = a[p : len(a) - s], b[p : len(b) - s]
+    if not a or not b:
+        return p + s
+    if len(a) > len(b):
+        a, b = b, a
     masks: dict[str, int] = {}
     for i, x in enumerate(a):
         masks[x] = masks.get(x, 0) | 1 << i
     full = (1 << len(a)) - 1
     v = full
-    for y in b:
-        u = v & masks.get(y, 0)
+    # Every mask is nonzero, so `filter` drops just the tokens with none.
+    for mask in filter(None, map(masks.get, b)):
+        u = v & mask
         v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return p + s + len(a) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str, language: str = "en") -> float:
@@ -204,19 +250,22 @@ def binned_similarity(
     gen: CommentaryTrack, ref: CommentaryTrack, scorer: SimilarityScorer
 ) -> list[float]:
     """Scores over ten uniform duration bins; an utterance belongs to the bin
-    containing its start. Bins where either side is empty score 0."""
+    containing its start, both times taken in whole milliseconds, so a start on
+    a bin boundary opens that bin. Bins where either side is empty score 0, and
+    so do all ten when the duration is 0 in whole milliseconds (under 0.5 ms).
+    A duration past the millisecond grid raises ValueError."""
     if gen.video_duration != ref.video_duration:
         raise ValueError(
             f"duration mismatch: {gen.video_duration} vs {ref.video_duration}"
         )
-    duration = gen.video_duration
-    if duration <= 0:
+    duration_ms = to_ms(gen.video_duration)
+    if duration_ms <= 0:
         return [0.0] * BIN_COUNT
 
     def bins_of(track: CommentaryTrack) -> list[list[str]]:
         out: list[list[str]] = [[] for _ in range(BIN_COUNT)]
         for u in track.utterances:
-            b = min(BIN_COUNT - 1, int(u.start * BIN_COUNT / duration))
+            b = min(BIN_COUNT - 1, to_ms(u.start) * BIN_COUNT // duration_ms)
             out[b].append(u.text)
         return out
 
@@ -231,12 +280,6 @@ def binned_similarity(
     return scores
 
 
-def _unit_count(track: CommentaryTrack, language: str) -> int:
-    """Speech units (words, or characters for Japanese) over the whole track."""
-    unit = default_unit_for_language(language)
-    return sum(count_units(u.text, unit) for u in track.utterances)
-
-
 def _track_text(track: CommentaryTrack) -> str:
     return " ".join(u.text for u in track.utterances)
 
@@ -248,13 +291,18 @@ def evaluate(
     language: str,
 ) -> EvalReport:
     """Assemble the full report for one generated/reference track pair."""
+    unit = default_unit_for_language(language)
+    # Joining utterances with a space neither merges nor splits a unit, so the
+    # joined texts hold each track's units.
+    gen_text = _track_text(gen)
+    ref_text = _track_text(ref)
     return EvalReport(
         alignment=timing_alignment(gen, ref),
-        rouge_l=rouge_l(_track_text(gen), _track_text(ref), language),
+        rouge_l=rouge_l(gen_text, ref_text, language),
         bin_scores=tuple(binned_similarity(gen, ref, scorer)),
         overlap=overlap_proportion(gen.utterances),
-        gen_words=_unit_count(gen, language),
-        ref_words=_unit_count(ref, language),
+        gen_words=count_units(gen_text, unit),
+        ref_words=count_units(ref_text, unit),
     )
 
 

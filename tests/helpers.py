@@ -10,6 +10,7 @@ import math
 import random
 import re
 import threading
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,7 @@ from commentary.core import (
     replace,
     to_ms,
 )
+from commentary.evaluation import BIN_COUNT
 from commentary.media import (
     DEFAULT_WINDOW_CAP,
     MANIFEST_HEADER_TAG,
@@ -50,6 +52,7 @@ from commentary.prompting import (
     PromptTemplate,
     serialize_history,
 )
+from commentary.strategies import count_units, default_unit_for_language
 from commentary.subtitles import SrtEntry, SrtParseError
 
 # The settings every property that runs `cli.main` derives its own from. No explain
@@ -82,6 +85,24 @@ def dp_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
                 cur.append(max(prev[j], cur[-1]))
         prev = cur
     return prev[-1]
+
+
+def _unit_count(track: CommentaryTrack, language: str) -> int:
+    """Speech units (words, or characters for Japanese) over the whole track."""
+    unit = default_unit_for_language(language)
+    return sum(count_units(u.text, unit) for u in track.utterances)
+
+
+def reference_bin(start: float, duration: float) -> int | None:
+    """The similarity bin of an utterance starting at `start` in a track lasting
+    `duration`, both rounded to whole milliseconds and divided as exact fractions;
+    None when the duration rounds to 0 ms. The oracle for the bins of
+    `binned_similarity` on millisecond-grid times."""
+    start_ms = round(Fraction(start) * 1000)
+    duration_ms = round(Fraction(duration) * 1000)
+    if duration_ms == 0:
+        return None
+    return min(BIN_COUNT - 1, math.floor(Fraction(start_ms, duration_ms) * BIN_COUNT))
 
 
 def reference_parse_response(raw: str) -> DecisionOutcome:

@@ -17,10 +17,13 @@ from commentary import (
     timing_alignment,
     to_srt,
 )
+from commentary.core import from_ms
 from commentary.evaluation import (
+    BIN_COUNT,
     EmbeddingScorer,
     EvalReport,
     _lcs_length,
+    _shared_run,
     reference_from_srt_text,
     reference_from_transcript_text,
 )
@@ -28,8 +31,10 @@ from commentary.strategies import default_unit_for_language
 
 from helpers import (
     WORDS,
+    _unit_count,
     dp_lcs_length,
     random_track,
+    reference_bin,
     reference_format_timestamp,
     reference_track_of_lines,
     serving_chat,
@@ -50,6 +55,72 @@ def token_pairs(draw):
         return draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
 
     return tokens(), tokens()
+
+
+# Single characters, so that a string of them is a token sequence too.
+CHAR_POOL = "abcde赤い車が先頭に立つ"
+
+
+@st.composite
+def shared_end_pairs(draw):
+    """Two token sequences p + x + s and p + y + s, both lists or both strings,
+    over 1-12 symbols: the middles drawn apart, equal, one a prefix or a suffix
+    of the other, or one empty, and the sides in either order."""
+    as_str = draw(st.booleans())
+    alphabet = draw(
+        st.lists(
+            st.sampled_from(CHAR_POOL if as_str else TOKEN_POOL),
+            min_size=1, max_size=12, unique=True,
+        )
+    )
+
+    def tokens(max_size):
+        return draw(st.lists(st.sampled_from(alphabet), max_size=max_size))
+
+    p, x, s = tokens(80), tokens(120), tokens(80)
+    shape = draw(st.sampled_from(["apart", "equal", "prefix", "suffix", "empty"]))
+    if shape == "apart":
+        y = tokens(120)
+    elif shape == "equal":
+        y = x
+    elif shape == "prefix":
+        y = x + tokens(40)
+    elif shape == "suffix":
+        y = tokens(40) + x
+    else:
+        x, y = [], tokens(120)
+    a, b = p + x + s, p + y + s
+    if draw(st.booleans()):
+        a, b = b, a
+    return ("".join(a), "".join(b)) if as_str else (a, b)
+
+
+class _BinRecorder:
+    """A scorer that scores the k-th scored bin k and keeps the candidate texts it
+    was given, so a bin's score names the utterances that landed in it."""
+
+    def __init__(self):
+        self.candidates = []
+
+    def score(self, candidate, reference):
+        self.candidates.append(candidate)
+        return float(len(self.candidates))
+
+
+@st.composite
+def ms_grid_bin_tracks(draw):
+    """A track of 0-30 utterances named u0, u1, ... on the millisecond grid, many
+    of them starting on a bin boundary or a millisecond before one."""
+    duration_ms = draw(
+        st.one_of(st.integers(1, 10**9), st.integers(1, 10**8).map(lambda n: n * BIN_COUNT))
+    )
+    boundary = st.tuples(st.integers(0, BIN_COUNT), st.sampled_from([0, -1])).map(
+        lambda kd: -(-kd[0] * duration_ms // BIN_COUNT) + kd[1]
+    )
+    starts = draw(st.lists(st.one_of(st.integers(0, duration_ms), boundary), max_size=30))
+    starts = sorted({ms for ms in starts if 0 <= ms <= duration_ms})
+    utterances = [Utterance(f"u{i}", from_ms(ms), 0.001) for i, ms in enumerate(starts)]
+    return track(utterances, from_ms(duration_ms))
 
 
 def utt(start, dur, text="the red car leads"):
@@ -161,8 +232,52 @@ class TestRougeL:
         a, b = pair
         assert _lcs_length(a, b) == dp_lcs_length(a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(shared_end_pairs())
+    def test_lcs_of_sequences_sharing_their_ends_matches_dp(self, pair):
+        a, b = pair
+        assert _lcs_length(a, b) == _lcs_length(b, a) == dp_lcs_length(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_end_pairs(), st.integers(0, 300))
+    def test_shared_runs_are_the_longest_up_to_their_limit(self, pair, limit):
+        a, b = pair
+        limit = min(limit, len(a), len(b))
+
+        def run(x, y):
+            differing = (i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+            return next(differing, min(len(x), len(y)))
+
+        assert _shared_run(a, b, limit) == min(run(a, b), limit)
+        assert _shared_run(a, b, limit, from_end=True) == min(run(a[::-1], b[::-1]), limit)
+
 
 class TestBinnedSimilarity:
+    @settings(max_examples=300, deadline=None)
+    @given(ms_grid_bin_tracks())
+    def test_an_utterance_lands_in_the_bin_of_its_start_in_whole_ms(self, t):
+        recorder = _BinRecorder()
+        scores = binned_similarity(t, t, recorder)
+        landed = {
+            name: b
+            for b, k in enumerate(scores)
+            if k
+            for name in recorder.candidates[int(k) - 1].split()
+        }
+        assert landed == {
+            u.text: reference_bin(u.start, t.video_duration) for u in t.utterances
+        }
+
+    def test_a_start_on_a_bin_boundary_opens_that_bin(self):
+        # In floats, 1.097 * 10 / 10.97 is just under 1, which put this line in bin 0.
+        t = track([utt(1.097, 9.873)], duration=10.97)
+        assert binned_similarity(t, t, LexicalOverlapScorer()) == [0.0, 1.0] + [0.0] * 8
+
+    @pytest.mark.parametrize("duration", [0.0, 0.0004])
+    def test_a_duration_of_zero_whole_ms_scores_zero_everywhere(self, duration):
+        t = track([utt(0.0, 1.0)], duration=duration)
+        assert binned_similarity(t, t, LexicalOverlapScorer()) == [0.0] * BIN_COUNT
+
     def test_identical_tracks_score_one_in_occupied_bins(self):
         t = track([utt(5.0, 1.0), utt(55.0, 1.0)], duration=100.0)
         scores = binned_similarity(t, t, LexicalOverlapScorer())
@@ -315,6 +430,18 @@ class TestEvaluate:
         assert (report.gen_words, report.ref_words) == (5, 0)
         ja = track([utt(0.0, 1.0, "赤い車"), utt(5.0, 1.0, "先頭だ")])
         assert evaluate(ja, ja, LexicalOverlapScorer(unit="character"), "ja").gen_words == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 120_000), st.sampled_from(["en", "ja"]))
+    def test_unit_counts_are_the_sums_over_utterances(self, data, duration_ms, language):
+        gen = data.draw(ms_grid_tracks(duration_ms))
+        ref = data.draw(ms_grid_tracks(duration_ms))
+        scorer = LexicalOverlapScorer(default_unit_for_language(language))
+        report = evaluate(gen, ref, scorer, language)
+        assert (report.gen_words, report.ref_words) == (
+            _unit_count(gen, language),
+            _unit_count(ref, language),
+        )
 
     def test_empty_gen_against_reference(self):
         gen = track([], duration=10.0)

@@ -200,12 +200,9 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     A shared prefix p and suffix s are matched first, as some LCS matches them:
     LCS(p + x + s, p + y + s) = |p| + |s| + LCS(x, y). Only the middles x and y
     go through the bit-parallel pass (Allison & Dix 1986, in Hyyrö's 2004 form).
-    The clear bits of `v` mark the positions of the shorter middle where the LCS
-    against the tokens of the longer one seen so far steps up by one, so each
-    token of the longer middle costs a few word operations per machine word of
-    the shorter; a token absent from the shorter middle changes nothing and is
-    skipped. The masks go over the shorter middle because building them costs
-    time quadratic in its length.
+    The clear bits of `v` mark the positions of `a`'s middle where the LCS
+    against the tokens of `b`'s middle seen so far steps up by one, so each of
+    those tokens costs a few word operations per machine word of `a`'s middle.
     """
     p = _shared_run(a, b, min(len(a), len(b)))
     s = _shared_run(a, b, min(len(a), len(b)) - p, from_end=True)
@@ -213,16 +210,13 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
         a, b = a[p : len(a) - s], b[p : len(b) - s]
     if not a or not b:
         return p + s
-    if len(a) > len(b):
-        a, b = b, a
     masks: dict[str, int] = {}
     for i, x in enumerate(a):
         masks[x] = masks.get(x, 0) | 1 << i
     full = (1 << len(a)) - 1
     v = full
-    # Every mask is nonzero, so `filter` drops just the tokens with none.
-    for mask in filter(None, map(masks.get, b)):
-        u = v & mask
+    for y in b:
+        u = v & masks.get(y, 0)
         v = ((v + u) | (v - u)) & full
     return p + s + len(a) - v.bit_count()
 

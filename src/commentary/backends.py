@@ -55,23 +55,7 @@ def _warn(message: str, *args: object) -> None:
 
 
 class BackendError(Exception):
-    """Base class for generator failures."""
-
-
-class TransportError(BackendError):
-    """Network-level failure or unexpected server response."""
-
-
-class AuthenticationError(BackendError):
-    """Endpoint rejected the credentials; retrying cannot help."""
-
-
-class RateLimitError(BackendError):
-    """Endpoint asked us to back off; retried with exponential delay."""
-
-
-class PayloadTooLargeError(BackendError):
-    """Request exceeds the payload limit; retrying cannot help."""
+    """A generator failure; its message says what failed."""
 
 
 class ReplayMissError(Exception):
@@ -146,7 +130,7 @@ class GeneratorRequest(Record):
         read_ahead: dict[str, _Frame] | None = None,
     ) -> None:
         if len(prompt.attachments) > ATTACHMENT_LIMIT:
-            raise PayloadTooLargeError(
+            raise BackendError(
                 f"{len(prompt.attachments)} attachments exceed the limit of {ATTACHMENT_LIMIT}"
             )
         self.__dict__.update(
@@ -833,10 +817,10 @@ class _Endpoint:
         up to `MAX_ATTEMPTS` in all, sleeping `BACKOFF_BASE * 2**(n - 1)` seconds
         before retry n; each retry is logged as a warning, and resends `body` as
         it is. Each attempt holds one of the `MAX_CONCURRENCY` slots. Other
-        statuses raise their typed `BackendError` at once.
+        statuses raise `BackendError` at once.
         """
         url = self.url
-        last_error: BackendError = TransportError("no attempt made")
+        last_error = BackendError("no attempt made")
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 delay = BACKOFF_BASE * (2 ** (attempt - 1))
@@ -856,23 +840,23 @@ class _Endpoint:
                         )
                         status, content = resp.status_code, resp.content
                 except OSError as exc:  # raised by `_HttpSession` and `requests` alike
-                    last_error = TransportError(f"request to {url} failed: {exc}")
+                    last_error = BackendError(f"request to {url} failed: {exc}")
                     continue
                 latency = time.monotonic() - started
             if status == 200:
                 return content, latency
             if status in (401, 403):
-                raise AuthenticationError(f"{url} rejected the credentials ({status})")
+                raise BackendError(f"{url} rejected the credentials ({status})")
             if status == 413:
-                raise PayloadTooLargeError(f"{url} rejected the payload as too large (413)")
+                raise BackendError(f"{url} rejected the payload as too large (413)")
             if status == 429:
-                last_error = RateLimitError(f"{url} rate limited the request (429)")
+                last_error = BackendError(f"{url} rate limited the request (429)")
             elif status >= 500:
-                last_error = TransportError(f"server error {status} from {url}")
+                last_error = BackendError(f"server error {status} from {url}")
             else:
                 excerpt = content.decode("utf-8", "replace")[:200]
                 detail = f": {excerpt}" if excerpt else ""
-                raise TransportError(f"unexpected status {status} from {url}{detail}")
+                raise BackendError(f"unexpected status {status} from {url}{detail}")
         raise last_error
 
     def close(self) -> None:
@@ -910,7 +894,7 @@ def _extract_content(body: bytes) -> str:
         data = json.loads(body)
         content = data["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
-        raise TransportError(f"malformed chat-completion response: {exc}") from exc
+        raise BackendError(f"malformed chat-completion response: {exc}") from exc
     if content is None:  # no text, e.g. cut off by the token limit: a Wait
         return ""
     if isinstance(content, list):
@@ -926,7 +910,7 @@ def _extract_content(body: bytes) -> str:
         what = "content holding a lone surrogate"
     else:
         return content
-    raise TransportError(f"malformed chat-completion response: {what}")
+    raise BackendError(f"malformed chat-completion response: {what}")
 
 
 class CacheKey(NamedTuple):

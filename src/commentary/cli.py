@@ -1,11 +1,13 @@
 """Command-line entry point: generate commentary, evaluate it, sweep step sizes.
 
 Exit codes: 0 success, 1 configuration or input error, 2 partial results
-(a session aborted mid-run).
+(a session aborted mid-run). A stdout closed by its reader (`| head -n 1`)
+ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import threading
@@ -740,9 +742,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _Flags(argv[0]).parse(argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader closed stdout: what is still buffered goes to /dev/null at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_CONFIG
 
 

@@ -9,9 +9,6 @@ from .core import CommentaryTrack, Record, Seconds, Utterance, check_seconds, fr
 
 _TIMESTAMP = re.compile(r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})")
 _ARROW = "-->"
-# A whole timestamp line, `start --> end`: what splitting it at the arrow and
-# parsing each stripped side with `_TIMESTAMP` accepts.
-_TIMESTAMP_LINE = re.compile(rf"\s*{_TIMESTAMP.pattern}\s*{_ARROW}\s*{_TIMESTAMP.pattern}\s*")
 
 
 class SrtParseError(ValueError):
@@ -43,11 +40,9 @@ def parse_timestamp(token: str) -> Seconds:
     m = _TIMESTAMP.fullmatch(token.strip())
     if not m:
         raise ValueError(f"invalid timestamp {token!r}")
-    return from_ms(_timestamp_ms(*m.groups()))
-
-
-def _timestamp_ms(hours: str, minutes: str, secs: str, frac: str) -> int:
-    return ((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + int(frac.ljust(3, "0"))
+    hours, minutes, secs, frac = m.groups()
+    total_ms = ((int(hours) * 60 + int(minutes)) * 60 + int(secs)) * 1000 + int(frac.ljust(3, "0"))
+    return from_ms(total_ms)
 
 
 def to_srt(track: CommentaryTrack) -> str:
@@ -69,10 +64,11 @@ def to_srt(track: CommentaryTrack) -> str:
 def parse_srt(text: str) -> list[SrtEntry]:
     """Parse SRT text into entries.
 
-    Tolerates CRLF line endings, a leading byte-order mark, and a dot
-    millisecond separator. A malformed timestamp line raises SrtParseError
-    naming the entry and line. The index order is not checked: entries are
-    used in start order.
+    Tolerates CRLF line endings, a leading byte-order mark, a dot
+    millisecond separator, and a missing blank line between entries: a bare
+    index followed by a timestamp line starts the next entry. A malformed
+    timestamp line raises SrtParseError naming the entry and line. The index
+    order is not checked: entries are used in start order.
     """
     if text.startswith("﻿"):
         text = text[1:]
@@ -91,15 +87,9 @@ def parse_srt(text: str) -> list[SrtEntry]:
         index = int(index_line)
         if i >= n or _ARROW not in lines[i]:
             raise SrtParseError(f"entry {index}, line {i + 1}: expected a timestamp line")
-        line = lines[i]
+        start_token, _, end_token = lines[i].partition(_ARROW)
         try:
-            m = _TIMESTAMP_LINE.fullmatch(line)
-            if m is None:  # parsed side by side, the bad side raises naming itself
-                start_token, _, end_token = line.partition(_ARROW)
-                start, end = parse_timestamp(start_token), parse_timestamp(end_token)
-            else:
-                times = m.groups()
-                start, end = from_ms(_timestamp_ms(*times[:4])), from_ms(_timestamp_ms(*times[4:]))
+            start, end = parse_timestamp(start_token), parse_timestamp(end_token)
             to_ms(end)  # an end past the millisecond grid raises ValueError naming this entry
         except ValueError as exc:
             raise SrtParseError(f"entry {index}, line {i + 1}: {exc}") from exc
@@ -107,7 +97,8 @@ def parse_srt(text: str) -> list[SrtEntry]:
         text_lines: list[str] = []
         while i < n:
             text_line = lines[i].strip()
-            if not text_line:
+            # A blank line ends the text, and so does the next entry's index line.
+            if not text_line or (text_line.isdecimal() and i + 1 < n and _ARROW in lines[i + 1]):
                 break
             text_lines.append(text_line)
             i += 1

@@ -260,8 +260,9 @@ def reference_parse_timestamp(token: str) -> float:
 
 def reference_parse_srt(text: str) -> list[SrtEntry]:
     """SRT text parsed line by line, each timestamp line split at its arrow and each
-    side parsed on its own, every line stripped where it is tested; the oracle for
-    `parse_srt`, its results and its errors."""
+    side parsed on its own, every line stripped where it is tested; an entry's text
+    ends at a blank line or at a bare index whose next line holds an arrow. The
+    oracle for `parse_srt`, its results and its errors."""
     if text.startswith("\ufeff"):
         text = text[1:]
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -289,6 +290,9 @@ def reference_parse_srt(text: str) -> list[SrtEntry]:
         i += 1
         text_lines: list[str] = []
         while i < len(lines) and lines[i].strip():
+            next_holds_arrow = i + 1 < len(lines) and "-->" in lines[i + 1]
+            if lines[i].strip().isdecimal() and next_holds_arrow:
+                break  # the next entry's index, with no blank line before it
             text_lines.append(lines[i].strip())
             i += 1
         if not text_lines:

@@ -45,13 +45,9 @@ from commentary import (
     run_session,
 )
 from commentary.backends import (
-    AuthenticationError,
     BackendError,
-    PayloadTooLargeError,
-    RateLimitError,
     ReplayMismatchError,
     ReplayMissError,
-    TransportError,
     build_chat_payload,
     chat_request_body,
     encode_image_uri,
@@ -84,7 +80,7 @@ def request_for(p=None, **kwargs):
 class TestGeneratorRequest:
     def test_attachment_limit(self):
         heavy = prompt(attachments=tuple(f"u{i}" for i in range(33)))
-        with pytest.raises(PayloadTooLargeError):
+        with pytest.raises(BackendError, match="^33 attachments exceed the limit of 32$"):
             request_for(heavy)
 
     def test_a_response_of_negative_latency_is_refused(self):
@@ -740,14 +736,14 @@ class TestRemoteChatBackend:
     def test_auth_failure_does_not_retry(self, chat_server, closing):
         chat_server.plan.append(401)
         client = closing(_client(chat_server))
-        with pytest.raises(AuthenticationError):
+        with pytest.raises(BackendError, match=r" rejected the credentials \(401\)$"):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
     def test_payload_too_large_does_not_retry(self, chat_server, closing):
         chat_server.plan.append(413)
         client = closing(_client(chat_server))
-        with pytest.raises(PayloadTooLargeError):
+        with pytest.raises(BackendError, match=r" rejected the payload as too large \(413\)$"):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
@@ -784,7 +780,7 @@ class TestRemoteChatBackend:
     def test_content_of_another_type_is_a_transport_error(self, chat_server, closing, content):
         chat_server.content = content
         client = closing(_client(chat_server))
-        with pytest.raises(TransportError, match="^malformed chat-completion response: .* content$"):
+        with pytest.raises(BackendError, match="^malformed chat-completion response: .* content$"):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
@@ -796,7 +792,7 @@ class TestRemoteChatBackend:
     ):
         chat_server.content = content
         client = closing(_client(chat_server))
-        with pytest.raises(TransportError, match="^malformed chat-completion response: content "):
+        with pytest.raises(BackendError, match="^malformed chat-completion response: content "):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
         assert len(chat_server.requests) == 1
 
@@ -816,7 +812,8 @@ class TestRemoteChatBackend:
     def test_unreachable_host_fails_after_three_attempts(self, endpoint_constants):
         endpoint_constants(timeout=0.2)
         client = RemoteChatBackend(base_url="http://127.0.0.1:1", api_key="k", model_id="m")
-        with pytest.raises(TransportError):
+        failed = "^request to http://127.0.0.1:1/chat/completions failed: "
+        with pytest.raises(BackendError, match=failed):
             client.generate(GeneratorRequest(prompt=prompt(attachments=()), model_id="m"))
 
     @pytest.mark.parametrize("base_url", ["127.0.0.1:8000", "localhost:8000/v1", "ftp://host/v1"])
@@ -1188,7 +1185,7 @@ class TestRetryLogging:
         endpoint_constants(timeout=0.2, max_attempts=2)
         client = RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
         with caplog.at_level(logging.WARNING, logger="commentary.backends"):
-            with pytest.raises(TransportError):
+            with pytest.raises(BackendError, match="^request to .* failed: "):
                 client.generate(request_for(prompt(attachments=())))
         [(level, message)] = self._records(caplog)
         assert level == logging.WARNING
@@ -1204,11 +1201,75 @@ class TestRetryLogging:
         assert caplog.records == []
 
 
+def _chat(*plan, **bodies):
+    """Sends one chat request to the test server, its statuses planned as `plan` and
+    its reply bodies (`reply_body`, `error_body`) set from `bodies`."""
+
+    def send(server):
+        server.plan = list(plan)
+        for name, body in bodies.items():
+            setattr(server, name, body)
+        client = _client(server)
+        try:
+            client.generate(request_for(prompt(attachments=())))
+        finally:
+            client.close()
+
+    return send
+
+
+def _refused(server):
+    client = RemoteChatBackend(base_url="http://127.0.0.1:1", model_id="m")
+    client.generate(request_for(prompt(attachments=())))
+
+
+@pytest.mark.usefixtures("endpoint_constants")
+class TestBackendFailureMessages:
+    """Every way a chat request fails is a plain `BackendError`; its message alone
+    tells one failure from another."""
+
+    @pytest.mark.parametrize(
+        "send, message",
+        [
+            (_chat(401), r"{url} rejected the credentials \(401\)"),
+            (_chat(403), r"{url} rejected the credentials \(403\)"),
+            (_chat(413), r"{url} rejected the payload as too large \(413\)"),
+            (_chat(429, 429, 429), r"{url} rate limited the request \(429\)"),
+            (_chat(503, 503, 503), r"server error 503 from {url}"),
+            (_chat(404, error_body=b"no such model"),
+             r"unexpected status 404 from {url}: no such model"),
+            (_refused,
+             r"request to http://127\.0\.0\.1:1/chat/completions failed: "
+             r"\[Errno \d+\] Connection refused"),
+            (_chat(reply_body=b"not json"),
+             r"malformed chat-completion response: Expecting value: line 1 column 1 \(char 0\)"),
+            (lambda server: request_for(prompt(attachments=tuple(f"u{i}" for i in range(33)))),
+             r"33 attachments exceed the limit of 32"),
+        ],
+        ids=[
+            "401", "403", "413", "429x3", "503x3", "404-with-body", "refused", "not-json",
+            "33-attachments",
+        ],
+    )
+    def test_every_failure_is_a_backend_error_saying_what_failed(
+        self, chat_server, send, message
+    ):
+        with pytest.raises(BackendError) as exc:
+            send(chat_server)
+        url = re.escape(f"http://127.0.0.1:{chat_server.server_address[1]}/chat/completions")
+        assert type(exc.value) is BackendError
+        assert re.fullmatch(message.replace("{url}", url), str(exc.value))
+
+
 @pytest.mark.usefixtures("endpoint_constants")
 class TestEmbeddingRetries:
     @pytest.mark.parametrize(
         "plan, error, sent",
-        [([429], None, 2), ([503] * 3, TransportError, 3), ([401], AuthenticationError, 1)],
+        [
+            ([429], None, 2),
+            ([503] * 3, "^server error 503 from ", 3),
+            ([401], r" rejected the credentials \(401\)$", 1),
+        ],
         ids=["rate-limit-then-ok", "server-errors", "auth-failure"],
     )
     def test_embedding_requests_retry_like_chat_requests(
@@ -1220,7 +1281,7 @@ class TestEmbeddingRetries:
         if error is None:
             assert scorer.score("the pack", "the pack") == pytest.approx(1.0)
         else:
-            with pytest.raises(error):
+            with pytest.raises(BackendError, match=error):
                 scorer.score("the pack", "the pack")
         assert len(chat_server.requests) == sent
 
@@ -1242,7 +1303,7 @@ class TestEndpointConstants:
         monkeypatch.setattr(time, "sleep", sleeps.append)
         monkeypatch.setattr(socket, "create_connection", spy_connect)
         base = "http://127.0.0.1:1"  # nothing listens on port 1: each attempt is refused
-        with pytest.raises(TransportError, match="Connection refused"):
+        with pytest.raises(BackendError, match="^request to .* failed: .*Connection refused"):
             if kind == "chat":
                 client = RemoteChatBackend(base_url=base, model_id="m")
                 client.generate(request_for(prompt(attachments=())))
@@ -1539,7 +1600,7 @@ class TestTls:
         no_proxy_env.delenv("CURL_CA_BUNDLE", raising=False)
         client = self._client(tls_server)
         with caplog.at_level(logging.WARNING, logger="commentary.backends"):
-            with pytest.raises(TransportError) as exc:
+            with pytest.raises(BackendError, match="^request to .* failed: ") as exc:
                 client.generate(request_for(prompt(attachments=())))
         failed = f"request to {client.url} failed: [SSL: CERTIFICATE_VERIFY_FAILED]"
         assert str(exc.value).startswith(failed)
@@ -1654,7 +1715,7 @@ class TestConnections:
     def test_a_malformed_reply_is_a_transport_error(self, raw_server, closing, reply, reason):
         server = raw_server(reply)
         client = closing(self._raw_client(server))
-        with pytest.raises(TransportError) as exc:
+        with pytest.raises(BackendError, match="^request to .* failed: ") as exc:
             self._generate(client)
         url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
         assert str(exc.value) == f"request to {url} failed: {reason}"
@@ -1712,7 +1773,9 @@ class TestConnections:
     ):
         server = raw_server(reply)
         client = closing(self._raw_client(server))
-        with pytest.raises(TransportError) as exc:
+        with pytest.raises(
+            BackendError, match="^(unexpected status|malformed chat-completion response)"
+        ) as exc:
             self._generate(client)
         url = f"http://127.0.0.1:{server.port}/v1/chat/completions"
         expected = message.format(url=url)
@@ -1729,7 +1792,7 @@ class TestConnections:
         proxy = raw_server(b"")  # records the CONNECT request, then hangs up
         no_proxy_env.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.port}")
         client = RemoteChatBackend(base_url="https://api.example.test/v1", model_id="m")
-        with pytest.raises(TransportError):
+        with pytest.raises(BackendError, match="^request to https://api.example.test/.* failed: "):
             self._generate(client)
         lines = proxy.heads[0].decode("latin-1").split("\r\n")
         assert lines[0].startswith("CONNECT api.example.test:443 HTTP/1.")
@@ -1742,7 +1805,7 @@ class TestConnections:
         no_proxy_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
         client = RemoteChatBackend(base_url="https://api.example.test", model_id="m")
         no_proxy_env.delenv("HTTPS_PROXY")
-        with pytest.raises(TransportError) as exc:
+        with pytest.raises(BackendError, match="^request to .* failed: proxy refused ") as exc:
             self._generate(client)
         assert str(exc.value) == (
             "request to https://api.example.test/chat/completions failed: "
@@ -1808,7 +1871,7 @@ class TestConnections:
     def test_body_cut_short_is_a_transport_error(self, raw_server):
         server = raw_server(_reply_head(length=len(CHAT_REPLY) + 10) + CHAT_REPLY)
         client = self._raw_client(server)
-        with pytest.raises(TransportError, match="body bytes"):
+        with pytest.raises(BackendError, match="^request to .* failed: connection closed .* bytes$"):
             self._generate(client)
         assert len(server.heads) == backends.MAX_ATTEMPTS
         assert len(set(server.bodies)) == 1  # every retry resends the same body

@@ -1291,6 +1291,27 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(gen_dir), str(ref_dir)]) == 1
         assert capsys.readouterr().err == f"error: race01: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_stdout_closed_by_its_reader_exits_one_with_no_traceback(
+        self, workspace, unbuffered
+    ):
+        gen_dir = self._generate(workspace)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(commentary.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `| head` does once it has its lines
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "commentary.cli", "evaluate", str(gen_dir), str(gen_dir)],
+                stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8", timeout=60, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
 
 class TestListing:
     """The dirs the CLI lists are listed by name suffix, each picking what

@@ -29,7 +29,7 @@ from commentary import (
     to_srt,
 )
 from commentary import backends, prompting, strategies
-from commentary.backends import ATTACHMENT_LIMIT, GeneratorResponse, TransportError
+from commentary.backends import ATTACHMENT_LIMIT, BackendError, GeneratorResponse
 from commentary.core import from_ms, to_ms
 from commentary.cli import render_trace
 from commentary.prompting import Demonstration, PromptSet, PromptTemplate
@@ -357,7 +357,7 @@ class _FailingBackend:
         index = self.calls
         self.calls += 1
         if index == self.fail_at:
-            raise TransportError("boom")
+            raise BackendError("boom")
         return GeneratorResponse("the race continues on", 0.0)
 
 

@@ -156,6 +156,21 @@ class TestParseSrt:
             entries = parse_srt(text)
         assert [(e.index, e.text) for e in entries] == [(2, "a b"), (1, "c d")]
 
+    def test_an_entry_with_no_blank_line_before_the_next_ends_at_its_index(self):
+        text = (
+            "1\n00:00:01,000 --> 00:00:02,750\nseven quick words make two seconds here\n"
+            "2\n00:00:06,000 --> 00:00:07,000\nfour more words now\n"
+        )
+        assert parse_srt(text) == [
+            SrtEntry(1, 1.0, 2.75, "seven quick words make two seconds here"),
+            SrtEntry(2, 6.0, 7.0, "four more words now"),
+        ]
+
+    def test_an_index_line_where_the_text_should_be_leaves_the_entry_with_none(self):
+        text = "1\n00:00:01,000 --> 00:00:02,000\n2\n00:00:03,000 --> 00:00:04,000\nhello\n"
+        with pytest.raises(SrtParseError, match="^entry 1: missing subtitle text$"):
+            parse_srt(text)
+
     def test_multiline_text_joined(self):
         text = "1\n00:00:00,000 --> 00:00:01,000\nline one\nline two\n"
         assert parse_srt(text)[0].text == "line one line two"
